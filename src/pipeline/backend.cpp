@@ -1,7 +1,7 @@
 #include "pipeline/backend.hpp"
 
 #include <cstring>
-#include <deque>
+#include <iterator>
 
 #include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
@@ -9,55 +9,62 @@
 
 namespace pathsched::pipeline {
 
+namespace {
+
+/** The registry: the paper's five configurations (§4), one row each,
+ *  indexed by SchedConfig. */
+constexpr BackendDesc kBackends[] = {
+    {SchedConfig::BB, "BB", "basic-block scheduling (Table 1 baseline)"},
+    {SchedConfig::M4, "M4", "edge profile, mutual-most-likely, unroll 4",
+     FormProfile::Edge, 4},
+    {SchedConfig::M16, "M16", "edge profile, mutual-most-likely, unroll 16",
+     FormProfile::Edge, 16},
+    {SchedConfig::P4, "P4", "path profile, <= 4 superblock-loop heads",
+     FormProfile::Path, 4, 4},
+    {SchedConfig::P4e, "P4e", "P4, non-loop superblocks stop at any head",
+     FormProfile::Path, 4, 4, true},
+};
+
+constexpr bool
+indexedByConfig()
+{
+    for (size_t i = 0; i < std::size(kBackends); ++i) {
+        if (size_t(kBackends[i].config) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(indexedByConfig(),
+              "kBackends rows must follow SchedConfig order");
+
+} // namespace
+
 form::FormConfig
-formConfigFor(SchedConfig config, const PipelineOptions &options)
+formConfigFor(const BackendDesc &be, const PipelineOptions &options)
 {
     form::FormConfig fc;
     fc.completionThreshold = options.completionThreshold;
     fc.maxInstrs = options.maxInstrs;
     fc.enlarge = options.enlarge;
     fc.growUpward = options.growUpward;
-    switch (config) {
-      case SchedConfig::BB:
-      case SchedConfig::G4:
-        break; // no formation stage
-      case SchedConfig::M4:
+    if (be.profile == FormProfile::Edge)
         fc.mode = form::ProfileMode::Edge;
-        fc.unrollFactor = 4;
-        break;
-      case SchedConfig::M16:
-        fc.mode = form::ProfileMode::Edge;
-        fc.unrollFactor = 16;
-        break;
-      case SchedConfig::P4:
-        fc.mode = form::ProfileMode::Path;
-        fc.maxLoopHeads = 4;
-        break;
-      case SchedConfig::P4e:
-        fc.mode = form::ProfileMode::Path;
-        fc.maxLoopHeads = 4;
-        fc.nonLoopStopsAtAnyHead = true;
-        break;
-      case SchedConfig::G4e:
-        // Enlargement on top of GCM: the P4 path-driven formation.
-        fc.mode = form::ProfileMode::Path;
-        fc.maxLoopHeads = 4;
-        break;
-    }
+    fc.unrollFactor = be.unrollFactor;
+    fc.maxLoopHeads = be.maxLoopHeads;
+    fc.nonLoopStopsAtAnyHead = be.nonLoopStopsAtAnyHead;
     return fc;
 }
 
-namespace {
-
-/** The superblock family's transform: formation (with the projected-
- *  edge degradation cascade) bracketed by the "form"/"materialize"
- *  injection boundaries. */
+/** Superblock formation (with the projected-edge degradation cascade)
+ *  bracketed by the "form"/"materialize" injection boundaries. */
 Status
-superblockTransform(ir::Program &prog, ir::ProcId proc,
-                    const TransformContext &ctx, TransformStats &stats,
-                    const char **failedStage)
+BackendDesc::transform(ir::Program &prog, ir::ProcId proc,
+                       const TransformContext &ctx, TransformStats &stats,
+                       const char **failedStage) const
 {
-    form::FormConfig fc = formConfigFor(ctx.config, *ctx.opt);
+    ps_assert_msg(hasTransform(), "backend %s has no transform stage",
+                  name);
+    form::FormConfig fc = formConfigFor(*this, *ctx.opt);
     if (ctx.useProjectedEdges) {
         // Degradation cascade for procedures whose path profile lost
         // windows to admission but still projects consistently: form
@@ -83,52 +90,6 @@ superblockTransform(ir::Program &prog, ir::ProcId proc,
     return st;
 }
 
-/** Shared GCM step of the G4 family: edge-profile block frequencies
- *  feed placement; the machine model feeds latency-aware hoisting. */
-Status
-gcmStep(ir::Program &prog, ir::ProcId proc, const TransformContext &ctx,
-        TransformStats &stats, const char **failedStage)
-{
-    *failedStage = "gcm";
-    Status st = ctx.injectAt("gcm");
-    if (!st.ok())
-        return st;
-    const size_t num_blocks = prog.procs[proc].blocks.size();
-    std::vector<uint64_t> freqs(num_blocks, 0);
-    for (size_t b = 0; b < num_blocks; ++b)
-        freqs[b] = ctx.edge->blockFreq(proc, ir::BlockId(b));
-    sched::GcmOptions go;
-    go.machine = &ctx.opt->machine;
-    go.blockFreq = &freqs;
-    go.budget = ctx.budget;
-    const obs::Observer gcm_obs = ctx.timed->withPrefix("gcm.");
-    go.observer = &gcm_obs;
-    return sched::gcmProcedure(prog, proc, go, stats.gcm);
-}
-
-Status
-gcmTransform(ir::Program &prog, ir::ProcId proc,
-             const TransformContext &ctx, TransformStats &stats,
-             const char **failedStage)
-{
-    return gcmStep(prog, proc, ctx, stats, failedStage);
-}
-
-/** G4e: global code motion first, then path-driven enlargement of the
- *  (unchanged-shape) CFG — the profiles stay valid across GCM because
- *  no block is created, destroyed or re-targeted. */
-Status
-gcmEnlargeTransform(ir::Program &prog, ir::ProcId proc,
-                    const TransformContext &ctx, TransformStats &stats,
-                    const char **failedStage)
-{
-    Status st = gcmStep(prog, proc, ctx, stats, failedStage);
-    if (!st.ok())
-        return st;
-    return superblockTransform(prog, proc, ctx, stats, failedStage);
-}
-
-/** Formation/path knobs shared by every superblock-forming backend. */
 void
 superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt)
 {
@@ -146,146 +107,47 @@ superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt)
         .u64(opt.pathParams.forwardPathsOnly ? 1 : 0);
 }
 
-class Registry
-{
-  public:
-    Registry()
-    {
-        BackendDesc d;
-
-        d.config = SchedConfig::BB;
-        d.name = "BB";
-        d.summary = "basic-block scheduling (Table 1 baseline)";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::M4;
-        d.name = "M4";
-        d.summary = "edge profile, mutual-most-likely, unroll 4";
-        d.edgeProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = superblockTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-
-        d.config = SchedConfig::M16;
-        d.name = "M16";
-        d.summary = "edge profile, mutual-most-likely, unroll 16";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::P4;
-        d.name = "P4";
-        d.summary = "path profile, <= 4 superblock-loop heads";
-        d.pathProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = superblockTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-
-        d.config = SchedConfig::P4e;
-        d.name = "P4e";
-        d.summary = "P4, non-loop superblocks stop at any head";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::G4;
-        d.name = "G4";
-        d.summary = "global code motion (Click GCM) on the original CFG";
-        d.edgeProfile = true;
-        d.usesGcm = true;
-        d.transformLabel = "gcm";
-        d.transform = gcmTransform;
-        add(d);
-
-        d.config = SchedConfig::G4e;
-        d.name = "G4e";
-        d.summary = "GCM plus P4-style path-driven enlargement";
-        d.pathProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = gcmEnlargeTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-    }
-
-    void
-    add(const BackendDesc &desc)
-    {
-        if (byName(desc.name) != nullptr)
-            panic("backend name '%s' registered twice", desc.name);
-        if (byConfig(desc.config) != nullptr)
-            panic("backend config %d registered twice",
-                  int(desc.config));
-        storage_.push_back(desc);
-        list_.push_back(&storage_.back());
-    }
-
-    const BackendDesc *
-    byName(const std::string &name) const
-    {
-        for (const BackendDesc *d : list_) {
-            if (name == d->name)
-                return d;
-        }
-        return nullptr;
-    }
-
-    const BackendDesc *
-    byConfig(SchedConfig config) const
-    {
-        for (const BackendDesc *d : list_) {
-            if (d->config == config)
-                return d;
-        }
-        return nullptr;
-    }
-
-    const std::vector<const BackendDesc *> &
-    list() const
-    {
-        return list_;
-    }
-
-  private:
-    /** deque: descriptor addresses stay stable across registrations. */
-    std::deque<BackendDesc> storage_;
-    std::vector<const BackendDesc *> list_;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
-
-} // namespace
-
 const BackendDesc &
 backendFor(SchedConfig config)
 {
-    const BackendDesc *d = registry().byConfig(config);
-    if (d == nullptr)
-        panic("no backend registered for SchedConfig %d", int(config));
-    return *d;
+    const size_t i = size_t(config);
+    if (i >= std::size(kBackends))
+        panic("no backend for SchedConfig %d", int(config));
+    return kBackends[i];
 }
 
 const BackendDesc *
 findBackend(const std::string &name)
 {
-    return registry().byName(name);
+    for (const BackendDesc &d : kBackends) {
+        if (name == d.name)
+            return &d;
+    }
+    return nullptr;
 }
 
 const std::vector<const BackendDesc *> &
 allBackends()
 {
-    return registry().list();
+    static const std::vector<const BackendDesc *> list = [] {
+        std::vector<const BackendDesc *> v;
+        for (const BackendDesc &d : kBackends)
+            v.push_back(&d);
+        return v;
+    }();
+    return list;
 }
 
-void
-registerBackend(const BackendDesc &desc)
+std::string
+backendNames(const char *sep)
 {
-    registry().add(desc);
+    std::string s;
+    for (const BackendDesc &d : kBackends) {
+        if (!s.empty())
+            s += sep;
+        s += d.name;
+    }
+    return s;
 }
 
 const char *

@@ -5,41 +5,43 @@
  * A scheduling configuration used to be a bare SchedConfig enumerator
  * whose meaning was re-derived by `config == SchedConfig::P4`-style
  * predicates scattered across the pipeline, the server, the oracle and
- * the tools — every new config family had to edit a dozen switch sites
- * or silently miss one.  This header replaces all of those predicates
- * with one descriptor per backend:
+ * the tools.  This header replaces all of those predicates with one
+ * descriptor per backend, a row of plain data:
  *
- *  - a stable *name* ("P4", "G4") that is the string key for
+ *  - a stable *name* ("P4", "M16") that is the string key for
  *    `--config` parsing everywhere and part of the stage-cache key;
- *  - *capability queries* — needsEdgeProfile()/needsPathProfile() —
- *    that answer every "which profile does this config consume?"
- *    question (training-listener attachment, profile admission, cache
- *    profile hashing, the serving loop's reschedule inputs);
- *  - a *knobs hash* folding the backend's own option knobs into the
- *    PR-5 stage-cache key, so unrelated knobs of other families cannot
- *    over- or under-key an entry;
+ *  - a *formation preset* (profile kind, unroll factor, superblock-loop
+ *    heads, non-loop stop rule) that formConfigFor() copies into a
+ *    form::FormConfig;
+ *  - *capability queries* derived from the preset —
+ *    needsEdgeProfile()/needsPathProfile()/formsSuperblocks() — that
+ *    answer every "which profile does this config consume?" question
+ *    (training-listener attachment, profile admission, cache profile
+ *    hashing, the serving loop's reschedule inputs);
  *  - a per-procedure Status-returning *transform* entry point (the
  *    "form" slot of the pipeline's task chain) following the
  *    src/pipeline/stages.hpp conventions, through which the executor,
  *    quarantine, budget and fault-injection machinery drive the
  *    backend without knowing what it does.
  *
- * Adding a backend is now one registration in backend.cpp: the fuzz
- * oracle, `--config all`, the batch sweep, the serving loop and the
- * stage cache pick it up from allBackends() with no further edits —
- * this is the API the C4 cloning family (ROADMAP item 1) plugs into.
+ * The registry is a constant table holding the paper's five
+ * configurations (§4), in SchedConfig order.  The fuzz oracle,
+ * `--config all`, the batch sweep, the serving loop and the stage
+ * cache all read it through allBackends(), so a new row (plus its
+ * enumerator) is the only edit a new configuration of the superblock
+ * former needs.
  */
 
 #ifndef PATHSCHED_PIPELINE_BACKEND_HPP
 #define PATHSCHED_PIPELINE_BACKEND_HPP
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
-#include "sched/gcm.hpp"
 
 namespace pathsched::pipeline {
 
@@ -77,85 +79,94 @@ struct TransformContext
     }
 };
 
-/** Counters a transform stage may fill; unused members stay zero and
- *  cost nothing (the pipeline only reports a family's own counters). */
+/** Counters a transform stage fills. */
 struct TransformStats
 {
     form::FormStats form;
-    sched::GcmStats gcm;
 };
 
-/**
- * One scheduling backend.  Plain data plus free-function hooks so a
- * registration is a braced literal; see backend.cpp for the built-ins.
- */
+/** The profile a backend's superblock formation consumes; None means
+ *  the backend forms no superblocks (the BB baseline). */
+enum class FormProfile
+{
+    None,
+    Edge,
+    Path,
+};
+
+/** One scheduling backend: a row of the registry table in backend.cpp. */
 struct BackendDesc
 {
-    /**
-     * Per-procedure transform entry point (the chain head before
-     * compact -> regalloc), per stages.hpp: transforms @c prog's
-     * procedure @c proc in place and returns a Status — non-OK sends
-     * the procedure through the quarantine path, which restores its
-     * original body.  @c failedStage names the stage boundary to
-     * attribute a failure to (preset to transformLabel; the hook
-     * updates it as it crosses internal boundaries).  Null = no
-     * transform stage at all (the BB baseline).
-     */
-    using TransformFn = Status (*)(ir::Program &prog, ir::ProcId proc,
-                                   const TransformContext &ctx,
-                                   TransformStats &stats,
-                                   const char **failedStage);
-    /** Fold the backend's own knob fields into a stage-cache key. */
-    using KnobsHashFn = void (*)(KeyHasher &h,
-                                 const PipelineOptions &opt);
-
     SchedConfig config = SchedConfig::BB;
     /** Stable display/parse name, e.g. "P4e"; also cache-key material. */
     const char *name = "";
     /** One-line description for --help and docs. */
     const char *summary = "";
-    /** Consumes an edge profile (training listener + admission). */
-    bool edgeProfile = false;
-    /** Consumes a path profile (training listener + admission). */
-    bool pathProfile = false;
-    /** Forms superblocks (gates the "form.<cfg>.*" counters). */
-    bool formsSuperblocks = false;
-    /** Runs global code motion (gates the "gcm.<cfg>.*" counters). */
-    bool usesGcm = false;
-    /** Timing/deadline label of the transform stage ("form", "gcm"). */
-    const char *transformLabel = "form";
-    TransformFn transform = nullptr;
-    KnobsHashFn knobsHash = nullptr;
+
+    /** @name Formation preset, copied by formConfigFor() @{ */
+    FormProfile profile = FormProfile::None;
+    /** Edge scheme: loop unrolling factor. */
+    uint32_t unrollFactor = 4;
+    /** Path scheme: superblock-loop heads allowed per trace. */
+    uint32_t maxLoopHeads = 4;
+    /** Non-loop superblocks stop enlarging at any head ("P4e"). */
+    bool nonLoopStopsAtAnyHead = false;
+    /** @} */
+
+    /** Timing/deadline/degradation label of the transform stage. */
+    static constexpr const char *transformLabel = "form";
 
     /** @name Capability queries — the only sanctioned way to ask what
      *  a configuration needs; raw SchedConfig comparisons outside the
      *  registry are rejected by backend_registry_test's guard. @{ */
-    bool needsEdgeProfile() const { return edgeProfile; }
-    bool needsPathProfile() const { return pathProfile; }
-    bool needsProfile() const { return edgeProfile || pathProfile; }
-    bool hasTransform() const { return transform != nullptr; }
+    bool needsEdgeProfile() const { return profile == FormProfile::Edge; }
+    bool needsPathProfile() const { return profile == FormProfile::Path; }
+    bool needsProfile() const { return profile != FormProfile::None; }
+    /** Gates the "form.<cfg>.*" counters and the formation cache knobs. */
+    bool formsSuperblocks() const { return profile != FormProfile::None; }
+    bool hasTransform() const { return formsSuperblocks(); }
     /** @} */
+
+    /**
+     * Per-procedure transform entry point (the chain head before
+     * compact -> regalloc), per stages.hpp: forms superblocks over
+     * @c prog's procedure @c proc in place and returns a Status — non-OK
+     * sends the procedure through the quarantine path, which restores
+     * its original body.  @c failedStage names the stage boundary to
+     * attribute a failure to (preset to transformLabel; updated as the
+     * transform crosses "form" -> "materialize").  Only valid when
+     * hasTransform().
+     */
+    Status transform(ir::Program &prog, ir::ProcId proc,
+                     const TransformContext &ctx, TransformStats &stats,
+                     const char **failedStage) const;
 };
 
-/** Descriptor of @p config; panics on an unregistered enumerator. */
+/** Derive the FormConfig @p be stands for: its preset plus the
+ *  formation knobs of @p options. */
+form::FormConfig formConfigFor(const BackendDesc &be,
+                               const PipelineOptions &options);
+
+/** Fold the formation and path-profile knobs of @p opt into a
+ *  stage-cache key (applied for every backend that forms
+ *  superblocks). */
+void superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt);
+
+/** Descriptor of @p config. */
 const BackendDesc &backendFor(SchedConfig config);
 
-/** Descriptor registered under @p name, or null — the string-keyed
- *  lookup behind every tool's --config parsing. */
+/** Descriptor named @p name, or null — the string-keyed lookup behind
+ *  every tool's --config parsing. */
 const BackendDesc *findBackend(const std::string &name);
 
-/** Every registered backend, in registration order (the built-ins
- *  first: BB, M4, M16, P4, P4e, G4, G4e).  This order is the canonical
- *  config list of `--config all`, the batch sweep and the fuzz
- *  oracle. */
+/** Every backend, in SchedConfig order: BB, M4, M16, P4, P4e.  This
+ *  order is the canonical config list of `--config all`, the batch
+ *  sweep and the fuzz oracle. */
 const std::vector<const BackendDesc *> &allBackends();
 
-/**
- * Register an out-of-tree backend.  The name and config enumerator
- * must both be unused (panics otherwise).  Not thread-safe against
- * concurrent lookups: register during startup, before pipelines run.
- */
-void registerBackend(const BackendDesc &desc);
+/** Backend names in canonical order joined by @p sep — the one source
+ *  of every tool's config list in usage text. */
+std::string backendNames(const char *sep);
 
 } // namespace pathsched::pipeline
 

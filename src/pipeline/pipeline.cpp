@@ -85,7 +85,7 @@ class MsAccum
  */
 struct ProcCtx
 {
-    /** Backend transform counters (form and/or gcm, per descriptor). */
+    /** Backend transform counters. */
     TransformStats xf;
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
@@ -126,9 +126,10 @@ hashU64s(std::initializer_list<uint64_t> vals)
 
 /** Bump when anything about the transform chain's semantics changes,
  *  so stale --cache-dir entries from older builds can never hit.
- *  2: backend-registry key layout (backend name + per-family knobs
- *  hash replace the enum value + flat knob fields), gcm entry stats. */
-constexpr uint64_t kCacheSchema = 2;
+ *  2: backend-registry key layout (backend name + formation knobs
+ *  hash replace the enum value + flat knob fields).
+ *  3: entries no longer carry global-code-motion stats. */
+constexpr uint64_t kCacheSchema = 3;
 
 } // namespace
 
@@ -479,8 +480,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                 continue;
             body.clear();
             serializeProcedure(program.procs[p], body);
-            // Common material first, then the backend's own knobs —
-            // each family keys on exactly the knobs it reads.
+            // Common material first, then the formation knobs, which
+            // only a superblock-forming backend reads.
             KeyHasher h;
             h.u64(kCacheSchema)
                 .str(be.name)
@@ -491,8 +492,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                 .u64(uint64_t(opt.schedPriority))
                 .u64(opt.registerAllocate ? 1 : 0)
                 .u64(opt.registerAllocate && recursive[p] ? 1 : 0);
-            if (be.knobsHash != nullptr)
-                be.knobsHash(h, opt);
+            if (be.formsSuperblocks())
+                superblockKnobsHash(h, opt);
             ctx.key = h.key();
         }
     }
@@ -509,7 +510,6 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         prog.procs[p] = std::move(e.proc);
         prog.procs[p].syncSideTables();
         ctx.xf.form = e.form;
-        ctx.xf.gcm = e.gcm;
         ctx.compact = e.compact;
         ctx.alloc = e.alloc;
         ctx.spill.slots = e.spillSlots;
@@ -525,7 +525,6 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         e.proc = prog.procs[p];
         e.spillSlots = ctx.spill.slots;
         e.form = ctx.xf.form;
-        e.gcm = ctx.xf.gcm;
         e.compact = ctx.compact;
         e.alloc = ctx.alloc;
         cache->insert(ctx.key, e);
@@ -695,7 +694,6 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     for (size_t p = 0; p < num_procs; ++p) {
         ProcCtx &ctx = ctxs[p];
         result.form += ctx.xf.form;
-        result.gcm += ctx.xf.gcm;
         result.compact += ctx.compact;
         result.alloc += ctx.alloc;
         for (auto &d : ctx.degraded)
@@ -731,7 +729,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         timed.addSample(std::string(be.transformLabel) + ".total",
                         form_ms);
     }
-    if (be.formsSuperblocks) {
+    if (be.formsSuperblocks()) {
         base.addCounter("form" + cfg_dot + "tracesSelected",
                         result.form.tracesSelected);
         base.addCounter("form" + cfg_dot + "multiBlockTraces",
@@ -744,16 +742,6 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                         result.form.blocksDuplicated);
         base.addCounter("form" + cfg_dot + "unreachableRemoved",
                         result.form.unreachableRemoved);
-    }
-    if (be.usesGcm) {
-        base.addCounter("gcm" + cfg_dot + "candidates",
-                        result.gcm.candidates);
-        base.addCounter("gcm" + cfg_dot + "hoisted",
-                        result.gcm.hoisted);
-        base.addCounter("gcm" + cfg_dot + "loopHoisted",
-                        result.gcm.loopHoisted);
-        base.addCounter("gcm" + cfg_dot + "latencyHoisted",
-                        result.gcm.latencyHoisted);
     }
     result.stages.push_back({"compact", compact_ms});
     timed.addSample("compact.total", compact_ms);
@@ -772,6 +760,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         timed.addSample("regalloc", regalloc_ms);
         base.addCounter("alloc" + cfg_dot + "regsSpilled",
                         result.alloc.regsSpilled);
+        base.addCounter("alloc" + cfg_dot + "procsSkipped",
+                        result.alloc.procsSkipped);
         base.setGauge("alloc" + cfg_dot + "maxPressure",
                       result.alloc.maxPressure);
     }

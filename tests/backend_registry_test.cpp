@@ -21,9 +21,9 @@ namespace {
 TEST(BackendRegistry, BuiltinsRegisteredInCanonicalOrder)
 {
     const auto &all = allBackends();
-    ASSERT_GE(all.size(), 7u);
     const std::vector<std::string> expected = {"BB", "M4", "M16", "P4",
-                                               "P4e", "G4", "G4e"};
+                                               "P4e"};
+    ASSERT_EQ(all.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i)
         EXPECT_EQ(all[i]->name, expected[i]);
 }
@@ -60,38 +60,33 @@ TEST(BackendRegistry, CapabilityFlagsMatchTheFamilies)
         return be;
     };
     // BB: no profile, no transform.
+    EXPECT_EQ(caps("BB")->profile, FormProfile::None);
     EXPECT_FALSE(caps("BB")->needsProfile());
+    EXPECT_FALSE(caps("BB")->formsSuperblocks());
     EXPECT_FALSE(caps("BB")->hasTransform());
     // M-family: edge profile, superblocks.
     for (const char *n : {"M4", "M16"}) {
+        EXPECT_EQ(caps(n)->profile, FormProfile::Edge) << n;
         EXPECT_TRUE(caps(n)->needsEdgeProfile()) << n;
         EXPECT_FALSE(caps(n)->needsPathProfile()) << n;
-        EXPECT_TRUE(caps(n)->formsSuperblocks) << n;
+        EXPECT_TRUE(caps(n)->formsSuperblocks()) << n;
     }
     // P-family: path profile, superblocks.
     for (const char *n : {"P4", "P4e"}) {
+        EXPECT_EQ(caps(n)->profile, FormProfile::Path) << n;
         EXPECT_FALSE(caps(n)->needsEdgeProfile()) << n;
         EXPECT_TRUE(caps(n)->needsPathProfile()) << n;
-        EXPECT_TRUE(caps(n)->formsSuperblocks) << n;
+        EXPECT_TRUE(caps(n)->formsSuperblocks()) << n;
     }
-    // G4: edge-profiled GCM, untouched CFG.
-    EXPECT_TRUE(caps("G4")->needsEdgeProfile());
-    EXPECT_FALSE(caps("G4")->needsPathProfile());
-    EXPECT_TRUE(caps("G4")->usesGcm);
-    EXPECT_FALSE(caps("G4")->formsSuperblocks);
-    EXPECT_STREQ(caps("G4")->transformLabel, "gcm");
-    // G4e: GCM + path-driven enlargement needs both profiles.
-    EXPECT_TRUE(caps("G4e")->needsEdgeProfile());
-    EXPECT_TRUE(caps("G4e")->needsPathProfile());
-    EXPECT_TRUE(caps("G4e")->usesGcm);
-    EXPECT_TRUE(caps("G4e")->formsSuperblocks);
-    // Every transform-bearing backend carries a label.
+    // The capabilities are derived from the preset, so they can never
+    // disagree with it: exactly the profiled rows transform, and no row
+    // consumes both profiles.
     for (const BackendDesc *be : allBackends()) {
-        if (be->hasTransform()) {
-            EXPECT_FALSE(std::string(be->transformLabel).empty())
-                << be->name;
-        }
+        EXPECT_EQ(be->hasTransform(), be->needsProfile()) << be->name;
+        EXPECT_FALSE(be->needsEdgeProfile() && be->needsPathProfile())
+            << be->name;
     }
+    EXPECT_STREQ(BackendDesc::transformLabel, "form");
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "ir/printer.hpp"
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
+#include "pipeline/backend.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/pipeline.hpp"
@@ -139,11 +140,7 @@ TEST(Executor, PolicyNamesRoundTrip)
 
 // ---------------------------------------------------------------------
 // Determinism matrix: N threads x policy must be byte-identical to
-// serial for every configuration.
-
-constexpr SchedConfig kAllConfigs[] = {
-    SchedConfig::BB, SchedConfig::M4, SchedConfig::M16, SchedConfig::P4,
-    SchedConfig::P4e, SchedConfig::G4, SchedConfig::G4e};
+// serial for every registered configuration.
 
 /** Registry text with the thread/timing-dependent subtrees removed:
  *  "time.*" (wall clocks), "executor.*" (steal counts).  Everything
@@ -209,7 +206,8 @@ class DeterminismMatrix
 TEST_P(DeterminismMatrix, ParallelRunsAreByteIdenticalToSerial)
 {
     const auto w = workloads::makeByName(GetParam());
-    for (const SchedConfig config : kAllConfigs) {
+    for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
+        const SchedConfig config = be->config;
         const RunCapture serial =
             captureRun(w, config, 1, ExecPolicy::Steal);
         EXPECT_FALSE(serial.ir.empty());

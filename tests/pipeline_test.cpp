@@ -39,7 +39,7 @@ TEST_P(PipelineAllConfigs, TransformedProgramBehavesIdentically)
     EXPECT_GT(r.test.cycles, 0u);
     EXPECT_GT(r.test.dynInstrs, 0u);
     EXPECT_EQ(r.name, configName(c.config));
-    if (backendFor(c.config).formsSuperblocks) {
+    if (backendFor(c.config).formsSuperblocks()) {
         EXPECT_GT(r.form.superblocksFormed, 0u) << c.workload;
         EXPECT_GT(r.test.sbEntries, 0u) << c.workload;
         // Executed blocks never exceed the superblock's size.
@@ -155,13 +155,36 @@ TEST(Pipeline, PathDepthOneDegradesAlt)
 TEST(Pipeline, FormConfigMapping)
 {
     PipelineOptions opts;
-    EXPECT_EQ(formConfigFor(SchedConfig::M4, opts).mode,
-              form::ProfileMode::Edge);
-    EXPECT_EQ(formConfigFor(SchedConfig::M16, opts).unrollFactor, 16u);
-    EXPECT_EQ(formConfigFor(SchedConfig::P4, opts).mode,
-              form::ProfileMode::Path);
-    EXPECT_FALSE(formConfigFor(SchedConfig::P4, opts).nonLoopStopsAtAnyHead);
-    EXPECT_TRUE(formConfigFor(SchedConfig::P4e, opts).nonLoopStopsAtAnyHead);
+    opts.completionThreshold = 0.75;
+    opts.maxInstrs = 99;
+    opts.enlarge = false;
+    opts.growUpward = true;
+    const auto fc = [&](const char *name) {
+        const BackendDesc *be = findBackend(name);
+        EXPECT_NE(be, nullptr) << name;
+        return formConfigFor(*be, opts);
+    };
+    // The paper's presets (§4): mode, unroll factor, loop heads and
+    // the non-loop stop rule.
+    for (const char *n : {"M4", "M16"})
+        EXPECT_EQ(fc(n).mode, form::ProfileMode::Edge) << n;
+    EXPECT_EQ(fc("M4").unrollFactor, 4u);
+    EXPECT_EQ(fc("M16").unrollFactor, 16u);
+    for (const char *n : {"P4", "P4e"}) {
+        EXPECT_EQ(fc(n).mode, form::ProfileMode::Path) << n;
+        EXPECT_EQ(fc(n).maxLoopHeads, 4u) << n;
+    }
+    for (const char *n : {"BB", "M4", "M16", "P4"})
+        EXPECT_FALSE(fc(n).nonLoopStopsAtAnyHead) << n;
+    EXPECT_TRUE(fc("P4e").nonLoopStopsAtAnyHead);
+    // Every preset takes the formation knobs from the options.
+    for (const BackendDesc *be : allBackends()) {
+        const form::FormConfig c = formConfigFor(*be, opts);
+        EXPECT_EQ(c.completionThreshold, 0.75) << be->name;
+        EXPECT_EQ(c.maxInstrs, 99u) << be->name;
+        EXPECT_FALSE(c.enlarge) << be->name;
+        EXPECT_TRUE(c.growUpward) << be->name;
+    }
 }
 
 TEST(Pipeline, ReportsFormAndPathStatistics)

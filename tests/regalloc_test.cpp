@@ -8,6 +8,9 @@
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
 #include "machine/machine.hpp"
+#include "obs/stats.hpp"
+#include "obs/timer.hpp"
+#include "pipeline/pipeline.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
 #include "testutil.hpp"
@@ -97,10 +100,11 @@ TEST(RegAlloc, HighPressureSpillsAndSucceeds)
               40 * 39 / 2);
 }
 
-TEST(RegAlloc, RecursiveProcNeverUsesStaticSpillSlots)
+/** A recursive procedure with 20 values live at once, called from
+ *  main: more pressure than a small register file can hold. */
+Program
+recursiveHighPressureProgram()
 {
-    // A recursive procedure with high pressure must fall back (static
-    // slots would be shared across live activations).
     Program prog;
     IrBuilder b(prog);
     const auto rec = b.newProc("rec", 1);
@@ -133,13 +137,40 @@ TEST(RegAlloc, RecursiveProcNeverUsesStaticSpillSlots)
     const auto main = b.newProc("main", 0);
     b.ret(b.callValue(rec, {b.ldi(3)}));
     prog.mainProc = main;
+    return prog;
+}
 
+TEST(RegAlloc, RecursiveProcNeverUsesStaticSpillSlots)
+{
+    // A recursive procedure with high pressure must fall back (static
+    // slots would be shared across live activations).
+    Program prog = recursiveHighPressureProgram();
     interp::Interpreter ref(prog);
     const int64_t expect = ref.run({}).returnValue;
 
     const AllocStats stats = allocateProgram(prog, 8);
     EXPECT_EQ(stats.procsSkipped, 1u); // rec falls back
     EXPECT_EQ(interp::Interpreter(prog).run({}).returnValue, expect);
+}
+
+TEST(RegAlloc, PipelineCountsSkippedProcs)
+{
+    // A procedure left on virtual registers must show up in --stats,
+    // not only in the v1 report's alloc block.
+    const Program prog = recursiveHighPressureProgram();
+    obs::StatRegistry registry;
+    obs::Observer observer;
+    observer.stats = &registry;
+    pipeline::PipelineOptions opts;
+    opts.machine.numRegs = 8;
+    opts.observability.observer = &observer;
+    const pipeline::PipelineResult r = pipeline::runPipeline(
+        prog, {}, {}, pipeline::SchedConfig::BB, opts);
+    ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    EXPECT_TRUE(r.outputMatches);
+    const uint64_t skipped = registry.counter("alloc.BB.procsSkipped");
+    EXPECT_GE(skipped, 1u);
+    EXPECT_EQ(skipped, r.alloc.procsSkipped);
 }
 
 TEST(RegAlloc, LiveAcrossBlocksSurvives)

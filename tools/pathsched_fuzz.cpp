@@ -42,6 +42,7 @@
 #include "gen/oracle.hpp"
 #include "gen/reduce.hpp"
 #include "ir/printer.hpp"
+#include "pipeline/backend.hpp"
 #include "support/journal.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
@@ -72,8 +73,10 @@ usage()
         "  --reduce-probes N   reduction probe budget (default 300)\n"
         "  --no-reduce         skip delta reduction\n"
         "  --no-meta           skip metamorphic checks\n"
-        "  --configs LIST      comma list of registered backends\n"
-        "                      (BB,M4,M16,P4,P4e,G4,G4e)\n"
+        "  --configs LIST      comma list of registered backends\n");
+    std::printf("                      (%s)\n",
+                pipeline::backendNames(",").c_str());
+    std::printf(
         "                      (default all)\n"
         "  --threads N         pipeline worker threads per run\n"
         "other modes:\n"
@@ -120,16 +123,11 @@ parseConfigList(const std::string &list,
         size_t end = list.find(',', pos);
         if (end == std::string::npos)
             end = list.size();
-        const std::string name = list.substr(pos, end - pos);
-        bool found = false;
-        for (const auto c : gen::allConfigs()) {
-            if (name == pipeline::configName(c)) {
-                out.push_back(c);
-                found = true;
-            }
-        }
-        if (!found)
+        const pipeline::BackendDesc *be =
+            pipeline::findBackend(list.substr(pos, end - pos));
+        if (be == nullptr)
             return false;
+        out.push_back(be->config);
         if (end == list.size())
             break;
         pos = end + 1;

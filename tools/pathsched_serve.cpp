@@ -68,8 +68,10 @@ usage()
         "\n"
         "serve options:\n"
         "  --workload NAME         workload to schedule (default wc)\n"
-        "  --config NAME           any registered backend, e.g.\n"
-        "                          BB|M4|M16|P4|P4e|G4|G4e (default P4)\n"
+        "  --config NAME           any registered backend:\n");
+    std::printf("                          %s (default P4)\n",
+                pipeline::backendNames("|").c_str());
+    std::printf(
         "  --state DIR             WAL + snapshot directory (required)\n"
         "  --cache-dir DIR         on-disk stage-cache tier\n"
         "  --epoch-ms N            wall ms per aggregation epoch\n"
