@@ -37,11 +37,25 @@ runAlu(Opcode op, int64_t a, int64_t b_val)
     return interp.run({}).returnValue;
 }
 
+/**
+ * One opcode case. The opcode is stored in a full word so the struct has
+ * no padding: gtest names each case after the raw bytes of its parameter,
+ * and padding bytes are indeterminate, which would make the names vary
+ * from build to build.
+ */
 struct AluCase
 {
-    Opcode op;
+    AluCase(Opcode op, int64_t a, int64_t b, int64_t expected)
+        : opWord(static_cast<int64_t>(op)), a(a), b(b), expected(expected)
+    {}
+
+    Opcode op() const { return static_cast<Opcode>(opWord); }
+
+    int64_t opWord;
     int64_t a, b, expected;
 };
+static_assert(sizeof(AluCase) == 4 * sizeof(int64_t),
+              "AluCase must have no padding bytes");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {};
@@ -49,8 +63,8 @@ class AluSemantics : public ::testing::TestWithParam<AluCase>
 TEST_P(AluSemantics, MatchesReference)
 {
     const AluCase &c = GetParam();
-    EXPECT_EQ(runAlu(c.op, c.a, c.b), c.expected)
-        << opcodeName(c.op) << "(" << c.a << ", " << c.b << ")";
+    EXPECT_EQ(runAlu(c.op(), c.a, c.b), c.expected)
+        << opcodeName(c.op()) << "(" << c.a << ", " << c.b << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
