@@ -5,12 +5,11 @@
  * Three measurements, all written to BENCH_executor.json:
  *
  *  1. Batch sweep scaling: every (workload x config) pipeline run of a
- *     Table-1 sweep submitted as one task to the work-stealing
- *     executor, at 1 worker vs 8.  The runs are independent, so on a
+ *     Table-1 sweep as one index of a parallelFor, at 1 worker vs 8.  The runs are independent, so on a
  *     multi-core machine the 8-thread sweep should approach the core
  *     count; on a single core both degenerate to the serial sweep.
  *  2. In-run scaling: the largest workload (gcc, 259 procedures) with
- *     the pipeline's own per-procedure executor at 1 vs 8 threads.
+ *     the pipeline's own per-procedure parallel-for at 1 vs 8 threads.
  *     Amdahl applies — the train/test/verify interpreter runs are
  *     serial — so this is a smaller, honest number.
  *  3. Stage-cache effect: the same run cold vs warm (in-memory tier),
@@ -43,7 +42,7 @@ msSince(Clock::time_point t0)
         .count();
 }
 
-/** One full sweep, each pipeline run a task on the executor; returns
+/** One full sweep, each pipeline run one parallelFor index; returns
  *  wall ms and fills cycles per (workload, config) for verification. */
 double
 sweep(const std::vector<std::string> &benchmarks,
@@ -58,26 +57,26 @@ sweep(const std::vector<std::string> &benchmarks,
     for (const auto &name : benchmarks)
         corpus.emplace(name, workloads::makeByName(name));
 
-    std::mutex mu;
-    pipeline::TaskGraph graph;
-    const auto t0 = Clock::now();
+    std::vector<std::pair<std::string, pipeline::SchedConfig>> runs;
     for (const auto &name : benchmarks) {
-        for (const auto config : configs) {
-            const workloads::Workload &w = corpus.at(name);
-            graph.add([&, name, config] {
-                pipeline::PipelineOptions opts; // serial inside a task
-                const auto r = pipeline::runPipeline(
-                    w.program, w.train, w.test, config, opts);
-                if (!r.status.ok())
-                    panic("%s/%s failed: %s", name.c_str(),
-                          r.name.c_str(), r.status.toString().c_str());
-                std::lock_guard<std::mutex> lk(mu);
-                cycles[{name, config}] = r.test.cycles;
-            });
-        }
+        for (const auto config : configs)
+            runs.emplace_back(name, config);
     }
-    pipeline::Executor ex(threads, pipeline::ExecPolicy::Steal);
-    ex.run(graph);
+
+    std::mutex mu;
+    const auto t0 = Clock::now();
+    pipeline::parallelFor(threads, runs.size(), [&](size_t i) {
+        const auto &[name, config] = runs[i];
+        const workloads::Workload &w = corpus.at(name);
+        pipeline::PipelineOptions opts; // serial inside a run
+        const auto r = pipeline::runPipeline(w.program, w.train, w.test,
+                                             config, opts);
+        if (!r.status.ok())
+            panic("%s/%s failed: %s", name.c_str(), r.name.c_str(),
+                  r.status.toString().c_str());
+        std::lock_guard<std::mutex> lk(mu);
+        cycles[runs[i]] = r.test.cycles;
+    });
     return msSince(t0);
 }
 
@@ -104,14 +103,14 @@ main()
     std::printf("batch sweep (%zu runs): 1 worker %.0f ms, "
                 "8 workers %.0f ms  (speedup %.2fx, %u cores)\n",
                 serial_cycles.size(), sweep1, sweep8, sweep_speedup,
-                pipeline::Executor::hardwareThreads());
+                pipeline::hardwareThreads());
     report.row("sweep", "1-worker");
     report.metric("ms", sweep1);
     report.row("sweep", "8-worker");
     report.metric("ms", sweep8);
     report.metric("speedup", sweep_speedup);
     report.metric("cores",
-                  double(pipeline::Executor::hardwareThreads()));
+                  double(pipeline::hardwareThreads()));
 
     // --- 2. In-run per-procedure parallelism on the largest program.
     const auto gcc = workloads::makeByName("gcc");

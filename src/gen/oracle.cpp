@@ -279,12 +279,11 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
 
     const std::vector<SchedConfig> configs =
         opts.configs.empty() ? allConfigs() : opts.configs;
-    const PipelineOptions base = PipelineOptions::Builder()
-                                     .keepTransformed(true)
-                                     .maxSteps(stepCeiling(w))
-                                     .threads(opts.threads)
-                                     .icache(opts.useICache)
-                                     .build();
+    PipelineOptions base;
+    base.keepTransformed = true;
+    base.maxSteps = stepCeiling(w);
+    base.executor.threads = opts.threads;
+    base.useICache = opts.useICache;
 
     std::map<std::string, BaselineRun> baselines;
     for (const SchedConfig c : configs) {
@@ -332,10 +331,9 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         {SchedConfig::M4, "meta-scale", scaleCounts(edge_text, 3), ""},
     };
     for (const MetaCase &mc : cases) {
-        const PipelineOptions popts = PipelineOptions::Builder(base)
-                                          .edgeProfile(mc.edgeText)
-                                          .pathProfile(mc.pathText)
-                                          .build();
+        PipelineOptions popts = base;
+        popts.profileInput.edgeText = mc.edgeText;
+        popts.profileInput.pathText = mc.pathText;
         const PipelineResult r = runPipeline(w.program, w.train, w.test,
                                              mc.config, popts);
         checkMetaRun(res, pipeline::configName(mc.config), mc.check, r,
@@ -352,8 +350,8 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         inj.add(never);
         const SchedConfig c = configs.back();
         const char *cfg = pipeline::configName(c);
-        const PipelineOptions popts =
-            PipelineOptions::Builder(base).faults(&inj).build();
+        PipelineOptions popts = base;
+        popts.robustness.faults = &inj;
         const PipelineResult r =
             runPipeline(w.program, w.train, w.test, c, popts);
         const auto it = baselines.find(cfg);

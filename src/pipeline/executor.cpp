@@ -1,265 +1,57 @@
 #include "pipeline/executor.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
+#include <atomic>
+#include <exception>
 #include <mutex>
 #include <thread>
-
-#include "support/logging.hpp"
+#include <vector>
 
 namespace pathsched::pipeline {
 
-const char *
-execPolicyName(ExecPolicy policy)
+void
+parallelFor(unsigned threads, size_t n,
+            const std::function<void(size_t)> &body)
 {
-    switch (policy) {
-      case ExecPolicy::Static: return "static";
-      case ExecPolicy::Dynamic: return "dynamic";
-      case ExecPolicy::Steal: return "steal";
+    if (threads <= 1 || n <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            body(i);
+        return;
     }
-    return "<bad>";
-}
-
-bool
-parseExecPolicy(const std::string &name, ExecPolicy &out)
-{
-    if (name == "static") {
-        out = ExecPolicy::Static;
-    } else if (name == "dynamic") {
-        out = ExecPolicy::Dynamic;
-    } else if (name == "steal") {
-        out = ExecPolicy::Steal;
-    } else {
-        return false;
+    std::atomic<size_t> next{0};
+    std::mutex error_mu;
+    std::exception_ptr error;
+    auto worker = [&] {
+        for (size_t i; (i = next.fetch_add(1)) < n;) {
+            try {
+                body(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(error_mu);
+                if (!error)
+                    error = std::current_exception();
+                next.store(n); // hand out no further indices
+            }
+        }
+    };
+    {
+        // The caller is one of the workers; jthreads join on scope exit,
+        // also when spawning one of them throws.
+        std::vector<std::jthread> pool;
+        const size_t helpers = std::min<size_t>(threads, n) - 1;
+        pool.reserve(helpers);
+        for (size_t w = 0; w < helpers; ++w)
+            pool.emplace_back(worker);
+        worker();
     }
-    return true;
+    if (error)
+        std::rethrow_exception(error);
 }
-
-size_t
-TaskGraph::add(Fn fn, const std::vector<size_t> &deps, int affinity)
-{
-    const size_t id = nodes_.size();
-    Node node;
-    node.fn = std::move(fn);
-    node.affinity = affinity;
-    for (size_t d : deps) {
-        ps_assert_msg(d < id,
-                      "TaskGraph: node %zu depends on not-yet-added "
-                      "node %zu",
-                      id, d);
-        nodes_[d].succs.push_back(id);
-        ++node.preds;
-    }
-    nodes_.push_back(std::move(node));
-    return id;
-}
-
-Executor::Executor(unsigned threads, ExecPolicy policy)
-    : threads_(threads == 0 ? hardwareThreads() : threads),
-      policy_(policy)
-{}
 
 unsigned
-Executor::hardwareThreads()
+hardwareThreads()
 {
     const unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
-}
-
-namespace {
-
-/** Everything the worker threads share, guarded by one mutex. */
-struct RunState
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<uint32_t> preds;
-    /** Per-worker ready deques (steal) or one shared deque at index 0
-     *  (dynamic).  Unused by static. */
-    std::vector<std::deque<size_t>> ready;
-    /** Static policy: every node id pre-assigned to a worker, in graph
-     *  order, plus a ran-flag per node. */
-    std::vector<std::vector<size_t>> assigned;
-    std::vector<uint8_t> ran;
-    size_t done = 0;
-    uint64_t steals = 0;
-};
-
-} // namespace
-
-ExecStats
-Executor::run(TaskGraph &graph)
-{
-    ExecStats stats;
-    stats.policy = policy_;
-    const size_t n = graph.nodes_.size();
-    stats.threads =
-        threads_ <= 1
-            ? 1
-            : unsigned(std::min<size_t>(threads_, std::max<size_t>(n, 1)));
-    if (n == 0)
-        return stats;
-
-    std::vector<uint32_t> preds(n);
-    for (size_t i = 0; i < n; ++i)
-        preds[i] = graph.nodes_[i].preds;
-
-    if (stats.threads == 1) {
-        // Inline, ready-FIFO: for a stage-major graph this replays the
-        // historical serial loop order exactly, on the calling thread.
-        std::deque<size_t> ready;
-        for (size_t i = 0; i < n; ++i) {
-            if (preds[i] == 0)
-                ready.push_back(i);
-        }
-        while (!ready.empty()) {
-            const size_t id = ready.front();
-            ready.pop_front();
-            TaskGraph::Node &node = graph.nodes_[id];
-            node.fn();
-            node.fn = nullptr;
-            ++stats.tasks;
-            for (size_t s : node.succs) {
-                if (--preds[s] == 0)
-                    ready.push_back(s);
-            }
-        }
-        ps_assert_msg(stats.tasks == n,
-                      "TaskGraph: cycle — only %llu of %zu nodes ran",
-                      (unsigned long long)stats.tasks, n);
-        return stats;
-    }
-
-    const unsigned T = stats.threads;
-    RunState rs;
-    rs.preds = std::move(preds);
-    const auto homeOf = [&](size_t id) -> unsigned {
-        const int a = graph.nodes_[id].affinity;
-        return unsigned(a >= 0 ? size_t(a) : id) % T;
-    };
-
-    switch (policy_) {
-      case ExecPolicy::Static:
-        rs.assigned.resize(T);
-        rs.ran.assign(n, 0);
-        for (size_t i = 0; i < n; ++i)
-            rs.assigned[homeOf(i)].push_back(i);
-        break;
-      case ExecPolicy::Dynamic:
-        rs.ready.resize(1);
-        for (size_t i = 0; i < n; ++i) {
-            if (rs.preds[i] == 0)
-                rs.ready[0].push_back(i);
-        }
-        break;
-      case ExecPolicy::Steal:
-        rs.ready.resize(T);
-        for (size_t i = 0; i < n; ++i) {
-            if (rs.preds[i] == 0)
-                rs.ready[homeOf(i)].push_back(i);
-        }
-        break;
-    }
-
-    // Claim one runnable node for worker @p w, or n for "none".
-    // Callers hold rs.mu.
-    const auto claim = [&](unsigned w, bool &stole) -> size_t {
-        stole = false;
-        switch (policy_) {
-          case ExecPolicy::Static:
-            // First not-yet-run node of w's own list whose deps are
-            // satisfied.  Skipping past a blocked head keeps the
-            // assignment static (no work moves between workers) while
-            // staying deadlock-free for any DAG shape.
-            for (size_t id : rs.assigned[w]) {
-                if (!rs.ran[id] && rs.preds[id] == 0) {
-                    rs.ran[id] = 1;
-                    return id;
-                }
-            }
-            return n;
-          case ExecPolicy::Dynamic:
-            if (rs.ready[0].empty())
-                return n;
-            {
-                const size_t id = rs.ready[0].front();
-                rs.ready[0].pop_front();
-                return id;
-            }
-          case ExecPolicy::Steal:
-            if (!rs.ready[w].empty()) {
-                const size_t id = rs.ready[w].front();
-                rs.ready[w].pop_front();
-                return id;
-            }
-            for (unsigned k = 1; k < T; ++k) {
-                const unsigned v = (w + k) % T;
-                if (!rs.ready[v].empty()) {
-                    const size_t id = rs.ready[v].back();
-                    rs.ready[v].pop_back();
-                    stole = true;
-                    return id;
-                }
-            }
-            return n;
-        }
-        return n;
-    };
-
-    std::vector<uint64_t> tasks_per(T, 0);
-    auto worker = [&](unsigned w) {
-        std::unique_lock<std::mutex> lk(rs.mu);
-        for (;;) {
-            size_t id = n;
-            bool stole = false;
-            rs.cv.wait(lk, [&] {
-                if (rs.done == n)
-                    return true;
-                id = claim(w, stole);
-                return id != n;
-            });
-            if (id == n)
-                return; // all done
-            if (stole)
-                ++rs.steals;
-            lk.unlock();
-            TaskGraph::Node &node = graph.nodes_[id];
-            node.fn();
-            node.fn = nullptr;
-            ++tasks_per[w];
-            lk.lock();
-            ++rs.done;
-            for (size_t s : node.succs) {
-                if (--rs.preds[s] == 0) {
-                    // A freshly unblocked node: under steal it lands on
-                    // the *front* of the unblocking worker's deque, so
-                    // one procedure's stage chain runs back to back on
-                    // one worker unless somebody steals it.
-                    if (policy_ == ExecPolicy::Dynamic)
-                        rs.ready[0].push_back(s);
-                    else if (policy_ == ExecPolicy::Steal)
-                        rs.ready[w].push_front(s);
-                }
-            }
-            rs.cv.notify_all();
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(T);
-    for (unsigned w = 0; w < T; ++w)
-        pool.emplace_back(worker, w);
-    for (auto &t : pool)
-        t.join();
-
-    for (uint64_t c : tasks_per)
-        stats.tasks += c;
-    stats.steals = rs.steals;
-    ps_assert_msg(stats.tasks == n,
-                  "TaskGraph: cycle — only %llu of %zu nodes ran",
-                  (unsigned long long)stats.tasks, n);
-    return stats;
 }
 
 } // namespace pathsched::pipeline

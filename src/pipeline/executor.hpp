@@ -1,135 +1,46 @@
 /**
  * @file
- * Work-distributing task executor for per-procedure pipeline stages.
+ * Per-procedure parallel-for for the pipeline's transform stages.
  *
- * Every per-procedure transform stage (form, compact, regalloc,
- * postschedule, verify) is independent across procedures; only the
- * stage order *within* one procedure matters.  runPipeline expresses
- * that as a TaskGraph — one node per (procedure, stage), with an edge
- * from each stage to the next stage of the same procedure — and hands
- * it to an Executor, which runs the graph on a pool of worker threads
- * under a selectable work-distribution policy (the OpenMP
- * static/dynamic/steal trichotomy):
+ * The paper schedules one procedure at a time (§3), and every
+ * per-procedure stage (form, compact, regalloc, postschedule, verify)
+ * is independent across procedures; only the stage order *within* one
+ * procedure matters.  runPipeline therefore runs each phase as one
+ * parallelFor over procedure ids, whose body is that procedure's whole
+ * stage chain, so a chain runs back to back on one worker.
  *
- *  - static:  every node is pre-assigned to worker (affinity mod
- *             threads); workers never exchange work.  Predictable, but
- *             idles workers whose procedures finish early.
- *  - dynamic: one shared FIFO ready queue; workers pull the oldest
- *             ready node.  Good load balance, central contention.
- *  - steal:   per-worker deques; a worker pushes nodes it unblocks
- *             onto its own deque (so a procedure's chain stays local)
- *             and steals from a sibling's tail when it runs dry.
- *
- * Determinism contract: tasks must write only task-owned state (the
+ * Determinism contract: bodies must write only index-owned state (the
  * pipeline gives each procedure its own stats/context and merges them
  * in procedure-id order at the join), so the *results* are identical
- * under every policy and thread count.  With threads <= 1 the executor
- * runs nodes inline on the calling thread in ready-FIFO order — for a
- * stage-major graph that is exactly the historical serial loop order,
- * which is what makes "serial" just the 1-thread schedule of the same
- * graph.
+ * for every thread count.  With threads <= 1 the loop runs inline on
+ * the calling thread in index order, which makes "serial" the
+ * procedure-id chain order.
  *
- * Tasks are coarse (a whole pass over one procedure), so the queues are
- * guarded by one mutex rather than lock-free deques; the lock cost is
- * noise next to task bodies.
+ * Bodies are coarse (a whole chain of passes over one procedure), so
+ * workers simply claim the next index from one atomic counter.
  */
 
 #ifndef PATHSCHED_PIPELINE_EXECUTOR_HPP
 #define PATHSCHED_PIPELINE_EXECUTOR_HPP
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <string>
-#include <vector>
 
 namespace pathsched::pipeline {
 
-/** Work-distribution policy of the Executor (see the file comment). */
-enum class ExecPolicy
-{
-    Static,
-    Dynamic,
-    Steal,
-};
-
-/** Lower-case CLI name, e.g. "steal". */
-const char *execPolicyName(ExecPolicy policy);
-
-/** Parse a CLI name ("static" | "dynamic" | "steal"); false if bad. */
-bool parseExecPolicy(const std::string &name, ExecPolicy &out);
-
-/** What one Executor::run did. */
-struct ExecStats
-{
-    unsigned threads = 1;   ///< workers actually used
-    ExecPolicy policy = ExecPolicy::Steal;
-    uint64_t tasks = 0;     ///< nodes executed
-    uint64_t steals = 0;    ///< nodes taken from another worker's deque
-};
-
 /**
- * A dependency DAG of runnable tasks.  Nodes are added in a fixed
- * order; dependencies must point at already-added nodes, which makes
- * cycles unrepresentable.  The node order doubles as the deterministic
- * inline (threads <= 1) execution order among simultaneously-ready
- * nodes.
+ * Run @p body(i) exactly once for every i in [0, n), on up to
+ * @p threads workers (the calling thread among them), and return once
+ * all calls have finished.  threads <= 1 runs inline on the calling
+ * thread in index order.  If a call throws, no further indices start
+ * and the first exception is rethrown to the caller after every worker
+ * has stopped.
  */
-class TaskGraph
-{
-  public:
-    using Fn = std::function<void()>;
+void parallelFor(unsigned threads, size_t n,
+                 const std::function<void(size_t)> &body);
 
-    /**
-     * Append a node running @p fn after every node in @p deps.
-     * @p affinity groups nodes that should share a worker under the
-     * static policy (the pipeline passes the procedure id, keeping each
-     * procedure's stage chain on one worker); negative means "any".
-     * Returns the node id for use in later deps lists.
-     */
-    size_t add(Fn fn, const std::vector<size_t> &deps = {},
-               int affinity = -1);
-
-    size_t size() const { return nodes_.size(); }
-
-  private:
-    friend class Executor;
-
-    struct Node
-    {
-        Fn fn;
-        std::vector<size_t> succs;
-        uint32_t preds = 0;
-        int affinity = -1;
-    };
-
-    std::vector<Node> nodes_;
-};
-
-/** Runs TaskGraphs; see the file comment. */
-class Executor
-{
-  public:
-    /** @p threads = 0 selects hardwareThreads(). */
-    explicit Executor(unsigned threads,
-                      ExecPolicy policy = ExecPolicy::Steal);
-
-    /**
-     * Execute every node of @p graph, respecting dependencies; returns
-     * once all nodes have run.  The graph is consumed (node functions
-     * are moved out as they run).
-     */
-    ExecStats run(TaskGraph &graph);
-
-    unsigned threads() const { return threads_; }
-    ExecPolicy policy() const { return policy_; }
-
-    /** std::thread::hardware_concurrency(), clamped to >= 1. */
-    static unsigned hardwareThreads();
-
-  private:
-    unsigned threads_;
-    ExecPolicy policy_;
-};
+/** std::thread::hardware_concurrency(), clamped to >= 1. */
+unsigned hardwareThreads();
 
 } // namespace pathsched::pipeline
 

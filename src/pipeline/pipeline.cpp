@@ -12,6 +12,7 @@
 #include "layout/pettis_hansen.hpp"
 #include "pipeline/backend.hpp"
 #include "pipeline/cache.hpp"
+#include "pipeline/executor.hpp"
 #include "profile/edge_profile.hpp"
 #include "profile/serialize.hpp"
 #include "support/logging.hpp"
@@ -110,6 +111,20 @@ struct ProcCtx
     Status verifyFailure;
 };
 
+/** Replace @p dst's body (registers, blocks, side tables) with @p src's.
+ *  The header (name, id, arity) is left untouched: it never changes,
+ *  and other workers read it concurrently when they verify a call to
+ *  this procedure. */
+void
+replaceBody(ir::Procedure &dst, ir::Procedure &&src)
+{
+    dst.numRegs = src.numRegs;
+    dst.blocks = std::move(src.blocks);
+    dst.schedules = std::move(src.schedules);
+    dst.superblocks = std::move(src.superblocks);
+    dst.syncSideTables();
+}
+
 /** Little-endian FNV-1a over a u64 sequence — the per-record primitive
  *  of the per-procedure profile content hash. */
 uint64_t
@@ -170,15 +185,14 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     const ResourceBudget *budp = budget_active ? &bud : nullptr;
     result.budgeted = budget_active;
 
-    // Executor setup.  The thread count and policy change only *how*
-    // the per-procedure chains are interleaved, never their results.
+    // Executor setup.  The thread count changes only which worker runs
+    // each procedure's chain, never the chain's results.
     unsigned threads = opt.executor.threads;
     if (threads == 0)
-        threads = Executor::hardwareThreads();
+        threads = hardwareThreads();
     const bool parallel = threads > 1;
     StageCache *cache = opt.executor.cache;
     result.exec.threads = threads;
-    result.exec.policy = opt.executor.policy;
     result.exec.cacheEnabled = cache != nullptr;
 
     // --- 1. Training run on the original program: gather profiles and
@@ -335,9 +349,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         }
     }
 
-    // --- 2. Transform a copy of the program as a task DAG: one chain
-    //        of per-procedure stage tasks per procedure, with
-    //        per-procedure quarantine (see the file comment). ---
+    // --- 2. Transform a copy of the program, one stage chain per
+    //        procedure, with per-procedure quarantine (see the file
+    //        comment). ---
     ir::Program prog = program;
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
@@ -507,8 +521,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         StageCache::Entry e;
         if (!cache->lookup(ctx.key, e))
             return false;
-        prog.procs[p] = std::move(e.proc);
-        prog.procs[p].syncSideTables();
+        replaceBody(prog.procs[p], std::move(e.proc));
         ctx.xf.form = e.form;
         ctx.compact = e.compact;
         ctx.alloc = e.alloc;
@@ -530,32 +543,43 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         cache->insert(ctx.key, e);
     };
 
-    // Restore procedure p's original (basic-block) body and re-run the
-    // stages its chain already passed — budget- and injection-free,
-    // entirely within the chain's own tasks.  A failure here means the
-    // always-safe baseline itself is broken, which is an internal bug:
-    // abort.
-    auto rebuildInChain = [&](ProcCtx &ctx, ir::ProcId p,
-                              StageReached reached) {
-        auto t = ctx.timed.time("fallback");
-        prog.procs[p] = program.procs[p];
-        prog.procs[p].syncSideTables();
-        ctx.spill.slots = 0; // the restored body references no slots
-        Status st = Status();
-        sched::CompactOptions fb_opts;
-        fb_opts.priority = opt.schedPriority;
-        sched::CompactStats fb_compact;
-        regalloc::AllocStats fb_alloc;
-        if (reached >= StageReached::Compact)
+    // Restore procedure p's original (basic-block) body and catch it
+    // up to @p reached, budget- and injection-free.  In-chain fallbacks
+    // (phase A) pass their chain's SpillPlan and time into the chain's
+    // observer; the serial tail after phase B passes null, so its spill
+    // slots append directly to the program's data memory.  A failure
+    // here means the always-safe baseline itself is broken, which is an
+    // internal bug: abort.
+    auto rebuildAsBB = [&](ir::ProcId p, StageReached reached,
+                           regalloc::SpillPlan *spill) {
+        auto t = (spill != nullptr ? ctxs[p].timed : timed)
+                     .time("fallback");
+        replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
+        if (spill != nullptr)
+            spill->slots = 0; // the restored body references no slots
+        Status st;
+        if (reached >= StageReached::Compact) {
+            sched::CompactOptions fb_opts;
+            fb_opts.priority = opt.schedPriority;
+            sched::CompactStats fb_compact;
             st = sched::compactProcedure(prog, p, opt.machine, fb_opts,
                                          fb_compact);
+        }
         if (st.ok() && reached >= StageReached::Regalloc &&
             opt.registerAllocate) {
             regalloc::AllocOptions ao;
             ao.recursive = &recursive;
-            ao.spill = &ctx.spill;
+            ao.spill = spill;
+            regalloc::AllocStats fb_alloc;
             st = regalloc::allocateProcedure(
                 prog, p, opt.machine.numRegs, fb_alloc, ao);
+        }
+        if (st.ok() && reached == StageReached::Postsched) {
+            if (opt.registerAllocate)
+                sched::scheduleProcedure(prog, p, opt.machine,
+                                         opt.schedPriority);
+            st = ir::verifyProcStatus(prog, p,
+                                      ir::VerifyMode::Superblock);
         }
         if (!st.ok())
             panic("BB fallback failed for proc %s: %s",
@@ -563,11 +587,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     };
 
     // --- Phase A: transform -> compact -> regalloc, one chain per
-    //     procedure.  Nodes are inserted stage-major so the 1-thread
-    //     ready-FIFO order replays the historical serial loops.  The
-    //     transform stage is the backend's descriptor entry point —
-    //     the pipeline only owns the chain plumbing (quarantine,
-    //     cache, budget view, injection hook). ---
+    //     procedure.  The transform stage is the backend's descriptor
+    //     entry point — the pipeline only owns the chain plumbing
+    //     (quarantine, cache, budget view, injection hook). ---
     auto transformTask = [&](ir::ProcId p) {
         ProcCtx &ctx = ctxs[p];
         MsAccum acc(ctx.formMs);
@@ -580,7 +602,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
             // it from the BB baseline.
             noteFailureTo(ctx.degraded, p, "profile",
                           Status::error(pa->kind, pa->message));
-            rebuildInChain(ctx, p, StageReached::Form);
+            rebuildAsBB(p, StageReached::Form, &ctx.spill);
             return;
         }
         if (tryCacheRestore(ctx, p))
@@ -603,7 +625,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         Status st = be.transform(prog, p, tc, ctx.xf, &stage);
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, stage, st);
-            rebuildInChain(ctx, p, StageReached::Form);
+            rebuildAsBB(p, StageReached::Form, &ctx.spill);
         }
     };
 
@@ -630,7 +652,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                                          ctx.compact);
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, "compact", st);
-            rebuildInChain(ctx, p, StageReached::Compact);
+            rebuildAsBB(p, StageReached::Compact, &ctx.spill);
         }
         if (!opt.registerAllocate)
             storeInCache(ctx, p); // chain ends here
@@ -654,38 +676,20 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         }
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, "regalloc", st);
-            rebuildInChain(ctx, p, StageReached::Regalloc);
+            rebuildAsBB(p, StageReached::Regalloc, &ctx.spill);
         }
         storeInCache(ctx, p);
     };
 
-    {
-        TaskGraph graph;
-        std::vector<size_t> prev(num_procs, SIZE_MAX);
-        if (be.hasTransform()) {
-            for (ir::ProcId p = 0; p < num_procs; ++p)
-                prev[p] = graph.add(
-                    [&transformTask, p] { transformTask(p); }, {},
-                    int(p));
-        }
-        for (ir::ProcId p = 0; p < num_procs; ++p) {
-            const std::vector<size_t> deps =
-                prev[p] == SIZE_MAX ? std::vector<size_t>{}
-                                    : std::vector<size_t>{prev[p]};
-            prev[p] = graph.add([&compactTask, p] { compactTask(p); },
-                                deps, int(p));
-        }
-        if (opt.registerAllocate) {
-            for (ir::ProcId p = 0; p < num_procs; ++p)
-                prev[p] = graph.add(
-                    [&regallocTask, p] { regallocTask(p); }, {prev[p]},
-                    int(p));
-        }
-        Executor ex(threads, opt.executor.policy);
-        ExecStats es = ex.run(graph);
-        result.exec.tasks += es.tasks;
-        result.exec.steals += es.steals;
-    }
+    parallelFor(threads, num_procs, [&](size_t p) {
+        if (be.hasTransform())
+            transformTask(ir::ProcId(p));
+        compactTask(ir::ProcId(p));
+        if (opt.registerAllocate)
+            regallocTask(ir::ProcId(p));
+    });
+    result.exec.tasks +=
+        num_procs * (be.hasTransform() + 1 + opt.registerAllocate);
 
     // --- Phase A join (serial).  Everything order-sensitive happens
     //     here, in procedure-id order: stat merging, degradation
@@ -766,45 +770,26 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                       result.alloc.maxPressure);
     }
 
-    // --- Phase B: postschedule -> per-procedure IR verification. ---
-    auto postschedTask = [&](ir::ProcId p) {
+    // --- Phase B: postschedule -> per-procedure IR verification.  A
+    //     failed verification is handled serially after the join: its
+    //     fallback appends spill slots to the program's data memory. ---
+    parallelFor(threads, num_procs, [&](size_t p) {
         ProcCtx &ctx = ctxs[p];
-        MsAccum acc(ctx.postschedMs);
-        ctx.postsched += sched::scheduleProcedure(
-            prog, p, opt.machine, opt.schedPriority);
-    };
-    auto verifyTask = [&](ir::ProcId p) {
-        ProcCtx &ctx = ctxs[p];
+        if (opt.registerAllocate) {
+            MsAccum acc(ctx.postschedMs);
+            ctx.postsched += sched::scheduleProcedure(
+                prog, ir::ProcId(p), opt.machine, opt.schedPriority);
+        }
         if (deadlineUp("verify"))
             return;
-        Status st = inject("verify", p);
+        Status st = inject("verify", ir::ProcId(p));
         if (st.ok())
-            st = ir::verifyProcStatus(prog, p,
+            st = ir::verifyProcStatus(prog, ir::ProcId(p),
                                       ir::VerifyMode::Superblock);
         if (!st.ok())
             ctx.verifyFailure = std::move(st);
-    };
-    {
-        TaskGraph graph;
-        std::vector<size_t> prev(num_procs, SIZE_MAX);
-        if (opt.registerAllocate) {
-            for (ir::ProcId p = 0; p < num_procs; ++p)
-                prev[p] = graph.add(
-                    [&postschedTask, p] { postschedTask(p); }, {},
-                    int(p));
-        }
-        for (ir::ProcId p = 0; p < num_procs; ++p) {
-            const std::vector<size_t> deps =
-                prev[p] == SIZE_MAX ? std::vector<size_t>{}
-                                    : std::vector<size_t>{prev[p]};
-            graph.add([&verifyTask, p] { verifyTask(p); }, deps,
-                      int(p));
-        }
-        Executor ex(threads, opt.executor.policy);
-        ExecStats es = ex.run(graph);
-        result.exec.tasks += es.tasks;
-        result.exec.steals += es.steals;
-    }
+    });
+    result.exec.tasks += num_procs * (opt.registerAllocate + 1);
     if (opt.registerAllocate) {
         // The postschedule replaces the preschedule's cycle counts.
         result.compact.sched = sched::ScheduleStats();
@@ -821,43 +806,13 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         return result;
     }
 
-    // Serial-tail fallback: restore procedure p's original body and
-    // catch it up past postschedule.  Used by the verification,
-    // budget-attribution and output-compare recoveries below, all of
-    // which run after the parallel phases — spill slots append
-    // directly to the program's data memory here.
-    auto rebuildAsBB = [&](ir::ProcId p) {
-        auto t = timed.time("fallback");
-        prog.procs[p] = program.procs[p];
-        prog.procs[p].syncSideTables();
-        sched::CompactOptions fb_opts;
-        fb_opts.priority = opt.schedPriority;
-        sched::CompactStats fb_compact;
-        regalloc::AllocStats fb_alloc;
-        Status st = sched::compactProcedure(prog, p, opt.machine,
-                                            fb_opts, fb_compact);
-        if (st.ok() && opt.registerAllocate) {
-            st = regalloc::allocateProcedure(
-                prog, p, opt.machine.numRegs, fb_alloc);
-            if (st.ok())
-                sched::scheduleProcedure(prog, p, opt.machine,
-                                         opt.schedPriority);
-        }
-        if (st.ok())
-            st = ir::verifyProcStatus(prog, p,
-                                      ir::VerifyMode::Superblock);
-        if (!st.ok())
-            panic("BB fallback failed for proc %s: %s",
-                  program.procs[p].name.c_str(), st.toString().c_str());
-    };
-
     // IR-verification fallbacks, procedure-id order (canonical).
     for (ir::ProcId p = 0; p < num_procs; ++p) {
         if (ctxs[p].verifyFailure.ok())
             continue;
         noteFailureTo(result.degraded, p, "verify",
                       ctxs[p].verifyFailure);
-        rebuildAsBB(p);
+        rebuildAsBB(p, StageReached::Postsched, nullptr);
     }
 
     // --- 5. Procedure placement and address assignment. ---
@@ -983,7 +938,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                        "in proc %s",
                        (unsigned long long)bud.interpSteps,
                        program.procs[sp].name.c_str())));
-        rebuildAsBB(sp);
+        rebuildAsBB(sp, StageReached::Postsched, nullptr);
         runLayout("layout-retry");
         runTest("test-retry");
     }
@@ -1036,7 +991,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                       (long long)result.test.returnValue);
         for (const auto &[p, st] : suspects) {
             noteFailureTo(result.degraded, p, "output-compare", st);
-            rebuildAsBB(p);
+            rebuildAsBB(p, StageReached::Postsched, nullptr);
         }
         // Hyphenated names: "layout.retry" would nest under the
         // "layout" leaf in the stats registry, which forbids that.
@@ -1101,12 +1056,10 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                               "budget.deadlineRemainingMs",
                           double(bud.deadline.remainingMs()));
     }
-    // Executor stats vary with the thread count and policy (steals,
-    // cache warmth) — consumers comparing runs for determinism must
-    // ignore the "executor." subtree, and only it.
+    // Executor stats vary with the thread count and cache warmth —
+    // consumers comparing runs for determinism must ignore the
+    // "executor." subtree, and only it.
     base.addCounter("executor" + cfg_dot + "tasks", result.exec.tasks);
-    base.addCounter("executor" + cfg_dot + "steals",
-                    result.exec.steals);
     base.setGauge("executor" + cfg_dot + "threads", double(threads));
     if (cache != nullptr) {
         base.addCounter("executor" + cfg_dot + "cacheHits",

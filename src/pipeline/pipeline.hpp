@@ -10,14 +10,14 @@
  * 32 KB direct-mapped I-cache.  Every pipeline run checks that the
  * transformed program's output matches the original's.
  *
- * The per-procedure transform stages run as a dependency DAG on a
- * work-stealing executor (pipeline/executor.hpp): one chain of tasks
- * per procedure, so independent procedures proceed in parallel while
- * the whole-program stages (training run, layout, measurement,
- * output comparison) stay serial.  An N-thread run is bit-identical
- * to a 1-thread run — see docs/architecture.md for the invariants
- * that guarantee it.  An optional StageCache (pipeline/cache.hpp)
- * memoizes finished transform chains across runs.
+ * The per-procedure transform stages run as one parallel-for over
+ * procedures (pipeline/executor.hpp) per phase: each procedure's stage
+ * chain runs back to back on one worker, so independent procedures
+ * proceed in parallel while the whole-program stages (training run,
+ * layout, measurement, output comparison) stay serial.  An N-thread
+ * run is bit-identical to a 1-thread run — see docs/architecture.md
+ * for the invariants that guarantee it.  An optional StageCache
+ * (pipeline/cache.hpp) memoizes finished transform chains across runs.
  *
  * The pipeline is fault-tolerant per procedure (docs/robustness.md):
  * when any transform stage fails for one procedure — or the
@@ -42,7 +42,6 @@
 #include "ir/procedure.hpp"
 #include "machine/machine.hpp"
 #include "obs/timer.hpp"
-#include "pipeline/executor.hpp"
 #include "profile/path_profile.hpp"
 #include "profile/validate.hpp"
 #include "regalloc/linear_scan.hpp"
@@ -79,9 +78,9 @@ const char *configName(SchedConfig config);
  * Non-paper concerns are grouped by subsystem instead of accreting as
  * flat fields: profile admission (profileInput), governance and fault
  * injection (robustness), stat/trace sinks (observability), and the
- * task executor plus stage cache (executor).  The paper's own knobs —
- * machine model, formation and scheduling parameters — stay flat on
- * PipelineOptions, mirroring §3/§4 of the paper.
+ * per-procedure parallel-for plus stage cache (executor).  The paper's
+ * own knobs — machine model, formation and scheduling parameters —
+ * stay flat on PipelineOptions, mirroring §3/§4 of the paper.
  * @{
  */
 
@@ -156,15 +155,13 @@ struct ObsOptions
     bool interpStats = false;
 };
 
-/** Task executor and stage cache (docs/architecture.md). */
+/** Per-procedure parallelism and stage cache (docs/architecture.md). */
 struct ExecutorOptions
 {
-    /** Worker threads for the per-procedure stage DAG; 1 = run inline
-     *  on the calling thread, 0 = one per hardware thread.  Output is
-     *  bit-identical for every value. */
+    /** Worker threads for the per-procedure stage chains; 1 = run
+     *  inline on the calling thread, 0 = one per hardware thread.
+     *  Output is bit-identical for every value. */
     unsigned threads = 1;
-    /** Ready-task scheduling policy (threads > 1 only). */
-    ExecPolicy policy = ExecPolicy::Steal;
     /** Optional transform-chain memoization (not owned; may be shared
      *  across runs and threads).  Null disables caching. */
     StageCache *cache = nullptr;
@@ -210,89 +207,6 @@ struct PipelineOptions
     ObsOptions observability;
     ExecutorOptions executor;
     /** @} */
-
-    class Builder;
-};
-
-/**
- * Fluent construction of PipelineOptions — group membership becomes an
- * implementation detail at call sites:
- *
- *   auto opts = PipelineOptions::Builder()
- *                   .machine(machine::MachineModel::realisticLatency())
- *                   .observer(&ob)
- *                   .threads(8)
- *                   .build();
- *
- * Each setter writes the (possibly grouped) field and returns *this;
- * build() returns the accumulated options by value.
- */
-class PipelineOptions::Builder
-{
-  public:
-    Builder() = default;
-    /** Start from existing options. */
-    explicit Builder(const PipelineOptions &base) : o_(base) {}
-
-    Builder &machine(const machine::MachineModel &m)
-    { o_.machine = m; return *this; }
-    Builder &icache(bool on)
-    { o_.useICache = on; return *this; }
-    Builder &icache(bool on, const icache::ICache::Params &p)
-    { o_.useICache = on; o_.cacheParams = p; return *this; }
-    Builder &registerAllocate(bool on)
-    { o_.registerAllocate = on; return *this; }
-    Builder &pettisHansen(bool on)
-    { o_.pettisHansen = on; return *this; }
-    Builder &blockOrder(layout::BlockOrder order)
-    { o_.blockOrder = order; return *this; }
-    Builder &pathParams(const profile::PathProfileParams &p)
-    { o_.pathParams = p; return *this; }
-    Builder &completionThreshold(double t)
-    { o_.completionThreshold = t; return *this; }
-    Builder &maxInstrs(uint32_t n)
-    { o_.maxInstrs = n; return *this; }
-    Builder &enlarge(bool on)
-    { o_.enlarge = on; return *this; }
-    Builder &growUpward(bool on)
-    { o_.growUpward = on; return *this; }
-    Builder &schedPriority(sched::SchedPriority p)
-    { o_.schedPriority = p; return *this; }
-    Builder &maxSteps(uint64_t n)
-    { o_.maxSteps = n; return *this; }
-    Builder &keepTransformed(bool on)
-    { o_.keepTransformed = on; return *this; }
-
-    Builder &edgeProfile(std::string text)
-    { o_.profileInput.edgeText = std::move(text); return *this; }
-    Builder &pathProfile(std::string text)
-    { o_.profileInput.pathText = std::move(text); return *this; }
-    Builder &profileCheck(profile::AdmissionMode mode)
-    { o_.profileInput.check = mode; return *this; }
-    Builder &profileFlowSlack(uint64_t slack)
-    { o_.profileInput.flowSlack = slack; return *this; }
-
-    Builder &budget(const ResourceBudget &b)
-    { o_.robustness.budget = b; return *this; }
-    Builder &faults(FaultInjector *f)
-    { o_.robustness.faults = f; return *this; }
-
-    Builder &observer(const obs::Observer *ob)
-    { o_.observability.observer = ob; return *this; }
-    Builder &interpStats(bool on)
-    { o_.observability.interpStats = on; return *this; }
-
-    Builder &threads(unsigned n)
-    { o_.executor.threads = n; return *this; }
-    Builder &execPolicy(ExecPolicy p)
-    { o_.executor.policy = p; return *this; }
-    Builder &cache(StageCache *c)
-    { o_.executor.cache = c; return *this; }
-
-    PipelineOptions build() const { return o_; }
-
-  private:
-    PipelineOptions o_;
 };
 
 /** One procedure degraded to the BB baseline during a pipeline run. */
@@ -313,10 +227,8 @@ struct Degradation
 /** Executor and cache activity of one run (report: "executor"). */
 struct ExecReport
 {
-    unsigned threads = 1;       ///< worker threads actually used
-    ExecPolicy policy = ExecPolicy::Steal;
-    uint64_t tasks = 0;         ///< per-procedure stage tasks executed
-    uint64_t steals = 0;        ///< tasks taken from another worker
+    unsigned threads = 1;       ///< resolved worker thread count
+    uint64_t tasks = 0;         ///< procedures x per-procedure stages run
     bool cacheEnabled = false;  ///< a StageCache was attached
     uint64_t cacheHits = 0;     ///< this run's chain-level cache hits
     uint64_t cacheMisses = 0;   ///< this run's eligible lookup misses
@@ -362,8 +274,8 @@ struct PipelineResult
     /** Degradations caused by budget or deadline exhaustion. */
     size_t budgetDegradations() const;
 
-    /** Executor and stage-cache activity (threads, tasks, steals,
-     *  hits).  Always filled, even for single-threaded runs. */
+    /** Executor and stage-cache activity (threads, tasks, hits).
+     *  Always filled, even for single-threaded runs. */
     ExecReport exec;
 
     /** Wall time of every pipeline stage, in execution order (always

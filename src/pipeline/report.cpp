@@ -139,9 +139,7 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.key("executor");
     w.beginObject();
     w.member("threads", uint64_t(r.exec.threads));
-    w.member("policy", execPolicyName(r.exec.policy));
     w.member("tasks", r.exec.tasks);
-    w.member("steals", r.exec.steals);
     w.member("cacheEnabled", r.exec.cacheEnabled);
     if (r.exec.cacheEnabled) {
         w.member("cacheHits", r.exec.cacheHits);

@@ -381,24 +381,17 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
     return Status();
 }
 
-Status
-allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
-                  uint32_t num_phys_regs, AllocStats &stats,
-                  const ResourceBudget *budget)
-{
-    AllocOptions options;
-    options.budget = budget;
-    return allocateProcedure(prog, proc_id, num_phys_regs, stats,
-                             options);
-}
-
 AllocStats
 allocateProgram(ir::Program &prog, uint32_t num_phys_regs)
 {
     AllocStats stats;
+    const std::vector<uint8_t> recursive = findRecursiveProcs(prog);
+    AllocOptions options;
+    options.recursive = &recursive;
     pipeline::forEachProcOrDie(
         prog, "register allocation", [&](ir::ProcId p) {
-            return allocateProcedure(prog, p, num_phys_regs, stats);
+            return allocateProcedure(prog, p, num_phys_regs, stats,
+                                     options);
         });
     return stats;
 }

@@ -135,11 +135,6 @@ Status allocateProcedure(ir::Program &prog, ir::ProcId proc,
                          uint32_t num_phys_regs, AllocStats &stats,
                          const AllocOptions &options);
 
-/** Back-compat overload: budget only, direct memWords spill slots. */
-Status allocateProcedure(ir::Program &prog, ir::ProcId proc,
-                         uint32_t num_phys_regs, AllocStats &stats,
-                         const ResourceBudget *budget = nullptr);
-
 /**
  * Allocate every procedure of @p prog onto @p num_phys_regs registers,
  * rewriting register operands in place.  Panics on failure — callers

@@ -408,13 +408,11 @@ ServeCore::attemptReschedule(bool force)
         registry_.addCounter("serve.resched.dumpSkipped", dumpSkipped);
 
     const pipeline::BackendDesc &be = pipeline::backendFor(opts_.config);
-    pipeline::PipelineOptions po =
-        pipeline::PipelineOptions::Builder(opts_.pipelineBase)
-            .profileCheck(profile::AdmissionMode::Off)
-            .cache(&cache_)
-            .threads(1)
-            .keepTransformed(true)
-            .build();
+    pipeline::PipelineOptions po = opts_.pipelineBase;
+    po.profileInput.check = profile::AdmissionMode::Off;
+    po.executor.cache = &cache_;
+    po.executor.threads = 1;
+    po.keepTransformed = true;
     if (be.needsPathProfile())
         po.profileInput.pathText = profile::toText(pp);
     if (be.needsEdgeProfile() || !be.needsProfile())

@@ -14,7 +14,9 @@ binaries:
      runs executes every task exactly once;
   4. SIGTERM stops the suite gracefully: children are killed, the
      journal gains a suite-abort record and is flushed, the runner
-     exits 4, and --resume finishes the remainder.
+     exits 4, and --resume finishes the remainder;
+  5. with --outdir, each done line carries the child report's
+     per-run executor accounting.
 
 Usage: batch_runner_test.py <pathsched_batch> <pathsched_cli>
 """
@@ -93,6 +95,25 @@ def test_degraded_exit(tmp):
     check(len(done) == 1 and done[0]["outcome"] == "degraded",
           "journal records the degraded outcome")
     check(done[0]["exit"] == 2, "child exit code journaled")
+
+
+def test_executor_summary(tmp):
+    print("done lines carry the executor summary:")
+    journal = os.path.join(tmp, "executor.jsonl")
+    outdir = os.path.join(tmp, "reports")
+    r = run_batch(
+        ["--workloads", "wc", "--configs", "P4", "--journal", journal,
+         "--outdir", outdir, "--threads", "2"])
+    check(r.returncode == 0, f"suite exit 0 (got {r.returncode})")
+    done = [e for e in read_journal(journal) if e.get("event") == "done"]
+    check(len(done) == 1, f"one done line (got {len(done)})")
+    ex = done[0].get("executor") if done else None
+    check(isinstance(ex, dict), f"done line has an executor member "
+                                f"({done})")
+    check(bool(ex) and ex.get("tasks", 0) > 0,
+          f"executor tasks > 0 (got {ex})")
+    check(bool(ex) and ex.get("threads") == 2,
+          f"executor threads forwarded (got {ex})")
 
 
 def test_kill_runner_and_resume(tmp):
@@ -299,6 +320,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_timeout_and_retries(tmp)
         test_degraded_exit(tmp)
+        test_executor_summary(tmp)
         test_kill_runner_and_resume(tmp)
     with tempfile.TemporaryDirectory() as tmp:
         test_sigterm_graceful_interrupt(tmp)

@@ -1,15 +1,14 @@
 /**
  * @file
- * Executor, determinism and stage-cache tests.
+ * parallelFor, determinism and stage-cache tests.
  *
- * The parallel executor's contract is that the thread count and
- * scheduling policy change only *how* the per-procedure chains
- * interleave, never what they produce: the transformed IR, the measured
- * run, and every non-timing statistic must be byte-identical to the
- * serial run for every configuration.  The matrix here pins that down,
- * along with the memoized stage cache (hit-after-no-change,
- * miss-after-input-change, corrupt-entry rejection) and the
- * PipelineOptions v2 surface (builder, deprecated-flat-field folding).
+ * The per-procedure parallel-for's contract is that the thread count
+ * changes only which worker runs each procedure's chain, never what
+ * the chains produce: the transformed IR, the measured run, and every
+ * non-timing statistic must be byte-identical to the serial run for
+ * every configuration.  The matrix here pins that down, along with the
+ * memoized stage cache (hit-after-no-change, miss-after-input-change,
+ * corrupt-entry rejection) and the grouped PipelineOptions fields.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ir/printer.hpp"
@@ -35,115 +36,71 @@
 namespace pathsched {
 namespace {
 
-using pipeline::ExecPolicy;
-using pipeline::Executor;
-using pipeline::ExecStats;
 using pipeline::PipelineOptions;
 using pipeline::PipelineResult;
 using pipeline::SchedConfig;
 using pipeline::StageCache;
-using pipeline::TaskGraph;
 
 // ---------------------------------------------------------------------
-// Executor unit tests.
+// parallelFor unit tests.
 
-TEST(Executor, RunsEveryTaskExactlyOnceSerial)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    TaskGraph g;
-    std::vector<int> hits(10, 0);
-    for (size_t i = 0; i < hits.size(); ++i)
-        g.add([&hits, i] { ++hits[i]; });
-    Executor ex(1);
-    const ExecStats s = ex.run(g);
-    EXPECT_EQ(s.tasks, hits.size());
-    EXPECT_EQ(s.threads, 1u);
-    EXPECT_EQ(s.steals, 0u);
-    for (int h : hits)
-        EXPECT_EQ(h, 1);
+    for (const unsigned threads : {1u, 4u, 16u}) {
+        for (const size_t n : {size_t(0), size_t(1), size_t(3),
+                               size_t(1000)}) {
+            std::vector<std::atomic<int>> hits(n);
+            pipeline::parallelFor(threads, n,
+                                  [&](size_t i) { ++hits[i]; });
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "threads=" << threads << " n=" << n << " i=" << i;
+        }
+    }
 }
 
-TEST(Executor, SingleThreadRunsIndependentTasksInInsertionOrder)
+TEST(ParallelFor, SingleThreadRunsInIndexOrderOnTheCallingThread)
 {
-    // The 1-thread ready FIFO is what replays the historical serial
-    // stage loops, so insertion order is a documented guarantee there.
-    TaskGraph g;
+    // The serial pipeline is the procedure-id chain order, so index
+    // order on the caller is a documented guarantee at threads = 1.
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<size_t> order;
-    for (size_t i = 0; i < 20; ++i)
-        g.add([&order, i] { order.push_back(i); });
-    Executor ex(1);
-    ex.run(g);
+    bool on_caller = true;
+    pipeline::parallelFor(1, 20, [&](size_t i) {
+        order.push_back(i);
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+    EXPECT_TRUE(on_caller);
     ASSERT_EQ(order.size(), 20u);
     for (size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(Executor, DependenciesRunBeforeSuccessors)
+TEST(ParallelFor, ForwardsABodyExceptionToTheCaller)
 {
-    for (const ExecPolicy policy :
-         {ExecPolicy::Static, ExecPolicy::Dynamic, ExecPolicy::Steal}) {
-        TaskGraph g;
-        std::atomic<int> stage{0};
-        std::atomic<bool> violated{false};
-        // A chain a -> b -> c plus an independent task on each link.
-        const size_t a = g.add([&] { stage = 1; });
-        const size_t b = g.add(
-            [&] {
-                if (stage.load() != 1)
-                    violated = true;
-                stage = 2;
-            },
-            {a});
-        g.add(
-            [&] {
-                if (stage.load() != 2)
-                    violated = true;
-            },
-            {b});
-        for (int i = 0; i < 8; ++i)
-            g.add([] {});
-        Executor ex(4, policy);
-        const ExecStats s = ex.run(g);
-        EXPECT_EQ(s.tasks, 11u) << pipeline::execPolicyName(policy);
-        EXPECT_FALSE(violated.load()) << pipeline::execPolicyName(policy);
+    for (const unsigned threads : {1u, 4u}) {
+        std::atomic<size_t> ran{0};
+        const auto body = [&](size_t i) {
+            ++ran;
+            if (i == 7)
+                throw std::runtime_error("boom");
+        };
+        EXPECT_THROW(pipeline::parallelFor(threads, 1000, body),
+                     std::runtime_error)
+            << "threads=" << threads;
+        // Serially, nothing after the throwing index starts.
+        if (threads == 1) {
+            EXPECT_EQ(ran.load(), 8u);
+        }
     }
-}
-
-TEST(Executor, AllPoliciesCompleteManyTasksMultiThreaded)
-{
-    for (const ExecPolicy policy :
-         {ExecPolicy::Static, ExecPolicy::Dynamic, ExecPolicy::Steal}) {
-        TaskGraph g;
-        std::atomic<uint64_t> sum{0};
-        for (uint64_t i = 0; i < 200; ++i)
-            g.add([&sum, i] { sum += i; }, {}, int(i % 7));
-        Executor ex(4, policy);
-        const ExecStats s = ex.run(g);
-        EXPECT_EQ(s.tasks, 200u);
-        EXPECT_EQ(s.threads, 4u);
-        EXPECT_EQ(sum.load(), 199u * 200u / 2u)
-            << pipeline::execPolicyName(policy);
-    }
-}
-
-TEST(Executor, PolicyNamesRoundTrip)
-{
-    for (const ExecPolicy policy :
-         {ExecPolicy::Static, ExecPolicy::Dynamic, ExecPolicy::Steal}) {
-        ExecPolicy parsed;
-        ASSERT_TRUE(pipeline::parseExecPolicy(
-            pipeline::execPolicyName(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    ExecPolicy parsed;
-    EXPECT_FALSE(pipeline::parseExecPolicy("magic", parsed));
 }
 
 // ---------------------------------------------------------------------
-// Determinism matrix: N threads x policy must be byte-identical to
-// serial for every registered configuration.
+// Determinism matrix: N threads must be byte-identical to serial for
+// every registered configuration.
 
 /** Registry text with the thread/timing-dependent subtrees removed:
- *  "time.*" (wall clocks), "executor.*" (steal counts).  Everything
+ *  "time.*" (wall clocks), "executor.*" (thread counts).  Everything
  *  else must be invariant across thread counts. */
 std::string
 invariantStats(const obs::StatRegistry &reg)
@@ -172,8 +129,7 @@ struct RunCapture
 
 RunCapture
 captureRun(const workloads::Workload &w, SchedConfig config,
-           unsigned threads, ExecPolicy policy,
-           FaultInjector *faults = nullptr)
+           unsigned threads, FaultInjector *faults = nullptr)
 {
     obs::StatRegistry registry;
     obs::Observer observer;
@@ -182,7 +138,6 @@ captureRun(const workloads::Workload &w, SchedConfig config,
     opts.keepTransformed = true;
     opts.observability.observer = &observer;
     opts.executor.threads = threads;
-    opts.executor.policy = policy;
     opts.robustness.faults = faults;
     const PipelineResult r = pipeline::runPipeline(
         w.program, w.train, w.test, config, opts);
@@ -208,27 +163,19 @@ TEST_P(DeterminismMatrix, ParallelRunsAreByteIdenticalToSerial)
     const auto w = workloads::makeByName(GetParam());
     for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
         const SchedConfig config = be->config;
-        const RunCapture serial =
-            captureRun(w, config, 1, ExecPolicy::Steal);
+        const RunCapture serial = captureRun(w, config, 1);
         EXPECT_FALSE(serial.ir.empty());
         for (const unsigned threads : {2u, 8u}) {
-            for (const ExecPolicy policy :
-                 {ExecPolicy::Static, ExecPolicy::Dynamic,
-                  ExecPolicy::Steal}) {
-                const RunCapture par =
-                    captureRun(w, config, threads, policy);
-                const std::string what =
-                    std::string(GetParam()) + "/" +
-                    pipeline::configName(config) + " x" +
-                    std::to_string(threads) + " " +
-                    pipeline::execPolicyName(policy);
-                EXPECT_EQ(par.ir, serial.ir) << what;
-                EXPECT_EQ(par.cycles, serial.cycles) << what;
-                EXPECT_EQ(par.output, serial.output) << what;
-                EXPECT_EQ(par.returnValue, serial.returnValue) << what;
-                EXPECT_EQ(par.stats, serial.stats) << what;
-                EXPECT_EQ(par.degraded, serial.degraded) << what;
-            }
+            const RunCapture par = captureRun(w, config, threads);
+            const std::string what = std::string(GetParam()) + "/" +
+                                     pipeline::configName(config) +
+                                     " x" + std::to_string(threads);
+            EXPECT_EQ(par.ir, serial.ir) << what;
+            EXPECT_EQ(par.cycles, serial.cycles) << what;
+            EXPECT_EQ(par.output, serial.output) << what;
+            EXPECT_EQ(par.returnValue, serial.returnValue) << what;
+            EXPECT_EQ(par.stats, serial.stats) << what;
+            EXPECT_EQ(par.degraded, serial.degraded) << what;
         }
     }
 }
@@ -252,14 +199,13 @@ TEST(FaultIsolation, QuarantineIsIdenticalAcrossThreadCounts)
     };
     FaultInjector serial_inj(0);
     arm(serial_inj);
-    const RunCapture serial = captureRun(
-        w, SchedConfig::P4, 1, ExecPolicy::Steal, &serial_inj);
+    const RunCapture serial =
+        captureRun(w, SchedConfig::P4, 1, &serial_inj);
     EXPECT_EQ(serial.degraded, 2u);
 
     FaultInjector par_inj(0);
     arm(par_inj);
-    const RunCapture par = captureRun(w, SchedConfig::P4, 4,
-                                      ExecPolicy::Steal, &par_inj);
+    const RunCapture par = captureRun(w, SchedConfig::P4, 4, &par_inj);
     EXPECT_EQ(par.degraded, 2u);
     EXPECT_EQ(par.ir, serial.ir);
     EXPECT_EQ(par.cycles, serial.cycles);
@@ -521,50 +467,7 @@ TEST(StageCacheTest, SerializeProcedureRoundTrips)
 }
 
 // ---------------------------------------------------------------------
-// PipelineOptions v2: the grouped-field builder.
-
-TEST(PipelineOptionsV2, BuilderWritesGroupedFields)
-{
-    obs::Observer observer;
-    FaultInjector inj(0);
-    StageCache cache;
-    ResourceBudget budget;
-    budget.interpSteps = 123;
-    const PipelineOptions opts =
-        PipelineOptions::Builder()
-            .machine(machine::MachineModel::realisticLatency())
-            .icache(true)
-            .registerAllocate(false)
-            .pettisHansen(false)
-            .maxInstrs(64)
-            .edgeProfile("edge text")
-            .pathProfile("path text")
-            .profileCheck(profile::AdmissionMode::Strict)
-            .profileFlowSlack(7)
-            .budget(budget)
-            .faults(&inj)
-            .observer(&observer)
-            .interpStats(true)
-            .threads(8)
-            .execPolicy(ExecPolicy::Dynamic)
-            .cache(&cache)
-            .build();
-    EXPECT_FALSE(opts.useICache == false);
-    EXPECT_FALSE(opts.registerAllocate);
-    EXPECT_FALSE(opts.pettisHansen);
-    EXPECT_EQ(opts.maxInstrs, 64u);
-    EXPECT_EQ(opts.profileInput.edgeText, "edge text");
-    EXPECT_EQ(opts.profileInput.pathText, "path text");
-    EXPECT_EQ(opts.profileInput.check, profile::AdmissionMode::Strict);
-    EXPECT_EQ(opts.profileInput.flowSlack, 7u);
-    EXPECT_EQ(opts.robustness.budget.interpSteps, 123u);
-    EXPECT_EQ(opts.robustness.faults, &inj);
-    EXPECT_EQ(opts.observability.observer, &observer);
-    EXPECT_TRUE(opts.observability.interpStats);
-    EXPECT_EQ(opts.executor.threads, 8u);
-    EXPECT_EQ(opts.executor.policy, ExecPolicy::Dynamic);
-    EXPECT_EQ(opts.executor.cache, &cache);
-}
+// PipelineOptions v2: the grouped option fields.
 
 TEST(PipelineOptionsV2, GroupedBudgetGovernsARun)
 {

@@ -94,8 +94,6 @@ usage()
         "                          DIR/<workload>_<config>.json\n"
         "  --threads N             forward --threads N to every child\n"
         "                          (per-child worker threads)\n"
-        "  --exec-policy P         forward --exec-policy P (static,\n"
-        "                          dynamic or steal)\n"
         "  --cache-dir DIR         forward --cache-dir DIR so all\n"
         "                          children share one on-disk stage\n"
         "                          cache\n"
@@ -216,7 +214,6 @@ struct ExecSummary
     bool present = false;
     uint64_t threads = 0;    ///< max across the task's runs
     uint64_t tasks = 0;      ///< summed across the task's runs
-    uint64_t steals = 0;
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 };
@@ -246,8 +243,8 @@ readExecSummary(const std::string &report_path)
             break;
         const std::string block = doc.substr(open, close - open + 1);
         // The stat registry's "executor" subtree also matches the
-        // needle; only the per-run block carries a "policy" member.
-        if (block.find("\"policy\"") == std::string::npos)
+        // needle; only the per-run block carries "cacheEnabled".
+        if (block.find("\"cacheEnabled\"") == std::string::npos)
             continue;
         std::string v;
         auto num = [&](const char *key) -> uint64_t {
@@ -257,7 +254,6 @@ readExecSummary(const std::string &report_path)
         s.present = true;
         s.threads = std::max(s.threads, num("threads"));
         s.tasks += num("tasks");
-        s.steals += num("steals");
         s.cacheHits += num("cacheHits");
         s.cacheMisses += num("cacheMisses");
     }
@@ -331,7 +327,6 @@ main(int argc, char **argv)
     uint64_t backoff_ms = 100;
     bool resume = false;
     std::string threads_arg;
-    std::string exec_policy_arg;
     std::string cache_dir_arg;
     std::string io_inject;
     uint64_t io_inject_seed = 0;
@@ -368,8 +363,6 @@ main(int argc, char **argv)
             outdir = next();
         } else if (arg == "--threads") {
             threads_arg = next();
-        } else if (arg == "--exec-policy") {
-            exec_policy_arg = next();
         } else if (arg == "--cache-dir") {
             cache_dir_arg = next();
         } else if (arg == "--io-inject") {
@@ -416,10 +409,6 @@ main(int argc, char **argv)
     if (!threads_arg.empty()) {
         passthrough.push_back("--threads");
         passthrough.push_back(threads_arg);
-    }
-    if (!exec_policy_arg.empty()) {
-        passthrough.push_back("--exec-policy");
-        passthrough.push_back(exec_policy_arg);
     }
     if (!cache_dir_arg.empty()) {
         passthrough.push_back("--cache-dir");
@@ -592,8 +581,8 @@ main(int argc, char **argv)
                 outcome = "crashed"; // killed by a signal, not by us
             }
             // Executor accounting rides along on the done event when
-            // the child wrote a report (--outdir): threads, task and
-            // steal counts, and stage-cache traffic per batch task.
+            // the child wrote a report (--outdir): threads, task
+            // counts, and stage-cache traffic per batch task.
             std::string exec_json;
             if (!outdir.empty() &&
                 (outcome == "ok" || outcome == "degraded")) {
@@ -603,11 +592,10 @@ main(int argc, char **argv)
                 if (es.present)
                     exec_json = strfmt(
                         ",\"executor\":{\"threads\":%llu,"
-                        "\"tasks\":%llu,\"steals\":%llu,"
+                        "\"tasks\":%llu,"
                         "\"cacheHits\":%llu,\"cacheMisses\":%llu}",
                         (unsigned long long)es.threads,
                         (unsigned long long)es.tasks,
-                        (unsigned long long)es.steals,
                         (unsigned long long)es.cacheHits,
                         (unsigned long long)es.cacheMisses);
             }

@@ -121,11 +121,9 @@ usage()
         "                          a test run over it degrades the\n"
         "                          procedure it stopped in\n"
         "  --threads N             worker threads for the per-procedure\n"
-        "                          stage tasks (default 1 = serial;\n"
+        "                          stage chains (default 1 = serial;\n"
         "                          0 = hardware concurrency).  Results\n"
         "                          are identical for every N\n"
-        "  --exec-policy P         ready-task policy with --threads > 1:\n"
-        "                          static, dynamic or steal (default)\n"
         "  --cache-dir DIR         persist the memoized stage cache in\n"
         "                          DIR (created if missing); repeat\n"
         "                          runs skip unchanged procedures'\n"
@@ -373,12 +371,6 @@ main(int argc, char **argv)
             opts.robustness.budget.interpSteps = std::stoull(next());
         } else if (arg == "--threads") {
             opts.executor.threads = unsigned(std::stoul(next()));
-        } else if (arg == "--exec-policy") {
-            const std::string v = next();
-            if (!pipeline::parseExecPolicy(v, opts.executor.policy))
-                fatal("unknown --exec-policy '%s' (want static, "
-                      "dynamic or steal)",
-                      v.c_str());
         } else if (arg == "--cache-dir") {
             cache_dir = next();
         } else if (arg == "--list") {
