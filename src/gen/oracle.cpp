@@ -11,6 +11,7 @@
 #include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
 #include "profile/serialize.hpp"
+#include "profile/validate.hpp"
 #include "support/faultinject.hpp"
 #include "support/rng.hpp"
 #include "support/strutil.hpp"
@@ -318,22 +319,33 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
     {
         SchedConfig config;
         const char *check;
-        std::string edgeText;
-        std::string pathText;
+        std::string text; ///< profile of the kind the config reads
     };
     const uint64_t s = w.spec.seed;
     const std::vector<MetaCase> cases = {
-        {SchedConfig::P4, "meta-permute", "",
+        {SchedConfig::P4, "meta-permute",
          permuteLines(path_text, s ^ 0x70657231ULL)},
-        {SchedConfig::P4, "meta-scale", "", scaleCounts(path_text, 3)},
+        {SchedConfig::P4, "meta-scale", scaleCounts(path_text, 3)},
         {SchedConfig::M4, "meta-permute",
-         permuteLines(edge_text, s ^ 0x70657232ULL), ""},
-        {SchedConfig::M4, "meta-scale", scaleCounts(edge_text, 3), ""},
+         permuteLines(edge_text, s ^ 0x70657232ULL)},
+        {SchedConfig::M4, "meta-scale", scaleCounts(edge_text, 3)},
     };
     for (const MetaCase &mc : cases) {
+        // Repair-mode admission never fails; a rejected file shows up
+        // in the run's profileAudit.
         PipelineOptions popts = base;
-        popts.profileInput.edgeText = mc.edgeText;
-        popts.profileInput.pathText = mc.pathText;
+        profile::AdmittedEdgeProfile edges(w.program);
+        profile::AdmittedPathProfile paths(w.program, popts.pathParams);
+        const auto repair = profile::AdmissionMode::Repair;
+        if (pipeline::backendFor(mc.config).needsPathProfile()) {
+            (void)profile::admitPathProfile(mc.text, w.program,
+                                            popts.pathParams, repair, paths);
+            popts.profileInput.paths = &paths;
+        } else {
+            (void)profile::admitEdgeProfile(mc.text, w.program, repair,
+                                            edges);
+            popts.profileInput.edges = &edges;
+        }
         const PipelineResult r = runPipeline(w.program, w.train, w.test,
                                              mc.config, popts);
         checkMetaRun(res, pipeline::configName(mc.config), mc.check, r,

@@ -6,7 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "profile/serialize.hpp"
+#include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
 
@@ -259,7 +259,7 @@ hashMachineModel(const machine::MachineModel &mm)
     putU32(buf, mm.numRegs);
     for (uint32_t l : mm.latency)
         putU32(buf, l);
-    return profile::fnv1a64(buf.data(), buf.size());
+    return fnv1a64(buf.data(), buf.size());
 }
 
 namespace {
@@ -375,7 +375,7 @@ StageCache::lookup(const CacheKey &key, Entry &out)
                 const size_t payload_at = pos;
                 ok = deserializeEntry(blob, pos, e) &&
                      getU64(blob, pos, crc) && pos == blob.size() &&
-                     crc == profile::fnv1a64(blob.data() + payload_at,
+                     crc == fnv1a64(blob.data() + payload_at,
                                              pos - 8 - payload_at);
             }
             std::lock_guard<std::mutex> lk(mu_);
@@ -409,7 +409,7 @@ StageCache::insert(const CacheKey &key, const Entry &entry)
     putU64(blob, key.hi);
     const size_t payload_at = blob.size();
     serializeEntry(entry, blob);
-    putU64(blob, profile::fnv1a64(blob.data() + payload_at,
+    putU64(blob, fnv1a64(blob.data() + payload_at,
                                   blob.size() - payload_at));
     // Write-then-rename so a concurrent reader only ever sees either
     // no file or a complete one (the checksum catches the rest).  No

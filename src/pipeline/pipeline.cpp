@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 #include "analysis/callgraph.hpp"
 #include "interp/stats_listener.hpp"
@@ -15,6 +16,7 @@
 #include "pipeline/executor.hpp"
 #include "profile/edge_profile.hpp"
 #include "profile/serialize.hpp"
+#include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
 
@@ -136,7 +138,7 @@ hashU64s(std::initializer_list<uint64_t> vals)
         for (int i = 0; i < 8; ++i)
             buf[n++] = uint8_t((v >> (8 * i)) & 0xff);
     }
-    return profile::fnv1a64(buf, n);
+    return fnv1a64(buf, n);
 }
 
 /** Bump when anything about the transform chain's semantics changes,
@@ -195,10 +197,30 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     result.exec.threads = threads;
     result.exec.cacheEnabled = cache != nullptr;
 
-    // --- 1. Training run on the original program: gather profiles and
-    //        dynamic call counts for procedure placement. ---
-    profile::EdgeProfiler edge_profile(program);
-    profile::PathProfiler path_profile(program, opt.pathParams);
+    // --- 1. Training run on the original program: dynamic call counts
+    //        for procedure placement, plus the profile formation reads
+    //        unless an admitted external profile of that kind replaces
+    //        it.  A file admission rejected (Repair mode) falls back to
+    //        the internal training profile. ---
+    const profile::AdmittedEdgeProfile *ext_edge =
+        be.needsEdgeProfile() ? opt.profileInput.edges : nullptr;
+    const profile::AdmittedPathProfile *ext_path =
+        be.needsPathProfile() ? opt.profileInput.paths : nullptr;
+    profile::ProfileAudit &audit = result.profileAudit;
+    if (ext_edge != nullptr)
+        audit = ext_edge->audit;
+    else if (ext_path != nullptr)
+        audit = ext_path->audit;
+    if (audit.fileRejected) {
+        ext_edge = nullptr;
+        ext_path = nullptr;
+    }
+    std::optional<profile::EdgeProfiler> edge_profile;
+    std::optional<profile::PathProfiler> path_profile;
+    if (be.needsEdgeProfile() && ext_edge == nullptr)
+        edge_profile.emplace(program);
+    if (be.needsPathProfile() && ext_path == nullptr)
+        path_profile.emplace(program, opt.pathParams);
     interp::RunResult train_run;
     {
         auto t = timed.time("train");
@@ -208,12 +230,10 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         iopts.deadline = bud.deadline;
         iopts.collectCallCounts = true;
         interp::Interpreter interp(program, iopts);
-        const bool need_edge = be.needsEdgeProfile();
-        const bool need_path = be.needsPathProfile();
-        if (need_edge)
-            interp.addListener(&edge_profile);
-        if (need_path)
-            interp.addListener(&path_profile);
+        if (edge_profile)
+            interp.addListener(&*edge_profile);
+        if (path_profile)
+            interp.addListener(&*path_profile);
         interp::StatsListener istats(base.stats,
                                      "interp" + cfg_dot + "train");
         if (want_interp_stats)
@@ -221,10 +241,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         train_run = interp.run(train);
         if (want_interp_stats)
             istats.flush();
-        if (need_path) {
-            path_profile.finalize();
-            result.numPaths = path_profile.numPaths();
-        }
+        if (path_profile)
+            path_profile->finalize();
         t.stop();
         result.stages.push_back({"train", t.elapsedMs()});
     }
@@ -252,101 +270,43 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         return result;
     }
     result.trainSteps = train_run.dynInstrs;
+    const profile::EdgeProfiler *edge_for_form =
+        ext_edge != nullptr ? &ext_edge->profile
+                            : edge_profile ? &*edge_profile : nullptr;
+    const profile::PathProfiler *path_for_form =
+        ext_path != nullptr ? &ext_path->profile
+                            : path_profile ? &*path_profile : nullptr;
+    if (path_for_form != nullptr)
+        result.numPaths = path_for_form->numPaths();
     base.addCounter("profile" + cfg_dot + "trainSteps",
                     train_run.dynInstrs);
     base.addCounter("profile" + cfg_dot + "paths", result.numPaths);
 
-    // --- 1b. Profile admission: externally supplied profiles are
-    //         loaded, checked and (in Repair mode) degraded per
-    //         procedure before they may drive trace selection.  With
-    //         no external text this whole block is inert and the run
-    //         is bit-identical to a build without the admission layer.
-    profile::EdgeProfiler ext_edge(program);
-    profile::PathProfiler ext_path(program, opt.pathParams);
-    profile::EdgeProfiler proj_edge(program);
-    const profile::EdgeProfiler *edge_for_form = &edge_profile;
-    const profile::PathProfiler *path_for_form = &path_profile;
-    profile::ProfileAudit &audit = result.profileAudit;
-    {
-        const bool need_edge = be.needsEdgeProfile();
-        const bool need_path = be.needsPathProfile();
-        profile::ValidateOptions vo;
-        vo.mode = opt.profileInput.check;
-        vo.flowSlack = opt.profileInput.flowSlack;
-        profile::LoadOptions lo;
-        lo.lenient =
-            opt.profileInput.check == profile::AdmissionMode::Repair;
-        // Whole-file rejection: Repair substitutes the internal
-        // training profile; Strict and Off fail the run (true).
-        auto admitFailed = [&](Status st) -> bool {
-            if (opt.profileInput.check ==
-                profile::AdmissionMode::Repair) {
-                warn("config %s: external profile rejected (%s); "
-                     "falling back to the internal training profile",
-                     result.name.c_str(), st.toString().c_str());
-                audit.enabled = true;
-                audit.fileRejected = true;
-                audit.fileStatus = std::move(st);
-                return false;
-            }
-            result.status = std::move(st);
-            return true;
-        };
-        if (need_edge && !opt.profileInput.edgeText.empty()) {
-            profile::ProfileMeta meta;
-            Status st = profile::loadEdgeProfile(
-                opt.profileInput.edgeText, ext_edge, meta, lo);
-            if (!st.ok()) {
-                if (admitFailed(std::move(st)))
-                    return result;
-            } else {
-                st = profile::auditEdgeProfile(program, ext_edge, meta,
-                                               vo, audit);
-                if (!st.ok()) { // strict mode only
-                    result.status = std::move(st);
-                    return result;
-                }
-                edge_for_form = &ext_edge;
-            }
-        }
-        if (need_path && !opt.profileInput.pathText.empty()) {
-            profile::ProfileMeta meta;
-            Status st = profile::loadPathProfile(
-                opt.profileInput.pathText, ext_path, meta, lo);
-            if (!st.ok()) {
-                if (admitFailed(std::move(st)))
-                    return result;
-            } else {
-                st = profile::auditPathProfile(program, ext_path, meta,
-                                               vo, audit, &proj_edge);
-                if (!st.ok()) { // strict mode only
-                    result.status = std::move(st);
-                    return result;
-                }
-                ext_path.finalize();
-                path_for_form = &ext_path;
-                result.numPaths = ext_path.numPaths();
-            }
-        }
-        if (audit.enabled) {
-            base.addCounter("profile" + cfg_dot + "audit.checked",
-                            audit.checked);
-            base.addCounter("profile" + cfg_dot + "audit.repaired",
-                            audit.repaired);
-            base.addCounter("profile" + cfg_dot + "audit.droppedPaths",
-                            audit.droppedPaths);
-            base.addCounter("profile" + cfg_dot + "audit.staleProcs",
-                            audit.staleProcs);
-            base.addCounter("robust" + cfg_dot + "profile.repaired",
-                            audit.repaired);
-            base.addCounter("robust" + cfg_dot + "profile.quarantined",
-                            audit.quarantined);
-            base.addCounter("robust" + cfg_dot + "profile.stale",
-                            audit.staleProcs);
-            if (audit.fileRejected)
-                base.addCounter(
-                    "robust" + cfg_dot + "profile.fileRejected", 1);
-        }
+    // --- 1b. Admission accounting.  The verdict itself was reached
+    //         before the run (profile/validate.hpp); with no external
+    //         profile the audit is disabled and this block is inert.
+    if (audit.fileRejected)
+        warn("config %s: external profile rejected (%s); "
+             "falling back to the internal training profile",
+             result.name.c_str(), audit.fileStatus.toString().c_str());
+    if (audit.enabled) {
+        base.addCounter("profile" + cfg_dot + "audit.checked",
+                        audit.checked);
+        base.addCounter("profile" + cfg_dot + "audit.repaired",
+                        audit.repaired);
+        base.addCounter("profile" + cfg_dot + "audit.droppedPaths",
+                        audit.droppedPaths);
+        base.addCounter("profile" + cfg_dot + "audit.staleProcs",
+                        audit.staleProcs);
+        base.addCounter("robust" + cfg_dot + "profile.repaired",
+                        audit.repaired);
+        base.addCounter("robust" + cfg_dot + "profile.quarantined",
+                        audit.quarantined);
+        base.addCounter("robust" + cfg_dot + "profile.stale",
+                        audit.staleProcs);
+        if (audit.fileRejected)
+            base.addCounter("robust" + cfg_dot + "profile.fileRejected",
+                            1);
     }
 
     // --- 2. Transform a copy of the program, one stage chain per
@@ -545,18 +505,20 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
 
     // Restore procedure p's original (basic-block) body and catch it
     // up to @p reached, budget- and injection-free.  In-chain fallbacks
-    // (phase A) pass their chain's SpillPlan and time into the chain's
-    // observer; the serial tail after phase B passes null, so its spill
-    // slots append directly to the program's data memory.  A failure
-    // here means the always-safe baseline itself is broken, which is an
-    // internal bug: abort.
+    // (phase A) pass their chain's SpillPlan, rebased at the phase-A
+    // join, and time into the chain's observer; the serial tail after
+    // phase B passes null, so its spill slots are rebased here, onto
+    // the end of the program's data memory.  A failure here means the
+    // always-safe baseline itself is broken, which is an internal bug:
+    // abort.
     auto rebuildAsBB = [&](ir::ProcId p, StageReached reached,
                            regalloc::SpillPlan *spill) {
         auto t = (spill != nullptr ? ctxs[p].timed : timed)
                      .time("fallback");
         replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
-        if (spill != nullptr)
-            spill->slots = 0; // the restored body references no slots
+        regalloc::SpillPlan tail_plan;
+        regalloc::SpillPlan &plan = spill != nullptr ? *spill : tail_plan;
+        plan.slots = 0; // the restored body references no slots
         Status st;
         if (reached >= StageReached::Compact) {
             sched::CompactOptions fb_opts;
@@ -569,10 +531,14 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
             opt.registerAllocate) {
             regalloc::AllocOptions ao;
             ao.recursive = &recursive;
-            ao.spill = spill;
+            ao.spill = &plan;
             regalloc::AllocStats fb_alloc;
             st = regalloc::allocateProcedure(
                 prog, p, opt.machine.numRegs, fb_alloc, ao);
+            if (spill == nullptr && tail_plan.slots != 0) {
+                regalloc::rebaseSpillSlots(prog.procs[p], prog.memWords);
+                prog.memWords += tail_plan.slots;
+            }
         }
         if (st.ok() && reached == StageReached::Postsched) {
             if (opt.registerAllocate)
@@ -612,7 +578,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         tc.opt = &opt;
         tc.edge = edge_for_form;
         tc.path = path_for_form;
-        tc.projectedEdge = &proj_edge;
+        tc.projectedEdge =
+            ext_path != nullptr ? &ext_path->projected : nullptr;
         tc.useProjectedEdges =
             pa && pa->action == profile::ProcAction::ProjectedEdges;
         tc.timed = &ctx.timed;

@@ -8,7 +8,11 @@
  * postschedule, place procedures (Pettis-Hansen), then measure the
  * transformed program on the test input — optionally through the
  * 32 KB direct-mapped I-cache.  Every pipeline run checks that the
- * transformed program's output matches the original's.
+ * transformed program's output matches the original's.  A profile
+ * collected in another run (§3.1) arrives already admitted
+ * (profile/validate.hpp) through PipelineOptions::profileInput; the
+ * pipeline never parses profile text, and the training run profiles
+ * only the kinds the backend will actually use.
  *
  * The per-procedure transform stages run as one parallel-for over
  * procedures (pipeline/executor.hpp) per phase: each procedure's stage
@@ -84,25 +88,21 @@ const char *configName(SchedConfig config);
  * @{
  */
 
-/** External profile admission (docs/robustness.md).
+/** Externally supplied profiles, already admitted (docs/robustness.md).
  *
- * When the matching text is non-empty, the training profile of that
- * kind is replaced by the externally supplied one — after it passes
- * admission control (profile/validate.hpp) at the level `check`
- * selects.  In Repair mode a rejected file falls back to the internal
- * training profile and rejected procedures degrade individually (path
- * -> projected edge profile -> quarantine to BB), recorded in
- * PipelineResult::profileAudit; in Strict mode any finding fails the
- * run with a typed status; Off trusts the file after a plain parse.
- * With both texts empty the pipeline is bit-identical to a build
- * without this layer. */
+ * Admission (profile::admitEdgeProfile / admitPathProfile) runs once,
+ * before the pipeline, which only reads the result: one admitted
+ * profile may be shared by many runs and threads.  A set pointer of
+ * the kind the backend reads replaces that training profile, unless
+ * its audit records a rejected file (the pipeline then warns and
+ * profiles the training run itself).  Audit findings degrade per
+ * procedure (path -> projected edges -> BB), recorded in
+ * PipelineResult::profileAudit.  With both null the pipeline is
+ * bit-identical to a build without this layer. */
 struct ProfileInput
 {
-    std::string edgeText; ///< external edge profile (M4/M16)
-    std::string pathText; ///< external path profile (P4/P4e)
-    profile::AdmissionMode check = profile::AdmissionMode::Repair;
-    /** Flow-check slack, see profile::ValidateOptions::flowSlack. */
-    uint64_t flowSlack = 1;
+    const profile::AdmittedEdgeProfile *edges = nullptr; ///< M4/M16
+    const profile::AdmittedPathProfile *paths = nullptr; ///< P4/P4e
 };
 
 /** Resource governance and fault injection (docs/robustness.md). */
@@ -246,7 +246,7 @@ struct PipelineResult
     regalloc::AllocStats alloc;
 
     uint64_t codeBytes = 0;   ///< laid-out binary size
-    size_t numPaths = 0;      ///< distinct paths in the train profile
+    size_t numPaths = 0;      ///< distinct paths in the formation profile
     uint64_t trainSteps = 0;  ///< dynamic ops in the training run
     bool outputMatches = false; ///< transformed output == original output
 

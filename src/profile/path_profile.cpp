@@ -62,17 +62,27 @@ PathProfiler::childOf(ProcId proc, uint32_t node, BlockId label)
     Node child;
     child.label = label;
     child.parent = node;
-    child.length = t.nodes[node].length + 1;
-    // The newest block (depth-1 node) spends no branch budget; an older
-    // block spends one when its terminator is a conditional branch.
-    child.branches =
-        node == 0 ? 0
-                  : t.nodes[node].branches + (condBlock_[proc][label] ? 1
-                                                                      : 0);
     const uint32_t idx = uint32_t(t.nodes.size());
     t.nodes.push_back(std::move(child));
     t.nodes[node].children.emplace_back(label, idx);
     return idx;
+}
+
+/** The budget rule of every walk from a window's newest block (the
+ *  start: branches = 0, length = 1) backwards: an older block @p label
+ *  spends one branch when its terminator is a conditional branch.
+ *  Extends the window by @p label when it still fits. */
+bool
+PathProfiler::extendOlder(ProcId proc, BlockId label, uint32_t &branches,
+                          uint32_t &length) const
+{
+    const uint32_t cost = condBlock_[proc][label] ? 1 : 0;
+    if (branches + cost > params_.maxBranches ||
+        length + 1 > params_.maxBlocks)
+        return false;
+    branches += cost;
+    ++length;
+    return true;
 }
 
 uint32_t
@@ -95,14 +105,9 @@ PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
     uint32_t branches = 0;
     uint32_t length = 1;
     for (BlockId label : newest_first) {
-        const uint32_t cost = condBlock_[proc][label] ? 1 : 0;
-        if (branches + cost > params_.maxBranches ||
-            length + 1 > params_.maxBlocks) {
+        if (!extendOlder(proc, label, branches, length))
             break;
-        }
         result = childOf(proc, result, label);
-        branches += cost;
-        ++length;
     }
 
     t.nodes[node].succ.emplace_back(to, result);
@@ -172,18 +177,12 @@ PathProfiler::pathFreq(ProcId proc, const std::vector<BlockId> &seq) const
     uint32_t branches = 0;
     uint32_t length = 1;
     for (size_t k = seq.size() - 1; k-- > 0;) {
-        const BlockId label = seq[k];
-        const uint32_t cost = condBlock_[proc][label] ? 1 : 0;
-        if (branches + cost > params_.maxBranches ||
-            length + 1 > params_.maxBlocks) {
+        if (!extendOlder(proc, seq[k], branches, length))
             break; // profiling depth reached: longest-suffix frequency
-        }
-        const uint32_t child = findChild(t, node, label);
+        const uint32_t child = findChild(t, node, seq[k]);
         if (child == 0)
             return 0; // this suffix never executed
         node = child;
-        branches += cost;
-        ++length;
     }
     return t.nodes[node].subtree;
 }
@@ -235,15 +234,9 @@ PathProfiler::addPathCount(ProcId proc,
     uint32_t branches = 0;
     uint32_t length = 1;
     for (size_t k = seq.size() - 1; k-- > 0;) {
-        const BlockId label = seq[k];
-        const uint32_t cost = condBlock_[proc][label] ? 1 : 0;
-        if (branches + cost > params_.maxBranches ||
-            length + 1 > params_.maxBlocks) {
+        if (!extendOlder(proc, seq[k], branches, length))
             return false; // over budget: not a recordable window
-        }
-        node = childOf(proc, node, label);
-        branches += cost;
-        ++length;
+        node = childOf(proc, node, seq[k]);
     }
     tries_[proc].nodes[node].count += count;
     return true;

@@ -111,10 +111,6 @@ class PathProfiler : public interp::TraceListener
     {
         ir::BlockId label = ir::kNoBlock;
         uint32_t parent = 0;
-        /** Conditional branches consumed by this window. */
-        uint32_t branches = 0;
-        /** Blocks in this window. */
-        uint32_t length = 0;
         uint64_t count = 0;
         uint64_t subtree = 0;
         /** Child per extension-backward-in-time label. */
@@ -132,6 +128,8 @@ class PathProfiler : public interp::TraceListener
     uint32_t childOf(ir::ProcId proc, uint32_t node, ir::BlockId label);
     uint32_t findChild(const Trie &t, uint32_t node,
                        ir::BlockId label) const;
+    bool extendOlder(ir::ProcId proc, ir::BlockId label,
+                     uint32_t &branches, uint32_t &length) const;
     uint32_t transition(ir::ProcId proc, uint32_t node, ir::BlockId to);
     void step(ir::ProcId proc, ir::BlockId to);
 

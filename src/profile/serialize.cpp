@@ -85,6 +85,19 @@ parseHex64(const std::string &tok, uint64_t &out)
     return ec == std::errc() && ptr == last;
 }
 
+/** std::getline over @p text from @p pos, without the copy of the
+ *  (possibly very large) text an istringstream would make. */
+bool
+nextLine(const std::string &text, size_t &pos, std::string &line)
+{
+    if (pos >= text.size())
+        return false;
+    const size_t end = std::min(text.find('\n', pos), text.size());
+    line.assign(text, pos, end - pos);
+    pos = end + 1;
+    return true;
+}
+
 /** Split @p line on runs of spaces/tabs. */
 std::vector<std::string>
 splitWs(const std::string &line)
@@ -251,11 +264,11 @@ loadEdgeProfile(const std::string &text, EdgeProfiler &ep,
                 ProfileMeta &meta, const LoadOptions &opts)
 {
     meta = ProfileMeta();
-    std::istringstream in(text);
+    size_t pos = 0;
     std::string line;
     uint64_t declared_crc = 0;
     std::vector<std::string> params;
-    if (!std::getline(in, line) ||
+    if (!nextLine(text, pos, line) ||
         !parseHeader(splitWs(line), "edgeprofile", 0, meta, declared_crc,
                      params))
         return badProfile("bad header: '" + line + "'");
@@ -271,7 +284,7 @@ loadEdgeProfile(const std::string &text, EdgeProfiler &ep,
     }
 
     size_t lineno = 1;
-    while (std::getline(in, line)) {
+    while (nextLine(text, pos, line)) {
         ++lineno;
         const std::vector<std::string> tok = splitWs(line);
         if (tok.empty())
@@ -357,11 +370,11 @@ loadPathProfile(const std::string &text, PathProfiler &pp,
         return badProfile(
             "cannot load a path profile into a finalized profiler");
 
-    std::istringstream in(text);
+    size_t pos = 0;
     std::string line;
     uint64_t declared_crc = 0;
     std::vector<std::string> params;
-    if (!std::getline(in, line) ||
+    if (!nextLine(text, pos, line) ||
         !parseHeader(splitWs(line), "pathprofile", 3, meta, declared_crc,
                      params))
         return badProfile("bad path profile header");
@@ -396,7 +409,7 @@ loadPathProfile(const std::string &text, PathProfiler &pp,
 
     std::vector<BlockId> seq;
     size_t lineno = 1;
-    while (std::getline(in, line)) {
+    while (nextLine(text, pos, line)) {
         ++lineno;
         const std::vector<std::string> tok = splitWs(line);
         if (tok.empty())
@@ -487,28 +500,6 @@ loadPathProfile(const std::string &text, PathProfiler &pp,
         }
     }
     return Status();
-}
-
-bool
-fromText(const std::string &text, EdgeProfiler &ep, std::string &error)
-{
-    ProfileMeta meta;
-    const Status st = loadEdgeProfile(text, ep, meta);
-    if (st.ok())
-        return true;
-    error = st.message();
-    return false;
-}
-
-bool
-fromText(const std::string &text, PathProfiler &pp, std::string &error)
-{
-    ProfileMeta meta;
-    const Status st = loadPathProfile(text, pp, meta);
-    if (st.ok())
-        return true;
-    error = st.message();
-    return false;
 }
 
 } // namespace pathsched::profile

@@ -58,11 +58,6 @@
 
 namespace pathsched::profile {
 
-/** FNV-1a 64-bit hash (the v2 checksum/fingerprint primitive) — the
- *  shared implementation in support/hash.hpp, re-exported under its
- *  historical name for the pre-extraction call sites. */
-using pathsched::fnv1a64;
-
 /** Structural CFG hash of @p proc (see the file comment). */
 uint64_t cfgFingerprint(const ir::Procedure &proc);
 
@@ -136,17 +131,6 @@ Status loadEdgeProfile(const std::string &text, EdgeProfiler &ep,
 Status loadPathProfile(const std::string &text, PathProfiler &pp,
                        ProfileMeta &meta,
                        const LoadOptions &opts = LoadOptions());
-
-/** @name Legacy bool loaders
- *  Strict (non-lenient) wrappers over the Status loaders; @p error
- *  receives Status::message() on failure.  Accept v1 and v2 text.
- *  @{
- */
-bool fromText(const std::string &text, EdgeProfiler &ep,
-              std::string &error);
-bool fromText(const std::string &text, PathProfiler &pp,
-              std::string &error);
-/** @} */
 
 } // namespace pathsched::profile
 

@@ -70,6 +70,10 @@ projectPathsToEdges(const PathProfiler &pp, EdgeProfiler &out)
 
 namespace {
 
+/** Executions a non-returning block may "leak" (frames in flight
+ *  when a training run stopped) before flow checks fail. */
+constexpr uint64_t kFlowSlack = 1;
+
 uint64_t
 edgeKey(BlockId from, BlockId to)
 {
@@ -165,15 +169,29 @@ strictVerdict(const ProfileAudit &audit)
                                 (unsigned long long)audit.droppedPaths));
 }
 
+/** Repair mode keeps going on a file the loader refused: record the
+ *  rejection in the audit (the consumer falls back to its internal
+ *  profile).  Off and Strict return the load failure. */
+Status
+fileRejected(Status st, AdmissionMode mode, ProfileAudit &audit)
+{
+    if (mode != AdmissionMode::Repair)
+        return st;
+    audit.enabled = true;
+    audit.fileRejected = true;
+    audit.fileStatus = std::move(st);
+    return Status();
+}
+
 } // namespace
 
 Status
 auditEdgeProfile(const ir::Program &prog, const EdgeProfiler &ep,
-                 const ProfileMeta &meta, const ValidateOptions &vo,
+                 const ProfileMeta &meta, AdmissionMode mode,
                  ProfileAudit &audit)
 {
     audit = ProfileAudit();
-    if (vo.mode == AdmissionMode::Off)
+    if (mode == AdmissionMode::Off)
         return Status();
     audit.enabled = true;
     audit.droppedPaths += meta.recordsSkipped;
@@ -245,12 +263,12 @@ auditEdgeProfile(const ir::Program &prog, const EdgeProfiler &ep,
                                    (unsigned long long)outflow[b]);
             else if (!proc.blocks[b].empty() &&
                      proc.blocks[b].terminator().op != ir::Opcode::Ret &&
-                     freq - outflow[b] > vo.flowSlack)
+                     freq - outflow[b] > kFlowSlack)
                 violation = strfmt("non-returning block %zu leaks %llu "
                                    "executions (slack %llu)",
                                    b,
                                    (unsigned long long)(freq - outflow[b]),
-                                   (unsigned long long)vo.flowSlack);
+                                   (unsigned long long)kFlowSlack);
         }
         if (!violation.empty())
             recordProc(audit, proc, ProcAction::Quarantined,
@@ -258,18 +276,18 @@ auditEdgeProfile(const ir::Program &prog, const EdgeProfiler &ep,
                        "flow conservation failed: " + violation);
     }
 
-    if (vo.mode == AdmissionMode::Strict)
+    if (mode == AdmissionMode::Strict)
         return strictVerdict(audit);
     return Status();
 }
 
 Status
 auditPathProfile(const ir::Program &prog, const PathProfiler &pp,
-                 const ProfileMeta &meta, const ValidateOptions &vo,
+                 const ProfileMeta &meta, AdmissionMode mode,
                  ProfileAudit &audit, EdgeProfiler *projected)
 {
     audit = ProfileAudit();
-    if (vo.mode == AdmissionMode::Off)
+    if (mode == AdmissionMode::Off)
         return Status();
     audit.enabled = true;
     audit.droppedPaths += meta.recordsSkipped;
@@ -426,9 +444,38 @@ auditPathProfile(const ir::Program &prog, const PathProfiler &pp,
                    dropped);
     }
 
-    if (vo.mode == AdmissionMode::Strict)
+    if (mode == AdmissionMode::Strict)
         return strictVerdict(audit);
     return Status();
+}
+
+Status
+admitEdgeProfile(const std::string &text, const ir::Program &prog,
+                 AdmissionMode mode, AdmittedEdgeProfile &out)
+{
+    out = AdmittedEdgeProfile(prog);
+    Status st = loadEdgeProfile(text, out.profile, out.meta,
+                                LoadOptions{mode == AdmissionMode::Repair});
+    if (!st.ok())
+        return fileRejected(std::move(st), mode, out.audit);
+    return auditEdgeProfile(prog, out.profile, out.meta, mode, out.audit);
+}
+
+Status
+admitPathProfile(const std::string &text, const ir::Program &prog,
+                 const PathProfileParams &params, AdmissionMode mode,
+                 AdmittedPathProfile &out)
+{
+    out = AdmittedPathProfile(prog, params);
+    Status st = loadPathProfile(text, out.profile, out.meta,
+                                LoadOptions{mode == AdmissionMode::Repair});
+    if (!st.ok())
+        return fileRejected(std::move(st), mode, out.audit);
+    st = auditPathProfile(prog, out.profile, out.meta, mode, out.audit,
+                          &out.projected);
+    if (st.ok())
+        out.profile.finalize();
+    return st;
 }
 
 } // namespace pathsched::profile

@@ -32,14 +32,17 @@
  * counting discipline (onEdge bumps the edge and its head block
  * together): inflow(b) must equal blockFreq(b) exactly for b != 0,
  * entry blocks may only exceed their inflow, outflow can never exceed
- * a block's count, and non-returning blocks may leak at most
- * ValidateOptions::flowSlack executions (frames in flight when a
- * training run was cut short).
+ * a block's count, and a non-returning block may leak at most one
+ * execution (a frame in flight when a training run was cut short).
  *
  * Staleness uses the v2 fingerprints (serialize.hpp): a procedure
  * whose recorded CFG fingerprint differs from cfgFingerprint() of the
  * current IR is quarantined before any count is trusted.  v1 profiles
  * carry no fingerprints and skip this check ("unverified").
+ *
+ * admitEdgeProfile()/admitPathProfile() are the one way from profile
+ * text to an admitted profile; callers admit once, before any pipeline
+ * run, which only reads the result (pipeline/pipeline.hpp).
  */
 
 #ifndef PATHSCHED_PROFILE_VALIDATE_HPP
@@ -127,15 +130,6 @@ struct ProfileAudit
     const ProcAudit *findProc(ir::ProcId p) const;
 };
 
-/** Admission tunables. */
-struct ValidateOptions
-{
-    AdmissionMode mode = AdmissionMode::Repair;
-    /** Executions a non-returning block may "leak" (frames in flight
-     *  when a training run stopped) before flow checks fail. */
-    uint64_t flowSlack = 1;
-};
-
 /**
  * Project every recorded window of @p pp onto final-block / final-edge
  * counts, accumulated into @p out (an EdgeProfiler over the same
@@ -146,17 +140,17 @@ struct ValidateOptions
 void projectPathsToEdges(const PathProfiler &pp, EdgeProfiler &out);
 
 /**
- * Admit @p ep (typically loaded from text) against the current
+ * Audit @p ep (typically loaded from text) against the current
  * program.  Fills @p audit; in Strict mode the first finding is also
  * returned as a typed error.  Never modifies @p ep — quarantined
  * procedures are handled by the caller's cascade.
  */
 Status auditEdgeProfile(const ir::Program &prog, const EdgeProfiler &ep,
-                        const ProfileMeta &meta,
-                        const ValidateOptions &vo, ProfileAudit &audit);
+                        const ProfileMeta &meta, AdmissionMode mode,
+                        ProfileAudit &audit);
 
 /**
- * Admit @p pp against the current program.  @p pp must hold raw
+ * Audit @p pp against the current program.  @p pp must hold raw
  * (pre-finalize or finalize-preserved) window counts.  For every
  * procedure degraded to ProjectedEdges, the surviving windows'
  * projection is accumulated into @p projected when non-null (an
@@ -165,9 +159,54 @@ Status auditEdgeProfile(const ir::Program &prog, const EdgeProfiler &ep,
  * finding as a typed error.
  */
 Status auditPathProfile(const ir::Program &prog, const PathProfiler &pp,
-                        const ProfileMeta &meta,
-                        const ValidateOptions &vo, ProfileAudit &audit,
-                        EdgeProfiler *projected);
+                        const ProfileMeta &meta, AdmissionMode mode,
+                        ProfileAudit &audit, EdgeProfiler *projected);
+
+/** An edge profile after admitEdgeProfile().  When audit.fileRejected
+ *  is set, `profile` must not be consumed (the pipeline falls back to
+ *  its internal training profile). */
+struct AdmittedEdgeProfile
+{
+    explicit AdmittedEdgeProfile(const ir::Program &prog) : profile(prog)
+    {}
+
+    EdgeProfiler profile;
+    ProfileMeta meta;
+    ProfileAudit audit;
+};
+
+/** A path profile after admitPathProfile(); as AdmittedEdgeProfile. */
+struct AdmittedPathProfile
+{
+    AdmittedPathProfile(const ir::Program &prog,
+                        const PathProfileParams &params)
+        : profile(prog, params), projected(prog)
+    {}
+
+    /** Finalized unless the file was rejected. */
+    PathProfiler profile;
+    /** Edge projection of every ProjectedEdges procedure's survivors. */
+    EdgeProfiler projected;
+    ProfileMeta meta;
+    ProfileAudit audit;
+};
+
+/**
+ * Admit the edge-profile text @p text against @p prog: load it
+ * (leniently exactly when @p mode is Repair), audit it, and fill
+ * @p out.  Repair never fails: a file the loader rejects is recorded
+ * as audit.fileRejected.  Strict returns the load failure or the first
+ * audit finding as a typed error; Off returns a load failure and runs
+ * no audit.  On a non-OK return @p out must not be consumed.
+ */
+Status admitEdgeProfile(const std::string &text, const ir::Program &prog,
+                        AdmissionMode mode, AdmittedEdgeProfile &out);
+
+/** Path-profile counterpart of admitEdgeProfile; @p params must match
+ *  the file's declared parameters. */
+Status admitPathProfile(const std::string &text, const ir::Program &prog,
+                        const PathProfileParams &params,
+                        AdmissionMode mode, AdmittedPathProfile &out);
 
 } // namespace pathsched::profile
 

@@ -159,7 +159,7 @@ allocateProc(ir::Procedure &proc, uint32_t num_phys, AllocStats &stats)
 
 /**
  * Spill the longest-lived non-parameter registers of @p proc to fresh
- * static memory slots (appended to @p prog's data memory): every use
+ * static memory slots (issued locally in @p plan): every use
  * loads into a fresh short-lived register just before the reader, and
  * every definition stores right after the writer, so pressure collapses
  * to per-instruction locality.  Static slots are only sound when a
@@ -167,9 +167,8 @@ allocateProc(ir::Procedure &proc, uint32_t num_phys, AllocStats &stats)
  * checks for recursion.
  */
 bool
-spillLongestIntervals(ir::Program &prog, ir::Procedure &proc,
-                      size_t how_many, AllocStats &stats,
-                      SpillPlan *plan)
+spillLongestIntervals(ir::Procedure &proc, size_t how_many,
+                      AllocStats &stats, SpillPlan &plan)
 {
     std::vector<Interval> ivs = buildIntervals(proc);
     std::vector<const Interval *> candidates;
@@ -193,14 +192,11 @@ spillLongestIntervals(ir::Program &prog, ir::Procedure &proc,
     if (candidates.empty())
         return false; // nothing spillable (point lifetimes only)
 
-    // One fresh word of program memory per spilled register — issued
-    // locally (sentinel-relative, rebased at the executor's join) when
-    // a plan is present, directly out of memWords otherwise.
+    // One fresh word of program memory per spilled register, issued
+    // locally (sentinel-relative, rebased by the caller).
     std::vector<int64_t> slot_of(proc.numRegs, -1);
     for (const Interval *iv : candidates) {
-        slot_of[iv->vreg] = plan != nullptr
-                                ? kSpillSlotBase + int64_t(plan->slots++)
-                                : int64_t(prog.memWords++);
+        slot_of[iv->vreg] = kSpillSlotBase + int64_t(plan.slots++);
         ++stats.regsSpilled;
     }
     auto spilled = [&](RegId r) {
@@ -334,16 +330,9 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
                    "registers (%u)",
                    proc.name.c_str(), proc.numParams, num_phys_regs));
     }
-    // Recursion is a whole-program property; recompute it here unless
-    // the caller shares a precomputed copy (spilling never adds calls,
-    // so the answer is stable across procedures and the per-procedure
-    // path matches allocateProgram exactly either way).
-    const std::vector<uint8_t> recursive_local =
-        options.recursive != nullptr ? std::vector<uint8_t>()
-                                     : findRecursiveProcs(prog);
-    const std::vector<uint8_t> &recursive =
-        options.recursive != nullptr ? *options.recursive
-                                     : recursive_local;
+    ps_assert_msg(options.recursive != nullptr && options.spill != nullptr,
+                  "allocateProcedure: recursive and spill are required");
+    const std::vector<uint8_t> &recursive = *options.recursive;
     const ResourceBudget *budget = options.budget;
 
     // Each allocate-or-spill round rescans the whole procedure, so it
@@ -367,8 +356,7 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
             break;
         }
         // Spill a small batch of the worst offenders and retry.
-        if (!spillLongestIntervals(prog, proc, 16, stats,
-                                   options.spill))
+        if (!spillLongestIntervals(proc, 16, stats, *options.spill))
             break; // nothing left to spill
     }
     if (!done) {
@@ -386,12 +374,19 @@ allocateProgram(ir::Program &prog, uint32_t num_phys_regs)
 {
     AllocStats stats;
     const std::vector<uint8_t> recursive = findRecursiveProcs(prog);
-    AllocOptions options;
-    options.recursive = &recursive;
     pipeline::forEachProcOrDie(
         prog, "register allocation", [&](ir::ProcId p) {
-            return allocateProcedure(prog, p, num_phys_regs, stats,
-                                     options);
+            // Rebasing each procedure's slots as soon as it is done
+            // issues them in id order from the end of data memory.
+            SpillPlan plan;
+            AllocOptions options;
+            options.recursive = &recursive;
+            options.spill = &plan;
+            Status st = allocateProcedure(prog, p, num_phys_regs, stats,
+                                          options);
+            rebaseSpillSlots(prog.procs[p], prog.memWords);
+            prog.memWords += plan.slots;
+            return st;
         });
     return stats;
 }

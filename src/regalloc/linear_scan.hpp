@@ -46,20 +46,15 @@ struct AllocStats
 };
 
 /**
- * @name Procedure-local spill slots (executor mode)
+ * @name Procedure-local spill slots
  *
- * Historically every spill slot was carved directly out of
- * Program::memWords, which made register allocation the one transform
- * stage with cross-procedure shared state — unusable from concurrent
- * per-procedure tasks, and address assignment would depend on
- * completion order.  A SpillPlan removes that: slot addresses are
- * issued *locally* per procedure (0, 1, 2, ... recorded only in the
- * plan), emitted into the IR offset from the kSpillSlotBase sentinel —
- * far above any real data address — and rebased onto final absolute
- * addresses by rebaseSpillSlots() at a serial join point, in procedure
- * id order.  A run that allocates procedures in id order therefore
- * produces bit-identical addresses to the historical direct-append
- * path.
+ * Spill slots are issued *locally* per procedure (0, 1, 2, ...
+ * recorded only in a SpillPlan), emitted into the IR offset from the
+ * kSpillSlotBase sentinel — far above any real data address — and
+ * rebased onto absolute addresses by rebaseSpillSlots() at a serial
+ * point, in procedure-id order.  Allocation therefore never touches
+ * shared program state, so concurrent per-procedure tasks allocate
+ * safely and addresses never depend on completion order.
  * @{
  */
 
@@ -102,16 +97,15 @@ struct AllocOptions
      *  contract on allocateProcedure. */
     const ResourceBudget *budget = nullptr;
     /**
-     * Precomputed findRecursiveProcs() result (not owned, nullable).
-     * Null recomputes it per call — correct but a whole-program scan,
-     * and a data race if other procedures are being rewritten
-     * concurrently; the executor always passes it.
+     * Precomputed findRecursiveProcs() result (not owned, required):
+     * recursion is a whole-program property, so computing it per call
+     * would be a whole-program scan racing concurrent rewrites.
      */
     const std::vector<uint8_t> *recursive = nullptr;
     /**
-     * When non-null, spill slots are numbered locally into this plan
-     * (sentinel addressing, see SpillPlan) instead of being appended
-     * to Program::memWords.  Required for concurrent allocation.
+     * Where this procedure's spill slots are numbered (not owned,
+     * required): locally, with sentinel addressing (see SpillPlan),
+     * until the caller rebases them with rebaseSpillSlots().
      */
     SpillPlan *spill = nullptr;
 };
@@ -121,8 +115,8 @@ struct AllocOptions
  * registers, rewriting register operands in place and accumulating
  * counters into @p stats — the recoverable per-procedure entry point
  * behind allocateProgram(), and the form the pipeline executor calls.
- * Spill slots are appended to @p prog's data memory (or issued locally
- * per AllocOptions::spill).  A procedure whose pressure cannot be
+ * Spill slots are issued locally in AllocOptions::spill; the caller
+ * rebases them onto data memory.  A procedure whose pressure cannot be
  * reduced is *not* an error (it stays on virtual registers and counts
  * as skipped, as documented above); a non-OK return means the
  * procedure cannot be allocated at all (more parameters than machine
@@ -137,8 +131,9 @@ Status allocateProcedure(ir::Program &prog, ir::ProcId proc,
 
 /**
  * Allocate every procedure of @p prog onto @p num_phys_regs registers,
- * rewriting register operands in place.  Panics on failure — callers
- * that need recovery use allocateProcedure().
+ * rewriting register operands in place and appending spill slots to
+ * the program's data memory in procedure-id order.  Panics on
+ * failure — callers that need recovery use allocateProcedure().
  */
 AllocStats allocateProgram(ir::Program &prog, uint32_t num_phys_regs);
 

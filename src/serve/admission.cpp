@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "profile/edge_profile.hpp"
-#include "profile/serialize.hpp"
 #include "profile/validate.hpp"
 #include "support/strutil.hpp"
 
@@ -115,13 +113,9 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
     }
     --cs.tokens;
 
-    // 4./5. Parse leniently, audit in Repair mode, keep survivors.
+    // 4./5. Admit in Repair mode (lenient parse + audit), keep
+    //       survivors.
     profile::ProfileMeta meta;
-    profile::LoadOptions lo;
-    lo.lenient = true;
-    profile::ValidateOptions vo;
-    vo.mode = profile::AdmissionMode::Repair;
-    vo.flowSlack = opts_.flowSlack;
     profile::ProfileAudit audit;
     AdmittedDelta delta;
     delta.clientId = clientId;
@@ -136,13 +130,14 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
     };
 
     if (profileKind == 0) {
-        profile::EdgeProfiler ep(*prog_);
-        if (Status st = loadEdgeProfile(text, ep, meta, lo); !st.ok())
-            return reject(st);
-        if (Status st =
-                auditEdgeProfile(*prog_, ep, meta, vo, audit);
-            !st.ok() || audit.fileRejected)
-            return reject(!st.ok() ? st : audit.fileStatus);
+        profile::AdmittedEdgeProfile adm(*prog_);
+        (void)profile::admitEdgeProfile(
+            text, *prog_, profile::AdmissionMode::Repair, adm);
+        if (adm.audit.fileRejected)
+            return reject(adm.audit.fileStatus);
+        meta = std::move(adm.meta);
+        audit = std::move(adm.audit);
+        const profile::EdgeProfiler &ep = adm.profile;
         ep.forEachBlock([&](ir::ProcId p, ir::BlockId b, uint64_t c) {
             if (audit.findProc(p) == nullptr)
                 delta.blocks.push_back({uint32_t(p), uint32_t(b), c});
@@ -154,14 +149,16 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
                     {uint32_t(p), uint32_t(f), uint32_t(t), c});
         });
     } else {
-        profile::PathProfiler pp(*prog_, path_params_);
-        if (Status st = loadPathProfile(text, pp, meta, lo); !st.ok())
-            return reject(st);
-        profile::EdgeProfiler projected(*prog_);
-        if (Status st = auditPathProfile(*prog_, pp, meta, vo, audit,
-                                         &projected);
-            !st.ok() || audit.fileRejected)
-            return reject(!st.ok() ? st : audit.fileStatus);
+        profile::AdmittedPathProfile adm(*prog_, path_params_);
+        (void)profile::admitPathProfile(text, *prog_, path_params_,
+                                        profile::AdmissionMode::Repair,
+                                        adm);
+        if (adm.audit.fileRejected)
+            return reject(adm.audit.fileStatus);
+        meta = std::move(adm.meta);
+        audit = std::move(adm.audit);
+        const profile::PathProfiler &pp = adm.profile;
+        const profile::EdgeProfiler &projected = adm.projected;
         pp.forEachPath([&](ir::ProcId p,
                            const std::vector<ir::BlockId> &seqv,
                            uint64_t c) {
@@ -174,7 +171,8 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
             delta.paths.push_back(std::move(rec));
         });
         // ProjectedEdges procedures ride along as edge counts — the
-        // PR-4 degradation cascade, preserved through aggregation.
+        // admission layer's degradation cascade, preserved through
+        // aggregation.
         projected.forEachBlock(
             [&](ir::ProcId p, ir::BlockId b, uint64_t c) {
                 const auto *pa = audit.findProc(p);
@@ -193,7 +191,7 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
         });
     }
 
-    // Attribution counters (satellite: ProfileMeta skip surfacing).
+    // Attribution counters (ProfileMeta skips, audit findings).
     cs.stats.skippedRecords += meta.recordsSkipped;
     cs.stats.unattributedSkips += meta.unattributedSkips;
     cs.stats.procsStale += audit.staleProcs;

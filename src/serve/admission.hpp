@@ -61,8 +61,6 @@ struct AdmissionOptions
     uint32_t quarantineThreshold = 16;
     /** Epochs a quarantine lasts. */
     uint32_t quarantineEpochs = 4;
-    /** Flow slack forwarded to the PR-4 semantic checks. */
-    uint64_t flowSlack = 1;
 };
 
 /** Per-client admission counters (exported as serve.client.<id>.*). */

@@ -4,10 +4,7 @@
 #include <cstdio>
 
 #include "obs/json.hpp"
-#include "pipeline/backend.hpp"
-#include "profile/edge_profile.hpp"
-#include "profile/path_profile.hpp"
-#include "profile/serialize.hpp"
+#include "profile/validate.hpp"
 #include "support/hash.hpp"
 #include "support/strutil.hpp"
 
@@ -393,30 +390,28 @@ ServeCore::attemptReschedule(bool force)
     }
     registry_.addCounter("serve.resched.procsMoved", oc.procsMoved);
 
-    // Dump the live window as profile text.  Admission already ran per
-    // delta at ingest — the aggregate is trusted internal state, so the
-    // pipeline loads it with check=Off (also keeping every procedure
-    // stage-cache-eligible).  Aggregated counts are sums over many
-    // deltas, which the per-run flow checks would misread anyway.
+    // Dump the live window into admitted profiles.  Admission already
+    // ran per delta at ingest — the aggregate is trusted internal
+    // state, so it reaches the pipeline with the audit disabled (also
+    // keeping every procedure stage-cache-eligible).  Aggregated counts
+    // are sums over many deltas, which the per-run flow checks would
+    // misread anyway.
     uint64_t dumpSkipped = 0;
-    profile::EdgeProfiler ep(workload_.program);
-    agg_.dumpEdges(ep, dumpSkipped);
-    profile::PathProfiler pp(workload_.program,
-                             opts_.pipelineBase.pathParams);
-    agg_.dumpPaths(pp, dumpSkipped);
+    profile::AdmittedEdgeProfile edges(workload_.program);
+    agg_.dumpEdges(edges.profile, dumpSkipped);
+    profile::AdmittedPathProfile paths(workload_.program,
+                                       opts_.pipelineBase.pathParams);
+    agg_.dumpPaths(paths.profile, dumpSkipped);
+    paths.profile.finalize();
     if (dumpSkipped > 0)
         registry_.addCounter("serve.resched.dumpSkipped", dumpSkipped);
 
-    const pipeline::BackendDesc &be = pipeline::backendFor(opts_.config);
     pipeline::PipelineOptions po = opts_.pipelineBase;
-    po.profileInput.check = profile::AdmissionMode::Off;
+    po.profileInput.edges = &edges;
+    po.profileInput.paths = &paths;
     po.executor.cache = &cache_;
     po.executor.threads = 1;
     po.keepTransformed = true;
-    if (be.needsPathProfile())
-        po.profileInput.pathText = profile::toText(pp);
-    if (be.needsEdgeProfile() || !be.needsProfile())
-        po.profileInput.edgeText = profile::toText(ep);
     if (opts_.reschedDeadlineMs > 0)
         po.robustness.budget.deadline =
             Deadline::afterMs(opts_.reschedDeadlineMs);

@@ -44,47 +44,6 @@ crcLineOk(const std::string &line)
     return crc32(line.data() + rest, line.size() - rest) == declared;
 }
 
-bool
-jsonField(const std::string &line, const std::string &key,
-          std::string &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    size_t v = pos + needle.size();
-    if (v >= line.size())
-        return false;
-    if (line[v] == '"') {
-        const size_t end = line.find('"', v + 1);
-        if (end == std::string::npos)
-            return false;
-        out = line.substr(v + 1, end - v - 1);
-        return true;
-    }
-    size_t end = v;
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    out = line.substr(v, end - v);
-    return true;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 JsonlJournal::JsonlJournal(const std::string &path, Vio *vio,
                            const std::string &label)
     : path_(path), label_(label),

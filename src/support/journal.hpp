@@ -10,10 +10,11 @@
  * seam (support/vio.hpp), so both the write and the fsync results are
  * typed and disk faults are injectable with --io-inject.
  *
- * The helpers (withCrc / crcLineOk / jsonField / jsonEscape) are also
- * usable standalone by readers that replay a journal.  Lines without a
- * leading crc field (older builds) pass verification unverified — the
- * format is additive.
+ * withCrc / crcLineOk are also usable standalone by readers that
+ * replay a journal; each line is then one JSON object (obs/json.hpp
+ * writes the escaped strings and parses the lines back).  Lines
+ * without a leading crc field (older builds) pass verification
+ * unverified — the format is additive.
  */
 
 #ifndef PATHSCHED_SUPPORT_JOURNAL_HPP
@@ -38,13 +39,6 @@ std::string withCrc(const std::string &json);
  * pass unverified.
  */
 bool crcLineOk(const std::string &line);
-
-/** Minimal JSONL value scan: "key":"value" or "key":number. */
-bool jsonField(const std::string &line, const std::string &key,
-               std::string &out);
-
-/** Escape '"', '\\' and newlines for embedding in a JSON string. */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Append-only, crash-safe journal: every line() call writes one

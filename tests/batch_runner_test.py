@@ -16,7 +16,9 @@ binaries:
      journal gains a suite-abort record and is flushed, the runner
      exits 4, and --resume finishes the remainder;
   5. with --outdir, each done line carries the child report's
-     per-run executor accounting.
+     per-run executor accounting;
+  6. every journal line is strict JSON, even when a recorded string
+     carries control bytes (here: a tab in the journal path).
 
 Usage: batch_runner_test.py <pathsched_batch> <pathsched_cli>
 """
@@ -302,6 +304,31 @@ def test_corrupt_journal_line_resume(tmp):
     check(len(rerun) == 1, f"exactly one task re-ran (got {rerun})")
 
 
+def test_journal_lines_are_strict_json(tmp):
+    print("journal strings with control bytes stay strict JSON")
+    # A tab in the journal path reaches the suite-abort record through
+    # the injected write error's message.
+    journal = os.path.join(tmp, "ctl\tbytes.jsonl")
+    r = run_batch(["--workloads", "wc", "--configs", "BB",
+                   "--journal", journal,
+                   "--io-inject", "path=journal,op=write,kind=eio,nth=2"])
+    check(r.returncode == 5, f"journal I/O failure exits 5 "
+                             f"(got {r.returncode})")
+    with open(journal) as f:
+        lines = [l for l in f.read().splitlines() if l]
+    parsed = []
+    for line in lines:
+        try:
+            parsed.append(json.loads(line))  # strict: no raw controls
+        except json.JSONDecodeError as e:
+            check(False, f"journal line is strict JSON ({e}): {line!r}")
+    check(len(parsed) == len(lines) == 2,
+          f"start and abort lines both parse (got {len(parsed)})")
+    abort = [e for e in parsed if e.get("event") == "suite-abort"]
+    check(len(abort) == 1 and "\t" in abort[0].get("error", ""),
+          "the abort record keeps the tab, escaped")
+
+
 def read_journal_lenient(path):
     events = []
     with open(path) as f:
@@ -326,6 +353,8 @@ def main():
         test_sigterm_graceful_interrupt(tmp)
     with tempfile.TemporaryDirectory() as tmp:
         test_corrupt_journal_line_resume(tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        test_journal_lines_are_strict_json(tmp)
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
         return 1

@@ -12,7 +12,9 @@ Exercises the externally visible contract of the admission layer:
      never crashes (exit 3) the driver;
   4. a corpus of malformed profile files: whatever the mutation, the
      CLI must exit 0, 1 or 2 — never 3 (panic) and never a signal;
-  5. --profile-check=off trusts a parseable file without auditing.
+  5. --profile-check=off trusts a parseable file without auditing;
+  6. --profile-check=strict rejects a bad file once, before any run,
+     and only when some selected config reads that profile kind.
 
 Usage: profile_cli_test.py <pathsched_cli>
 """
@@ -203,6 +205,25 @@ def test_profile_check_off(tmp):
     check("profile:" not in r.stderr, "off mode reports nothing")
 
 
+def test_strict_rejects_before_any_run(tmp):
+    print("--profile-check strict: a rejected file stops before any run")
+    junk = os.path.join(tmp, "strict-junk.paths")
+    with open(junk, "w") as f:
+        f.write("this is not a profile\n")
+    r = run_cli(["--workload", "wc", "--config", "all",
+                 "--load-paths", junk, "--profile-check", "strict"])
+    check(r.returncode == 1,
+          f"strict rejection exits 1 (got {r.returncode})")
+    rows = [l for l in r.stdout.splitlines() if l.startswith("wc ")]
+    check(not rows, f"no table row is printed (got {rows})")
+
+    # No selected backend reads paths, so the file is never admitted.
+    r = run_cli(["--workload", "wc", "--config", "M4",
+                 "--load-paths", junk, "--profile-check", "strict"])
+    check(r.returncode == 0,
+          f"M4 ignores the path file, exit 0 (got {r.returncode})")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_round_trip(tmp)
@@ -210,6 +231,7 @@ def main():
         test_stale_profile(tmp)
         test_malformed_corpus(tmp)
         test_profile_check_off(tmp)
+        test_strict_rejects_before_any_run(tmp)
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
         return 1

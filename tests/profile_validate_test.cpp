@@ -30,6 +30,8 @@ using pipeline::PipelineOptions;
 using pipeline::PipelineResult;
 using pipeline::SchedConfig;
 
+constexpr AdmissionMode kRepair = AdmissionMode::Repair;
+
 /** Train both profilers on @p w's training input in one run. */
 struct Trained
 {
@@ -123,7 +125,7 @@ TEST(EdgeAudit, AcceptsRealProfile)
     ProfileMeta meta;
     ProfileAudit audit;
     ASSERT_TRUE(
-        auditEdgeProfile(w.program, t.ep, meta, {}, audit).ok());
+        auditEdgeProfile(w.program, t.ep, meta, kRepair, audit).ok());
     EXPECT_TRUE(audit.enabled);
     EXPECT_TRUE(audit.clean());
     EXPECT_EQ(audit.checked, w.program.procs.size());
@@ -139,7 +141,7 @@ TEST(EdgeAudit, QuarantinesInflatedBlockCount)
     ProfileMeta meta;
     ProfileAudit audit;
     ASSERT_TRUE(
-        auditEdgeProfile(w.program, t.ep, meta, {}, audit).ok());
+        auditEdgeProfile(w.program, t.ep, meta, kRepair, audit).ok());
     EXPECT_FALSE(audit.clean());
     ASSERT_EQ(audit.procs.size(), 1u);
     EXPECT_EQ(audit.procs[0].action, ProcAction::Quarantined);
@@ -147,8 +149,7 @@ TEST(EdgeAudit, QuarantinesInflatedBlockCount)
     EXPECT_EQ(audit.quarantined, 1u);
 
     // Strict mode surfaces the same finding as a typed error.
-    ValidateOptions strict;
-    strict.mode = AdmissionMode::Strict;
+    const AdmissionMode strict = AdmissionMode::Strict;
     const Status st =
         auditEdgeProfile(w.program, t.ep, meta, strict, audit);
     ASSERT_FALSE(st.ok());
@@ -183,7 +184,7 @@ TEST(EdgeAudit, QuarantinesNonCFGEdge)
     ProfileMeta meta;
     ProfileAudit audit;
     ASSERT_TRUE(
-        auditEdgeProfile(w.program, t.ep, meta, {}, audit).ok());
+        auditEdgeProfile(w.program, t.ep, meta, kRepair, audit).ok());
     ASSERT_EQ(audit.procs.size(), 1u);
     EXPECT_EQ(audit.procs[0].action, ProcAction::Quarantined);
     EXPECT_NE(audit.procs[0].message.find("not in the CFG"),
@@ -204,14 +205,13 @@ TEST(EdgeAudit, StaleFingerprintQuarantines)
 
     ProfileAudit audit;
     ASSERT_TRUE(
-        auditEdgeProfile(w.program, loaded, meta, {}, audit).ok());
+        auditEdgeProfile(w.program, loaded, meta, kRepair, audit).ok());
     ASSERT_EQ(audit.procs.size(), 1u);
     EXPECT_EQ(audit.procs[0].action, ProcAction::Quarantined);
     EXPECT_EQ(audit.procs[0].kind, ErrorKind::ProfileStale);
     EXPECT_EQ(audit.staleProcs, 1u);
 
-    ValidateOptions strict;
-    strict.mode = AdmissionMode::Strict;
+    const AdmissionMode strict = AdmissionMode::Strict;
     const Status st =
         auditEdgeProfile(w.program, loaded, meta, strict, audit);
     ASSERT_FALSE(st.ok());
@@ -228,7 +228,7 @@ TEST(PathAudit, AcceptsRealProfile)
     ProfileMeta meta;
     ProfileAudit audit;
     EdgeProfiler projected(w.program);
-    ASSERT_TRUE(auditPathProfile(w.program, t.pp, meta, {}, audit,
+    ASSERT_TRUE(auditPathProfile(w.program, t.pp, meta, kRepair, audit,
                                  &projected)
                     .ok());
     EXPECT_TRUE(audit.clean());
@@ -277,7 +277,7 @@ TEST(PathAudit, RepairsOverstatedWindowByProjection)
 
     ProfileAudit audit;
     EdgeProfiler projected(w.program);
-    ASSERT_TRUE(auditPathProfile(w.program, loaded, meta, {}, audit,
+    ASSERT_TRUE(auditPathProfile(w.program, loaded, meta, kRepair, audit,
                                  &projected)
                     .ok());
     EXPECT_FALSE(audit.clean());
@@ -304,7 +304,7 @@ TEST(PathAudit, QuarantinesWhenEveryWindowIsBogus)
 
     ProfileAudit audit;
     EdgeProfiler projected(w.program);
-    ASSERT_TRUE(auditPathProfile(w.program, loaded, meta, {}, audit,
+    ASSERT_TRUE(auditPathProfile(w.program, loaded, meta, kRepair, audit,
                                  &projected)
                     .ok());
     ASSERT_EQ(audit.procs.size(), 1u);
@@ -312,8 +312,7 @@ TEST(PathAudit, QuarantinesWhenEveryWindowIsBogus)
     EXPECT_NE(audit.procs[0].message.find("all 1 windows dropped"),
               std::string::npos);
 
-    ValidateOptions strict;
-    strict.mode = AdmissionMode::Strict;
+    const AdmissionMode strict = AdmissionMode::Strict;
     EXPECT_FALSE(auditPathProfile(w.program, loaded, meta, strict,
                                   audit, &projected)
                      .ok());
@@ -323,8 +322,7 @@ TEST(PathAudit, OffModeChecksNothing)
 {
     const auto w = workloads::makeAlt();
     Trained t(w);
-    ValidateOptions off;
-    off.mode = AdmissionMode::Off;
+    const AdmissionMode off = AdmissionMode::Off;
     ProfileAudit audit;
     ASSERT_TRUE(
         auditPathProfile(w.program, t.pp, {}, off, audit, nullptr)
@@ -366,8 +364,12 @@ TEST(Cascade, CorruptProcDegradesAloneAndOthersAreBitIdentical)
 
     // A clean external profile (identical to the training profile)
     // admits fully and changes nothing.
+    AdmittedPathProfile clean_adm(w.program, base.pathParams);
+    ASSERT_TRUE(admitPathProfile(clean_text, w.program, base.pathParams,
+                                 AdmissionMode::Repair, clean_adm)
+                    .ok());
     PipelineOptions clean = base;
-    clean.profileInput.pathText = clean_text;
+    clean.profileInput.paths = &clean_adm;
     const PipelineResult r1 = runPipeline(w.program, w.train, w.test,
                                           SchedConfig::P4, clean);
     ASSERT_TRUE(r1.status.ok());
@@ -381,8 +383,12 @@ TEST(Cascade, CorruptProcDegradesAloneAndOthersAreBitIdentical)
     obs::StatRegistry stats;
     obs::Observer obs;
     obs.stats = &stats;
+    AdmittedPathProfile corrupt_adm(w.program, base.pathParams);
+    ASSERT_TRUE(admitPathProfile(corrupt_text, w.program, base.pathParams,
+                                 AdmissionMode::Repair, corrupt_adm)
+                    .ok());
     PipelineOptions corrupt = clean;
-    corrupt.profileInput.pathText = corrupt_text;
+    corrupt.profileInput.paths = &corrupt_adm;
     corrupt.observability.observer = &obs;
     const PipelineResult r2 = runPipeline(w.program, w.train, w.test,
                                           SchedConfig::P4, corrupt);
@@ -407,17 +413,19 @@ TEST(Cascade, CorruptProcDegradesAloneAndOthersAreBitIdentical)
               w.program.procs.size());
 
     // Strict mode refuses the same file outright.
-    PipelineOptions strict = corrupt;
-    strict.observability.observer = nullptr;
-    strict.profileInput.check = AdmissionMode::Strict;
-    const PipelineResult r3 = runPipeline(w.program, w.train, w.test,
-                                          SchedConfig::P4, strict);
-    EXPECT_FALSE(r3.status.ok());
+    AdmittedPathProfile strict_adm(w.program, base.pathParams);
+    EXPECT_FALSE(admitPathProfile(corrupt_text, w.program, base.pathParams,
+                                  AdmissionMode::Strict, strict_adm)
+                     .ok());
 
     // Off mode trusts the file after a plain parse: no audit runs.
+    AdmittedPathProfile off_adm(w.program, base.pathParams);
+    ASSERT_TRUE(admitPathProfile(corrupt_text, w.program, base.pathParams,
+                                 AdmissionMode::Off, off_adm)
+                    .ok());
     PipelineOptions off = corrupt;
     off.observability.observer = nullptr;
-    off.profileInput.check = AdmissionMode::Off;
+    off.profileInput.paths = &off_adm;
     const PipelineResult r4 = runPipeline(w.program, w.train, w.test,
                                           SchedConfig::P4, off);
     ASSERT_TRUE(r4.status.ok());
@@ -433,8 +441,13 @@ TEST(Cascade, UnparseableFileFallsBackToTrainingProfile)
                                           SchedConfig::P4, base);
     ASSERT_TRUE(r0.status.ok());
 
+    const std::string garbage = "this is not a profile\n";
+    AdmittedPathProfile bad_adm(w.program, base.pathParams);
+    ASSERT_TRUE(admitPathProfile(garbage, w.program, base.pathParams,
+                                 AdmissionMode::Repair, bad_adm)
+                    .ok());
     PipelineOptions bad = base;
-    bad.profileInput.pathText = "this is not a profile\n";
+    bad.profileInput.paths = &bad_adm;
     const PipelineResult r1 = runPipeline(w.program, w.train, w.test,
                                           SchedConfig::P4, bad);
     ASSERT_TRUE(r1.status.ok());
@@ -444,12 +457,54 @@ TEST(Cascade, UnparseableFileFallsBackToTrainingProfile)
     // The internal training profile took over: identical output code.
     EXPECT_EQ(ir::toString(*r1.transformed), ir::toString(*r0.transformed));
 
-    // Strict mode turns the rejection into a failed run.
-    PipelineOptions strict = bad;
-    strict.profileInput.check = AdmissionMode::Strict;
-    const PipelineResult r2 = runPipeline(w.program, w.train, w.test,
-                                          SchedConfig::P4, strict);
-    EXPECT_FALSE(r2.status.ok());
+    // Strict mode turns the rejection into a failed admission.
+    AdmittedPathProfile strict_adm(w.program, base.pathParams);
+    EXPECT_FALSE(admitPathProfile(garbage, w.program, base.pathParams,
+                                  AdmissionMode::Strict, strict_adm)
+                     .ok());
+}
+
+TEST(Cascade, SharedAdmissionMatchesSeparateAdmissions)
+{
+    // One admitted profile read by a P4 and a P4e run (as a --config
+    // all sweep shares it) must give exactly what two independent
+    // admissions give.  A corrupted window makes the audit non-trivial,
+    // so the projected-edge profile is shared too.
+    const auto w = workloads::makeCorr();
+    Trained t(w);
+    const std::string text = inflateOneWindow(toText(t.pp), 0);
+    PipelineOptions base;
+    base.keepTransformed = true;
+
+    AdmittedPathProfile shared(w.program, base.pathParams);
+    ASSERT_TRUE(admitPathProfile(text, w.program, base.pathParams,
+                                 AdmissionMode::Repair, shared)
+                    .ok());
+    ASSERT_FALSE(shared.audit.clean());
+    for (const SchedConfig c : {SchedConfig::P4, SchedConfig::P4e}) {
+        AdmittedPathProfile own(w.program, base.pathParams);
+        ASSERT_TRUE(admitPathProfile(text, w.program, base.pathParams,
+                                     AdmissionMode::Repair, own)
+                        .ok());
+        PipelineOptions a = base, b = base;
+        a.profileInput.paths = &shared;
+        b.profileInput.paths = &own;
+        const PipelineResult ra =
+            runPipeline(w.program, w.train, w.test, c, a);
+        const PipelineResult rb =
+            runPipeline(w.program, w.train, w.test, c, b);
+        ASSERT_TRUE(ra.status.ok());
+        ASSERT_TRUE(rb.status.ok());
+        EXPECT_EQ(ra.test.cycles, rb.test.cycles) << ra.name;
+        EXPECT_EQ(ra.codeBytes, rb.codeBytes) << ra.name;
+        EXPECT_EQ(ra.numPaths, rb.numPaths) << ra.name;
+        EXPECT_EQ(ra.profileAudit.repaired, rb.profileAudit.repaired);
+        EXPECT_EQ(ra.profileAudit.procs.size(),
+                  rb.profileAudit.procs.size());
+        EXPECT_EQ(ir::toString(*ra.transformed),
+                  ir::toString(*rb.transformed))
+            << ra.name;
+    }
 }
 
 } // namespace

@@ -104,11 +104,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipeline,
 // ---------------------------------------------------------------------
 // Corrupt-profile fuzzing: serialized profiles that have been bit
 // flipped, digit-mangled, or truncated must either be rejected cleanly
-// by fromText (with an error message) or load into a profile that the
-// pipeline's formation layer can consume without crashing — and any
-// program it produces must still behave identically.  A corrupt
-// profile may make formation pick silly traces; it must never make the
-// compiled program compute something else.
+// by loadPathProfile (with an error message) or load into a profile
+// that the pipeline's formation layer can consume without crashing —
+// and any program it produces must still behave identically.  A
+// corrupt profile may make formation pick silly traces; it must never
+// make the compiled program compute something else.
 
 /** Apply 1..4 seed-deterministic mutations to serialized profile text. */
 std::string
@@ -169,9 +169,10 @@ TEST_P(CorruptProfile, RejectsCleanlyOrPreservesBehaviour)
     for (int round = 0; round < 32; ++round) {
         const std::string corrupt = corruptText(text, rng);
         profile::PathProfiler loaded(gen.program, {});
-        std::string error;
-        if (!profile::fromText(corrupt, loaded, error)) {
-            EXPECT_FALSE(error.empty()) << "round " << round;
+        profile::ProfileMeta meta;
+        const Status st = profile::loadPathProfile(corrupt, loaded, meta);
+        if (!st.ok()) {
+            EXPECT_FALSE(st.message().empty()) << "round " << round;
             continue; // clean rejection
         }
 

@@ -35,8 +35,9 @@ TEST(SerializeEdge, RoundTripExactCounts)
     EXPECT_NE(text.find("edgeprofile v1"), std::string::npos);
 
     EdgeProfiler loaded(w.program);
-    std::string error;
-    ASSERT_TRUE(fromText(text, loaded, error)) << error;
+    ProfileMeta meta;
+    const Status st = loadEdgeProfile(text, loaded, meta);
+    ASSERT_TRUE(st.ok()) << st.message();
 
     for (BlockId b = 0; b < w.program.proc(0).blocks.size(); ++b)
         EXPECT_EQ(loaded.blockFreq(0, b), ep.blockFreq(0, b));
@@ -56,9 +57,9 @@ TEST(SerializeEdge, MergingAddsCounts)
     const std::string text = toText(ep);
 
     EdgeProfiler merged(w.program);
-    std::string error;
-    ASSERT_TRUE(fromText(text, merged, error));
-    ASSERT_TRUE(fromText(text, merged, error)); // load twice
+    ProfileMeta meta;
+    ASSERT_TRUE(loadEdgeProfile(text, merged, meta).ok());
+    ASSERT_TRUE(loadEdgeProfile(text, merged, meta).ok()); // load twice
     EXPECT_EQ(merged.blockFreq(0, 1), 2 * ep.blockFreq(0, 1));
 }
 
@@ -66,10 +67,12 @@ TEST(SerializeEdge, RejectsGarbage)
 {
     const auto w = workloads::makeAlt();
     EdgeProfiler ep(w.program);
-    std::string error;
-    EXPECT_FALSE(fromText("not a profile", ep, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(fromText("edgeprofile v1\nbogus 1 2 3\n", ep, error));
+    ProfileMeta meta;
+    const Status st = loadEdgeProfile("not a profile", ep, meta);
+    EXPECT_FALSE(st.ok());
+    EXPECT_FALSE(st.message().empty());
+    EXPECT_FALSE(
+        loadEdgeProfile("edgeprofile v1\nbogus 1 2 3\n", ep, meta).ok());
 }
 
 TEST(SerializePath, HeaderCarriesParameters)
@@ -86,8 +89,9 @@ TEST(SerializePath, HeaderCarriesParameters)
     EXPECT_NE(text.find("pathprofile v1 7 20 0"), std::string::npos);
 
     PathProfiler loaded(w.program, params);
-    std::string error;
-    EXPECT_TRUE(fromText(text, loaded, error)) << error;
+    ProfileMeta meta;
+    const Status st = loadPathProfile(text, loaded, meta);
+    EXPECT_TRUE(st.ok()) << st.message();
 }
 
 TEST(SerializePath, RejectsParameterMismatch)
@@ -102,20 +106,21 @@ TEST(SerializePath, RejectsParameterMismatch)
     PathProfileParams other;
     other.maxBranches = 3;
     PathProfiler loaded(w.program, other);
-    std::string error;
-    EXPECT_FALSE(fromText(text, loaded, error));
-    EXPECT_NE(error.find("parameters"), std::string::npos);
+    ProfileMeta meta;
+    const Status st = loadPathProfile(text, loaded, meta);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("parameters"), std::string::npos);
 }
 
 TEST(SerializePath, RejectsOverBudgetRecord)
 {
     const auto w = workloads::makeAlt();
     PathProfiler pp(w.program, {});
-    std::string error;
+    ProfileMeta meta;
     // Block 99 does not exist in alt's main.
     const std::string bogus =
         "pathprofile v1 15 64 0\npath 0 5 2 99 1\n";
-    EXPECT_FALSE(fromText(bogus, pp, error));
+    EXPECT_FALSE(loadPathProfile(bogus, pp, meta).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -126,12 +131,14 @@ TEST(SerializePath, RejectsOverBudgetRecord)
 TEST(SerializeEdge, RejectsOutOfRangeIds)
 {
     const auto w = workloads::makeAlt();
-    std::string error;
+    ProfileMeta meta;
     {
         // Proc 99 does not exist.
         EdgeProfiler ep(w.program);
-        EXPECT_FALSE(
-            fromText("edgeprofile v1\nblock 99 0 1\n", ep, error));
+        const Status st =
+            loadEdgeProfile("edgeprofile v1\nblock 99 0 1\n", ep, meta);
+        EXPECT_FALSE(st.ok());
+        const std::string &error = st.message();
         EXPECT_NE(error.find("line 2"), std::string::npos) << error;
         EXPECT_NE(error.find("out-of-range"), std::string::npos);
     }
@@ -139,79 +146,98 @@ TEST(SerializeEdge, RejectsOutOfRangeIds)
         // Block 99 does not exist in proc 0.
         EdgeProfiler ep(w.program);
         EXPECT_FALSE(
-            fromText("edgeprofile v1\nblock 0 99 1\n", ep, error));
+            loadEdgeProfile("edgeprofile v1\nblock 0 99 1\n", ep, meta)
+                .ok());
     }
     {
         // Edge records must range-check both endpoints too.
         EdgeProfiler ep(w.program);
         EXPECT_FALSE(
-            fromText("edgeprofile v1\nedge 0 0 99 1\n", ep, error));
+            loadEdgeProfile("edgeprofile v1\nedge 0 0 99 1\n", ep, meta)
+                .ok());
         EXPECT_FALSE(
-            fromText("edgeprofile v1\nedge 0 99 0 1\n", ep, error));
+            loadEdgeProfile("edgeprofile v1\nedge 0 99 0 1\n", ep, meta)
+                .ok());
     }
 }
 
 TEST(SerializeEdge, RejectsNegativeAndOverflowingCounts)
 {
     const auto w = workloads::makeAlt();
-    std::string error;
+    ProfileMeta meta;
     EdgeProfiler ep(w.program);
     // istream >> uint64_t would wrap "-5" to 2^64-5; from_chars must
     // reject the sign outright.
-    EXPECT_FALSE(fromText("edgeprofile v1\nblock 0 1 -5\n", ep, error));
-    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-    EXPECT_FALSE(fromText(
-        "edgeprofile v1\nblock 0 1 99999999999999999999999\n", ep,
-        error));
-    EXPECT_FALSE(fromText("edgeprofile v1\nblock 0 -1 5\n", ep, error));
+    Status st = loadEdgeProfile("edgeprofile v1\nblock 0 1 -5\n", ep, meta);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("line 2"), std::string::npos)
+        << st.message();
+    EXPECT_FALSE(loadEdgeProfile(
+                     "edgeprofile v1\nblock 0 1 99999999999999999999999\n",
+                     ep, meta)
+                     .ok());
+    EXPECT_FALSE(
+        loadEdgeProfile("edgeprofile v1\nblock 0 -1 5\n", ep, meta).ok());
     // Sanity: the uncorrupted record is fine.
-    EXPECT_TRUE(fromText("edgeprofile v1\nblock 0 1 5\n", ep, error))
-        << error;
+    st = loadEdgeProfile("edgeprofile v1\nblock 0 1 5\n", ep, meta);
+    EXPECT_TRUE(st.ok()) << st.message();
 }
 
 TEST(SerializeEdge, RejectsTruncatedAndOverlongRecords)
 {
     const auto w = workloads::makeAlt();
-    std::string error;
+    ProfileMeta meta;
     EdgeProfiler ep(w.program);
-    EXPECT_FALSE(fromText("edgeprofile v1\nblock 0 1\n", ep, error));
-    EXPECT_FALSE(fromText("edgeprofile v1\nedge 0 0 1\n", ep, error));
     EXPECT_FALSE(
-        fromText("edgeprofile v1\nblock 0 1 5 junk\n", ep, error));
+        loadEdgeProfile("edgeprofile v1\nblock 0 1\n", ep, meta).ok());
+    EXPECT_FALSE(
+        loadEdgeProfile("edgeprofile v1\nedge 0 0 1\n", ep, meta).ok());
+    EXPECT_FALSE(
+        loadEdgeProfile("edgeprofile v1\nblock 0 1 5 junk\n", ep, meta)
+            .ok());
 }
 
 TEST(SerializePath, RejectsCorruptRecords)
 {
     const auto w = workloads::makeAlt();
-    std::string error;
+    ProfileMeta meta;
     {
         // Unknown proc id: reject, do not abort.
         PathProfiler pp(w.program, {});
-        EXPECT_FALSE(fromText("pathprofile v1 15 64 0\npath 99 5 1 0\n",
-                              pp, error));
+        EXPECT_FALSE(loadPathProfile(
+                         "pathprofile v1 15 64 0\npath 99 5 1 0\n", pp,
+                         meta)
+                         .ok());
     }
     {
         // Truncated: record declares 3 ids but carries 2.
         PathProfiler pp(w.program, {});
-        EXPECT_FALSE(fromText("pathprofile v1 15 64 0\npath 0 5 3 0 1\n",
-                              pp, error));
-        EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+        const Status st = loadPathProfile(
+            "pathprofile v1 15 64 0\npath 0 5 3 0 1\n", pp, meta);
+        EXPECT_FALSE(st.ok());
+        EXPECT_NE(st.message().find("truncated"), std::string::npos)
+            << st.message();
     }
     {
         // Declared length far beyond the block budget must be rejected
         // before any allocation sized by it.
         PathProfiler pp(w.program, {});
-        EXPECT_FALSE(fromText(
-            "pathprofile v1 15 64 0\npath 0 5 99999999999 0\n", pp,
-            error));
+        EXPECT_FALSE(loadPathProfile(
+                         "pathprofile v1 15 64 0\npath 0 5 99999999999 0\n",
+                         pp, meta)
+                         .ok());
     }
     {
         // Zero-length and negative-count records.
         PathProfiler pp(w.program, {});
         EXPECT_FALSE(
-            fromText("pathprofile v1 15 64 0\npath 0 5 0\n", pp, error));
-        EXPECT_FALSE(fromText("pathprofile v1 15 64 0\npath 0 -5 1 0\n",
-                              pp, error));
+            loadPathProfile("pathprofile v1 15 64 0\npath 0 5 0\n", pp,
+                            meta)
+                .ok());
+        EXPECT_FALSE(loadPathProfile(
+                         "pathprofile v1 15 64 0\npath 0 -5 1 0\n", pp,
+                         meta)
+                         .ok());
     }
 }
 
@@ -229,8 +255,9 @@ TEST_P(PathRoundTrip, QueriesAgree)
 
     const std::string text = toText(pp);
     PathProfiler loaded(gen.program, {});
-    std::string error;
-    ASSERT_TRUE(fromText(text, loaded, error)) << error;
+    ProfileMeta meta;
+    const Status st = loadPathProfile(text, loaded, meta);
+    ASSERT_TRUE(st.ok()) << st.message();
 
     pp.finalize();
     loaded.finalize();
@@ -479,7 +506,7 @@ TEST(SerializeFuzz, MutatedProfilesNeverCrashLoadersOrAuditors)
         // full admission surface.  Nothing may assert or crash.
         LoadOptions lenient;
         lenient.lenient = true;
-        ValidateOptions vo;
+        const AdmissionMode vo = AdmissionMode::Repair;
         bool any_ok = false;
 
         {

@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "pipeline/backend.hpp"
 #include "support/journal.hpp"
 #include "support/logging.hpp"
@@ -192,13 +193,16 @@ completedInJournal(const std::string &path, size_t &corrupt_lines)
                          line.size(), line.c_str());
             continue;
         }
-        std::string event, task, outcome;
-        if (!jsonField(line, "event", event) || event != "done")
+        obs::JsonValue ev;
+        if (!obs::JsonValue::parse(line, ev))
             continue;
-        if (!jsonField(line, "task", task) ||
-            !jsonField(line, "outcome", outcome))
-            continue;
-        last[task] = outcome;
+        auto field = [&](const char *key) -> std::string {
+            const obs::JsonValue *v = ev.find(key);
+            return v != nullptr ? v->asString() : "";
+        };
+        if (field("event") == "done" && !field("task").empty() &&
+            !field("outcome").empty())
+            last[field("task")] = field("outcome");
     }
     std::map<std::string, std::string> completed;
     for (const auto &[task, outcome] : last) {
@@ -232,24 +236,20 @@ readExecSummary(const std::string &report_path)
         return s;
     std::string doc((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-    const std::string needle = "\"executor\":"; // value may be spaced
-    for (size_t pos = doc.find(needle); pos != std::string::npos;
-         pos = doc.find(needle, pos + 1)) {
-        const size_t open = doc.find('{', pos + needle.size());
-        if (open == std::string::npos)
-            break;
-        const size_t close = doc.find('}', open);
-        if (close == std::string::npos)
-            break;
-        const std::string block = doc.substr(open, close - open + 1);
-        // The stat registry's "executor" subtree also matches the
-        // needle; only the per-run block carries "cacheEnabled".
-        if (block.find("\"cacheEnabled\"") == std::string::npos)
+    obs::JsonValue report;
+    if (!obs::JsonValue::parse(doc, report))
+        return s;
+    const obs::JsonValue *runs = report.find("runs");
+    if (runs == nullptr)
+        return s;
+    for (const obs::JsonValue &run : runs->items()) {
+        const obs::JsonValue *ex = run.find("executor");
+        if (ex == nullptr || !ex->isObject())
             continue;
-        std::string v;
         auto num = [&](const char *key) -> uint64_t {
-            // stoull skips the pretty-printer's leading space.
-            return jsonField(block, key, v) ? std::stoull(v) : 0;
+            const obs::JsonValue *v = ex->find(key);
+            return v != nullptr && v->isNumber() ? uint64_t(v->asNumber())
+                                                 : 0;
         };
         s.present = true;
         s.threads = std::max(s.threads, num("threads"));
@@ -478,7 +478,7 @@ main(int argc, char **argv)
             "{\"event\":\"suite-abort\",\"reason\":\"io-error\","
             "\"error\":\"%s\",\"ts\":%llu,\"killed\":%zu,"
             "\"pending\":%zu}",
-            jsonEscape(st.toString()).c_str(),
+            obs::jsonEscape(st.toString()).c_str(),
             (unsigned long long)epochSeconds(), running.size(),
             pending));
         std::fprintf(stderr,
@@ -507,7 +507,7 @@ main(int argc, char **argv)
         journalWrite(strfmt(
             "{\"event\":\"start\",\"task\":\"%s\",\"attempt\":%d,"
             "\"ts\":%llu}",
-            jsonEscape(t.name()).c_str(), t.attempts,
+            obs::jsonEscape(t.name()).c_str(), t.attempts,
             (unsigned long long)epochSeconds()));
         Running r;
         r.pid = spawnTask(cli, t, outdir, passthrough);
@@ -603,7 +603,7 @@ main(int argc, char **argv)
                 "{\"event\":\"done\",\"task\":\"%s\",\"attempt\":%d,"
                 "\"outcome\":\"%s\",\"exit\":%d,\"ms\":%.1f,"
                 "\"ts\":%llu%s}",
-                jsonEscape(t.name()).c_str(), t.attempts,
+                obs::jsonEscape(t.name()).c_str(), t.attempts,
                 outcome.c_str(), exit_code, ms,
                 (unsigned long long)epochSeconds(),
                 exec_json.c_str()));
@@ -649,7 +649,7 @@ main(int argc, char **argv)
             journalWrite(strfmt(
                 "{\"event\":\"done\",\"task\":\"%s\",\"attempt\":%d,"
                 "\"outcome\":\"aborted\",\"exit\":-1,\"ts\":%llu}",
-                jsonEscape(tasks[r.taskIdx].name()).c_str(),
+                obs::jsonEscape(tasks[r.taskIdx].name()).c_str(),
                 tasks[r.taskIdx].attempts,
                 (unsigned long long)epochSeconds()));
         }

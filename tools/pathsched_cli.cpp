@@ -26,6 +26,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -189,31 +190,56 @@ readFile(const std::string &path)
     return text;
 }
 
+/** One workload's external profiles, admitted once and shared by
+ *  every config run (and the --validate-profile report). */
+struct AdmittedProfiles
+{
+    std::optional<profile::AdmittedEdgeProfile> edges;
+    std::optional<profile::AdmittedPathProfile> paths;
+};
+
 /**
- * Standalone admission (--validate-profile): check the loaded
- * profile(s) against one workload's program without running the
- * pipeline.  Returns the worst exit code seen: 0 clean, 2 admissible
- * with degradations, 3 rejected outright.
+ * Admit the non-empty profile texts against @p w's program under
+ * @p mode.  A failure (any finding in Strict mode, an unparseable file
+ * in Strict or Off mode) is a user error and exits 1 before any run.
+ */
+void
+admitProfiles(const workloads::Workload &w, const std::string &edge_text,
+              const std::string &path_text,
+              const profile::PathProfileParams &params,
+              profile::AdmissionMode mode, AdmittedProfiles &out)
+{
+    Status st;
+    if (!edge_text.empty()) {
+        out.edges.emplace(w.program);
+        st = profile::admitEdgeProfile(edge_text, w.program, mode,
+                                       *out.edges);
+    }
+    if (st.ok() && !path_text.empty()) {
+        out.paths.emplace(w.program, params);
+        st = profile::admitPathProfile(path_text, w.program, params, mode,
+                                       *out.paths);
+    }
+    if (!st.ok())
+        fatal("%s: external profile rejected (%s)", w.name.c_str(),
+              st.toString().c_str());
+}
+
+/**
+ * Standalone admission report (--validate-profile) over profiles
+ * admitted in Repair mode: Strict would stop at the first finding and
+ * Off would skip every check, but a validation run should enumerate
+ * everything wrong with the file.  Returns the worst exit code seen:
+ * 0 clean, 2 admissible with degradations, 3 rejected outright.
  */
 int
-validateAgainst(const workloads::Workload &w, const std::string &name,
-                const std::string &edge_text,
-                const std::string &path_text,
-                const profile::PathProfileParams &params)
+reportAdmission(const std::string &name, const AdmittedProfiles &adm)
 {
-    // Always audit in Repair mode here: Strict would stop at the first
-    // finding and Off would skip every check, but a validation run
-    // should enumerate everything wrong with the file.
-    profile::ValidateOptions vo;
-    vo.mode = profile::AdmissionMode::Repair;
-    profile::LoadOptions lo;
-    lo.lenient = true;
     int exit_code = 0;
-    auto report = [&](const char *kind, const Status &load_st,
-                      const profile::ProfileAudit &audit) {
-        if (!load_st.ok()) {
+    auto report = [&](const char *kind, const profile::ProfileAudit &audit) {
+        if (audit.fileRejected) {
             std::printf("%s: %s profile: rejected (%s)\n", name.c_str(),
-                        kind, load_st.toString().c_str());
+                        kind, audit.fileStatus.toString().c_str());
             exit_code = 3;
             return;
         }
@@ -235,26 +261,10 @@ validateAgainst(const workloads::Workload &w, const std::string &name,
                         (unsigned long long)audit.droppedPaths);
         exit_code = std::max(exit_code, 2);
     };
-    if (!edge_text.empty()) {
-        profile::EdgeProfiler ep(w.program);
-        profile::ProfileMeta meta;
-        profile::ProfileAudit audit;
-        Status st = profile::loadEdgeProfile(edge_text, ep, meta, lo);
-        if (st.ok())
-            (void)profile::auditEdgeProfile(w.program, ep, meta, vo,
-                                            audit);
-        report("edge", st, audit);
-    }
-    if (!path_text.empty()) {
-        profile::PathProfiler pp(w.program, params);
-        profile::ProfileMeta meta;
-        profile::ProfileAudit audit;
-        Status st = profile::loadPathProfile(path_text, pp, meta, lo);
-        if (st.ok())
-            (void)profile::auditPathProfile(w.program, pp, meta, vo,
-                                            audit, nullptr);
-        report("path", st, audit);
-    }
+    if (adm.edges)
+        report("edge", adm.edges->audit);
+    if (adm.paths)
+        report("path", adm.paths->audit);
     return exit_code;
 }
 
@@ -283,6 +293,7 @@ main(int argc, char **argv)
     uint64_t deadline_ms = 0;
     bool want_stats = false;
     std::string cache_dir;
+    profile::AdmissionMode profile_check = profile::AdmissionMode::Repair;
     pipeline::PipelineOptions opts;
 
     for (int i = 1; i < argc; ++i) {
@@ -343,7 +354,7 @@ main(int argc, char **argv)
                                       ? next()
                                       : arg.substr(std::strlen(
                                             "--profile-check="));
-            if (!profile::parseAdmissionMode(v, opts.profileInput.check))
+            if (!profile::parseAdmissionMode(v, profile_check))
                 fatal("unknown --profile-check mode '%s' (want "
                       "strict, repair or off)",
                       v.c_str());
@@ -428,10 +439,10 @@ main(int argc, char **argv)
         suite.push_back(workloads::makeByName(workload));
     }
 
-    if (!load_edges.empty())
-        opts.profileInput.edgeText = readFile(load_edges);
-    if (!load_paths.empty())
-        opts.profileInput.pathText = readFile(load_paths);
+    std::string edge_text =
+        load_edges.empty() ? std::string() : readFile(load_edges);
+    std::string path_text =
+        load_paths.empty() ? std::string() : readFile(load_paths);
 
     if (validate_profile) {
         if (load_edges.empty() && load_paths.empty())
@@ -439,11 +450,10 @@ main(int argc, char **argv)
                   "--load-paths");
         int exit_code = 0;
         for (const auto &w : suite) {
-            exit_code = std::max(
-                exit_code,
-                validateAgainst(w, w.name, opts.profileInput.edgeText,
-                                opts.profileInput.pathText,
-                                opts.pathParams));
+            AdmittedProfiles adm;
+            admitProfiles(w, edge_text, path_text, opts.pathParams,
+                          profile::AdmissionMode::Repair, adm);
+            exit_code = std::max(exit_code, reportAdmission(w.name, adm));
         }
         return exit_code;
     }
@@ -458,6 +468,16 @@ main(int argc, char **argv)
             fatal("unknown config '%s'", config.c_str());
         configs.push_back(c);
     }
+    // Only the profile kinds some selected config reads are admitted.
+    bool need_edges = false, need_paths = false;
+    for (const auto c : configs) {
+        need_edges |= pipeline::backendFor(c).needsEdgeProfile();
+        need_paths |= pipeline::backendFor(c).needsPathProfile();
+    }
+    if (!need_edges)
+        edge_text = std::string();
+    if (!need_paths)
+        path_text = std::string();
 
     // Fault injection: armed once, shared across every run (fire
     // budgets are global, so `count=1` means one fault in the whole
@@ -515,6 +535,11 @@ main(int argc, char **argv)
             dumpPaths(w, dump_paths, opts.pathParams, profile_version);
         if (!dump_edges.empty())
             dumpEdges(w, dump_edges, profile_version);
+        AdmittedProfiles adm;
+        admitProfiles(w, edge_text, path_text, opts.pathParams,
+                      profile_check, adm);
+        opts.profileInput.edges = adm.edges ? &*adm.edges : nullptr;
+        opts.profileInput.paths = adm.paths ? &*adm.paths : nullptr;
         for (const auto c : configs) {
             // The wall budget is per pipeline run, so the clock starts
             // fresh here rather than at option parsing.

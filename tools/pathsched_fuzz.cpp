@@ -42,6 +42,7 @@
 #include "gen/oracle.hpp"
 #include "gen/reduce.hpp"
 #include "ir/printer.hpp"
+#include "obs/json.hpp"
 #include "pipeline/backend.hpp"
 #include "support/journal.hpp"
 #include "support/logging.hpp"
@@ -447,7 +448,7 @@ main(int argc, char **argv)
                  "\"base\":%llu,\"spec\":\"%s\"}",
                  (unsigned long long)count,
                  (unsigned long long)seed_base,
-                 jsonEscape(base.toString()).c_str()));
+                 obs::jsonEscape(base.toString()).c_str()));
 
     struct Failure
     {
@@ -486,8 +487,8 @@ main(int argc, char **argv)
                          "\"outcome\":\"fail\",\"class\":\"%s\","
                          "\"spec\":\"%s\"}",
                          (unsigned long long)ch.seed,
-                         jsonEscape(r.klass).c_str(),
-                         jsonEscape(spec.toString()).c_str()));
+                         obs::jsonEscape(r.klass).c_str(),
+                         obs::jsonEscape(spec.toString()).c_str()));
             failures.push_back({spec, r.klass});
             if (!keep_going)
                 stop = true;
@@ -502,7 +503,7 @@ main(int argc, char **argv)
         jline(strfmt("{\"event\":\"reduce-start\",\"seed\":%llu,"
                      "\"class\":\"%s\"}",
                      (unsigned long long)f.spec.seed,
-                     jsonEscape(f.klass).c_str()));
+                     obs::jsonEscape(f.klass).c_str()));
         // Probe only the failing configuration, and skip the
         // metamorphic phase unless the finding came from it: same
         // classification at a fraction of the cost.
@@ -538,8 +539,8 @@ main(int argc, char **argv)
                      "\"spec\":\"%s\",\"file\":\"%s\"}",
                      (unsigned long long)f.spec.seed, stats.probes,
                      stats.accepted, gen::liveProcCount(minimal),
-                     jsonEscape(minimal.toString()).c_str(),
-                     jsonEscape(file).c_str()));
+                     obs::jsonEscape(minimal.toString()).c_str(),
+                     obs::jsonEscape(file).c_str()));
         std::fprintf(stderr,
                      "reduced seed %llu (%s) to %u live proc(s): %s\n",
                      (unsigned long long)f.spec.seed, f.klass.c_str(),
