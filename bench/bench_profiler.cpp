@@ -6,8 +6,11 @@
  * much smaller than the number of dynamic edges — i.e. close to the
  * edge profiler's cost and *independent of run length*.
  *
- * Uses google-benchmark.  Also prints the distinct-path counts that
- * justify the bound's precondition.
+ * Uses google-benchmark.  Every path_profile case also reports
+ * distinct_paths and trie_bytes: wc, com and perl are the cases where
+ * paths << steps and the bound holds; gcc and go are the ones where it
+ * does not (gcc: 1.33 M paths from 392 k profiler steps), so their
+ * cost is the trie's construction and memory, not the steady state.
  */
 
 #include <benchmark/benchmark.h>
@@ -73,6 +76,7 @@ BM_PathProfile(benchmark::State &state, const char *name)
     const auto w = workloads::makeByName(name);
     const auto in = scaledInput(w, state.range(0));
     size_t paths = 0;
+    size_t trie_bytes = 0;
     for (auto _ : state) {
         profile::PathProfiler pp(w.program, {});
         interp::Interpreter interp(w.program, {});
@@ -80,12 +84,16 @@ BM_PathProfile(benchmark::State &state, const char *name)
         auto r = interp.run(in);
         pp.finalize();
         paths = pp.numPaths();
+        trie_bytes = pp.trieBytes();
         state.SetItemsProcessed(state.items_processed() +
                                 int64_t(r.dynInstrs));
         benchmark::DoNotOptimize(r.cycles);
     }
     state.counters["distinct_paths"] =
         benchmark::Counter(double(paths));
+    state.counters["trie_bytes"] = benchmark::Counter(
+        double(trie_bytes), benchmark::Counter::kDefaults,
+        benchmark::Counter::kIs1024);
 }
 
 } // namespace
@@ -103,7 +111,7 @@ main(int argc, char **argv)
         names.push_back(label);
         benchmark::RegisterBenchmark(names.back().c_str(), fn)->Arg(div);
     };
-    for (const char *name : {"wc", "com", "perl"}) {
+    for (const char *name : {"wc", "com", "perl", "gcc", "go"}) {
         for (int64_t div : {8, 4, 2, 1}) {
             const std::string suffix =
                 std::string(name) + "/div" + std::to_string(div);

@@ -276,11 +276,15 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     const profile::PathProfiler *path_for_form =
         ext_path != nullptr ? &ext_path->profile
                             : path_profile ? &*path_profile : nullptr;
-    if (path_for_form != nullptr)
+    size_t trie_bytes = 0;
+    if (path_for_form != nullptr) {
         result.numPaths = path_for_form->numPaths();
+        trie_bytes = path_for_form->trieBytes();
+    }
     base.addCounter("profile" + cfg_dot + "trainSteps",
                     train_run.dynInstrs);
     base.addCounter("profile" + cfg_dot + "paths", result.numPaths);
+    base.addCounter("profile" + cfg_dot + "trieBytes", trie_bytes);
 
     // --- 1b. Admission accounting.  The verdict itself was reached
     //         before the run (profile/validate.hpp); with no external

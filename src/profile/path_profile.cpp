@@ -1,6 +1,6 @@
 #include "profile/path_profile.hpp"
 
-#include <algorithm>
+#include <cstddef>
 
 #include "analysis/dominators.hpp"
 #include "analysis/loops.hpp"
@@ -12,6 +12,65 @@ using ir::BlockId;
 using ir::kNoBlock;
 using ir::ProcId;
 
+namespace {
+
+/** Overflow-table key kinds: a node's later children and its later
+ *  memoised successors share one table. */
+constexpr uint64_t kChildKey = 0;
+constexpr uint64_t kSuccKey = 1;
+
+/** Pack (node, kind, label); labels are below 2^31 (checked at
+ *  construction), so the key is never Overflow::kEmpty. */
+uint64_t
+overflowKey(uint32_t node, uint64_t kind, BlockId label)
+{
+    return (uint64_t(node) << 32) | (uint64_t(label) << 1) | kind;
+}
+
+/** Multiplicative (Fibonacci) hash onto a power-of-two @p size. */
+size_t
+slotOf(uint64_t key, size_t size)
+{
+    return size_t((key * 0x9E3779B97F4A7C15ull) >> 32) & (size - 1);
+}
+
+} // namespace
+
+uint32_t
+PathProfiler::Overflow::find(uint64_t key) const
+{
+    if (slots.empty())
+        return 0;
+    const size_t mask = slots.size() - 1;
+    for (size_t i = slotOf(key, slots.size());; i = (i + 1) & mask) {
+        if (slots[i].key == key)
+            return slots[i].value;
+        if (slots[i].key == kEmpty)
+            return 0;
+    }
+}
+
+void
+PathProfiler::Overflow::insert(uint64_t key, uint32_t value)
+{
+    // Keep the load factor at or below 1/2 so probes stay short.
+    if (2 * (used + 1) > slots.size()) {
+        std::vector<Slot> old(slots.empty() ? 16 : 2 * slots.size());
+        old.swap(slots);
+        used = 0;
+        for (const Slot &s : old) {
+            if (s.key != kEmpty)
+                insert(s.key, s.value);
+        }
+    }
+    const size_t mask = slots.size() - 1;
+    size_t i = slotOf(key, slots.size());
+    while (slots[i].key != kEmpty)
+        i = (i + 1) & mask;
+    slots[i] = Slot{key, value};
+    ++used;
+}
+
 PathProfiler::PathProfiler(const ir::Program &prog,
                            PathProfileParams params)
     : params_(params)
@@ -21,7 +80,10 @@ PathProfiler::PathProfiler(const ir::Program &prog,
     condBlock_.resize(prog.procs.size());
     backEdges_.resize(prog.procs.size());
     for (const auto &p : prog.procs) {
-        tries_[p.id].nodes.emplace_back(); // root = empty window
+        ps_assert(p.blocks.size() < (size_t(1) << 31));
+        Trie &t = tries_[p.id];
+        t.nodes.emplace_back(); // root = empty window
+        t.rootChild.assign(p.blocks.size(), 0);
         auto &cond = condBlock_[p.id];
         cond.assign(p.blocks.size(), 0);
         for (BlockId b = 0; b < p.blocks.size(); ++b) {
@@ -44,13 +106,20 @@ PathProfiler::PathProfiler(const ir::Program &prog,
 }
 
 uint32_t
-PathProfiler::findChild(const Trie &t, uint32_t node, BlockId label) const
+PathProfiler::findChild(const Trie &t, uint32_t node, BlockId label)
 {
-    for (const auto &[l, c] : t.nodes[node].children) {
-        if (l == label)
-            return c;
-    }
-    return 0; // the root is never a child, so 0 means "absent"
+    // Formation queries blocks that tail duplication created after the
+    // profiled run; no node can carry such a label.
+    if (label >= t.rootChild.size())
+        return 0;
+    if (node == 0)
+        return t.rootChild[label];
+    const Node &n = t.nodes[node];
+    if (n.childLabel == label)
+        return n.child;
+    if (!n.moreChildren)
+        return 0;
+    return t.overflow.find(overflowKey(node, kChildKey, label));
 }
 
 uint32_t
@@ -59,12 +128,25 @@ PathProfiler::childOf(ProcId proc, uint32_t node, BlockId label)
     Trie &t = tries_[proc];
     if (uint32_t c = findChild(t, node, label))
         return c;
+    ps_assert(label < t.rootChild.size());
+    const uint32_t idx = uint32_t(t.nodes.size());
     Node child;
     child.label = label;
     child.parent = node;
-    const uint32_t idx = uint32_t(t.nodes.size());
-    t.nodes.push_back(std::move(child));
-    t.nodes[node].children.emplace_back(label, idx);
+    child.depth = t.nodes[node].depth + 1;
+    t.nodes.push_back(child);
+    if (node == 0) {
+        t.rootChild[label] = idx;
+        return idx;
+    }
+    Node &n = t.nodes[node];
+    if (n.child == 0) {
+        n.childLabel = label;
+        n.child = idx;
+    } else {
+        t.overflow.insert(overflowKey(node, kChildKey, label), idx);
+        n.moreChildren = true;
+    }
     return idx;
 }
 
@@ -76,7 +158,9 @@ bool
 PathProfiler::extendOlder(ProcId proc, BlockId label, uint32_t &branches,
                           uint32_t &length) const
 {
-    const uint32_t cost = condBlock_[proc][label] ? 1 : 0;
+    // A block the profiled procedure never had is no known branch.
+    const auto &cond = condBlock_[proc];
+    const uint32_t cost = label < cond.size() && cond[label] ? 1 : 0;
     if (branches + cost > params_.maxBranches ||
         length + 1 > params_.maxBlocks)
         return false;
@@ -88,54 +172,75 @@ PathProfiler::extendOlder(ProcId proc, BlockId label, uint32_t &branches,
 uint32_t
 PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
 {
+    // From the empty window the successor is the root's child `to`.
+    if (node == 0)
+        return childOf(proc, 0, to);
     Trie &t = tries_[proc];
-    for (const auto &[l, s] : t.nodes[node].succ) {
-        if (l == to)
-            return s;
+    {
+        const Node &n = t.nodes[node];
+        if (n.succLabel == to)
+            return n.succ;
+        if (n.moreSucc) {
+            if (uint32_t s = t.overflow.find(overflowKey(node, kSuccKey, to)))
+                return s;
+        }
     }
 
     // First time this window meets `to`: construct the successor window
-    // "to, then as much of this window (newest first) as fits".
-    std::vector<BlockId> newest_first;
-    for (uint32_t cur = node; cur != 0; cur = t.nodes[cur].parent)
-        newest_first.push_back(t.nodes[cur].label); // oldest first here
-    std::reverse(newest_first.begin(), newest_first.end());
-
+    // "to, then as much of this window (newest first) as fits".  The
+    // window is the activation's last `depth` blocks.
+    const BlockId *newest = history_.data() + history_.size();
+    const uint32_t depth = t.nodes[node].depth;
     uint32_t result = childOf(proc, 0, to);
     uint32_t branches = 0;
     uint32_t length = 1;
-    for (BlockId label : newest_first) {
+    for (uint32_t k = 1; k <= depth; ++k) {
+        const BlockId label = newest[-std::ptrdiff_t(k)];
         if (!extendOlder(proc, label, branches, length))
             break;
         result = childOf(proc, result, label);
     }
 
-    t.nodes[node].succ.emplace_back(to, result);
+    Node &n = t.nodes[node];
+    if (n.succ == 0) {
+        n.succLabel = to;
+        n.succ = result;
+    } else {
+        t.overflow.insert(overflowKey(node, kSuccKey, to), result);
+        n.moreSucc = true;
+    }
     return result;
 }
 
 void
 PathProfiler::step(ProcId proc, BlockId to)
 {
-    auto &[p, node] = windowStack_.back();
-    ps_assert(p == proc);
-    node = transition(proc, node, to);
-    ++tries_[proc].nodes[node].count;
+    Activation &a = windowStack_.back();
+    ps_assert(a.proc == proc);
+    a.node = transition(proc, a.node, to);
+    ++tries_[proc].nodes[a.node].count;
     ++steps_;
+    // Keep the activation's last maxBlocks blocks (at least), trimming
+    // in batches so the cost per step stays O(1).
+    history_.push_back(to);
+    if (history_.size() - a.base > 2 * size_t(params_.maxBlocks)) {
+        history_.erase(history_.begin() + std::ptrdiff_t(a.base),
+                       history_.end() - std::ptrdiff_t(params_.maxBlocks));
+    }
 }
 
 void
 PathProfiler::onProcEnter(ProcId proc)
 {
-    windowStack_.push_back({proc, 0});
+    windowStack_.push_back({proc, 0, history_.size()});
     step(proc, 0);
 }
 
 void
 PathProfiler::onProcExit(ProcId proc)
 {
-    ps_assert(!windowStack_.empty() &&
-              windowStack_.back().first == proc);
+    ps_assert(!windowStack_.empty() && windowStack_.back().proc == proc);
+    history_.resize(windowStack_.back().base);
     windowStack_.pop_back();
 }
 
@@ -144,7 +249,7 @@ PathProfiler::onEdge(ProcId proc, BlockId from, BlockId to)
 {
     if (params_.forwardPathsOnly &&
         backEdges_[proc].count((uint64_t(from) << 32) | to)) {
-        windowStack_.back().second = 0; // chop the window at back edges
+        windowStack_.back().node = 0; // chop the window at back edges
     }
     step(proc, to);
 }
@@ -154,12 +259,13 @@ PathProfiler::finalize()
 {
     ps_assert_msg(!finalized_, "finalize() called twice");
     for (auto &t : tries_) {
-        for (auto &n : t.nodes)
-            n.subtree = n.count;
+        t.subtree.resize(t.nodes.size());
+        for (size_t i = 0; i < t.nodes.size(); ++i)
+            t.subtree[i] = t.nodes[i].count;
         // Children always have larger indices than their parent, so one
         // reverse sweep accumulates complete subtree sums.
         for (size_t i = t.nodes.size(); i-- > 1;)
-            t.nodes[t.nodes[i].parent].subtree += t.nodes[i].subtree;
+            t.subtree[t.nodes[i].parent] += t.subtree[i];
     }
     finalized_ = true;
 }
@@ -184,7 +290,7 @@ PathProfiler::pathFreq(ProcId proc, const std::vector<BlockId> &seq) const
             return 0; // this suffix never executed
         node = child;
     }
-    return t.nodes[node].subtree;
+    return t.subtree[node];
 }
 
 uint64_t
@@ -192,7 +298,7 @@ PathProfiler::blockFreq(ProcId proc, BlockId b) const
 {
     ps_assert_msg(finalized_, "blockFreq before finalize()");
     const uint32_t node = findChild(tries_[proc], 0, b);
-    return node == 0 ? 0 : tries_[proc].nodes[node].subtree;
+    return node == 0 ? 0 : tries_[proc].subtree[node];
 }
 
 void
@@ -249,6 +355,19 @@ PathProfiler::numPaths() const
     for (const auto &t : tries_)
         n += t.nodes.size() - 1;
     return n;
+}
+
+size_t
+PathProfiler::trieBytes() const
+{
+    size_t bytes = 0;
+    for (const auto &t : tries_) {
+        bytes += t.nodes.capacity() * sizeof(Node) +
+                 t.rootChild.capacity() * sizeof(uint32_t) +
+                 t.overflow.slots.capacity() * sizeof(Overflow::Slot) +
+                 t.subtree.capacity() * sizeof(uint64_t);
+    }
+    return bytes;
 }
 
 } // namespace pathsched::profile

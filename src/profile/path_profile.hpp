@@ -19,6 +19,24 @@
  * the budget and thereby returns the frequency of t's *longest suffix
  * with exact frequencies* — precisely the fallback rule of §2.2.
  *
+ * Storage (per procedure) is flat, because a memo miss rebuilds a
+ * whole window level by level and every level is a dependent load:
+ *  - nodes are 40-byte PODs in one vector: label, parent, count, depth,
+ *    plus the *first* child and the *first* memoised successor inline as
+ *    (label, index) pairs, and a "more" flag for each.  Most nodes have
+ *    at most one child, so the common level touches one cache line;
+ *  - the root's children are a vector indexed by block id (a lookup
+ *    past its end — a block the profiled procedure never had — is 0);
+ *  - second and later children and successors go to one
+ *    open-addressing overflow table keyed by (node, kind, label);
+ *  - subtree sums are a separate vector that finalize() fills;
+ *  - a memo miss reads the current window from the activation's last
+ *    `depth` executed blocks (kept in history_), not from the node's
+ *    parent chain, and allocates nothing.
+ * Nodes are numbered in creation order, which the layout does not
+ * change, so forEachPath() order and serialized bytes do not depend
+ * on it.
+ *
  * A forward-path mode (Ball-Larus-style) is provided for comparison: the
  * window additionally resets when a back edge is traversed.
  */
@@ -80,6 +98,10 @@ class PathProfiler : public interp::TraceListener
     /** Total distinct paths (trie nodes) recorded program-wide. */
     size_t numPaths() const;
 
+    /** Bytes the tries hold, counted from container capacities (not
+     *  the allocator), so the figure is deterministic. */
+    size_t trieBytes() const;
+
     /** Total dynamic steps (edges + entries) processed. */
     uint64_t numSteps() const { return steps_; }
 
@@ -107,27 +129,62 @@ class PathProfiler : public interp::TraceListener
     /** @} */
 
   private:
+    /** One trie node.  Index 0 of a child or successor slot means
+     *  "none": the root is never a child or a successor. */
     struct Node
     {
         ir::BlockId label = ir::kNoBlock;
         uint32_t parent = 0;
         uint64_t count = 0;
-        uint64_t subtree = 0;
-        /** Child per extension-backward-in-time label. */
-        std::vector<std::pair<ir::BlockId, uint32_t>> children;
-        /** Memoised successor window per next-executed block. */
-        std::vector<std::pair<ir::BlockId, uint32_t>> succ;
+        /** First child (extension backward in time). */
+        ir::BlockId childLabel = ir::kNoBlock;
+        uint32_t child = 0;
+        /** First memoised successor window (next-executed block). */
+        ir::BlockId succLabel = ir::kNoBlock;
+        uint32_t succ = 0;
+        /** Window length in blocks (the root's is 0). */
+        uint32_t depth = 0;
+        /** Later children / successors are in Trie::overflow. */
+        bool moreChildren = false;
+        bool moreSucc = false;
+    };
+    static_assert(sizeof(Node) == 40, "Node must stay one 40-byte POD");
+
+    /** Open-addressing (linear probing) map from a packed
+     *  (node, kind, label) key to a node index.  Entries are never
+     *  erased. */
+    struct Overflow
+    {
+        static constexpr uint64_t kEmpty = ~uint64_t(0);
+        struct Slot
+        {
+            uint64_t key = kEmpty;
+            uint32_t value = 0;
+        };
+
+        std::vector<Slot> slots; ///< empty, or a power-of-two size
+        size_t used = 0;
+
+        /** The value stored under @p key, or 0 when absent. */
+        uint32_t find(uint64_t key) const;
+        /** Store @p value under @p key, which must be absent. */
+        void insert(uint64_t key, uint32_t value);
     };
 
     /** Per-procedure trie; node 0 is the root (empty window). */
     struct Trie
     {
         std::vector<Node> nodes;
+        /** The root's child per block id (0 = none). */
+        std::vector<uint32_t> rootChild;
+        Overflow overflow;
+        /** Subtree sum per node; filled by finalize(). */
+        std::vector<uint64_t> subtree;
     };
 
     uint32_t childOf(ir::ProcId proc, uint32_t node, ir::BlockId label);
-    uint32_t findChild(const Trie &t, uint32_t node,
-                       ir::BlockId label) const;
+    static uint32_t findChild(const Trie &t, uint32_t node,
+                              ir::BlockId label);
     bool extendOlder(ir::ProcId proc, ir::BlockId label,
                      uint32_t &branches, uint32_t &length) const;
     uint32_t transition(ir::ProcId proc, uint32_t node, ir::BlockId to);
@@ -139,8 +196,21 @@ class PathProfiler : public interp::TraceListener
     std::vector<std::vector<uint8_t>> condBlock_;
     /** back-edge keys ((from<<32)|to), per proc; forward mode only. */
     std::vector<std::unordered_set<uint64_t>> backEdges_;
-    /** Stack of (proc, current node) per live activation. */
-    std::vector<std::pair<ir::ProcId, uint32_t>> windowStack_;
+    /** One live procedure activation. */
+    struct Activation
+    {
+        ir::ProcId proc = 0;
+        /** Current window. */
+        uint32_t node = 0;
+        /** Where this activation's blocks start in history_. */
+        size_t base = 0;
+    };
+    std::vector<Activation> windowStack_;
+    /** Blocks the live activations executed, innermost last; each keeps
+     *  at least its last maxBlocks.  The current window is the last
+     *  `depth` of them, so a memo miss reads it here instead of walking
+     *  the node's parent chain. */
+    std::vector<ir::BlockId> history_;
     uint64_t steps_ = 0;
     bool finalized_ = false;
 };

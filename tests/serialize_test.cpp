@@ -12,6 +12,7 @@
 #include "interp/interpreter.hpp"
 #include "profile/serialize.hpp"
 #include "profile/validate.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
 #include "workloads/workloads.hpp"
@@ -353,6 +354,40 @@ TEST(SerializeV2, PathRoundTripIsLosslessAndChecksumStable)
     loaded.finalize();
     t.pp.finalize();
     EXPECT_EQ(loaded.numPaths(), t.pp.numPaths());
+}
+
+/**
+ * The v2 dump of each workload's training profile is pinned byte for
+ * byte: the trie's storage layout may change, its node numbering (and
+ * so the record order) may not.  The go and gcc rows are the ones with
+ * many children per node and many memoised successors per window.
+ */
+TEST(PathProfiler, V2DumpsArePinned)
+{
+    struct Pin
+    {
+        const char *workload;
+        uint64_t fnv;
+        size_t bytes;
+        size_t paths;
+    };
+    const Pin pins[] = {
+        {"wc", 0xa747d5ba16fa7738ull, 7173, 818},
+        {"vortex", 0xc81feb42c6e1604eull, 402632, 24762},
+        {"go", 0x272dca8321136fbcull, 7353785, 500137},
+        {"gcc", 0x4f315a7fde6dee76ull, 19581459, 1325903},
+    };
+    for (const Pin &pin : pins) {
+        const auto w = workloads::makeByName(pin.workload);
+        TrainedProfiles t(w);
+        t.pp.finalize();
+        const std::string text = toTextV2(t.pp, w.program);
+        EXPECT_EQ(t.pp.numPaths(), pin.paths) << pin.workload;
+        EXPECT_EQ(text.size(), pin.bytes) << pin.workload;
+        EXPECT_EQ(hex16(fnv1a64(text.data(), text.size())),
+                  hex16(pin.fnv))
+            << pin.workload;
+    }
 }
 
 TEST(SerializeV2, BodyTamperFailsChecksumAsProfileCorrupt)
