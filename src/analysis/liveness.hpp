@@ -21,7 +21,11 @@ namespace pathsched::analysis {
 class Liveness
 {
   public:
-    /** Solve liveness for @p proc to a fixed point. */
+    /**
+     * Solve liveness for @p proc to a fixed point.  The solver keeps
+     * per-block upward-exposed reads and per-exit defs-before sets as
+     * flat per-thread word arrays, so its iterations allocate nothing.
+     */
     explicit Liveness(const ir::Procedure &proc);
 
     /** Registers live on entry to block @p b. */

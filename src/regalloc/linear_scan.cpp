@@ -58,12 +58,10 @@ buildIntervals(const ir::Procedure &proc)
             ++pos;
         }
         const uint32_t block_end = pos == block_start ? pos : pos - 1;
-        for (RegId r = 0; r < proc.numRegs; ++r) {
-            if (live.liveIn(b).test(r))
-                extend(r, block_start);
-            if (live.liveOut(b).test(r))
-                extend(r, block_end);
-        }
+        live.liveIn(b).forEachSet(
+            [&](size_t r) { extend(RegId(r), block_start); });
+        live.liveOut(b).forEachSet(
+            [&](size_t r) { extend(RegId(r), block_end); });
     }
     for (RegId p = 0; p < proc.numParams; ++p)
         extend(p, 0);

@@ -1,7 +1,7 @@
 #include "sched/depgraph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "support/logging.hpp"
 #include "support/mutation.hpp"
@@ -41,25 +41,76 @@ provablyDisjoint(const MemRef &a, const MemRef &b)
            a.offset != b.offset;
 }
 
+/** One gathered edge, before the CSR layout. */
+struct RawEdge
+{
+    uint32_t from;
+    uint32_t to;
+    uint32_t latency;
+};
+
+constexpr uint32_t kNone = UINT32_MAX;
+
+/**
+ * Per-thread build scratch.  The register-indexed arrays hold kNone
+ * between builds: every register a build writes is on `touched`, and
+ * reset() restores exactly those entries.
+ */
+struct BuildScratch
+{
+    std::vector<RawEdge> edges;
+    /** Index of the register's last def in the block so far. */
+    std::vector<uint32_t> lastDef;
+    /** Head of the register's reader list since that def (in `readers`). */
+    std::vector<uint32_t> readerHead;
+    std::vector<RegId> touched;
+    /** Reader-list nodes: (reading instruction, next node). */
+    std::vector<std::pair<uint32_t, uint32_t>> readers;
+    std::vector<MemRef> memRefs;
+    std::vector<uint8_t> hasTermEdge;
+    std::vector<RegId> srcs;
+
+    void
+    ensure(RegId r)
+    {
+        if (r >= lastDef.size()) {
+            lastDef.resize(size_t(r) + 1, kNone);
+            readerHead.resize(size_t(r) + 1, kNone);
+        }
+        if (lastDef[r] == kNone && readerHead[r] == kNone)
+            touched.push_back(r);
+    }
+
+    void
+    reset()
+    {
+        for (RegId r : touched)
+            lastDef[r] = readerHead[r] = kNone;
+        touched.clear();
+        edges.clear();
+        readers.clear();
+        memRefs.clear();
+    }
+};
+
 } // namespace
 
 void
-DepGraph::addEdge(uint32_t from, uint32_t to, uint32_t latency)
+DepGraph::build(const std::vector<Instruction> &instrs,
+                const std::vector<ExitInfo> &exits,
+                const machine::MachineModel &mm)
 {
-    ps_assert(from < to || latency == 0);
-    ps_assert(from != to);
-    succs_[from].push_back({to, latency});
-    ++numPreds_[to];
-}
+    thread_local BuildScratch scratch;
+    BuildScratch &s = scratch;
+    s.reset();
+    std::vector<RawEdge> &raw = s.edges;
+    auto add_edge = [&raw](uint32_t from, uint32_t to, uint32_t latency) {
+        ps_assert(from < to || latency == 0);
+        ps_assert(from != to);
+        raw.push_back({from, to, latency});
+    };
 
-DepGraph::DepGraph(const std::vector<Instruction> &instrs,
-                   const std::vector<ExitInfo> &exits,
-                   const machine::MachineModel &mm)
-{
     const uint32_t n = uint32_t(instrs.size());
-    succs_.resize(n);
-    numPreds_.assign(n, 0);
-    height_.assign(n, 0);
 
     // Planted bug for harness self-tests (support/mutation.hpp): with
     // the mutation armed, store->load dependences are dropped in
@@ -68,11 +119,8 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
     const bool drop_memdep =
         exits.size() > 1 && mutationArmed("compact-drop-memdep");
 
-    std::unordered_map<RegId, uint32_t> last_def;
-    std::unordered_map<RegId, std::vector<uint32_t>> readers_since_def;
-    std::vector<MemRef> mem_refs;
-    uint32_t last_control = UINT32_MAX;
-    std::vector<RegId> srcs;
+    uint32_t last_control = kNone;
+    std::vector<RegId> &srcs = s.srcs;
 
     size_t exit_pos = 0; // exits processed so far (all before instr i)
 
@@ -83,33 +131,34 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
         // --- register dependences ---
         ins.sources(srcs);
         for (RegId r : srcs) {
-            if (auto it = last_def.find(r); it != last_def.end()) {
-                addEdge(it->second, i,
-                        mm.latencyOf(instrs[it->second].op)); // RAW
-            }
+            s.ensure(r);
+            if (const uint32_t d = s.lastDef[r]; d != kNone)
+                add_edge(d, i, mm.latencyOf(instrs[d].op)); // RAW
         }
         if (ins.hasDst()) {
             const RegId d = ins.dst;
-            if (auto it = readers_since_def.find(d);
-                it != readers_since_def.end()) {
-                for (uint32_t r : it->second) {
-                    if (r != i)
-                        addEdge(r, i, 0); // WAR: same cycle, ordered
-                }
-                it->second.clear();
+            s.ensure(d);
+            for (uint32_t k = s.readerHead[d]; k != kNone;
+                 k = s.readers[k].second) {
+                // WAR: same cycle, ordered.
+                if (s.readers[k].first != i)
+                    add_edge(s.readers[k].first, i, 0);
             }
-            if (auto it = last_def.find(d); it != last_def.end()) {
+            s.readerHead[d] = kNone;
+            if (const uint32_t prev = s.lastDef[d]; prev != kNone) {
                 // WAW: the later def's write must land after the
                 // earlier one's.  Guard the subtraction: the second
                 // def may have the longer latency.
-                const uint32_t ulat = mm.latencyOf(instrs[it->second].op);
+                const uint32_t ulat = mm.latencyOf(instrs[prev].op);
                 const uint32_t waw = ulat > lat ? ulat - lat + 1 : 1;
-                addEdge(it->second, i, waw);
+                add_edge(prev, i, waw);
             }
-            last_def[d] = i;
+            s.lastDef[d] = i;
         }
-        for (RegId r : srcs)
-            readers_since_def[r].push_back(i);
+        for (RegId r : srcs) {
+            s.readers.push_back({i, s.readerHead[r]});
+            s.readerHead[r] = uint32_t(s.readers.size() - 1);
+        }
 
         // --- memory / output dependences ---
         const bool mem_read = ins.isLoad();
@@ -124,13 +173,11 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
             ref.isBarrier = mem_barrier;
             if (mem_read || mem_write) {
                 ref.base = ins.src1;
+                s.ensure(ins.src1);
                 ref.offset = ins.imm;
-                if (auto it = last_def.find(ins.src1);
-                    it != last_def.end()) {
-                    ref.baseVersion = it->second;
-                }
+                ref.baseVersion = s.lastDef[ins.src1];
             }
-            for (const MemRef &prev : mem_refs) {
+            for (const MemRef &prev : s.memRefs) {
                 if (prev.isLoad && ref.isLoad)
                     continue; // loads commute
                 if (drop_memdep && prev.isStore && ref.isLoad)
@@ -141,29 +188,26 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
                 // writes and barriers force the next cycle.
                 const uint32_t mlat =
                     (prev.isStore || prev.isBarrier) ? 1 : 0;
-                addEdge(prev.idx, i, mlat);
+                add_edge(prev.idx, i, mlat);
             }
-            mem_refs.push_back(ref);
+            s.memRefs.push_back(ref);
         }
 
         // --- control ordering ---
         if (ins.isControlSlot()) {
-            if (last_control != UINT32_MAX)
-                addEdge(last_control, i, 1);
+            if (last_control != kNone)
+                add_edge(last_control, i, 1);
             last_control = i;
         }
 
         // --- exit constraints ---
         // (a) this instruction vs. exits *before* it.
+        const bool pinned_effect =
+            ins.op == Opcode::St || ins.op == Opcode::Emit;
         for (size_t e = 0; e < exit_pos; ++e) {
             const ExitInfo &x = exits[e];
-            const bool pinned_dst =
-                ins.hasDst() && ins.dst < x.liveAtTarget.size() &&
-                x.liveAtTarget.test(ins.dst);
-            const bool pinned_effect =
-                ins.op == Opcode::St || ins.op == Opcode::Emit;
-            if (pinned_dst || pinned_effect)
-                addEdge(x.instrIdx, i, 1); // may not move above the exit
+            if (pinned_effect || (ins.hasDst() && x.liveAt(ins.dst)))
+                add_edge(x.instrIdx, i, 1); // may not move above the exit
         }
         // (b) if this instruction *is* an exit, constrain earlier ops.
         if (exit_pos < exits.size() && exits[exit_pos].instrIdx == i) {
@@ -171,14 +215,12 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
             for (uint32_t j = 0; j < i; ++j) {
                 const Instruction &prev = instrs[j];
                 if (prev.op == Opcode::St || prev.op == Opcode::Emit) {
-                    addEdge(j, i, 0); // side effects may not sink below
-                } else if (prev.hasDst() &&
-                           prev.dst < x.liveAtTarget.size() &&
-                           x.liveAtTarget.test(prev.dst)) {
+                    add_edge(j, i, 0); // side effects may not sink below
+                } else if (prev.hasDst() && x.liveAt(prev.dst)) {
                     // Value observable off-trace: must be complete (and
                     // issued, for the 0 case) when the exit is taken.
                     const uint32_t plat = mm.latencyOf(prev.op);
-                    addEdge(j, i, plat > 0 ? plat - 1 : 0);
+                    add_edge(j, i, plat > 0 ? plat - 1 : 0);
                 }
             }
         }
@@ -188,24 +230,40 @@ DepGraph::DepGraph(const std::vector<Instruction> &instrs,
     // before it in issue order.
     if (n > 0) {
         const uint32_t term = n - 1;
-        std::vector<uint8_t> has_term_edge(n, 0);
-        for (uint32_t i = 0; i < term; ++i) {
-            for (const Edge &e : succs_[i]) {
-                if (e.to == term)
-                    has_term_edge[i] = 1;
-            }
+        s.hasTermEdge.assign(n, 0);
+        for (const RawEdge &e : raw) {
+            if (e.to == term)
+                s.hasTermEdge[e.from] = 1;
         }
         for (uint32_t i = 0; i < term; ++i) {
-            if (!has_term_edge[i])
-                addEdge(i, term, 0);
+            if (!s.hasTermEdge[i])
+                add_edge(i, term, 0);
         }
     }
 
+    // CSR layout, stable per source: count, prefix-sum, place.
+    first_.assign(size_t(n) + 1, 0);
+    numPreds_.assign(n, 0);
+    for (const RawEdge &e : raw) {
+        ++first_[e.from + 1];
+        ++numPreds_[e.to];
+    }
+    for (uint32_t i = 0; i < n; ++i)
+        first_[i + 1] += first_[i];
+    edges_.resize(raw.size());
+    for (const RawEdge &e : raw)
+        edges_[first_[e.from]++] = {e.to, e.latency};
+    // Placing advanced each first_[i] to the start of node i+1; shift back.
+    for (uint32_t i = n; i > 0; --i)
+        first_[i] = first_[i - 1];
+    first_[0] = 0;
+
     // Critical-path heights: edges always point to larger indices, so a
     // single reverse sweep suffices.
+    height_.assign(n, 0);
     for (uint32_t i = n; i-- > 0;) {
         uint32_t h = mm.latencyOf(instrs[i].op);
-        for (const Edge &e : succs_[i])
+        for (const Edge &e : succs(i))
             h = std::max(h, e.latency + height_[e.to]);
         height_[i] = h;
     }

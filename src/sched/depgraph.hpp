@@ -16,12 +16,19 @@
  * off-trace renaming arranges for that to usually hold); loads hoisted
  * above a branch are converted to non-excepting LdSpec by the
  * scheduler; stores, emits and calls never move above or below an exit.
+ *
+ * Storage is flat: build() gathers edges into a per-thread buffer (the
+ * last def and the readers since it are register-indexed arrays reset
+ * through a touched list), then lays them out as CSR, stable per
+ * source, so rebuilding one DepGraph object for block after block
+ * allocates nothing once its capacity has grown.
  */
 
 #ifndef PATHSCHED_SCHED_DEPGRAPH_HPP
 #define PATHSCHED_SCHED_DEPGRAPH_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/procedure.hpp"
@@ -40,25 +47,40 @@ class DepGraph
         uint32_t latency;
     };
 
+    /** An empty graph, for build() to fill. */
+    DepGraph() = default;
+
     /**
      * Build the graph for @p instrs with exit constraints @p exits
      * (from collectExits on the same block) and latencies from @p mm.
      */
     DepGraph(const std::vector<ir::Instruction> &instrs,
              const std::vector<ExitInfo> &exits,
-             const machine::MachineModel &mm);
+             const machine::MachineModel &mm)
+    {
+        build(instrs, exits, mm);
+    }
 
-    size_t size() const { return succs_.size(); }
-    const std::vector<Edge> &succs(uint32_t i) const { return succs_[i]; }
+    /** Rebuild in place for another block, reusing this object's storage. */
+    void build(const std::vector<ir::Instruction> &instrs,
+               const std::vector<ExitInfo> &exits,
+               const machine::MachineModel &mm);
+
+    size_t size() const { return numPreds_.size(); }
+    std::span<const Edge>
+    succs(uint32_t i) const
+    {
+        return {edges_.data() + first_[i], edges_.data() + first_[i + 1]};
+    }
     uint32_t numPreds(uint32_t i) const { return numPreds_[i]; }
 
     /** Critical-path height of node @p i (priority for list scheduling). */
     uint32_t height(uint32_t i) const { return height_[i]; }
 
   private:
-    void addEdge(uint32_t from, uint32_t to, uint32_t latency);
-
-    std::vector<std::vector<Edge>> succs_;
+    /** CSR: the successors of node i are edges_[first_[i], first_[i+1]). */
+    std::vector<uint32_t> first_;
+    std::vector<Edge> edges_;
     std::vector<uint32_t> numPreds_;
     std::vector<uint32_t> height_;
 };

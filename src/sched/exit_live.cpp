@@ -2,38 +2,26 @@
 
 namespace pathsched::sched {
 
-std::vector<ExitInfo>
+void
 collectExits(const ir::Procedure &proc, ir::BlockId b,
-             const analysis::Liveness &live)
+             const analysis::Liveness &live, std::vector<ExitInfo> &out)
 {
     const ir::BasicBlock &bb = proc.blocks[b];
-    std::vector<ExitInfo> out;
+    out.clear();
     for (size_t i = 0; i < bb.instrs.size(); ++i) {
         const ir::Instruction &ins = bb.instrs[i];
+        if (!ins.isControlFlow())
+            continue;
         const bool last = i + 1 == bb.instrs.size();
-        if (ins.isBranch()) {
-            ExitInfo e;
-            e.instrIdx = uint32_t(i);
-            e.isTerminator = last;
-            e.liveAtTarget = live.liveIn(ins.target0);
-            if (last && ins.target1 != ir::kNoBlock)
-                e.liveAtTarget.unionWith(live.liveIn(ins.target1));
-            out.push_back(std::move(e));
-        } else if (ins.op == ir::Opcode::Jmp) {
-            ExitInfo e;
-            e.instrIdx = uint32_t(i);
-            e.isTerminator = true;
-            e.liveAtTarget = live.liveIn(ins.target0);
-            out.push_back(std::move(e));
-        } else if (ins.op == ir::Opcode::Ret) {
-            ExitInfo e;
-            e.instrIdx = uint32_t(i);
-            e.isTerminator = true;
-            e.liveAtTarget = BitVec(live.numRegs());
-            out.push_back(std::move(e));
-        }
+        ExitInfo e;
+        e.instrIdx = uint32_t(i);
+        e.isTerminator = last || !ins.isBranch();
+        if (ins.op != ir::Opcode::Ret)
+            e.live0 = &live.liveIn(ins.target0);
+        if (last && ins.isBranch() && ins.target1 != ir::kNoBlock)
+            e.live1 = &live.liveIn(ins.target1);
+        out.push_back(e);
     }
-    return out;
 }
 
 } // namespace pathsched::sched

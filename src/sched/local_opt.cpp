@@ -1,7 +1,5 @@
 #include "sched/local_opt.hpp"
 
-#include <unordered_map>
-
 #include "sched/exit_live.hpp"
 #include "support/logging.hpp"
 
@@ -32,38 +30,70 @@ isCommutative(Opcode op)
     }
 }
 
-/** Forward dataflow state for one linear scan. */
+/**
+ * Forward dataflow state for one linear scan: one register-indexed
+ * record per register, kept in per-thread storage and reset through a
+ * touched list when the scan ends.
+ */
 class ForwardState
 {
   public:
+    explicit ForwardState(size_t num_regs)
+    {
+        if (recs_.size() < num_regs)
+            recs_.resize(num_regs);
+    }
+
+    ~ForwardState()
+    {
+        for (RegId r : touched_)
+            recs_[r] = Record();
+        touched_.clear();
+    }
+
+    ForwardState(const ForwardState &) = delete;
+    ForwardState &operator=(const ForwardState &) = delete;
+
     /** Start a new value version for @p r, invalidating stale facts. */
     void
     define(RegId r)
     {
-        ++version_[r];
-        copy_.erase(r);
-        constant_.erase(r);
-        chain_.erase(r);
+        Record &rec = touch(r);
+        ++rec.version;
+        rec.hasCopy = rec.hasConst = rec.hasChain = false;
     }
 
     void
     recordCopy(RegId dst, RegId src)
     {
-        copy_[dst] = {src, version_[src]};
+        Record &rec = touch(dst);
+        rec.hasCopy = true;
+        rec.copySrc = src;
+        rec.copyVersion = recs_[src].version;
     }
 
-    void recordConst(RegId dst, int64_t v) { constant_[dst] = v; }
+    void
+    recordConst(RegId dst, int64_t v)
+    {
+        Record &rec = touch(dst);
+        rec.hasConst = true;
+        rec.constant = v;
+    }
 
     void
     recordChain(RegId dst, RegId base, int64_t off)
     {
         // Fold transitively: if base itself is a chain, root through it.
-        if (auto it = chain_.find(base);
-            it != chain_.end() && it->second.version == version_[it->second.base]) {
-            base = it->second.base;
-            off += it->second.offset;
+        if (const Record &b = recs_[base];
+            b.hasChain && b.chainVersion == recs_[b.chainBase].version) {
+            base = b.chainBase;
+            off += b.chainOffset;
         }
-        chain_[dst] = {base, off, version_[base]};
+        Record &rec = touch(dst);
+        rec.hasChain = true;
+        rec.chainBase = base;
+        rec.chainOffset = off;
+        rec.chainVersion = recs_[base].version;
     }
 
     /** Resolve @p r through the copy map (one hop is enough: the map is
@@ -71,19 +101,20 @@ class ForwardState
     RegId
     resolveCopy(RegId r) const
     {
-        auto it = copy_.find(r);
-        if (it == copy_.end() || it->second.version != versionOf(it->second.src))
+        if (r >= recs_.size())
             return r;
-        return it->second.src;
+        const Record &rec = recs_[r];
+        if (!rec.hasCopy || rec.copyVersion != recs_[rec.copySrc].version)
+            return r;
+        return rec.copySrc;
     }
 
     bool
     constOf(RegId r, int64_t &out) const
     {
-        auto it = constant_.find(r);
-        if (it == constant_.end())
+        if (r >= recs_.size() || !recs_[r].hasConst)
             return false;
-        out = it->second;
+        out = recs_[r].constant;
         return true;
     }
 
@@ -91,40 +122,50 @@ class ForwardState
     bool
     chainOf(RegId r, RegId &base, int64_t &off) const
     {
-        auto it = chain_.find(r);
-        if (it == chain_.end() ||
-            it->second.version != versionOf(it->second.base)) {
+        if (r >= recs_.size())
             return false;
-        }
-        base = it->second.base;
-        off = it->second.offset;
+        const Record &rec = recs_[r];
+        if (!rec.hasChain || rec.chainVersion != recs_[rec.chainBase].version)
+            return false;
+        base = rec.chainBase;
+        off = rec.chainOffset;
         return true;
     }
 
   private:
-    uint32_t
-    versionOf(RegId r) const
+    /** Everything known about one register; all-zero means nothing. */
+    struct Record
     {
-        auto it = version_.find(r);
-        return it == version_.end() ? 0 : it->second;
+        uint32_t version = 0;
+        bool touched = false;
+        bool hasCopy = false;
+        bool hasConst = false;
+        bool hasChain = false;
+        RegId copySrc = 0;
+        uint32_t copyVersion = 0;
+        RegId chainBase = 0;
+        uint32_t chainVersion = 0;
+        int64_t chainOffset = 0;
+        int64_t constant = 0;
+    };
+
+    Record &
+    touch(RegId r)
+    {
+        Record &rec = recs_[r];
+        if (!rec.touched) {
+            rec.touched = true;
+            touched_.push_back(r);
+        }
+        return rec;
     }
 
-    struct CopyFact
-    {
-        RegId src;
-        uint32_t version;
-    };
-    struct ChainFact
-    {
-        RegId base;
-        int64_t offset;
-        uint32_t version;
-    };
-    std::unordered_map<RegId, uint32_t> version_;
-    std::unordered_map<RegId, CopyFact> copy_;
-    std::unordered_map<RegId, int64_t> constant_;
-    std::unordered_map<RegId, ChainFact> chain_;
+    static thread_local std::vector<Record> recs_;
+    static thread_local std::vector<RegId> touched_;
 };
+
+thread_local std::vector<ForwardState::Record> ForwardState::recs_;
+thread_local std::vector<RegId> ForwardState::touched_;
 
 bool
 isAluOp(Opcode op)
@@ -144,11 +185,11 @@ isAluOp(Opcode op)
 
 /** One forward simplification sweep.  Returns true when anything changed. */
 bool
-forwardPass(ir::BasicBlock &bb, LocalOptStats &stats)
+forwardPass(ir::BasicBlock &bb, size_t num_regs, LocalOptStats &stats)
 {
-    ForwardState state;
+    ForwardState state(num_regs);
     bool changed = false;
-    std::vector<RegId> srcs;
+    thread_local std::vector<RegId> srcs;
 
     for (Instruction &ins : bb.instrs) {
         // 1. Copy-propagate every source.
@@ -236,20 +277,27 @@ deadCodePass(ir::Procedure &proc, BlockId b,
              const analysis::Liveness &live, LocalOptStats &stats)
 {
     ir::BasicBlock &bb = proc.blocks[b];
-    const std::vector<ExitInfo> exits = collectExits(proc, b, live);
+    thread_local std::vector<ExitInfo> exits;
+    thread_local BitVec live_now;
+    thread_local std::vector<uint8_t> keep;
+    thread_local std::vector<RegId> srcs;
+    collectExits(proc, b, live, exits);
 
     // Sized to the liveness universe: this pass runs before renaming,
     // so the block only mentions registers the solver knew about.
-    BitVec live_now(live.numRegs());
-    std::vector<uint8_t> keep(bb.instrs.size(), 1);
-    std::vector<RegId> srcs;
+    if (live_now.size() != live.numRegs())
+        live_now = BitVec(live.numRegs());
+    else
+        live_now.clear();
+    keep.assign(bb.instrs.size(), 1);
 
+    bool changed = false;
     size_t exit_cursor = exits.size();
     for (size_t i = bb.instrs.size(); i-- > 0;) {
         const Instruction &ins = bb.instrs[i];
         // Fold in liveness contributed by exits at or after this point.
         while (exit_cursor > 0 && exits[exit_cursor - 1].instrIdx >= i) {
-            live_now.unionWith(exits[exit_cursor - 1].liveAtTarget);
+            exits[exit_cursor - 1].unionInto(live_now);
             --exit_cursor;
         }
 
@@ -260,6 +308,7 @@ deadCodePass(ir::Procedure &proc, BlockId b,
                                  ins.op == Opcode::Nop;
         if (!side_effect && ins.hasDst() && !live_now.test(ins.dst)) {
             keep[i] = 0;
+            changed = true;
             ++stats.deadRemoved;
             continue;
         }
@@ -269,27 +318,25 @@ deadCodePass(ir::Procedure &proc, BlockId b,
         for (RegId r : srcs)
             live_now.set(r);
     }
-
-    bool changed = false;
-    for (uint8_t k : keep)
-        changed |= k == 0;
     if (!changed)
         return false;
 
-    std::vector<Instruction> kept;
-    std::vector<uint32_t> kept_ordinals;
+    // Compact the survivors in place, keeping their relative order.
     ir::SuperblockInfo &sb = proc.superblocks[b];
-    kept.reserve(bb.instrs.size());
+    size_t kept = 0;
     for (size_t i = 0; i < bb.instrs.size(); ++i) {
-        if (keep[i]) {
-            kept.push_back(std::move(bb.instrs[i]));
+        if (!keep[i])
+            continue;
+        if (kept != i) {
+            bb.instrs[kept] = std::move(bb.instrs[i]);
             if (sb.isSuperblock)
-                kept_ordinals.push_back(sb.srcOrdinalOf[i]);
+                sb.srcOrdinalOf[kept] = sb.srcOrdinalOf[i];
         }
+        ++kept;
     }
-    bb.instrs = std::move(kept);
+    bb.instrs.resize(kept);
     if (sb.isSuperblock)
-        sb.srcOrdinalOf = std::move(kept_ordinals);
+        sb.srcOrdinalOf.resize(kept);
     return true;
 }
 
@@ -301,7 +348,7 @@ optimizeBlock(ir::Procedure &proc, BlockId b,
 {
     LocalOptStats stats;
     for (int iter = 0; iter < 4; ++iter) {
-        bool changed = forwardPass(proc.blocks[b], stats);
+        bool changed = forwardPass(proc.blocks[b], proc.numRegs, stats);
         changed |= deadCodePass(proc, b, live, stats);
         if (!changed)
             break;

@@ -1,7 +1,7 @@
 #include "sched/renamer.hpp"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 
 #include "sched/exit_live.hpp"
 #include "support/logging.hpp"
@@ -16,20 +16,32 @@ RenameStats
 renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
 {
     RenameStats stats;
-    const std::vector<ExitInfo> exits = collectExits(proc, b, live);
+    // Per-thread scratch.  last_def and renamed_to are indexed by the
+    // block's original registers and restored to kNone before return.
+    thread_local std::vector<ExitInfo> exits;
+    thread_local std::vector<uint32_t> last_def;
+    thread_local std::vector<RegId> renamed_to;
+    thread_local std::vector<RegId> renamed; // originals with a fresh name
+    thread_local std::vector<std::pair<RegId, RegId>> copies;
+    thread_local std::vector<RegId> srcs;
+    constexpr uint32_t kNone = UINT32_MAX;
+    collectExits(proc, b, live, exits);
 
     // Work on a local copy: stub creation below resizes proc.blocks.
     std::vector<Instruction> instrs = std::move(proc.blocks[b].instrs);
 
-    std::unordered_map<RegId, size_t> last_def;
+    // Fresh registers only ever appear as destinations, so the block's
+    // original registers bound both arrays.
+    if (last_def.size() < proc.numRegs) {
+        last_def.resize(proc.numRegs, kNone);
+        renamed_to.resize(proc.numRegs, ir::kNoReg);
+    }
     for (size_t i = 0; i < instrs.size(); ++i) {
         if (instrs[i].hasDst())
-            last_def[instrs[i].dst] = i;
+            last_def[instrs[i].dst] = uint32_t(i);
     }
 
-    // Ordered map: stub copy order must be deterministic.
-    std::map<RegId, RegId> renamed;
-    std::vector<RegId> srcs;
+    renamed.clear();
     size_t exit_pos = 0;
 
     for (size_t i = 0; i < instrs.size(); ++i) {
@@ -37,19 +49,23 @@ renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
 
         ins.sources(srcs);
         for (RegId r : srcs) {
-            if (auto it = renamed.find(r); it != renamed.end())
-                ins.renameSources(r, it->second);
+            if (renamed_to[r] != ir::kNoReg)
+                ins.renameSources(r, renamed_to[r]);
         }
 
         if (ins.hasDst()) {
             const RegId r = ins.dst;
             if (last_def[r] != i) {
                 const RegId fresh = proc.newReg();
-                renamed[r] = fresh;
+                if (renamed_to[r] == ir::kNoReg)
+                    renamed.push_back(r);
+                renamed_to[r] = fresh;
                 ins.dst = fresh;
                 ++stats.defsRenamed;
-            } else {
-                renamed.erase(r);
+            } else if (renamed_to[r] != ir::kNoReg) {
+                renamed_to[r] = ir::kNoReg;
+                renamed.erase(
+                    std::find(renamed.begin(), renamed.end(), r));
             }
         }
 
@@ -59,14 +75,15 @@ renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
             // definition keeps its architectural register, so `renamed`
             // is empty by the end of the block.
             if (!e.isTerminator && ins.isBranch()) {
-                std::vector<std::pair<RegId, RegId>> copies;
-                for (const auto &[orig, fresh] : renamed) {
-                    if (orig < e.liveAtTarget.size() &&
-                        e.liveAtTarget.test(orig)) {
-                        copies.emplace_back(orig, fresh);
-                    }
+                copies.clear();
+                for (RegId orig : renamed) {
+                    if (e.liveAt(orig))
+                        copies.emplace_back(orig, renamed_to[orig]);
                 }
                 if (!copies.empty()) {
+                    // Stub copies go in ascending original-register
+                    // order, so the stub is deterministic.
+                    std::sort(copies.begin(), copies.end());
                     const BlockId stub = proc.newBlock();
                     auto &sbb = proc.blocks[stub];
                     for (const auto &[orig, fresh] : copies) {
@@ -82,6 +99,10 @@ renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
     }
     ps_assert(renamed.empty());
 
+    for (const Instruction &ins : instrs) {
+        if (ins.hasDst() && ins.dst < last_def.size())
+            last_def[ins.dst] = kNone;
+    }
     proc.blocks[b].instrs = std::move(instrs);
     return stats;
 }

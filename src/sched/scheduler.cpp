@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "sched/depgraph.hpp"
 #include "sched/exit_live.hpp"
@@ -13,6 +14,31 @@ using ir::BlockId;
 using ir::Instruction;
 using ir::Opcode;
 
+namespace {
+
+/**
+ * Per-thread scheduling scratch, reused block after block so that a
+ * block's scheduling allocates nothing once the buffers have grown.
+ *
+ * Ready ops wait in two max-heaps of priority keys, one for control-slot
+ * ops and one for the rest, so a saturated control slot never hides a
+ * lower-priority ordinary op.  Ops whose predecessors are all issued but
+ * whose earliest start lies in the future wait in a min-heap keyed on
+ * (earliest start, index).
+ */
+struct SchedScratch
+{
+    std::vector<ExitInfo> exits;
+    DepGraph graph;
+    std::vector<uint32_t> predsLeft, est, cyc, issueOrder, issuePos;
+    std::vector<uint64_t> ready[2]; ///< [0] ordinary, [1] control-slot
+    std::vector<uint64_t> waiting;
+    std::vector<Instruction> instrs;
+    std::vector<uint32_t> ordinals;
+};
+
+} // namespace
+
 ScheduleStats
 scheduleBlock(ir::Procedure &proc, BlockId b,
               const analysis::Liveness &live,
@@ -23,113 +49,135 @@ scheduleBlock(ir::Procedure &proc, BlockId b,
     const uint32_t n = uint32_t(bb.instrs.size());
     ps_assert(n > 0);
 
-    const std::vector<ExitInfo> exits = collectExits(proc, b, live);
-    const DepGraph graph(bb.instrs, exits, mm);
+    thread_local SchedScratch scratch;
+    SchedScratch &s = scratch;
+    collectExits(proc, b, live, s.exits);
+    s.graph.build(bb.instrs, s.exits, mm);
+    const DepGraph &graph = s.graph;
 
-    std::vector<uint32_t> preds_left(n), est(n, 0), cyc(n, 0);
-    std::vector<uint8_t> done(n, 0);
-    for (uint32_t i = 0; i < n; ++i)
-        preds_left[i] = graph.numPreds(i);
+    // Priority key, larger first.  Default: highest critical-path height
+    // first, original order breaking ties (deterministic).  SourceOrder
+    // takes the earliest ready instruction instead (ablation).
+    const bool by_height = priority == SchedPriority::CriticalPath;
+    auto key_of = [&](uint32_t i) {
+        const uint64_t h = by_height ? graph.height(i) : 0;
+        return (h << 32) | uint32_t(~i);
+    };
+    auto make_ready = [&](uint32_t i) {
+        std::vector<uint64_t> &q = s.ready[bb.instrs[i].isControlSlot()];
+        q.push_back(key_of(i));
+        std::push_heap(q.begin(), q.end());
+    };
+    // Called once all of i's predecessors have issued.
+    auto release = [&](uint32_t i, uint32_t cycle) {
+        if (s.est[i] <= cycle) {
+            make_ready(i);
+        } else {
+            s.waiting.push_back((uint64_t(s.est[i]) << 32) | i);
+            std::push_heap(s.waiting.begin(), s.waiting.end(),
+                           std::greater<>());
+        }
+    };
 
-    std::vector<uint32_t> issue_order;
-    issue_order.reserve(n);
+    s.predsLeft.resize(n);
+    s.est.assign(n, 0);
+    s.cyc.resize(n);
+    s.issueOrder.clear();
+    s.ready[0].clear();
+    s.ready[1].clear();
+    s.waiting.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+        s.predsLeft[i] = graph.numPreds(i);
+        if (s.predsLeft[i] == 0)
+            release(i, 0);
+    }
 
     uint32_t cycle = 0;
-    uint32_t scheduled = 0;
-    while (scheduled < n) {
+    while (s.issueOrder.size() < n) {
+        while (!s.waiting.empty() && (s.waiting.front() >> 32) <= cycle) {
+            const uint32_t i = uint32_t(s.waiting.front());
+            std::pop_heap(s.waiting.begin(), s.waiting.end(),
+                          std::greater<>());
+            s.waiting.pop_back();
+            make_ready(i);
+        }
         uint32_t slots = 0;
         uint32_t control = 0;
-        bool placed_any = true;
-        while (placed_any && slots < mm.issueWidth) {
-            placed_any = false;
-            // Default: highest critical-path height first, original
-            // order breaking ties (deterministic).  SourceOrder takes
-            // the earliest ready instruction instead (ablation).
-            uint32_t best = UINT32_MAX;
-            for (uint32_t i = 0; i < n; ++i) {
-                if (done[i] || preds_left[i] != 0 || est[i] > cycle)
-                    continue;
-                if (bb.instrs[i].isControlSlot() &&
-                    control >= mm.controlPerCycle) {
-                    continue;
-                }
-                if (best == UINT32_MAX) {
-                    best = i;
-                    if (priority == SchedPriority::SourceOrder)
-                        break;
-                } else if (priority == SchedPriority::CriticalPath &&
-                           graph.height(i) > graph.height(best)) {
-                    best = i;
-                }
-            }
-            if (best == UINT32_MAX)
+        while (slots < mm.issueWidth) {
+            const bool control_ok =
+                control < mm.controlPerCycle && !s.ready[1].empty();
+            if (!control_ok && s.ready[0].empty())
                 break;
-            done[best] = 1;
-            cyc[best] = cycle;
-            issue_order.push_back(best);
-            ++scheduled;
+            const bool take_control =
+                control_ok && (s.ready[0].empty() ||
+                               s.ready[1].front() > s.ready[0].front());
+            std::vector<uint64_t> &q = s.ready[take_control];
+            std::pop_heap(q.begin(), q.end());
+            const uint32_t best = ~uint32_t(q.back()); // see key_of
+            q.pop_back();
+            s.cyc[best] = cycle;
+            s.issueOrder.push_back(best);
             ++slots;
-            if (bb.instrs[best].isControlSlot())
+            if (take_control)
                 ++control;
+            // Zero-latency successors become ready in this same cycle.
             for (const DepGraph::Edge &e : graph.succs(best)) {
-                --preds_left[e.to];
-                est[e.to] = std::max(est[e.to], cycle + e.latency);
+                s.est[e.to] = std::max(s.est[e.to], cycle + e.latency);
+                if (--s.predsLeft[e.to] == 0)
+                    release(e.to, cycle);
             }
-            placed_any = true;
         }
-        if (scheduled == n)
+        if (s.issueOrder.size() == n)
             break;
         // Advance to the earliest cycle at which anything can start.
-        uint32_t next = UINT32_MAX;
-        for (uint32_t i = 0; i < n; ++i) {
-            if (!done[i] && preds_left[i] == 0)
-                next = std::min(next, est[i]);
+        if (!s.ready[0].empty() || !s.ready[1].empty()) {
+            ++cycle;
+        } else {
+            ps_assert_msg(!s.waiting.empty(),
+                          "scheduler wedged: dependence cycle in block");
+            cycle = std::max(cycle + 1,
+                             uint32_t(s.waiting.front() >> 32));
         }
-        ps_assert_msg(next != UINT32_MAX,
-                      "scheduler wedged: dependence cycle in block");
-        cycle = std::max(cycle + 1, next);
     }
 
-    // Flatten into issue order and fill the schedule side table.
+    // Flatten into issue order (through the scratch copy, so the
+    // block keeps its own storage) and fill the schedule side table.
     ir::SuperblockInfo &sb = proc.superblocks[b];
-    std::vector<Instruction> new_instrs;
-    std::vector<uint32_t> new_ordinals;
-    std::vector<uint32_t> cycle_of;
-    new_instrs.reserve(n);
-    cycle_of.reserve(n);
+    ir::BlockSchedule &sched = proc.schedules[b];
+    s.instrs.clear();
+    s.ordinals.clear();
+    s.issuePos.resize(n);
+    sched.cycleOf.resize(n);
     for (uint32_t k = 0; k < n; ++k) {
-        const uint32_t i = issue_order[k];
-        new_instrs.push_back(std::move(bb.instrs[i]));
-        cycle_of.push_back(cyc[i]);
+        const uint32_t i = s.issueOrder[k];
+        s.issuePos[i] = k;
+        s.instrs.push_back(std::move(bb.instrs[i]));
+        sched.cycleOf[k] = s.cyc[i];
         if (sb.isSuperblock)
-            new_ordinals.push_back(sb.srcOrdinalOf[i]);
+            s.ordinals.push_back(sb.srcOrdinalOf[i]);
     }
+    std::move(s.instrs.begin(), s.instrs.end(), bb.instrs.begin());
+    if (sb.isSuperblock)
+        std::copy(s.ordinals.begin(), s.ordinals.end(),
+                  sb.srcOrdinalOf.begin());
 
     // Convert loads hoisted above an earlier conditional branch into
-    // non-excepting speculative loads (§2.3, §3.2).
-    std::vector<uint32_t> issue_pos(n);
-    for (uint32_t k = 0; k < n; ++k)
-        issue_pos[issue_order[k]] = k;
+    // non-excepting speculative loads (§2.3, §3.2): walking the original
+    // order, a load is speculative when some earlier branch issues after
+    // it, i.e. when it issues before the latest-issued earlier branch.
+    uint32_t branch_bound = 0; // 1 + latest issue position of a branch
     for (uint32_t i = 0; i < n; ++i) {
-        if (new_instrs[issue_pos[i]].op != Opcode::Ld)
-            continue;
-        for (uint32_t e = 0; e < i; ++e) {
-            const Instruction &maybe_br = new_instrs[issue_pos[e]];
-            if (maybe_br.isBranch() && issue_pos[i] < issue_pos[e]) {
-                new_instrs[issue_pos[i]].op = Opcode::LdSpec;
-                ++stats.loadsSpeculated;
-                break;
-            }
+        Instruction &ins = bb.instrs[s.issuePos[i]];
+        if (ins.op == Opcode::Ld && s.issuePos[i] + 1 < branch_bound) {
+            ins.op = Opcode::LdSpec;
+            ++stats.loadsSpeculated;
+        } else if (ins.isBranch()) {
+            branch_bound = std::max(branch_bound, s.issuePos[i] + 1);
         }
     }
 
-    bb.instrs = std::move(new_instrs);
-    if (sb.isSuperblock)
-        sb.srcOrdinalOf = std::move(new_ordinals);
-    ir::BlockSchedule &sched = proc.schedules[b];
     sched.valid = true;
-    sched.cycleOf = std::move(cycle_of);
-    sched.numCycles = sched.cycleOf.empty() ? 0 : sched.cycleOf.back() + 1;
+    sched.numCycles = sched.cycleOf.back() + 1;
 
     ++stats.blocksScheduled;
     stats.totalCycles += sched.numCycles;
@@ -165,7 +213,8 @@ validateSchedule(const ir::Procedure &proc, BlockId b,
 
     // Re-derive the dependence graph from the (current) linear order
     // and check every edge against the recorded cycles.
-    const std::vector<ExitInfo> exits = collectExits(proc, b, live);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, b, live, exits);
     const DepGraph graph(bb.instrs, exits, mm);
     for (uint32_t u = 0; u < bb.instrs.size(); ++u) {
         for (const DepGraph::Edge &e : graph.succs(u)) {

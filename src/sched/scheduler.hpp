@@ -9,6 +9,15 @@
  * issue order (cycle-major), the BlockSchedule side table records each
  * instruction's cycle, and loads that ended up above an earlier branch
  * are converted to non-excepting LdSpec.
+ *
+ * The pick order is that of a full rescan per issue slot (highest
+ * height, lowest index first; lowest index under SourceOrder), kept by
+ * two ready heaps (control-slot ops and the rest, so a used control
+ * slot skips only its own heap) and a waiting heap keyed on (earliest
+ * start, index).  Speculative-load marking is one pass over the
+ * original order against the latest issue position of an earlier
+ * branch.  All scratch is per thread and reused, so scheduling a block
+ * allocates nothing once the buffers have grown.
  */
 
 #ifndef PATHSCHED_SCHED_SCHEDULER_HPP

@@ -81,6 +81,23 @@ class BitVec
         return nbits_ == other.nbits_ && words_ == other.words_;
     }
 
+    /** Call @p fn(i) for every set bit i, in ascending order. */
+    template <typename Fn>
+    void
+    forEachSet(Fn &&fn) const
+    {
+        for (size_t w = 0; w < words_.size(); ++w) {
+            for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+                fn(w * 64 + size_t(__builtin_ctzll(bits)));
+        }
+    }
+
+    /** @name Raw 64-bit words, bit i in word i / 64 (flat solvers). @{ */
+    size_t numWords() const { return words_.size(); }
+    const uint64_t *words() const { return words_.data(); }
+    uint64_t *words() { return words_.data(); }
+    /** @} */
+
     /** Number of set bits. */
     size_t
     count() const

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <vector>
@@ -22,18 +23,45 @@ splitCsv(const std::string &csv)
     return names;
 }
 
+using ArmedSet = std::vector<std::string>;
+
+/**
+ * Every armed set ever published, freed at exit.  A reader may still
+ * hold the previous set after a swap, so retired sets stay alive until
+ * the process ends; arming happens a handful of times per process.
+ */
+struct ArmedSetOwner
+{
+    std::mutex mu;
+    std::vector<std::unique_ptr<const ArmedSet>> sets;
+};
+
+ArmedSetOwner &
+owner()
+{
+    static ArmedSetOwner o;
+    return o;
+}
+
 /** Armed set; the pointer is swapped atomically so mutationArmed can
  *  be called from pipeline worker threads without locking. */
-std::atomic<const std::vector<std::string> *> g_armed{nullptr};
+std::atomic<const ArmedSet *> g_armed{nullptr};
 std::once_flag g_env_once;
+
+void
+publish(ArmedSet names)
+{
+    ArmedSetOwner &o = owner();
+    std::lock_guard<std::mutex> lock(o.mu);
+    o.sets.push_back(std::make_unique<const ArmedSet>(std::move(names)));
+    g_armed.store(o.sets.back().get(), std::memory_order_release);
+}
 
 void
 loadFromEnv()
 {
     const char *env = std::getenv("PATHSCHED_MUTATION");
-    auto *set = new std::vector<std::string>(
-        env != nullptr ? splitCsv(env) : std::vector<std::string>());
-    g_armed.store(set, std::memory_order_release);
+    publish(env != nullptr ? splitCsv(env) : ArmedSet());
 }
 
 } // namespace
@@ -42,8 +70,7 @@ bool
 mutationArmed(std::string_view name)
 {
     std::call_once(g_env_once, loadFromEnv);
-    const std::vector<std::string> *set =
-        g_armed.load(std::memory_order_acquire);
+    const ArmedSet *set = g_armed.load(std::memory_order_acquire);
     for (const std::string &n : *set)
         if (n == name)
             return true;
@@ -54,10 +81,7 @@ void
 setMutationsForTest(const std::string &csv)
 {
     std::call_once(g_env_once, loadFromEnv);
-    // Leaks the previous set by design: a racing reader may still hold
-    // it, and test arming happens a handful of times per process.
-    g_armed.store(new std::vector<std::string>(splitCsv(csv)),
-                  std::memory_order_release);
+    publish(splitCsv(csv));
 }
 
 } // namespace pathsched

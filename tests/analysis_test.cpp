@@ -197,6 +197,71 @@ TEST(Liveness, NumRegsSnapshot)
     EXPECT_EQ(live.numRegs() + 1, prog.proc(0).numRegs);
 }
 
+TEST(Liveness, SideExitDefDoesNotShadow)
+{
+    // Block 0 is a superblock: brnz p0 -> side (mid-block exit), then
+    // r = 5, ret r.  The side exit's target reads r, and the only def of
+    // r in block 0 comes after the exit, so r stays live into block 0
+    // (the classic use ∪ (out − def) summary would drop it).
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 2);
+    const BlockId side = b.newBlock();
+    const RegId p0 = b.param(0);
+    const RegId r = b.param(1);
+    b.setBlock(side);
+    b.ret(r);
+    auto &instrs = prog.proc(0).blocks[0].instrs;
+    instrs.push_back(ir::makeBr(Opcode::BrNz, p0, side, ir::kNoBlock));
+    instrs.push_back(ir::makeLdi(r, 5));
+    instrs.push_back(ir::makeRet(r));
+
+    Liveness live(prog.proc(0));
+    EXPECT_TRUE(live.liveIn(side).test(r));
+    EXPECT_TRUE(live.liveIn(0).test(r));
+    EXPECT_TRUE(live.liveIn(0).test(p0));
+    EXPECT_TRUE(live.liveOut(0).test(r));
+
+    // Defined before the exit instead, r is no longer live in.
+    std::swap(instrs[0], instrs[1]);
+    Liveness moved(prog.proc(0));
+    EXPECT_FALSE(moved.liveIn(0).test(r));
+    EXPECT_TRUE(moved.liveOut(0).test(r));
+}
+
+TEST(Liveness, TerminatorUnionsBothTargets)
+{
+    // brnz p0 -> left | right, where left reads a and right reads c:
+    // both are live out of and into the branching block, and b, read by
+    // neither target, is live nowhere.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 4);
+    const BlockId left = b.newBlock();
+    const BlockId right = b.newBlock();
+    const RegId p0 = b.param(0);
+    const RegId ra = b.param(1);
+    const RegId rb = b.param(2);
+    const RegId rc = b.param(3);
+    b.brnz(p0, left, right);
+    b.setBlock(left);
+    b.ret(ra);
+    b.setBlock(right);
+    b.ret(rc);
+
+    Liveness live(prog.proc(0));
+    for (const RegId r : {ra, rc}) {
+        EXPECT_TRUE(live.liveOut(0).test(r)) << r;
+        EXPECT_TRUE(live.liveIn(0).test(r)) << r;
+    }
+    EXPECT_FALSE(live.liveOut(0).test(rb));
+    EXPECT_FALSE(live.liveIn(0).test(rb));
+    EXPECT_TRUE(live.liveIn(left).test(ra));
+    EXPECT_FALSE(live.liveIn(left).test(rc));
+    EXPECT_TRUE(live.liveIn(right).test(rc));
+    EXPECT_FALSE(live.liveIn(right).test(ra));
+}
+
 TEST(CallGraph, StaticEdgesAndWeights)
 {
     Program prog;

@@ -40,7 +40,8 @@ graphFor(const Program &prog, BlockId b = 0)
 {
     const auto &proc = prog.proc(0);
     analysis::Liveness live(proc);
-    const auto exits = collectExits(proc, b, live);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, b, live, exits);
     return DepGraph(proc.blocks[b].instrs, exits,
                     machine::MachineModel::unitLatency());
 }
@@ -58,7 +59,8 @@ TEST(DepGraph, RawEdgeCarriesProducerLatency)
 
     const auto &proc = prog.proc(0);
     analysis::Liveness live(proc);
-    const auto exits = collectExits(proc, 0, live);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, 0, live, exits);
     {
         DepGraph g(proc.blocks[0].instrs, exits,
                    machine::MachineModel::unitLatency());
@@ -171,7 +173,8 @@ TEST(DepGraph, CallsActAsMemoryBarriers)
 
     const auto &proc = prog.proc(main);
     analysis::Liveness live(proc);
-    const auto exits = collectExits(proc, 0, live);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, 0, live, exits);
     DepGraph g(proc.blocks[0].instrs, exits,
                machine::MachineModel::unitLatency());
     EXPECT_EQ(edgeLatency(g, 1, 2), 0); // load ordered before the call
@@ -192,7 +195,8 @@ TEST(DepGraph, ControlOpsChainInOrder)
 
     const auto &proc = prog.proc(main);
     analysis::Liveness live(proc);
-    const auto exits = collectExits(proc, 0, live);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, 0, live, exits);
     DepGraph g(proc.blocks[0].instrs, exits,
                machine::MachineModel::unitLatency());
     EXPECT_EQ(edgeLatency(g, 0, 1), 1);
