@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "obs/json.hpp"
+#include "pipeline/backend.hpp"
 #include "support/logging.hpp"
 #include "support/statistics.hpp"
 #include "support/strutil.hpp"
@@ -30,11 +31,21 @@ ExperimentRunner::run(const std::string &name,
     const auto key = std::make_pair(name, config);
     auto it = results_.find(key);
     if (it == results_.end()) {
-        const auto &w = workload(name);
+        auto prep = prepared_.find(name);
+        if (prep == prepared_.end()) {
+            const auto &w = workload(name);
+            prep = prepared_
+                       .emplace(name, pipeline::prepareWorkload(
+                                          w.program, w.train, w.test,
+                                          pipeline::needsOf(
+                                              pipeline::allBackends()),
+                                          options_))
+                       .first;
+        }
         it = results_
-                 .emplace(key, pipeline::runPipeline(w.program, w.train,
-                                                     w.test, config,
-                                                     options_))
+                 .emplace(key, pipeline::runBackend(
+                                   prep->second,
+                                   pipeline::backendFor(config), options_))
                  .first;
     }
     return it->second;

@@ -4,9 +4,10 @@
  *
  * Each bench binary regenerates one table or figure of the paper.  The
  * runner executes (workload x config) pipelines once, caches results
- * within the process, and provides the normalization and formatting
- * the figures use (all figures normalize against "M4", the edge-based
- * approach at unroll factor 4).
+ * within the process — every config of one workload shares one
+ * training run and one reference run — and provides the normalization
+ * and formatting the figures use (all figures normalize against "M4",
+ * the edge-based approach at unroll factor 4).
  */
 
 #ifndef PATHSCHED_BENCH_COMMON_HPP
@@ -44,6 +45,8 @@ class ExperimentRunner
   private:
     pipeline::PipelineOptions options_;
     std::map<std::string, workloads::Workload> workloads_;
+    /** Per workload, profiled for every registered backend. */
+    std::map<std::string, pipeline::PreparedWorkload> prepared_;
     std::map<std::pair<std::string, pipeline::SchedConfig>,
              pipeline::PipelineResult>
         results_;

@@ -27,12 +27,16 @@ main()
                 "exec/size");
 
     pipeline::PipelineOptions opts;
+    // One training run (collecting every profile kind some backend
+    // reads) and one reference run, shared by every backend below.
+    const pipeline::PreparedWorkload prepared = pipeline::prepareWorkload(
+        w.program, w.train, w.test,
+        pipeline::needsOf(pipeline::allBackends()), opts);
     uint64_t m4_cycles = 0;
     // Every registered backend, in registry order — a new backend shows
     // up in this table with no edit here.
     for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
-        const auto r = pipeline::runPipeline(w.program, w.train, w.test,
-                                             be->config, opts);
+        const auto r = pipeline::runBackend(prepared, *be, opts);
         if (r.name == "M4")
             m4_cycles = r.test.cycles;
         std::printf("%-5s %12llu %8s %9llu %10llu %8llu %5.1f/%.1f\n",
@@ -48,13 +52,15 @@ main()
                     r.test.sbAvgBlocksInSuperblock());
     }
 
+    // The I-cache only affects the measured test run, so these runs
+    // share the same prepare.
     std::printf("\nwith the 32KB direct-mapped I-cache attached:\n");
     opts.useICache = true;
     for (const auto config :
          {pipeline::SchedConfig::M4, pipeline::SchedConfig::P4,
           pipeline::SchedConfig::P4e}) {
-        const auto r = pipeline::runPipeline(w.program, w.train, w.test,
-                                             config, opts);
+        const auto r = pipeline::runBackend(
+            prepared, pipeline::backendFor(config), opts);
         std::printf("  %-4s cycles=%llu  miss rate=%.3f%%  "
                     "stalls=%llu\n",
                     r.name.c_str(), (unsigned long long)r.test.cycles,
@@ -66,8 +72,7 @@ main()
     }
 
     std::printf("\nwc output on the test text (lines, words, chars): ");
-    interp::Interpreter interp(w.program);
-    for (const int64_t v : interp.run(w.test).output)
+    for (const int64_t v : prepared.reference.output)
         std::printf("%lld ", (long long)v);
     std::printf("\n");
     return 0;

@@ -286,11 +286,21 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
     base.executor.threads = opts.threads;
     base.useICache = opts.useICache;
 
+    // One training and reference run serves every config, and the
+    // metamorphic cases below read its genuine training profiles.
+    std::vector<const pipeline::BackendDesc *> backends;
+    for (const SchedConfig c : configs)
+        backends.push_back(&pipeline::backendFor(c));
+    pipeline::ProfileNeeds needs = pipeline::needsOf(backends);
+    if (opts.metamorphic)
+        needs |= {true, true};
+    const pipeline::PreparedWorkload prepared = pipeline::prepareWorkload(
+        w.program, w.train, w.test, needs, base);
+
     std::map<std::string, BaselineRun> baselines;
-    for (const SchedConfig c : configs) {
-        const char *cfg = pipeline::configName(c);
-        const PipelineResult r =
-            runPipeline(w.program, w.train, w.test, c, base);
+    for (const pipeline::BackendDesc *be : backends) {
+        const char *cfg = be->name;
+        const PipelineResult r = pipeline::runBackend(prepared, *be, base);
         checkRun(res, cfg, r, ref);
         if (r.status.ok() && r.transformed != nullptr)
             baselines[cfg] = {ir::toString(*r.transformed),
@@ -303,17 +313,9 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
     if (!opts.metamorphic || !res.findings.empty())
         return res;
 
-    // Collect genuine training profiles once.
-    profile::PathProfiler pp(w.program, {});
-    profile::EdgeProfiler ep(w.program);
-    {
-        interp::Interpreter trainer(w.program, iopts);
-        trainer.addListener(&pp);
-        trainer.addListener(&ep);
-        trainer.run(w.train);
-    }
-    const std::string path_text = profile::toText(pp);
-    const std::string edge_text = profile::toText(ep);
+    // Clean base runs imply a completed prepare.
+    const std::string path_text = profile::toText(*prepared.paths);
+    const std::string edge_text = profile::toText(*prepared.edges);
 
     struct MetaCase
     {
@@ -346,8 +348,8 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
                                             edges);
             popts.profileInput.edges = &edges;
         }
-        const PipelineResult r = runPipeline(w.program, w.train, w.test,
-                                             mc.config, popts);
+        const PipelineResult r = pipeline::runBackend(
+            prepared, pipeline::backendFor(mc.config), popts);
         checkMetaRun(res, pipeline::configName(mc.config), mc.check, r,
                      ref);
     }
@@ -365,7 +367,7 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         PipelineOptions popts = base;
         popts.robustness.faults = &inj;
         const PipelineResult r =
-            runPipeline(w.program, w.train, w.test, c, popts);
+            pipeline::runBackend(prepared, pipeline::backendFor(c), popts);
         const auto it = baselines.find(cfg);
         if (!r.status.ok() || r.transformed == nullptr) {
             add(res, cfg, "meta-disarmed", "status",

@@ -3,19 +3,20 @@
 namespace pathsched::interp {
 
 void
-StatsListener::flush()
+StatsListener::flushTo(obs::StatRegistry *registry,
+                       const std::string &prefix) const
 {
-    if (registry_ == nullptr)
+    if (registry == nullptr)
         return;
-    registry_->addCounter(prefix_ + ".ops", ops_);
-    registry_->addCounter(prefix_ + ".branches", branches_);
-    registry_->addCounter(prefix_ + ".jumps", jumps_);
-    registry_->addCounter(prefix_ + ".calls", calls_);
-    registry_->addCounter(prefix_ + ".rets", rets_);
-    registry_->addCounter(prefix_ + ".mem", mem_);
-    registry_->addCounter(prefix_ + ".edges", edges_);
-    registry_->addCounter(prefix_ + ".procEnters", procEnters_);
-    registry_->addCounter(prefix_ + ".procExits", procExits_);
+    registry->addCounter(prefix + ".ops", ops_);
+    registry->addCounter(prefix + ".branches", branches_);
+    registry->addCounter(prefix + ".jumps", jumps_);
+    registry->addCounter(prefix + ".calls", calls_);
+    registry->addCounter(prefix + ".rets", rets_);
+    registry->addCounter(prefix + ".mem", mem_);
+    registry->addCounter(prefix + ".edges", edges_);
+    registry->addCounter(prefix + ".procEnters", procEnters_);
+    registry->addCounter(prefix + ".procExits", procExits_);
 }
 
 } // namespace pathsched::interp

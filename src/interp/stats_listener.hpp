@@ -70,7 +70,12 @@ class StatsListener : public TraceListener
     }
 
     /** Publish the tallies into the registry (accumulating). */
-    void flush();
+    void flush() { flushTo(registry_, prefix_); }
+
+    /** Publish the tallies into @p registry under "@p prefix.<name>"
+     *  instead; a null registry publishes nothing. */
+    void flushTo(obs::StatRegistry *registry,
+                 const std::string &prefix) const;
 
     uint64_t ops() const { return ops_; }
     uint64_t branches() const { return branches_; }

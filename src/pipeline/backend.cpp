@@ -107,6 +107,21 @@ superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt)
         .u64(opt.pathParams.forwardPathsOnly ? 1 : 0);
 }
 
+ProfileNeeds
+needsOf(const BackendDesc &be)
+{
+    return {be.needsEdgeProfile(), be.needsPathProfile()};
+}
+
+ProfileNeeds
+needsOf(const std::vector<const BackendDesc *> &backends)
+{
+    ProfileNeeds needs;
+    for (const BackendDesc *be : backends)
+        needs |= needsOf(*be);
+    return needs;
+}
+
 const BackendDesc &
 backendFor(SchedConfig config)
 {

@@ -152,6 +152,13 @@ form::FormConfig formConfigFor(const BackendDesc &be,
  *  superblocks). */
 void superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt);
 
+/** The profile kinds @p be reads. */
+ProfileNeeds needsOf(const BackendDesc &be);
+
+/** The union of needsOf() over @p backends: what one PreparedWorkload
+ *  shared by all of them must collect. */
+ProfileNeeds needsOf(const std::vector<const BackendDesc *> &backends);
+
 /** Descriptor of @p config. */
 const BackendDesc &backendFor(SchedConfig config);
 

@@ -148,24 +148,125 @@ hashU64s(std::initializer_list<uint64_t> vals)
  *  3: entries no longer carry global-code-motion stats. */
 constexpr uint64_t kCacheSchema = 3;
 
+/** The typed status of a run of the original program (@p what is
+ *  "training run" or "reference test run") that stopped early, or OK.
+ *  The original program has no procedure to degrade: the limit is
+ *  simply too small for this workload. */
+Status
+stoppedEarly(const interp::RunResult &run, const char *what,
+             const PipelineOptions &opt)
+{
+    if (run.stepLimit)
+        return Status::error(ErrorKind::StepLimit,
+                             strfmt("%s exceeded %llu steps", what,
+                                    (unsigned long long)opt.maxSteps));
+    if (run.budgetStop)
+        return Status::error(
+            ErrorKind::BudgetExceeded,
+            strfmt("%s exceeded the %llu-step budget", what,
+                   (unsigned long long)opt.robustness.budget.interpSteps));
+    if (run.deadlineStop)
+        return Status::error(ErrorKind::DeadlineExceeded,
+                             strfmt("deadline expired during the %s", what));
+    return Status();
+}
+
+/** An admitted external profile that replaces the training profile of
+ *  its kind (a file its admission rejected does not). */
+template <typename Admitted>
+bool
+supplied(const Admitted *adm)
+{
+    return adm != nullptr && !adm->audit.fileRejected;
+}
+
 } // namespace
 
+PreparedWorkload
+prepareWorkload(const ir::Program &program,
+                const interp::ProgramInput &train,
+                const interp::ProgramInput &test, ProfileNeeds needs,
+                const PipelineOptions &opt)
+{
+    PreparedWorkload pw;
+    pw.program = &program;
+    pw.train = &train;
+    pw.test = &test;
+    pw.pathParams = opt.pathParams;
+    pw.maxSteps = opt.maxSteps;
+    pw.status = ir::verifyStatus(program, ir::VerifyMode::Strict);
+    if (!pw.status.ok())
+        return pw;
+
+    const obs::Observer *observer = opt.observability.observer;
+    obs::StageTrace *trace = observer != nullptr ? observer->trace : nullptr;
+    interp::InterpOptions iopts;
+    iopts.maxSteps = opt.maxSteps;
+    iopts.budgetSteps = opt.robustness.budget.interpSteps;
+    iopts.deadline = opt.robustness.budget.deadline;
+    auto timedRun = [&](PreparedWorkload::RunCost &cost, auto &&run) {
+        cost.traceStartUs = trace != nullptr ? trace->nowUs() : 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        run();
+        cost.ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    };
+
+    // --- Training run: dynamic call counts for procedure placement,
+    //     plus each profile kind asked for that no admitted external
+    //     profile supplies. ---
+    if (needs.edges && !supplied(opt.profileInput.edges))
+        pw.edges.emplace(program);
+    if (needs.paths && !supplied(opt.profileInput.paths))
+        pw.paths.emplace(program, opt.pathParams);
+    if (opt.observability.interpStats && observer != nullptr &&
+        observer->stats != nullptr)
+        pw.trainStats.emplace(nullptr, std::string());
+    timedRun(pw.trainCost, [&] {
+        interp::InterpOptions topts = iopts;
+        topts.collectCallCounts = true;
+        interp::Interpreter interp(program, topts);
+        if (pw.edges)
+            interp.addListener(&*pw.edges);
+        if (pw.paths)
+            interp.addListener(&*pw.paths);
+        if (pw.trainStats)
+            interp.addListener(&*pw.trainStats);
+        pw.training = interp.run(train);
+        if (pw.paths)
+            pw.paths->finalize();
+    });
+    pw.status = stoppedEarly(pw.training, "training run", opt);
+    if (!pw.status.ok())
+        return pw;
+
+    // --- Reference run: the original program on the test input, the
+    //     output every backend's transformed program must match. ---
+    timedRun(pw.referenceCost, [&] {
+        pw.reference = interp::Interpreter(program, iopts).run(test);
+    });
+    pw.status = stoppedEarly(pw.reference, "reference test run", opt);
+    return pw;
+}
+
 PipelineResult
-runPipeline(const ir::Program &program, const interp::ProgramInput &train,
-            const interp::ProgramInput &test, SchedConfig config,
-            const PipelineOptions &options)
+runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
+           const PipelineOptions &options)
 {
     const PipelineOptions &opt = options;
-    const BackendDesc &be = backendFor(config);
+    ps_assert_msg(opt.pathParams == prepared.pathParams &&
+                      opt.maxSteps == prepared.maxSteps,
+                  "runBackend options disagree with the prepared "
+                  "workload's pathParams/maxSteps");
+    const ir::Program &program = *prepared.program;
+    const interp::ProgramInput &test = *prepared.test;
     PipelineResult result;
-    result.config = config;
+    result.config = be.config;
     result.name = be.name;
-    {
-        Status st = ir::verifyStatus(program, ir::VerifyMode::Strict);
-        if (!st.ok()) {
-            result.status = st;
-            return result;
-        }
+    if (!prepared.status.ok()) {
+        result.status = prepared.status;
+        return result;
     }
 
     // Observability: "timed" carries the "time.<config>." prefix for
@@ -178,6 +279,20 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     const std::string cfg_dot = "." + result.name + ".";
     const bool want_interp_stats =
         opt.observability.interpStats && base.stats != nullptr;
+
+    // The prepared training and reference runs are counted once: the
+    // first result built from them carries their wall time (and trace
+    // events), every later one 0 ms in the same rows.
+    const bool claims_cost = !prepared.costClaimed->exchange(true);
+    auto preparedStage = [&](const char *stage,
+                             const PreparedWorkload::RunCost &cost) {
+        const double ms = claims_cost ? cost.ms : 0.0;
+        result.stages.push_back({stage, ms});
+        timed.addSample(stage, ms);
+        if (claims_cost && base.trace != nullptr)
+            base.trace->record(timed.prefix + stage, cost.traceStartUs,
+                               uint64_t(cost.ms * 1000.0));
+    };
 
     // Resource governance: null when no budget is set, so the entire
     // budget machinery vanishes and the run is bit-identical to an
@@ -197,11 +312,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     result.exec.threads = threads;
     result.exec.cacheEnabled = cache != nullptr;
 
-    // --- 1. Training run on the original program: dynamic call counts
-    //        for procedure placement, plus the profile formation reads
-    //        unless an admitted external profile of that kind replaces
-    //        it.  A file admission rejected (Repair mode) falls back to
-    //        the internal training profile. ---
+    // --- 1. The formation profile: an admitted external profile of the
+    //        kind the backend reads, else the prepared training profile
+    //        (also when the external file's admission was rejected). ---
     const profile::AdmittedEdgeProfile *ext_edge =
         be.needsEdgeProfile() ? opt.profileInput.edges : nullptr;
     const profile::AdmittedPathProfile *ext_path =
@@ -215,74 +328,34 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         ext_edge = nullptr;
         ext_path = nullptr;
     }
-    std::optional<profile::EdgeProfiler> edge_profile;
-    std::optional<profile::PathProfiler> path_profile;
-    if (be.needsEdgeProfile() && ext_edge == nullptr)
-        edge_profile.emplace(program);
-    if (be.needsPathProfile() && ext_path == nullptr)
-        path_profile.emplace(program, opt.pathParams);
-    interp::RunResult train_run;
-    {
-        auto t = timed.time("train");
-        interp::InterpOptions iopts;
-        iopts.maxSteps = opt.maxSteps;
-        iopts.budgetSteps = bud.interpSteps;
-        iopts.deadline = bud.deadline;
-        iopts.collectCallCounts = true;
-        interp::Interpreter interp(program, iopts);
-        if (edge_profile)
-            interp.addListener(&*edge_profile);
-        if (path_profile)
-            interp.addListener(&*path_profile);
-        interp::StatsListener istats(base.stats,
+    const profile::EdgeProfiler *edge_for_form = nullptr;
+    if (ext_edge != nullptr)
+        edge_for_form = &ext_edge->profile;
+    else if (be.needsEdgeProfile() && prepared.edges)
+        edge_for_form = &*prepared.edges;
+    const profile::PathProfiler *path_for_form = nullptr;
+    if (ext_path != nullptr)
+        path_for_form = &ext_path->profile;
+    else if (be.needsPathProfile() && prepared.paths)
+        path_for_form = &*prepared.paths;
+    ps_assert_msg((edge_for_form != nullptr) == be.needsEdgeProfile() &&
+                      (path_for_form != nullptr) == be.needsPathProfile(),
+                  "config %s: the prepared workload lacks the profile it "
+                  "reads",
+                  be.name);
+
+    preparedStage("train", prepared.trainCost);
+    if (want_interp_stats && prepared.trainStats)
+        prepared.trainStats->flushTo(base.stats,
                                      "interp" + cfg_dot + "train");
-        if (want_interp_stats)
-            interp.addListener(&istats);
-        train_run = interp.run(train);
-        if (want_interp_stats)
-            istats.flush();
-        if (path_profile)
-            path_profile->finalize();
-        t.stop();
-        result.stages.push_back({"train", t.elapsedMs()});
-    }
-    if (train_run.stepLimit) {
-        result.status = Status::error(
-            ErrorKind::StepLimit,
-            strfmt("training run exceeded %llu steps",
-                   (unsigned long long)opt.maxSteps));
-        return result;
-    }
-    if (train_run.budgetStop) {
-        // The training run executes the *original* program, so there is
-        // no procedure to degrade: the budget is simply too small for
-        // this workload.
-        result.status = Status::error(
-            ErrorKind::BudgetExceeded,
-            strfmt("training run exceeded the %llu-step budget",
-                   (unsigned long long)bud.interpSteps));
-        return result;
-    }
-    if (train_run.deadlineStop) {
-        result.status = Status::error(
-            ErrorKind::DeadlineExceeded,
-            "deadline expired during the training run");
-        return result;
-    }
-    result.trainSteps = train_run.dynInstrs;
-    const profile::EdgeProfiler *edge_for_form =
-        ext_edge != nullptr ? &ext_edge->profile
-                            : edge_profile ? &*edge_profile : nullptr;
-    const profile::PathProfiler *path_for_form =
-        ext_path != nullptr ? &ext_path->profile
-                            : path_profile ? &*path_profile : nullptr;
+    result.trainSteps = prepared.training.dynInstrs;
     size_t trie_bytes = 0;
     if (path_for_form != nullptr) {
         result.numPaths = path_for_form->numPaths();
         trie_bytes = path_for_form->trieBytes();
     }
     base.addCounter("profile" + cfg_dot + "trainSteps",
-                    train_run.dynInstrs);
+                    result.trainSteps);
     base.addCounter("profile" + cfg_dot + "paths", result.numPaths);
     base.addCounter("profile" + cfg_dot + "trieBytes", trie_bytes);
 
@@ -578,7 +651,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         if (tryCacheRestore(ctx, p))
             return;
         TransformContext tc;
-        tc.config = config;
+        tc.config = be.config;
         tc.opt = &opt;
         tc.edge = edge_for_form;
         tc.path = path_for_form;
@@ -794,7 +867,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         auto t = timed.time(stage_name);
         if (opt.pettisHansen) {
             analysis::CallGraph cg(prog);
-            for (const auto &[edge, count] : train_run.callCounts)
+            for (const auto &[edge, count] : prepared.training.callCounts)
                 cg.addWeight(edge.first, edge.second, count);
             code_layout = layout::layoutProgram(
                 prog, layout::pettisHansenOrder(cg), opt.blockOrder);
@@ -837,43 +910,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     };
     runTest("test");
 
-    // --- 7. Semantic check against the original program. ---
-    interp::RunResult ref;
-    {
-        auto t = timed.time("verify");
-        interp::InterpOptions iopts;
-        iopts.maxSteps = opt.maxSteps;
-        iopts.budgetSteps = bud.interpSteps;
-        iopts.deadline = bud.deadline;
-        interp::Interpreter interp(program, iopts);
-        ref = interp.run(test);
-        t.stop();
-        result.stages.push_back({"verify", t.elapsedMs()});
-    }
-    if (ref.stepLimit) {
-        // The *original* program blew the step ceiling on the test
-        // input: a user/configuration problem, not a miscompile.
-        result.status = Status::error(
-            ErrorKind::StepLimit,
-            strfmt("reference test run exceeded %llu steps",
-                   (unsigned long long)opt.maxSteps));
-        return result;
-    }
-    if (ref.budgetStop) {
-        // The original program itself exceeds the step budget, so no
-        // amount of degrading can bring the measured run under it.
-        result.status = Status::error(
-            ErrorKind::BudgetExceeded,
-            strfmt("reference test run exceeded the %llu-step budget",
-                   (unsigned long long)bud.interpSteps));
-        return result;
-    }
-    if (ref.deadlineStop) {
-        result.status = Status::error(
-            ErrorKind::DeadlineExceeded,
-            "deadline expired during the reference test run");
-        return result;
-    }
+    // --- 7. Semantic check against the prepared reference run. ---
+    const interp::RunResult &ref = prepared.reference;
+    preparedStage("verify", prepared.referenceCost);
 
     // A budget-truncated measured run carries a stopProc attribution:
     // degrade that procedure to BB and re-measure.  Bounded — each
@@ -1044,6 +1083,17 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
             std::make_shared<ir::Program>(std::move(prog));
 
     return result;
+}
+
+PipelineResult
+runPipeline(const ir::Program &program, const interp::ProgramInput &train,
+            const interp::ProgramInput &test, SchedConfig config,
+            const PipelineOptions &options)
+{
+    const BackendDesc &be = backendFor(config);
+    return runBackend(
+        prepareWorkload(program, train, test, needsOf(be), options), be,
+        options);
 }
 
 } // namespace pathsched::pipeline

@@ -11,8 +11,16 @@
  * transformed program's output matches the original's.  A profile
  * collected in another run (§3.1) arrives already admitted
  * (profile/validate.hpp) through PipelineOptions::profileInput; the
- * pipeline never parses profile text, and the training run profiles
- * only the kinds the backend will actually use.
+ * pipeline never parses profile text.
+ *
+ * A run has two halves.  prepareWorkload() does the work that does not
+ * depend on the backend — verify the input, one training run that
+ * collects exactly the profile kinds asked for, one reference run of
+ * the original program — and runBackend() does the rest for one
+ * backend.  Callers that run several backends on one program share
+ * one PreparedWorkload, as the paper profiles once and builds all five
+ * schedules from that profile (§3, §4); runPipeline() is the
+ * one-backend form, preparing only the kinds its backend reads.
  *
  * The per-procedure transform stages run as one parallel-for over
  * procedures (pipeline/executor.hpp) per phase: each procedure's stage
@@ -35,7 +43,9 @@
 #ifndef PATHSCHED_PIPELINE_PIPELINE_HPP
 #define PATHSCHED_PIPELINE_PIPELINE_HPP
 
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +53,11 @@
 #include "icache/icache.hpp"
 #include "layout/code_layout.hpp"
 #include "interp/interpreter.hpp"
+#include "interp/stats_listener.hpp"
 #include "ir/procedure.hpp"
 #include "machine/machine.hpp"
 #include "obs/timer.hpp"
+#include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
 #include "profile/validate.hpp"
 #include "regalloc/linear_scan.hpp"
@@ -57,6 +69,7 @@
 namespace pathsched::pipeline {
 
 class StageCache;
+struct BackendDesc;
 
 /**
  * The paper's five scheduling configurations (§4).  An enumerator is
@@ -280,24 +293,118 @@ struct PipelineResult
 
     /** Wall time of every pipeline stage, in execution order (always
      *  collected; independent of the observer).  Per-procedure stages
-     *  report the sum of their tasks' wall times. */
+     *  report the sum of their tasks' wall times.  The "train" and
+     *  "verify" rows time the shared PreparedWorkload's runs: only the
+     *  first result built from it carries their ms, later ones 0. */
     std::vector<obs::StageTiming> stages;
 
     /** Total wall time across stages, ms. */
     double totalMs() const;
 };
 
+/** Profile kinds a training run collects: the union of
+ *  needsEdgeProfile()/needsPathProfile() over the backends that will
+ *  share one PreparedWorkload (needsOf() in pipeline/backend.hpp). */
+struct ProfileNeeds
+{
+    bool edges = false;
+    bool paths = false;
+
+    ProfileNeeds &
+    operator|=(const ProfileNeeds &o)
+    {
+        edges |= o.edges;
+        paths |= o.paths;
+        return *this;
+    }
+};
+
 /**
- * Run the full pipeline: profile @p program on @p train, transform per
- * @p config, measure on @p test.  @p program itself is not modified.
+ * The backend-independent half of a pipeline run on one program, built
+ * by prepareWorkload() and never modified afterwards, so any number of
+ * runBackend() calls on any threads may share it.  It refers to the
+ * program and inputs it was built from, which must outlive it.
+ */
+struct PreparedWorkload
+{
+    const ir::Program *program = nullptr;
+    const interp::ProgramInput *train = nullptr;
+    const interp::ProgramInput *test = nullptr;
+    /** The options the profiles and runs were built with; runBackend
+     *  asserts that its own options agree. */
+    profile::PathProfileParams pathParams;
+    uint64_t maxSteps = 0;
+
+    /** Non-OK when the input program failed verification or the
+     *  training or reference run stopped early; every runBackend()
+     *  then returns it unchanged, so it is attributed once. */
+    Status status;
+    /** The training run: dynInstrs and the call counts Pettis-Hansen
+     *  placement reads. */
+    interp::RunResult training;
+    /** Training profiles of the kinds asked for, unless an admitted
+     *  external profile of that kind (whose file was not rejected)
+     *  replaced it.  The path profile is finalized. */
+    std::optional<profile::EdgeProfiler> edges;
+    std::optional<profile::PathProfiler> paths;
+    /** Training-run tallies, kept unflushed so that every backend can
+     *  publish them under its own "interp.<config>.train" prefix (only
+     *  with ObsOptions::interpStats and a stats sink). */
+    std::optional<interp::StatsListener> trainStats;
+    /** The original program on the test input: the output every
+     *  transformed program must reproduce. */
+    interp::RunResult reference;
+
+    /** Wall time of one run of the original program, and its start on
+     *  the observer's trace clock (0 without a trace). */
+    struct RunCost
+    {
+        double ms = 0;
+        uint64_t traceStartUs = 0;
+    };
+    RunCost trainCost;     ///< the "train" stage row
+    RunCost referenceCost; ///< the "verify" stage row
+    /** Set by the first runBackend() that reports the costs above (a
+     *  heap cell, so the struct stays movable). */
+    std::unique_ptr<std::atomic<bool>> costClaimed =
+        std::make_unique<std::atomic<bool>>(false);
+};
+
+/**
+ * Verify @p program strictly, run it once on @p train — collecting call
+ * counts plus the profile kinds in @p needs that @p options'
+ * profileInput does not already supply — and once on @p test as the
+ * reference run.  The result's status records the first of the three
+ * that failed.  @p options supplies the step ceiling, the path-profiler
+ * parameters, the interpreter step budget and deadline, and the
+ * observer; pass the same pathParams and maxSteps to every runBackend()
+ * sharing the result.
+ */
+PreparedWorkload prepareWorkload(const ir::Program &program,
+                                 const interp::ProgramInput &train,
+                                 const interp::ProgramInput &test,
+                                 ProfileNeeds needs,
+                                 const PipelineOptions &options);
+
+/**
+ * The per-backend half: transform a copy of the prepared program per
+ * @p backend, measure it on the test input and compare its output with
+ * the prepared reference run.  The prepared program is not modified.
  *
- * Recovery contract: an invalid input program or a training/reference
- * run over the step ceiling returns early with a non-OK
- * PipelineResult::status.  A per-procedure stage failure (or an
- * injected fault) degrades that procedure to BB and the run completes
- * — see PipelineResult::degraded.  An output mismatch that survives
- * degrading every suspect procedure to BB is an internal bug and
- * panics, as does a failure of the BB fallback itself.
+ * Recovery contract: a non-OK prepared status is returned unchanged.
+ * A per-procedure stage failure (or an injected fault) degrades that
+ * procedure to BB and the run completes — see PipelineResult::degraded.
+ * An output mismatch that survives degrading every suspect procedure
+ * to BB is an internal bug and panics, as does a failure of the BB
+ * fallback itself.
+ */
+PipelineResult runBackend(const PreparedWorkload &prepared,
+                          const BackendDesc &backend,
+                          const PipelineOptions &options);
+
+/**
+ * Run the full pipeline for one configuration: prepareWorkload() with
+ * the profile kinds @p config reads, then runBackend().
  */
 PipelineResult runPipeline(const ir::Program &program,
                            const interp::ProgramInput &train,

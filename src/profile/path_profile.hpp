@@ -63,6 +63,8 @@ struct PathProfileParams
     uint32_t maxBlocks = 64;
     /** Chop windows at back edges (forward paths) instead of sliding. */
     bool forwardPathsOnly = false;
+
+    bool operator==(const PathProfileParams &) const = default;
 };
 
 /** Collects general (or forward) path profiles for a whole program. */

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/json.hpp"
+#include "pipeline/backend.hpp"
 #include "profile/validate.hpp"
 #include "support/hash.hpp"
 #include "support/strutil.hpp"
@@ -416,10 +417,13 @@ ServeCore::attemptReschedule(bool force)
         po.robustness.budget.deadline =
             Deadline::afterMs(opts_.reschedDeadlineMs);
 
+    if (!prepared_)
+        prepared_.emplace(pipeline::prepareWorkload(
+            workload_.program, workload_.train, workload_.test, {},
+            opts_.pipelineBase));
     const pipeline::StageCacheStats before = cache_.stats();
-    pipeline::PipelineResult result = pipeline::runPipeline(
-        workload_.program, workload_.train, workload_.test,
-        opts_.config, po);
+    pipeline::PipelineResult result = pipeline::runBackend(
+        *prepared_, pipeline::backendFor(opts_.config), po);
     const pipeline::StageCacheStats after = cache_.stats();
     oc.ran = true;
     oc.cacheHits = after.hits - before.hits;

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,10 @@ class ServeCore
     Wal wal_;
     Admission admission_;
     pipeline::StageCache cache_;
+    /** The workload's call counts and reference run, prepared at the
+     *  first reschedule and shared by every later one.  It collects no
+     *  profile: reschedules always supply the aggregate's. */
+    std::optional<pipeline::PreparedWorkload> prepared_;
     obs::StatRegistry registry_;
     RecoveryInfo recovery_;
     std::map<std::string, ConnState> conns_;

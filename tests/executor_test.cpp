@@ -214,6 +214,50 @@ TEST(FaultIsolation, QuarantineIsIdenticalAcrossThreadCounts)
 }
 
 // ---------------------------------------------------------------------
+// A PreparedWorkload is immutable once built, so backends may share it
+// from several threads at once.
+
+TEST(SharedPrepare, ConcurrentBackendsMatchSerialAndCountTheCostOnce)
+{
+    const auto w = workloads::makeByName("li");
+    PipelineOptions opts;
+    opts.keepTransformed = true;
+    const auto &backends = pipeline::allBackends();
+    const pipeline::ProfileNeeds needs = pipeline::needsOf(backends);
+
+    const pipeline::PreparedWorkload serial_prep =
+        pipeline::prepareWorkload(w.program, w.train, w.test, needs, opts);
+    std::vector<PipelineResult> serial;
+    for (const pipeline::BackendDesc *be : backends)
+        serial.push_back(pipeline::runBackend(serial_prep, *be, opts));
+
+    const pipeline::PreparedWorkload prep =
+        pipeline::prepareWorkload(w.program, w.train, w.test, needs, opts);
+    std::vector<PipelineResult> par(backends.size());
+    {
+        std::vector<std::thread> workers;
+        for (size_t i = 0; i < backends.size(); ++i)
+            workers.emplace_back([&, i] {
+                par[i] = pipeline::runBackend(prep, *backends[i], opts);
+            });
+        for (std::thread &t : workers)
+            t.join();
+    }
+    size_t counted = 0;
+    for (size_t i = 0; i < backends.size(); ++i) {
+        SCOPED_TRACE(backends[i]->name);
+        ASSERT_TRUE(par[i].status.ok()) << par[i].status.toString();
+        ASSERT_NE(par[i].transformed, nullptr);
+        EXPECT_EQ(ir::toString(*par[i].transformed),
+                  ir::toString(*serial[i].transformed));
+        EXPECT_EQ(par[i].test.cycles, serial[i].test.cycles);
+        EXPECT_EQ(par[i].test.output, serial[i].test.output);
+        counted += par[i].stages.front().ms > 0;
+    }
+    EXPECT_EQ(counted, 1u);
+}
+
+// ---------------------------------------------------------------------
 // Stage cache.
 
 TEST(StageCacheTest, WarmRerunHitsEveryProcedureAndMatchesCold)

@@ -14,7 +14,9 @@ Exercises the externally visible contract of the admission layer:
      CLI must exit 0, 1 or 2 — never 3 (panic) and never a signal;
   5. --profile-check=off trusts a parseable file without auditing;
   6. --profile-check=strict rejects a bad file once, before any run,
-     and only when some selected config reads that profile kind.
+     and only when some selected config reads that profile kind;
+  7. --dump-paths writes the pipeline's own training profile, so a
+     training run stopped by --step-budget exits 1 and writes no file.
 
 Usage: profile_cli_test.py <pathsched_cli>
 """
@@ -224,6 +226,18 @@ def test_strict_rejects_before_any_run(tmp):
           f"M4 ignores the path file, exit 0 (got {r.returncode})")
 
 
+def test_dump_obeys_step_budget(tmp):
+    print("--dump-paths: a budget-stopped training run writes nothing")
+    paths = os.path.join(tmp, "budget.paths")
+    r = run_cli(["--workload", "wc", "--config", "P4",
+                 "--step-budget", "100", "--dump-paths", paths])
+    check(r.returncode == 1,
+          f"budget-stopped training exits 1 (got {r.returncode})")
+    check("training run exceeded the 100-step budget" in r.stderr,
+          "stderr names the training budget")
+    check(not os.path.exists(paths), "no profile file is written")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_round_trip(tmp)
@@ -232,6 +246,7 @@ def main():
         test_malformed_corpus(tmp)
         test_profile_check_off(tmp)
         test_strict_rejects_before_any_run(tmp)
+        test_dump_obeys_step_budget(tmp)
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
         return 1

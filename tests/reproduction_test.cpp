@@ -15,6 +15,7 @@
 
 #include <map>
 
+#include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/statistics.hpp"
 #include "workloads/workloads.hpp"
@@ -24,7 +25,6 @@ namespace {
 
 using pipeline::PipelineOptions;
 using pipeline::PipelineResult;
-using pipeline::runPipeline;
 using pipeline::SchedConfig;
 
 /** Shared cross-test result cache (each TEST re-runs are expensive). */
@@ -44,12 +44,14 @@ class Suite
         const auto key = std::make_tuple(name, config, icache);
         auto it = cache_.find(key);
         if (it == cache_.end()) {
-            const auto &w = workload(name);
+            // The I-cache only affects the measured test run, so both
+            // settings share the workload's one prepare.
             PipelineOptions opts;
             opts.useICache = icache;
             it = cache_
-                     .emplace(key, runPipeline(w.program, w.train,
-                                               w.test, config, opts))
+                     .emplace(key, pipeline::runBackend(
+                                       prepared(name),
+                                       pipeline::backendFor(config), opts))
                      .first;
         }
         return it->second;
@@ -75,9 +77,29 @@ class Suite
         return it->second;
     }
 
+    /** One training and reference run per workload, profiled for
+     *  every registered backend. */
+    const pipeline::PreparedWorkload &
+    prepared(const std::string &name)
+    {
+        auto it = prepared_.find(name);
+        if (it == prepared_.end()) {
+            const auto &w = workload(name);
+            it = prepared_
+                     .emplace(name, pipeline::prepareWorkload(
+                                        w.program, w.train, w.test,
+                                        pipeline::needsOf(
+                                            pipeline::allBackends()),
+                                        PipelineOptions()))
+                     .first;
+        }
+        return it->second;
+    }
+
     std::map<std::tuple<std::string, SchedConfig, bool>, PipelineResult>
         cache_;
     std::map<std::string, workloads::Workload> workloads_;
+    std::map<std::string, pipeline::PreparedWorkload> prepared_;
 };
 
 const std::vector<std::string> kMicros = {"alt", "ph", "corr"};

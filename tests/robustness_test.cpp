@@ -14,10 +14,12 @@
 
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
+#include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "support/faultinject.hpp"
 #include "support/status.hpp"
+#include "support/strutil.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched {
@@ -278,6 +280,35 @@ TEST(Robustness, TrainingStepLimitReturnsTypedStatus)
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.kind(), ErrorKind::StepLimit);
     EXPECT_FALSE(r.degradedRun());
+}
+
+TEST(Robustness, ReferenceRunBudgetReturnsTypedStatusOncePerPrepare)
+{
+    // wc's test text runs longer than its training text, so a step
+    // budget between the two lets the training run finish and stops
+    // the reference run of the original program.
+    const auto w = workloads::makeByName("wc");
+    const uint64_t train_steps =
+        interp::Interpreter(w.program).run(w.train).dynInstrs;
+    const uint64_t test_steps =
+        interp::Interpreter(w.program).run(w.test).dynInstrs;
+    ASSERT_LT(train_steps, test_steps);
+    PipelineOptions opts;
+    opts.robustness.budget.interpSteps = (train_steps + test_steps) / 2;
+    const pipeline::PreparedWorkload prep = pipeline::prepareWorkload(
+        w.program, w.train, w.test,
+        pipeline::needsOf(pipeline::allBackends()), opts);
+    EXPECT_EQ(prep.training.dynInstrs, train_steps);
+    const std::string want =
+        strfmt("reference test run exceeded the %llu-step budget",
+               (unsigned long long)opts.robustness.budget.interpSteps);
+    for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
+        const PipelineResult r = pipeline::runBackend(prep, *be, opts);
+        ASSERT_FALSE(r.status.ok()) << be->name;
+        EXPECT_EQ(r.status.kind(), ErrorKind::BudgetExceeded) << be->name;
+        EXPECT_EQ(r.status.message(), want) << be->name;
+        EXPECT_FALSE(r.degradedRun()) << be->name;
+    }
 }
 
 TEST(Robustness, DegradationsAppearInJsonReport)

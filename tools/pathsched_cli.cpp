@@ -108,8 +108,10 @@ usage()
         "                          (';' separates several faults; see\n"
         "                          docs/robustness.md).  Repeatable.\n"
         "  --inject-seed N         RNG seed for prob= faults (default 0)\n"
-        "  --deadline-ms N         wall-clock budget per pipeline run;\n"
-        "                          expiry ends that run with a typed\n"
+        "  --deadline-ms N         wall-clock budget for each workload's\n"
+        "                          training and reference runs, and\n"
+        "                          again for each config run; expiry\n"
+        "                          ends the run with a typed\n"
         "                          DeadlineExceeded error (exit 1)\n"
         "  --growth-budget N       ops formation may add to one\n"
         "                          procedure; exhaustion degrades that\n"
@@ -136,45 +138,30 @@ usage()
         "2 completed with BB degradations; 3 internal error\n");
 }
 
-bool
-parseConfig(const std::string &s, pipeline::SchedConfig &out)
-{
-    const pipeline::BackendDesc *be = pipeline::findBackend(s);
-    if (be == nullptr)
-        return false;
-    out = be->config;
-    return true;
-}
-
+/** Write one workload's training path profile (finalized or not,
+ *  the text is the same) to @p file. */
 void
-dumpPaths(const workloads::Workload &w, const std::string &file,
-          const profile::PathProfileParams &params, int version)
+dumpPaths(const profile::PathProfiler &pp, const ir::Program &prog,
+          const std::string &file, int version)
 {
-    profile::PathProfiler pp(w.program, params);
-    interp::Interpreter interp(w.program);
-    interp.addListener(&pp);
-    interp.run(w.train);
     std::ofstream out(file);
     if (!out)
         fatal("cannot open '%s' for writing", file.c_str());
-    out << (version == 2 ? profile::toTextV2(pp, w.program)
+    out << (version == 2 ? profile::toTextV2(pp, prog)
                          : profile::toText(pp));
     std::printf("wrote %zu distinct paths to %s\n", pp.numPaths(),
                 file.c_str());
 }
 
+/** Write one workload's training edge profile to @p file. */
 void
-dumpEdges(const workloads::Workload &w, const std::string &file,
-          int version)
+dumpEdges(const profile::EdgeProfiler &ep, const ir::Program &prog,
+          const std::string &file, int version)
 {
-    profile::EdgeProfiler ep(w.program);
-    interp::Interpreter interp(w.program);
-    interp.addListener(&ep);
-    interp.run(w.train);
     std::ofstream out(file);
     if (!out)
         fatal("cannot open '%s' for writing", file.c_str());
-    out << (version == 2 ? profile::toTextV2(ep, w.program)
+    out << (version == 2 ? profile::toTextV2(ep, prog)
                          : profile::toText(ep));
     std::printf("wrote edge profile to %s\n", file.c_str());
 }
@@ -458,26 +445,24 @@ main(int argc, char **argv)
         return exit_code;
     }
 
-    std::vector<pipeline::SchedConfig> configs;
+    std::vector<const pipeline::BackendDesc *> configs;
     if (config == "all") {
-        for (const pipeline::BackendDesc *be : pipeline::allBackends())
-            configs.push_back(be->config);
+        configs = pipeline::allBackends();
     } else {
-        pipeline::SchedConfig c;
-        if (!parseConfig(config, c))
+        const pipeline::BackendDesc *be = pipeline::findBackend(config);
+        if (be == nullptr)
             fatal("unknown config '%s'", config.c_str());
-        configs.push_back(c);
+        configs.push_back(be);
     }
-    // Only the profile kinds some selected config reads are admitted.
-    bool need_edges = false, need_paths = false;
-    for (const auto c : configs) {
-        need_edges |= pipeline::backendFor(c).needsEdgeProfile();
-        need_paths |= pipeline::backendFor(c).needsPathProfile();
-    }
-    if (!need_edges)
+    // Only the profile kinds some selected config reads are admitted;
+    // the training run also collects the kinds a --dump-* writes.
+    const pipeline::ProfileNeeds selected = pipeline::needsOf(configs);
+    if (!selected.edges)
         edge_text = std::string();
-    if (!need_paths)
+    if (!selected.paths)
         path_text = std::string();
+    pipeline::ProfileNeeds needs = selected;
+    needs |= {!dump_edges.empty(), !dump_paths.empty()};
 
     // Fault injection: armed once, shared across every run (fire
     // budgets are global, so `count=1` means one fault in the whole
@@ -531,25 +516,43 @@ main(int argc, char **argv)
                     "cycles", "miss%", "code(KB)", "sb-exec", "sb-size");
     for (const auto &w : suite) {
         const std::string &name = w.name;
-        if (!dump_paths.empty())
-            dumpPaths(w, dump_paths, opts.pathParams, profile_version);
-        if (!dump_edges.empty())
-            dumpEdges(w, dump_edges, profile_version);
         AdmittedProfiles adm;
         admitProfiles(w, edge_text, path_text, opts.pathParams,
                       profile_check, adm);
         opts.profileInput.edges = adm.edges ? &*adm.edges : nullptr;
         opts.profileInput.paths = adm.paths ? &*adm.paths : nullptr;
-        for (const auto c : configs) {
-            // The wall budget is per pipeline run, so the clock starts
-            // fresh here rather than at option parsing.
+        // One training run and one reference run serve every config and
+        // every --dump-*.  A dump writes the training profile, so a
+        // loaded profile of its kind must not stand in for it.  The
+        // wall budget starts here and again for each config run.
+        pipeline::PipelineOptions prep_opts = opts;
+        if (!dump_edges.empty())
+            prep_opts.profileInput.edges = nullptr;
+        if (!dump_paths.empty())
+            prep_opts.profileInput.paths = nullptr;
+        if (deadline_ms != 0)
+            prep_opts.robustness.budget.deadline =
+                Deadline::afterMs(deadline_ms);
+        const pipeline::PreparedWorkload prepared =
+            pipeline::prepareWorkload(w.program, w.train, w.test, needs,
+                                      prep_opts);
+        if (!prepared.status.ok())
+            fatal("%s/%s did not complete: %s", name.c_str(),
+                  configs.front()->name,
+                  prepared.status.toString().c_str());
+        if (!dump_paths.empty())
+            dumpPaths(*prepared.paths, w.program, dump_paths,
+                      profile_version);
+        if (!dump_edges.empty())
+            dumpEdges(*prepared.edges, w.program, dump_edges,
+                      profile_version);
+        for (const pipeline::BackendDesc *be : configs) {
             if (deadline_ms != 0)
                 opts.robustness.budget.deadline =
                     Deadline::afterMs(deadline_ms);
-            auto run_timer = observer.time("run." + name + "." +
-                                           pipeline::configName(c));
-            auto r = pipeline::runPipeline(w.program, w.train, w.test, c,
-                                           opts);
+            auto run_timer =
+                observer.time("run." + name + "." + be->name);
+            auto r = pipeline::runBackend(prepared, *be, opts);
             run_timer.stop();
             if (!r.status.ok())
                 fatal("%s/%s did not complete: %s", name.c_str(),
