@@ -12,6 +12,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -29,8 +31,8 @@ main()
         bench::ExperimentRunner runner(opts);
         std::vector<double> ratios;
         for (const auto &name : benchmarks) {
-            const auto &m4 = runner.run(name, pipeline::SchedConfig::M4);
-            const auto &p4 = runner.run(name, pipeline::SchedConfig::P4);
+            const auto &m4 = runner.run(name, backendFor(SchedConfig::M4));
+            const auto &p4 = runner.run(name, backendFor(SchedConfig::P4));
             ratios.push_back(double(p4.test.cycles) /
                              double(m4.test.cycles));
         }

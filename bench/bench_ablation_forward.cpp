@@ -17,6 +17,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -32,17 +34,17 @@ main()
     for (const auto &name : benchmarks) {
         {
             const auto &m4 =
-                general_runner.run(name, pipeline::SchedConfig::M4);
+                general_runner.run(name, backendFor(SchedConfig::M4));
             const auto &p4 =
-                general_runner.run(name, pipeline::SchedConfig::P4);
+                general_runner.run(name, backendFor(SchedConfig::P4));
             general.push_back(double(p4.test.cycles) /
                               double(m4.test.cycles));
         }
         {
             const auto &m4 =
-                forward_runner.run(name, pipeline::SchedConfig::M4);
+                forward_runner.run(name, backendFor(SchedConfig::M4));
             const auto &p4 =
-                forward_runner.run(name, pipeline::SchedConfig::P4);
+                forward_runner.run(name, backendFor(SchedConfig::P4));
             forward.push_back(double(p4.test.cycles) /
                               double(m4.test.cycles));
         }

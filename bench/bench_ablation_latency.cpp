@@ -14,6 +14,8 @@
 #include "machine/machine.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -29,17 +31,17 @@ main()
     for (const auto &name : benchmarks) {
         {
             const auto &m4 = unit_runner.run(name,
-                                             pipeline::SchedConfig::M4);
+                                             backendFor(SchedConfig::M4));
             const auto &p4 = unit_runner.run(name,
-                                             pipeline::SchedConfig::P4);
+                                             backendFor(SchedConfig::P4));
             unit_ratio.push_back(double(p4.test.cycles) /
                                  double(m4.test.cycles));
         }
         {
             const auto &m4 = real_runner.run(name,
-                                             pipeline::SchedConfig::M4);
+                                             backendFor(SchedConfig::M4));
             const auto &p4 = real_runner.run(name,
-                                             pipeline::SchedConfig::P4);
+                                             backendFor(SchedConfig::P4));
             real_ratio.push_back(double(p4.test.cycles) /
                                  double(m4.test.cycles));
         }

@@ -12,6 +12,8 @@
 #include "layout/code_layout.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -30,11 +32,11 @@ main()
     std::printf("%-8s %-5s %12s %12s %14s\n", "bench", "cfg",
                 "id-order", "hot-first", "cycle ratio");
     for (const auto &name : {std::string("gcc"), std::string("go")}) {
-        for (const auto config :
-             {pipeline::SchedConfig::M4, pipeline::SchedConfig::P4,
-              pipeline::SchedConfig::P4e}) {
-            const auto &a = id_runner.run(name, config);
-            const auto &b = hot_runner.run(name, config);
+        for (const pipeline::BackendDesc *config :
+             {&backendFor(SchedConfig::M4), &backendFor(SchedConfig::P4),
+              &backendFor(SchedConfig::P4e)}) {
+            const auto &a = id_runner.run(name, *config);
+            const auto &b = hot_runner.run(name, *config);
             auto rate = [](const pipeline::PipelineResult &r) {
                 return r.test.icacheAccesses
                            ? 100.0 * double(r.test.icacheMisses) /
@@ -42,7 +44,7 @@ main()
                            : 0.0;
             };
             std::printf("%-8s %-5s %11.2f%% %11.2f%% %14.3f\n",
-                        name.c_str(), pipeline::configName(config),
+                        name.c_str(), config->name,
                         rate(a), rate(b),
                         double(b.test.cycles) / double(a.test.cycles));
         }

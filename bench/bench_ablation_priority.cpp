@@ -13,6 +13,8 @@
 #include "sched/scheduler.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -26,10 +28,10 @@ main()
     std::vector<double> p4_cp, p4_src, m4_src;
     const auto benchmarks = bench::allBenchmarks();
     for (const auto &name : benchmarks) {
-        const auto &m4 = height_runner.run(name, pipeline::SchedConfig::M4);
-        const auto &p4 = height_runner.run(name, pipeline::SchedConfig::P4);
-        const auto &m4n = naive_runner.run(name, pipeline::SchedConfig::M4);
-        const auto &p4n = naive_runner.run(name, pipeline::SchedConfig::P4);
+        const auto &m4 = height_runner.run(name, backendFor(SchedConfig::M4));
+        const auto &p4 = height_runner.run(name, backendFor(SchedConfig::P4));
+        const auto &m4n = naive_runner.run(name, backendFor(SchedConfig::M4));
+        const auto &p4n = naive_runner.run(name, backendFor(SchedConfig::P4));
         p4_cp.push_back(double(p4.test.cycles) / double(m4.test.cycles));
         p4_src.push_back(double(p4n.test.cycles) /
                          double(m4.test.cycles));

@@ -15,6 +15,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -28,10 +30,10 @@ main()
     std::vector<double> p4_down, p4_up, m4_up;
     const auto benchmarks = bench::allBenchmarks();
     for (const auto &name : benchmarks) {
-        const auto &m4 = down_runner.run(name, pipeline::SchedConfig::M4);
-        const auto &p4 = down_runner.run(name, pipeline::SchedConfig::P4);
-        const auto &m4u = up_runner.run(name, pipeline::SchedConfig::M4);
-        const auto &p4u = up_runner.run(name, pipeline::SchedConfig::P4);
+        const auto &m4 = down_runner.run(name, backendFor(SchedConfig::M4));
+        const auto &p4 = down_runner.run(name, backendFor(SchedConfig::P4));
+        const auto &m4u = up_runner.run(name, backendFor(SchedConfig::M4));
+        const auto &p4u = up_runner.run(name, backendFor(SchedConfig::P4));
         p4_down.push_back(double(p4.test.cycles) /
                           double(m4.test.cycles));
         p4_up.push_back(double(p4u.test.cycles) /

@@ -14,6 +14,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -23,8 +25,8 @@ main()
     std::vector<double> p4;
     const auto benchmarks = bench::allBenchmarks();
     for (const auto &name : benchmarks) {
-        const auto &m4 = runner.run(name, pipeline::SchedConfig::M4);
-        const auto &r = runner.run(name, pipeline::SchedConfig::P4);
+        const auto &m4 = runner.run(name, backendFor(SchedConfig::M4));
+        const auto &r = runner.run(name, backendFor(SchedConfig::P4));
         p4.push_back(double(r.test.cycles) / double(m4.test.cycles));
     }
     bench::printNormalizedTable(

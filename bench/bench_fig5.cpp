@@ -16,6 +16,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -27,9 +29,9 @@ main()
     std::vector<double> p4, p4e;
     const auto benchmarks = bench::nonMicroBenchmarks();
     for (const auto &name : benchmarks) {
-        const auto &m4 = runner.run(name, pipeline::SchedConfig::M4);
-        const auto &r4 = runner.run(name, pipeline::SchedConfig::P4);
-        const auto &r4e = runner.run(name, pipeline::SchedConfig::P4e);
+        const auto &m4 = runner.run(name, backendFor(SchedConfig::M4));
+        const auto &r4 = runner.run(name, backendFor(SchedConfig::P4));
+        const auto &r4e = runner.run(name, backendFor(SchedConfig::P4e));
         p4.push_back(double(r4.test.cycles) / double(m4.test.cycles));
         p4e.push_back(double(r4e.test.cycles) / double(m4.test.cycles));
     }

@@ -15,6 +15,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -26,9 +28,9 @@ main()
     std::vector<double> p4e, m16;
     const auto benchmarks = bench::allBenchmarks();
     for (const auto &name : benchmarks) {
-        const auto &m4 = runner.run(name, pipeline::SchedConfig::M4);
-        const auto &r4e = runner.run(name, pipeline::SchedConfig::P4e);
-        const auto &r16 = runner.run(name, pipeline::SchedConfig::M16);
+        const auto &m4 = runner.run(name, backendFor(SchedConfig::M4));
+        const auto &r4e = runner.run(name, backendFor(SchedConfig::P4e));
+        const auto &r16 = runner.run(name, backendFor(SchedConfig::M16));
         p4e.push_back(double(r4e.test.cycles) / double(m4.test.cycles));
         m16.push_back(double(r16.test.cycles) / double(m4.test.cycles));
     }

@@ -15,21 +15,23 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
 {
     bench::ExperimentRunner runner; // perfect cache, as in Fig. 7
 
-    const pipeline::SchedConfig configs[] = {
-        pipeline::SchedConfig::M4, pipeline::SchedConfig::M16,
-        pipeline::SchedConfig::P4e, pipeline::SchedConfig::P4};
+    const pipeline::BackendDesc *const configs[] = {
+        &backendFor(SchedConfig::M4), &backendFor(SchedConfig::M16),
+        &backendFor(SchedConfig::P4e), &backendFor(SchedConfig::P4)};
 
     std::printf("Figure 7: blocks executed per dynamic superblock "
                 "(exec) vs superblock size in blocks (size)\n\n");
     std::printf("%-8s", "bench");
     for (const auto config : configs)
-        std::printf("  %14s", pipeline::configName(config));
+        std::printf("  %14s", config->name);
     std::printf("\n%-8s", "");
     for (size_t i = 0; i < 4; ++i)
         std::printf("  %14s", "exec/size");
@@ -38,7 +40,7 @@ main()
     for (const auto &name : bench::allBenchmarks()) {
         std::printf("%-8s", name.c_str());
         for (const auto config : configs) {
-            const auto &r = runner.run(name, config);
+            const auto &r = runner.run(name, *config);
             std::printf("  %6.2f/%7.2f", r.test.sbAvgBlocksExecuted(),
                         r.test.sbAvgBlocksInSuperblock());
         }

@@ -15,6 +15,8 @@
 #include "common.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -30,9 +32,9 @@ main()
                 "P4e KB");
 
     for (const auto &name : bench::nonMicroBenchmarks()) {
-        const auto &m4 = runner.run(name, pipeline::SchedConfig::M4);
-        const auto &p4 = runner.run(name, pipeline::SchedConfig::P4);
-        const auto &p4e = runner.run(name, pipeline::SchedConfig::P4e);
+        const auto &m4 = runner.run(name, backendFor(SchedConfig::M4));
+        const auto &p4 = runner.run(name, backendFor(SchedConfig::P4));
+        const auto &p4e = runner.run(name, backendFor(SchedConfig::P4e));
         auto rate = [](const pipeline::PipelineResult &r) {
             return r.test.icacheAccesses == 0
                        ? 0.0

@@ -12,6 +12,8 @@
 #include "support/strutil.hpp"
 
 using namespace pathsched;
+using pipeline::backendFor;
+using pipeline::SchedConfig;
 
 int
 main()
@@ -27,7 +29,7 @@ main()
 
     for (const auto &name : bench::allBenchmarks()) {
         const auto &w = runner.workload(name);
-        const auto &r = runner.run(name, pipeline::SchedConfig::BB);
+        const auto &r = runner.run(name, backendFor(SchedConfig::BB));
         std::printf("%-8s %-10s %10.1f %14s %14s %14s\n", name.c_str(),
                     w.group.c_str(), double(r.codeBytes) / 1024.0,
                     withCommas(r.test.dynBranches).c_str(),

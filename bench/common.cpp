@@ -26,9 +26,9 @@ ExperimentRunner::workload(const std::string &name)
 
 const pipeline::PipelineResult &
 ExperimentRunner::run(const std::string &name,
-                      pipeline::SchedConfig config)
+                      const pipeline::BackendDesc &backend)
 {
-    const auto key = std::make_pair(name, config);
+    const auto key = std::make_pair(name, &backend);
     auto it = results_.find(key);
     if (it == results_.end()) {
         auto prep = prepared_.find(name);
@@ -43,9 +43,8 @@ ExperimentRunner::run(const std::string &name,
                        .first;
         }
         it = results_
-                 .emplace(key, pipeline::runBackend(
-                                   prep->second,
-                                   pipeline::backendFor(config), options_))
+                 .emplace(key, pipeline::runBackend(prep->second, backend,
+                                                    options_))
                  .first;
     }
     return it->second;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
 #include "workloads/workloads.hpp"
 
@@ -33,9 +34,9 @@ class ExperimentRunner
     explicit ExperimentRunner(pipeline::PipelineOptions base_options =
                                   pipeline::PipelineOptions());
 
-    /** Run (or fetch) one configuration of one workload. */
+    /** Run (or fetch) one backend on one workload. */
     const pipeline::PipelineResult &run(const std::string &workload,
-                                        pipeline::SchedConfig config);
+                                        const pipeline::BackendDesc &backend);
 
     /** The workload definition (builds lazily, then caches). */
     const workloads::Workload &workload(const std::string &name);
@@ -47,7 +48,7 @@ class ExperimentRunner
     std::map<std::string, workloads::Workload> workloads_;
     /** Per workload, profiled for every registered backend. */
     std::map<std::string, pipeline::PreparedWorkload> prepared_;
-    std::map<std::pair<std::string, pipeline::SchedConfig>,
+    std::map<std::pair<std::string, const pipeline::BackendDesc *>,
              pipeline::PipelineResult>
         results_;
 };

@@ -235,18 +235,6 @@ OracleResult::report() const
     return out;
 }
 
-std::vector<SchedConfig>
-allConfigs()
-{
-    // Registry-driven: a newly registered backend joins the oracle's
-    // cross-config sweep (and, through it, the fuzz driver and the
-    // corpus replays) with no edit here.
-    std::vector<SchedConfig> out;
-    for (const pipeline::BackendDesc *be : pipeline::allBackends())
-        out.push_back(be->config);
-    return out;
-}
-
 OracleResult
 checkWorkload(const Workload &w, const OracleOptions &opts)
 {
@@ -260,26 +248,11 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         add(res, "-", "gen-verify", "", st.message());
         return res;
     }
-    interp::InterpOptions iopts;
-    iopts.maxSteps = stepCeiling(w);
-    const interp::RunResult ref =
-        interp::Interpreter(w.program, iopts).run(w.test);
-    res.refDynInstrs = ref.dynInstrs;
-    if (ref.truncated()) {
-        add(res, "-", "gen-steps", "",
-            "reference run hit the step ceiling");
-        return res;
-    }
-    if (ref.dynInstrs > w.stepBound) {
-        add(res, "-", "gen-bound", "",
-            strfmt("ran %llu ops, static bound promised %llu",
-                   (unsigned long long)ref.dynInstrs,
-                   (unsigned long long)w.stepBound));
-        return res;
-    }
-
-    const std::vector<SchedConfig> configs =
-        opts.configs.empty() ? allConfigs() : opts.configs;
+    // Registry-driven by default: a newly registered backend joins the
+    // cross-config sweep (and, through it, the fuzz driver and the
+    // corpus replays) with no edit here.
+    const std::vector<const pipeline::BackendDesc *> &backends =
+        opts.configs.empty() ? pipeline::allBackends() : opts.configs;
     PipelineOptions base;
     base.keepTransformed = true;
     base.maxSteps = stepCeiling(w);
@@ -288,14 +261,31 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
 
     // One training and reference run serves every config, and the
     // metamorphic cases below read its genuine training profiles.
-    std::vector<const pipeline::BackendDesc *> backends;
-    for (const SchedConfig c : configs)
-        backends.push_back(&pipeline::backendFor(c));
     pipeline::ProfileNeeds needs = pipeline::needsOf(backends);
     if (opts.metamorphic)
         needs |= {true, true};
     const pipeline::PreparedWorkload prepared = pipeline::prepareWorkload(
         w.program, w.train, w.test, needs, base);
+
+    // The prepared reference run is the oracle's reference.  It runs
+    // only after a complete training run; a training run that stopped
+    // early reaches every config below as its run status instead.
+    const interp::RunResult &ref = prepared.reference;
+    if (!prepared.training.truncated()) {
+        res.refDynInstrs = ref.dynInstrs;
+        if (ref.truncated()) {
+            add(res, "-", "gen-steps", "",
+                "reference run hit the step ceiling");
+            return res;
+        }
+        if (ref.dynInstrs > w.stepBound) {
+            add(res, "-", "gen-bound", "",
+                strfmt("ran %llu ops, static bound promised %llu",
+                       (unsigned long long)ref.dynInstrs,
+                       (unsigned long long)w.stepBound));
+            return res;
+        }
+    }
 
     std::map<std::string, BaselineRun> baselines;
     for (const pipeline::BackendDesc *be : backends) {
@@ -319,18 +309,18 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
 
     struct MetaCase
     {
-        SchedConfig config;
+        const pipeline::BackendDesc &be;
         const char *check;
-        std::string text; ///< profile of the kind the config reads
+        std::string text; ///< profile of the kind the backend reads
     };
+    const pipeline::BackendDesc &p4 = pipeline::backendFor(SchedConfig::P4);
+    const pipeline::BackendDesc &m4 = pipeline::backendFor(SchedConfig::M4);
     const uint64_t s = w.spec.seed;
     const std::vector<MetaCase> cases = {
-        {SchedConfig::P4, "meta-permute",
-         permuteLines(path_text, s ^ 0x70657231ULL)},
-        {SchedConfig::P4, "meta-scale", scaleCounts(path_text, 3)},
-        {SchedConfig::M4, "meta-permute",
-         permuteLines(edge_text, s ^ 0x70657232ULL)},
-        {SchedConfig::M4, "meta-scale", scaleCounts(edge_text, 3)},
+        {p4, "meta-permute", permuteLines(path_text, s ^ 0x70657231ULL)},
+        {p4, "meta-scale", scaleCounts(path_text, 3)},
+        {m4, "meta-permute", permuteLines(edge_text, s ^ 0x70657232ULL)},
+        {m4, "meta-scale", scaleCounts(edge_text, 3)},
     };
     for (const MetaCase &mc : cases) {
         // Repair-mode admission never fails; a rejected file shows up
@@ -339,7 +329,7 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         profile::AdmittedEdgeProfile edges(w.program);
         profile::AdmittedPathProfile paths(w.program, popts.pathParams);
         const auto repair = profile::AdmissionMode::Repair;
-        if (pipeline::backendFor(mc.config).needsPathProfile()) {
+        if (mc.be.needsPathProfile()) {
             (void)profile::admitPathProfile(mc.text, w.program,
                                             popts.pathParams, repair, paths);
             popts.profileInput.paths = &paths;
@@ -348,10 +338,8 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
                                             edges);
             popts.profileInput.edges = &edges;
         }
-        const PipelineResult r = pipeline::runBackend(
-            prepared, pipeline::backendFor(mc.config), popts);
-        checkMetaRun(res, pipeline::configName(mc.config), mc.check, r,
-                     ref);
+        const PipelineResult r = pipeline::runBackend(prepared, mc.be, popts);
+        checkMetaRun(res, mc.be.name, mc.check, r, ref);
     }
 
     // Disarmed injection: a fault spec that can never match must leave
@@ -362,12 +350,11 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
         never.stage = "compact";
         never.proc = FaultSpec::kAnyProc - 1; // no such procedure
         inj.add(never);
-        const SchedConfig c = configs.back();
-        const char *cfg = pipeline::configName(c);
+        const pipeline::BackendDesc &be = *backends.back();
+        const char *cfg = be.name;
         PipelineOptions popts = base;
         popts.robustness.faults = &inj;
-        const PipelineResult r =
-            pipeline::runBackend(prepared, pipeline::backendFor(c), popts);
+        const PipelineResult r = pipeline::runBackend(prepared, be, popts);
         const auto it = baselines.find(cfg);
         if (!r.status.ok() || r.transformed == nullptr) {
             add(res, cfg, "meta-disarmed", "status",

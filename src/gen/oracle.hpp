@@ -42,8 +42,9 @@ namespace pathsched::gen {
 /** Oracle knobs. */
 struct OracleOptions
 {
-    /** Configurations to differentiate; empty = all five. */
-    std::vector<pipeline::SchedConfig> configs;
+    /** Backends to differentiate (registry rows); empty = every
+     *  registered backend. */
+    std::vector<const pipeline::BackendDesc *> configs;
     /** Also check the metamorphic invariants (profile permutation /
      *  scaling, disarmed injection). */
     bool metamorphic = true;
@@ -86,9 +87,6 @@ OracleResult checkWorkload(const Workload &w,
 /** generate() + checkWorkload() in one step. */
 OracleResult checkSpec(const GenSpec &spec,
                        const OracleOptions &opts = OracleOptions());
-
-/** The five paper configurations (the default differential set). */
-std::vector<pipeline::SchedConfig> allConfigs();
 
 } // namespace pathsched::gen
 

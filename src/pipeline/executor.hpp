@@ -5,9 +5,9 @@
  * The paper schedules one procedure at a time (§3), and every
  * per-procedure stage (form, compact, regalloc, postschedule, verify)
  * is independent across procedures; only the stage order *within* one
- * procedure matters.  runPipeline therefore runs each phase as one
- * parallelFor over procedure ids, whose body is that procedure's whole
- * stage chain, so a chain runs back to back on one worker.
+ * procedure matters.  runBackend therefore runs one parallelFor over
+ * procedure ids, whose body is that procedure's whole stage chain, so
+ * a chain runs back to back on one worker.
  *
  * Determinism contract: bodies must write only index-owned state (the
  * pipeline gives each procedure its own stats/context and merges them

@@ -83,7 +83,7 @@ class MsAccum
 /**
  * Everything one procedure's task chain reads and writes exclusively.
  * Workers never share a ProcCtx, which is the whole determinism story:
- * all cross-procedure aggregation happens at the serial joins, in
+ * all cross-procedure aggregation happens at the serial join, in
  * procedure-id order.
  */
 struct ProcCtx
@@ -93,24 +93,21 @@ struct ProcCtx
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
     sched::ScheduleStats postsched;
-    /** Locally-numbered spill slots (rebased at the phase-A join). */
+    /** Locally-numbered spill slots not yet assigned an address (see
+     *  assignSpillSlots in runBackend). */
     regalloc::SpillPlan spill;
     /** This procedure's degradations, merged at the join. */
     std::vector<Degradation> degraded;
-    /** Multi-threaded runs: a private registry stands in for the
-     *  shared one and merges at the join. */
+    /** Private registry standing in for the shared one (when a stats
+     *  sink exists), merged at the join. */
     std::unique_ptr<obs::StatRegistry> ownStats;
     /** "time.<config>."-prefixed observer backing this chain's pass
-     *  timers (the real observer when single-threaded). */
+     *  timers; the run's own observer after the join. */
     obs::Observer timed;
     double formMs = 0, compactMs = 0, regallocMs = 0, postschedMs = 0;
     bool cacheHit = false;
     bool cacheEligible = false;
     CacheKey key;
-    /** Phase B: a failed IR verification, handled serially after the
-     *  join (its fallback reallocates spill slots, which is a serial
-     *  operation). */
-    Status verifyFailure;
 };
 
 /** Replace @p dst's body (registers, blocks, side tables) with @p src's.
@@ -197,6 +194,7 @@ prepareWorkload(const ir::Program &program,
     pw.status = ir::verifyStatus(program, ir::VerifyMode::Strict);
     if (!pw.status.ok())
         return pw;
+    pw.recursive = regalloc::findRecursiveProcs(program);
 
     const obs::Observer *observer = opt.observability.observer;
     obs::StageTrace *trace = observer != nullptr ? observer->trace : nullptr;
@@ -392,15 +390,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     ir::Program prog = program;
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
-
-    // Recursion is a property of the caller->callee edge set, which no
-    // transform stage changes (formation duplicates call sites but
-    // never severs an edge), so it is computed once here and shared
-    // read-only across workers — computing it lazily inside regalloc
-    // would be a whole-program read racing the other chains.
-    std::vector<uint8_t> recursive;
-    if (opt.registerAllocate)
-        recursive = regalloc::findRecursiveProcs(prog);
+    const std::vector<uint8_t> &recursive = prepared.recursive;
 
     // Stage-boundary fault injection; quarantined procedures are never
     // queried again, so the BB fallback cannot be re-failed.  The
@@ -435,7 +425,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     };
 
     // An expired run-wide deadline ends the run with a typed status at
-    // the phase join; tasks poll the flag on entry and fall through
+    // the join; tasks poll the flag on entry and fall through
     // (the stage that noticed the expiry has already degraded its
     // in-flight procedure by then).
     std::atomic<bool> deadline_hit{false};
@@ -463,19 +453,19 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         return quarantined[p] ? nullptr : budp;
     };
 
-    // Per-procedure task state; see ProcCtx.
+    // Per-procedure task state; see ProcCtx.  Every chain records into
+    // its own registry, and traces only when it runs on the calling
+    // thread (trace events carry no order a join could restore).
     std::vector<ProcCtx> ctxs(num_procs);
-    for (size_t p = 0; p < num_procs; ++p) {
-        if (!parallel) {
-            ctxs[p].timed = timed;
-        } else if (base.stats != nullptr) {
-            ctxs[p].ownStats = std::make_unique<obs::StatRegistry>();
-            obs::Observer own;
-            own.stats = ctxs[p].ownStats.get();
-            ctxs[p].timed =
-                own.withPrefix("time." + result.name + ".");
+    for (ProcCtx &ctx : ctxs) {
+        obs::Observer own = base;
+        if (base.stats != nullptr) {
+            ctx.ownStats = std::make_unique<obs::StatRegistry>();
+            own.stats = ctx.ownStats.get();
         }
-        // else: parallel with no stats sink — ctx.timed stays sinkless.
+        if (parallel)
+            own.trace = nullptr;
+        ctx.timed = own.withPrefix("time." + result.name + ".");
     }
 
     // Stage-cache admission: a chain may be memoized only when its
@@ -581,20 +571,15 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     };
 
     // Restore procedure p's original (basic-block) body and catch it
-    // up to @p reached, budget- and injection-free.  In-chain fallbacks
-    // (phase A) pass their chain's SpillPlan, rebased at the phase-A
-    // join, and time into the chain's observer; the serial tail after
-    // phase B passes null, so its spill slots are rebased here, onto
-    // the end of the program's data memory.  A failure here means the
-    // always-safe baseline itself is broken, which is an internal bug:
-    // abort.
-    auto rebuildAsBB = [&](ir::ProcId p, StageReached reached,
-                           regalloc::SpillPlan *spill) {
-        auto t = (spill != nullptr ? ctxs[p].timed : timed)
-                     .time("fallback");
+    // up to @p reached, budget- and injection-free.  Its spill slots
+    // are issued into the procedure's own SpillPlan, like any chain's,
+    // and get their addresses at the next assignSpillSlots().  A
+    // failure here means the always-safe baseline itself is broken,
+    // which is an internal bug: abort.
+    auto rebuildAsBB = [&](ir::ProcId p, StageReached reached) {
+        auto t = ctxs[p].timed.time("fallback");
         replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
-        regalloc::SpillPlan tail_plan;
-        regalloc::SpillPlan &plan = spill != nullptr ? *spill : tail_plan;
+        regalloc::SpillPlan &plan = ctxs[p].spill;
         plan.slots = 0; // the restored body references no slots
         Status st;
         if (reached >= StageReached::Compact) {
@@ -612,10 +597,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             regalloc::AllocStats fb_alloc;
             st = regalloc::allocateProcedure(
                 prog, p, opt.machine.numRegs, fb_alloc, ao);
-            if (spill == nullptr && tail_plan.slots != 0) {
-                regalloc::rebaseSpillSlots(prog.procs[p], prog.memWords);
-                prog.memWords += tail_plan.slots;
-            }
         }
         if (st.ok() && reached == StageReached::Postsched) {
             if (opt.registerAllocate)
@@ -629,10 +610,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                   program.procs[p].name.c_str(), st.toString().c_str());
     };
 
-    // --- Phase A: transform -> compact -> regalloc, one chain per
-    //     procedure.  The transform stage is the backend's descriptor
-    //     entry point — the pipeline only owns the chain plumbing
-    //     (quarantine, cache, budget view, injection hook). ---
+    // --- 3. transform -> compact -> regalloc -> postsched -> verify,
+    //        one chain per procedure.  The transform stage is the
+    //        backend's descriptor entry point — the pipeline only owns
+    //        the chain plumbing (quarantine, cache, budget view,
+    //        injection hook). ---
     auto transformTask = [&](ir::ProcId p) {
         ProcCtx &ctx = ctxs[p];
         MsAccum acc(ctx.formMs);
@@ -645,7 +627,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             // it from the BB baseline.
             noteFailureTo(ctx.degraded, p, "profile",
                           Status::error(pa->kind, pa->message));
-            rebuildAsBB(p, StageReached::Form, &ctx.spill);
+            rebuildAsBB(p, StageReached::Form);
             return;
         }
         if (tryCacheRestore(ctx, p))
@@ -669,7 +651,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         Status st = be.transform(prog, p, tc, ctx.xf, &stage);
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, stage, st);
-            rebuildAsBB(p, StageReached::Form, &ctx.spill);
+            rebuildAsBB(p, StageReached::Form);
         }
     };
 
@@ -696,7 +678,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                          ctx.compact);
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, "compact", st);
-            rebuildAsBB(p, StageReached::Compact, &ctx.spill);
+            rebuildAsBB(p, StageReached::Compact);
         }
         if (!opt.registerAllocate)
             storeInCache(ctx, p); // chain ends here
@@ -720,30 +702,75 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         }
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, "regalloc", st);
-            rebuildAsBB(p, StageReached::Regalloc, &ctx.spill);
+            rebuildAsBB(p, StageReached::Regalloc);
         }
         storeInCache(ctx, p);
     };
 
-    parallelFor(threads, num_procs, [&](size_t p) {
-        if (be.hasTransform())
-            transformTask(ir::ProcId(p));
-        compactTask(ir::ProcId(p));
-        if (opt.registerAllocate)
-            regallocTask(ir::ProcId(p));
-    });
-    result.exec.tasks +=
-        num_procs * (be.hasTransform() + 1 + opt.registerAllocate);
+    // The chain's last link.  Postscheduling before the spill slots
+    // have addresses is safe: the dependence graph tells memory ops
+    // apart by (base register, offset inequality), and only spill code
+    // uses its block's `ldi 0` base, so moving every slot by one
+    // constant changes no edge.
+    auto postschedVerifyTask = [&](ir::ProcId p) {
+        ProcCtx &ctx = ctxs[p];
+        if (deadlineUp("verify"))
+            return;
+        if (opt.registerAllocate) {
+            MsAccum acc(ctx.postschedMs);
+            ctx.postsched += sched::scheduleProcedure(
+                prog, p, opt.machine, opt.schedPriority);
+        }
+        Status st = inject("verify", p);
+        if (st.ok())
+            st = ir::verifyProcStatus(prog, p, ir::VerifyMode::Superblock);
+        if (!st.ok()) {
+            noteFailureTo(ctx.degraded, p, "verify", st);
+            rebuildAsBB(p, StageReached::Postsched);
+        }
+    };
 
-    // --- Phase A join (serial).  Everything order-sensitive happens
-    //     here, in procedure-id order: stat merging, degradation
-    //     recording, and spill-slot rebasing. ---
-    double form_ms = 0, compact_ms = 0, regalloc_ms = 0;
+    parallelFor(threads, num_procs, [&](size_t i) {
+        const ir::ProcId p = ir::ProcId(i);
+        if (be.hasTransform())
+            transformTask(p);
+        compactTask(p);
+        if (opt.registerAllocate)
+            regallocTask(p);
+        postschedVerifyTask(p);
+    });
+    // Counted as the stages each chain runs: transform?, compact,
+    // regalloc?, postsched?, verify.
+    result.exec.tasks += num_procs * (be.hasTransform() + 2 +
+                                      2 * opt.registerAllocate);
+
+    // The one spill-slot assignment point: every procedure holding
+    // locally-numbered slots (its chain's, or a fallback's) gets them
+    // appended to the program's data memory, in procedure-id order —
+    // the historical serial addresses for non-degraded runs.  Runs at
+    // the join and again before every re-measure.
+    auto assignSpillSlots = [&] {
+        for (size_t p = 0; p < num_procs; ++p) {
+            regalloc::SpillPlan &plan = ctxs[p].spill;
+            if (plan.slots == 0)
+                continue;
+            regalloc::rebaseSpillSlots(prog.procs[p], prog.memWords);
+            prog.memWords += plan.slots;
+            plan.slots = 0;
+        }
+    };
+
+    // --- 4. The join (serial).  Everything order-sensitive happens
+    //        here, in procedure-id order: stat merging, degradation
+    //        recording and spill-slot assignment. ---
+    double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
+    sched::ScheduleStats postsched;
     for (size_t p = 0; p < num_procs; ++p) {
         ProcCtx &ctx = ctxs[p];
         result.form += ctx.xf.form;
         result.compact += ctx.compact;
         result.alloc += ctx.alloc;
+        postsched += ctx.postsched;
         for (auto &d : ctx.degraded)
             result.degraded.push_back(std::move(d));
         ctx.degraded.clear();
@@ -754,20 +781,13 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         form_ms += ctx.formMs;
         compact_ms += ctx.compactMs;
         regalloc_ms += ctx.regallocMs;
+        postsched_ms += ctx.postschedMs;
         if (ctx.ownStats != nullptr)
             base.stats->merge(*ctx.ownStats);
+        // Fallbacks after the join time into the run's observer.
+        ctx.timed = timed;
     }
-    // Rebase every chain's locally-numbered spill slots onto the
-    // program's data memory.  Procedure-id order reproduces the
-    // historical serial slot addresses for non-degraded runs.
-    if (opt.registerAllocate) {
-        for (size_t p = 0; p < num_procs; ++p) {
-            if (ctxs[p].spill.slots == 0)
-                continue;
-            regalloc::rebaseSpillSlots(prog.procs[p], prog.memWords);
-            prog.memWords += ctxs[p].spill.slots;
-        }
-    }
+    assignSpillSlots();
     if (deadline_hit.load()) {
         result.status = std::move(deadline_status);
         return result;
@@ -812,51 +832,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                         result.alloc.procsSkipped);
         base.setGauge("alloc" + cfg_dot + "maxPressure",
                       result.alloc.maxPressure);
-    }
-
-    // --- Phase B: postschedule -> per-procedure IR verification.  A
-    //     failed verification is handled serially after the join: its
-    //     fallback appends spill slots to the program's data memory. ---
-    parallelFor(threads, num_procs, [&](size_t p) {
-        ProcCtx &ctx = ctxs[p];
-        if (opt.registerAllocate) {
-            MsAccum acc(ctx.postschedMs);
-            ctx.postsched += sched::scheduleProcedure(
-                prog, ir::ProcId(p), opt.machine, opt.schedPriority);
-        }
-        if (deadlineUp("verify"))
-            return;
-        Status st = inject("verify", ir::ProcId(p));
-        if (st.ok())
-            st = ir::verifyProcStatus(prog, ir::ProcId(p),
-                                      ir::VerifyMode::Superblock);
-        if (!st.ok())
-            ctx.verifyFailure = std::move(st);
-    });
-    result.exec.tasks += num_procs * (opt.registerAllocate + 1);
-    if (opt.registerAllocate) {
         // The postschedule replaces the preschedule's cycle counts.
-        result.compact.sched = sched::ScheduleStats();
-        double postsched_ms = 0;
-        for (size_t p = 0; p < num_procs; ++p) {
-            result.compact.sched += ctxs[p].postsched;
-            postsched_ms += ctxs[p].postschedMs;
-        }
+        result.compact.sched = postsched;
         result.stages.push_back({"postsched", postsched_ms});
         timed.addSample("postsched", postsched_ms);
-    }
-    if (deadline_hit.load()) {
-        result.status = std::move(deadline_status);
-        return result;
-    }
-
-    // IR-verification fallbacks, procedure-id order (canonical).
-    for (ir::ProcId p = 0; p < num_procs; ++p) {
-        if (ctxs[p].verifyFailure.ok())
-            continue;
-        noteFailureTo(result.degraded, p, "verify",
-                      ctxs[p].verifyFailure);
-        rebuildAsBB(p, StageReached::Postsched, nullptr);
     }
 
     // --- 5. Procedure placement and address assignment. ---
@@ -914,6 +893,22 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const interp::RunResult &ref = prepared.reference;
     preparedStage("verify", prepared.referenceCost);
 
+    // Degrade @p suspects to BB, give their fallbacks' spill slots
+    // addresses, and lay out and measure the program again.  Hyphenated
+    // row names: "layout.retry" would nest under the "layout" leaf in
+    // the stats registry, which forbids that.
+    using Suspects = std::vector<std::pair<ir::ProcId, Status>>;
+    auto degradeAndRemeasure = [&](const Suspects &suspects,
+                                   const char *stage) {
+        for (const auto &[p, st] : suspects) {
+            noteFailureTo(result.degraded, p, stage, st);
+            rebuildAsBB(p, StageReached::Postsched);
+        }
+        assignSpillSlots();
+        runLayout("layout-retry");
+        runTest("test-retry");
+    };
+
     // A budget-truncated measured run carries a stopProc attribution:
     // degrade that procedure to BB and re-measure.  Bounded — each
     // round quarantines one more procedure, and the reference run has
@@ -940,17 +935,14 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                        result.degraded.size()));
             return result;
         }
-        noteFailureTo(
-            result.degraded, sp, "interp",
-            Status::error(
-                ErrorKind::BudgetExceeded,
-                strfmt("test run exceeded the %llu-step budget "
-                       "in proc %s",
-                       (unsigned long long)bud.interpSteps,
-                       program.procs[sp].name.c_str())));
-        rebuildAsBB(sp, StageReached::Postsched, nullptr);
-        runLayout("layout-retry");
-        runTest("test-retry");
+        degradeAndRemeasure(
+            {{sp, Status::error(
+                      ErrorKind::BudgetExceeded,
+                      strfmt("test run exceeded the %llu-step budget "
+                             "in proc %s",
+                             (unsigned long long)bud.interpSteps,
+                             program.procs[sp].name.c_str()))}},
+            "interp");
     }
 
     auto matches = [&]() {
@@ -961,7 +953,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
 
     // Injected output-compare faults name their suspects (and the
     // error kind to record) directly.
-    std::vector<std::pair<ir::ProcId, Status>> suspects;
+    Suspects suspects;
     for (ir::ProcId p = 0; p < num_procs; ++p) {
         Status st = inject("output-compare", p);
         if (!st.ok())
@@ -999,14 +991,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                       result.test.output.size(),
                       (long long)ref.returnValue,
                       (long long)result.test.returnValue);
-        for (const auto &[p, st] : suspects) {
-            noteFailureTo(result.degraded, p, "output-compare", st);
-            rebuildAsBB(p, StageReached::Postsched, nullptr);
-        }
-        // Hyphenated names: "layout.retry" would nest under the
-        // "layout" leaf in the stats registry, which forbids that.
-        runLayout("layout-retry");
-        runTest("test-retry");
+        degradeAndRemeasure(suspects, "output-compare");
         if (result.test.budgetStop || result.test.deadlineStop) {
             // The retry itself ran out of budget: a governance limit,
             // not a miscompile — report it typed instead of asserting.

@@ -22,13 +22,14 @@
  * schedules from that profile (§3, §4); runPipeline() is the
  * one-backend form, preparing only the kinds its backend reads.
  *
- * The per-procedure transform stages run as one parallel-for over
- * procedures (pipeline/executor.hpp) per phase: each procedure's stage
- * chain runs back to back on one worker, so independent procedures
- * proceed in parallel while the whole-program stages (training run,
- * layout, measurement, output comparison) stay serial.  An N-thread
- * run is bit-identical to a 1-thread run — see docs/architecture.md
- * for the invariants that guarantee it.  An optional StageCache
+ * The per-procedure stages run as one parallel-for over procedures
+ * (pipeline/executor.hpp): each procedure's chain — transform, compact,
+ * regalloc, postsched, verify — runs back to back on one worker, so
+ * independent procedures proceed in parallel, and one serial join
+ * merges their results in procedure-id order, while the whole-program
+ * stages (training run, layout, measurement, output comparison) stay
+ * serial.  An N-thread run is bit-identical to a 1-thread run — see
+ * docs/architecture.md for the invariants that guarantee it.  An optional StageCache
  * (pipeline/cache.hpp) memoizes finished transform chains across runs.
  *
  * The pipeline is fault-tolerant per procedure (docs/robustness.md):
@@ -154,11 +155,11 @@ struct RobustnessOptions
  * wall-time distributions ("time.<config>.<stage>") into
  * observer->stats, and emits trace events into observer->trace.  Both
  * sinks are optional; a null observer costs nothing beyond the
- * per-stage clock reads that fill PipelineResult::stages.  Under a
- * multi-threaded executor, per-procedure tasks record into private
- * registries that merge into observer->stats at the serial join, in
- * procedure-id order — counter totals are thread-count-invariant;
- * trace events are only emitted from single-threaded runs. */
+ * per-stage clock reads that fill PipelineResult::stages.
+ * Per-procedure tasks record into private registries that merge into
+ * observer->stats at the serial join, in procedure-id order — counter
+ * totals are thread-count-invariant; their trace events are only
+ * emitted from single-threaded runs. */
 struct ObsOptions
 {
     const obs::Observer *observer = nullptr;
@@ -271,8 +272,15 @@ struct PipelineResult
      * completes with an OK status; check degradedRun().
      */
     Status status;
-    /** Procedures degraded to BB, in procedure-id order per phase
-     *  (the canonical order: identical for every thread count). */
+    /** Procedures degraded to BB: failures inside the per-procedure
+     *  chains (profile, form, materialize, compact, regalloc, verify)
+     *  in procedure-id order, then the degradations of the measured
+     *  run ("interp") and the output comparison ("output-compare") in
+     *  the order found.  Identical for every thread count.  (Before
+     *  verification joined the chains, verify failures came after all
+     *  other chain failures, and a verify-degraded procedure's spill
+     *  slots after everyone else's; only runs with an injected verify
+     *  fault can tell.) */
     std::vector<Degradation> degraded;
     /** The run completed but at least one procedure fell back to BB. */
     bool degradedRun() const { return !degraded.empty(); }
@@ -339,6 +347,11 @@ struct PreparedWorkload
      *  training or reference run stopped early; every runBackend()
      *  then returns it unchanged, so it is attributed once. */
     Status status;
+    /** regalloc::findRecursiveProcs() of the program.  Recursion is a
+     *  property of the call graph, which no transform stage changes
+     *  (formation duplicates call sites but never severs an edge), so
+     *  every backend's chains share it read-only. */
+    std::vector<uint8_t> recursive;
     /** The training run: dynInstrs and the call counts Pettis-Hansen
      *  placement reads. */
     interp::RunResult training;

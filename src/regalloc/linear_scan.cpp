@@ -68,17 +68,20 @@ buildIntervals(const ir::Procedure &proc)
     return ivs;
 }
 
-/** Allocate one procedure; returns false when pressure exceeds the file. */
+/** A procedure with nothing to allocate: its only registers are its
+ *  parameters, which fit the file. */
 bool
-allocateProc(ir::Procedure &proc, uint32_t num_phys, AllocStats &stats)
+isTrivial(const ir::Procedure &proc, uint32_t num_phys)
 {
-    if (proc.numRegs <= num_phys && proc.numRegs == proc.numParams) {
-        // Nothing to do for trivial procedures.
-        return true;
-    }
+    return proc.numRegs <= num_phys && proc.numRegs == proc.numParams;
+}
 
-    const std::vector<Interval> ivs = buildIntervals(proc);
-
+/** Allocate one procedure from its intervals @p ivs; returns false, with
+ *  @p proc untouched, when pressure exceeds the file. */
+bool
+allocateProc(ir::Procedure &proc, const std::vector<Interval> &ivs,
+             uint32_t num_phys, AllocStats &stats)
+{
     // Sort interval starts; parameters first so their precoloring wins.
     std::vector<const Interval *> order;
     for (const auto &iv : ivs) {
@@ -156,8 +159,9 @@ allocateProc(ir::Procedure &proc, uint32_t num_phys, AllocStats &stats)
 }
 
 /**
- * Spill the longest-lived non-parameter registers of @p proc to fresh
- * static memory slots (issued locally in @p plan): every use
+ * Spill the longest-lived non-parameter registers of @p proc, chosen
+ * from its current intervals @p ivs, to fresh static memory slots
+ * (issued locally in @p plan): every use
  * loads into a fresh short-lived register just before the reader, and
  * every definition stores right after the writer, so pressure collapses
  * to per-instruction locality.  Static slots are only sound when a
@@ -165,10 +169,9 @@ allocateProc(ir::Procedure &proc, uint32_t num_phys, AllocStats &stats)
  * checks for recursion.
  */
 bool
-spillLongestIntervals(ir::Procedure &proc, size_t how_many,
-                      AllocStats &stats, SpillPlan &plan)
+spillLongestIntervals(ir::Procedure &proc, const std::vector<Interval> &ivs,
+                      size_t how_many, AllocStats &stats, SpillPlan &plan)
 {
-    std::vector<Interval> ivs = buildIntervals(proc);
     std::vector<const Interval *> candidates;
     for (const auto &iv : ivs) {
         if (iv.used && iv.vreg >= proc.numParams && iv.hi > iv.lo)
@@ -343,7 +346,15 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
         Status st = meter.checkpoint(proc.instrCount() + 1);
         if (!st.ok())
             return st;
-        if (allocateProc(proc, num_phys_regs, stats)) {
+        if (isTrivial(proc, num_phys_regs)) {
+            ++stats.procsAllocated;
+            done = true;
+            break;
+        }
+        // One liveness solve per round, shared by both steps below:
+        // a failed allocation leaves the procedure unchanged.
+        const std::vector<Interval> ivs = buildIntervals(proc);
+        if (allocateProc(proc, ivs, num_phys_regs, stats)) {
             ++stats.procsAllocated;
             done = true;
             break;
@@ -354,7 +365,7 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
             break;
         }
         // Spill a small batch of the worst offenders and retry.
-        if (!spillLongestIntervals(proc, 16, stats, *options.spill))
+        if (!spillLongestIntervals(proc, ivs, 16, stats, *options.spill))
             break; // nothing left to spill
     }
     if (!done) {

@@ -73,8 +73,10 @@ inline constexpr int64_t kSpillSlotBase = int64_t(1) << 40;
 /**
  * Rewrite every sentinel-relative Ld/LdSpec/St offset of @p proc to an
  * absolute slot address starting at @p base (local slot k becomes
- * address base + k).  Must run before the procedure is interpreted or
- * postscheduled.
+ * address base + k).  Must run before the procedure is interpreted.
+ * Postscheduling may come first: the dependence graph tells memory ops
+ * apart by base register and offset inequality, and every slot moves by
+ * the same constant, so no dependence edge changes.
  */
 void rebaseSpillSlots(ir::Procedure &proc, uint64_t base);
 
@@ -85,8 +87,9 @@ void rebaseSpillSlots(ir::Procedure &proc, uint64_t base);
  * graph.  Static spill slots are unsound for them (multiple live
  * activations would share the slots), so the allocator never spills
  * recursive procedures.  Recursion is a whole-program property; the
- * executor precomputes it once on the untransformed program and shares
- * it read-only across workers via AllocOptions::recursive.
+ * pipeline computes it once per workload on the untransformed program
+ * (PreparedWorkload::recursive) and shares it read-only across workers
+ * via AllocOptions::recursive.
  */
 std::vector<uint8_t> findRecursiveProcs(const ir::Program &prog);
 

@@ -423,7 +423,7 @@ ServeCore::attemptReschedule(bool force)
             opts_.pipelineBase));
     const pipeline::StageCacheStats before = cache_.stats();
     pipeline::PipelineResult result = pipeline::runBackend(
-        *prepared_, pipeline::backendFor(opts_.config), po);
+        *prepared_, *opts_.backend, po);
     const pipeline::StageCacheStats after = cache_.stats();
     oc.ran = true;
     oc.cacheHits = after.hits - before.hits;
@@ -539,7 +539,7 @@ ServeCore::statusJson()
     w.beginObject();
     w.member("schema", "pathsched-serve-status-v1");
     w.member("workload", workload_.name);
-    w.member("config", pipeline::configName(opts_.config));
+    w.member("config", opts_.backend->name);
     w.member("epoch", agg_.epoch());
     w.member("framesSeen", frames_seen_);
     w.member("deltasAccepted", deltas_accepted_);

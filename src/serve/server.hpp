@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/stats.hpp"
+#include "pipeline/backend.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
@@ -59,8 +60,9 @@ struct ServeOptions
 {
     AggregateOptions aggregate;
     AdmissionOptions admission;
-    /** Scheduling configuration the server maintains. */
-    pipeline::SchedConfig config = pipeline::SchedConfig::P4;
+    /** Scheduling backend the server maintains (a registry row). */
+    const pipeline::BackendDesc *backend =
+        &pipeline::backendFor(pipeline::SchedConfig::P4);
     /** Base pipeline options (machine model, path params, ...).  The
      *  core overrides the profile-input, executor-cache, deadline and
      *  keepTransformed fields per reschedule. */

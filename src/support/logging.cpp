@@ -12,12 +12,16 @@ void
 vreport(const char *tag, const char *file, int line, const char *fmt,
         va_list ap)
 {
+    // One locked write per line, so that workers reporting at the same
+    // time never interleave their messages.
+    flockfile(stderr);
     std::fprintf(stderr, "%s: ", tag);
     std::vfprintf(stderr, fmt, ap);
     if (file)
         std::fprintf(stderr, " @ %s:%d", file, line);
     std::fprintf(stderr, "\n");
     std::fflush(stderr);
+    funlockfile(stderr);
 }
 
 int g_panic_exit_code = -1;

@@ -125,6 +125,8 @@ struct RunCapture
     std::vector<int64_t> output;
     int64_t returnValue = 0;
     size_t degraded = 0;
+    /** "proc:stage" of every degradation, in report order. */
+    std::vector<std::string> degradedAt;
 };
 
 RunCapture
@@ -151,6 +153,8 @@ captureRun(const workloads::Workload &w, SchedConfig config,
     c.output = r.test.output;
     c.returnValue = r.test.returnValue;
     c.degraded = r.degraded.size();
+    for (const pipeline::Degradation &d : r.degraded)
+        c.degradedAt.push_back(std::to_string(d.proc) + ":" + d.stage);
     return c;
 }
 
@@ -210,6 +214,35 @@ TEST(FaultIsolation, QuarantineIsIdenticalAcrossThreadCounts)
     EXPECT_EQ(par.ir, serial.ir);
     EXPECT_EQ(par.cycles, serial.cycles);
     EXPECT_EQ(par.output, serial.output);
+    EXPECT_EQ(par.stats, serial.stats);
+}
+
+TEST(FaultIsolation, ChainFailuresAreReportedInProcedureIdOrder)
+{
+    // A verify fault on a low-id procedure and a form fault on a
+    // higher-id one are both failures inside a procedure's own chain,
+    // so the report lists them by procedure id at every thread count.
+    const auto w = workloads::makeByName("gcc");
+    auto arm = [](FaultInjector &inj) {
+        std::string err;
+        ASSERT_TRUE(inj.parse("stage=verify,proc=0", err)) << err;
+        ASSERT_TRUE(inj.parse("stage=form,proc=2", err)) << err;
+    };
+    const std::vector<std::string> expected = {"0:verify", "2:form"};
+    FaultInjector serial_inj(0);
+    arm(serial_inj);
+    const RunCapture serial =
+        captureRun(w, SchedConfig::P4, 1, &serial_inj);
+    EXPECT_EQ(serial.degradedAt, expected);
+
+    FaultInjector par_inj(0);
+    arm(par_inj);
+    const RunCapture par = captureRun(w, SchedConfig::P4, 4, &par_inj);
+    EXPECT_EQ(par.degradedAt, expected);
+    EXPECT_EQ(par.ir, serial.ir);
+    EXPECT_EQ(par.cycles, serial.cycles);
+    EXPECT_EQ(par.output, serial.output);
+    EXPECT_EQ(par.returnValue, serial.returnValue);
     EXPECT_EQ(par.stats, serial.stats);
 }
 

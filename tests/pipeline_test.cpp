@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/generator.hpp"
 #include "ir/printer.hpp"
 #include "pipeline/backend.hpp"
@@ -406,6 +408,112 @@ TEST(Pipeline, SharedPrepareCountsTrainingAndReferenceOnce)
         EXPECT_EQ(r.numPaths > 0, be->needsPathProfile()) << be->name;
     }
     EXPECT_EQ(claimed, 1);
+}
+
+/** Spill accesses of @p prog, per procedure: the addresses of its
+ *  Ld/LdSpec/St instructions at or above @p dataWords.  A generated
+ *  program only touches [0, dataWords), so every such access is spill
+ *  code. */
+std::vector<std::vector<int64_t>>
+spillAddresses(const ir::Program &prog, uint64_t dataWords)
+{
+    std::vector<std::vector<int64_t>> out(prog.procs.size());
+    for (const ir::Procedure &proc : prog.procs) {
+        for (const ir::BasicBlock &bb : proc.blocks) {
+            for (const ir::Instruction &ins : bb.instrs) {
+                if ((ins.isLoad() || ins.isStore()) &&
+                    ins.imm >= int64_t(dataWords))
+                    out[proc.id].push_back(ins.imm);
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Pipeline, SpillSlotsStayDisjointThroughVerifyAndOutputFallbacks)
+{
+    gen::GenSpec spec;
+    spec.seed = 5;
+    spec.procs = 4;
+    spec.stmts = 8;
+    const gen::Workload w = gen::generate(spec);
+    const uint64_t data_words = w.program.memWords;
+    PipelineOptions opts;
+    opts.keepTransformed = true;
+    opts.machine.numRegs = 10; // small enough that procedures spill
+    opts.maxSteps = w.stepBound * 4 + (1u << 16);
+
+    // Pick two procedures that spill both as P4 superblocks and as
+    // their BB fallback bodies.
+    const PipelineResult clean = runPipeline(w.program, w.train, w.test,
+                                             SchedConfig::P4, opts);
+    const PipelineResult bb = runPipeline(w.program, w.train, w.test,
+                                          SchedConfig::BB, opts);
+    ASSERT_TRUE(clean.status.ok()) << clean.status.toString();
+    ASSERT_TRUE(bb.status.ok()) << bb.status.toString();
+    std::vector<ir::ProcId> spilling;
+    const auto p4_spills = spillAddresses(*clean.transformed, data_words);
+    const auto bb_spills = spillAddresses(*bb.transformed, data_words);
+    for (ir::ProcId p = 0; p < p4_spills.size(); ++p) {
+        if (!p4_spills[p].empty() && !bb_spills[p].empty())
+            spilling.push_back(p);
+    }
+    ASSERT_GE(spilling.size(), 2u);
+    const ir::ProcId verify_proc = spilling[0];
+    const ir::ProcId compare_proc = spilling[1];
+
+    std::string ir_at_one;
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        FaultInjector inj(0);
+        std::string err;
+        ASSERT_TRUE(inj.parse(strfmt("stage=verify,proc=%u", verify_proc),
+                              err))
+            << err;
+        ASSERT_TRUE(inj.parse(
+            strfmt("stage=output-compare,proc=%u", compare_proc), err))
+            << err;
+        PipelineOptions fopts = opts;
+        fopts.robustness.faults = &inj;
+        fopts.executor.threads = threads;
+        const PipelineResult r = runPipeline(w.program, w.train, w.test,
+                                             SchedConfig::P4, fopts);
+        ASSERT_TRUE(r.status.ok()) << r.status.toString();
+        EXPECT_TRUE(r.outputMatches);
+        EXPECT_EQ(r.test.output, clean.test.output);
+        EXPECT_EQ(r.test.returnValue, clean.test.returnValue);
+        ASSERT_EQ(r.degraded.size(), 2u);
+        EXPECT_EQ(r.degraded[0].proc, verify_proc);
+        EXPECT_EQ(r.degraded[0].stage, "verify");
+        EXPECT_EQ(r.degraded[1].proc, compare_proc);
+        EXPECT_EQ(r.degraded[1].stage, "output-compare");
+
+        // Every slot has an address past the program's data, inside
+        // the grown data memory, and no two procedures share a slot.
+        const ir::Program &t = *r.transformed;
+        const auto spills = spillAddresses(t, data_words);
+        EXPECT_FALSE(spills[verify_proc].empty());
+        EXPECT_FALSE(spills[compare_proc].empty());
+        std::vector<std::pair<int64_t, int64_t>> ranges;
+        for (const auto &addrs : spills) {
+            if (addrs.empty())
+                continue;
+            const auto [lo, hi] =
+                std::minmax_element(addrs.begin(), addrs.end());
+            EXPECT_GE(*lo, int64_t(data_words));
+            EXPECT_LT(*hi, int64_t(t.memWords));
+            ranges.push_back({*lo, *hi});
+        }
+        std::sort(ranges.begin(), ranges.end());
+        for (size_t i = 1; i < ranges.size(); ++i)
+            EXPECT_GT(ranges[i].first, ranges[i - 1].second)
+                << "procedures share spill slots";
+
+        if (threads == 1)
+            ir_at_one = ir::toString(t);
+        else
+            EXPECT_EQ(ir::toString(t), ir_at_one);
+    }
 }
 
 } // namespace

@@ -966,7 +966,7 @@ TEST_F(ServeCoreTest, RotatedOutProcedureCountsAsMoved)
 TEST_F(ServeCoreTest, EdgeProfileDeltasDriveBBConfigs)
 {
     ServeOptions opts;
-    opts.config = pipeline::SchedConfig::M4;
+    opts.backend = pipeline::findBackend("M4");
     auto core = makeCore("s", opts);
     bool drop = false;
     core->handleFrame("conn", encodeHello("c1"), drop);

@@ -115,27 +115,6 @@ parseSpecOrDie(const std::string &text)
     return spec;
 }
 
-bool
-parseConfigList(const std::string &list,
-                std::vector<pipeline::SchedConfig> &out)
-{
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t end = list.find(',', pos);
-        if (end == std::string::npos)
-            end = list.size();
-        const pipeline::BackendDesc *be =
-            pipeline::findBackend(list.substr(pos, end - pos));
-        if (be == nullptr)
-            return false;
-        out.push_back(be->config);
-        if (end == list.size())
-            break;
-        pos = end + 1;
-    }
-    return !out.empty();
-}
-
 /**
  * Read a spec from @p arg: a file whose first non-comment line is the
  * spec, or literal spec text.  Corpus files may carry '#' comment
@@ -401,9 +380,18 @@ main(int argc, char **argv)
     gen::OracleOptions oopts;
     oopts.metamorphic = meta;
     oopts.threads = threads;
-    if (!configs_arg.empty() &&
-        !parseConfigList(configs_arg, oopts.configs))
-        fatal("bad --configs '%s'", configs_arg.c_str());
+    // --configs: a comma list of registered backend names.
+    for (size_t pos = 0; !configs_arg.empty() && pos <= configs_arg.size();) {
+        size_t end = configs_arg.find(',', pos);
+        if (end == std::string::npos)
+            end = configs_arg.size();
+        const pipeline::BackendDesc *be =
+            pipeline::findBackend(configs_arg.substr(pos, end - pos));
+        if (be == nullptr)
+            fatal("bad --configs '%s'", configs_arg.c_str());
+        oopts.configs.push_back(be);
+        pos = end + 1;
+    }
 
     if (!print_ir_arg.empty())
         return runPrintIr(print_ir_arg);
@@ -511,8 +499,7 @@ main(int argc, char **argv)
         const size_t colon = f.klass.find(':');
         const std::string cfg =
             colon == std::string::npos ? "" : f.klass.substr(0, colon);
-        std::vector<pipeline::SchedConfig> cfg_parse;
-        if (!cfg.empty() && cfg != "-" && parseConfigList(cfg, cfg_parse))
+        if (pipeline::findBackend(cfg) != nullptr)
             rc.configsArg = cfg;
         if (f.klass.find(":meta-") == std::string::npos)
             rc.meta = false;

@@ -128,16 +128,6 @@ parseU64(const char *s, uint64_t &out)
 }
 
 bool
-parseConfig(const std::string &name, pipeline::SchedConfig &out)
-{
-    const pipeline::BackendDesc *be = pipeline::findBackend(name);
-    if (be == nullptr)
-        return false;
-    out = be->config;
-    return true;
-}
-
-bool
 writeDurableFile(Vio *vio, const char *label, const std::string &path,
                  const std::string &text)
 {
@@ -170,7 +160,8 @@ runServe(const std::string &listen, const std::string &stateDir,
                      workloadName.c_str());
         return 1;
     }
-    if (!parseConfig(configName, sopts.config)) {
+    sopts.backend = pipeline::findBackend(configName);
+    if (sopts.backend == nullptr) {
         std::fprintf(stderr, "unknown config '%s'\n",
                      configName.c_str());
         return 1;
