@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "support/strutil.hpp"
 
@@ -19,37 +18,10 @@ quant(double d)
 }
 
 bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseU32(const std::string &s, uint32_t &out)
-{
-    uint64_t v;
-    if (!parseU64(s, v) || v > UINT32_MAX)
-        return false;
-    out = uint32_t(v);
-    return true;
-}
-
-bool
 parseDensity(const std::string &s, double &out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || !(v >= 0.0) || v > 1.0)
+    double v;
+    if (!parseDouble(s, v) || v < 0.0 || v > 1.0)
         return false;
     out = v;
     return true;

@@ -114,13 +114,6 @@ Interpreter::run(const ProgramInput &input)
             : opts_.maxSteps;
     const bool has_deadline = opts_.deadline.active();
 
-    // Listeners that asked for per-op callbacks (see wantsOps()).
-    std::vector<TraceListener *> op_listeners;
-    for (auto *l : listeners_)
-        if (l->wantsOps())
-            op_listeners.push_back(l);
-    const bool dispatch_ops = !op_listeners.empty();
-
     // Charge the cycle cost of leaving `block` at instruction `exit_idx`.
     auto chargeBlock = [&](const ir::Procedure &p, BlockId b,
                            size_t exit_idx) {
@@ -180,10 +173,6 @@ Interpreter::run(const ProgramInput &input)
             }
             ++res.dynInstrs;
 
-            if (dispatch_ops)
-                for (auto *l : op_listeners)
-                    l->onOp(f.proc, ins.op);
-
             if (opts_.cache) {
                 const uint64_t addr =
                     opts_.codeLayout->instrAddr(f.proc, f.block, i);
@@ -200,6 +189,7 @@ Interpreter::run(const ProgramInput &input)
                 f.regs[ins.dst] = ins.imm;
                 break;
               case Opcode::Ld: {
+                ++res.dynMemOps;
                 const int64_t addr = f.regs[ins.src1] + ins.imm;
                 if (addr < 0 || uint64_t(addr) >= mem.size())
                     fatal("proc %s block %u: load from invalid address "
@@ -211,6 +201,7 @@ Interpreter::run(const ProgramInput &input)
               case Opcode::LdSpec: {
                 // Non-excepting: a bad speculative address yields 0, the
                 // software analogue of the suppressed trap in §3.2.
+                ++res.dynMemOps;
                 const int64_t addr = f.regs[ins.src1] + ins.imm;
                 f.regs[ins.dst] =
                     (addr < 0 || uint64_t(addr) >= mem.size())
@@ -219,6 +210,7 @@ Interpreter::run(const ProgramInput &input)
                 break;
               }
               case Opcode::St: {
+                ++res.dynMemOps;
                 const int64_t addr = f.regs[ins.src1] + ins.imm;
                 if (addr < 0 || uint64_t(addr) >= mem.size())
                     fatal("proc %s block %u: store to invalid address "
@@ -263,6 +255,7 @@ Interpreter::run(const ProgramInput &input)
                 if (next != kNoBlock) {
                     chargeBlock(p, f.block, i);
                     noteSbExit(p, f.block, i, is_term);
+                    ++res.dynEdges;
                     for (auto *l : listeners_)
                         l->onEdge(f.proc, f.block, next);
                     f.block = next;
@@ -272,6 +265,8 @@ Interpreter::run(const ProgramInput &input)
                 break;
               }
               case Opcode::Jmp: {
+                ++res.dynJumps;
+                ++res.dynEdges;
                 chargeBlock(p, f.block, i);
                 noteSbExit(p, f.block, i, true);
                 for (auto *l : listeners_)
@@ -282,6 +277,7 @@ Interpreter::run(const ProgramInput &input)
                 break;
               }
               case Opcode::Ret: {
+                ++res.dynRets;
                 chargeBlock(p, f.block, i);
                 noteSbExit(p, f.block, i, true);
                 const int64_t value =

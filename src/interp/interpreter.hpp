@@ -58,6 +58,11 @@ struct RunResult
     uint64_t dynInstrs = 0;     ///< operations executed
     uint64_t dynBranches = 0;   ///< conditional branches executed
     uint64_t dynCalls = 0;      ///< calls executed
+    uint64_t dynJumps = 0;      ///< unconditional jumps executed
+    uint64_t dynRets = 0;       ///< returns executed
+    uint64_t dynMemOps = 0;     ///< loads (incl. speculative) and stores
+    /** CFG edges followed inside an activation: one per onEdge fire. */
+    uint64_t dynEdges = 0;
     uint64_t cycles = 0;        ///< total cycles incl. cache stalls
     uint64_t stallCycles = 0;   ///< cycles lost to I-cache misses
 

@@ -6,13 +6,14 @@
  * every intra-procedural CFG edge it follows.  Edge and path profilers
  * are implemented as listeners, mirroring the paper's instrumentation
  * scheme where "different analysis routines" are linked into the
- * instrumented program (§3.1).
+ * instrumented program (§3.1).  Run-wide tallies (operations,
+ * branches, calls, edges) are counted by the interpreter itself in
+ * RunResult, so listeners exist only for the profilers.
  */
 
 #ifndef PATHSCHED_INTERP_LISTENER_HPP
 #define PATHSCHED_INTERP_LISTENER_HPP
 
-#include "ir/instruction.hpp"
 #include "ir/types.hpp"
 
 namespace pathsched::interp {
@@ -22,22 +23,6 @@ class TraceListener
 {
   public:
     virtual ~TraceListener() = default;
-
-    /**
-     * Opt into the per-operation onOp() callback.  The interpreter only
-     * pays the dispatch cost in its hot loop when at least one attached
-     * listener wants ops, so edge/path profilers (which don't) keep the
-     * training run at full speed.
-     */
-    virtual bool wantsOps() const { return false; }
-
-    /** One operation of opcode @p op executed inside @p proc.  Fired
-     *  only for listeners whose wantsOps() returns true. */
-    virtual void onOp(ir::ProcId proc, ir::Opcode op)
-    {
-        (void)proc;
-        (void)op;
-    }
 
     /** A new activation of @p proc began at its entry block. */
     virtual void onProcEnter(ir::ProcId proc) { (void)proc; }

@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "analysis/callgraph.hpp"
-#include "interp/stats_listener.hpp"
 #include "ir/verifier.hpp"
 #include "layout/code_layout.hpp"
 #include "layout/pettis_hansen.hpp"
@@ -177,6 +176,27 @@ supplied(const Admitted *adm)
     return adm != nullptr && !adm->audit.fileRejected;
 }
 
+/** Publish @p run's dynamic counters into @p stats as
+ *  "@p prefix.<name>" (accumulating, so repeated test attempts sum; a
+ *  null registry publishes nothing).  Each run is one activation of
+ *  main, hence procEnters = calls + 1. */
+void
+publishRunCounters(obs::StatRegistry *stats, const std::string &prefix,
+                   const interp::RunResult &run)
+{
+    if (stats == nullptr)
+        return;
+    stats->addCounter(prefix + ".ops", run.dynInstrs);
+    stats->addCounter(prefix + ".branches", run.dynBranches);
+    stats->addCounter(prefix + ".jumps", run.dynJumps);
+    stats->addCounter(prefix + ".calls", run.dynCalls);
+    stats->addCounter(prefix + ".rets", run.dynRets);
+    stats->addCounter(prefix + ".mem", run.dynMemOps);
+    stats->addCounter(prefix + ".edges", run.dynEdges);
+    stats->addCounter(prefix + ".procEnters", run.dynCalls + 1);
+    stats->addCounter(prefix + ".procExits", run.dynRets);
+}
+
 } // namespace
 
 PreparedWorkload
@@ -218,9 +238,6 @@ prepareWorkload(const ir::Program &program,
         pw.edges.emplace(program);
     if (needs.paths && !supplied(opt.profileInput.paths))
         pw.paths.emplace(program, opt.pathParams);
-    if (opt.observability.interpStats && observer != nullptr &&
-        observer->stats != nullptr)
-        pw.trainStats.emplace(nullptr, std::string());
     timedRun(pw.trainCost, [&] {
         interp::InterpOptions topts = iopts;
         topts.collectCallCounts = true;
@@ -229,8 +246,6 @@ prepareWorkload(const ir::Program &program,
             interp.addListener(&*pw.edges);
         if (pw.paths)
             interp.addListener(&*pw.paths);
-        if (pw.trainStats)
-            interp.addListener(&*pw.trainStats);
         pw.training = interp.run(train);
         if (pw.paths)
             pw.paths->finalize();
@@ -275,8 +290,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const obs::Observer timed =
         base.withPrefix("time." + result.name + ".");
     const std::string cfg_dot = "." + result.name + ".";
-    const bool want_interp_stats =
-        opt.observability.interpStats && base.stats != nullptr;
 
     // The prepared training and reference runs are counted once: the
     // first result built from them carries their wall time (and trace
@@ -343,9 +356,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                   be.name);
 
     preparedStage("train", prepared.trainCost);
-    if (want_interp_stats && prepared.trainStats)
-        prepared.trainStats->flushTo(base.stats,
-                                     "interp" + cfg_dot + "train");
+    publishRunCounters(base.stats, "interp" + cfg_dot + "train",
+                       prepared.training);
     result.trainSteps = prepared.training.dynInstrs;
     size_t trie_bytes = 0;
     if (path_for_form != nullptr) {
@@ -876,15 +888,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         icache::ICache icache_sim(opt.cacheParams);
         if (opt.useICache)
             iopts.cache = &icache_sim;
-        interp::Interpreter interp(prog, iopts);
-        interp::StatsListener istats(base.stats,
-                                     "interp" + cfg_dot + "test");
-        if (want_interp_stats)
-            interp.addListener(&istats);
-        result.test = interp.run(test);
-        if (want_interp_stats)
-            istats.flush();
+        result.test = interp::Interpreter(prog, iopts).run(test);
         t.stop();
+        publishRunCounters(base.stats, "interp" + cfg_dot + "test",
+                           result.test);
         result.stages.push_back({stage_name, t.elapsedMs()});
     };
     runTest("test");

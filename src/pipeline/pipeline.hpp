@@ -54,7 +54,6 @@
 #include "icache/icache.hpp"
 #include "layout/code_layout.hpp"
 #include "interp/interpreter.hpp"
-#include "interp/stats_listener.hpp"
 #include "ir/procedure.hpp"
 #include "machine/machine.hpp"
 #include "obs/timer.hpp"
@@ -163,10 +162,6 @@ struct RobustnessOptions
 struct ObsOptions
 {
     const obs::Observer *observer = nullptr;
-    /** Attach interp::StatsListener to the train and test runs
-     *  ("interp.<config>.{train,test}.*").  Slows the interpreter by a
-     *  per-op callback, so keep off for timing-sensitive runs. */
-    bool interpStats = false;
 };
 
 /** Per-procedure parallelism and stage cache (docs/architecture.md). */
@@ -360,10 +355,6 @@ struct PreparedWorkload
      *  replaced it.  The path profile is finalized. */
     std::optional<profile::EdgeProfiler> edges;
     std::optional<profile::PathProfiler> paths;
-    /** Training-run tallies, kept unflushed so that every backend can
-     *  publish them under its own "interp.<config>.train" prefix (only
-     *  with ObsOptions::interpStats and a stats sink). */
-    std::optional<interp::StatsListener> trainStats;
     /** The original program on the test input: the output every
      *  transformed program must reproduce. */
     interp::RunResult reference;

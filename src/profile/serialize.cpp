@@ -45,34 +45,6 @@ ProfileMeta::fingerprintFor(uint32_t proc, uint64_t &out) const
 
 namespace {
 
-/**
- * Strict unsigned parse of one whole token.  istream extraction into an
- * unsigned type silently wraps negative input ("-1" becomes 2^64-1) and
- * accepts partial tokens; profile text is untrusted, so every number
- * goes through std::from_chars with overflow, sign and trailing-garbage
- * rejection.
- */
-bool
-parseU64(const std::string &tok, uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    const char *first = tok.data();
-    const char *last = first + tok.size();
-    const auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
-
-bool
-parseU32(const std::string &tok, uint32_t &out)
-{
-    uint64_t wide;
-    if (!parseU64(tok, wide) || wide > UINT32_MAX)
-        return false;
-    out = uint32_t(wide);
-    return true;
-}
-
 /** Strict whole-token lowercase/uppercase hex parse (≤16 digits). */
 bool
 parseHex64(const std::string &tok, uint64_t &out)

@@ -1,7 +1,5 @@
 #include "support/faultinject.hpp"
 
-#include <charconv>
-
 #include "support/strutil.hpp"
 
 namespace pathsched {
@@ -23,15 +21,6 @@ splitOn(const std::string &s, char sep)
         start = end + 1;
     }
     return out;
-}
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last && !s.empty();
 }
 
 } // namespace
@@ -76,9 +65,7 @@ FaultInjector::parse(const std::string &spec, std::string &error)
                     return false;
                 }
             } else if (key == "prob") {
-                char *end = nullptr;
-                f.prob = std::strtod(val.c_str(), &end);
-                if (end != val.c_str() + val.size() || f.prob < 0.0 ||
+                if (!parseDouble(val, f.prob) || f.prob < 0.0 ||
                     f.prob > 1.0) {
                     error = strfmt("bad probability '%s'", val.c_str());
                     return false;

@@ -1,7 +1,11 @@
 #include "support/strutil.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+
+#include "support/logging.hpp"
 
 namespace pathsched {
 
@@ -56,6 +60,67 @@ std::string
 padRight(const std::string &s, size_t width)
 {
     return s.size() >= width ? s : s + std::string(width - s.size(), ' ');
+}
+
+bool
+parseU64(std::string_view text, uint64_t &out)
+{
+    if (text.empty())
+        return false;
+    const char *last = text.data() + text.size();
+    uint64_t v;
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || ptr != last)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseU32(std::string_view text, uint32_t &out)
+{
+    uint64_t wide;
+    if (!parseU64(text, wide) || wide > UINT32_MAX)
+        return false;
+    out = uint32_t(wide);
+    return true;
+}
+
+bool
+parseDouble(std::string_view text, double &out)
+{
+    if (text.empty())
+        return false;
+    const char *last = text.data() + text.size();
+    double v;
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || ptr != last || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
+}
+
+uint64_t
+flagU64(const char *flag, std::string_view text, uint64_t max)
+{
+    uint64_t v;
+    if (!parseU64(text, v))
+        fatal("%s wants a non-negative integer, got '%.*s'", flag,
+              int(text.size()), text.data());
+    if (v > max)
+        fatal("%s wants at most %llu, got '%.*s'", flag,
+              (unsigned long long)max, int(text.size()), text.data());
+    return v;
+}
+
+double
+flagDouble(const char *flag, std::string_view text)
+{
+    double v;
+    if (!parseDouble(text, v))
+        fatal("%s wants a finite number, got '%.*s'", flag,
+              int(text.size()), text.data());
+    return v;
 }
 
 } // namespace pathsched

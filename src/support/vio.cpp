@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "support/strutil.hpp"
@@ -31,15 +29,6 @@ splitOn(const std::string &s, char sep)
         start = end + 1;
     }
     return out;
-}
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last && !s.empty();
 }
 
 bool
@@ -162,9 +151,7 @@ Vio::parseFaults(const std::string &spec, std::string &error)
                     return false;
                 }
             } else if (key == "prob") {
-                char *end = nullptr;
-                f.prob = std::strtod(val.c_str(), &end);
-                if (end != val.c_str() + val.size() || f.prob < 0.0 ||
+                if (!parseDouble(val, f.prob) || f.prob < 0.0 ||
                     f.prob > 1.0) {
                     error = strfmt("bad probability '%s'", val.c_str());
                     return false;

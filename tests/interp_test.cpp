@@ -2,14 +2,22 @@
  * @file
  * Unit tests for the interpreter: opcode semantics (parameterized),
  * control flow, calls and recursion, memory, non-excepting loads,
- * cycle accounting against schedules, and I-cache charging.
+ * cycle accounting against schedules, I-cache charging, and the run
+ * counters against a listener's tallies.
  */
+
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "gen/generator.hpp"
+#include "gen/spec.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
 #include "layout/code_layout.hpp"
+#include "pipeline/pipeline.hpp"
+#include "workloads/workloads.hpp"
 
 namespace pathsched::interp {
 namespace {
@@ -169,6 +177,14 @@ TEST(Interp, LoopComputesSum)
     const RunResult r = Interpreter(prog).run(in);
     EXPECT_EQ(r.returnValue, 55);
     EXPECT_EQ(r.dynBranches, 11u);
+    // entry: 3 ops; head: 2 ops x 11; body: 3 ops x 10; done: 1 op.
+    EXPECT_EQ(r.dynInstrs, 56u);
+    // entry->head, body->head x 10.
+    EXPECT_EQ(r.dynJumps, 11u);
+    EXPECT_EQ(r.dynRets, 1u);
+    EXPECT_EQ(r.dynMemOps, 0u);
+    // The jumps, plus head->body x 10 and head->done.
+    EXPECT_EQ(r.dynEdges, 22u);
 }
 
 TEST(Interp, CallsAndReturnValues)
@@ -244,7 +260,11 @@ TEST(Interp, MemoryRoundTripAndImage)
     b.ret(w);
     ProgramInput in;
     in.memImage = {0, 0, 0, 77};
-    EXPECT_EQ(Interpreter(prog).run(in).returnValue, 77);
+    const RunResult r = Interpreter(prog).run(in);
+    EXPECT_EQ(r.returnValue, 77);
+    EXPECT_EQ(r.dynMemOps, 3u);
+    EXPECT_EQ(r.dynJumps, 0u);
+    EXPECT_EQ(r.dynEdges, 0u);
 }
 
 TEST(Interp, SpeculativeLoadOutOfRangeYieldsZero)
@@ -427,6 +447,71 @@ TEST(Interp, ListenersSeeEdgesAndActivations)
     EXPECT_EQ(rec.exits, 1);
     ASSERT_EQ(rec.edges.size(), 1u);
     EXPECT_EQ(rec.edges[0], (std::pair<ir::BlockId, ir::BlockId>{0, 1}));
+}
+
+/** The reference tallies for RunResult's activation and edge counters:
+ *  what a profiler attached to the same run observes. */
+class CountingListener : public TraceListener
+{
+  public:
+    uint64_t enters = 0, exits = 0, edges = 0;
+    void onProcEnter(ir::ProcId) override { ++enters; }
+    void onProcExit(ir::ProcId) override { ++exits; }
+    void onEdge(ir::ProcId, ir::BlockId, ir::BlockId) override { ++edges; }
+};
+
+/** Run @p prog on @p in with a counting listener attached and check
+ *  RunResult's counters against its tallies. */
+RunResult
+expectCountersMatchListener(const Program &prog, const ProgramInput &in,
+                            const std::string &what,
+                            InterpOptions opts = InterpOptions())
+{
+    CountingListener tally;
+    Interpreter interp(prog, opts);
+    interp.addListener(&tally);
+    const RunResult r = interp.run(in);
+    EXPECT_EQ(tally.enters, r.dynCalls + 1) << what;
+    EXPECT_EQ(tally.exits, r.dynRets) << what;
+    EXPECT_EQ(tally.edges, r.dynEdges) << what;
+    EXPECT_GT(r.dynEdges, 0u) << what;
+    return r;
+}
+
+TEST(Interp, RunCountersMatchListenerTallies)
+{
+    for (const workloads::Workload &w : workloads::standardBenchmarks()) {
+        expectCountersMatchListener(w.program, w.train, w.name + " train");
+        expectCountersMatchListener(w.program, w.test, w.name + " test");
+        pipeline::PipelineOptions opts;
+        opts.keepTransformed = true;
+        const pipeline::PipelineResult res = pipeline::runPipeline(
+            w.program, w.train, w.test, pipeline::SchedConfig::P4, opts);
+        ASSERT_TRUE(res.status.ok()) << w.name;
+        ASSERT_NE(res.transformed, nullptr) << w.name;
+        expectCountersMatchListener(*res.transformed, w.test,
+                                    w.name + " P4 test");
+    }
+
+    // A generated call-heavy program from the fuzz corpus.
+    std::ifstream spec_file(PATHSCHED_CORPUS_DIR "/callheavy.spec");
+    std::string line;
+    ASSERT_TRUE(std::getline(spec_file, line));
+    gen::GenSpec spec;
+    std::string err;
+    ASSERT_TRUE(gen::GenSpec::parse(line, spec, err)) << err;
+    const gen::Workload g = gen::generate(spec);
+    const RunResult full =
+        expectCountersMatchListener(g.program, g.test, "callheavy");
+    EXPECT_GT(full.dynCalls, 0u);
+
+    // A run cut short by the step budget, mid-activation.
+    InterpOptions cut;
+    cut.budgetSteps = full.dynInstrs / 2;
+    const RunResult r = expectCountersMatchListener(
+        g.program, g.test, "callheavy budget-cut", cut);
+    EXPECT_TRUE(r.budgetStop);
+    EXPECT_LT(r.dynRets, r.dynCalls + 1);
 }
 
 } // namespace

@@ -266,7 +266,6 @@ expectSharedMatchesSeparate(const ir::Program &program,
 {
     opts.keepTransformed = true;
     opts.useICache = true;
-    opts.observability.interpStats = true;
     FaultInjector shared_faults, separate_faults;
     if (!fault_spec.empty()) {
         std::string err;

@@ -238,6 +238,16 @@ def test_dump_obeys_step_budget(tmp):
     check(not os.path.exists(paths), "no profile file is written")
 
 
+def test_bad_number_flag():
+    print("a malformed numeric flag is a user error naming the flag")
+    for flag, value in [("--threads", "abc"), ("--step-budget", "-1"),
+                        ("--depth", "x"), ("--threshold", "y")]:
+        r = run_cli(["--workload", "wc", "--config", "BB", flag, value])
+        check(r.returncode == 1,
+              f"{flag} {value} exits 1 (got {r.returncode})")
+        check(f"{flag} wants" in r.stderr, f"stderr names {flag}")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_round_trip(tmp)
@@ -247,6 +257,7 @@ def main():
         test_profile_check_off(tmp)
         test_strict_rejects_before_any_run(tmp)
         test_dump_obeys_step_budget(tmp)
+        test_bad_number_flag()
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
         return 1

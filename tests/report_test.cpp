@@ -50,7 +50,6 @@ class ReportRoundTrip : public ::testing::Test
         const auto w = workloads::makeByName("wc");
         pipeline::PipelineOptions opts;
         opts.observability.observer = &observer;
-        opts.observability.interpStats = true;
         for (const SchedConfig c : kAllConfigs)
             runs_->push_back({"wc", pipeline::runPipeline(
                                         w.program, w.train, w.test, c,
@@ -151,13 +150,16 @@ TEST_F(ReportRoundTrip, RegistryCountersMatchResults)
     // Superblock configs registered formation counters.
     EXPECT_GT(registry_->counter("form.P4.superblocks"), 0u);
     EXPECT_GT(registry_->counter("form.M4.superblocks"), 0u);
-    // interpStats attached a listener whose op count matches the
-    // interpreter's own measurement.
+    // The interpreter's run counters are published under
+    // interp.<cfg>.{train,test} whenever a registry is attached.
     for (const auto &run : *runs_) {
-        const std::string key =
-            "interp." + run.result.name + ".test.ops";
-        EXPECT_EQ(registry_->counter(key), run.result.test.dynInstrs)
-            << key;
+        const std::string prefix = "interp." + run.result.name;
+        EXPECT_EQ(registry_->counter(prefix + ".test.ops"),
+                  run.result.test.dynInstrs)
+            << prefix;
+        EXPECT_EQ(registry_->counter(prefix + ".train.ops"),
+                  run.result.trainSteps)
+            << prefix;
     }
 }
 

@@ -266,5 +266,62 @@ TEST(Strutil, Padding)
     EXPECT_EQ(padRight("abcd", 2), "abcd");
 }
 
+TEST(Strutil, ParseU64AcceptsOnlyWholeUnsignedTokens)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+    v = 7;
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "12x", "0x10",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseU64(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7u) << "'" << bad << "' clobbered the output";
+    }
+}
+
+TEST(Strutil, ParseU32RejectsWideValues)
+{
+    uint32_t v = 7;
+    EXPECT_TRUE(parseU32("4294967295", v));
+    EXPECT_EQ(v, UINT32_MAX);
+    v = 7;
+    for (const char *bad : {"", "-1", "+1", " 1", "12x", "4294967296"}) {
+        EXPECT_FALSE(parseU32(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7u);
+    }
+}
+
+TEST(Strutil, ParseDoubleAcceptsOnlyWholeFiniteTokens)
+{
+    double v = 7;
+    EXPECT_TRUE(parseDouble("0.25", v));
+    EXPECT_EQ(v, 0.25);
+    EXPECT_TRUE(parseDouble("-1.5e2", v));
+    EXPECT_EQ(v, -150.0);
+    v = 7;
+    for (const char *bad :
+         {"", "+1", " 1", "0.5x", "abc", "inf", "nan", "1e999"}) {
+        EXPECT_FALSE(parseDouble(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0);
+    }
+}
+
+TEST(Strutil, FlagParsersExitOneNamingTheFlag)
+{
+    EXPECT_EQ(flagU64("--n", "42"), 42u);
+    EXPECT_EQ(flagU64("--n", "5", 5), 5u);
+    EXPECT_EQ(flagDouble("--x", "0.5"), 0.5);
+    EXPECT_EXIT(flagU64("--threads", "abc"), ::testing::ExitedWithCode(1),
+                "--threads wants a non-negative integer");
+    EXPECT_EXIT(flagU64("--step-budget", "-1"),
+                ::testing::ExitedWithCode(1), "--step-budget wants");
+    EXPECT_EXIT(flagU64("--jobs", "6", 5), ::testing::ExitedWithCode(1),
+                "--jobs wants at most 5");
+    EXPECT_EXIT(flagDouble("--threshold", "y"),
+                ::testing::ExitedWithCode(1), "--threshold wants");
+}
+
 } // namespace
 } // namespace pathsched

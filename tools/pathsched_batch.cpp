@@ -47,6 +47,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -346,15 +347,15 @@ main(int argc, char **argv)
         } else if (arg == "--configs") {
             configs_arg = next();
         } else if (arg == "--jobs") {
-            jobs = int(std::stoul(next()));
+            jobs = int(flagU64("--jobs", next(), INT_MAX));
             if (jobs < 1)
                 fatal("--jobs must be >= 1");
         } else if (arg == "--task-timeout-ms") {
-            task_timeout_ms = std::stoull(next());
+            task_timeout_ms = flagU64("--task-timeout-ms", next());
         } else if (arg == "--retries") {
-            retries = int(std::stoul(next()));
+            retries = int(flagU64("--retries", next(), INT_MAX - 1));
         } else if (arg == "--backoff-ms") {
-            backoff_ms = std::stoull(next());
+            backoff_ms = flagU64("--backoff-ms", next());
         } else if (arg == "--journal") {
             journal_path = next();
         } else if (arg == "--resume") {
@@ -368,7 +369,7 @@ main(int argc, char **argv)
         } else if (arg == "--io-inject") {
             io_inject = next();
         } else if (arg == "--io-inject-seed") {
-            io_inject_seed = std::stoull(next());
+            io_inject_seed = flagU64("--io-inject-seed", next());
         } else if (arg == "--") {
             for (++i; i < argc; ++i)
                 passthrough.push_back(argv[i]);

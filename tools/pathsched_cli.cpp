@@ -44,6 +44,7 @@
 #include "support/faultinject.hpp"
 #include "support/logging.hpp"
 #include "support/status.hpp"
+#include "support/strutil.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace pathsched;
@@ -101,8 +102,7 @@ usage()
         "  --trace FILE            write a Chrome trace_event file of\n"
         "                          per-stage wall times to FILE (open\n"
         "                          in chrome://tracing or Perfetto)\n"
-        "  --stats                 collect interpreter statistics and\n"
-        "                          dump the stat registry after the runs\n"
+        "  --stats                 dump the stat registry after the runs\n"
         "  --inject SPEC           arm deterministic fault injection,\n"
         "                          e.g. stage=form,proc=3,kind=verify\n"
         "                          (';' separates several faults; see\n"
@@ -299,11 +299,13 @@ main(int argc, char **argv)
         } else if (arg == "--icache") {
             opts.useICache = true;
         } else if (arg == "--depth") {
-            opts.pathParams.maxBranches = uint32_t(std::stoul(next()));
+            opts.pathParams.maxBranches =
+                uint32_t(flagU64("--depth", next(), UINT32_MAX));
         } else if (arg == "--threshold") {
-            opts.completionThreshold = std::stod(next());
+            opts.completionThreshold = flagDouble("--threshold", next());
         } else if (arg == "--max-instrs") {
-            opts.maxInstrs = uint32_t(std::stoul(next()));
+            opts.maxInstrs =
+                uint32_t(flagU64("--max-instrs", next(), UINT32_MAX));
         } else if (arg == "--latency") {
             const std::string v = next();
             if (v == "unit") {
@@ -332,7 +334,7 @@ main(int argc, char **argv)
         } else if (arg == "--load-edges") {
             load_edges = next();
         } else if (arg == "--profile-version") {
-            profile_version = int(std::stoul(next()));
+            profile_version = int(flagU64("--profile-version", next(), 2));
             if (profile_version != 1 && profile_version != 2)
                 fatal("--profile-version must be 1 or 2");
         } else if (arg == "--profile-check" ||
@@ -356,19 +358,24 @@ main(int argc, char **argv)
         } else if (arg == "--inject") {
             inject_specs.push_back(next());
         } else if (arg == "--inject-seed") {
-            inject_seed = std::stoull(next());
+            inject_seed = flagU64("--inject-seed", next());
         } else if (arg == "--deadline-ms") {
-            deadline_ms = std::stoull(next());
+            deadline_ms = flagU64("--deadline-ms", next());
         } else if (arg == "--growth-budget") {
-            opts.robustness.budget.formGrowthOps = std::stoull(next());
+            opts.robustness.budget.formGrowthOps =
+                flagU64("--growth-budget", next());
         } else if (arg == "--compact-budget") {
-            opts.robustness.budget.compactOps = std::stoull(next());
+            opts.robustness.budget.compactOps =
+                flagU64("--compact-budget", next());
         } else if (arg == "--regalloc-budget") {
-            opts.robustness.budget.regallocOps = std::stoull(next());
+            opts.robustness.budget.regallocOps =
+                flagU64("--regalloc-budget", next());
         } else if (arg == "--step-budget") {
-            opts.robustness.budget.interpSteps = std::stoull(next());
+            opts.robustness.budget.interpSteps =
+                flagU64("--step-budget", next());
         } else if (arg == "--threads") {
-            opts.executor.threads = unsigned(std::stoul(next()));
+            opts.executor.threads =
+                unsigned(flagU64("--threads", next(), UINT32_MAX));
         } else if (arg == "--cache-dir") {
             cache_dir = next();
         } else if (arg == "--list") {
@@ -504,7 +511,6 @@ main(int argc, char **argv)
         observer.trace = &trace;
     if (observer.stats != nullptr || observer.trace != nullptr)
         opts.observability.observer = &observer;
-    opts.observability.interpStats = want_stats;
 
     std::vector<pipeline::ReportRun> report_runs;
     bool any_degraded = false;

@@ -306,7 +306,7 @@ main(int argc, char **argv)
     uint64_t count = 200;
     if (const char *env = std::getenv("PATHSCHED_FUZZ_COUNT");
         env != nullptr && *env != '\0')
-        count = std::strtoull(env, nullptr, 10);
+        count = flagU64("PATHSCHED_FUZZ_COUNT", env);
     uint64_t seed_base = 1;
     std::string base_spec_text;
     unsigned jobs = 1;
@@ -333,15 +333,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--count") {
-            count = std::stoull(next());
+            count = flagU64("--count", next());
         } else if (arg == "--seed-base") {
-            seed_base = std::stoull(next());
+            seed_base = flagU64("--seed-base", next());
         } else if (arg == "--spec") {
             base_spec_text = next();
         } else if (arg == "--jobs") {
-            jobs = unsigned(std::stoul(next()));
+            jobs = unsigned(flagU64("--jobs", next(), UINT32_MAX));
         } else if (arg == "--timeout-ms") {
-            timeout_ms = std::stoull(next());
+            timeout_ms = flagU64("--timeout-ms", next());
         } else if (arg == "--journal") {
             journal_path = next();
         } else if (arg == "--corpus-dir") {
@@ -349,9 +349,10 @@ main(int argc, char **argv)
         } else if (arg == "--keep-going") {
             keep_going = true;
         } else if (arg == "--max-reduce") {
-            max_reduce = std::stoull(next());
+            max_reduce = flagU64("--max-reduce", next());
         } else if (arg == "--reduce-probes") {
-            reduce_probes = uint32_t(std::stoul(next()));
+            reduce_probes =
+                uint32_t(flagU64("--reduce-probes", next(), UINT32_MAX));
         } else if (arg == "--no-reduce") {
             reduce = false;
         } else if (arg == "--no-meta") {
@@ -359,7 +360,7 @@ main(int argc, char **argv)
         } else if (arg == "--configs") {
             configs_arg = next();
         } else if (arg == "--threads") {
-            threads = unsigned(std::stoul(next()));
+            threads = unsigned(flagU64("--threads", next(), UINT32_MAX));
         } else if (arg == "--one") {
             one_spec = next();
         } else if (arg == "--result-file") {

@@ -113,21 +113,6 @@ usage()
 }
 
 bool
-parseU64(const char *s, uint64_t &out)
-{
-    if (s == nullptr || *s == '\0')
-        return false;
-    uint64_t v = 0;
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        v = v * 10 + uint64_t(*p - '0');
-    }
-    out = v;
-    return true;
-}
-
-bool
 writeDurableFile(Vio *vio, const char *label, const std::string &path,
                  const std::string &text)
 {
@@ -310,11 +295,9 @@ main(int argc, char **argv)
             fatal("%s requires a value", flag);
         return argv[++i];
     };
-    auto needU64 = [&](int &i, const char *flag) -> uint64_t {
-        uint64_t v = 0;
-        if (!parseU64(needValue(i, flag), v))
-            fatal("%s wants a non-negative integer", flag);
-        return v;
+    auto needU64 = [&](int &i, const char *flag,
+                       uint64_t max = UINT64_MAX) -> uint64_t {
+        return flagU64(flag, needValue(i, flag), max);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -343,7 +326,7 @@ main(int argc, char **argv)
             sopts.aggregate.windows = uint32_t(w);
         } else if (arg == "--resched-every") {
             sopts.reschedEveryEpochs =
-                uint32_t(needU64(i, "--resched-every"));
+                uint32_t(needU64(i, "--resched-every", UINT32_MAX));
         } else if (arg == "--resched-deadline-ms") {
             sopts.reschedDeadlineMs =
                 needU64(i, "--resched-deadline-ms");
@@ -389,7 +372,7 @@ main(int argc, char **argv)
             copts.backoffMs = needU64(i, "--backoff-ms");
         } else if (arg == "--max-attempts") {
             copts.maxAttempts =
-                uint32_t(needU64(i, "--max-attempts"));
+                uint32_t(needU64(i, "--max-attempts", UINT32_MAX));
         } else if (arg == "--tick-every") {
             tickEvery = needU64(i, "--tick-every");
         } else if (arg == "--flush-at-end") {
