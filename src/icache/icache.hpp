@@ -36,6 +36,13 @@ class ICache
      */
     uint32_t access(uint64_t addr);
 
+    /**
+     * Count @p n fetches that are known to hit without probing: each
+     * is on the line of the access just before it, which a
+     * direct-mapped cache always still holds.
+     */
+    void addHits(uint64_t n) { accesses_ += n; }
+
     /** Forget all cached lines and zero the statistics. */
     void reset();
 

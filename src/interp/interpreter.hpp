@@ -8,11 +8,18 @@
  *    schedules, and an entry into a block costs `cycleOf(exit)+1`
  *    cycles (the full block cost when it completes);
  *  - the I-cache timing run: with a CodeLayout and an ICache attached,
- *    every executed operation's fetch goes through the cache and misses
- *    add the configured penalty.
+ *    every executed operation is a fetch and misses add the configured
+ *    penalty.  Fetches are charged per line change: the direct-mapped
+ *    cache is probed only when the fetch address enters a new line (a
+ *    fetch on the line just fetched always hits), and the skipped
+ *    fetches are added as hits in bulk, so accesses, misses, stalls
+ *    and cycles are identical to probing on every operation.
  *
- * Blocks without a valid schedule cost one cycle per operation, which
- * only arises in tests; the experiment pipeline schedules every block.
+ * Each run decodes the program lazily, one block on its first entry,
+ * into compact ops with exit cycle costs resolved, and dispatches them
+ * from one switch.  Blocks without a valid schedule cost one cycle per
+ * operation, which only arises in tests; the experiment pipeline
+ * schedules every block.
  */
 
 #ifndef PATHSCHED_INTERP_INTERPRETER_HPP
@@ -66,8 +73,16 @@ struct RunResult
     uint64_t cycles = 0;        ///< total cycles incl. cache stalls
     uint64_t stallCycles = 0;   ///< cycles lost to I-cache misses
 
-    uint64_t icacheAccesses = 0;
-    uint64_t icacheMisses = 0;
+    /** @name I-cache counters of this run (zero without a cache)
+     *  @{
+     */
+    uint64_t icacheAccesses = 0; ///< fetches: one per operation executed
+    uint64_t icacheMisses = 0;   ///< fetches that missed
+    /** Lookups the cache model performed: one per change of fetch
+     *  line.  icacheAccesses - icacheProbes fetches were same-line
+     *  hits, counted without a lookup. */
+    uint64_t icacheProbes = 0;
+    /** @} */
 
     /**
      * The run stopped because it reached InterpOptions::maxSteps.

@@ -179,10 +179,12 @@ supplied(const Admitted *adm)
 /** Publish @p run's dynamic counters into @p stats as
  *  "@p prefix.<name>" (accumulating, so repeated test attempts sum; a
  *  null registry publishes nothing).  Each run is one activation of
- *  main, hence procEnters = calls + 1. */
+ *  main, hence procEnters = calls + 1.  A run with an I-cache attached
+ *  (@p icache) also publishes the cache's counters; accesses / probes
+ *  is the share of fetches charged without a cache lookup. */
 void
 publishRunCounters(obs::StatRegistry *stats, const std::string &prefix,
-                   const interp::RunResult &run)
+                   const interp::RunResult &run, bool icache)
 {
     if (stats == nullptr)
         return;
@@ -195,6 +197,12 @@ publishRunCounters(obs::StatRegistry *stats, const std::string &prefix,
     stats->addCounter(prefix + ".edges", run.dynEdges);
     stats->addCounter(prefix + ".procEnters", run.dynCalls + 1);
     stats->addCounter(prefix + ".procExits", run.dynRets);
+    if (icache) {
+        stats->addCounter(prefix + ".icacheAccesses", run.icacheAccesses);
+        stats->addCounter(prefix + ".icacheMisses", run.icacheMisses);
+        stats->addCounter(prefix + ".icacheProbes", run.icacheProbes);
+        stats->addCounter(prefix + ".stallCycles", run.stallCycles);
+    }
 }
 
 } // namespace
@@ -357,7 +365,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
 
     preparedStage("train", prepared.trainCost);
     publishRunCounters(base.stats, "interp" + cfg_dot + "train",
-                       prepared.training);
+                       prepared.training, false);
     result.trainSteps = prepared.training.dynInstrs;
     size_t trie_bytes = 0;
     if (path_for_form != nullptr) {
@@ -891,7 +899,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         result.test = interp::Interpreter(prog, iopts).run(test);
         t.stop();
         publishRunCounters(base.stats, "interp" + cfg_dot + "test",
-                           result.test);
+                           result.test, opt.useICache);
         result.stages.push_back({stage_name, t.elapsedMs()});
     };
     runTest("test");
