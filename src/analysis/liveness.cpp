@@ -131,10 +131,15 @@ Liveness::Liveness(const ir::Procedure &proc)
         }
     }
 
-    // One huge procedure must not pin its scratch for the thread's
-    // lifetime: return it unless it is small enough to keep reusing.
+    // Keep the scratch for the next solve: procedures solved again and
+    // again (each regalloc round re-solves its procedure) would
+    // otherwise map and fault in fresh pages every time.  One huge
+    // procedure must still not pin its scratch for the thread's
+    // lifetime, so a holding above 1 MiB is returned once a solve
+    // needs less than a quarter of it.
     constexpr size_t kKeepWords = size_t(1) << 17; // 1 MiB
-    if (use.capacity() + defs_before.capacity() > kKeepWords) {
+    const size_t held = use.capacity() + defs_before.capacity();
+    if (held > kKeepWords && 4 * (use.size() + defs_before.size()) < held) {
         std::vector<uint64_t>().swap(use);
         std::vector<uint64_t>().swap(defs_before);
     }

@@ -368,14 +368,17 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                        prepared.training, false);
     result.trainSteps = prepared.training.dynInstrs;
     size_t trie_bytes = 0;
+    uint64_t memo_misses = 0;
     if (path_for_form != nullptr) {
         result.numPaths = path_for_form->numPaths();
         trie_bytes = path_for_form->trieBytes();
+        memo_misses = path_for_form->memoMisses();
     }
     base.addCounter("profile" + cfg_dot + "trainSteps",
                     result.trainSteps);
     base.addCounter("profile" + cfg_dot + "paths", result.numPaths);
     base.addCounter("profile" + cfg_dot + "trieBytes", trie_bytes);
+    base.addCounter("profile" + cfg_dot + "memoMisses", memo_misses);
 
     // --- 1b. Admission accounting.  The verdict itself was reached
     //         before the run (profile/validate.hpp); with no external

@@ -1,6 +1,9 @@
 #include "profile/path_profile.hpp"
 
 #include <cstddef>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "analysis/dominators.hpp"
 #include "analysis/loops.hpp"
@@ -71,6 +74,50 @@ PathProfiler::Overflow::insert(uint64_t key, uint32_t value)
     ++used;
 }
 
+PathProfiler::NodeArray::NodeArray(const NodeArray &other)
+{
+    if (other.size_ == 0)
+        return;
+    data_ = static_cast<Node *>(std::malloc(other.size_ * sizeof(Node)));
+    if (data_ == nullptr)
+        throw std::bad_alloc();
+    std::memcpy(data_, other.data_, other.size_ * sizeof(Node));
+    size_ = capacity_ = other.size_;
+}
+
+PathProfiler::NodeArray::NodeArray(NodeArray &&other) noexcept
+    : data_(other.data_), size_(other.size_), capacity_(other.capacity_)
+{
+    other.data_ = nullptr;
+    other.size_ = other.capacity_ = 0;
+}
+
+PathProfiler::NodeArray &
+PathProfiler::NodeArray::operator=(NodeArray other) noexcept
+{
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(capacity_, other.capacity_);
+    return *this;
+}
+
+void
+PathProfiler::NodeArray::push_back(const Node &n)
+{
+    if (size_ == capacity_) {
+        // glibc serves a block above its mmap threshold by mmap and
+        // grows it with mremap, which moves the pages instead of
+        // copying them.
+        const size_t cap = capacity_ == 0 ? 1 : 2 * capacity_;
+        void *grown = std::realloc(data_, cap * sizeof(Node));
+        if (grown == nullptr)
+            throw std::bad_alloc();
+        data_ = static_cast<Node *>(grown);
+        capacity_ = cap;
+    }
+    data_[size_++] = n;
+}
+
 PathProfiler::PathProfiler(const ir::Program &prog,
                            PathProfileParams params)
     : params_(params)
@@ -82,7 +129,7 @@ PathProfiler::PathProfiler(const ir::Program &prog,
     for (const auto &p : prog.procs) {
         ps_assert(p.blocks.size() < (size_t(1) << 31));
         Trie &t = tries_[p.id];
-        t.nodes.emplace_back(); // root = empty window
+        t.nodes.push_back(Node()); // root = empty window
         t.rootChild.assign(p.blocks.size(), 0);
         auto &cond = condBlock_[p.id];
         cond.assign(p.blocks.size(), 0);
@@ -114,10 +161,10 @@ PathProfiler::findChild(const Trie &t, uint32_t node, BlockId label)
         return 0;
     if (node == 0)
         return t.rootChild[label];
-    const Node &n = t.nodes[node];
-    if (n.childLabel == label)
-        return n.child;
-    if (!n.moreChildren)
+    const Node::Slot &c = t.nodes[node].child;
+    if ((c.word & ~kMore) == label)
+        return c.node;
+    if (!(c.word & kMore))
         return 0;
     return t.overflow.find(overflowKey(node, kChildKey, label));
 }
@@ -133,19 +180,17 @@ PathProfiler::childOf(ProcId proc, uint32_t node, BlockId label)
     Node child;
     child.label = label;
     child.parent = node;
-    child.depth = t.nodes[node].depth + 1;
     t.nodes.push_back(child);
     if (node == 0) {
         t.rootChild[label] = idx;
         return idx;
     }
-    Node &n = t.nodes[node];
-    if (n.child == 0) {
-        n.childLabel = label;
-        n.child = idx;
+    Node::Slot &c = t.nodes[node].child;
+    if (c.node == 0) {
+        c = {label, idx};
     } else {
         t.overflow.insert(overflowKey(node, kChildKey, label), idx);
-        n.moreChildren = true;
+        c.word |= kMore;
     }
     return idx;
 }
@@ -177,10 +222,10 @@ PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
         return childOf(proc, 0, to);
     Trie &t = tries_[proc];
     {
-        const Node &n = t.nodes[node];
-        if (n.succLabel == to)
-            return n.succ;
-        if (n.moreSucc) {
+        const Node::Slot &m = t.nodes[node].succ;
+        if ((m.word & ~kMore) == to)
+            return m.node;
+        if (m.word & kMore) {
             if (uint32_t s = t.overflow.find(overflowKey(node, kSuccKey, to)))
                 return s;
         }
@@ -188,26 +233,28 @@ PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
 
     // First time this window meets `to`: construct the successor window
     // "to, then as much of this window (newest first) as fits".  The
-    // window is the activation's last `depth` blocks.
-    const BlockId *newest = history_.data() + history_.size();
-    const uint32_t depth = t.nodes[node].depth;
+    // window is the longest in-budget suffix of the activation's
+    // blocks, so walking them back from the newest stops, at the
+    // latest, at the window's oldest block.
+    ++memoMisses_;
+    const BlockId *oldest = history_.data() + windowStack_.back().base;
     uint32_t result = childOf(proc, 0, to);
     uint32_t branches = 0;
     uint32_t length = 1;
-    for (uint32_t k = 1; k <= depth; ++k) {
-        const BlockId label = newest[-std::ptrdiff_t(k)];
+    for (const BlockId *p = history_.data() + history_.size();
+         p != oldest;) {
+        const BlockId label = *--p;
         if (!extendOlder(proc, label, branches, length))
             break;
         result = childOf(proc, result, label);
     }
 
-    Node &n = t.nodes[node];
-    if (n.succ == 0) {
-        n.succLabel = to;
-        n.succ = result;
+    Node::Slot &m = t.nodes[node].succ;
+    if (m.node == 0) {
+        m = {to, result};
     } else {
         t.overflow.insert(overflowKey(node, kSuccKey, to), result);
-        n.moreSucc = true;
+        m.word |= kMore;
     }
     return result;
 }
@@ -215,6 +262,7 @@ PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
 void
 PathProfiler::step(ProcId proc, BlockId to)
 {
+    ps_assert_msg(!finalized_, "step after finalize()");
     Activation &a = windowStack_.back();
     ps_assert(a.proc == proc);
     a.node = transition(proc, a.node, to);
@@ -249,7 +297,10 @@ PathProfiler::onEdge(ProcId proc, BlockId from, BlockId to)
 {
     if (params_.forwardPathsOnly &&
         backEdges_[proc].count((uint64_t(from) << 32) | to)) {
-        windowStack_.back().node = 0; // chop the window at back edges
+        // Chop the window at back edges, and the history it is read from.
+        Activation &a = windowStack_.back();
+        a.node = 0;
+        history_.resize(a.base);
     }
     step(proc, to);
 }
@@ -259,13 +310,14 @@ PathProfiler::finalize()
 {
     ps_assert_msg(!finalized_, "finalize() called twice");
     for (auto &t : tries_) {
-        t.subtree.resize(t.nodes.size());
+        // The successor memo is dead once the run is over; its word
+        // holds the subtree sum from here on.
         for (size_t i = 0; i < t.nodes.size(); ++i)
-            t.subtree[i] = t.nodes[i].count;
+            t.nodes[i].subtree = t.nodes[i].count;
         // Children always have larger indices than their parent, so one
         // reverse sweep accumulates complete subtree sums.
         for (size_t i = t.nodes.size(); i-- > 1;)
-            t.subtree[t.nodes[i].parent] += t.subtree[i];
+            t.nodes[t.nodes[i].parent].subtree += t.nodes[i].subtree;
     }
     finalized_ = true;
 }
@@ -290,7 +342,7 @@ PathProfiler::pathFreq(ProcId proc, const std::vector<BlockId> &seq) const
             return 0; // this suffix never executed
         node = child;
     }
-    return t.subtree[node];
+    return t.nodes[node].subtree;
 }
 
 uint64_t
@@ -298,7 +350,7 @@ PathProfiler::blockFreq(ProcId proc, BlockId b) const
 {
     ps_assert_msg(finalized_, "blockFreq before finalize()");
     const uint32_t node = findChild(tries_[proc], 0, b);
-    return node == 0 ? 0 : tries_[proc].subtree[node];
+    return node == 0 ? 0 : tries_[proc].nodes[node].subtree;
 }
 
 void
@@ -364,8 +416,7 @@ PathProfiler::trieBytes() const
     for (const auto &t : tries_) {
         bytes += t.nodes.capacity() * sizeof(Node) +
                  t.rootChild.capacity() * sizeof(uint32_t) +
-                 t.overflow.slots.capacity() * sizeof(Overflow::Slot) +
-                 t.subtree.capacity() * sizeof(uint64_t);
+                 t.overflow.slots.capacity() * sizeof(Overflow::Slot);
     }
     return bytes;
 }

@@ -21,31 +21,44 @@
  *
  * Storage (per procedure) is flat, because a memo miss rebuilds a
  * whole window level by level and every level is a dependent load:
- *  - nodes are 40-byte PODs in one vector: label, parent, count, depth,
- *    plus the *first* child and the *first* memoised successor inline as
- *    (label, index) pairs, and a "more" flag for each.  Most nodes have
- *    at most one child, so the common level touches one cache line;
+ *  - nodes are 32-byte trivially-copyable records: label, parent,
+ *    count, plus the *first* child and the *first* memoised successor
+ *    inline as (label, index) pairs; bit 31 of each label word flags
+ *    "more in the overflow table" (labels are below 2^31).  Most nodes
+ *    have at most one child, so the common level touches one cache
+ *    line;
+ *  - the node array is one malloc'd block grown by doubling with
+ *    realloc; glibc moves a large (mmap-served) block by remapping its
+ *    pages, with no copy and no second live buffer at the peak;
  *  - the root's children are a vector indexed by block id (a lookup
  *    past its end — a block the profiled procedure never had — is 0);
  *  - second and later children and successors go to one
  *    open-addressing overflow table keyed by (node, kind, label);
- *  - subtree sums are a separate vector that finalize() fills;
- *  - a memo miss reads the current window from the activation's last
- *    `depth` executed blocks (kept in history_), not from the node's
- *    parent chain, and allocates nothing.
+ *  - finalize() writes each node's subtree sum over its inline
+ *    successor, which no query reads once the run is over, so the
+ *    sums cost no memory;
+ *  - a memo miss reads the current window from the activation's
+ *    executed blocks (kept in history_), newest first, stopping at the
+ *    first block over the budget or at the activation's first block,
+ *    and allocates nothing.  The window is always the longest
+ *    in-budget suffix of that history, so the walk never reaches past
+ *    the window's oldest block and no node needs to store its depth.
  * Nodes are numbered in creation order, which the layout does not
  * change, so forEachPath() order and serialized bytes do not depend
  * on it.
  *
  * A forward-path mode (Ball-Larus-style) is provided for comparison: the
- * window additionally resets when a back edge is traversed.
+ * window (and the history it is read from) additionally resets when a
+ * back edge is traversed.
  */
 
 #ifndef PATHSCHED_PROFILE_PATH_PROFILE_HPP
 #define PATHSCHED_PROFILE_PATH_PROFILE_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -78,7 +91,8 @@ class PathProfiler : public interp::TraceListener
     void onProcExit(ir::ProcId proc) override;
     void onEdge(ir::ProcId proc, ir::BlockId from, ir::BlockId to) override;
 
-    /** Compute subtree sums.  Must be called once, after the train run. */
+    /** Compute subtree sums.  Must be called once, after the train run;
+     *  the profiler accepts no further steps. */
     void finalize();
 
     /** True once finalize() has run.  Loaders must check this before
@@ -107,6 +121,10 @@ class PathProfiler : public interp::TraceListener
     /** Total dynamic steps (edges + entries) processed. */
     uint64_t numSteps() const { return steps_; }
 
+    /** Steps whose successor window was not yet memoised and had to be
+     *  built from the activation's history. */
+    uint64_t memoMisses() const { return memoMisses_; }
+
     const PathProfileParams &params() const { return params_; }
 
     /** @name Bulk access (profile persistence and merging)
@@ -131,26 +149,64 @@ class PathProfiler : public interp::TraceListener
     /** @} */
 
   private:
+    /** Label word of an empty child or successor slot; bit 31 of a
+     *  label word is the slot's "more in the overflow table" flag. */
+    static constexpr uint32_t kNoLabel = 0x7fffffffu;
+    static constexpr uint32_t kMore = 0x80000000u;
+
     /** One trie node.  Index 0 of a child or successor slot means
      *  "none": the root is never a child or a successor. */
     struct Node
     {
+        /** An inline (label | more flag, node index) slot. */
+        struct Slot
+        {
+            uint32_t word = kNoLabel;
+            uint32_t node = 0;
+        };
+
         ir::BlockId label = ir::kNoBlock;
         uint32_t parent = 0;
         uint64_t count = 0;
         /** First child (extension backward in time). */
-        ir::BlockId childLabel = ir::kNoBlock;
-        uint32_t child = 0;
-        /** First memoised successor window (next-executed block). */
-        ir::BlockId succLabel = ir::kNoBlock;
-        uint32_t succ = 0;
-        /** Window length in blocks (the root's is 0). */
-        uint32_t depth = 0;
-        /** Later children / successors are in Trie::overflow. */
-        bool moreChildren = false;
-        bool moreSucc = false;
+        Slot child;
+        union
+        {
+            /** First memoised successor window (next-executed block);
+             *  live until finalize(). */
+            Slot succ{};
+            /** Sum of the subtree's counts; written by finalize(). */
+            uint64_t subtree;
+        };
     };
-    static_assert(sizeof(Node) == 40, "Node must stay one 40-byte POD");
+    static_assert(sizeof(Node) == 32, "Node must stay 32 bytes");
+    static_assert(std::is_trivially_copyable_v<Node>,
+                  "NodeArray grows Nodes with realloc");
+
+    /** Nodes in one malloc'd block grown by doubling with realloc,
+     *  which can move a large block by remapping its pages where a
+     *  vector would copy it next to a second live buffer.  Copies hold
+     *  exactly size() nodes, as a vector's would. */
+    class NodeArray
+    {
+      public:
+        NodeArray() = default;
+        NodeArray(const NodeArray &other);
+        NodeArray(NodeArray &&other) noexcept;
+        NodeArray &operator=(NodeArray other) noexcept;
+        ~NodeArray() { std::free(data_); }
+
+        Node &operator[](size_t i) { return data_[i]; }
+        const Node &operator[](size_t i) const { return data_[i]; }
+        size_t size() const { return size_; }
+        size_t capacity() const { return capacity_; }
+        void push_back(const Node &n);
+
+      private:
+        Node *data_ = nullptr;
+        size_t size_ = 0;
+        size_t capacity_ = 0;
+    };
 
     /** Open-addressing (linear probing) map from a packed
      *  (node, kind, label) key to a node index.  Entries are never
@@ -176,12 +232,10 @@ class PathProfiler : public interp::TraceListener
     /** Per-procedure trie; node 0 is the root (empty window). */
     struct Trie
     {
-        std::vector<Node> nodes;
+        NodeArray nodes;
         /** The root's child per block id (0 = none). */
         std::vector<uint32_t> rootChild;
         Overflow overflow;
-        /** Subtree sum per node; filled by finalize(). */
-        std::vector<uint64_t> subtree;
     };
 
     uint32_t childOf(ir::ProcId proc, uint32_t node, ir::BlockId label);
@@ -209,11 +263,13 @@ class PathProfiler : public interp::TraceListener
     };
     std::vector<Activation> windowStack_;
     /** Blocks the live activations executed, innermost last; each keeps
-     *  at least its last maxBlocks.  The current window is the last
-     *  `depth` of them, so a memo miss reads it here instead of walking
-     *  the node's parent chain. */
+     *  at least its last maxBlocks (in forward mode, only those since
+     *  its last back edge).  The current window is the longest in-budget
+     *  suffix of the innermost activation's blocks, so a memo miss reads
+     *  it here instead of walking the node's parent chain. */
     std::vector<ir::BlockId> history_;
     uint64_t steps_ = 0;
+    uint64_t memoMisses_ = 0;
     bool finalized_ = false;
 };
 

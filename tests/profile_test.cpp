@@ -414,6 +414,75 @@ TEST(PathProfiler, ForwardModeChopsAtBackEdges)
     EXPECT_EQ(pp.pathFreq(0, {3, 4, 1, 2}), 0u);
 }
 
+/** A memo miss reads the window from the history of the activation
+ *  alone: a callee's windows never reach into its caller's blocks. */
+TEST(PathProfiler, MissWalksStopAtTheActivation)
+{
+    Program prog;
+    IrBuilder b(prog);
+    const ProcId callee = b.newProc("callee", 1);
+    {
+        const BlockId head = b.newBlock();  // 1
+        const BlockId odd = b.newBlock();   // 2
+        const BlockId even = b.newBlock();  // 3
+        const BlockId latch = b.newBlock(); // 4
+        const BlockId done = b.newBlock();  // 5
+        const RegId n = b.param(0);
+        const RegId i = b.freshReg();
+        b.ldiTo(i, 0);
+        b.jmp(head);
+        b.setBlock(head);
+        b.brnz(b.alui(Opcode::And, i, 1), odd, even);
+        b.setBlock(odd);
+        b.jmp(latch);
+        b.setBlock(even);
+        b.jmp(latch);
+        b.setBlock(latch);
+        b.aluiTo(Opcode::Add, i, i, 1);
+        b.brnz(b.alu(Opcode::CmpLt, i, n), head, done);
+        b.setBlock(done);
+        b.ret(i);
+    }
+    prog.mainProc = b.newProc("main", 0);
+    {
+        const BlockId loop = b.newBlock(); // 1
+        const BlockId done = b.newBlock(); // 2
+        const RegId j = b.freshReg();
+        b.ldiTo(j, 0);
+        b.jmp(loop);
+        b.setBlock(loop);
+        b.callValue(callee, {b.ldi(3)});
+        b.aluiTo(Opcode::Add, j, j, 1);
+        b.brnz(b.alui(Opcode::CmpLt, j, 5), loop, done);
+        b.setBlock(done);
+        b.ret(j);
+    }
+
+    for (const bool forward : {false, true}) {
+        PathProfileParams params;
+        params.forwardPathsOnly = forward;
+        PathProfiler pp(prog, params);
+        TraceRecorder rec;
+        interp::Interpreter interp(prog);
+        interp.addListener(&pp);
+        interp.addListener(&rec);
+        interp.run({});
+        WindowCounts got;
+        pp.forEachPath([&](ProcId p, const std::vector<BlockId> &seq,
+                           uint64_t n) { got[{p, seq}] += n; });
+        WindowCounts want;
+        for (const auto &[proc, trace] : rec.finished) {
+            const EdgeSet chop = backEdgesOf(prog.procs[proc]);
+            const std::vector<std::pair<ProcId, std::vector<BlockId>>>
+                one{{proc, trace}};
+            for (const auto &[key, n] : bruteForceWindows(
+                     prog, one, params, forward ? &chop : nullptr))
+                want[key] += n;
+        }
+        EXPECT_EQ(got, want) << (forward ? "forward" : "sliding");
+    }
+}
+
 TEST(PathProfiler, StepAndPathCounters)
 {
     Program prog = makePatternLoop(512);
@@ -531,25 +600,95 @@ TEST(PathProfiler, TrieBytesIsDeterministic)
     interp.addListener(&b);
     interp.run({});
     EXPECT_EQ(a.trieBytes(), b.trieBytes());
-    // A node is 40 bytes; the figure covers at least every node.
-    EXPECT_GE(a.trieBytes(), 40 * a.numPaths());
+    // A node is 32 bytes; the figure covers at least every node.
+    EXPECT_GE(a.trieBytes(), 32 * a.numPaths());
     const size_t before = a.trieBytes();
     a.finalize();
-    EXPECT_GT(a.trieBytes(), before); // plus the subtree sums
+    // The subtree sums reuse the dead successor-memo word.
+    EXPECT_EQ(a.trieBytes(), before);
+}
+
+TEST(PathProfiler, CopiesAndMovesOwnTheirNodes)
+{
+    const Program prog = makeSwitchLoop(200, 16);
+    PathProfiler trained(prog);
+    interp::Interpreter interp(prog);
+    interp.addListener(&trained);
+    interp.run({});
+
+    PathProfiler copy = trained;
+    EXPECT_EQ(copy.numPaths(), trained.numPaths());
+    EXPECT_LE(copy.trieBytes(), trained.trieBytes()); // exact-size copy
+    PathProfiler moved = std::move(copy);
+    copy = trained; // assignable after being moved from
+    trained.finalize();
+    moved.finalize();
+    copy.finalize();
+    for (BlockId b = 0; b < prog.procs[0].blocks.size(); ++b) {
+        EXPECT_EQ(moved.blockFreq(0, b), trained.blockFreq(0, b)) << b;
+        EXPECT_EQ(copy.blockFreq(0, b), trained.blockFreq(0, b)) << b;
+    }
+}
+
+TEST(PathProfilerDeathTest, StepAfterFinalizeAsserts)
+{
+    const Program prog = makePatternLoop(4);
+    PathProfiler pp(prog);
+    interp::Interpreter interp(prog);
+    interp.addListener(&pp);
+    interp.run({});
+    pp.finalize();
+    EXPECT_DEATH(pp.onProcEnter(0), "step after finalize");
+}
+
+/** A memo miss is the first time a window meets a next block; entering
+ *  a procedure and leaving a back edge in forward mode start from the
+ *  empty window and consult no memo. */
+TEST_P(SwitchDispatch, MemoMissesAreFirstMeetings)
+{
+    const Program prog = makeSwitchLoop(300, 16);
+    PathProfileParams params;
+    params.maxBranches = 3;
+    params.forwardPathsOnly = GetParam();
+    const EdgeSet chop = backEdgesOf(prog.procs[0]);
+    const EdgeSet *chopp = params.forwardPathsOnly ? &chop : nullptr;
+
+    PathProfiler pp(prog, params);
+    TraceRecorder rec;
+    interp::Interpreter interp(prog);
+    interp.addListener(&pp);
+    interp.addListener(&rec);
+    interp.run({});
+
+    std::set<std::pair<std::vector<BlockId>, BlockId>> meetings;
+    for (const auto &[proc, trace] : rec.finished) {
+        for (size_t i = 0; i + 1 < trace.size(); ++i) {
+            if (chopp != nullptr && chopp->count({trace[i], trace[i + 1]}))
+                continue;
+            const size_t len =
+                windowLen(prog.procs[proc], trace, i, params, chopp);
+            meetings.insert(
+                {std::vector<BlockId>(trace.begin() + ptrdiff_t(i + 1 - len),
+                                      trace.begin() + ptrdiff_t(i + 1)),
+                 trace[i + 1]});
+        }
+    }
+    EXPECT_EQ(pp.memoMisses(), meetings.size());
+    EXPECT_LT(pp.memoMisses(), pp.numSteps());
 }
 
 /** Differential property test against the brute-force reference. */
 class PathProfileProperty : public ::testing::TestWithParam<uint64_t>
 {};
 
-TEST_P(PathProfileProperty, MatchesBruteForce)
+/**
+ * Profile random program @p seed under @p params and check sampled
+ * pathFreq() queries against the brute-force reference.
+ */
+void
+expectSampledQueriesMatch(uint64_t seed, const PathProfileParams &params)
 {
-    const uint64_t seed = GetParam();
     pstest::GeneratedProgram gen = pstest::makeRandomProgram(seed);
-
-    PathProfileParams params;
-    params.maxBranches = 4; // small depth stresses the budget logic
-    params.maxBlocks = 10;
 
     PathProfiler pp(gen.program, params);
     TraceRecorder rec;
@@ -589,6 +728,48 @@ TEST_P(PathProfileProperty, MatchesBruteForce)
         }
     }
     EXPECT_GT(checked, 0);
+}
+
+TEST_P(PathProfileProperty, MatchesBruteForce)
+{
+    PathProfileParams params;
+    params.maxBranches = 4; // small depth stresses the budget logic
+    params.maxBlocks = 10;
+    expectSampledQueriesMatch(GetParam(), params);
+}
+
+/** Three blocks per path: the block cap, not the branch budget, ends
+ *  the windows, so a memo-miss walk stops on length. */
+TEST_P(PathProfileProperty, MatchesBruteForceWithBindingMaxBlocks)
+{
+    const uint64_t seed = GetParam();
+    PathProfileParams params;
+    params.maxBlocks = 3;
+    expectSampledQueriesMatch(seed, params);
+
+    // Every raw window matches, and the cap really ends some of them
+    // wherever an activation runs longer than it (some seeds generate
+    // straight-line programs).
+    pstest::GeneratedProgram gen = pstest::makeRandomProgram(seed);
+    PathProfiler pp(gen.program, params);
+    TraceRecorder rec;
+    interp::Interpreter interp(gen.program);
+    interp.addListener(&pp);
+    interp.addListener(&rec);
+    interp.run(gen.input);
+    WindowCounts got;
+    pp.forEachPath([&](ProcId p, const std::vector<BlockId> &seq,
+                       uint64_t n) { got[{p, seq}] += n; });
+    EXPECT_EQ(got, bruteForceWindows(gen.program, rec.finished, params));
+    size_t longest = 0;
+    for (const auto &[proc, trace] : rec.finished)
+        longest = std::max(longest, trace.size());
+    if (longest > params.maxBlocks) {
+        PathProfileParams uncapped = params;
+        uncapped.maxBlocks = PathProfileParams().maxBlocks;
+        EXPECT_NE(got,
+                  bruteForceWindows(gen.program, rec.finished, uncapped));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathProfileProperty,

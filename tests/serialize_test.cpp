@@ -390,6 +390,57 @@ TEST(PathProfiler, V2DumpsArePinned)
     }
 }
 
+/**
+ * The same pins beyond the default windows: forward paths, and sliding
+ * windows at one and two branches, where the budget (not the history)
+ * ends most memo-miss walks.  Every value was taken from the build
+ * before the trie moved to 32-byte nodes, subtree sums in the memo
+ * word and history-bounded miss walks, so these rows prove that change
+ * emits the same bytes.
+ */
+TEST(PathProfiler, V2DumpsArePinnedBeyondTheDefaultWindows)
+{
+    struct Pin
+    {
+        const char *workload;
+        const char *mode;
+        uint64_t fnv;
+        size_t bytes;
+        size_t paths;
+    };
+    const Pin pins[] = {
+        {"wc", "forward", 0x41cc685e8d99f594ull, 316, 25},
+        {"wc", "branches1", 0xd0aa0b1751e3bb5cull, 290, 20},
+        {"wc", "branches2", 0x1c9c0654f2c2b52full, 415, 35},
+        {"vortex", "forward", 0x744df03190f05145ull, 818, 74},
+        {"vortex", "branches1", 0xdda214315117ebbcull, 837, 67},
+        {"vortex", "branches2", 0x5f15936055a2a599ull, 1325, 116},
+        {"go", "forward", 0x7eaa0487ed98c6e3ull, 65740, 10235},
+        {"go", "branches1", 0x1e4747add80dae8dull, 43154, 3149},
+        {"go", "branches2", 0xe64ccef21cec6c4aull, 57952, 4639},
+        {"gcc", "forward", 0x7d02b867349daf05ull, 71481, 10520},
+        {"gcc", "branches1", 0x92be72ef8507913bull, 66287, 5142},
+        {"gcc", "branches2", 0xa06f761a77aa54a9ull, 87601, 7196},
+    };
+    for (const Pin &pin : pins) {
+        PathProfileParams params;
+        const std::string mode = pin.mode;
+        if (mode == "forward")
+            params.forwardPathsOnly = true;
+        else
+            params.maxBranches = mode == "branches1" ? 1 : 2;
+        const auto w = workloads::makeByName(pin.workload);
+        TrainedProfiles t(w, params);
+        t.pp.finalize();
+        const std::string text = toTextV2(t.pp, w.program);
+        EXPECT_EQ(t.pp.numPaths(), pin.paths) << pin.workload << " " << mode;
+        EXPECT_EQ(text.size(), pin.bytes) << pin.workload << " " << mode;
+        EXPECT_EQ(hex16(fnv1a64(text.data(), text.size())),
+                  hex16(pin.fnv))
+            << pin.workload << " " << mode;
+    }
+}
+
 TEST(SerializeV2, BodyTamperFailsChecksumAsProfileCorrupt)
 {
     const auto w = workloads::makeAlt();

@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "gen/generator.hpp"
 #include "interp/interpreter.hpp"
 #include "machine/machine.hpp"
@@ -607,6 +609,13 @@ main(int argc, char **argv)
         }
     }
 
+    if (need_registry) {
+        // Process gauges, read once every run is over.
+        struct rusage ru{};
+        getrusage(RUSAGE_SELF, &ru);
+        registry.setGauge("run.peakRssKb", double(ru.ru_maxrss));
+        registry.setGauge("run.minorFaults", double(ru.ru_minflt));
+    }
     if (want_stats) {
         // `--json -` owns stdout, so the text dump moves to stderr.
         FILE *out = print_table ? stdout : stderr;
