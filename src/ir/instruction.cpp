@@ -5,46 +5,6 @@
 namespace pathsched::ir {
 
 void
-Instruction::sources(std::vector<RegId> &out) const
-{
-    out.clear();
-    switch (op) {
-      case Opcode::Ldi:
-      case Opcode::Jmp:
-      case Opcode::Nop:
-        break;
-      case Opcode::Mov:
-      case Opcode::Emit:
-      case Opcode::BrNz:
-      case Opcode::BrZ:
-        if (src1 != kNoReg)
-            out.push_back(src1);
-        break;
-      case Opcode::Ret:
-        if (src1 != kNoReg)
-            out.push_back(src1);
-        break;
-      case Opcode::Ld:
-      case Opcode::LdSpec:
-        out.push_back(src1);
-        break;
-      case Opcode::St:
-        out.push_back(src1);
-        out.push_back(src2);
-        break;
-      case Opcode::Call:
-        for (RegId a : args)
-            out.push_back(a);
-        break;
-      default: // ALU ops
-        out.push_back(src1);
-        if (!useImm)
-            out.push_back(src2);
-        break;
-    }
-}
-
-void
 Instruction::renameSources(RegId from, RegId to)
 {
     auto fix = [&](RegId &r) {

@@ -123,8 +123,47 @@ struct Instruction
         }
     }
 
-    /** Collect the registers this instruction reads. */
-    void sources(std::vector<RegId> &out) const;
+    /**
+     * Collect the registers this instruction reads into @p out (cleared
+     * first).  Inline: every pass over the IR calls it per instruction.
+     * A filled copy rather than a view, so callers may rename sources
+     * while they walk the list from before the rename.
+     */
+    void
+    sources(std::vector<RegId> &out) const
+    {
+        out.clear();
+        switch (op) {
+          case Opcode::Ldi:
+          case Opcode::Jmp:
+          case Opcode::Nop:
+            break;
+          case Opcode::Mov:
+          case Opcode::Emit:
+          case Opcode::BrNz:
+          case Opcode::BrZ:
+          case Opcode::Ret:
+            if (src1 != kNoReg)
+                out.push_back(src1);
+            break;
+          case Opcode::Ld:
+          case Opcode::LdSpec:
+            out.push_back(src1);
+            break;
+          case Opcode::St:
+            out.push_back(src1);
+            out.push_back(src2);
+            break;
+          case Opcode::Call:
+            out.assign(args.begin(), args.end());
+            break;
+          default: // ALU ops
+            out.push_back(src1);
+            if (!useImm)
+                out.push_back(src2);
+            break;
+        }
+    }
 
     /** Replace every read of register @p from with @p to. */
     void renameSources(RegId from, RegId to);

@@ -95,7 +95,10 @@ class Checker
     checkInstr(const Procedure &p, BlockId b, const Instruction &ins,
                bool last)
     {
-        std::vector<RegId> srcs;
+        // Per-thread scratch: verification runs on every procedure of
+        // every chain, so a fresh vector per instruction would be heap
+        // churn on the hot path.
+        thread_local std::vector<RegId> srcs;
         ins.sources(srcs);
         for (RegId r : srcs)
             checkReg(p, b, r, "source");

@@ -15,7 +15,10 @@ namespace pathsched::pipeline {
 namespace {
 
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr char kMagic[4] = {'P', 'S', 'C', '1'};
+/** Disk-entry format and meaning.  PSC2: entries carry alloc.rounds,
+ *  and a stored body's schedule valid bits follow the allocator's
+ *  keep rule (a PSC1 body may hold stale valid schedules). */
+constexpr char kMagic[4] = {'P', 'S', 'C', '2'};
 
 /** @name Fixed-width little-endian encoding
  *  @{
@@ -290,6 +293,7 @@ serializeEntry(const StageCache::Entry &e, std::string &out)
     putU64(out, e.alloc.procsAllocated);
     putU64(out, e.alloc.procsSkipped);
     putU64(out, e.alloc.regsSpilled);
+    putU64(out, e.alloc.rounds);
     putU32(out, e.alloc.maxPressure);
 }
 
@@ -318,6 +322,7 @@ deserializeEntry(const std::string &in, size_t &pos,
            getU64(in, pos, e.alloc.procsAllocated) &&
            getU64(in, pos, e.alloc.procsSkipped) &&
            getU64(in, pos, e.alloc.regsSpilled) &&
+           getU64(in, pos, e.alloc.rounds) &&
            getU32(in, pos, e.alloc.maxPressure);
 }
 

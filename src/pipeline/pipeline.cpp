@@ -5,8 +5,10 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "analysis/callgraph.hpp"
+#include "analysis/liveness.hpp"
 #include "ir/verifier.hpp"
 #include "layout/code_layout.hpp"
 #include "layout/pettis_hansen.hpp"
@@ -95,6 +97,9 @@ struct ProcCtx
     /** Locally-numbered spill slots not yet assigned an address (see
      *  assignSpillSlots in runBackend). */
     regalloc::SpillPlan spill;
+    /** Compaction's final liveness solve, held from compact until
+     *  regalloc's first round consumes it. */
+    std::optional<analysis::Liveness> live;
     /** This procedure's degradations, merged at the join. */
     std::vector<Degradation> degraded;
     /** Private registry standing in for the shared one (when a stats
@@ -695,6 +700,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             ctx.timed.withPrefix("compact.");
         copts.observer = &compact_obs;
         copts.budget = budgetFor(p);
+        if (opt.registerAllocate)
+            copts.liveness = &ctx.live;
         Status st = inject("compact", p);
         if (st.ok())
             st = sched::compactProcedure(prog, p, opt.machine, copts,
@@ -710,6 +717,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     auto regallocTask = [&](ir::ProcId p) {
         ProcCtx &ctx = ctxs[p];
         MsAccum acc(ctx.regallocMs);
+        const std::optional<analysis::Liveness> live =
+            std::exchange(ctx.live, std::nullopt);
         if (ctx.cacheHit)
             return;
         if (deadlineUp("regalloc"))
@@ -720,6 +729,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             ao.budget = budgetFor(p);
             ao.recursive = &recursive;
             ao.spill = &ctx.spill;
+            ao.liveness = live ? &*live : nullptr;
             st = regalloc::allocateProcedure(
                 prog, p, opt.machine.numRegs, ctx.alloc, ao);
         }
@@ -853,10 +863,13 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                         result.alloc.regsSpilled);
         base.addCounter("alloc" + cfg_dot + "procsSkipped",
                         result.alloc.procsSkipped);
+        base.addCounter("alloc" + cfg_dot + "rounds", result.alloc.rounds);
         base.setGauge("alloc" + cfg_dot + "maxPressure",
                       result.alloc.maxPressure);
         // The postschedule replaces the preschedule's cycle counts.
         result.compact.sched = postsched;
+        base.addCounter("sched" + cfg_dot + "postschedKept",
+                        postsched.blocksKept);
         result.stages.push_back({"postsched", postsched_ms});
         timed.addSample("postsched", postsched_ms);
     }

@@ -1,6 +1,7 @@
 #include "regalloc/linear_scan.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/liveness.hpp"
 #include "pipeline/stages.hpp"
@@ -27,11 +28,11 @@ struct Interval
     bool used = false;
 };
 
-/** One coarse live interval per virtual register of @p proc. */
+/** One coarse live interval per virtual register of @p proc, from a
+ *  liveness solve @p live of the procedure as it stands. */
 std::vector<Interval>
-buildIntervals(const ir::Procedure &proc)
+buildIntervals(const ir::Procedure &proc, const analysis::Liveness &live)
 {
-    analysis::Liveness live(proc);
     std::vector<Interval> ivs(proc.numRegs);
     for (RegId r = 0; r < proc.numRegs; ++r)
         ivs[r].vreg = r;
@@ -141,18 +142,49 @@ allocateProc(ir::Procedure &proc, const std::vector<Interval> &ivs,
     }
     stats.maxPressure = std::max(stats.maxPressure, pressure);
 
-    // Rewrite every operand.
-    for (auto &bb : proc.blocks) {
-        for (auto &ins : bb.instrs) {
+    // Rewrite every operand, and clear the schedule of each block on
+    // which the assignment is not injective.  A block's dependence
+    // graph reads registers only through equality: among the registers
+    // it names (RAW/WAR/WAW edges, memory base versions), and of a def
+    // against the registers live at its exits (a subset of its
+    // live-out set).  Where no two distinct registers of those share a
+    // physical register, the graph, its heights and so the list
+    // schedule come out exactly as before.  Only the names need
+    // checking here: a live-out register the block does not name is
+    // live in as well, so its interval spans the whole block and
+    // overlaps the interval of every name and of every other live-out
+    // register, and overlapping intervals never share a register.
+    // (An allocator with lifetime holes would have to check the
+    // live-out sets too.)  claim_of[p] is (block << 32 | register) of
+    // the register that last claimed physical p.
+    std::vector<uint64_t> claim_of(num_phys, UINT64_MAX);
+    for (BlockId b = 0; b < proc.blocks.size(); ++b) {
+        bool injective = true;
+        auto claim = [&](RegId v) {
+            const RegId p = assignment[v];
+            // kNoReg: a field no source list reads (never in an
+            // interval); it feeds no dependence.
+            if (p != kNoReg) {
+                const uint64_t mine = uint64_t(b) << 32 | v;
+                if (claim_of[p] >> 32 == b)
+                    injective &= claim_of[p] == mine;
+                else
+                    claim_of[p] = mine;
+            }
+            return p;
+        };
+        for (auto &ins : proc.blocks[b].instrs) {
             if (ins.dst != kNoReg)
-                ins.dst = assignment[ins.dst];
+                ins.dst = claim(ins.dst);
             if (ins.src1 != kNoReg)
-                ins.src1 = assignment[ins.src1];
+                ins.src1 = claim(ins.src1);
             if (ins.src2 != kNoReg)
-                ins.src2 = assignment[ins.src2];
+                ins.src2 = claim(ins.src2);
             for (RegId &a : ins.args)
-                a = assignment[a];
+                a = claim(a);
         }
+        if (!injective && b < proc.schedules.size())
+            proc.schedules[b].valid = false;
     }
     proc.numRegs = num_phys;
     return true;
@@ -341,6 +373,10 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
     BudgetMeter meter(budget, "regalloc",
                       budget != nullptr ? budget->regallocOps : 0);
 
+    // The caller's solve describes the procedure until the first
+    // spill rewrites it.
+    const analysis::Liveness *given = options.liveness;
+    std::optional<analysis::Liveness> own;
     bool done = false;
     for (int round = 0; round < 40 && !done; ++round) {
         Status st = meter.checkpoint(proc.instrCount() + 1);
@@ -353,7 +389,11 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
         }
         // One liveness solve per round, shared by both steps below:
         // a failed allocation leaves the procedure unchanged.
-        const std::vector<Interval> ivs = buildIntervals(proc);
+        const analysis::Liveness &live =
+            given != nullptr ? *given : own.emplace(proc);
+        given = nullptr;
+        ++stats.rounds;
+        const std::vector<Interval> ivs = buildIntervals(proc, live);
         if (allocateProc(proc, ivs, num_phys_regs, stats)) {
             ++stats.procsAllocated;
             done = true;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/liveness.hpp"
 #include "ir/procedure.hpp"
 #include "support/budget.hpp"
 #include "support/status.hpp"
@@ -31,6 +32,10 @@ struct AllocStats
     uint64_t procsAllocated = 0;
     uint64_t procsSkipped = 0;
     uint64_t regsSpilled = 0; ///< live ranges demoted to memory slots
+    /** Allocation attempts (one interval build each): 1 for a
+     *  procedure that fits, one more per spill-and-retry, 0 for a
+     *  procedure with nothing to allocate. */
+    uint64_t rounds = 0;
     uint32_t maxPressure = 0; ///< peak simultaneously-live registers
 
     AllocStats &
@@ -39,6 +44,7 @@ struct AllocStats
         procsAllocated += o.procsAllocated;
         procsSkipped += o.procsSkipped;
         regsSpilled += o.regsSpilled;
+        rounds += o.rounds;
         maxPressure = maxPressure > o.maxPressure ? maxPressure
                                                   : o.maxPressure;
         return *this;
@@ -111,6 +117,13 @@ struct AllocOptions
      * until the caller rebases them with rebaseSpillSlots().
      */
     SpillPlan *spill = nullptr;
+    /**
+     * A liveness solve of the procedure exactly as it stands (not
+     * owned, nullable).  The first round uses it instead of solving
+     * again; a spill changes the code, so later rounds solve their
+     * own.  The pipeline hands over compaction's final solve here.
+     */
+    const analysis::Liveness *liveness = nullptr;
 };
 
 /**
@@ -118,6 +131,11 @@ struct AllocOptions
  * registers, rewriting register operands in place and accumulating
  * counters into @p stats — the recoverable per-procedure entry point
  * behind allocateProgram(), and the form the pipeline executor calls.
+ * Allocation clears exactly the block schedules it makes stale: all of
+ * a procedure it spills in, and otherwise each block on which the
+ * register assignment is not injective (see DESIGN.md §5.4).  A block
+ * that keeps a valid schedule would be rescheduled to the same issue
+ * order and cycles, so the postschedule keeps it.
  * Spill slots are issued locally in AllocOptions::spill; the caller
  * rebases them onto data memory.  A procedure whose pressure cannot be
  * reduced is *not* an error (it stays on virtual registers and counts

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "analysis/liveness.hpp"
 #include "pipeline/stages.hpp"
@@ -101,6 +102,8 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
                        proc.name.c_str(), b));
         }
     }
+    if (options.liveness != nullptr)
+        options.liveness->emplace(std::move(live));
     return Status();
 }
 
@@ -125,9 +128,23 @@ scheduleProcedure(ir::Program &prog, ir::ProcId proc_id,
                   proc_id);
     ir::Procedure &proc = prog.procs[proc_id];
     proc.syncSideTables();
-    analysis::Liveness live(proc);
-    for (ir::BlockId b = 0; b < proc.blocks.size(); ++b)
-        stats += scheduleBlock(proc, b, live, mm, priority);
+    // Solved on the first block that needs it; every block before it
+    // is kept, i.e. unchanged, so the solve sees the procedure as a
+    // solve up front would.
+    std::optional<analysis::Liveness> live;
+    for (ir::BlockId b = 0; b < proc.blocks.size(); ++b) {
+        const ir::BlockSchedule &kept = proc.schedules[b];
+        if (kept.valid &&
+            kept.cycleOf.size() == proc.blocks[b].instrs.size()) {
+            ++stats.blocksScheduled;
+            ++stats.blocksKept;
+            stats.totalCycles += kept.numCycles;
+            continue;
+        }
+        if (!live)
+            live.emplace(proc);
+        stats += scheduleBlock(proc, b, *live, mm, priority);
+    }
     return stats;
 }
 

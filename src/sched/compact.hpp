@@ -14,6 +14,9 @@
 #ifndef PATHSCHED_SCHED_COMPACT_HPP
 #define PATHSCHED_SCHED_COMPACT_HPP
 
+#include <optional>
+
+#include "analysis/liveness.hpp"
 #include "ir/procedure.hpp"
 #include "machine/machine.hpp"
 #include "obs/timer.hpp"
@@ -44,6 +47,16 @@ struct CompactOptions
      * returns BudgetExceeded / DeadlineExceeded.  Null disables.
      */
     const ResourceBudget *budget = nullptr;
+    /**
+     * Optional out-slot (not owned).  On success it receives the
+     * liveness solve compaction scheduled against, which still
+     * describes the compacted procedure exactly: scheduling only
+     * reorders within blocks, and only moves a def across an exit
+     * where the register is dead at that exit's targets.  Register
+     * allocation's first round reuses it
+     * (regalloc::AllocOptions::liveness).  Untouched on failure.
+     */
+    std::optional<analysis::Liveness> *liveness = nullptr;
 };
 
 /** Aggregated counters from compactProgram. */
@@ -83,18 +96,23 @@ CompactStats compactProgram(ir::Program &prog,
                             const machine::MachineModel &mm,
                             const CompactOptions &options = CompactOptions());
 
-/** scheduleProgram() for a single procedure (the per-procedure
- *  postschedule used by the pipeline's quarantine path). */
+/**
+ * The postschedule of procedure @p proc: list scheduling only (no
+ * optimization or renaming) of every block without a valid schedule of
+ * its size.  Register allocation clears exactly the schedules it makes
+ * stale (every block of a procedure it spilled in, else the blocks on
+ * which its assignment is not injective), so those are the blocks
+ * whose dependence graph gained spill code or the anti/output
+ * dependences of register reuse.  A kept block counts in ScheduleStats as scheduled, with its
+ * kept cycle count and no new speculated loads, exactly as
+ * rescheduling it would; ScheduleStats::blocksKept counts it too.
+ * Liveness is solved only when some block is rescheduled.
+ */
 ScheduleStats scheduleProcedure(
     ir::Program &prog, ir::ProcId proc, const machine::MachineModel &mm,
     SchedPriority priority = SchedPriority::CriticalPath);
 
-/**
- * Re-run list scheduling only (no optimization or renaming) over every
- * block.  This is the postschedule step after register allocation: the
- * scheduler now sees the anti/output dependences the allocator's
- * register reuse introduced.
- */
+/** scheduleProcedure() over every procedure of @p prog. */
 ScheduleStats scheduleProgram(
     ir::Program &prog, const machine::MachineModel &mm,
     SchedPriority priority = SchedPriority::CriticalPath);

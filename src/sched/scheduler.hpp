@@ -45,6 +45,9 @@ struct ScheduleStats
     uint64_t blocksScheduled = 0;
     uint64_t loadsSpeculated = 0;
     uint64_t totalCycles = 0; ///< static schedule lengths, summed
+    /** Of blocksScheduled, the blocks whose schedule scheduleProcedure
+     *  kept instead of rebuilding. */
+    uint64_t blocksKept = 0;
 
     ScheduleStats &
     operator+=(const ScheduleStats &o)
@@ -52,6 +55,7 @@ struct ScheduleStats
         blocksScheduled += o.blocksScheduled;
         loadsSpeculated += o.loadsSpeculated;
         totalCycles += o.totalCycles;
+        blocksKept += o.blocksKept;
         return *this;
     }
 };

@@ -471,6 +471,50 @@ TEST_F(DiskCacheTest, CorruptEntriesAreRejectedAsMisses)
     EXPECT_EQ(ir::toString(*r.transformed), cold_ir);
 }
 
+TEST_F(DiskCacheTest, OldFormatEntriesAreMisses)
+{
+    // A PSC1 entry's body may hold schedules the allocator made stale
+    // and left marked valid; the postschedule would keep them.  An
+    // entry with that magic must recompute, even with a payload and
+    // checksum that are otherwise intact.
+    const auto w = workloads::makeByName("wc");
+    PipelineOptions opts;
+    opts.keepTransformed = true;
+    std::string cold_ir;
+    {
+        StageCache writer(dir_);
+        opts.executor.cache = &writer;
+        const PipelineResult cold = pipeline::runPipeline(
+            w.program, w.train, w.test, SchedConfig::P4, opts);
+        ASSERT_TRUE(cold.status.ok());
+        cold_ir = ir::toString(*cold.transformed);
+    }
+
+    size_t rewritten = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir_)) {
+        std::fstream f(e.path(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        char magic[4] = {};
+        f.read(magic, 4);
+        ASSERT_EQ(std::string(magic, 4), "PSC2");
+        f.seekp(0);
+        f.write("PSC1", 4);
+        ++rewritten;
+    }
+    ASSERT_GT(rewritten, 0u);
+
+    StageCache reader(dir_);
+    opts.executor.cache = &reader;
+    const PipelineResult r = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::P4, opts);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(reader.stats().diskHits, 0u);
+    EXPECT_EQ(r.exec.cacheHits, 0u);
+    EXPECT_EQ(r.exec.cacheMisses, rewritten);
+    EXPECT_EQ(ir::toString(*r.transformed), cold_ir);
+}
+
 TEST_F(DiskCacheTest, DiskFaultDisablesTheTierWithoutChangingOutput)
 {
     // A mid-run ENOSPC on the cache directory must demote the cache to

@@ -1,0 +1,272 @@
+/**
+ * @file
+ * The two shortcuts of the compact -> regalloc -> postsched chain, each
+ * checked against the work it skips:
+ *  - the postschedule keeps every block schedule register allocation
+ *    left valid, which must equal rescheduling that block;
+ *  - compaction hands its final liveness solve to allocation, which
+ *    must equal a fresh solve of the compacted procedure.
+ * Subjects: the 14 workloads under the paper's five backends, the fuzz
+ * corpus, and 200 generated programs shaped like perfbench's gen-mix.
+ */
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "analysis/liveness.hpp"
+#include "gen/generator.hpp"
+#include "interp/interpreter.hpp"
+#include "pipeline/backend.hpp"
+#include "profile/edge_profile.hpp"
+#include "profile/path_profile.hpp"
+#include "regalloc/linear_scan.hpp"
+#include "sched/compact.hpp"
+#include "workloads/workloads.hpp"
+
+namespace pathsched {
+namespace {
+
+struct Subject
+{
+    std::string name;
+    ir::Program program;
+    interp::ProgramInput train;
+};
+
+/** The 14 workloads, every corpus spec, and 200 generated programs. */
+std::vector<Subject>
+subjects()
+{
+    std::vector<Subject> out;
+    for (workloads::Workload &w : workloads::standardBenchmarks())
+        out.push_back({w.name, std::move(w.program), std::move(w.train)});
+
+    std::vector<std::filesystem::path> specs;
+    for (const auto &de :
+         std::filesystem::directory_iterator(PATHSCHED_CORPUS_DIR)) {
+        if (de.path().extension() == ".spec")
+            specs.push_back(de.path());
+    }
+    std::sort(specs.begin(), specs.end());
+    for (const auto &path : specs) {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line) && (line.empty() || line[0] == '#')) {
+        }
+        gen::GenSpec spec;
+        std::string err;
+        EXPECT_TRUE(gen::GenSpec::parse(line, spec, err))
+            << path << ": " << err;
+        gen::Workload w = gen::generate(spec);
+        out.push_back({path.filename().string(), std::move(w.program),
+                       std::move(w.train)});
+    }
+
+    static const gen::BranchKind kFamilies[] = {
+        gen::BranchKind::Random, gen::BranchKind::Tttf,
+        gen::BranchKind::Phased, gen::BranchKind::Correlated,
+        gen::BranchKind::Mixed};
+    for (uint32_t i = 0; i < 200; ++i) {
+        gen::GenSpec spec;
+        spec.seed = 1 + i;
+        spec.branch = kFamilies[i % 5];
+        spec.procs = 3 + (i / 5) % 12;
+        spec.stmts = 8;
+        spec.maxTrips = 12;
+        gen::Workload w = gen::generate(spec);
+        out.push_back({spec.toString(), std::move(w.program),
+                       std::move(w.train)});
+    }
+    return out;
+}
+
+/**
+ * Run @p s through each paper backend's transform and compaction, one
+ * procedure at a time as the pipeline's chain does, and call
+ * @p compacted(prog, proc, live, label) with compaction's handed-off
+ * liveness solve after each procedure compacts.  Then call
+ * @p finished(prog, label) once every procedure has compacted.
+ */
+void
+forEachCompacted(
+    const Subject &s,
+    const std::function<void(ir::Program &, ir::ProcId,
+                             const analysis::Liveness &,
+                             const std::string &)> &compacted,
+    const std::function<void(ir::Program &, const std::string &)>
+        &finished)
+{
+    const pipeline::PipelineOptions opt;
+    profile::EdgeProfiler edge(s.program);
+    profile::PathProfiler path(s.program, opt.pathParams);
+    {
+        interp::InterpOptions iopts;
+        iopts.maxSteps = opt.maxSteps;
+        interp::Interpreter it(s.program, iopts);
+        it.addListener(&edge);
+        it.addListener(&path);
+        ASSERT_FALSE(it.run(s.train).truncated()) << s.name;
+    }
+    path.finalize();
+    profile::EdgeProfiler projected(s.program);
+    const obs::Observer no_sink;
+
+    for (const char *name : {"BB", "M4", "M16", "P4", "P4e"}) {
+        const pipeline::BackendDesc *be = pipeline::findBackend(name);
+        ASSERT_NE(be, nullptr) << name;
+        const std::string label = s.name + "/" + name;
+        ir::Program prog = s.program;
+        pipeline::TransformContext tc;
+        tc.config = be->config;
+        tc.opt = &opt;
+        tc.edge = &edge;
+        tc.path = &path;
+        tc.projectedEdge = &projected;
+        tc.timed = &no_sink;
+        pipeline::TransformStats xf;
+        sched::CompactOptions copts;
+        std::optional<analysis::Liveness> live;
+        copts.liveness = &live;
+        for (ir::ProcId p = 0; p < prog.procs.size(); ++p) {
+            if (be->hasTransform()) {
+                const char *stage = be->transformLabel;
+                ASSERT_TRUE(be->transform(prog, p, tc, xf, &stage).ok())
+                    << label;
+            }
+            sched::CompactStats cs;
+            ASSERT_TRUE(sched::compactProcedure(prog, p, opt.machine,
+                                                copts, cs)
+                            .ok())
+                << label;
+            ASSERT_TRUE(live.has_value()) << label;
+            compacted(prog, p, *live, label);
+        }
+        finished(prog, label);
+    }
+}
+
+bool
+sameInstr(const ir::Instruction &a, const ir::Instruction &b)
+{
+    return a.op == b.op && a.useImm == b.useImm && a.dst == b.dst &&
+           a.src1 == b.src1 && a.src2 == b.src2 && a.imm == b.imm &&
+           a.target0 == b.target0 && a.target1 == b.target1 &&
+           a.callee == b.callee && a.args == b.args;
+}
+
+TEST(Liveness, HandoffEqualsFreshSolve)
+{
+    uint64_t blocks = 0;
+    for (const Subject &s : subjects()) {
+        forEachCompacted(
+            s,
+            [&](ir::Program &prog, ir::ProcId p,
+                const analysis::Liveness &handed, const std::string &label) {
+                const ir::Procedure &proc = prog.procs[p];
+                const analysis::Liveness fresh(proc);
+                ASSERT_EQ(handed.numRegs(), fresh.numRegs()) << label;
+                for (ir::BlockId b = 0; b < proc.blocks.size(); ++b) {
+                    ASSERT_TRUE(handed.liveIn(b) == fresh.liveIn(b))
+                        << label << " " << proc.name << " block " << b;
+                    ASSERT_TRUE(handed.liveOut(b) == fresh.liveOut(b))
+                        << label << " " << proc.name << " block " << b;
+                    ++blocks;
+                }
+            },
+            [](ir::Program &, const std::string &) {});
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(blocks, 100000u);
+}
+
+/**
+ * Allocate each procedure with the handed-off solve, as the pipeline
+ * does, then postschedule the program twice: as the pipeline does
+ * (keeping every schedule allocation left valid), and on a copy with
+ * every schedule cleared (rescheduling everything).  Every block must
+ * come out with the same instructions, order, cycles and superblock
+ * ordinals, and the two ScheduleStats must agree.
+ */
+TEST(Postsched, KeptBlocksMatchAReschedule)
+{
+    const machine::MachineModel mm = pipeline::PipelineOptions().machine;
+    uint64_t blocks = 0, kept = 0;
+    for (const Subject &s : subjects()) {
+        const std::vector<uint8_t> recursive =
+            regalloc::findRecursiveProcs(s.program);
+        regalloc::AllocStats alloc;
+        std::vector<regalloc::SpillPlan> plans(s.program.procs.size());
+        forEachCompacted(
+            s,
+            [&](ir::Program &prog, ir::ProcId p,
+                const analysis::Liveness &live, const std::string &label) {
+                regalloc::AllocOptions ao;
+                ao.recursive = &recursive;
+                ao.spill = &plans[p];
+                ao.liveness = &live;
+                ASSERT_TRUE(regalloc::allocateProcedure(
+                                prog, p, mm.numRegs, alloc, ao)
+                                .ok())
+                    << label;
+            },
+            [&](ir::Program &prog, const std::string &label) {
+                ir::Program fresh = prog;
+                for (ir::Procedure &proc : fresh.procs) {
+                    for (ir::BlockSchedule &sch : proc.schedules)
+                        sch.valid = false;
+                }
+                const sched::ScheduleStats got =
+                    sched::scheduleProgram(prog, mm);
+                const sched::ScheduleStats want =
+                    sched::scheduleProgram(fresh, mm);
+                EXPECT_EQ(got.blocksScheduled, want.blocksScheduled)
+                    << label;
+                EXPECT_EQ(got.totalCycles, want.totalCycles) << label;
+                EXPECT_EQ(got.loadsSpeculated, want.loadsSpeculated)
+                    << label;
+                EXPECT_EQ(want.blocksKept, 0u) << label;
+                kept += got.blocksKept;
+                for (ir::ProcId p = 0; p < prog.procs.size(); ++p) {
+                    const ir::Procedure &a = prog.procs[p];
+                    const ir::Procedure &b = fresh.procs[p];
+                    for (ir::BlockId k = 0; k < a.blocks.size(); ++k) {
+                        const std::string where = label + " " + a.name +
+                                                  " block " +
+                                                  std::to_string(k);
+                        const auto &ia = a.blocks[k].instrs;
+                        const auto &ib = b.blocks[k].instrs;
+                        ASSERT_EQ(ia.size(), ib.size()) << where;
+                        for (size_t i = 0; i < ia.size(); ++i)
+                            ASSERT_TRUE(sameInstr(ia[i], ib[i]))
+                                << where << " slot " << i;
+                        ASSERT_EQ(a.schedules[k].cycleOf,
+                                  b.schedules[k].cycleOf)
+                            << where;
+                        ASSERT_EQ(a.schedules[k].numCycles,
+                                  b.schedules[k].numCycles)
+                            << where;
+                        ASSERT_EQ(a.superblocks[k].srcOrdinalOf,
+                                  b.superblocks[k].srcOrdinalOf)
+                            << where;
+                        ++blocks;
+                    }
+                }
+            });
+        if (HasFatalFailure())
+            return;
+    }
+    // Most blocks are kept; a rule that keeps none proves nothing.
+    EXPECT_GT(kept, blocks / 2);
+    EXPECT_LT(kept, blocks);
+}
+
+} // namespace
+} // namespace pathsched
