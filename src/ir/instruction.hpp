@@ -124,15 +124,14 @@ struct Instruction
     }
 
     /**
-     * Collect the registers this instruction reads into @p out (cleared
-     * first).  Inline: every pass over the IR calls it per instruction.
-     * A filled copy rather than a view, so callers may rename sources
-     * while they walk the list from before the rename.
+     * Call @p fn(r) for every register r this instruction reads, in
+     * operand order, without building a list.  Inline: every pass over
+     * the IR calls it per instruction.
      */
+    template <typename Fn>
     void
-    sources(std::vector<RegId> &out) const
+    forEachSource(Fn &&fn) const
     {
-        out.clear();
         switch (op) {
           case Opcode::Ldi:
           case Opcode::Jmp:
@@ -144,25 +143,39 @@ struct Instruction
           case Opcode::BrZ:
           case Opcode::Ret:
             if (src1 != kNoReg)
-                out.push_back(src1);
+                fn(src1);
             break;
           case Opcode::Ld:
           case Opcode::LdSpec:
-            out.push_back(src1);
+            fn(src1);
             break;
           case Opcode::St:
-            out.push_back(src1);
-            out.push_back(src2);
+            fn(src1);
+            fn(src2);
             break;
           case Opcode::Call:
-            out.assign(args.begin(), args.end());
+            for (RegId r : args)
+                fn(r);
             break;
           default: // ALU ops
-            out.push_back(src1);
+            fn(src1);
             if (!useImm)
-                out.push_back(src2);
+                fn(src2);
             break;
         }
+    }
+
+    /**
+     * Collect the registers this instruction reads into @p out (cleared
+     * first), in forEachSource order.  A filled copy rather than a
+     * view, so callers may rename sources while they walk the list from
+     * before the rename.
+     */
+    void
+    sources(std::vector<RegId> &out) const
+    {
+        out.clear();
+        forEachSource([&out](RegId r) { out.push_back(r); });
     }
 
     /** Replace every read of register @p from with @p to. */

@@ -17,8 +17,10 @@ namespace {
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 /** Disk-entry format and meaning.  PSC2: entries carry alloc.rounds,
  *  and a stored body's schedule valid bits follow the allocator's
- *  keep rule (a PSC1 body may hold stale valid schedules). */
-constexpr char kMagic[4] = {'P', 'S', 'C', '2'};
+ *  keep rule (a PSC1 body may hold stale valid schedules).  PSC3:
+ *  entries carry compaction's and allocation's liveness solve and
+ *  visit counts. */
+constexpr char kMagic[4] = {'P', 'S', 'C', '3'};
 
 /** @name Fixed-width little-endian encoding
  *  @{
@@ -290,10 +292,14 @@ serializeEntry(const StageCache::Entry &e, std::string &out)
     putU64(out, e.compact.sched.blocksScheduled);
     putU64(out, e.compact.sched.loadsSpeculated);
     putU64(out, e.compact.sched.totalCycles);
+    putU64(out, e.compact.sched.liveSolves);
+    putU64(out, e.compact.sched.liveVisits);
     putU64(out, e.alloc.procsAllocated);
     putU64(out, e.alloc.procsSkipped);
     putU64(out, e.alloc.regsSpilled);
     putU64(out, e.alloc.rounds);
+    putU64(out, e.alloc.liveSolves);
+    putU64(out, e.alloc.liveVisits);
     putU32(out, e.alloc.maxPressure);
 }
 
@@ -319,10 +325,14 @@ deserializeEntry(const std::string &in, size_t &pos,
            getU64(in, pos, e.compact.sched.blocksScheduled) &&
            getU64(in, pos, e.compact.sched.loadsSpeculated) &&
            getU64(in, pos, e.compact.sched.totalCycles) &&
+           getU64(in, pos, e.compact.sched.liveSolves) &&
+           getU64(in, pos, e.compact.sched.liveVisits) &&
            getU64(in, pos, e.alloc.procsAllocated) &&
            getU64(in, pos, e.alloc.procsSkipped) &&
            getU64(in, pos, e.alloc.regsSpilled) &&
            getU64(in, pos, e.alloc.rounds) &&
+           getU64(in, pos, e.alloc.liveSolves) &&
+           getU64(in, pos, e.alloc.liveVisits) &&
            getU32(in, pos, e.alloc.maxPressure);
 }
 

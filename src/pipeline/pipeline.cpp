@@ -856,6 +856,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     result.compact.rename.stubsCreated);
     base.addCounter("compact" + cfg_dot + "loadsSpeculated",
                     result.compact.sched.loadsSpeculated);
+    base.addCounter("compact" + cfg_dot + "liveSolves",
+                    result.compact.sched.liveSolves);
+    base.addCounter("compact" + cfg_dot + "liveVisits",
+                    result.compact.sched.liveVisits);
     if (opt.registerAllocate) {
         result.stages.push_back({"regalloc", regalloc_ms});
         timed.addSample("regalloc", regalloc_ms);
@@ -864,12 +868,20 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         base.addCounter("alloc" + cfg_dot + "procsSkipped",
                         result.alloc.procsSkipped);
         base.addCounter("alloc" + cfg_dot + "rounds", result.alloc.rounds);
+        base.addCounter("alloc" + cfg_dot + "liveSolves",
+                        result.alloc.liveSolves);
+        base.addCounter("alloc" + cfg_dot + "liveVisits",
+                        result.alloc.liveVisits);
         base.setGauge("alloc" + cfg_dot + "maxPressure",
                       result.alloc.maxPressure);
         // The postschedule replaces the preschedule's cycle counts.
         result.compact.sched = postsched;
         base.addCounter("sched" + cfg_dot + "postschedKept",
                         postsched.blocksKept);
+        base.addCounter("sched" + cfg_dot + "liveSolves",
+                        postsched.liveSolves);
+        base.addCounter("sched" + cfg_dot + "liveVisits",
+                        postsched.liveVisits);
         result.stages.push_back({"postsched", postsched_ms});
         timed.addSample("postsched", postsched_ms);
     }

@@ -43,15 +43,13 @@ buildIntervals(const ir::Procedure &proc, const analysis::Liveness &live)
     };
 
     uint32_t pos = 0;
-    std::vector<RegId> srcs;
     for (BlockId b = 0; b < proc.blocks.size(); ++b) {
         const uint32_t block_start = pos;
         for (const auto &ins : proc.blocks[b].instrs) {
-            ins.sources(srcs);
-            for (RegId r : srcs) {
+            ins.forEachSource([&](RegId r) {
                 extend(r, pos);
                 ++ivs[r].refs;
-            }
+            });
             if (ins.hasDst()) {
                 extend(ins.dst, pos);
                 ++ivs[ins.dst].refs;
@@ -389,8 +387,12 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
         }
         // One liveness solve per round, shared by both steps below:
         // a failed allocation leaves the procedure unchanged.
-        const analysis::Liveness &live =
-            given != nullptr ? *given : own.emplace(proc);
+        if (given == nullptr) {
+            own.emplace(proc);
+            ++stats.liveSolves;
+            stats.liveVisits += own->visits();
+        }
+        const analysis::Liveness &live = given != nullptr ? *given : *own;
         given = nullptr;
         ++stats.rounds;
         const std::vector<Interval> ivs = buildIntervals(proc, live);

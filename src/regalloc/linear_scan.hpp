@@ -36,6 +36,10 @@ struct AllocStats
      *  procedure that fits, one more per spill-and-retry, 0 for a
      *  procedure with nothing to allocate. */
     uint64_t rounds = 0;
+    /** Liveness solves of its own (a handed-over solve is not one),
+     *  and the worklist block visits they took. */
+    uint64_t liveSolves = 0;
+    uint64_t liveVisits = 0;
     uint32_t maxPressure = 0; ///< peak simultaneously-live registers
 
     AllocStats &
@@ -45,6 +49,8 @@ struct AllocStats
         procsSkipped += o.procsSkipped;
         regsSpilled += o.regsSpilled;
         rounds += o.rounds;
+        liveSolves += o.liveSolves;
+        liveVisits += o.liveVisits;
         maxPressure = maxPressure > o.maxPressure ? maxPressure
                                                   : o.maxPressure;
         return *this;

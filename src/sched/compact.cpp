@@ -43,6 +43,7 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
     double opt_ms = 0, rename_ms = 0;
     {
         analysis::Liveness live(proc);
+        stats.sched.countSolve(live);
         for (ir::BlockId b = 0; b < original_blocks; ++b) {
             Status st =
                 meter.checkpoint(proc.blocks[b].instrs.size() + 1);
@@ -82,6 +83,7 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
     // and stubs included), then schedule everything.
     auto t = ob.time("presched");
     analysis::Liveness live(proc);
+    stats.sched.countSolve(live);
     for (ir::BlockId b = 0; b < proc.blocks.size(); ++b) {
         Status st = meter.checkpoint(proc.blocks[b].instrs.size() + 1);
         if (!st.ok())
@@ -142,7 +144,7 @@ scheduleProcedure(ir::Program &prog, ir::ProcId proc_id,
             continue;
         }
         if (!live)
-            live.emplace(proc);
+            stats.countSolve(live.emplace(proc));
         stats += scheduleBlock(proc, b, *live, mm, priority);
     }
     return stats;

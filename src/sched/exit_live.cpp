@@ -16,10 +16,11 @@ collectExits(const ir::Procedure &proc, ir::BlockId b,
         ExitInfo e;
         e.instrIdx = uint32_t(i);
         e.isTerminator = last || !ins.isBranch();
+        e.numRegs = uint32_t(live.numRegs());
         if (ins.op != ir::Opcode::Ret)
-            e.live0 = &live.liveIn(ins.target0);
+            e.live0 = live.liveIn(ins.target0).words();
         if (last && ins.isBranch() && ins.target1 != ir::kNoBlock)
-            e.live1 = &live.liveIn(ins.target1);
+            e.live1 = live.liveIn(ins.target1).words();
         out.push_back(e);
     }
 }

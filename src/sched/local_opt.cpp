@@ -280,7 +280,6 @@ deadCodePass(ir::Procedure &proc, BlockId b,
     thread_local std::vector<ExitInfo> exits;
     thread_local BitVec live_now;
     thread_local std::vector<uint8_t> keep;
-    thread_local std::vector<RegId> srcs;
     collectExits(proc, b, live, exits);
 
     // Sized to the liveness universe: this pass runs before renaming,
@@ -314,9 +313,7 @@ deadCodePass(ir::Procedure &proc, BlockId b,
         }
         if (ins.hasDst())
             live_now.reset(ins.dst);
-        ins.sources(srcs);
-        for (RegId r : srcs)
-            live_now.set(r);
+        ins.forEachSource([](RegId r) { live_now.set(r); });
     }
     if (!changed)
         return false;

@@ -49,6 +49,18 @@ scheduleBlock(ir::Procedure &proc, BlockId b,
     const uint32_t n = uint32_t(bb.instrs.size());
     ps_assert(n > 0);
 
+    // One instruction issues alone in cycle 0: no dependence to order,
+    // no earlier branch to speculate a load above.
+    if (n == 1) {
+        ir::BlockSchedule &sched = proc.schedules[b];
+        sched.cycleOf.assign(1, 0);
+        sched.numCycles = 1;
+        sched.valid = true;
+        ++stats.blocksScheduled;
+        stats.totalCycles += 1;
+        return stats;
+    }
+
     thread_local SchedScratch scratch;
     SchedScratch &s = scratch;
     collectExits(proc, b, live, s.exits);

@@ -17,7 +17,8 @@
  * start, index).  Speculative-load marking is one pass over the
  * original order against the latest issue position of an earlier
  * branch.  All scratch is per thread and reused, so scheduling a block
- * allocates nothing once the buffers have grown.
+ * allocates nothing once the buffers have grown.  A block of one
+ * instruction is placed in cycle 0 without building its graph.
  */
 
 #ifndef PATHSCHED_SCHED_SCHEDULER_HPP
@@ -48,6 +49,19 @@ struct ScheduleStats
     /** Of blocksScheduled, the blocks whose schedule scheduleProcedure
      *  kept instead of rebuilding. */
     uint64_t blocksKept = 0;
+    /** Liveness solves made by the pass these stats count (compaction
+     *  or the postschedule; scheduleBlock solves none), and the
+     *  worklist block visits they took (Liveness::visits). */
+    uint64_t liveSolves = 0;
+    uint64_t liveVisits = 0;
+
+    /** Count @p live as one solve of the pass. */
+    void
+    countSolve(const analysis::Liveness &live)
+    {
+        ++liveSolves;
+        liveVisits += live.visits();
+    }
 
     ScheduleStats &
     operator+=(const ScheduleStats &o)
@@ -56,6 +70,8 @@ struct ScheduleStats
         loadsSpeculated += o.loadsSpeculated;
         totalCycles += o.totalCycles;
         blocksKept += o.blocksKept;
+        liveSolves += o.liveSolves;
+        liveVisits += o.liveVisits;
         return *this;
     }
 };

@@ -262,6 +262,115 @@ TEST(Liveness, TerminatorUnionsBothTargets)
     EXPECT_FALSE(live.liveIn(right).test(ra));
 }
 
+TEST(Liveness, UnreachableBlockIsSolvedToo)
+{
+    // Block 0 returns p0; blocks 1 -> 2 are unreachable, and 2 reads
+    // p1.  The worklist starts with every block queued, so p1 is live
+    // into both unreachable blocks and still not into the entry.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 2);
+    const BlockId dead = b.newBlock();
+    const BlockId tail = b.newBlock();
+    const RegId p0 = b.param(0);
+    const RegId p1 = b.param(1);
+    b.ret(p0);
+    b.setBlock(dead);
+    b.jmp(tail);
+    b.setBlock(tail);
+    b.ret(p1);
+
+    Liveness live(prog.proc(0));
+    EXPECT_TRUE(live.liveIn(tail).test(p1));
+    EXPECT_TRUE(live.liveIn(dead).test(p1));
+    EXPECT_TRUE(live.liveOut(dead).test(p1));
+    EXPECT_FALSE(live.liveIn(0).test(p1));
+    EXPECT_TRUE(live.liveIn(0).test(p0));
+    // tail grows (dead is already queued), dead grows (no preds), 0.
+    EXPECT_EQ(live.visits(), 3u);
+}
+
+TEST(Liveness, SelfLoopFeedsItsOwnLiveOut)
+{
+    // 0: jmp 1;  1: t = q + 1; brnz p0 -> 1 | 2;  2: ret p1.
+    // q is read only in block 1, so only the self edge makes it live
+    // out of block 1; it is not live into the loop's exit.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 3);
+    const BlockId loop = b.newBlock();
+    const BlockId exit = b.newBlock();
+    const RegId p0 = b.param(0);
+    const RegId p1 = b.param(1);
+    const RegId q = b.param(2);
+    b.jmp(loop);
+    b.setBlock(loop);
+    const RegId t = b.addi(q, 1);
+    b.brnz(p0, loop, exit);
+    b.setBlock(exit);
+    b.ret(p1);
+
+    Liveness live(prog.proc(0));
+    for (const RegId r : {p0, p1, q}) {
+        EXPECT_TRUE(live.liveIn(loop).test(r)) << r;
+        EXPECT_TRUE(live.liveOut(loop).test(r)) << r;
+        EXPECT_TRUE(live.liveIn(0).test(r)) << r;
+    }
+    EXPECT_FALSE(live.liveIn(exit).test(q));
+    EXPECT_FALSE(live.liveOut(loop).test(t));
+    // exit, loop (grows: re-queues itself), 0, loop again (no change).
+    EXPECT_EQ(live.visits(), 4u);
+}
+
+TEST(Liveness, TwoTargetsOnTheSameBlock)
+{
+    // brnz p0 -> 1 | 1: one successor reached two ways.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 3);
+    const BlockId next = b.newBlock();
+    const RegId p0 = b.param(0);
+    const RegId p1 = b.param(1);
+    const RegId p2 = b.param(2);
+    b.brnz(p0, next, next);
+    b.setBlock(next);
+    b.ret(p1);
+
+    Liveness live(prog.proc(0));
+    EXPECT_TRUE(live.liveIn(0).test(p0));
+    EXPECT_TRUE(live.liveIn(0).test(p1));
+    EXPECT_FALSE(live.liveIn(0).test(p2));
+    EXPECT_TRUE(live.liveOut(0).test(p1));
+    EXPECT_FALSE(live.liveOut(0).test(p0));
+    EXPECT_TRUE(live.liveOut(0) == live.liveIn(next));
+    EXPECT_EQ(live.visits(), 2u);
+}
+
+TEST(Liveness, ZeroRegistersHaveEmptyRows)
+{
+    // No parameters and no registers: every row is zero words wide.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 0);
+    const BlockId next = b.newBlock();
+    b.jmp(next);
+    b.setBlock(next);
+    b.ret();
+
+    Liveness live(prog.proc(0));
+    EXPECT_EQ(live.numRegs(), 0u);
+    for (const BlockId blk : {BlockId(0), next}) {
+        EXPECT_EQ(live.liveIn(blk).size(), 0u);
+        EXPECT_EQ(live.liveIn(blk).numWords(), 0u);
+        EXPECT_EQ(live.liveOut(blk).numWords(), 0u);
+        size_t members = 0;
+        live.liveIn(blk).forEachSet([&](size_t) { ++members; });
+        EXPECT_EQ(members, 0u);
+    }
+    EXPECT_TRUE(live.liveIn(0) == live.liveOut(next));
+    EXPECT_EQ(live.visits(), 2u);
+}
+
 TEST(CallGraph, StaticEdgesAndWeights)
 {
     Program prog;

@@ -497,7 +497,7 @@ TEST_F(DiskCacheTest, OldFormatEntriesAreMisses)
         ASSERT_TRUE(f.is_open());
         char magic[4] = {};
         f.read(magic, 4);
-        ASSERT_EQ(std::string(magic, 4), "PSC2");
+        ASSERT_EQ(std::string(magic, 4), "PSC3");
         f.seekp(0);
         f.write("PSC1", 4);
         ++rewritten;

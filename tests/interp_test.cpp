@@ -3,16 +3,12 @@
  * Unit tests for the interpreter: opcode semantics (parameterized),
  * control flow, calls and recursion, memory, non-excepting loads,
  * cycle accounting against schedules, I-cache charging, the run
- * counters against a listener's tallies, a differential check against
- * the instruction-at-a-time reference interpreter, and a pinned table
- * of per-workload counters.
+ * counters against a listener's tallies, and a pinned table of
+ * per-workload counters.
  */
 
 #include <algorithm>
-#include <array>
-#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -22,10 +18,8 @@
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
 #include "layout/code_layout.hpp"
-#include "layout/pettis_hansen.hpp"
 #include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
-#include "reference_interp.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched::interp {
@@ -572,226 +566,6 @@ TEST(Interp, ICacheCountersArePerRun)
     EXPECT_EQ(second.icacheMisses, 0u);
     EXPECT_EQ(second.stallCycles, 0u);
     EXPECT_EQ(cache.accesses(), first.dynInstrs + second.dynInstrs);
-}
-
-/** Every listener event of a run, folded in order into a count and an
- *  FNV-1a hash, so two runs' event sequences compare in O(1) memory. */
-class EventDigest : public TraceListener
-{
-  public:
-    uint64_t count = 0;
-    uint64_t hash = 14695981039346656037ULL;
-
-    void onProcEnter(ProcId p) override { add({0, p, 0, 0}); }
-    void onProcExit(ProcId p) override { add({1, p, 0, 0}); }
-    void
-    onEdge(ProcId p, BlockId from, BlockId to) override
-    {
-        add({2, p, from, to});
-    }
-
-  private:
-    void
-    add(std::array<uint32_t, 4> event)
-    {
-        ++count;
-        for (uint32_t word : event) {
-            for (int byte = 0; byte < 4; ++byte) {
-                hash ^= (word >> (8 * byte)) & 0xff;
-                hash *= 1099511628211ULL;
-            }
-        }
-    }
-};
-
-/** Expect every measured field of two runs to be equal. */
-void
-expectSameRun(const RunResult &got, const RunResult &want,
-              const std::string &what)
-{
-    EXPECT_EQ(got.returnValue, want.returnValue) << what;
-    EXPECT_TRUE(got.output == want.output) << what;
-    EXPECT_EQ(got.dynInstrs, want.dynInstrs) << what;
-    EXPECT_EQ(got.dynBranches, want.dynBranches) << what;
-    EXPECT_EQ(got.dynCalls, want.dynCalls) << what;
-    EXPECT_EQ(got.dynJumps, want.dynJumps) << what;
-    EXPECT_EQ(got.dynRets, want.dynRets) << what;
-    EXPECT_EQ(got.dynMemOps, want.dynMemOps) << what;
-    EXPECT_EQ(got.dynEdges, want.dynEdges) << what;
-    EXPECT_EQ(got.cycles, want.cycles) << what;
-    EXPECT_EQ(got.stallCycles, want.stallCycles) << what;
-    EXPECT_EQ(got.icacheAccesses, want.icacheAccesses) << what;
-    EXPECT_EQ(got.icacheMisses, want.icacheMisses) << what;
-    EXPECT_EQ(got.sbEntries, want.sbEntries) << what;
-    EXPECT_EQ(got.sbBlocksExecuted, want.sbBlocksExecuted) << what;
-    EXPECT_EQ(got.sbBlocksInSb, want.sbBlocksInSb) << what;
-    EXPECT_EQ(got.sbCompletions, want.sbCompletions) << what;
-    EXPECT_TRUE(got.callCounts == want.callCounts) << what;
-    EXPECT_EQ(got.stepLimit, want.stepLimit) << what;
-    EXPECT_EQ(got.budgetStop, want.budgetStop) << what;
-    EXPECT_EQ(got.deadlineStop, want.deadlineStop) << what;
-    EXPECT_EQ(got.stopProc, want.stopProc) << what;
-}
-
-/**
- * Run @p prog on @p in under @p opts with the decoded interpreter and
- * with the reference interpreter, and expect equal results.  With
- * @p layout, each run gets its own fresh I-cache; with @p listen, each
- * gets an event digest, and the two event sequences must be equal.
- */
-RunResult
-expectMatchesReference(const Program &prog, const ProgramInput &in,
-                       const InterpOptions &opts,
-                       const layout::CodeLayout *layout, bool listen,
-                       const std::string &what)
-{
-    icache::ICache decoded_cache, reference_cache;
-    InterpOptions decoded_opts = opts, reference_opts = opts;
-    if (layout != nullptr) {
-        decoded_opts.codeLayout = reference_opts.codeLayout = layout;
-        decoded_opts.cache = &decoded_cache;
-        reference_opts.cache = &reference_cache;
-    }
-    EventDigest decoded_events, reference_events;
-    Interpreter interp(prog, decoded_opts);
-    std::vector<TraceListener *> reference_listeners;
-    if (listen) {
-        interp.addListener(&decoded_events);
-        reference_listeners.push_back(&reference_events);
-    }
-    const RunResult got = interp.run(in);
-    const RunResult want = reference::referenceRun(
-        prog, reference_opts, reference_listeners, in);
-    expectSameRun(got, want, what);
-    EXPECT_EQ(decoded_events.count, reference_events.count) << what;
-    EXPECT_EQ(decoded_events.hash, reference_events.hash) << what;
-    if (layout != nullptr) {
-        EXPECT_LE(got.icacheProbes, got.icacheAccesses) << what;
-    }
-    return got;
-}
-
-/** The smallest step budget under which @p counter of the reference
- *  run reaches @p m: that step executes the counter's m-th op. */
-uint64_t
-stepOfNth(const Program &prog, const ProgramInput &in, uint64_t total,
-          const std::function<uint64_t(const RunResult &)> &counter,
-          uint64_t m)
-{
-    uint64_t lo = 1, hi = total;
-    while (lo < hi) {
-        const uint64_t mid = lo + (hi - lo) / 2;
-        InterpOptions opts;
-        opts.budgetSteps = mid;
-        if (counter(reference::referenceRun(prog, opts, {}, in)) >= m)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-TEST(Interp, DecodedMatchesReference)
-{
-    InterpOptions train_opts;
-    train_opts.collectCallCounts = true;
-    const InterpOptions plain;
-    const std::vector<const pipeline::BackendDesc *> &backends =
-        pipeline::allBackends();
-
-    // A call-heavy superblock program for the step-budget cuts below.
-    std::shared_ptr<const Program> cut_prog;
-    layout::CodeLayout cut_layout;
-    ProgramInput cut_input;
-
-    for (const workloads::Workload &w : workloads::standardBenchmarks()) {
-        expectMatchesReference(w.program, w.train, train_opts, nullptr,
-                               true, w.name + " train");
-        expectMatchesReference(w.program, w.test, plain, nullptr, false,
-                               w.name + " test");
-
-        // Each backend's program on test, placed the way the pipeline
-        // places it for an I-cache run.
-        pipeline::PipelineOptions popts;
-        popts.keepTransformed = true;
-        const pipeline::PreparedWorkload prepared =
-            pipeline::prepareWorkload(w.program, w.train, w.test,
-                                      pipeline::needsOf(backends), popts);
-        ASSERT_TRUE(prepared.status.ok()) << w.name;
-        for (const pipeline::BackendDesc *be : backends) {
-            const pipeline::PipelineResult res =
-                pipeline::runBackend(prepared, *be, popts);
-            ASSERT_TRUE(res.status.ok()) << w.name << " " << be->name;
-            ASSERT_NE(res.transformed, nullptr) << w.name;
-            analysis::CallGraph cg(*res.transformed);
-            for (const auto &[edge, count] : prepared.training.callCounts)
-                cg.addWeight(edge.first, edge.second, count);
-            const layout::CodeLayout code_layout = layout::layoutProgram(
-                *res.transformed, layout::pettisHansenOrder(cg),
-                popts.blockOrder);
-            expectMatchesReference(*res.transformed, w.test, plain,
-                                   &code_layout, false,
-                                   w.name + " " + be->name + " test");
-            if (w.name == "li" && be->config == pipeline::SchedConfig::P4) {
-                cut_prog = res.transformed;
-                cut_layout = code_layout;
-                cut_input = w.test;
-            }
-        }
-    }
-
-    // Every fuzz-corpus program, with listeners and a cache together.
-    std::vector<std::filesystem::path> specs;
-    for (const auto &de :
-         std::filesystem::directory_iterator(PATHSCHED_CORPUS_DIR)) {
-        if (de.path().extension() == ".spec")
-            specs.push_back(de.path());
-    }
-    std::sort(specs.begin(), specs.end());
-    ASSERT_FALSE(specs.empty());
-    for (const std::filesystem::path &path : specs) {
-        std::ifstream spec_file(path);
-        std::string line;
-        ASSERT_TRUE(std::getline(spec_file, line)) << path;
-        gen::GenSpec spec;
-        std::string err;
-        ASSERT_TRUE(gen::GenSpec::parse(line, spec, err)) << path << err;
-        const gen::Workload g = gen::generate(spec);
-        const layout::CodeLayout code_layout =
-            layout::layoutProgram(g.program);
-        const std::string name = path.filename().string();
-        expectMatchesReference(g.program, g.train, train_opts, nullptr,
-                               true, name + " train");
-        expectMatchesReference(g.program, g.test, plain, &code_layout, true,
-                               name + " test");
-    }
-
-    // Step-budget cuts: at 1, at 7, and on each side of a Call and of
-    // a superblock side exit (a taken branch that does not end its
-    // block), so the cut lands on that op or just after it.
-    ASSERT_NE(cut_prog, nullptr);
-    const uint64_t total =
-        reference::referenceRun(*cut_prog, plain, {}, cut_input).dynInstrs;
-    const uint64_t call_step = stepOfNth(
-        *cut_prog, cut_input, total,
-        [](const RunResult &r) { return r.dynCalls; }, 3);
-    const uint64_t exit_step = stepOfNth(
-        *cut_prog, cut_input, total,
-        [](const RunResult &r) { return r.sbEntries - r.sbCompletions; }, 3);
-    ASSERT_GT(call_step, 1u);
-    ASSERT_GT(exit_step, 1u);
-    ASSERT_LT(std::max(call_step, exit_step), total);
-    for (const uint64_t budget :
-         {uint64_t(1), uint64_t(7), call_step - 1, call_step, exit_step - 1,
-          exit_step}) {
-        InterpOptions cut = train_opts;
-        cut.budgetSteps = budget;
-        const RunResult r = expectMatchesReference(
-            *cut_prog, cut_input, cut, &cut_layout, true,
-            "li P4 cut at " + std::to_string(budget));
-        EXPECT_TRUE(r.budgetStop);
-        EXPECT_EQ(r.dynInstrs, budget);
-    }
 }
 
 TEST(InterpDeathTest, BlockEndingInCallFallsOff)

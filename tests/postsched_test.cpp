@@ -1,11 +1,13 @@
 /**
- * @file
- * The two shortcuts of the compact -> regalloc -> postsched chain, each
+ * The shortcuts of the compact -> regalloc -> postsched chain, each
  * checked against the work it skips:
  *  - the postschedule keeps every block schedule register allocation
  *    left valid, which must equal rescheduling that block;
  *  - compaction hands its final liveness solve to allocation, which
- *    must equal a fresh solve of the compacted procedure.
+ *    must equal a fresh solve of the compacted procedure;
+ *  - the liveness worklist re-solves a block only when a successor's
+ *    live-in grew, which must equal sweeping every block until nothing
+ *    changes (the round-robin solver it replaced, kept here).
  * Subjects: the 14 workloads under the paper's five backends, the fuzz
  * corpus, and 200 generated programs shaped like perfbench's gen-mix.
  */
@@ -28,6 +30,9 @@
 #include "profile/path_profile.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
+#include "sched/local_opt.hpp"
+#include "sched/renamer.hpp"
+#include "support/bitvec.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched {
@@ -92,7 +97,9 @@ subjects()
  * procedure at a time as the pipeline's chain does, and call
  * @p compacted(prog, proc, live, label) with compaction's handed-off
  * liveness solve after each procedure compacts.  Then call
- * @p finished(prog, label) once every procedure has compacted.
+ * @p finished(prog, label) once every procedure has compacted.  When
+ * given, @p transformed(prog, proc, label) sees each procedure between
+ * its transform and its compaction.
  */
 void
 forEachCompacted(
@@ -101,7 +108,9 @@ forEachCompacted(
                              const analysis::Liveness &,
                              const std::string &)> &compacted,
     const std::function<void(ir::Program &, const std::string &)>
-        &finished)
+        &finished,
+    const std::function<void(ir::Program &, ir::ProcId,
+                             const std::string &)> &transformed = {})
 {
     const pipeline::PipelineOptions opt;
     profile::EdgeProfiler edge(s.program);
@@ -140,6 +149,8 @@ forEachCompacted(
                 ASSERT_TRUE(be->transform(prog, p, tc, xf, &stage).ok())
                     << label;
             }
+            if (transformed)
+                transformed(prog, p, label);
             sched::CompactStats cs;
             ASSERT_TRUE(sched::compactProcedure(prog, p, opt.machine,
                                                 copts, cs)
@@ -159,6 +170,159 @@ sameInstr(const ir::Instruction &a, const ir::Instruction &b)
            a.src1 == b.src1 && a.src2 == b.src2 && a.imm == b.imm &&
            a.target0 == b.target0 && a.target1 == b.target1 &&
            a.callee == b.callee && a.args == b.args;
+}
+
+/**
+ * The round-robin liveness solver analysis::Liveness used before its
+ * worklist: sweep every block in reverse index order until a sweep
+ * changes nothing.  Kept as the oracle for the worklist.
+ */
+struct RoundRobinLiveness
+{
+    std::vector<BitVec> liveIn, liveOut;
+
+    explicit RoundRobinLiveness(const ir::Procedure &proc)
+    {
+        const size_t n = proc.blocks.size();
+        const size_t nregs = proc.numRegs;
+        // Per exit: its targets and the block's defs before it.
+        struct Exit
+        {
+            ir::BlockId target0, target1;
+            BitVec defsBefore;
+        };
+        std::vector<BitVec> use(n, BitVec(nregs));
+        std::vector<std::vector<Exit>> exits(n);
+        std::vector<ir::RegId> srcs;
+        for (ir::BlockId b = 0; b < n; ++b) {
+            BitVec defs(nregs);
+            for (const ir::Instruction &ins : proc.blocks[b].instrs) {
+                ins.sources(srcs);
+                for (ir::RegId r : srcs) {
+                    if (!defs.test(r))
+                        use[b].set(r);
+                }
+                if (ins.isBranch() || ins.op == ir::Opcode::Jmp)
+                    exits[b].push_back({ins.target0,
+                                        ins.isBranch() ? ins.target1
+                                                       : ir::kNoBlock,
+                                        defs});
+                if (ins.hasDst())
+                    defs.set(ins.dst);
+            }
+        }
+        liveIn.assign(n, BitVec(nregs));
+        liveOut.assign(n, BitVec(nregs));
+        BitVec out(nregs), in(nregs), flow(nregs);
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (size_t i = n; i-- > 0;) {
+                out.clear();
+                in = use[i];
+                for (const Exit &e : exits[i]) {
+                    flow = liveIn[e.target0];
+                    if (e.target1 != ir::kNoBlock)
+                        flow.unionWith(liveIn[e.target1]);
+                    out.unionWith(flow);
+                    flow.subtract(e.defsBefore);
+                    in.unionWith(flow);
+                }
+                if (!(out == liveOut[i])) {
+                    liveOut[i] = out;
+                    changed = true;
+                }
+                if (!(in == liveIn[i])) {
+                    liveIn[i] = in;
+                    changed = true;
+                }
+            }
+        }
+    }
+};
+
+bool
+sameSet(const analysis::Liveness::Row &row, const BitVec &want)
+{
+    return row.size() == want.size() &&
+           std::equal(row.words(), row.words() + row.numWords(),
+                      want.words());
+}
+
+/** Solve @p proc both ways and require every row equal. */
+void
+expectWorklistMatchesRoundRobin(const ir::Procedure &proc,
+                                const std::string &where,
+                                uint64_t &rows)
+{
+    const analysis::Liveness live(proc);
+    const RoundRobinLiveness want(proc);
+    ASSERT_EQ(live.numRegs(), proc.numRegs) << where;
+    ASSERT_GE(live.visits(), proc.blocks.size()) << where;
+    for (ir::BlockId b = 0; b < proc.blocks.size(); ++b) {
+        ASSERT_TRUE(sameSet(live.liveIn(b), want.liveIn[b]))
+            << where << " " << proc.name << " live-in of block " << b;
+        ASSERT_TRUE(sameSet(live.liveOut(b), want.liveOut[b]))
+            << where << " " << proc.name << " live-out of block " << b;
+        rows += 2;
+    }
+}
+
+/**
+ * Every live-in and live-out row of the worklist solve equals the
+ * round-robin solve at the three points the pipeline solves at: before
+ * compaction, after compaction's phase 1 (locally optimized and
+ * renamed, stubs appended) and after register allocation.
+ */
+TEST(Liveness, WorklistMatchesRoundRobin)
+{
+    const machine::MachineModel mm = pipeline::PipelineOptions().machine;
+    uint64_t rows = 0;
+    for (const Subject &s : subjects()) {
+        const std::vector<uint8_t> recursive =
+            regalloc::findRecursiveProcs(s.program);
+        regalloc::AllocStats alloc;
+        std::vector<regalloc::SpillPlan> plans(s.program.procs.size());
+        forEachCompacted(
+            s,
+            [&](ir::Program &prog, ir::ProcId p,
+                const analysis::Liveness &live, const std::string &label) {
+                regalloc::AllocOptions ao;
+                ao.recursive = &recursive;
+                ao.spill = &plans[p];
+                ao.liveness = &live;
+                ASSERT_TRUE(regalloc::allocateProcedure(
+                                prog, p, mm.numRegs, alloc, ao)
+                                .ok())
+                    << label;
+                expectWorklistMatchesRoundRobin(
+                    prog.procs[p], label + " after regalloc", rows);
+            },
+            [](ir::Program &, const std::string &) {},
+            [&](ir::Program &prog, ir::ProcId p, const std::string &label) {
+                expectWorklistMatchesRoundRobin(
+                    prog.procs[p], label + " before compaction", rows);
+                if (HasFatalFailure())
+                    return;
+                // Compaction's phase 1 on a copy, as compactProcedure
+                // runs it.
+                ir::Procedure phase1 = prog.procs[p];
+                phase1.syncSideTables();
+                const size_t original = phase1.blocks.size();
+                {
+                    const analysis::Liveness live(phase1);
+                    for (ir::BlockId b = 0; b < original; ++b) {
+                        sched::optimizeBlock(phase1, b, live);
+                        sched::renameBlock(phase1, b, live);
+                    }
+                }
+                phase1.syncSideTables();
+                expectWorklistMatchesRoundRobin(
+                    phase1, label + " after phase 1", rows);
+            });
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(rows, 600000u);
 }
 
 TEST(Liveness, HandoffEqualsFreshSolve)
