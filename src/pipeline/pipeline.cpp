@@ -49,17 +49,6 @@ PipelineResult::budgetDegradations() const
 
 namespace {
 
-/** How far the surviving procedures have progressed when a fallback
- *  runs — the BB fallback must catch the quarantined procedure up to
- *  exactly this point. */
-enum class StageReached
-{
-    Form,      ///< transform stage: nothing else has run yet
-    Compact,   ///< compaction has run
-    Regalloc,  ///< register allocation has run
-    Postsched, ///< postschedule + IR verification have run
-};
-
 /** Accumulates the enclosing scope's wall time into a double, so a
  *  stage's total is the sum of its tasks regardless of which worker
  *  ran them. */
@@ -146,8 +135,9 @@ hashU64s(std::initializer_list<uint64_t> vals)
  *  so stale --cache-dir entries from older builds can never hit.
  *  2: backend-registry key layout (backend name + formation knobs
  *  hash replace the enum value + flat knob fields).
- *  3: entries no longer carry global-code-motion stats. */
-constexpr uint64_t kCacheSchema = 3;
+ *  3: entries no longer carry global-code-motion stats.
+ *  4: a spill keeps the schedules of the blocks it leaves unchanged. */
+constexpr uint64_t kCacheSchema = 4;
 
 /** The typed status of a run of the original program (@p what is
  *  "training run" or "reference test run") that stopped early, or OK.
@@ -442,20 +432,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         return Status();
     };
 
-    auto noteFailureTo = [&](std::vector<Degradation> &out, ir::ProcId p,
-                             const char *stage, const Status &st) {
-        quarantined[p] = 1;
-        warn("config %s: proc %s failed at %s (%s); degrading to BB",
-             result.name.c_str(), program.procs[p].name.c_str(), stage,
-             st.toString().c_str());
-        out.push_back({p, program.procs[p].name, stage, st.kind(),
-                       st.message()});
-    };
-
     // An expired run-wide deadline ends the run with a typed status at
-    // the join; tasks poll the flag on entry and fall through
-    // (the stage that noticed the expiry has already degraded its
-    // in-flight procedure by then).
+    // the join; chains poll the flag before each stage and stop (the
+    // stage that noticed the expiry has already degraded its in-flight
+    // procedure by then).
     std::atomic<bool> deadline_hit{false};
     std::mutex deadline_mu;
     Status deadline_status;
@@ -474,11 +454,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         }
         deadline_hit.store(true, std::memory_order_relaxed);
         return true;
-    };
-    // Per-procedure budget view: quarantined procedures already run
-    // their BB fallback body, which is always budget-free.
-    auto budgetFor = [&](ir::ProcId p) -> const ResourceBudget * {
-        return quarantined[p] ? nullptr : budp;
     };
 
     // Per-procedure task state; see ProcCtx.  Every chain records into
@@ -587,7 +562,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     // Memoize a cleanly-completed chain (a quarantined procedure's body
     // is the fallback's work, not this key's transform).
     auto storeInCache = [&](ProcCtx &ctx, ir::ProcId p) {
-        if (!ctx.cacheEligible || ctx.cacheHit || quarantined[p])
+        if (!ctx.cacheEligible || quarantined[p])
             return;
         StageCache::Entry e;
         e.proc = prog.procs[p];
@@ -598,157 +573,109 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         cache->insert(ctx.key, e);
     };
 
-    // Restore procedure p's original (basic-block) body and catch it
-    // up to @p reached, budget- and injection-free.  Its spill slots
-    // are issued into the procedure's own SpillPlan, like any chain's,
-    // and get their addresses at the next assignSpillSlots().  A
-    // failure here means the always-safe baseline itself is broken,
-    // which is an internal bug: abort.
-    auto rebuildAsBB = [&](ir::ProcId p, StageReached reached) {
-        auto t = ctxs[p].timed.time("fallback");
-        replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
-        regalloc::SpillPlan &plan = ctxs[p].spill;
-        plan.slots = 0; // the restored body references no slots
-        Status st;
-        if (reached >= StageReached::Compact) {
-            sched::CompactOptions fb_opts;
-            fb_opts.priority = opt.schedPriority;
-            sched::CompactStats fb_compact;
-            st = sched::compactProcedure(prog, p, opt.machine, fb_opts,
-                                         fb_compact);
-        }
-        if (st.ok() && reached >= StageReached::Regalloc &&
-            opt.registerAllocate) {
-            regalloc::AllocOptions ao;
-            ao.recursive = &recursive;
-            ao.spill = &plan;
-            regalloc::AllocStats fb_alloc;
-            st = regalloc::allocateProcedure(
-                prog, p, opt.machine.numRegs, fb_alloc, ao);
-        }
-        if (st.ok() && reached == StageReached::Postsched) {
-            if (opt.registerAllocate)
-                sched::scheduleProcedure(prog, p, opt.machine,
-                                         opt.schedPriority);
-            st = ir::verifyProcStatus(prog, p,
-                                      ir::VerifyMode::Superblock);
-        }
-        if (!st.ok())
-            panic("BB fallback failed for proc %s: %s",
-                  program.procs[p].name.c_str(), st.toString().c_str());
-    };
-
     // --- 3. transform -> compact -> regalloc -> postsched -> verify,
     //        one chain per procedure.  The transform stage is the
     //        backend's descriptor entry point — the pipeline only owns
     //        the chain plumbing (quarantine, cache, budget view,
-    //        injection hook). ---
-    auto transformTask = [&](ir::ProcId p) {
-        ProcCtx &ctx = ctxs[p];
-        MsAccum acc(ctx.formMs);
-        if (deadlineUp(be.transformLabel))
-            return;
-        const profile::ProcAudit *pa =
-            audit.enabled ? audit.findProc(p) : nullptr;
-        if (pa && pa->action == profile::ProcAction::Quarantined) {
-            // No believable profile data for this procedure: schedule
-            // it from the BB baseline.
-            noteFailureTo(ctx.degraded, p, "profile",
-                          Status::error(pa->kind, pa->message));
-            rebuildAsBB(p, StageReached::Form);
-            return;
-        }
-        if (tryCacheRestore(ctx, p))
-            return;
-        TransformContext tc;
-        tc.config = be.config;
-        tc.opt = &opt;
-        tc.edge = edge_for_form;
-        tc.path = path_for_form;
-        tc.projectedEdge =
-            ext_path != nullptr ? &ext_path->projected : nullptr;
-        tc.useProjectedEdges =
-            pa && pa->action == profile::ProcAction::ProjectedEdges;
-        tc.timed = &ctx.timed;
-        tc.budget = budgetFor(p);
-        if (faults != nullptr)
-            tc.inject = [&inject, p](const char *stage) {
-                return inject(stage, p);
-            };
-        const char *stage = be.transformLabel;
-        Status st = be.transform(prog, p, tc, ctx.xf, &stage);
-        if (!st.ok()) {
-            noteFailureTo(ctx.degraded, p, stage, st);
-            rebuildAsBB(p, StageReached::Form);
-        }
+    //        injection hook).  A quarantined procedure's chain is its
+    //        BB fallback: no transform, cache, budget, deadline or
+    //        injection.  Returns the failed stage (null if none) and
+    //        why; a chain stopped by an expired deadline fails nothing.
+    struct Failure
+    {
+        const char *stage = nullptr;
+        Status status;
     };
-
-    auto compactTask = [&](ir::ProcId p) {
+    auto runChain = [&](ir::ProcId p) -> Failure {
         ProcCtx &ctx = ctxs[p];
-        MsAccum acc(ctx.compactMs);
-        if (ctx.cacheHit)
-            return;
-        if (deadlineUp("compact"))
-            return;
-        // For transform-less backends (the BB baseline) this is the
-        // chain head: the cache lookup lives here.
-        if (!be.hasTransform() && tryCacheRestore(ctx, p))
-            return;
-        sched::CompactOptions copts;
-        copts.priority = opt.schedPriority;
-        const obs::Observer compact_obs =
-            ctx.timed.withPrefix("compact.");
-        copts.observer = &compact_obs;
-        copts.budget = budgetFor(p);
-        if (opt.registerAllocate)
-            copts.liveness = &ctx.live;
-        Status st = inject("compact", p);
-        if (st.ok())
-            st = sched::compactProcedure(prog, p, opt.machine, copts,
-                                         ctx.compact);
-        if (!st.ok()) {
-            noteFailureTo(ctx.degraded, p, "compact", st);
-            rebuildAsBB(p, StageReached::Compact);
+        const bool fallback = quarantined[p] != 0;
+        const ResourceBudget *budget = fallback ? nullptr : budp;
+        auto stopped = [&](const char *stage) {
+            return !fallback && deadlineUp(stage);
+        };
+        bool hit = false;
+        if (!fallback) {
+            MsAccum acc(be.hasTransform() ? ctx.formMs : ctx.compactMs);
+            if (stopped(be.hasTransform() ? be.transformLabel : "compact"))
+                return {};
+            const profile::ProcAudit *pa =
+                audit.enabled ? audit.findProc(p) : nullptr;
+            if (pa && pa->action == profile::ProcAction::Quarantined) {
+                // No believable profile data for this procedure:
+                // schedule it from the BB baseline.
+                return {"profile", Status::error(pa->kind, pa->message)};
+            }
+            hit = tryCacheRestore(ctx, p);
+            if (!hit && be.hasTransform()) {
+                TransformContext tc;
+                tc.config = be.config;
+                tc.opt = &opt;
+                tc.edge = edge_for_form;
+                tc.path = path_for_form;
+                tc.projectedEdge =
+                    ext_path != nullptr ? &ext_path->projected : nullptr;
+                tc.useProjectedEdges =
+                    pa && pa->action == profile::ProcAction::ProjectedEdges;
+                tc.timed = &ctx.timed;
+                tc.budget = budget;
+                if (faults != nullptr)
+                    tc.inject = [&inject, p](const char *stage) {
+                        return inject(stage, p);
+                    };
+                const char *stage = be.transformLabel;
+                Status st = be.transform(prog, p, tc, ctx.xf, &stage);
+                if (!st.ok())
+                    return {stage, std::move(st)};
+            }
         }
-        if (!opt.registerAllocate)
-            storeInCache(ctx, p); // chain ends here
-    };
-
-    auto regallocTask = [&](ir::ProcId p) {
-        ProcCtx &ctx = ctxs[p];
-        MsAccum acc(ctx.regallocMs);
-        const std::optional<analysis::Liveness> live =
-            std::exchange(ctx.live, std::nullopt);
-        if (ctx.cacheHit)
-            return;
-        if (deadlineUp("regalloc"))
-            return;
-        Status st = inject("regalloc", p);
-        if (st.ok()) {
-            regalloc::AllocOptions ao;
-            ao.budget = budgetFor(p);
-            ao.recursive = &recursive;
-            ao.spill = &ctx.spill;
-            ao.liveness = live ? &*live : nullptr;
-            st = regalloc::allocateProcedure(
-                prog, p, opt.machine.numRegs, ctx.alloc, ao);
+        if (!hit) {
+            {
+                MsAccum acc(ctx.compactMs);
+                if (stopped("compact"))
+                    return {};
+                sched::CompactOptions copts;
+                copts.priority = opt.schedPriority;
+                const obs::Observer compact_obs =
+                    ctx.timed.withPrefix("compact.");
+                copts.observer = &compact_obs;
+                copts.budget = budget;
+                if (opt.registerAllocate)
+                    copts.liveness = &ctx.live;
+                Status st = inject("compact", p);
+                if (st.ok())
+                    st = sched::compactProcedure(prog, p, opt.machine,
+                                                 copts, ctx.compact);
+                if (!st.ok())
+                    return {"compact", std::move(st)};
+            }
+            if (opt.registerAllocate) {
+                MsAccum acc(ctx.regallocMs);
+                const std::optional<analysis::Liveness> live =
+                    std::exchange(ctx.live, std::nullopt);
+                if (stopped("regalloc"))
+                    return {};
+                Status st = inject("regalloc", p);
+                if (st.ok()) {
+                    regalloc::AllocOptions ao;
+                    ao.budget = budget;
+                    ao.recursive = &recursive;
+                    ao.spill = &ctx.spill;
+                    ao.liveness = live ? &*live : nullptr;
+                    st = regalloc::allocateProcedure(
+                        prog, p, opt.machine.numRegs, ctx.alloc, ao);
+                }
+                if (!st.ok())
+                    return {"regalloc", std::move(st)};
+            }
+            storeInCache(ctx, p);
         }
-        if (!st.ok()) {
-            noteFailureTo(ctx.degraded, p, "regalloc", st);
-            rebuildAsBB(p, StageReached::Regalloc);
-        }
-        storeInCache(ctx, p);
-    };
-
-    // The chain's last link.  Postscheduling before the spill slots
-    // have addresses is safe: the dependence graph tells memory ops
-    // apart by (base register, offset inequality), and only spill code
-    // uses its block's `ldi 0` base, so moving every slot by one
-    // constant changes no edge.
-    auto postschedVerifyTask = [&](ir::ProcId p) {
-        ProcCtx &ctx = ctxs[p];
-        if (deadlineUp("verify"))
-            return;
+        if (stopped("verify"))
+            return {};
+        // Postscheduling before the spill slots have addresses is safe:
+        // the dependence graph tells memory ops apart by (base
+        // register, offset inequality), and only spill code uses its
+        // block's `ldi 0` base, so moving every slot by one constant
+        // changes no edge.
         if (opt.registerAllocate) {
             MsAccum acc(ctx.postschedMs);
             ctx.postsched += sched::scheduleProcedure(
@@ -757,20 +684,42 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         Status st = inject("verify", p);
         if (st.ok())
             st = ir::verifyProcStatus(prog, p, ir::VerifyMode::Superblock);
-        if (!st.ok()) {
-            noteFailureTo(ctx.degraded, p, "verify", st);
-            rebuildAsBB(p, StageReached::Postsched);
-        }
+        if (!st.ok())
+            return {"verify", std::move(st)};
+        return {};
+    };
+
+    // Quarantine procedure p after it failed at @p stage: restore its
+    // original (basic-block) body and run its chain again, now as the
+    // BB fallback.  Its spill slots are issued into the procedure's own
+    // SpillPlan, like any chain's, and get their addresses at the next
+    // assignSpillSlots().  A failure here means the always-safe
+    // baseline itself is broken, which is an internal bug: abort.
+    auto fallBack = [&](std::vector<Degradation> &out, ir::ProcId p,
+                        const char *stage, const Status &st) {
+        quarantined[p] = 1;
+        warn("config %s: proc %s failed at %s (%s); degrading to BB",
+             result.name.c_str(), program.procs[p].name.c_str(), stage,
+             st.toString().c_str());
+        out.push_back({p, program.procs[p].name, stage, st.kind(),
+                       st.message()});
+        ProcCtx &ctx = ctxs[p];
+        auto t = ctx.timed.time("fallback");
+        replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
+        ctx.spill.slots = 0; // the restored body references no slots
+        ctx.live.reset();
+        const Failure f = runChain(p);
+        if (f.stage != nullptr)
+            panic("BB fallback failed for proc %s at %s: %s",
+                  program.procs[p].name.c_str(), f.stage,
+                  f.status.toString().c_str());
     };
 
     parallelFor(threads, num_procs, [&](size_t i) {
         const ir::ProcId p = ir::ProcId(i);
-        if (be.hasTransform())
-            transformTask(p);
-        compactTask(p);
-        if (opt.registerAllocate)
-            regallocTask(p);
-        postschedVerifyTask(p);
+        const Failure f = runChain(p);
+        if (f.stage != nullptr)
+            fallBack(ctxs[p].degraded, p, f.stage, f.status);
     });
     // Counted as the stages each chain runs: transform?, compact,
     // regalloc?, postsched?, verify.
@@ -943,10 +892,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     using Suspects = std::vector<std::pair<ir::ProcId, Status>>;
     auto degradeAndRemeasure = [&](const Suspects &suspects,
                                    const char *stage) {
-        for (const auto &[p, st] : suspects) {
-            noteFailureTo(result.degraded, p, stage, st);
-            rebuildAsBB(p, StageReached::Postsched);
-        }
+        for (const auto &[p, st] : suspects)
+            fallBack(result.degraded, p, stage, st);
         assignSpillSlots();
         runLayout("layout-retry");
         runTest("test-retry");

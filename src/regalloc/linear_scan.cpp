@@ -287,11 +287,15 @@ spillLongestIntervals(ir::Procedure &proc, const std::vector<Interval> &ivs,
                 emit(std::move(ins));
             }
         }
+        // Spill code always lengthens the block.  A block without any
+        // names no spilled register, so its dependence graph is
+        // unchanged and it keeps its schedule (the final assignment's
+        // injectivity check still decides).
+        const bool rewritten = out.size() != bb.instrs.size();
         bb.instrs = std::move(out);
         if (track)
             sb.srcOrdinalOf = std::move(ordinals);
-        // Any schedule for this block is now stale.
-        if (b < proc.schedules.size())
+        if (rewritten && b < proc.schedules.size())
             proc.schedules[b] = ir::BlockSchedule();
     }
     return true;

@@ -137,8 +137,8 @@ struct AllocOptions
  * registers, rewriting register operands in place and accumulating
  * counters into @p stats — the recoverable per-procedure entry point
  * behind allocateProgram(), and the form the pipeline executor calls.
- * Allocation clears exactly the block schedules it makes stale: all of
- * a procedure it spills in, and otherwise each block on which the
+ * Allocation clears exactly the block schedules it makes stale: each
+ * block it inserts spill code into, and each block on which the final
  * register assignment is not injective (see DESIGN.md §5.4).  A block
  * that keeps a valid schedule would be rescheduled to the same issue
  * order and cycles, so the postschedule keeps it.

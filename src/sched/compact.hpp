@@ -100,7 +100,7 @@ CompactStats compactProgram(ir::Program &prog,
  * The postschedule of procedure @p proc: list scheduling only (no
  * optimization or renaming) of every block without a valid schedule of
  * its size.  Register allocation clears exactly the schedules it makes
- * stale (every block of a procedure it spilled in, else the blocks on
+ * stale (the blocks it inserted spill code into, and the blocks on
  * which its assignment is not injective), so those are the blocks
  * whose dependence graph gained spill code or the anti/output
  * dependences of register reuse.  A kept block counts in ScheduleStats as scheduled, with its

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
-#include "ir/clone.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 
@@ -238,36 +237,6 @@ TEST(Verifier, RejectsEmptyBlock)
     prog.proc(0).newBlock();
     std::vector<std::string> errors;
     EXPECT_FALSE(verify(prog, VerifyMode::Strict, errors));
-}
-
-TEST(Clone, AppendBlockCopy)
-{
-    Program prog = makeDiamond();
-    Procedure &p = prog.proc(0);
-    const size_t before = p.blocks.size();
-    const BlockId copy = appendBlockCopy(p, 1);
-    EXPECT_EQ(p.blocks.size(), before + 1);
-    EXPECT_EQ(p.blocks[copy].instrs.size(), p.blocks[1].instrs.size());
-    EXPECT_EQ(p.blocks[copy].terminator().target0, 3u);
-}
-
-TEST(Clone, RemapTargets)
-{
-    Program prog = makeDiamond();
-    Procedure &p = prog.proc(0);
-    remapTargets(p.blocks[0], {{1, 3}});
-    EXPECT_EQ(p.blocks[0].terminator().target0, 3u);
-    EXPECT_EQ(p.blocks[0].terminator().target1, 2u); // unmapped stays
-}
-
-TEST(Clone, DuplicateRegionLinksInternally)
-{
-    Program prog = makeDiamond();
-    Procedure &p = prog.proc(0);
-    const auto copies = duplicateRegion(p, {1, 3});
-    ASSERT_EQ(copies.size(), 2u);
-    // The copy of block 1 must jump to the copy of block 3.
-    EXPECT_EQ(p.blocks[copies[0]].terminator().target0, copies[1]);
 }
 
 TEST(Printer, MentionsKeyPieces)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
@@ -250,27 +251,54 @@ TEST(Robustness, ArmedButNonMatchingInjectorChangesNothing)
     EXPECT_EQ(armed.codeBytes, clean.codeBytes);
 }
 
-TEST(Robustness, FullDegradationFallsBackToBBNumbers)
+// Every fallback entry, one stage at a time, with every procedure
+// failing there: on wc, and on gcc, whose P4 procedures spill.
+class FullDegradation
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
+{};
+
+TEST_P(FullDegradation, FallsBackToBBNumbers)
 {
-    const PipelineResult bb = runWc(SchedConfig::BB, {});
+    const auto [stage, workload] = GetParam();
+    const auto w = workloads::makeByName(workload);
+    const PipelineResult bb = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::BB, {});
 
     FaultInjector inj;
     std::string err;
-    ASSERT_TRUE(inj.parse("stage=form", err)) << err; // every proc
+    ASSERT_TRUE(inj.parse("stage=" + stage, err)) << err; // every proc
     PipelineOptions opts;
     opts.robustness.faults = &inj;
-    const PipelineResult r = runWc(SchedConfig::P4, opts);
+    const PipelineResult r = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::P4, opts);
 
-    EXPECT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.status.ok()) << r.status.toString();
     EXPECT_TRUE(r.outputMatches);
-    const auto w = workloads::makeByName("wc");
     EXPECT_EQ(r.degraded.size(), w.program.procs.size());
+    for (const auto &d : r.degraded)
+        EXPECT_EQ(d.stage, stage) << d.procName;
     // With every procedure quarantined the transformed program is the
     // BB program: the measured numbers must agree exactly.
     EXPECT_EQ(r.test.cycles, bb.test.cycles);
     EXPECT_EQ(r.test.dynInstrs, bb.test.dynInstrs);
     EXPECT_EQ(r.codeBytes, bb.codeBytes);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Stages, FullDegradation,
+    ::testing::Combine(::testing::Values("form", "materialize", "compact",
+                                         "regalloc", "verify",
+                                         "output-compare"),
+                       ::testing::Values("wc", "gcc")),
+    [](const ::testing::TestParamInfo<FullDegradation::ParamType> &info) {
+        std::string name =
+            std::get<0>(info.param) + "_" + std::get<1>(info.param);
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
 
 TEST(Robustness, TrainingStepLimitReturnsTypedStatus)
 {
