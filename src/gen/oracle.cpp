@@ -257,7 +257,6 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
     base.keepTransformed = true;
     base.maxSteps = stepCeiling(w);
     base.executor.threads = opts.threads;
-    base.useICache = opts.useICache;
 
     // One training and reference run serves every config, and the
     // metamorphic cases below read its genuine training profiles.

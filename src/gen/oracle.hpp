@@ -51,8 +51,6 @@ struct OracleOptions
     /** Worker threads for each pipeline run (results are
      *  thread-count-invariant; this only changes wall time). */
     unsigned threads = 1;
-    /** Attach the I-cache during test runs. */
-    bool useICache = false;
 };
 
 /** One oracle violation. */

@@ -37,7 +37,6 @@ class IrBuilder
     void setBlock(BlockId b) { block_ = b; }
 
     BlockId currentBlock() const { return block_; }
-    ProcId currentProc() const { return procId_; }
     Procedure &proc() { return prog_.proc(procId_); }
 
     /** Register holding parameter @p i of the current procedure. */

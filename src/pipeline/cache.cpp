@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "support/bytes.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
@@ -21,79 +22,6 @@ constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
  *  entries carry compaction's and allocation's liveness solve and
  *  visit counts. */
 constexpr char kMagic[4] = {'P', 'S', 'C', '3'};
-
-/** @name Fixed-width little-endian encoding
- *  @{
- */
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(char(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, uint32_t(s.size()));
-    out.append(s);
-}
-
-bool
-getU8(const std::string &in, size_t &pos, uint8_t &v)
-{
-    if (pos + 1 > in.size())
-        return false;
-    v = uint8_t(in[pos++]);
-    return true;
-}
-
-bool
-getU32(const std::string &in, size_t &pos, uint32_t &v)
-{
-    if (pos + 4 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= uint32_t(uint8_t(in[pos++])) << (8 * i);
-    return true;
-}
-
-bool
-getU64(const std::string &in, size_t &pos, uint64_t &v)
-{
-    if (pos + 8 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= uint64_t(uint8_t(in[pos++])) << (8 * i);
-    return true;
-}
-
-bool
-getStr(const std::string &in, size_t &pos, std::string &s)
-{
-    uint32_t len = 0;
-    if (!getU32(in, pos, len) || pos + len > in.size())
-        return false;
-    s.assign(in, pos, len);
-    pos += len;
-    return true;
-}
-/** @} */
 
 /** Anything counted can, in principle, exceed memory when the file is
  *  garbage; cap element counts at something no real procedure hits so

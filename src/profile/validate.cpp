@@ -12,17 +12,6 @@ namespace pathsched::profile {
 using ir::BlockId;
 using ir::ProcId;
 
-const char *
-admissionModeName(AdmissionMode mode)
-{
-    switch (mode) {
-      case AdmissionMode::Off: return "off";
-      case AdmissionMode::Repair: return "repair";
-      case AdmissionMode::Strict: return "strict";
-    }
-    return "<bad>";
-}
-
 bool
 parseAdmissionMode(const std::string &token, AdmissionMode &out)
 {

@@ -23,10 +23,12 @@
  * reproduces the exact dynamic block (resp. edge) frequencies, because
  * every dynamic step increments exactly one window ending in the
  * executed block.  Second, real executions therefore satisfy, for
- * every block b, projectedOutflow(b) <= projectedBlockCount(b), and
- * every window's count is bounded by the projected count of each edge
- * it contains.  Corrupt counts break these inequalities without any
- * knowledge of the original run.
+ * every block b, that the windows whose next-to-last block is b (its
+ * projected outgoing traversals) count no more than the windows ending
+ * in b (its projected executions) — auditPathProfile's flow pass, run
+ * when no window was dropped — and every window's count is bounded by
+ * the projected count of each edge it contains.  Corrupt counts break
+ * these inequalities without any knowledge of the original run.
  *
  * Edge profiles are checked directly against the EdgeProfiler's
  * counting discipline (onEdge bumps the edge and its head block
@@ -65,10 +67,8 @@ enum class AdmissionMode : uint8_t
     Strict, ///< check; any finding fails the load with a typed error
 };
 
-/** Stable lowercase name ("off", "repair", "strict"). */
-const char *admissionModeName(AdmissionMode mode);
-
-/** Parse an admission-mode token; false on an unknown token. */
+/** Parse an admission-mode token ("off", "repair", "strict"); false
+ *  on an unknown token. */
 bool parseAdmissionMode(const std::string &token, AdmissionMode &out);
 
 /** Admission outcome for one procedure. */

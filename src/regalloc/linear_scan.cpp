@@ -1,7 +1,10 @@
 #include "regalloc/linear_scan.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <optional>
+#include <queue>
 
 #include "analysis/liveness.hpp"
 #include "pipeline/stages.hpp"
@@ -99,21 +102,24 @@ allocateProc(ir::Procedure &proc, const std::vector<Interval> &ivs,
               });
 
     std::vector<RegId> assignment(proc.numRegs, kNoReg);
-    std::vector<uint8_t> phys_free(num_phys, 1);
-    // (end position, phys reg) of active intervals, as a simple list.
-    std::vector<std::pair<uint32_t, RegId>> active;
+    // Bit p of word p / 64 is set while physical register p is free.
+    std::vector<uint64_t> phys_free((num_phys + 63) / 64, ~uint64_t(0));
+    if (num_phys % 64 != 0)
+        phys_free.back() = (uint64_t(1) << (num_phys % 64)) - 1;
+    auto flip = [&](RegId p) {
+        phys_free[p / 64] ^= uint64_t(1) << (p % 64);
+    };
+    // (end position, phys reg) of active intervals, earliest end on top.
+    using Active = std::pair<uint32_t, RegId>;
+    std::priority_queue<Active, std::vector<Active>, std::greater<Active>>
+        active;
     uint32_t pressure = 0;
 
     for (const Interval *iv : order) {
         // Expire intervals that ended strictly before this start.
-        for (size_t i = 0; i < active.size();) {
-            if (active[i].first < iv->lo) {
-                phys_free[active[i].second] = 1;
-                active[i] = active.back();
-                active.pop_back();
-            } else {
-                ++i;
-            }
+        while (!active.empty() && active.top().first < iv->lo) {
+            flip(active.top().second);
+            active.pop();
         }
 
         RegId phys = kNoReg;
@@ -122,19 +128,20 @@ allocateProc(ir::Procedure &proc, const std::vector<Interval> &ivs,
             // and parameters sort first at position 0, so their slots
             // are necessarily still free here.
             phys = iv->vreg;
-            ps_assert(phys_free[phys]);
+            ps_assert((phys_free[phys / 64] >> (phys % 64)) & 1);
         } else {
-            for (RegId p = 0; p < num_phys; ++p) {
-                if (phys_free[p]) {
-                    phys = p;
+            // The lowest free register.
+            for (size_t w = 0; w < phys_free.size(); ++w) {
+                if (phys_free[w] != 0) {
+                    phys = RegId(w * 64 + std::countr_zero(phys_free[w]));
                     break;
                 }
             }
             if (phys == kNoReg)
                 return false; // pressure exceeds the register file
         }
-        phys_free[phys] = 0;
-        active.push_back({iv->hi, phys});
+        flip(phys);
+        active.push({iv->hi, phys});
         assignment[iv->vreg] = phys;
         pressure = std::max(pressure, uint32_t(active.size()));
     }

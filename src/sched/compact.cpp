@@ -16,6 +16,7 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
                  const CompactOptions &options, CompactStats &stats)
 {
     using Clock = std::chrono::steady_clock;
+    using Ms = std::chrono::duration<double, std::milli>;
     static const obs::Observer no_obs;
     const obs::Observer &ob =
         options.observer != nullptr ? *options.observer : no_obs;
@@ -49,33 +50,19 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
                 meter.checkpoint(proc.blocks[b].instrs.size() + 1);
             if (!st.ok())
                 return st;
-            if (options.localOpt) {
-                const auto t0 = timed ? Clock::now()
-                                      : Clock::time_point();
-                stats.opt += optimizeBlock(proc, b, live);
-                if (timed)
-                    opt_ms += std::chrono::duration<double,
-                                                    std::milli>(
-                                  Clock::now() - t0)
-                                  .count();
-            }
-            if (options.rename) {
-                const auto t0 = timed ? Clock::now()
-                                      : Clock::time_point();
-                stats.rename += renameBlock(proc, b, live);
-                if (timed)
-                    rename_ms += std::chrono::duration<double,
-                                                       std::milli>(
-                                     Clock::now() - t0)
-                                     .count();
+            const auto t0 = timed ? Clock::now() : Clock::time_point();
+            stats.opt += optimizeBlock(proc, b, live);
+            const auto t1 = timed ? Clock::now() : Clock::time_point();
+            stats.rename += renameBlock(proc, b, live);
+            if (timed) {
+                opt_ms += Ms(t1 - t0).count();
+                rename_ms += Ms(Clock::now() - t1).count();
             }
         }
     }
     if (timed) {
-        if (options.localOpt)
-            ob.addSample("localopt", opt_ms);
-        if (options.rename)
-            ob.addSample("rename", rename_ms);
+        ob.addSample("localopt", opt_ms);
+        ob.addSample("rename", rename_ms);
     }
     proc.syncSideTables();
 

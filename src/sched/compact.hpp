@@ -28,11 +28,9 @@
 
 namespace pathsched::sched {
 
-/** Feature toggles for ablations. */
+/** Compaction knobs. */
 struct CompactOptions
 {
-    bool localOpt = true;
-    bool rename = true;
     SchedPriority priority = SchedPriority::CriticalPath;
     /**
      * Optional observability sink: per-procedure local-opt / rename /

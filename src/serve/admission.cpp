@@ -7,6 +7,20 @@
 
 namespace pathsched::serve {
 
+namespace {
+
+/** Score added for a file-level rejection. */
+constexpr uint32_t kScorePerReject = 4;
+/** Score added per quarantined/stale procedure inside an otherwise
+ *  admitted delta. */
+constexpr uint32_t kScorePerBadProc = 1;
+/** Score at which the client is quarantined. */
+constexpr uint32_t kQuarantineThreshold = 16;
+/** Epochs a quarantine lasts. */
+constexpr uint32_t kQuarantineEpochs = 4;
+
+} // namespace
+
 Admission::Admission(const ir::Program &prog,
                      profile::PathProfileParams pathParams,
                      AdmissionOptions opts)
@@ -28,8 +42,8 @@ void
 Admission::bumpScore(ClientState &cs, uint32_t amount)
 {
     cs.score += amount;
-    if (cs.score >= opts_.quarantineThreshold) {
-        cs.quarantinedUntil = epoch_ + 1 + opts_.quarantineEpochs;
+    if (cs.score >= kQuarantineThreshold) {
+        cs.quarantinedUntil = epoch_ + 1 + kQuarantineEpochs;
         cs.score = 0;
         ++cs.stats.quarantineEntries;
     }
@@ -123,7 +137,7 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
 
     auto reject = [&](const Status &st) {
         ++cs.stats.rejected;
-        bumpScore(cs, opts_.scorePerReject);
+        bumpScore(cs, kScorePerReject);
         res.code = AckCode::Rejected;
         res.detail = st.toString();
         return res;
@@ -205,7 +219,7 @@ Admission::evaluate(const std::string &clientId, uint64_t lastSeq,
         }
     }
     if (badProcs > 0)
-        bumpScore(cs, badProcs * opts_.scorePerBadProc);
+        bumpScore(cs, badProcs * kScorePerBadProc);
 
     delta.normalize();
     ++cs.stats.admitted;

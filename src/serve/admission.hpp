@@ -52,15 +52,6 @@ struct AdmissionOptions
     uint64_t tokensPerEpoch = 64;
     /** Token bucket cap (burst allowance across idle epochs). */
     uint64_t maxTokens = 128;
-    /** Score added for a file-level rejection. */
-    uint32_t scorePerReject = 4;
-    /** Score added per quarantined/stale procedure inside an otherwise
-     *  admitted delta. */
-    uint32_t scorePerBadProc = 1;
-    /** Score at which the client is quarantined. */
-    uint32_t quarantineThreshold = 16;
-    /** Epochs a quarantine lasts. */
-    uint32_t quarantineEpochs = 4;
 };
 
 /** Per-client admission counters (exported as serve.client.<id>.*). */

@@ -5,6 +5,7 @@
 #include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
 #include "serve/wire.hpp"
+#include "support/bytes.hpp"
 #include "support/hash.hpp"
 #include "support/strutil.hpp"
 
@@ -289,6 +290,10 @@ Aggregate::liveProcs() const
     return procs;
 }
 
+/** Edges and path windows per procedure that enter the hot-path
+ *  fingerprint (top-K by count, ties by key). */
+constexpr size_t kFingerprintTopK = 4;
+
 uint64_t
 Aggregate::hotFingerprint(uint32_t proc) const
 {
@@ -329,8 +334,7 @@ Aggregate::hotFingerprint(uint32_t proc) const
                          [](const Entry &a, const Entry &b) {
                              return a.first > b.first;
                          });
-        const size_t k =
-            std::min<size_t>(ranked.size(), opts_.fingerprintTopK);
+        const size_t k = std::min(ranked.size(), kFingerprintTopK);
         state = fnv1a64(tag, std::string(tag).size(), state);
         for (size_t i = 0; i < k; ++i)
             hashKey(ranked[i].second->first, state);
@@ -396,15 +400,6 @@ Aggregate::dumpPaths(profile::PathProfiler &pp, uint64_t &skipped) const
         if (!pp.addPathCount(ir::ProcId(k.first), seq, v))
             ++skipped;
     }
-}
-
-bool
-Aggregate::hasPathData() const
-{
-    for (const Bucket *b : liveBuckets())
-        if (!b->paths.empty())
-            return true;
-    return false;
 }
 
 std::string

@@ -22,7 +22,7 @@
  *    contract, made exact by keeping everything integral.
  *
  *  - **Hot-path fingerprints.**  hotFingerprint(proc) hashes the
- *    identity and order of the procedure's top-K hottest edges and
+ *    identity and order of the procedure's four hottest edges and
  *    path windows — not their raw counts — so uniform traffic growth
  *    leaves it fixed while a shift in *which* paths are hot moves it.
  *    The server reschedules only procedures whose fingerprint moved;
@@ -110,9 +110,6 @@ struct AggregateOptions
      *  keys are dropped (and counted) while existing keys still
      *  accumulate — bounded memory under a hostile or runaway fleet. */
     uint64_t maxKeysPerBucket = 1u << 20;
-    /** Edges/windows per procedure that enter the hot-path
-     *  fingerprint (top-K by count, ties by key). */
-    uint32_t fingerprintTopK = 4;
 };
 
 /** Windowed, shardable per-procedure profile aggregate. */
@@ -152,7 +149,7 @@ class Aggregate
 
     /**
      * Hot-path fingerprint of @p proc over the live window: FNV-1a of
-     * the ordered top-K edge keys and top-K path windows (by summed
+     * the ordered top-4 edge keys and top-4 path windows (by summed
      * count, ties toward the smaller key).  0 when the procedure has
      * no live data.  Count *magnitudes* do not participate — only the
      * identity and rank order of the hot set.
@@ -168,9 +165,6 @@ class Aggregate
      *  @p skipped counts them. */
     void dumpEdges(profile::EdgeProfiler &ep, uint64_t &skipped) const;
     void dumpPaths(profile::PathProfiler &pp, uint64_t &skipped) const;
-
-    /** True when any live bucket holds path windows. */
-    bool hasPathData() const;
 
     /**
      * Canonical serialization: fixed-width little-endian, sorted keys,

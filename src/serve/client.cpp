@@ -19,6 +19,9 @@ namespace pathsched::serve {
 
 namespace {
 
+/** Ceiling on the doubling retry backoff. */
+constexpr uint64_t kBackoffCapMs = 2000;
+
 Status
 clientError(const char *op)
 {
@@ -112,7 +115,7 @@ Client::connect()
         if (attempt > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(backoff));
-            backoff = std::min(backoff * 2, opts_.backoffCapMs);
+            backoff = std::min(backoff * 2, kBackoffCapMs);
             ++reconnects_;
         }
         last = connectOnce();
@@ -206,7 +209,7 @@ Client::requestResponse(const std::string &payload, Message &out)
             // server's seq cursor absorbs any duplicate this causes.
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(backoff));
-            backoff = std::min(backoff * 2, opts_.backoffCapMs);
+            backoff = std::min(backoff * 2, kBackoffCapMs);
             disconnect();
             ++reconnects_;
         }
@@ -254,7 +257,7 @@ Client::sendDelta(uint64_t seq, uint8_t profileKind,
             // storm; the delta was not admitted, so the resend is safe.
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(backoff));
-            backoff = std::min(backoff * 2, opts_.backoffCapMs);
+            backoff = std::min(backoff * 2, kBackoffCapMs);
             continue;
         case AckCode::Quarantined:
         case AckCode::Rejected:
@@ -281,19 +284,6 @@ Client::sendFlush()
 {
     Message resp;
     return requestResponse(encodeFlush(), resp);
-}
-
-Status
-Client::requestStats(std::string &jsonOut)
-{
-    Message resp;
-    if (Status st = requestResponse(encodeStatsReq(), resp); !st.ok())
-        return st;
-    if (resp.type != MsgType::StatsRep)
-        return Status::error(ErrorKind::BadProfile,
-                             "client: expected StatsRep");
-    jsonOut = resp.text;
-    return Status();
 }
 
 } // namespace pathsched::serve

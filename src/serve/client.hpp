@@ -34,8 +34,6 @@ struct ClientOptions
     uint64_t ackTimeoutMs = 5000;
     /** First retry backoff; doubles per consecutive failure. */
     uint64_t backoffMs = 50;
-    /** Backoff ceiling. */
-    uint64_t backoffCapMs = 2000;
     /** Connection + send attempts per operation before giving up. */
     uint32_t maxAttempts = 5;
 };
@@ -73,16 +71,13 @@ class Client
     /** Ask the server to snapshot + reschedule now. */
     Status sendFlush();
 
-    /** Fetch the server's status JSON. */
-    Status requestStats(std::string &jsonOut);
-
     /** Total reconnects performed (observability for the bench). */
     uint64_t reconnects() const { return reconnects_; }
 
   private:
     Status connectOnce();
     Status sendFrame(const std::string &payload);
-    /** Read frames until one Ack/StatsRep arrives or timeout. */
+    /** Read until one response frame arrives or the ack timeout. */
     Status awaitResponse(Message &out);
     Status requestResponse(const std::string &payload, Message &out);
 

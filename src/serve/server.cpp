@@ -46,8 +46,6 @@ ServeCore::ServeCore(workloads::Workload workload, ServeOptions opts,
 {
     if (opts_.reschedEveryEpochs == 0)
         opts_.reschedEveryEpochs = 1;
-    if (opts_.reopenBackoffCapTicks == 0)
-        opts_.reopenBackoffCapTicks = 1;
 }
 
 ServeCore::~ServeCore() = default;
@@ -252,6 +250,13 @@ ServeCore::degrade(const Status &why)
     reopen_failures_ = 0;
 }
 
+/** Degraded mode: cap on the doubling WAL-reopen backoff, counted in
+ *  epoch ticks (the first retry happens on the next tick). */
+constexpr uint32_t kReopenBackoffCapTicks = 64;
+/** Degraded -> failing after this many consecutive reopen failures
+ *  (still recoverable; the ladder keeps retrying). */
+constexpr uint32_t kFailingAfterRetries = 8;
+
 Status
 ServeCore::attemptRecovery()
 {
@@ -262,8 +267,8 @@ ServeCore::attemptRecovery()
         last_health_error_ = st.toString();
         ticks_until_retry_ = retry_backoff_;
         retry_backoff_ =
-            std::min(retry_backoff_ * 2, opts_.reopenBackoffCapTicks);
-        if (reopen_failures_ >= opts_.failingAfterRetries &&
+            std::min(retry_backoff_ * 2, kReopenBackoffCapTicks);
+        if (reopen_failures_ >= kFailingAfterRetries &&
             health_ != Health::Failing) {
             health_ = Health::Failing;
             registry_.addCounter("serve.health.failingEvents", 1);

@@ -81,12 +81,6 @@ struct ServeOptions
      *  cache disk tier, schedule output); nullptr = the system
      *  passthrough.  Arm faults on it to exercise degraded mode. */
     Vio *vio = nullptr;
-    /** Degraded mode: cap on the doubling WAL-reopen backoff, counted
-     *  in epoch ticks (first retry happens on the next tick). */
-    uint32_t reopenBackoffCapTicks = 64;
-    /** Degraded -> failing after this many consecutive reopen
-     *  failures (still recoverable; the ladder keeps retrying). */
-    uint32_t failingAfterRetries = 8;
 };
 
 /** Server health ladder (see docs/serving.md, "Degraded mode"). */
@@ -189,7 +183,6 @@ class ServeCore
      *  when no schedule exists yet. */
     bool writeScheduleBlob(const std::string &path) const;
 
-    uint64_t framesSeen() const { return frames_seen_; }
     uint64_t deltasAccepted() const { return deltas_accepted_; }
 
     /** Current health state (see the Health ladder). */

@@ -66,6 +66,13 @@ Endpoint::parse(const std::string &spec, Endpoint &out)
 
 namespace {
 
+/** Cap on one connection's buffered unparsed input. */
+constexpr size_t kMaxRecvBuffer = 8u << 20;
+/** Cap on one connection's unsent responses. */
+constexpr size_t kMaxSendBuffer = 8u << 20;
+/** Max concurrent connections; further accepts are closed. */
+constexpr size_t kMaxConnections = 256;
+
 volatile sig_atomic_t g_serve_stop = 0;
 
 void
@@ -231,7 +238,7 @@ runSocketLoop(ServeCore &core, const Endpoint &ep,
                 const int cfd = accept(lfd, nullptr, nullptr);
                 if (cfd < 0)
                     break;
-                if (conns.size() >= opts.maxConnections ||
+                if (conns.size() >= kMaxConnections ||
                     !setNonBlocking(cfd)) {
                     ::close(cfd); // at capacity: shed load
                     continue;
@@ -265,7 +272,7 @@ runSocketLoop(ServeCore &core, const Endpoint &ep,
                     if (n > 0) {
                         c.decoder.feed(buf, size_t(n));
                         if (c.decoder.pendingBytes() >
-                            opts.maxRecvBuffer) {
+                            kMaxRecvBuffer) {
                             connDead = true; // refuses to frame: shed
                             break;
                         }
@@ -308,7 +315,7 @@ runSocketLoop(ServeCore &core, const Endpoint &ep,
                     dead.push_back(fd);
                     continue;
                 }
-                if (c.sendBuf.size() > opts.maxSendBuffer) {
+                if (c.sendBuf.size() > kMaxSendBuffer) {
                     dead.push_back(fd); // refuses to read acks: shed
                     continue;
                 }

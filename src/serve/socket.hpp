@@ -48,12 +48,6 @@ struct SocketLoopOptions
 {
     /** Wall milliseconds per aggregation epoch. */
     uint64_t epochMs = 1000;
-    /** Cap on one connection's buffered unparsed input. */
-    size_t maxRecvBuffer = 8u << 20;
-    /** Cap on one connection's unsent responses. */
-    size_t maxSendBuffer = 8u << 20;
-    /** Max concurrent connections; further accepts are closed. */
-    size_t maxConnections = 256;
     /** Stop after this many accepted deltas (0 = run forever) — lets
      *  tests and the CI smoke drive a deterministic amount of work. */
     uint64_t maxDeltas = 0;

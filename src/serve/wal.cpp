@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "serve/wire.hpp"
+#include "support/bytes.hpp"
 #include "support/strutil.hpp"
 
 namespace pathsched::serve {

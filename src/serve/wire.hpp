@@ -35,10 +35,10 @@
  *   Ack       u64 seq | u8 ackCode | str detail
  *   StatsRep  str json
  *
- * str := u32 len | bytes.  Every decoder is bounds-checked and
- * Status-returning; malformed payloads are recoverable, typed errors
- * (ErrorKind::BadProfile family), never asserts — frames are untrusted
- * input end to end.
+ * str := u32 len | bytes, with support/bytes.hpp's codec.  Every
+ * decoder is bounds-checked and Status-returning; malformed payloads
+ * are recoverable, typed errors (ErrorKind::BadProfile family), never
+ * asserts — frames are untrusted input end to end.
  */
 
 #ifndef PATHSCHED_SERVE_WIRE_HPP
@@ -98,23 +98,6 @@ enum class AckCode : uint8_t
 
 /** Stable display name, e.g. "accepted". */
 const char *ackCodeName(AckCode code);
-
-/** @name Primitive little-endian put/get helpers
- *  The get* functions bounds-check and return false on truncation;
- *  decoders turn that into a typed Status.
- *  @{ */
-void putU8(std::string &out, uint8_t v);
-void putU16(std::string &out, uint16_t v);
-void putU32(std::string &out, uint32_t v);
-void putU64(std::string &out, uint64_t v);
-void putStr(std::string &out, const std::string &s);
-bool getU8(const std::string &in, size_t &pos, uint8_t &v);
-bool getU16(const std::string &in, size_t &pos, uint16_t &v);
-bool getU32(const std::string &in, size_t &pos, uint32_t &v);
-bool getU64(const std::string &in, size_t &pos, uint64_t &v);
-/** Bounded string read: length capped by the remaining input. */
-bool getStr(const std::string &in, size_t &pos, std::string &s);
-/** @} */
 
 /** Wrap @p payload in a frame (length + CRC) appended to @p out. */
 void appendFrame(std::string &out, const std::string &payload);

@@ -4,27 +4,6 @@
 
 namespace pathsched {
 
-namespace {
-
-/** Split @p s on @p sep, dropping empty pieces. */
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos)
-            end = s.size();
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-} // namespace
-
 bool
 FaultInjector::parse(const std::string &spec, std::string &error)
 {

@@ -36,6 +36,22 @@ join(const std::vector<std::string> &parts, const std::string &sep)
     return out;
 }
 
+std::vector<std::string>
+splitOn(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= s.size()) {
+        size_t end = s.find(sep, start);
+        if (end == std::string::npos)
+            end = s.size();
+        if (end > start)
+            out.push_back(s.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
+}
+
 std::string
 withCommas(uint64_t value)
 {

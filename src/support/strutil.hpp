@@ -1,8 +1,8 @@
 /**
  * @file
- * String helpers: formatting for table-style report output, and the
- * one checked number parser every text format and command-line tool
- * shares.
+ * String helpers: formatting for table-style report output, the
+ * separator split the fault-spec grammars share, and the one checked
+ * number parser every text format and command-line tool shares.
  */
 
 #ifndef PATHSCHED_SUPPORT_STRUTIL_HPP
@@ -22,6 +22,9 @@ std::string strfmt(const char *fmt, ...)
 /** Join the elements of @p parts with @p sep. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
+
+/** Split @p s on @p sep, dropping empty pieces. */
+std::vector<std::string> splitOn(const std::string &s, char sep);
 
 /** Render a count with thousands separators, e.g. 1234567 -> "1,234,567". */
 std::string withCommas(uint64_t value);

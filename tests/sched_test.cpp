@@ -633,10 +633,8 @@ TEST(Scheduler, PacksIndependentWork)
     b.ret(acc);
 
     const auto mm = machine::MachineModel::unitLatency();
-    CompactOptions opts;
-    opts.localOpt = false; // keep all the ldi alive? they are dead...
-    opts.rename = false;
-    compactProgram(prog, mm, opts);
+    // Schedule only: local optimization would delete the dead ldis.
+    scheduleProgram(prog, mm);
     const auto &sched = prog.proc(0).schedules[0];
     ASSERT_TRUE(sched.valid);
     EXPECT_EQ(sched.numCycles, 2u); // 8-wide cycle 0, ret in cycle 1
@@ -667,10 +665,7 @@ TEST(Scheduler, SerialChainTakesLatencySum)
     b.ret(v);
 
     const auto mm = machine::MachineModel::unitLatency();
-    CompactOptions opts;
-    opts.localOpt = false; // keep the serial chain intact
-    opts.rename = false;
-    compactProgram(prog, mm, opts);
+    scheduleProgram(prog, mm); // schedule only: keep the chain intact
     const auto &sched = prog.proc(0).schedules[0];
     // 5 dependent adds + emit/ret: at least 6 cycles.
     EXPECT_GE(sched.numCycles, 6u);
@@ -813,10 +808,7 @@ TEST(Scheduler, WawWithLongerSecondLatency)
     b.ret(r);
 
     const auto mm = machine::MachineModel::realisticLatency();
-    CompactOptions opts;
-    opts.rename = false; // keep the WAW pair intact
-    opts.localOpt = false;
-    compactProgram(prog, mm, opts);
+    scheduleProgram(prog, mm); // schedule only: keep the WAW pair intact
 
     interp::ProgramInput in;
     in.memImage = {0, 0, 42};

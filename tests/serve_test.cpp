@@ -27,6 +27,7 @@
 #include "serve/server.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -680,33 +681,32 @@ TEST_F(AdmissionTest, EmptyTokenBucketThrottles)
 
 TEST_F(AdmissionTest, RepeatedRejectsEscalateToQuarantineAndExpire)
 {
-    AdmissionOptions opts;
-    opts.scorePerReject = 4;
-    opts.quarantineThreshold = 8;
-    opts.quarantineEpochs = 2;
-    Admission adm = make(opts);
+    // Each rejection scores 4; the fourth reaches the threshold of 16
+    // and quarantines the client for 4 epochs.
+    Admission adm = make();
 
-    EXPECT_EQ(adm.evaluate("bad", 0, 1, 1, "not a profile").code,
-              AckCode::Rejected);
+    for (uint64_t seq = 1; seq <= 3; ++seq)
+        EXPECT_EQ(adm.evaluate("bad", 0, seq, 1, "not a profile").code,
+                  AckCode::Rejected);
     EXPECT_FALSE(adm.quarantined("bad"));
-    EXPECT_EQ(adm.evaluate("bad", 0, 2, 1, "still not a profile").code,
+    EXPECT_EQ(adm.evaluate("bad", 0, 4, 1, "still not a profile").code,
               AckCode::Rejected);
     EXPECT_TRUE(adm.quarantined("bad"));
     EXPECT_EQ(adm.stats("bad").quarantineEntries, 1u);
 
     // While quarantined even a valid delta is dropped unread.
-    EXPECT_EQ(adm.evaluate("bad", 0, 3, 1, text_).code,
+    EXPECT_EQ(adm.evaluate("bad", 0, 5, 1, text_).code,
               AckCode::Quarantined);
     // A different client is unaffected.
     EXPECT_EQ(adm.evaluate("good", 0, 1, 1, text_).code,
               AckCode::Accepted);
 
-    adm.onEpoch(1);
-    adm.onEpoch(2);
+    for (uint64_t e = 1; e <= 4; ++e)
+        adm.onEpoch(e);
     EXPECT_TRUE(adm.quarantined("bad"));
-    adm.onEpoch(3);
+    adm.onEpoch(5);
     EXPECT_FALSE(adm.quarantined("bad"));
-    EXPECT_EQ(adm.evaluate("bad", 0, 4, 1, text_).code,
+    EXPECT_EQ(adm.evaluate("bad", 0, 6, 1, text_).code,
               AckCode::Accepted);
 }
 
@@ -1115,20 +1115,23 @@ TEST_F(ServeCoreTest, RepeatedReopenFailureEscalatesToFailing)
         << err;
     ServeOptions fopts;
     fopts.vio = &vio;
-    fopts.reopenBackoffCapTicks = 1;
-    fopts.failingAfterRetries = 2;
     auto core = makeCore("failing", fopts);
 
     EXPECT_EQ(sendDelta(*core, "ca", "c1", 1, pathText_),
               AckCode::Unavailable);
     EXPECT_EQ(core->health(), Health::Degraded);
     const uint64_t epochBefore = core->aggregate().epoch();
-    // Odd ticks attempt the reopen (and fail); even ticks burn down
-    // the one-tick backoff and legitimately return OK.
+    // The first tick attempts the reopen; each failure then waits
+    // 1, 2, 4, ..., 64 ticks (the cap) before the next attempt, and
+    // the 8th consecutive failure escalates: 8 attempts plus
+    // 1 + 2 + ... + 64 = 127 waiting ticks, which return OK.
     int failedTicks = 0;
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < 134; ++i)
         if (!core->tick().ok())
             ++failedTicks;
+    EXPECT_EQ(core->health(), Health::Degraded);
+    if (!core->tick().ok())
+        ++failedTicks;
     EXPECT_GE(failedTicks, 3);
     EXPECT_EQ(core->health(), Health::Failing);
     // Time stood still: no epoch advanced while the WAL was down.

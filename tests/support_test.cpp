@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "support/bitvec.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "support/strutil.hpp"
@@ -235,6 +236,79 @@ TEST(Statistics, MeanAndGeomean)
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
     EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
     EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);
+}
+
+TEST(Bytes, FixedWidthRoundTripsLittleEndianAndRejectsShortInput)
+{
+    // Each width: 0, 1 and its maximum, written little-endian, read
+    // back, and refused (pos untouched) one byte short.
+    auto check = [](int width, uint64_t max, auto put, auto get) {
+        for (const uint64_t v : {uint64_t(0), uint64_t(1), max}) {
+            std::string out = "x";
+            put(out, v);
+            ASSERT_EQ(out.size(), size_t(1 + width));
+            for (int i = 0; i < width; ++i)
+                EXPECT_EQ(uint8_t(out[1 + i]), uint8_t(v >> (8 * i)))
+                    << "width " << width << " byte " << i;
+            size_t pos = 1;
+            uint64_t got = 0;
+            EXPECT_TRUE(get(out, pos, got));
+            EXPECT_EQ(got, v);
+            EXPECT_EQ(pos, out.size());
+
+            const std::string short_by_one = out.substr(0, out.size() - 1);
+            pos = 1;
+            EXPECT_FALSE(get(short_by_one, pos, got)) << "width " << width;
+            EXPECT_EQ(pos, 1u);
+        }
+    };
+    check(
+        1, UINT8_MAX, [](std::string &o, uint64_t v) { putU8(o, uint8_t(v)); },
+        [](const std::string &in, size_t &pos, uint64_t &v) {
+            uint8_t x = 0;
+            const bool ok = getU8(in, pos, x);
+            v = x;
+            return ok;
+        });
+    check(
+        2, UINT16_MAX,
+        [](std::string &o, uint64_t v) { putU16(o, uint16_t(v)); },
+        [](const std::string &in, size_t &pos, uint64_t &v) {
+            uint16_t x = 0;
+            const bool ok = getU16(in, pos, x);
+            v = x;
+            return ok;
+        });
+    check(
+        4, UINT32_MAX,
+        [](std::string &o, uint64_t v) { putU32(o, uint32_t(v)); },
+        [](const std::string &in, size_t &pos, uint64_t &v) {
+            uint32_t x = 0;
+            const bool ok = getU32(in, pos, x);
+            v = x;
+            return ok;
+        });
+    check(8, UINT64_MAX, putU64,
+          [](const std::string &in, size_t &pos, uint64_t &v) {
+              return getU64(in, pos, v);
+          });
+
+    // str := u32 len | bytes; a length running past the buffer fails.
+    std::string out;
+    putStr(out, "abc");
+    EXPECT_EQ(out, std::string("\x03\0\0\0abc", 7));
+    size_t pos = 0;
+    std::string s;
+    EXPECT_TRUE(getStr(out, pos, s));
+    EXPECT_EQ(s, "abc");
+    EXPECT_EQ(pos, out.size());
+    pos = 0;
+    EXPECT_FALSE(getStr(out.substr(0, 6), pos, s));
+    std::string huge;
+    putU32(huge, UINT32_MAX);
+    huge += "abc";
+    pos = 0;
+    EXPECT_FALSE(getStr(huge, pos, s));
 }
 
 TEST(Strutil, Strfmt)
