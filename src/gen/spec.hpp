@@ -85,7 +85,7 @@ struct GenSpec
     double loopDensity = 0.12;
     BranchKind branch = BranchKind::Mixed;
     uint32_t period = 4;
-    std::vector<Edit> edits;
+    std::vector<Edit> edits = {};
 
     bool operator==(const GenSpec &) const = default;
 

@@ -122,13 +122,10 @@ replaceBody(ir::Procedure &dst, ir::Procedure &&src)
 uint64_t
 hashU64s(std::initializer_list<uint64_t> vals)
 {
-    uint8_t buf[8 * 8];
-    size_t n = 0;
-    for (uint64_t v : vals) {
-        for (int i = 0; i < 8; ++i)
-            buf[n++] = uint8_t((v >> (8 * i)) & 0xff);
-    }
-    return fnv1a64(buf, n);
+    uint64_t h = fnv1a64(nullptr, 0);
+    for (uint64_t v : vals)
+        h = fnv1a64Mix(h, v);
+    return h;
 }
 
 /** Bump when anything about the transform chain's semantics changes,
@@ -136,8 +133,10 @@ hashU64s(std::initializer_list<uint64_t> vals)
  *  2: backend-registry key layout (backend name + formation knobs
  *  hash replace the enum value + flat knob fields).
  *  3: entries no longer carry global-code-motion stats.
- *  4: a spill keeps the schedules of the blocks it leaves unchanged. */
-constexpr uint64_t kCacheSchema = 4;
+ *  4: a spill keeps the schedules of the blocks it leaves unchanged.
+ *  5: allocation on exact live ranges, least recently freed register
+ *  first. */
+constexpr uint64_t kCacheSchema = 5;
 
 /** The typed status of a run of the original program (@p what is
  *  "training run" or "reference test run") that stopped early, or OK.

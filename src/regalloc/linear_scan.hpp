@@ -5,12 +5,16 @@
  * The paper's back end preschedules with an infinite-register variant
  * of the target, allocates registers, then postschedules restricted by
  * the allocation decisions (§2.3).  This allocator maps each
- * procedure's virtual registers onto the 128-entry file using one
- * coarse live interval per register.  Parameters are precolored onto
- * registers 0..k-1 (the calling convention).  A procedure whose
- * pressure exceeds the file is left on virtual registers and counted
- * in AllocStats::procsSkipped — with 128 registers and renaming-scale
- * pressure this is rare, and the experiment harness reports it.
+ * procedure's virtual registers onto the 128-entry file by linear scan
+ * on exact live ranges with lifetime holes (Traub, Holloway & Smith,
+ * PLDI 1998), built from a liveness solve of the procedure.  It hands
+ * out the free register freed longest ago, so a block rarely reuses a
+ * register and keeps its compact schedule, and shares a register in a
+ * lifetime hole only when none is free.  Parameters are precolored
+ * onto registers 0..k-1 (the calling convention).  A procedure whose
+ * live ranges do not fit spills its longest ones to memory, 16 per
+ * round; a recursive one is left on virtual registers and counted in
+ * AllocStats::procsSkipped.  No workload needs either.
  */
 
 #ifndef PATHSCHED_REGALLOC_LINEAR_SCAN_HPP
@@ -32,7 +36,7 @@ struct AllocStats
     uint64_t procsAllocated = 0;
     uint64_t procsSkipped = 0;
     uint64_t regsSpilled = 0; ///< live ranges demoted to memory slots
-    /** Allocation attempts (one interval build each): 1 for a
+    /** Allocation attempts (one live-range build each): 1 for a
      *  procedure that fits, one more per spill-and-retry, 0 for a
      *  procedure with nothing to allocate. */
     uint64_t rounds = 0;
@@ -40,7 +44,9 @@ struct AllocStats
      *  and the worklist block visits they took. */
     uint64_t liveSolves = 0;
     uint64_t liveVisits = 0;
-    uint32_t maxPressure = 0; ///< peak simultaneously-live registers
+    /** Most physical registers in use at once; a register shared in
+     *  lifetime holes counts once. */
+    uint32_t maxPressure = 0;
 
     AllocStats &
     operator+=(const AllocStats &o)

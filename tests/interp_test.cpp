@@ -610,6 +610,10 @@ TEST(Interp, PinnedWorkloadCounters)
     // Measured with the instruction-at-a-time interpreter that the
     // decoded one replaced (pathsched_cli --workload all --config P4e
     // --icache); the decoded interpreter must reproduce them exactly.
+    // vortex's instruction and access counts were re-measured when
+    // allocation stopped reusing registers inside blocks: it keeps
+    // compaction's schedules, which speculate a few more instructions
+    // in the same cycles.
     static const PinnedCounters kPinned[] = {
         {"alt", 287563, 1212507, 1212507, 10, 60, 37500, 25000},
         {"ph", 360045, 900008, 900008, 7, 42, 110000, 60000},
@@ -624,7 +628,7 @@ TEST(Interp, PinnedWorkloadCounters)
         {"li", 1576277, 2442731, 2442731, 12, 72, 304921, 165840},
         {"m88k", 877842, 2311119, 2311119, 10, 60, 200000, 100000},
         {"perl", 2357575, 4858757, 4858757, 12, 72, 574998, 230000},
-        {"vortex", 398523, 1113829, 1113829, 29, 174, 44522, 23599},
+        {"vortex", 398523, 1114303, 1114303, 29, 174, 44522, 23599},
     };
     const std::vector<workloads::Workload> all =
         workloads::standardBenchmarks();

@@ -9,7 +9,9 @@
  *    live-in grew, which must equal sweeping every block until nothing
  *    changes (the round-robin solver it replaced, kept here).
  * Subjects: the 14 workloads under the paper's five backends, the fuzz
- * corpus, and 200 generated programs shaped like perfbench's gen-mix.
+ * corpus, 200 generated programs shaped like perfbench's gen-mix, and
+ * one program with more values live at once than the machine has
+ * registers, the only subject whose allocation spills.
  */
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "analysis/liveness.hpp"
 #include "gen/generator.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/builder.hpp"
 #include "pipeline/backend.hpp"
 #include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
@@ -45,7 +48,52 @@ struct Subject
     interp::ProgramInput train;
 };
 
-/** The 14 workloads, every corpus spec, and 200 generated programs. */
+/**
+ * A loop with a branch in its body, run while 140 values computed
+ * before it stay live until after it: more than the machine's 128
+ * registers, so allocation spills, but the loop's blocks name none of
+ * the 140.
+ */
+Subject
+highPressure()
+{
+    Subject s{"high-pressure", {}, {}};
+    ir::IrBuilder b(s.program);
+    s.program.mainProc = b.newProc("main", 1);
+    const ir::BlockId head = b.newBlock();
+    const ir::BlockId odd = b.newBlock();
+    const ir::BlockId even = b.newBlock();
+    const ir::BlockId latch = b.newBlock();
+    const ir::BlockId done = b.newBlock();
+    const ir::RegId n = b.param(0);
+    std::vector<ir::RegId> vals;
+    for (int k = 0; k < 140; ++k)
+        vals.push_back(b.addi(n, k));
+    const ir::RegId i = b.ldi(0);
+    const ir::RegId acc = b.ldi(0);
+    b.jmp(head);
+    b.setBlock(head);
+    b.brnz(b.alui(ir::Opcode::And, i, 1), odd, even);
+    b.setBlock(odd);
+    b.aluiTo(ir::Opcode::Add, acc, acc, 3);
+    b.jmp(latch);
+    b.setBlock(even);
+    b.aluTo(ir::Opcode::Xor, acc, acc, i);
+    b.jmp(latch);
+    b.setBlock(latch);
+    b.aluiTo(ir::Opcode::Add, i, i, 1);
+    b.brnz(b.cmpLt(i, n), head, done);
+    b.setBlock(done);
+    ir::RegId sum = acc;
+    for (const ir::RegId v : vals)
+        sum = b.add(sum, v);
+    b.ret(sum);
+    s.train.mainArgs = {50};
+    return s;
+}
+
+/** The 14 workloads, every corpus spec, 200 generated programs, and
+ *  the high-pressure program. */
 std::vector<Subject>
 subjects()
 {
@@ -89,6 +137,7 @@ subjects()
         out.push_back({spec.toString(), std::move(w.program),
                        std::move(w.train)});
     }
+    out.push_back(highPressure());
     return out;
 }
 

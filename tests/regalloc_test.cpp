@@ -3,6 +3,8 @@
  * Tests for linear-scan register allocation.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.hpp"
@@ -13,6 +15,7 @@
 #include "pipeline/pipeline.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
+#include "sched/scheduler.hpp"
 #include "testutil.hpp"
 
 namespace pstest = pathsched::testing;
@@ -20,6 +23,7 @@ namespace pstest = pathsched::testing;
 namespace pathsched::regalloc {
 namespace {
 
+using ir::BlockId;
 using ir::IrBuilder;
 using ir::Opcode;
 using ir::Program;
@@ -191,6 +195,176 @@ TEST(RegAlloc, LiveAcrossBlocksSurvives)
     interp::ProgramInput in;
     in.mainArgs = {1};
     EXPECT_EQ(interp::Interpreter(prog).run(in).returnValue, 110);
+}
+
+/**
+ * main(x) takes one of @p arms arms: arm i computes a value in its def
+ * block and returns it from its use block.  The def blocks come first
+ * and the use blocks last, in reverse order, so every arm's value spans
+ * the blocks of all the others: @p arms spans overlap, yet at most
+ * three registers are live at any point.
+ */
+Program
+nestedArmsProgram(int arms)
+{
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    std::vector<BlockId> select, def, use(arms);
+    for (int i = 0; i < arms; ++i)
+        select.push_back(b.newBlock());
+    for (int i = 0; i < arms; ++i)
+        def.push_back(b.newBlock());
+    for (int i = arms; i-- > 0;)
+        use[i] = b.newBlock();
+    const BlockId none = b.newBlock();
+    const RegId x = b.param(0);
+    b.jmp(select[0]);
+    for (int i = 0; i < arms; ++i) {
+        b.setBlock(select[i]);
+        b.brnz(b.cmpEqi(x, i), def[i], i + 1 < arms ? select[i + 1] : none);
+    }
+    std::vector<RegId> value(arms);
+    for (int i = 0; i < arms; ++i) {
+        b.setBlock(def[i]);
+        value[i] = b.muli(x, 100 + i);
+        b.jmp(use[i]);
+    }
+    for (int i = 0; i < arms; ++i) {
+        b.setBlock(use[i]);
+        b.ret(b.addi(value[i], 1));
+    }
+    b.setBlock(none);
+    b.ret(b.ldi(-1));
+    return prog;
+}
+
+TEST(RegAlloc, ExactLivenessFitsWhereSpansOverflow)
+{
+    // Twelve overlapping spans do not fit eight registers, but the
+    // values' lifetime holes do: no spill, nothing left on virtual
+    // registers, and every arm still returns its value.
+    const Program ref = nestedArmsProgram(12);
+    Program prog = ref;
+    const AllocStats stats = allocateProgram(prog, 8);
+    EXPECT_EQ(stats.procsAllocated, 1u);
+    EXPECT_EQ(stats.procsSkipped, 0u);
+    EXPECT_EQ(stats.regsSpilled, 0u);
+    EXPECT_EQ(stats.rounds, 1u);
+    EXPECT_EQ(prog.proc(0).numRegs, 8u);
+    for (int64_t x = -1; x <= 12; ++x) {
+        interp::ProgramInput in;
+        in.mainArgs = {x};
+        EXPECT_EQ(interp::Interpreter(prog).run(in).returnValue,
+                  interp::Interpreter(ref).run(in).returnValue)
+            << "x = " << x;
+    }
+}
+
+/** Give every block of @p proc a one-instruction-per-cycle schedule in
+ *  its current order, standing in for compaction's. */
+void
+markScheduled(ir::Procedure &proc)
+{
+    proc.syncSideTables();
+    for (BlockId b = 0; b < proc.blocks.size(); ++b) {
+        ir::BlockSchedule &sch = proc.schedules[b];
+        const uint32_t n = uint32_t(proc.blocks[b].instrs.size());
+        sch.valid = true;
+        sch.cycleOf.resize(n);
+        for (uint32_t i = 0; i < n; ++i)
+            sch.cycleOf[i] = i;
+        sch.numCycles = n;
+    }
+}
+
+TEST(RegAlloc, DyingAndDefinedValuesGetDistinctRegisters)
+{
+    // Each add reads a value for the last time and defines the next.
+    // The freed register goes to the back of the free list, so no two
+    // values of the block share a register and its schedule stands.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    RegId v = b.param(0);
+    for (int i = 1; i <= 6; ++i)
+        v = b.addi(v, i);
+    b.ret(v);
+    sched::scheduleProgram(prog, machine::MachineModel::unitLatency());
+    ASSERT_TRUE(prog.proc(0).schedules[0].valid);
+
+    const AllocStats stats = allocateProgram(prog, 8);
+    EXPECT_EQ(stats.regsSpilled, 0u);
+    std::set<RegId> regs = {0}; // the parameter's
+    for (const auto &ins : prog.proc(0).blocks[0].instrs) {
+        if (ins.hasDst()) {
+            EXPECT_TRUE(regs.insert(ins.dst).second)
+                << "register " << ins.dst << " reused in the block";
+        }
+    }
+    EXPECT_TRUE(prog.proc(0).schedules[0].valid);
+    interp::ProgramInput in;
+    in.mainArgs = {2};
+    EXPECT_EQ(interp::Interpreter(prog).run(in).returnValue, 2 + 21);
+}
+
+TEST(RegAlloc, LiveOutRegisterInAHoleClearsTheSchedule)
+{
+    // Block `mid` leaves early for `out`, which returns `kept`; after
+    // that exit `kept` is dead in `mid`.  With three registers, `late`
+    // (defined after the exit) can only share `kept`'s register: `c`
+    // and `t` hold the other two across it.  The names of `mid` stay
+    // injective, but a def that shares a register live at an exit may
+    // no longer move above that exit, so the schedule must go.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    const BlockId mid = b.newBlock();
+    const BlockId out = b.newBlock();
+    const RegId x = b.param(0);
+    const RegId c = b.cmpLti(x, 3);
+    const RegId kept = b.addi(x, 5);
+    const RegId t = b.ldi(1);
+    b.emitValue(t);
+    b.jmp(mid);
+    b.setBlock(mid);
+    // A side exit: a branch without fallthrough target in mid-block.
+    prog.proc(0).blocks[mid].instrs.push_back(
+        ir::makeBr(Opcode::BrNz, c, out, ir::kNoBlock));
+    const RegId late = b.ldi(7);
+    b.ldiTo(t, 2);
+    b.emitValue(late);
+    b.emitValue(t);
+    b.emitValue(c);
+    b.ret();
+    b.setBlock(out);
+    b.ret(kept);
+    const Program ref = prog;
+    markScheduled(prog.proc(0));
+
+    const AllocStats stats = allocateProgram(prog, 3);
+    ASSERT_EQ(stats.regsSpilled, 0u);
+    ASSERT_EQ(stats.procsSkipped, 0u);
+    const auto &mid_code = prog.proc(0).blocks[mid].instrs;
+    const RegId late_reg = mid_code[1].dst;
+    const RegId kept_reg = prog.proc(0).blocks[out].instrs[0].src1;
+    EXPECT_EQ(late_reg, kept_reg);
+    std::set<RegId> names;
+    for (const auto &ins : mid_code) {
+        if (ins.hasDst())
+            names.insert(ins.dst);
+        ins.forEachSource([&](RegId r) { names.insert(r); });
+    }
+    EXPECT_EQ(names.size(), 3u) << "the names of mid share a register";
+    EXPECT_FALSE(prog.proc(0).schedules[mid].valid);
+    for (const int64_t arg : {1, 5}) {
+        interp::ProgramInput in;
+        in.mainArgs = {arg};
+        const auto want = interp::Interpreter(ref).run(in);
+        const auto got = interp::Interpreter(prog).run(in);
+        EXPECT_EQ(got.returnValue, want.returnValue) << arg;
+        EXPECT_EQ(got.output, want.output) << arg;
+    }
 }
 
 /** Property: allocation (after compaction) preserves behaviour. */

@@ -846,48 +846,48 @@ TEST(Compact, SchedulesArePinned)
     };
     using pipeline::SchedConfig;
     static const Pin kPins[] = {
-        {"alt", SchedConfig::BB, 0xc3a63300b85a8260ULL, 25},
-        {"alt", SchedConfig::M4, 0x7094ea4a4ddd67e8ULL, 173},
-        {"alt", SchedConfig::P4e, 0xa7841fc228d5ba96ULL, 231},
-        {"ph", SchedConfig::BB, 0x8b512f0fc29b50d4ULL, 20},
-        {"ph", SchedConfig::M4, 0x35dca7ddc1d1f864ULL, 143},
-        {"ph", SchedConfig::P4e, 0x83480d5d7ab1c9e1ULL, 180},
-        {"corr", SchedConfig::BB, 0xf7c75ca6621fa78cULL, 19},
-        {"corr", SchedConfig::M4, 0x39c753b5ab5a76d2ULL, 176},
-        {"corr", SchedConfig::P4e, 0x224f601ce9473f4dULL, 230},
-        {"wc", SchedConfig::BB, 0x8f7633327004cc0cULL, 40},
-        {"wc", SchedConfig::M4, 0x722a0d12d036fba0ULL, 179},
-        {"wc", SchedConfig::P4e, 0x17dcfbc7e669a832ULL, 224},
-        {"com", SchedConfig::BB, 0x75587994a6a87060ULL, 92},
-        {"com", SchedConfig::M4, 0xa9e34f17e40732f2ULL, 406},
-        {"com", SchedConfig::P4e, 0x8c40cf612decb809ULL, 325},
-        {"eqn", SchedConfig::BB, 0x3115e402e56f52fdULL, 54},
-        {"eqn", SchedConfig::M4, 0xf8d4826f21dd3baaULL, 196},
-        {"eqn", SchedConfig::P4e, 0x522019f10b47b5b1ULL, 195},
-        {"esp", SchedConfig::BB, 0x64fe8ba90f3c82a3ULL, 59},
-        {"esp", SchedConfig::M4, 0xb3bc4eccd0f48abfULL, 199},
-        {"esp", SchedConfig::P4e, 0x73f7c25001394cf9ULL, 239},
-        {"gcc", SchedConfig::BB, 0x0e037443af687895ULL, 27899},
-        {"gcc", SchedConfig::M4, 0xabd4250cd59ad067ULL, 32394},
-        {"gcc", SchedConfig::P4e, 0x6f1a13b0d3bb35efULL, 32535},
-        {"go", SchedConfig::BB, 0x61c3c24bff1fba44ULL, 18897},
-        {"go", SchedConfig::M4, 0x199fd4e8e396cc14ULL, 115592},
-        {"go", SchedConfig::P4e, 0xb7ae6a702e6c0350ULL, 22991},
-        {"ijpeg", SchedConfig::BB, 0xaf4d9dd997f66ec7ULL, 213},
-        {"ijpeg", SchedConfig::M4, 0x6e78de9c5c08dadbULL, 1435},
-        {"ijpeg", SchedConfig::P4e, 0x6652c2fd6ba7ef93ULL, 1968},
-        {"li", SchedConfig::BB, 0x375e77c58bfa0cffULL, 88},
-        {"li", SchedConfig::M4, 0xa15bd44d4db2e57bULL, 248},
-        {"li", SchedConfig::P4e, 0x6e4df0827e9d00f0ULL, 260},
-        {"m88k", SchedConfig::BB, 0x562ebab4e7b84aebULL, 101},
-        {"m88k", SchedConfig::M4, 0x3bb4ba4f065d35b4ULL, 1240},
-        {"m88k", SchedConfig::P4e, 0xf99f2b8a3d470863ULL, 175},
-        {"perl", SchedConfig::BB, 0x205347533a945f9eULL, 120},
-        {"perl", SchedConfig::M4, 0xb29ca2772813be6dULL, 535},
-        {"perl", SchedConfig::P4e, 0xdfcd66ec66d7c4bfULL, 202},
-        {"vortex", SchedConfig::BB, 0x562e60fae7cf895fULL, 171},
-        {"vortex", SchedConfig::M4, 0x19a579e33e9678a8ULL, 511},
-        {"vortex", SchedConfig::P4e, 0xf2e996bc486a9ca2ULL, 646},
+        {"alt", SchedConfig::BB, 0x88b7e1ce037501caULL, 25},
+        {"alt", SchedConfig::M4, 0x89e181b9951e885dULL, 140},
+        {"alt", SchedConfig::P4e, 0x9fe86f6f950139d7ULL, 181},
+        {"ph", SchedConfig::BB, 0x6e2ae78f9fb8f9c1ULL, 20},
+        {"ph", SchedConfig::M4, 0x115c6512fe1bb0c4ULL, 123},
+        {"ph", SchedConfig::P4e, 0x91b492c12bddc782ULL, 154},
+        {"corr", SchedConfig::BB, 0x4be4b967eaf8c5a4ULL, 19},
+        {"corr", SchedConfig::M4, 0xd45acf92cbd21555ULL, 152},
+        {"corr", SchedConfig::P4e, 0x392f30291b6585b5ULL, 203},
+        {"wc", SchedConfig::BB, 0x7e44511e56fe63b4ULL, 38},
+        {"wc", SchedConfig::M4, 0xaa2e0621e606b437ULL, 159},
+        {"wc", SchedConfig::P4e, 0x40a1b96418ea3553ULL, 198},
+        {"com", SchedConfig::BB, 0x42da605efc0d7fdaULL, 73},
+        {"com", SchedConfig::M4, 0x59849dbde0fe9ef3ULL, 351},
+        {"com", SchedConfig::P4e, 0x485c0d452467ddb7ULL, 244},
+        {"eqn", SchedConfig::BB, 0xf649d3e49bda96c5ULL, 44},
+        {"eqn", SchedConfig::M4, 0x0db6299463c263f0ULL, 153},
+        {"eqn", SchedConfig::P4e, 0xdb874004e6d3ed6fULL, 145},
+        {"esp", SchedConfig::BB, 0x8823709c9756c644ULL, 53},
+        {"esp", SchedConfig::M4, 0xf6cc146580e56026ULL, 162},
+        {"esp", SchedConfig::P4e, 0x6263ceb05ea9df74ULL, 193},
+        {"gcc", SchedConfig::BB, 0xa967fdaee46a48f5ULL, 16747},
+        {"gcc", SchedConfig::M4, 0x3c8ab8faed4cd063ULL, 19101},
+        {"gcc", SchedConfig::P4e, 0x49dfcb47503e428cULL, 19402},
+        {"go", SchedConfig::BB, 0xcd1e114c8b280548ULL, 12021},
+        {"go", SchedConfig::M4, 0x02d77151842a588bULL, 97884},
+        {"go", SchedConfig::P4e, 0x85ad3b1c0d2955b2ULL, 14746},
+        {"ijpeg", SchedConfig::BB, 0xee5b3eb68b317b48ULL, 147},
+        {"ijpeg", SchedConfig::M4, 0xa6494b3fe505474fULL, 1051},
+        {"ijpeg", SchedConfig::P4e, 0xcab438f2ff9c92c9ULL, 1573},
+        {"li", SchedConfig::BB, 0xc4d9717281a8848aULL, 75},
+        {"li", SchedConfig::M4, 0xa805e443676aa3e0ULL, 195},
+        {"li", SchedConfig::P4e, 0x50f483ffa6979cfaULL, 198},
+        {"m88k", SchedConfig::BB, 0x163ede0089f44dfeULL, 90},
+        {"m88k", SchedConfig::M4, 0x52ee3188e5b530d8ULL, 1129},
+        {"m88k", SchedConfig::P4e, 0x128d19067faae2e7ULL, 150},
+        {"perl", SchedConfig::BB, 0x3d4a22edddf26bafULL, 107},
+        {"perl", SchedConfig::M4, 0x782eb81d6a4a686aULL, 453},
+        {"perl", SchedConfig::P4e, 0x745e8143598ea837ULL, 179},
+        {"vortex", SchedConfig::BB, 0x9464176dbb96575bULL, 133},
+        {"vortex", SchedConfig::M4, 0xf094123984b99f6fULL, 383},
+        {"vortex", SchedConfig::P4e, 0x7a6b10cd32838e9cULL, 490},
     };
 
     std::map<std::string, workloads::Workload> suite;

@@ -130,8 +130,8 @@ struct Task
     int attempts = 0;       ///< attempts started so far
     bool done = false;
     bool skipped = false;   ///< completed in a previous run (--resume)
-    std::string outcome;    ///< "ok", "degraded", "failed", "timeout",
-                            ///< "crashed"
+    std::string outcome = ""; ///< "ok", "degraded", "failed", "timeout",
+                              ///< "crashed"
     Clock::time_point notBefore = Clock::time_point::min();
 
     std::string name() const { return workload + "/" + config; }
