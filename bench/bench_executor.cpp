@@ -1,8 +1,8 @@
 /**
  * @file
- * Executor scaling and stage-cache benchmark.
+ * Executor scaling benchmark.
  *
- * Three measurements, all written to BENCH_executor.json:
+ * Two measurements, both written to BENCH_executor.json:
  *
  *  1. Batch sweep scaling: every (workload x config) pipeline run of a
  *     Table-1 sweep as one index of a parallelFor, at 1 worker vs 8.  The runs are independent, so on a
@@ -12,8 +12,6 @@
  *     the pipeline's own per-procedure parallel-for at 1 vs 8 threads.
  *     Amdahl applies — the train/test/verify interpreter runs are
  *     serial — so this is a smaller, honest number.
- *  3. Stage-cache effect: the same run cold vs warm (in-memory tier),
- *     where the warm run skips every transform chain.
  *
  * Determinism is asserted, not assumed: each measurement cross-checks
  * cycle counts against the serial baseline before timing is reported.
@@ -25,7 +23,6 @@
 #include <mutex>
 
 #include "common.hpp"
-#include "pipeline/cache.hpp"
 #include "pipeline/executor.hpp"
 #include "support/logging.hpp"
 
@@ -114,11 +111,9 @@ main()
 
     // --- 2. In-run per-procedure parallelism on the largest program.
     const auto gcc = workloads::makeByName("gcc");
-    auto timedRun = [&](unsigned threads,
-                        pipeline::StageCache *cache) -> double {
+    auto timedRun = [&](unsigned threads) -> double {
         pipeline::PipelineOptions opts;
         opts.executor.threads = threads;
-        opts.executor.cache = cache;
         const auto t0 = Clock::now();
         const auto r = pipeline::runPipeline(gcc.program, gcc.train,
                                              gcc.test,
@@ -135,8 +130,8 @@ main()
                   (unsigned long long)want);
         return ms;
     };
-    const double run1 = timedRun(1, nullptr);
-    const double run8 = timedRun(8, nullptr);
+    const double run1 = timedRun(1);
+    const double run8 = timedRun(8);
     std::printf("gcc/P4 in-run: 1 thread %.0f ms, 8 threads %.0f ms "
                 "(speedup %.2fx)\n",
                 run1, run8, run1 / run8);
@@ -145,21 +140,6 @@ main()
     report.row("gcc-P4", "8-thread");
     report.metric("ms", run8);
     report.metric("speedup", run1 / run8);
-
-    // --- 3. Cold vs warm stage cache. ---
-    pipeline::StageCache cache;
-    const double cold = timedRun(1, &cache);
-    const double warm = timedRun(1, &cache);
-    std::printf("gcc/P4 stage cache: cold %.0f ms, warm %.0f ms "
-                "(speedup %.2fx; %llu hits)\n",
-                cold, warm, cold / warm,
-                (unsigned long long)cache.stats().hits);
-    report.row("gcc-P4-cache", "cold");
-    report.metric("ms", cold);
-    report.row("gcc-P4-cache", "warm");
-    report.metric("ms", warm);
-    report.metric("speedup", cold / warm);
-    report.metric("hits", double(cache.stats().hits));
 
     if (!report.write())
         std::fprintf(stderr,

@@ -18,8 +18,7 @@
  * Mid-stream the profile distribution shifts (train -> test input), so
  * the hot-path fingerprints move exactly once and the bench can report
  * the reschedule ratio: runs over attempts, where every unmoved epoch
- * is gated off and every unchanged procedure inside a run is a stage
- * cache hit.
+ * is gated off.
  *
  * The run ends with a simulated kill -9: the core is destroyed with no
  * shutdown and a fresh one recovers from the WAL.  Recovery wall time
@@ -278,9 +277,6 @@ main()
     const uint64_t attempts = reg.counter("serve.resched.attempts");
     const uint64_t runs = reg.counter("serve.resched.runs");
     const uint64_t skipped = reg.counter("serve.resched.skippedUnmoved");
-    const uint64_t cacheHits = reg.counter("serve.resched.cacheHits");
-    const uint64_t cacheMisses =
-        reg.counter("serve.resched.cacheMisses");
     const uint64_t liveKeys = core->aggregate().liveKeys();
     const uint64_t droppedKeys = core->aggregate().droppedKeys();
 
@@ -295,12 +291,9 @@ main()
                 (unsigned long long)fc.quarantined,
                 (unsigned long long)fc.tornFrames,
                 (unsigned long long)fc.reconnects, streamMs);
-    std::printf("resched: %llu attempts, %llu runs, %llu gated off, "
-                "cache %llu hits / %llu misses\n",
+    std::printf("resched: %llu attempts, %llu runs, %llu gated off\n",
                 (unsigned long long)attempts, (unsigned long long)runs,
-                (unsigned long long)skipped,
-                (unsigned long long)cacheHits,
-                (unsigned long long)cacheMisses);
+                (unsigned long long)skipped);
     std::printf("memory: %llu live keys (cap %llu/bucket), "
                 "%llu dropped\n",
                 (unsigned long long)liveKeys,
@@ -316,20 +309,19 @@ main()
               "distribution shift",
               (unsigned long long)runs);
 
-    // --- warm reschedule: aggregate unchanged -> pure cache serve. ---
-    // First a forced run to populate the cache at the current window,
-    // then the measured rerun, which must be served hit-for-hit.
-    if (const auto seed2 = core->attemptReschedule(true);
-        !seed2.status.ok())
-        panic("cache seed run failed");
+    // --- warm reschedule: aggregate unchanged -> same schedule. ---
+    // A forced run at the current window seeds the schedule, and the
+    // rerun over the unchanged aggregate must reproduce it exactly.
+    const RescheduleOutcome seed2 = core->attemptReschedule(true);
+    if (!seed2.status.ok() || !seed2.ran)
+        panic("seed reschedule failed");
     const RescheduleOutcome warm = core->attemptReschedule(true);
     if (!warm.status.ok() || !warm.ran)
         panic("warm reschedule did not run");
-    std::printf("warm resched: %llu cache hits, %llu misses\n",
-                (unsigned long long)warm.cacheHits,
-                (unsigned long long)warm.cacheMisses);
-    if (warm.cacheMisses != 0)
-        panic("unchanged aggregate missed the stage cache");
+    std::printf("warm resched: schedule hash %016llx\n",
+                (unsigned long long)warm.scheduleHash);
+    if (warm.scheduleHash != seed2.scheduleHash)
+        panic("unchanged aggregate rescheduled differently");
 
     // --- hostile key flood: the per-bucket cap bounds memory. ---
     AggregateOptions floodOpts;
@@ -527,16 +519,6 @@ main()
     report.metric("ratio",
                   attempts == 0 ? 0.0
                                 : double(runs) / double(attempts));
-    report.metric("cacheHits", double(cacheHits));
-    report.metric("cacheMisses", double(cacheMisses));
-    report.metric("cacheHitRate",
-                  cacheHits + cacheMisses == 0
-                      ? 0.0
-                      : double(cacheHits) /
-                            double(cacheHits + cacheMisses));
-    report.row("resched-warm", "unchanged-aggregate");
-    report.metric("cacheHits", double(warm.cacheHits));
-    report.metric("cacheMisses", double(warm.cacheMisses));
     report.row("memory", "bounded");
     report.metric("liveKeys", double(liveKeys));
     report.metric("keyCap", double(opts.aggregate.maxKeysPerBucket));

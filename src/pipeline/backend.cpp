@@ -1,6 +1,5 @@
 #include "pipeline/backend.hpp"
 
-#include <cstring>
 #include <iterator>
 
 #include "profile/edge_profile.hpp"
@@ -88,23 +87,6 @@ BackendDesc::transform(ir::Program &prog, ir::ProcId proc,
         st = ctx.injectAt("materialize");
     }
     return st;
-}
-
-void
-superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt)
-{
-    uint64_t threshold_bits = 0;
-    static_assert(sizeof threshold_bits ==
-                  sizeof opt.completionThreshold);
-    std::memcpy(&threshold_bits, &opt.completionThreshold,
-                sizeof threshold_bits);
-    h.u64(threshold_bits)
-        .u64(opt.maxInstrs)
-        .u64(opt.enlarge ? 1 : 0)
-        .u64(opt.growUpward ? 1 : 0)
-        .u64(opt.pathParams.maxBranches)
-        .u64(opt.pathParams.maxBlocks)
-        .u64(opt.pathParams.forwardPathsOnly ? 1 : 0);
 }
 
 ProfileNeeds

@@ -9,15 +9,15 @@
  * descriptor per backend, a row of plain data:
  *
  *  - a stable *name* ("P4", "M16") that is the string key for
- *    `--config` parsing everywhere and part of the stage-cache key;
+ *    `--config` parsing everywhere;
  *  - a *formation preset* (profile kind, unroll factor, superblock-loop
  *    heads, non-loop stop rule) that formConfigFor() copies into a
  *    form::FormConfig;
  *  - *capability queries* derived from the preset —
  *    needsEdgeProfile()/needsPathProfile()/formsSuperblocks() — that
  *    answer every "which profile does this config consume?" question
- *    (training-listener attachment, profile admission, cache profile
- *    hashing, the serving loop's reschedule inputs);
+ *    (training-listener attachment, profile admission, the serving
+ *    loop's reschedule inputs);
  *  - a per-procedure Status-returning *transform* entry point (the
  *    "form" slot of the pipeline's task chain) following the
  *    src/pipeline/stages.hpp conventions, through which the executor,
@@ -26,8 +26,8 @@
  *
  * The registry is a constant table holding the paper's five
  * configurations (§4), in SchedConfig order.  The fuzz oracle,
- * `--config all`, the batch sweep, the serving loop and the stage
- * cache all read it through allBackends(), so a new row (plus its
+ * `--config all`, the batch sweep and the serving loop all read it
+ * through allBackends(), so a new row (plus its
  * enumerator) is the only edit a new configuration of the superblock
  * former needs.
  */
@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
 
 namespace pathsched::pipeline {
@@ -98,7 +97,7 @@ enum class FormProfile
 struct BackendDesc
 {
     SchedConfig config = SchedConfig::BB;
-    /** Stable display/parse name, e.g. "P4e"; also cache-key material. */
+    /** Stable display/parse name, e.g. "P4e". */
     const char *name = "";
     /** One-line description for --help and docs. */
     const char *summary = "";
@@ -122,7 +121,7 @@ struct BackendDesc
     bool needsEdgeProfile() const { return profile == FormProfile::Edge; }
     bool needsPathProfile() const { return profile == FormProfile::Path; }
     bool needsProfile() const { return profile != FormProfile::None; }
-    /** Gates the "form.<cfg>.*" counters and the formation cache knobs. */
+    /** Gates the "form.<cfg>.*" counters. */
     bool formsSuperblocks() const { return profile != FormProfile::None; }
     bool hasTransform() const { return formsSuperblocks(); }
     /** @} */
@@ -146,11 +145,6 @@ struct BackendDesc
  *  formation knobs of @p options. */
 form::FormConfig formConfigFor(const BackendDesc &be,
                                const PipelineOptions &options);
-
-/** Fold the formation and path-profile knobs of @p opt into a
- *  stage-cache key (applied for every backend that forms
- *  superblocks). */
-void superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt);
 
 /** The profile kinds @p be reads. */
 ProfileNeeds needsOf(const BackendDesc &be);

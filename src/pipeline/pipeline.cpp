@@ -1,8 +1,8 @@
 #include "pipeline/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -13,11 +13,8 @@
 #include "layout/code_layout.hpp"
 #include "layout/pettis_hansen.hpp"
 #include "pipeline/backend.hpp"
-#include "pipeline/cache.hpp"
 #include "pipeline/executor.hpp"
 #include "profile/edge_profile.hpp"
-#include "profile/serialize.hpp"
-#include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
 
@@ -98,9 +95,6 @@ struct ProcCtx
      *  timers; the run's own observer after the join. */
     obs::Observer timed;
     double formMs = 0, compactMs = 0, regallocMs = 0, postschedMs = 0;
-    bool cacheHit = false;
-    bool cacheEligible = false;
-    CacheKey key;
 };
 
 /** Replace @p dst's body (registers, blocks, side tables) with @p src's.
@@ -116,27 +110,6 @@ replaceBody(ir::Procedure &dst, ir::Procedure &&src)
     dst.superblocks = std::move(src.superblocks);
     dst.syncSideTables();
 }
-
-/** Little-endian FNV-1a over a u64 sequence — the per-record primitive
- *  of the per-procedure profile content hash. */
-uint64_t
-hashU64s(std::initializer_list<uint64_t> vals)
-{
-    uint64_t h = fnv1a64(nullptr, 0);
-    for (uint64_t v : vals)
-        h = fnv1a64Mix(h, v);
-    return h;
-}
-
-/** Bump when anything about the transform chain's semantics changes,
- *  so stale --cache-dir entries from older builds can never hit.
- *  2: backend-registry key layout (backend name + formation knobs
- *  hash replace the enum value + flat knob fields).
- *  3: entries no longer carry global-code-motion stats.
- *  4: a spill keeps the schedules of the blocks it leaves unchanged.
- *  5: allocation on exact live ranges, least recently freed register
- *  first. */
-constexpr uint64_t kCacheSchema = 5;
 
 /** The typed status of a run of the original program (@p what is
  *  "training run" or "reference test run") that stopped early, or OK.
@@ -321,9 +294,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     if (threads == 0)
         threads = hardwareThreads();
     const bool parallel = threads > 1;
-    StageCache *cache = opt.executor.cache;
     result.exec.threads = threads;
-    result.exec.cacheEnabled = cache != nullptr;
 
     // --- 1. The formation profile: an admitted external profile of the
     //        kind the backend reads, else the prepared training profile
@@ -470,115 +441,12 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         ctx.timed = own.withPrefix("time." + result.name + ".");
     }
 
-    // Stage-cache admission: a chain may be memoized only when its
-    // result is a pure function of the key — no op/step budgets (a hit
-    // would bypass the exhaustion an uncached run records), no armed
-    // faults (they misbehave on purpose), no admission action on the
-    // procedure (it changes the profile the chain consumes).  A
-    // *deadline-only* budget is compatible: expiry is a wall-clock race
-    // in any case, degraded procedures are never stored (storeInCache
-    // skips quarantined[p]), and a hit only shortens the run — the
-    // serving loop relies on this to reschedule under a deadline while
-    // still reusing unchanged procedures.
-    const bool ops_budgeted =
-        budget_active &&
-        (bud.formGrowthOps != 0 || bud.compactOps != 0 ||
-         bud.regallocOps != 0 || bud.interpSteps != 0);
-    const bool cache_usable =
-        cache != nullptr && !ops_budgeted && faults == nullptr;
-    if (cache_usable) {
-        // Per-procedure profile content hash over every profile kind
-        // the backend consumes.  Record hashes combine by wrapping
-        // addition: the profilers iterate hash maps, whose order must
-        // not leak into the key.
-        std::vector<uint64_t> prof_hash(num_procs, 0);
-        if (be.needsEdgeProfile()) {
-            edge_for_form->forEachBlock(
-                [&](ir::ProcId p, ir::BlockId b, uint64_t count) {
-                    prof_hash[p] += hashU64s({1, b, count});
-                });
-            edge_for_form->forEachEdge([&](ir::ProcId p, ir::BlockId f,
-                                           ir::BlockId t,
-                                           uint64_t count) {
-                prof_hash[p] += hashU64s({2, f, t, count});
-            });
-        }
-        if (be.needsPathProfile()) {
-            path_for_form->forEachPath(
-                [&](ir::ProcId p, const std::vector<ir::BlockId> &seq,
-                    uint64_t count) {
-                    uint64_t h = hashU64s({3, count, seq.size()});
-                    for (ir::BlockId b : seq)
-                        h = hashU64s({h, b});
-                    prof_hash[p] += h;
-                });
-        }
-        const uint64_t machine_hash = hashMachineModel(opt.machine);
-        std::string body;
-        for (size_t p = 0; p < num_procs; ++p) {
-            ProcCtx &ctx = ctxs[p];
-            ctx.cacheEligible =
-                !audit.enabled || audit.findProc(p) == nullptr;
-            if (!ctx.cacheEligible)
-                continue;
-            body.clear();
-            serializeProcedure(program.procs[p], body);
-            // Common material first, then the formation knobs, which
-            // only a superblock-forming backend reads.
-            KeyHasher h;
-            h.u64(kCacheSchema)
-                .str(be.name)
-                .str(body)
-                .u64(profile::cfgFingerprint(program.procs[p]))
-                .u64(prof_hash[p])
-                .u64(machine_hash)
-                .u64(uint64_t(opt.schedPriority))
-                .u64(opt.registerAllocate ? 1 : 0)
-                .u64(opt.registerAllocate && recursive[p] ? 1 : 0);
-            if (be.formsSuperblocks())
-                superblockKnobsHash(h, opt);
-            ctx.key = h.key();
-        }
-    }
-
-    // A hit replays the whole transform chain from the cache entry:
-    // the post-regalloc body (spill offsets still sentinel-relative)
-    // plus the chain's counters.
-    auto tryCacheRestore = [&](ProcCtx &ctx, ir::ProcId p) -> bool {
-        if (!ctx.cacheEligible)
-            return false;
-        StageCache::Entry e;
-        if (!cache->lookup(ctx.key, e))
-            return false;
-        replaceBody(prog.procs[p], std::move(e.proc));
-        ctx.xf.form = e.form;
-        ctx.compact = e.compact;
-        ctx.alloc = e.alloc;
-        ctx.spill.slots = e.spillSlots;
-        ctx.cacheHit = true;
-        return true;
-    };
-    // Memoize a cleanly-completed chain (a quarantined procedure's body
-    // is the fallback's work, not this key's transform).
-    auto storeInCache = [&](ProcCtx &ctx, ir::ProcId p) {
-        if (!ctx.cacheEligible || quarantined[p])
-            return;
-        StageCache::Entry e;
-        e.proc = prog.procs[p];
-        e.spillSlots = ctx.spill.slots;
-        e.form = ctx.xf.form;
-        e.compact = ctx.compact;
-        e.alloc = ctx.alloc;
-        cache->insert(ctx.key, e);
-    };
-
     // --- 3. transform -> compact -> regalloc -> postsched -> verify,
     //        one chain per procedure.  The transform stage is the
     //        backend's descriptor entry point — the pipeline only owns
-    //        the chain plumbing (quarantine, cache, budget view,
-    //        injection hook).  A quarantined procedure's chain is its
-    //        BB fallback: no transform, cache, budget, deadline or
-    //        injection.  Returns the failed stage (null if none) and
+    //        the chain plumbing (quarantine, budget view, injection
+    //        hook).  A quarantined procedure's chain is its BB
+    //        fallback: no transform, budget, deadline or injection.  Returns the failed stage (null if none) and
     //        why; a chain stopped by an expired deadline fails nothing.
     struct Failure
     {
@@ -592,7 +460,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         auto stopped = [&](const char *stage) {
             return !fallback && deadlineUp(stage);
         };
-        bool hit = false;
         if (!fallback) {
             MsAccum acc(be.hasTransform() ? ctx.formMs : ctx.compactMs);
             if (stopped(be.hasTransform() ? be.transformLabel : "compact"))
@@ -604,8 +471,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 // schedule it from the BB baseline.
                 return {"profile", Status::error(pa->kind, pa->message)};
             }
-            hit = tryCacheRestore(ctx, p);
-            if (!hit && be.hasTransform()) {
+            if (be.hasTransform()) {
                 TransformContext tc;
                 tc.config = be.config;
                 tc.opt = &opt;
@@ -627,46 +493,43 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     return {stage, std::move(st)};
             }
         }
-        if (!hit) {
-            {
-                MsAccum acc(ctx.compactMs);
-                if (stopped("compact"))
-                    return {};
-                sched::CompactOptions copts;
-                copts.priority = opt.schedPriority;
-                const obs::Observer compact_obs =
-                    ctx.timed.withPrefix("compact.");
-                copts.observer = &compact_obs;
-                copts.budget = budget;
-                if (opt.registerAllocate)
-                    copts.liveness = &ctx.live;
-                Status st = inject("compact", p);
-                if (st.ok())
-                    st = sched::compactProcedure(prog, p, opt.machine,
-                                                 copts, ctx.compact);
-                if (!st.ok())
-                    return {"compact", std::move(st)};
+        {
+            MsAccum acc(ctx.compactMs);
+            if (stopped("compact"))
+                return {};
+            sched::CompactOptions copts;
+            copts.priority = opt.schedPriority;
+            const obs::Observer compact_obs =
+                ctx.timed.withPrefix("compact.");
+            copts.observer = &compact_obs;
+            copts.budget = budget;
+            if (opt.registerAllocate)
+                copts.liveness = &ctx.live;
+            Status st = inject("compact", p);
+            if (st.ok())
+                st = sched::compactProcedure(prog, p, opt.machine,
+                                             copts, ctx.compact);
+            if (!st.ok())
+                return {"compact", std::move(st)};
+        }
+        if (opt.registerAllocate) {
+            MsAccum acc(ctx.regallocMs);
+            const std::optional<analysis::Liveness> live =
+                std::exchange(ctx.live, std::nullopt);
+            if (stopped("regalloc"))
+                return {};
+            Status st = inject("regalloc", p);
+            if (st.ok()) {
+                regalloc::AllocOptions ao;
+                ao.budget = budget;
+                ao.recursive = &recursive;
+                ao.spill = &ctx.spill;
+                ao.liveness = live ? &*live : nullptr;
+                st = regalloc::allocateProcedure(
+                    prog, p, opt.machine.numRegs, ctx.alloc, ao);
             }
-            if (opt.registerAllocate) {
-                MsAccum acc(ctx.regallocMs);
-                const std::optional<analysis::Liveness> live =
-                    std::exchange(ctx.live, std::nullopt);
-                if (stopped("regalloc"))
-                    return {};
-                Status st = inject("regalloc", p);
-                if (st.ok()) {
-                    regalloc::AllocOptions ao;
-                    ao.budget = budget;
-                    ao.recursive = &recursive;
-                    ao.spill = &ctx.spill;
-                    ao.liveness = live ? &*live : nullptr;
-                    st = regalloc::allocateProcedure(
-                        prog, p, opt.machine.numRegs, ctx.alloc, ao);
-                }
-                if (!st.ok())
-                    return {"regalloc", std::move(st)};
-            }
-            storeInCache(ctx, p);
+            if (!st.ok())
+                return {"regalloc", std::move(st)};
         }
         if (stopped("verify"))
             return {};
@@ -755,10 +618,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         for (auto &d : ctx.degraded)
             result.degraded.push_back(std::move(d));
         ctx.degraded.clear();
-        if (ctx.cacheHit)
-            ++result.exec.cacheHits;
-        else if (ctx.cacheEligible)
-            ++result.exec.cacheMisses;
         form_ms += ctx.formMs;
         compact_ms += ctx.compactMs;
         regalloc_ms += ctx.regallocMs;
@@ -820,8 +679,14 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                         result.alloc.liveSolves);
         base.addCounter("alloc" + cfg_dot + "liveVisits",
                         result.alloc.liveVisits);
-        base.setGauge("alloc" + cfg_dot + "maxPressure",
-                      result.alloc.maxPressure);
+        // A registry shared by several workloads keeps their peak.
+        const std::string pressure = "alloc" + cfg_dot + "maxPressure";
+        const obs::Stat *seen =
+            base.stats != nullptr ? base.stats->find(base.prefix + pressure)
+                                  : nullptr;
+        base.setGauge(pressure,
+                      std::max(double(result.alloc.maxPressure),
+                               seen != nullptr ? seen->gauge : 0.0));
         // The postschedule replaces the preschedule's cycle counts.
         result.compact.sched = postsched;
         base.addCounter("sched" + cfg_dot + "postschedKept",
@@ -1040,17 +905,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                               "budget.deadlineRemainingMs",
                           double(bud.deadline.remainingMs()));
     }
-    // Executor stats vary with the thread count and cache warmth —
-    // consumers comparing runs for determinism must ignore the
-    // "executor." subtree, and only it.
+    // Executor stats vary with the thread count — consumers comparing
+    // runs for determinism must ignore the "executor." subtree, and
+    // only it.
     base.addCounter("executor" + cfg_dot + "tasks", result.exec.tasks);
     base.setGauge("executor" + cfg_dot + "threads", double(threads));
-    if (cache != nullptr) {
-        base.addCounter("executor" + cfg_dot + "cacheHits",
-                        result.exec.cacheHits);
-        base.addCounter("executor" + cfg_dot + "cacheMisses",
-                        result.exec.cacheMisses);
-    }
 
     if (opt.keepTransformed)
         result.transformed =

@@ -29,8 +29,7 @@
  * merges their results in procedure-id order, while the whole-program
  * stages (training run, layout, measurement, output comparison) stay
  * serial.  An N-thread run is bit-identical to a 1-thread run — see
- * docs/architecture.md for the invariants that guarantee it.  An optional StageCache
- * (pipeline/cache.hpp) memoizes finished transform chains across runs.
+ * docs/architecture.md for the invariants that guarantee it.
  *
  * The pipeline is fault-tolerant per procedure (docs/robustness.md):
  * when any transform stage fails for one procedure — or the
@@ -45,6 +44,7 @@
 #define PATHSCHED_PIPELINE_PIPELINE_HPP
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,7 +68,6 @@
 
 namespace pathsched::pipeline {
 
-class StageCache;
 struct BackendDesc;
 
 /**
@@ -95,7 +94,7 @@ const char *configName(SchedConfig config);
  * Non-paper concerns are grouped by subsystem instead of accreting as
  * flat fields: profile admission (profileInput), governance and fault
  * injection (robustness), stat/trace sinks (observability), and the
- * per-procedure parallel-for plus stage cache (executor).  The paper's
+ * per-procedure parallel-for (executor).  The paper's
  * own knobs — machine model, formation and scheduling parameters —
  * stay flat on PipelineOptions, mirroring §3/§4 of the paper.
  * @{
@@ -164,16 +163,17 @@ struct ObsOptions
     const obs::Observer *observer = nullptr;
 };
 
-/** Per-procedure parallelism and stage cache (docs/architecture.md). */
+/** Per-procedure parallelism (docs/architecture.md). */
 struct ExecutorOptions
 {
     /** Worker threads for the per-procedure stage chains; 1 = run
      *  inline on the calling thread, 0 = one per hardware thread.
      *  Output is bit-identical for every value. */
     unsigned threads = 1;
-    /** Optional transform-chain memoization (not owned; may be shared
-     *  across runs and threads).  Null disables caching. */
-    StageCache *cache = nullptr;
+    /** Always null, and nothing reads it: it is kept only because
+     *  perfbench/main.cpp:506 assigns it, and goes with the next
+     *  change to the benchmark. */
+    std::nullptr_t cache = nullptr;
 };
 /** @} */
 
@@ -233,14 +233,11 @@ struct Degradation
     std::string message;
 };
 
-/** Executor and cache activity of one run (report: "executor"). */
+/** Executor activity of one run (report: "executor"). */
 struct ExecReport
 {
     unsigned threads = 1;       ///< resolved worker thread count
     uint64_t tasks = 0;         ///< procedures x per-procedure stages run
-    bool cacheEnabled = false;  ///< a StageCache was attached
-    uint64_t cacheHits = 0;     ///< this run's chain-level cache hits
-    uint64_t cacheMisses = 0;   ///< this run's eligible lookup misses
 };
 
 /** Measurements from one (program, config) pipeline run. */
@@ -290,7 +287,7 @@ struct PipelineResult
     /** Degradations caused by budget or deadline exhaustion. */
     size_t budgetDegradations() const;
 
-    /** Executor and stage-cache activity (threads, tasks, hits).
+    /** Executor activity (threads, tasks).
      *  Always filled, even for single-threaded runs. */
     ExecReport exec;
 

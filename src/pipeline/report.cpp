@@ -140,11 +140,6 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.beginObject();
     w.member("threads", uint64_t(r.exec.threads));
     w.member("tasks", r.exec.tasks);
-    w.member("cacheEnabled", r.exec.cacheEnabled);
-    if (r.exec.cacheEnabled) {
-        w.member("cacheHits", r.exec.cacheHits);
-        w.member("cacheMisses", r.exec.cacheMisses);
-    }
     w.endObject();
 
     w.key("stages");

@@ -25,8 +25,8 @@
  *    identity and order of the procedure's four hottest edges and
  *    path windows — not their raw counts — so uniform traffic growth
  *    leaves it fixed while a shift in *which* paths are hot moves it.
- *    The server reschedules only procedures whose fingerprint moved;
- *    everything else is served from the PR-5 stage cache.
+ *    The server reschedules only when some procedure's fingerprint
+ *    moved.
  *
  * The canonical serialization (sorted keys, fixed-width little-endian,
  * whole-blob FNV-1a trailer) doubles as the snapshot payload and as

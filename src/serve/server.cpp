@@ -6,10 +6,64 @@
 #include "obs/json.hpp"
 #include "pipeline/backend.hpp"
 #include "profile/validate.hpp"
+#include "support/bytes.hpp"
 #include "support/hash.hpp"
 #include "support/strutil.hpp"
 
 namespace pathsched::serve {
+
+namespace {
+
+/**
+ * Canonical binary serialization of @p proc (fixed-width little-endian
+ * fields, every Instruction member included) appended to @p out: the
+ * bytes of the schedule blob (scheduleBlob(), --schedule-out).
+ */
+void
+serializeProcedure(const ir::Procedure &proc, std::string &out)
+{
+    putStr(out, proc.name);
+    putU32(out, proc.id);
+    putU32(out, proc.numParams);
+    putU32(out, proc.numRegs);
+    putU32(out, uint32_t(proc.blocks.size()));
+    for (const auto &bb : proc.blocks) {
+        putU32(out, uint32_t(bb.instrs.size()));
+        for (const auto &ins : bb.instrs) {
+            putU8(out, uint8_t(ins.op));
+            putU8(out, ins.useImm ? 1 : 0);
+            putU32(out, ins.dst);
+            putU32(out, ins.src1);
+            putU32(out, ins.src2);
+            putU64(out, uint64_t(ins.imm));
+            putU32(out, ins.target0);
+            putU32(out, ins.target1);
+            putU32(out, ins.callee);
+            putU32(out, uint32_t(ins.args.size()));
+            for (ir::RegId a : ins.args)
+                putU32(out, a);
+        }
+    }
+    putU32(out, uint32_t(proc.schedules.size()));
+    for (const auto &sch : proc.schedules) {
+        putU8(out, sch.valid ? 1 : 0);
+        putU32(out, sch.numCycles);
+        putU32(out, uint32_t(sch.cycleOf.size()));
+        for (uint32_t c : sch.cycleOf)
+            putU32(out, c);
+    }
+    putU32(out, uint32_t(proc.superblocks.size()));
+    for (const auto &sb : proc.superblocks) {
+        putU8(out, sb.isSuperblock ? 1 : 0);
+        putU8(out, sb.isLoop ? 1 : 0);
+        putU32(out, sb.numSrcBlocks);
+        putU32(out, uint32_t(sb.srcOrdinalOf.size()));
+        for (uint32_t o : sb.srcOrdinalOf)
+            putU32(out, o);
+    }
+}
+
+} // namespace
 
 bool
 validClientId(const std::string &id)
@@ -41,8 +95,7 @@ ServeCore::ServeCore(workloads::Workload workload, ServeOptions opts,
     : workload_(std::move(workload)), opts_(opts),
       agg_(opts.aggregate), wal_(std::move(stateDir), opts.vio),
       admission_(workload_.program, opts.pipelineBase.pathParams,
-                 opts.admission),
-      cache_(opts.cacheDir, opts.vio)
+                 opts.admission)
 {
     if (opts_.reschedEveryEpochs == 0)
         opts_.reschedEveryEpochs = 1;
@@ -398,10 +451,9 @@ ServeCore::attemptReschedule(bool force)
 
     // Dump the live window into admitted profiles.  Admission already
     // ran per delta at ingest — the aggregate is trusted internal
-    // state, so it reaches the pipeline with the audit disabled (also
-    // keeping every procedure stage-cache-eligible).  Aggregated counts
-    // are sums over many deltas, which the per-run flow checks would
-    // misread anyway.
+    // state, so it reaches the pipeline with the audit disabled.
+    // Aggregated counts are sums over many deltas, which the per-run
+    // flow checks would misread anyway.
     uint64_t dumpSkipped = 0;
     profile::AdmittedEdgeProfile edges(workload_.program);
     agg_.dumpEdges(edges.profile, dumpSkipped);
@@ -415,7 +467,6 @@ ServeCore::attemptReschedule(bool force)
     pipeline::PipelineOptions po = opts_.pipelineBase;
     po.profileInput.edges = &edges;
     po.profileInput.paths = &paths;
-    po.executor.cache = &cache_;
     po.executor.threads = 1;
     po.keepTransformed = true;
     if (opts_.reschedDeadlineMs > 0)
@@ -426,16 +477,10 @@ ServeCore::attemptReschedule(bool force)
         prepared_.emplace(pipeline::prepareWorkload(
             workload_.program, workload_.train, workload_.test, {},
             opts_.pipelineBase));
-    const pipeline::StageCacheStats before = cache_.stats();
     pipeline::PipelineResult result = pipeline::runBackend(
         *prepared_, *opts_.backend, po);
-    const pipeline::StageCacheStats after = cache_.stats();
     oc.ran = true;
-    oc.cacheHits = after.hits - before.hits;
-    oc.cacheMisses = after.misses - before.misses;
     oc.status = result.status;
-    registry_.addCounter("serve.resched.cacheHits", oc.cacheHits);
-    registry_.addCounter("serve.resched.cacheMisses", oc.cacheMisses);
 
     if (!result.status.ok()) {
         // Deadline expiry (or any run failure) is retried at the next
@@ -455,7 +500,7 @@ ServeCore::attemptReschedule(bool force)
                   "keepTransformed run returned no program");
     std::string blob;
     for (const ir::Procedure &proc : result.transformed->procs)
-        pipeline::serializeProcedure(proc, blob);
+        serializeProcedure(proc, blob);
     schedule_blob_ = std::move(blob);
     schedule_hash_ =
         fnv1a64(schedule_blob_.data(), schedule_blob_.size());
@@ -569,8 +614,6 @@ ServeCore::statusJson()
     w.member("skippedUnmoved", last_resched_.skippedUnmoved);
     w.member("procsLive", last_resched_.procsLive);
     w.member("procsMoved", last_resched_.procsMoved);
-    w.member("cacheHits", last_resched_.cacheHits);
-    w.member("cacheMisses", last_resched_.cacheMisses);
     w.member("status", last_resched_.status.toString());
     w.endObject();
     w.key("stats");

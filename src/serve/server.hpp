@@ -8,7 +8,6 @@
  *                                                      │ epoch tick
  *                                                      ▼
  *                        hot-path fingerprints moved? ─▶ reschedule
- *                        (unchanged procs hit the PR-5 stage cache)
  *
  * The core is deliberately transport-free: handleFrame()/handleMessage()
  * take an opaque connection key and return the response payloads to
@@ -24,12 +23,10 @@
  * the client's blind resend after reconnect lands as Duplicate via the
  * recovered seq cursor.
  *
- * Rescheduling integrates the PR-3/PR-5 layers: the run is governed by
- * an optional deadline (a reschedule storm cannot starve ingest — the
- * run ends with a typed DeadlineExceeded and is retried at the next
- * trigger), and the stage cache serves every procedure whose profile
- * slice and CFG did not change, so only moved-fingerprint procedures
- * pay for transformation.
+ * A reschedule runs only when a hot-path fingerprint moved, and is
+ * governed by an optional deadline (a reschedule storm cannot starve
+ * ingest — the run ends with a typed DeadlineExceeded and is retried
+ * at the next trigger).
  */
 
 #ifndef PATHSCHED_SERVE_SERVER_HPP
@@ -44,7 +41,6 @@
 
 #include "obs/stats.hpp"
 #include "pipeline/backend.hpp"
-#include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "serve/admission.hpp"
@@ -64,7 +60,7 @@ struct ServeOptions
     const pipeline::BackendDesc *backend =
         &pipeline::backendFor(pipeline::SchedConfig::P4);
     /** Base pipeline options (machine model, path params, ...).  The
-     *  core overrides the profile-input, executor-cache, deadline and
+     *  core overrides the profile-input, executor-thread, deadline and
      *  keepTransformed fields per reschedule. */
     pipeline::PipelineOptions pipelineBase;
     /** Wall budget per reschedule attempt; 0 = none.  Crash tests run
@@ -75,10 +71,8 @@ struct ServeOptions
     /** Snapshot + rotate the WAL after this many live records;
      *  0 = only on flush(). */
     uint64_t snapshotEvery = 256;
-    /** Stage-cache disk tier; empty = memory-only. */
-    std::string cacheDir;
     /** Virtual I/O seam for every durable write (WAL, snapshots, the
-     *  cache disk tier, schedule output); nullptr = the system
+     *  schedule and status outputs); nullptr = the system
      *  passthrough.  Arm faults on it to exercise degraded mode. */
     Vio *vio = nullptr;
 };
@@ -102,8 +96,6 @@ struct RescheduleOutcome
     bool skippedUnmoved = false; ///< no fingerprint moved; run skipped
     uint64_t procsLive = 0;  ///< procedures with live profile data
     uint64_t procsMoved = 0; ///< procedures whose fingerprint moved
-    uint64_t cacheHits = 0;  ///< stage-cache hits inside the run
-    uint64_t cacheMisses = 0;
     /** Pipeline status of the run (OK when !ran). */
     Status status;
     /** Content hash of the scheduled program (0 until a run succeeds). */
@@ -214,7 +206,6 @@ class ServeCore
     Aggregate agg_;
     Wal wal_;
     Admission admission_;
-    pipeline::StageCache cache_;
     /** The workload's call counts and reference run, prepared at the
      *  first reschedule and shared by every later one.  It collects no
      *  profile: reschedules always supply the aggregate's. */

@@ -5,8 +5,7 @@
  * The binary formats are built from these: the serve wire frames and
  * messages (serve/wire.hpp), the write-ahead log and snapshots
  * (serve/wal.hpp), the aggregate's canonical serialization
- * (serve/aggregate.hpp) and the stage cache's disk entries
- * (pipeline/cache.hpp).
+ * (serve/aggregate.hpp) and the schedule blob (serve/server.cpp).
  *
  * str := u32 len | bytes.  The get* functions bounds-check and return
  * false on truncation (the fixed-width ones leave @p pos unchanged);

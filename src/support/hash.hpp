@@ -5,8 +5,8 @@
  * Every integrity check in the tree goes through these two functions:
  *
  *  - fnv1a64: the v2 profile checksum and CFG fingerprint primitive
- *    (profile/serialize.hpp), the stage-cache key stream
- *    (pipeline/cache.hpp), and the serve wire/WAL content hashes.
+ *    (profile/serialize.hpp), and the serve wire/WAL and schedule
+ *    content hashes.
  *  - crc32: reflected CRC-32 (poly 0xEDB88320, the zlib polynomial),
  *    framing the batch journal lines (tools/pathsched_batch) and the
  *    serve wire-format / write-ahead-log frames (serve/wire.hpp).

@@ -3,7 +3,7 @@
  * Virtual I/O seam for every durable-write path.
  *
  * The durability story of the serve/batch layers (WAL, snapshots,
- * stage-cache disk tier, batch journal, schedule/status outputs) rests
+ * batch journal, schedule/status outputs) rests
  * on a handful of syscalls: open, write, fsync, rename, close.  Real
  * disks fail — ENOSPC, EIO, torn writes, fsync that lies — and nothing
  * exercised those paths before this seam existed.  Vio routes each of
@@ -26,7 +26,6 @@
  *            wal       WAL segment appends (serve/wal.cpp)
  *            snap      snapshot temp-file writes (serve/wal.cpp)
  *            dir       state-directory fsyncs (serve/wal.cpp)
- *            cache     stage-cache disk tier (pipeline/cache.cpp)
  *            journal   batch-runner journal (tools/pathsched_batch)
  *            schedule  schedule blob output (serve/server.cpp)
  *            status    status.json output (serve/server.cpp)
@@ -45,8 +44,8 @@
  * the fd before failing, so recovery code faces a genuine torn tail,
  * not a clean no-op.
  *
- * Thread safety: all ops may be called concurrently (the stage cache
- * writes from executor threads); injector state is mutex-guarded.
+ * Thread safety: all ops may be called concurrently; injector state
+ * is mutex-guarded.
  */
 
 #ifndef PATHSCHED_SUPPORT_VIO_HPP

@@ -1,22 +1,18 @@
 /**
  * @file
- * parallelFor, determinism and stage-cache tests.
+ * parallelFor and determinism tests.
  *
  * The per-procedure parallel-for's contract is that the thread count
  * changes only which worker runs each procedure's chain, never what
  * the chains produce: the transformed IR, the measured run, and every
  * non-timing statistic must be byte-identical to the serial run for
  * every configuration.  The matrix here pins that down, along with the
- * memoized stage cache (hit-after-no-change, miss-after-input-change,
- * corrupt-entry rejection) and the grouped PipelineOptions fields.
+ * grouped PipelineOptions fields.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -26,11 +22,9 @@
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
 #include "pipeline/backend.hpp"
-#include "pipeline/cache.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/faultinject.hpp"
-#include "support/vio.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched {
@@ -39,7 +33,6 @@ namespace {
 using pipeline::PipelineOptions;
 using pipeline::PipelineResult;
 using pipeline::SchedConfig;
-using pipeline::StageCache;
 
 // ---------------------------------------------------------------------
 // parallelFor unit tests.
@@ -288,303 +281,6 @@ TEST(SharedPrepare, ConcurrentBackendsMatchSerialAndCountTheCostOnce)
         counted += par[i].stages.front().ms > 0;
     }
     EXPECT_EQ(counted, 1u);
-}
-
-// ---------------------------------------------------------------------
-// Stage cache.
-
-TEST(StageCacheTest, WarmRerunHitsEveryProcedureAndMatchesCold)
-{
-    const auto w = workloads::makeByName("wc");
-    StageCache cache;
-    PipelineOptions opts;
-    opts.keepTransformed = true;
-    opts.executor.cache = &cache;
-    const PipelineResult cold = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(cold.status.ok());
-    EXPECT_EQ(cold.exec.cacheHits, 0u);
-    EXPECT_GT(cold.exec.cacheMisses, 0u);
-
-    const PipelineResult warm = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(warm.status.ok());
-    EXPECT_EQ(warm.exec.cacheMisses, 0u);
-    EXPECT_EQ(warm.exec.cacheHits, cold.exec.cacheMisses);
-
-    // A hit replays the chain exactly: same IR, same measured run,
-    // same per-stage counters.
-    EXPECT_EQ(ir::toString(*warm.transformed),
-              ir::toString(*cold.transformed));
-    EXPECT_EQ(warm.test.cycles, cold.test.cycles);
-    EXPECT_EQ(warm.test.output, cold.test.output);
-    EXPECT_EQ(warm.form.superblocksFormed, cold.form.superblocksFormed);
-    EXPECT_EQ(warm.compact.sched.totalCycles,
-              cold.compact.sched.totalCycles);
-    EXPECT_EQ(warm.alloc.regsSpilled, cold.alloc.regsSpilled);
-}
-
-TEST(StageCacheTest, ProfileChangeMissesTheCache)
-{
-    // Same program, same config — but a different training input
-    // changes the profile content hash, so reuse would be wrong.
-    auto w = workloads::makeByName("wc");
-    StageCache cache;
-    PipelineOptions opts;
-    opts.executor.cache = &cache;
-    const PipelineResult first = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(first.status.ok());
-
-    auto edited = w.train;
-    ASSERT_FALSE(edited.memImage.empty());
-    edited.memImage[0] ^= 1; // different text -> different path counts
-    const PipelineResult second = pipeline::runPipeline(
-        w.program, edited, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(second.status.ok());
-    EXPECT_GT(second.exec.cacheMisses, 0u);
-}
-
-TEST(StageCacheTest, ConfigKnobsAreInTheKey)
-{
-    const auto w = workloads::makeByName("wc");
-    StageCache cache;
-    PipelineOptions opts;
-    opts.executor.cache = &cache;
-    const PipelineResult first = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(first.status.ok());
-
-    PipelineOptions narrower = opts;
-    narrower.maxInstrs = 32;
-    const PipelineResult second = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, narrower);
-    ASSERT_TRUE(second.status.ok());
-    EXPECT_EQ(second.exec.cacheHits, 0u);
-    EXPECT_GT(second.exec.cacheMisses, 0u);
-}
-
-TEST(StageCacheTest, BudgetedAndFaultedRunsBypassTheCache)
-{
-    const auto w = workloads::makeByName("wc");
-    StageCache cache;
-    PipelineOptions opts;
-    opts.executor.cache = &cache;
-    opts.robustness.budget.formGrowthOps = 1'000'000'000;
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.exec.cacheHits, 0u);
-    EXPECT_EQ(r.exec.cacheMisses, 0u);
-    EXPECT_EQ(cache.stats().stores, 0u);
-}
-
-class DiskCacheTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        dir_ = ::testing::TempDir() + "pathsched_cache_" +
-               std::to_string(::getpid());
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    std::string dir_;
-};
-
-TEST_F(DiskCacheTest, EntriesPersistAcrossCacheInstances)
-{
-    const auto w = workloads::makeByName("wc");
-    PipelineOptions opts;
-    opts.keepTransformed = true;
-    uint64_t stored = 0;
-    std::string cold_ir;
-    {
-        StageCache writer(dir_);
-        opts.executor.cache = &writer;
-        const PipelineResult cold = pipeline::runPipeline(
-            w.program, w.train, w.test, SchedConfig::P4, opts);
-        ASSERT_TRUE(cold.status.ok());
-        stored = writer.stats().stores;
-        cold_ir = ir::toString(*cold.transformed);
-    }
-    EXPECT_GT(stored, 0u);
-
-    // A fresh instance (fresh process in real use) hits via disk.
-    StageCache reader(dir_);
-    opts.executor.cache = &reader;
-    const PipelineResult warm = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(warm.status.ok());
-    EXPECT_EQ(warm.exec.cacheMisses, 0u);
-    EXPECT_GT(reader.stats().diskHits, 0u);
-    EXPECT_EQ(ir::toString(*warm.transformed), cold_ir);
-}
-
-TEST_F(DiskCacheTest, CorruptEntriesAreRejectedAsMisses)
-{
-    const auto w = workloads::makeByName("wc");
-    PipelineOptions opts;
-    opts.keepTransformed = true;
-    std::string cold_ir;
-    {
-        StageCache writer(dir_);
-        opts.executor.cache = &writer;
-        const PipelineResult cold = pipeline::runPipeline(
-            w.program, w.train, w.test, SchedConfig::P4, opts);
-        ASSERT_TRUE(cold.status.ok());
-        cold_ir = ir::toString(*cold.transformed);
-    }
-
-    // Flip a byte in the middle of every entry file: the checksum must
-    // catch it and the run must recompute rather than trust the blob.
-    size_t corrupted = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir_)) {
-        std::fstream f(e.path(),
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekg(0, std::ios::end);
-        const auto size = f.tellg();
-        ASSERT_GT(size, 0);
-        f.seekp(std::streamoff(size) / 2);
-        char c = 0;
-        f.seekg(std::streamoff(size) / 2);
-        f.read(&c, 1);
-        c = char(c ^ 0xff);
-        f.seekp(std::streamoff(size) / 2);
-        f.write(&c, 1);
-        ++corrupted;
-    }
-    ASSERT_GT(corrupted, 0u);
-
-    StageCache reader(dir_);
-    opts.executor.cache = &reader;
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(r.outputMatches);
-    EXPECT_EQ(reader.stats().corrupt, corrupted);
-    EXPECT_EQ(r.exec.cacheHits, 0u);
-    EXPECT_EQ(ir::toString(*r.transformed), cold_ir);
-}
-
-TEST_F(DiskCacheTest, OldFormatEntriesAreMisses)
-{
-    // A PSC1 entry's body may hold schedules the allocator made stale
-    // and left marked valid; the postschedule would keep them.  An
-    // entry with that magic must recompute, even with a payload and
-    // checksum that are otherwise intact.
-    const auto w = workloads::makeByName("wc");
-    PipelineOptions opts;
-    opts.keepTransformed = true;
-    std::string cold_ir;
-    {
-        StageCache writer(dir_);
-        opts.executor.cache = &writer;
-        const PipelineResult cold = pipeline::runPipeline(
-            w.program, w.train, w.test, SchedConfig::P4, opts);
-        ASSERT_TRUE(cold.status.ok());
-        cold_ir = ir::toString(*cold.transformed);
-    }
-
-    size_t rewritten = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir_)) {
-        std::fstream f(e.path(),
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        char magic[4] = {};
-        f.read(magic, 4);
-        ASSERT_EQ(std::string(magic, 4), "PSC3");
-        f.seekp(0);
-        f.write("PSC1", 4);
-        ++rewritten;
-    }
-    ASSERT_GT(rewritten, 0u);
-
-    StageCache reader(dir_);
-    opts.executor.cache = &reader;
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(reader.stats().diskHits, 0u);
-    EXPECT_EQ(r.exec.cacheHits, 0u);
-    EXPECT_EQ(r.exec.cacheMisses, rewritten);
-    EXPECT_EQ(ir::toString(*r.transformed), cold_ir);
-}
-
-TEST_F(DiskCacheTest, DiskFaultDisablesTheTierWithoutChangingOutput)
-{
-    // A mid-run ENOSPC on the cache directory must demote the cache to
-    // memory-only: the pipeline keeps running, produces bit-identical
-    // IR, and never touches the sick disk again.
-    const auto w = workloads::makeByName("wc");
-    PipelineOptions opts;
-    opts.keepTransformed = true;
-
-    // Baseline: no cache at all.
-    std::string plain_ir;
-    {
-        const PipelineResult plain = pipeline::runPipeline(
-            w.program, w.train, w.test, SchedConfig::P4, opts);
-        ASSERT_TRUE(plain.status.ok());
-        plain_ir = ir::toString(*plain.transformed);
-    }
-
-    Vio vio;
-    std::string err;
-    ASSERT_TRUE(vio.parseFaults("path=cache,kind=enospc", err)) << err;
-    StageCache cache(dir_, &vio);
-    opts.executor.cache = &cache;
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(r.outputMatches);
-    EXPECT_TRUE(cache.diskDisabled());
-    EXPECT_GE(cache.stats().diskFailures, 1u);
-    EXPECT_EQ(ir::toString(*r.transformed), plain_ir);
-
-    // The memory tier survives: an in-process rerun hits it.
-    const PipelineResult warm = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    ASSERT_TRUE(warm.status.ok());
-    EXPECT_GT(warm.exec.cacheHits, 0u);
-    EXPECT_EQ(ir::toString(*warm.transformed), plain_ir);
-
-    // Nothing half-written was left behind on the faulted disk.
-    size_t leftovers = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir_)) {
-        (void)e;
-        ++leftovers;
-    }
-    EXPECT_EQ(leftovers, 0u);
-}
-
-TEST(StageCacheTest, SerializeProcedureRoundTrips)
-{
-    const auto w = workloads::makeByName("alt");
-    for (const auto &proc : w.program.procs) {
-        std::string blob;
-        pipeline::serializeProcedure(proc, blob);
-        size_t pos = 0;
-        ir::Procedure out;
-        ASSERT_TRUE(pipeline::deserializeProcedure(blob, pos, out));
-        EXPECT_EQ(pos, blob.size());
-        out.syncSideTables();
-        EXPECT_EQ(ir::toString(out), ir::toString(proc));
-    }
-    // Truncation at any point must fail cleanly, never read past end.
-    std::string blob;
-    pipeline::serializeProcedure(w.program.procs[0], blob);
-    for (size_t cut = 0; cut < blob.size();
-         cut += 1 + blob.size() / 37) {
-        size_t pos = 0;
-        ir::Procedure out;
-        EXPECT_FALSE(pipeline::deserializeProcedure(
-            blob.substr(0, cut), pos, out));
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -207,7 +207,7 @@ TEST(Pipeline, ReportsFormAndPathStatistics)
     EXPECT_GT(r.codeBytes, 0u);
 }
 
-/** The stat registry minus its wall-time ("time.") and thread/cache
+/** The stat registry minus its wall-time ("time.") and thread-count
  *  ("executor.") subtrees, one "path kind counter gauge count" line per
  *  stat. */
 std::string
@@ -407,6 +407,29 @@ TEST(Pipeline, SharedPrepareCountsTrainingAndReferenceOnce)
         EXPECT_EQ(r.numPaths > 0, be->needsPathProfile()) << be->name;
     }
     EXPECT_EQ(claimed, 1);
+}
+
+TEST(Pipeline, MaxPressureGaugeKeepsThePeakOverWorkloads)
+{
+    // alloc.<cfg>.maxPressure is the largest pressure of any run into
+    // the registry, not the last run's: go's peak survives vortex.
+    obs::StatRegistry stats;
+    obs::Observer o;
+    o.stats = &stats;
+    PipelineOptions opts;
+    opts.observability.observer = &o;
+    std::vector<uint32_t> pressure;
+    for (const char *name : {"go", "vortex"}) {
+        const auto w = workloads::makeByName(name);
+        const PipelineResult r = runPipeline(w.program, w.train, w.test,
+                                             SchedConfig::M16, opts);
+        ASSERT_TRUE(r.status.ok()) << name;
+        pressure.push_back(r.alloc.maxPressure);
+    }
+    ASSERT_GT(pressure[0], pressure[1]);
+    const obs::Stat *gauge = stats.find("alloc.M16.maxPressure");
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->gauge, double(pressure[0]));
 }
 
 /** Spill accesses of @p prog, per procedure: the addresses of its

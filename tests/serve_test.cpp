@@ -904,7 +904,22 @@ TEST_F(ServeCoreTest, CrashDuringSnapshotKeepsPreviousGeneration)
     EXPECT_EQ(reborn->aggregate().serialize(), want);
 }
 
-TEST_F(ServeCoreTest, RescheduleIsFingerprintGatedAndCacheServed)
+TEST_F(ServeCoreTest, ScheduleBlobBytesArePinned)
+{
+    // The schedule blob is serve's output (--schedule-out): the
+    // canonical serialization of every scheduled procedure.  A forced
+    // wc/P4 reschedule after one fixed delta pins its bytes.
+    auto core = makeCore("s");
+    ASSERT_EQ(sendDelta(*core, "conn", "c1", 1, pathText_),
+              AckCode::Accepted);
+    const RescheduleOutcome oc = core->attemptReschedule(true);
+    ASSERT_TRUE(oc.status.ok());
+    ASSERT_TRUE(oc.ran);
+    EXPECT_EQ(oc.scheduleHash, core->scheduleHash());
+    EXPECT_EQ(core->scheduleHash(), 0x6c30e42af128f6a0ULL);
+}
+
+TEST_F(ServeCoreTest, RescheduleIsFingerprintGatedAndRepeatable)
 {
     auto core = makeCore("s");
     EXPECT_EQ(sendDelta(*core, "conn", "c1", 1, pathText_),
@@ -916,13 +931,11 @@ TEST_F(ServeCoreTest, RescheduleIsFingerprintGatedAndCacheServed)
     EXPECT_GT(first.procsMoved, 0u);
     EXPECT_NE(first.scheduleHash, 0u);
 
-    // A forced re-run with the aggregate untouched is served entirely
-    // from the stage cache: zero misses, identical schedule.
+    // A forced re-run with the aggregate untouched reproduces the
+    // schedule exactly.
     const RescheduleOutcome forced = core->attemptReschedule(true);
     ASSERT_TRUE(forced.status.ok());
     EXPECT_TRUE(forced.ran);
-    EXPECT_EQ(forced.cacheMisses, 0u);
-    EXPECT_GT(forced.cacheHits, 0u);
     EXPECT_EQ(forced.scheduleHash, first.scheduleHash);
 
     // The same profile again (new seq): counts double uniformly, the

@@ -63,7 +63,7 @@ TEST(VioGrammarTest, ParsesFullSpecAndArms)
     EXPECT_FALSE(vio.armed());
     ASSERT_TRUE(vio.parseFaults(
         "path=wal,op=fsync,kind=eio,count=2;"
-        "path=cache,kind=enospc,nth=3,prob=0.5",
+        "path=journal,kind=enospc,nth=3,prob=0.5",
         err))
         << err;
     EXPECT_TRUE(vio.armed());
@@ -241,15 +241,15 @@ TEST_F(VioTest, LabelMatchingIsExactOrWildcard)
 {
     Vio vio;
     std::string err;
-    ASSERT_TRUE(vio.parseFaults("path=cache,kind=enospc", err)) << err;
+    ASSERT_TRUE(vio.parseFaults("path=journal,kind=enospc", err)) << err;
     const std::string p = path("f");
     Expected<int> fd =
         vio.openFile("wal", p, O_WRONLY | O_CREAT | O_TRUNC);
     ASSERT_TRUE(fd.ok());
-    // "wal" writes sail through a cache-only fault...
+    // "wal" writes sail through a journal-only fault...
     EXPECT_TRUE(vio.writeAll("wal", fd.value(), "x", 1, p).ok());
-    // ...and "cache" writes do not.
-    EXPECT_FALSE(vio.writeAll("cache", fd.value(), "x", 1, p).ok());
+    // ...and "journal" writes do not.
+    EXPECT_FALSE(vio.writeAll("journal", fd.value(), "x", 1, p).ok());
     ASSERT_TRUE(vio.closeFile("wal", fd.value(), p).ok());
 }
 

@@ -96,9 +96,6 @@ usage()
         "                          DIR/<workload>_<config>.json\n"
         "  --threads N             forward --threads N to every child\n"
         "                          (per-child worker threads)\n"
-        "  --cache-dir DIR         forward --cache-dir DIR so all\n"
-        "                          children share one on-disk stage\n"
-        "                          cache\n"
         "  --io-inject SPEC        deterministic disk-fault injection\n"
         "                          on the journal (docs/robustness.md)\n"
         "  --io-inject-seed N      seed for prob= fault selectors\n"
@@ -219,8 +216,6 @@ struct ExecSummary
     bool present = false;
     uint64_t threads = 0;    ///< max across the task's runs
     uint64_t tasks = 0;      ///< summed across the task's runs
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
 };
 
 /**
@@ -255,8 +250,6 @@ readExecSummary(const std::string &report_path)
         s.present = true;
         s.threads = std::max(s.threads, num("threads"));
         s.tasks += num("tasks");
-        s.cacheHits += num("cacheHits");
-        s.cacheMisses += num("cacheMisses");
     }
     return s;
 }
@@ -328,7 +321,6 @@ main(int argc, char **argv)
     uint64_t backoff_ms = 100;
     bool resume = false;
     std::string threads_arg;
-    std::string cache_dir_arg;
     std::string io_inject;
     uint64_t io_inject_seed = 0;
     std::vector<std::string> passthrough;
@@ -364,8 +356,6 @@ main(int argc, char **argv)
             outdir = next();
         } else if (arg == "--threads") {
             threads_arg = next();
-        } else if (arg == "--cache-dir") {
-            cache_dir_arg = next();
         } else if (arg == "--io-inject") {
             io_inject = next();
         } else if (arg == "--io-inject-seed") {
@@ -404,16 +394,10 @@ main(int argc, char **argv)
         fatal("cannot create --outdir '%s': %s", outdir.c_str(),
               std::strerror(errno));
 
-    // Executor flags forward to every child; pathsched_cli itself
-    // creates --cache-dir, so the children race only on entry files,
-    // which the cache's temp-file/rename protocol already handles.
+    // The executor flag forwards to every child.
     if (!threads_arg.empty()) {
         passthrough.push_back("--threads");
         passthrough.push_back(threads_arg);
-    }
-    if (!cache_dir_arg.empty()) {
-        passthrough.push_back("--cache-dir");
-        passthrough.push_back(cache_dir_arg);
     }
 
     std::vector<Task> tasks;
@@ -582,8 +566,8 @@ main(int argc, char **argv)
                 outcome = "crashed"; // killed by a signal, not by us
             }
             // Executor accounting rides along on the done event when
-            // the child wrote a report (--outdir): threads, task
-            // counts, and stage-cache traffic per batch task.
+            // the child wrote a report (--outdir): threads and task
+            // counts per batch task.
             std::string exec_json;
             if (!outdir.empty() &&
                 (outcome == "ok" || outcome == "degraded")) {
@@ -593,12 +577,9 @@ main(int argc, char **argv)
                 if (es.present)
                     exec_json = strfmt(
                         ",\"executor\":{\"threads\":%llu,"
-                        "\"tasks\":%llu,"
-                        "\"cacheHits\":%llu,\"cacheMisses\":%llu}",
+                        "\"tasks\":%llu}",
                         (unsigned long long)es.threads,
-                        (unsigned long long)es.tasks,
-                        (unsigned long long)es.cacheHits,
-                        (unsigned long long)es.cacheMisses);
+                        (unsigned long long)es.tasks);
             }
             journalWrite(strfmt(
                 "{\"event\":\"done\",\"task\":\"%s\",\"attempt\":%d,"

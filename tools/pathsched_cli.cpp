@@ -22,10 +22,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +36,6 @@
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
 #include "pipeline/backend.hpp"
-#include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "profile/serialize.hpp"
@@ -129,10 +126,6 @@ usage()
         "                          stage chains (default 1 = serial;\n"
         "                          0 = hardware concurrency).  Results\n"
         "                          are identical for every N\n"
-        "  --cache-dir DIR         persist the memoized stage cache in\n"
-        "                          DIR (created if missing); repeat\n"
-        "                          runs skip unchanged procedures'\n"
-        "                          transform chains\n"
         "  --list                  list workloads and exit\n"
         "\n"
         "exit codes: 0 success; 1 user error (including an exhausted\n"
@@ -281,7 +274,6 @@ main(int argc, char **argv)
     uint64_t inject_seed = 0;
     uint64_t deadline_ms = 0;
     bool want_stats = false;
-    std::string cache_dir;
     profile::AdmissionMode profile_check = profile::AdmissionMode::Repair;
     pipeline::PipelineOptions opts;
 
@@ -378,8 +370,6 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             opts.executor.threads =
                 unsigned(flagU64("--threads", next(), UINT32_MAX));
-        } else if (arg == "--cache-dir") {
-            cache_dir = next();
         } else if (arg == "--list") {
             for (const auto &n : workloads::benchmarkNames())
                 std::printf("%s\n", n.c_str());
@@ -485,20 +475,6 @@ main(int argc, char **argv)
     }
     if (!injector.empty())
         opts.robustness.faults = &injector;
-
-    // The stage cache outlives the runs so `--config all` sweeps (and
-    // the in-memory tier generally) share one cache; --cache-dir adds
-    // the cross-process disk tier.
-    std::unique_ptr<pipeline::StageCache> cache;
-    if (!cache_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cache_dir, ec);
-        if (ec)
-            fatal("cannot create --cache-dir '%s': %s",
-                  cache_dir.c_str(), ec.message().c_str());
-        cache = std::make_unique<pipeline::StageCache>(cache_dir);
-        opts.executor.cache = cache.get();
-    }
 
     // Observability sinks: the registry feeds --json and --stats, the
     // stage trace feeds --trace.  Null sinks disable collection.

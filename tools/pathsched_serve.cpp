@@ -7,8 +7,8 @@
  * clients stream checksummed profile-delta frames over a unix or TCP
  * socket, admitted deltas are fsync'd to a write-ahead log before they
  * become visible, the decayed time-window aggregate rotates on a wall-
- * clock epoch, and procedures whose hot-path fingerprint moved are
- * rescheduled (unchanged ones are served from the stage cache).
+ * clock epoch, and the workload is rescheduled when a procedure's
+ * hot-path fingerprint moved.
  * SIGTERM/SIGINT stop gracefully (snapshot + status.json); kill -9 at
  * any byte recovers to the exact pre-crash aggregate on restart.
  *
@@ -30,10 +30,8 @@
  */
 
 #include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -73,7 +71,6 @@ usage()
                 pipeline::backendNames("|").c_str());
     std::printf(
         "  --state DIR             WAL + snapshot directory (required)\n"
-        "  --cache-dir DIR         on-disk stage-cache tier\n"
         "  --epoch-ms N            wall ms per aggregation epoch\n"
         "                          (default 1000)\n"
         "  --windows N             live epochs in the decay window\n"
@@ -282,7 +279,7 @@ main(int argc, char **argv)
     std::string listen, stateDir, replayDir, connect, clientId;
     std::string workloadName = "wc", configName = "P4";
     std::string kindArg, scheduleOut, statusOut, reportOut;
-    std::string cacheDir, ioInject;
+    std::string ioInject;
     uint64_t ioInjectSeed = 0;
     uint64_t seqBase = 1, tickEvery = 0;
     bool flushAtEnd = false;
@@ -313,8 +310,6 @@ main(int argc, char **argv)
             workloadName = needValue(i, "--workload");
         } else if (arg == "--config") {
             configName = needValue(i, "--config");
-        } else if (arg == "--cache-dir") {
-            cacheDir = needValue(i, "--cache-dir");
         } else if (arg == "--epoch-ms") {
             lopts.epochMs = needU64(i, "--epoch-ms");
             if (lopts.epochMs == 0)
@@ -396,10 +391,6 @@ main(int argc, char **argv)
     if (serveMode) {
         if (stateDir.empty())
             fatal("serve mode requires --state DIR");
-        if (!cacheDir.empty() && mkdir(cacheDir.c_str(), 0755) != 0 &&
-            errno != EEXIST)
-            fatal("cannot create --cache-dir '%s'", cacheDir.c_str());
-        sopts.cacheDir = cacheDir;
         // The injector must outlive the ServeCore inside runServe, so
         // it lives here rather than in the flag loop.
         Vio vio(ioInjectSeed);
