@@ -2,57 +2,49 @@
 
 #include <algorithm>
 
-#include "support/logging.hpp"
-
 namespace pathsched::analysis {
 
 using ir::BlockId;
 using ir::kNoBlock;
 
-Dominators::Dominators(const ir::Procedure &proc)
+Dominators::Dominators(const ir::Cfg &cfg)
 {
-    const size_t n = proc.blocks.size();
+    const size_t n = cfg.numBlocks();
     idom_.assign(n, kNoBlock);
-    rpoIndex_.assign(n, uint32_t(-1));
+    tree_.assign(n, Interval());
 
-    // Iterative postorder DFS from the entry.
-    std::vector<BlockId> postorder;
-    postorder.reserve(n);
-    std::vector<uint8_t> state(n, 0); // 0 unvisited, 1 on stack, 2 done
-    std::vector<std::pair<BlockId, size_t>> stack;
-    std::vector<std::vector<BlockId>> succs(n);
-    for (BlockId b = 0; b < n; ++b)
-        ir::successorsOf(proc.blocks[b], succs[b]);
-
+    // Iterative postorder DFS from the entry; `order` marks visited
+    // blocks and then holds each block's reverse-postorder index.
+    constexpr uint32_t kUnvisited = UINT32_MAX;
+    std::vector<uint32_t> order(n, kUnvisited);
+    rpo_.reserve(n);
+    std::vector<std::pair<BlockId, uint32_t>> stack;
     stack.push_back({0, 0});
-    state[0] = 1;
+    order[0] = 0;
     while (!stack.empty()) {
         auto &[b, idx] = stack.back();
-        if (idx < succs[b].size()) {
-            BlockId s = succs[b][idx++];
-            if (state[s] == 0) {
-                state[s] = 1;
+        const auto succs = cfg.succs(b);
+        if (idx < succs.size()) {
+            const BlockId s = succs[idx++];
+            if (order[s] == kUnvisited) {
+                order[s] = 0;
                 stack.push_back({s, 0});
             }
         } else {
-            state[b] = 2;
-            postorder.push_back(b);
+            rpo_.push_back(b);
             stack.pop_back();
         }
     }
-
-    rpo_.assign(postorder.rbegin(), postorder.rend());
+    std::reverse(rpo_.begin(), rpo_.end());
     for (uint32_t i = 0; i < rpo_.size(); ++i)
-        rpoIndex_[rpo_[i]] = i;
+        order[rpo_[i]] = i;
 
     // Cooper-Harvey-Kennedy: iterate to a fixed point over RPO.
-    std::vector<std::vector<BlockId>> preds = ir::computePreds(proc);
-
     auto intersect = [&](BlockId a, BlockId c) {
         while (a != c) {
-            while (rpoIndex_[a] > rpoIndex_[c])
+            while (order[a] > order[c])
                 a = idom_[a];
-            while (rpoIndex_[c] > rpoIndex_[a])
+            while (order[c] > order[a])
                 c = idom_[c];
         }
         return a;
@@ -66,7 +58,7 @@ Dominators::Dominators(const ir::Procedure &proc)
             if (b == 0)
                 continue;
             BlockId new_idom = kNoBlock;
-            for (BlockId p : preds[b]) {
+            for (BlockId p : cfg.preds(b)) {
                 if (idom_[p] == kNoBlock)
                     continue; // unreachable or not yet processed
                 new_idom = new_idom == kNoBlock ? p
@@ -78,20 +70,22 @@ Dominators::Dominators(const ir::Procedure &proc)
             }
         }
     }
-}
 
-bool
-Dominators::dominates(BlockId a, BlockId b) const
-{
-    if (!reachable(b))
-        return false;
-    BlockId cur = b;
-    while (true) {
-        if (cur == a)
-            return true;
-        if (cur == 0)
-            return a == 0;
-        cur = idom_[cur];
+    // Number the dominator tree in preorder without building it: a
+    // dominator precedes its dominatees in RPO, so subtree sizes sum
+    // up in reverse RPO, and each block then takes the next free
+    // range of its parent's interval.  `tree_[b].end` holds the size
+    // until the block is placed; `order` becomes the parent's cursor.
+    for (BlockId b : rpo_)
+        tree_[b].end = 1;
+    for (size_t i = rpo_.size(); i-- > 1;)
+        tree_[idom_[rpo_[i]]].end += tree_[rpo_[i]].end;
+    for (BlockId b : rpo_) {
+        const uint32_t pre = b == 0 ? 0 : order[idom_[b]];
+        if (b != 0)
+            order[idom_[b]] += tree_[b].end;
+        order[b] = pre + 1;
+        tree_[b] = {pre, pre + tree_[b].end};
     }
 }
 

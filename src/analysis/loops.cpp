@@ -1,77 +1,24 @@
 #include "analysis/loops.hpp"
 
-#include <algorithm>
-
 namespace pathsched::analysis {
 
 using ir::BlockId;
 
-namespace {
-
-uint64_t
-edgeKey(BlockId from, BlockId to)
+LoopInfo::LoopInfo(const ir::Cfg &cfg, const Dominators &doms)
 {
-    return (uint64_t(from) << 32) | to;
-}
-
-} // namespace
-
-LoopInfo::LoopInfo(const ir::Procedure &proc, const Dominators &doms)
-{
-    const size_t n = proc.blocks.size();
-    std::vector<std::vector<BlockId>> preds = ir::computePreds(proc);
-    std::vector<BlockId> succs;
-
+    const size_t n = cfg.numBlocks();
+    header_.assign(n, 0);
+    // An unreachable source dominates nothing and is dominated by
+    // nothing, so its edges are never back edges.
     for (BlockId b = 0; b < n; ++b) {
-        if (!doms.reachable(b))
-            continue;
-        ir::successorsOf(proc.blocks[b], succs);
-        for (BlockId s : succs) {
+        for (BlockId s : cfg.succs(b)) {
             if (doms.dominates(s, b)) {
-                backEdges_.insert(edgeKey(b, s));
-                headers_.insert(s);
-
-                // Natural loop of the back edge: all blocks that can
-                // reach `b` without passing through the header `s`.
-                NaturalLoop loop;
-                loop.header = s;
-                std::vector<uint8_t> in(n, 0);
-                in[s] = 1;
-                std::vector<BlockId> work;
-                if (!in[b]) {
-                    in[b] = 1;
-                    work.push_back(b);
-                }
-                while (!work.empty()) {
-                    BlockId cur = work.back();
-                    work.pop_back();
-                    for (BlockId p : preds[cur]) {
-                        if (!in[p]) {
-                            in[p] = 1;
-                            work.push_back(p);
-                        }
-                    }
-                }
-                for (BlockId m = 0; m < n; ++m) {
-                    if (in[m])
-                        loop.body.push_back(m);
-                }
-                loops_.push_back(std::move(loop));
+                backEdges_.push_back(edgeKey(b, s));
+                header_[s] = 1;
             }
         }
     }
-}
-
-bool
-LoopInfo::isBackEdge(BlockId from, BlockId to) const
-{
-    return backEdges_.count(edgeKey(from, to)) != 0;
-}
-
-bool
-LoopInfo::isLoopHeader(BlockId b) const
-{
-    return headers_.count(b) != 0;
+    std::sort(backEdges_.begin(), backEdges_.end());
 }
 
 } // namespace pathsched::analysis

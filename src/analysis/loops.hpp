@@ -1,6 +1,6 @@
 /**
  * @file
- * Back-edge and natural-loop identification.
+ * Back-edge and loop-header identification.
  *
  * Trace selection must never grow a trace across a back edge (§2.1 of
  * the paper), so the form pass queries this analysis for every candidate
@@ -10,40 +10,47 @@
 #ifndef PATHSCHED_ANALYSIS_LOOPS_HPP
 #define PATHSCHED_ANALYSIS_LOOPS_HPP
 
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/dominators.hpp"
-#include "ir/procedure.hpp"
+#include "ir/cfg.hpp"
 
 namespace pathsched::analysis {
 
-/** A natural loop: header plus member blocks. */
-struct NaturalLoop
-{
-    ir::BlockId header;
-    std::vector<ir::BlockId> body; // includes the header
-};
-
-/** Back edges and natural loops of one procedure. */
+/**
+ * Back edges (edges whose target dominates their source) and loop
+ * headers (targets of a back edge) of one procedure.
+ */
 class LoopInfo
 {
   public:
-    /** Analyse @p proc using its dominator tree. */
-    LoopInfo(const ir::Procedure &proc, const Dominators &doms);
+    /** Analyse the procedure of @p cfg using its dominator tree. */
+    LoopInfo(const ir::Cfg &cfg, const Dominators &doms);
 
     /** True when the CFG edge @p from -> @p to is a back edge. */
-    bool isBackEdge(ir::BlockId from, ir::BlockId to) const;
+    bool
+    isBackEdge(ir::BlockId from, ir::BlockId to) const
+    {
+        return std::binary_search(backEdges_.begin(), backEdges_.end(),
+                                  edgeKey(from, to));
+    }
 
     /** True when @p b is the header of some natural loop. */
-    bool isLoopHeader(ir::BlockId b) const;
-
-    const std::vector<NaturalLoop> &loops() const { return loops_; }
+    bool isLoopHeader(ir::BlockId b) const { return header_[b] != 0; }
 
   private:
-    std::unordered_set<uint64_t> backEdges_;
-    std::unordered_set<ir::BlockId> headers_;
-    std::vector<NaturalLoop> loops_;
+    static uint64_t
+    edgeKey(ir::BlockId from, ir::BlockId to)
+    {
+        return (uint64_t(from) << 32) | to;
+    }
+
+    /** edgeKey() of every back edge, sorted. */
+    std::vector<uint64_t> backEdges_;
+    /** 1 for a loop header, per block. */
+    std::vector<uint8_t> header_;
 };
 
 } // namespace pathsched::analysis

@@ -87,10 +87,8 @@ enlargeEdgeLoop(ProcFormState &state, const FormProfile &profile,
     const uint64_t head_freq = profile.blockFreq(t[0]);
     uint64_t back_freq = 0;
     {
-        Trace probe = t;
         uint64_t freq = 0;
-        const BlockId s = profile.mostLikelySuccessor(probe, freq);
-        if (s == t[0])
+        if (profile.mostLikelySuccessor(t, freq) == t[0])
             back_freq = freq;
     }
     const uint64_t entries =

@@ -41,8 +41,8 @@ formProcedure(ir::Program &prog, ir::ProcId proc_id,
     ProcFormState state(proc, config);
     std::unique_ptr<FormProfile> profile =
         config.mode == ProfileMode::Edge
-            ? makeEdgeFormProfile(proc, *ep)
-            : makePathFormProfile(proc, *pp);
+            ? makeEdgeFormProfile(proc, state.cfg, *ep)
+            : makePathFormProfile(proc, state.cfg, *pp);
 
     {
         auto t = ob.time("select");

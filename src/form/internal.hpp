@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/dominators.hpp"
 #include "analysis/loops.hpp"
 #include "form/form.hpp"
+#include "ir/cfg.hpp"
 #include "ir/procedure.hpp"
 
 namespace pathsched::form {
@@ -19,15 +19,17 @@ namespace pathsched::form {
 /** Per-procedure formation workspace. */
 struct ProcFormState
 {
-    ProcFormState(ir::Procedure &p, const FormConfig &cfg)
-        : proc(p), config(cfg), doms(p), loops(p, doms),
+    ProcFormState(ir::Procedure &p, const FormConfig &c)
+        : proc(p), config(c), cfg(p), loops(cfg, analysis::Dominators(cfg)),
           traceOf(p.blocks.size(), UINT32_MAX)
     {}
 
     ir::Procedure &proc;
     const FormConfig &config;
-    analysis::Dominators doms;
-    analysis::LoopInfo loops;
+    /** The CFG selection and enlargement read; materialization edits
+     *  proc afterwards, which leaves it stale. */
+    const ir::Cfg cfg;
+    const analysis::LoopInfo loops;
 
     /** Selection tiling; extended in place by enlargement. */
     std::vector<Trace> traces;

@@ -11,13 +11,35 @@ using ir::kNoBlock;
 
 namespace {
 
+/**
+ * The candidate with the highest nonzero @p freqOf, that frequency in
+ * @p freq; ties go to the lower block.  ir::kNoBlock (and 0) when no
+ * candidate has a nonzero frequency.
+ */
+template <class FreqOf>
+BlockId
+mostFrequent(std::span<const BlockId> candidates, FreqOf freqOf,
+             uint64_t &freq)
+{
+    BlockId best = kNoBlock;
+    freq = 0;
+    for (BlockId c : candidates) {
+        const uint64_t f = freqOf(c);
+        if (f > freq || (f > 0 && f == freq && c < best)) {
+            best = c;
+            freq = f;
+        }
+    }
+    return best;
+}
+
 /** Edge-profile adapter: heuristics over independent point statistics. */
 class EdgeFormProfile : public FormProfile
 {
   public:
-    EdgeFormProfile(const ir::Procedure &proc,
+    EdgeFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::EdgeProfiler &ep)
-        : proc_(proc), ep_(ep)
+        : proc_(proc), cfg_(cfg), ep_(ep)
     {}
 
     uint64_t
@@ -30,9 +52,10 @@ class EdgeFormProfile : public FormProfile
     mostLikelySuccessor(const Trace &t, uint64_t &freq) const override
     {
         const BlockId last = t.back();
-        const BlockId s = ep_.mostLikelySucc(proc_.id, last);
-        freq = s == kNoBlock ? 0 : ep_.edgeFreq(proc_.id, last, s);
-        return s;
+        return mostFrequent(
+            cfg_.succs(last),
+            [&](BlockId s) { return ep_.edgeFreq(proc_.id, last, s); },
+            freq);
     }
 
     double
@@ -57,19 +80,27 @@ class EdgeFormProfile : public FormProfile
     BlockId
     mostLikelyPred(BlockId b) const override
     {
-        return ep_.mostLikelyPred(proc_.id, b);
+        uint64_t freq = 0;
+        return mostPred(b, freq);
     }
 
     BlockId
     mostLikelyPredecessor(const Trace &t, uint64_t &freq) const override
     {
-        const BlockId p = ep_.mostLikelyPred(proc_.id, t.front());
-        freq = p == kNoBlock ? 0 : ep_.edgeFreq(proc_.id, p, t.front());
-        return p;
+        return mostPred(t.front(), freq);
     }
 
   private:
+    BlockId
+    mostPred(BlockId b, uint64_t &freq) const
+    {
+        return mostFrequent(
+            cfg_.preds(b),
+            [&](BlockId p) { return ep_.edgeFreq(proc_.id, p, b); }, freq);
+    }
+
     const ir::Procedure &proc_;
+    const ir::Cfg &cfg_;
     const profile::EdgeProfiler &ep_;
 };
 
@@ -77,9 +108,9 @@ class EdgeFormProfile : public FormProfile
 class PathFormProfile : public FormProfile
 {
   public:
-    PathFormProfile(const ir::Procedure &proc,
+    PathFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::PathProfiler &pp)
-        : proc_(proc), pp_(pp)
+        : proc_(proc), cfg_(cfg), pp_(pp)
     {}
 
     uint64_t
@@ -91,28 +122,19 @@ class PathFormProfile : public FormProfile
     BlockId
     mostLikelySuccessor(const Trace &t, uint64_t &freq) const override
     {
-        std::vector<BlockId> succs;
-        ir::successorsOf(proc_.blocks[t.back()], succs);
         // Only the trailing window can matter for the query; clip long
         // traces so candidate windows stay within the profiling depth.
         const size_t keep =
             std::min<size_t>(t.size(), pp_.params().maxBlocks);
-        std::vector<BlockId> window(t.end() - ptrdiff_t(keep), t.end());
-        window.push_back(kNoBlock); // placeholder for the candidate
-
-        BlockId best = kNoBlock;
-        uint64_t best_freq = 0;
-        for (BlockId s : succs) {
-            window.back() = s;
-            const uint64_t f = pp_.pathFreq(proc_.id, window);
-            if (f > best_freq ||
-                (f > 0 && f == best_freq && s < best)) {
-                best = s;
-                best_freq = f;
-            }
-        }
-        freq = best_freq;
-        return best;
+        window_.assign(t.end() - ptrdiff_t(keep), t.end());
+        window_.push_back(kNoBlock); // placeholder for the candidate
+        return mostFrequent(
+            cfg_.succs(t.back()),
+            [&](BlockId s) {
+                window_.back() = s;
+                return pp_.pathFreq(proc_.id, window_);
+            },
+            freq);
     }
 
     double
@@ -137,46 +159,40 @@ class PathFormProfile : public FormProfile
         // still fits inside one profiled window.
         if (t.size() + 1 > pp_.params().maxBlocks)
             return kNoBlock;
-        if (preds_.empty())
-            preds_ = ir::computePreds(proc_);
 
-        std::vector<BlockId> window;
-        window.reserve(t.size() + 1);
-        window.push_back(kNoBlock); // candidate slot
-        window.insert(window.end(), t.begin(), t.end());
-
-        BlockId best = kNoBlock;
-        for (BlockId p : preds_[t.front()]) {
-            window.front() = p;
-            const uint64_t f = pp_.pathFreq(proc_.id, window);
-            if (f > freq || (f > 0 && f == freq && p < best)) {
-                best = p;
-                freq = f;
-            }
-        }
-        return best;
+        window_.assign(1, kNoBlock); // candidate slot
+        window_.insert(window_.end(), t.begin(), t.end());
+        return mostFrequent(
+            cfg_.preds(t.front()),
+            [&](BlockId p) {
+                window_.front() = p;
+                return pp_.pathFreq(proc_.id, window_);
+            },
+            freq);
     }
 
   private:
     const ir::Procedure &proc_;
+    const ir::Cfg &cfg_;
     const profile::PathProfiler &pp_;
-    mutable std::vector<std::vector<BlockId>> preds_;
+    /** The candidate window, reused by every query. */
+    mutable std::vector<BlockId> window_;
 };
 
 } // namespace
 
 std::unique_ptr<FormProfile>
-makeEdgeFormProfile(const ir::Procedure &proc,
+makeEdgeFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::EdgeProfiler &ep)
 {
-    return std::make_unique<EdgeFormProfile>(proc, ep);
+    return std::make_unique<EdgeFormProfile>(proc, cfg, ep);
 }
 
 std::unique_ptr<FormProfile>
-makePathFormProfile(const ir::Procedure &proc,
+makePathFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::PathProfiler &pp)
 {
-    return std::make_unique<PathFormProfile>(proc, pp);
+    return std::make_unique<PathFormProfile>(proc, cfg, pp);
 }
 
 void

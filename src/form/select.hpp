@@ -16,12 +16,15 @@
 
 namespace pathsched::form {
 
-/** Build the FormProfile adapter for one procedure. */
+/**
+ * Build the FormProfile adapter for one procedure, whose CFG queries
+ * read @p cfg (which must outlive the adapter).
+ */
 std::unique_ptr<FormProfile>
-makeEdgeFormProfile(const ir::Procedure &proc,
+makeEdgeFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::EdgeProfiler &ep);
 std::unique_ptr<FormProfile>
-makePathFormProfile(const ir::Procedure &proc,
+makePathFormProfile(const ir::Procedure &proc, const ir::Cfg &cfg,
                     const profile::PathProfiler &pp);
 
 /**

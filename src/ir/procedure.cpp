@@ -96,20 +96,4 @@ exitsOf(const BasicBlock &bb, std::vector<BlockExit> &out)
     }
 }
 
-std::vector<std::vector<BlockId>>
-computePreds(const Procedure &proc)
-{
-    std::vector<std::vector<BlockId>> preds(proc.blocks.size());
-    std::vector<BlockId> succs;
-    for (BlockId b = 0; b < proc.blocks.size(); ++b) {
-        successorsOf(proc.blocks[b], succs);
-        for (BlockId s : succs) {
-            auto &ps = preds[s];
-            if (std::find(ps.begin(), ps.end(), b) == ps.end())
-                ps.push_back(b);
-        }
-    }
-    return preds;
-}
-
 } // namespace pathsched::ir

@@ -125,9 +125,6 @@ struct BlockExit
 /** Enumerate every exit (mid-block and terminator) of @p bb. */
 void exitsOf(const BasicBlock &bb, std::vector<BlockExit> &out);
 
-/** Compute the per-block unique predecessor lists of @p proc. */
-std::vector<std::vector<BlockId>> computePreds(const Procedure &proc);
-
 } // namespace pathsched::ir
 
 #endif // PATHSCHED_IR_PROCEDURE_HPP

@@ -45,40 +45,6 @@ EdgeProfiler::blockFreq(ProcId proc, BlockId b) const
     return blocks_[proc][b];
 }
 
-BlockId
-EdgeProfiler::mostLikelySucc(ProcId proc, BlockId b) const
-{
-    BlockId best = kNoBlock;
-    uint64_t best_freq = 0;
-    for (const auto &[k, freq] : edges_[proc]) {
-        if (BlockId(k >> 32) != b || freq == 0)
-            continue;
-        const BlockId to = BlockId(k & 0xffffffffu);
-        if (freq > best_freq || (freq == best_freq && to < best)) {
-            best = to;
-            best_freq = freq;
-        }
-    }
-    return best;
-}
-
-BlockId
-EdgeProfiler::mostLikelyPred(ProcId proc, BlockId b) const
-{
-    BlockId best = kNoBlock;
-    uint64_t best_freq = 0;
-    for (const auto &[k, freq] : edges_[proc]) {
-        if (BlockId(k & 0xffffffffu) != b || freq == 0)
-            continue;
-        const BlockId from = BlockId(k >> 32);
-        if (freq > best_freq || (freq == best_freq && from < best)) {
-            best = from;
-            best_freq = freq;
-        }
-    }
-    return best;
-}
-
 void
 EdgeProfiler::forEachBlock(
     const std::function<void(ProcId, BlockId, uint64_t)> &cb) const

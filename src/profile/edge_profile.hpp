@@ -37,16 +37,6 @@ class EdgeProfiler : public interp::TraceListener
     /** Dynamic entries into block @p b of @p proc. */
     uint64_t blockFreq(ir::ProcId proc, ir::BlockId b) const;
 
-    /**
-     * The successor of @p b with the highest edge frequency, or
-     * ir::kNoBlock when @p b never executed a successor edge.
-     * Ties break toward the smaller block id.
-     */
-    ir::BlockId mostLikelySucc(ir::ProcId proc, ir::BlockId b) const;
-
-    /** Mirror of mostLikelySucc for predecessors. */
-    ir::BlockId mostLikelyPred(ir::ProcId proc, ir::BlockId b) const;
-
     /** @name Bulk access (profile persistence and merging)
      *  @{
      */

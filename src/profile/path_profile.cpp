@@ -5,8 +5,6 @@
 #include <cstring>
 #include <new>
 
-#include "analysis/dominators.hpp"
-#include "analysis/loops.hpp"
 #include "support/logging.hpp"
 
 namespace pathsched::profile {
@@ -125,7 +123,6 @@ PathProfiler::PathProfiler(const ir::Program &prog,
     ps_assert(params_.maxBlocks >= 2);
     tries_.resize(prog.procs.size());
     condBlock_.resize(prog.procs.size());
-    backEdges_.resize(prog.procs.size());
     for (const auto &p : prog.procs) {
         ps_assert(p.blocks.size() < (size_t(1) << 31));
         Trie &t = tries_[p.id];
@@ -138,16 +135,9 @@ PathProfiler::PathProfiler(const ir::Program &prog,
                 cond[b] = 1;
         }
         if (params_.forwardPathsOnly) {
-            analysis::Dominators doms(p);
-            analysis::LoopInfo loops(p, doms);
-            std::vector<BlockId> succs;
-            for (BlockId b = 0; b < p.blocks.size(); ++b) {
-                ir::successorsOf(p.blocks[b], succs);
-                for (BlockId s : succs) {
-                    if (loops.isBackEdge(b, s))
-                        backEdges_[p.id].insert((uint64_t(b) << 32) | s);
-                }
-            }
+            ps_assert(p.id == loops_.size());
+            const ir::Cfg cfg(p);
+            loops_.emplace_back(cfg, analysis::Dominators(cfg));
         }
     }
 }
@@ -295,8 +285,7 @@ PathProfiler::onProcExit(ProcId proc)
 void
 PathProfiler::onEdge(ProcId proc, BlockId from, BlockId to)
 {
-    if (params_.forwardPathsOnly &&
-        backEdges_[proc].count((uint64_t(from) << 32) | to)) {
+    if (params_.forwardPathsOnly && loops_[proc].isBackEdge(from, to)) {
         // Chop the window at back edges, and the history it is read from.
         Activation &a = windowStack_.back();
         a.node = 0;

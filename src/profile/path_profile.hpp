@@ -59,9 +59,9 @@
 #include <cstdlib>
 #include <functional>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
+#include "analysis/loops.hpp"
 #include "interp/listener.hpp"
 #include "ir/procedure.hpp"
 
@@ -250,8 +250,8 @@ class PathProfiler : public interp::TraceListener
     std::vector<Trie> tries_;
     /** blocks whose terminator is a conditional branch, per proc. */
     std::vector<std::vector<uint8_t>> condBlock_;
-    /** back-edge keys ((from<<32)|to), per proc; forward mode only. */
-    std::vector<std::unordered_set<uint64_t>> backEdges_;
+    /** Back edges per proc; forward mode only. */
+    std::vector<analysis::LoopInfo> loops_;
     /** One live procedure activation. */
     struct Activation
     {

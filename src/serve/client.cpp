@@ -128,6 +128,14 @@ Client::connect()
 Status
 Client::sendFrame(const std::string &payload)
 {
+    // The server drops a connection whose frame declares more than
+    // the cap, so such a frame can never be delivered.
+    if (payload.size() > kMaxFramePayload)
+        return Status::error(
+            ErrorKind::BudgetExceeded,
+            strfmt("client: frame payload of %zu bytes exceeds the "
+                   "%u-byte cap",
+                   payload.size(), kMaxFramePayload));
     if (fd_ < 0)
         return Status::error(ErrorKind::BadProfile,
                              "client: not connected");
@@ -135,12 +143,14 @@ Client::sendFrame(const std::string &payload)
     appendFrame(frame, payload);
     size_t off = 0;
     while (off < frame.size()) {
-        const ssize_t n =
-            ::write(fd_, frame.data() + off, frame.size() - off);
+        // MSG_NOSIGNAL: a peer that closed the connection is an EPIPE
+        // error to retry or report, not a SIGPIPE that kills the caller.
+        const ssize_t n = ::send(fd_, frame.data() + off,
+                                 frame.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            return clientError("write");
+            return clientError("send");
         }
         off += size_t(n);
     }
@@ -218,6 +228,9 @@ Client::requestResponse(const std::string &payload, Message &out)
             continue;
         }
         if (Status st = sendFrame(payload); !st.ok()) {
+            // No resend delivers an oversize frame.
+            if (st.kind() == ErrorKind::BudgetExceeded)
+                return st;
             last = st;
             continue;
         }

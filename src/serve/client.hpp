@@ -59,7 +59,9 @@ class Client
      * Upload one profile delta and wait for its Ack.  Retries
      * (reconnect + resend, doubling backoff) on connection failures
      * and Throttled acks; Duplicate counts as success.  @p ackOut
-     * (optional) receives the final Ack code.
+     * (optional) receives the final Ack code.  A delta whose frame
+     * would exceed kMaxFramePayload fails at once with BudgetExceeded,
+     * before anything is sent.
      */
     Status sendDelta(uint64_t seq, uint8_t profileKind,
                      const std::string &text,

@@ -6,16 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/callgraph.hpp"
 #include "analysis/dominators.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/loops.hpp"
+#include "gen/generator.hpp"
 #include "ir/builder.hpp"
+#include "ir/cfg.hpp"
+#include "support/strutil.hpp"
+#include "workloads/workloads.hpp"
 
 namespace pathsched::analysis {
 namespace {
 
 using ir::BlockId;
+using ir::Cfg;
 using ir::IrBuilder;
 using ir::Opcode;
 using ir::ProcId;
@@ -69,7 +76,7 @@ makeLoop()
 TEST(Dominators, Diamond)
 {
     Program prog = makeDiamond();
-    Dominators doms(prog.proc(0));
+    Dominators doms(Cfg(prog.proc(0)));
     EXPECT_EQ(doms.idom(0), 0u);
     EXPECT_EQ(doms.idom(1), 0u);
     EXPECT_EQ(doms.idom(2), 0u);
@@ -82,7 +89,7 @@ TEST(Dominators, Diamond)
 TEST(Dominators, LoopHeaderDominatesBody)
 {
     Program prog = makeLoop();
-    Dominators doms(prog.proc(0));
+    Dominators doms(Cfg(prog.proc(0)));
     EXPECT_TRUE(doms.dominates(1, 2)); // head dominates body
     EXPECT_TRUE(doms.dominates(1, 3)); // ... and the exit
     EXPECT_FALSE(doms.dominates(2, 1));
@@ -98,7 +105,7 @@ TEST(Dominators, UnreachableBlockReported)
         b.setBlock(dead);
         b.ret(ir::kNoReg);
     }
-    Dominators doms(prog.proc(0));
+    Dominators doms(Cfg(prog.proc(0)));
     EXPECT_FALSE(doms.reachable(4));
     EXPECT_TRUE(doms.reachable(3));
 }
@@ -106,7 +113,7 @@ TEST(Dominators, UnreachableBlockReported)
 TEST(Dominators, RpoStartsAtEntry)
 {
     Program prog = makeLoop();
-    Dominators doms(prog.proc(0));
+    Dominators doms(Cfg(prog.proc(0)));
     ASSERT_FALSE(doms.rpo().empty());
     EXPECT_EQ(doms.rpo().front(), 0u);
 }
@@ -114,26 +121,213 @@ TEST(Dominators, RpoStartsAtEntry)
 TEST(Loops, DetectsBackEdgeAndHeader)
 {
     Program prog = makeLoop();
-    Dominators doms(prog.proc(0));
-    LoopInfo loops(prog.proc(0), doms);
+    const Cfg cfg(prog.proc(0));
+    Dominators doms(cfg);
+    LoopInfo loops(cfg, doms);
     EXPECT_TRUE(loops.isBackEdge(2, 1));
     EXPECT_FALSE(loops.isBackEdge(1, 2));
     EXPECT_FALSE(loops.isBackEdge(0, 1));
+    EXPECT_FALSE(loops.isBackEdge(1, 3));
     EXPECT_TRUE(loops.isLoopHeader(1));
+    EXPECT_FALSE(loops.isLoopHeader(0));
     EXPECT_FALSE(loops.isLoopHeader(2));
-    ASSERT_EQ(loops.loops().size(), 1u);
-    EXPECT_EQ(loops.loops()[0].header, 1u);
-    // Natural loop body: header and the latch block.
-    EXPECT_EQ(loops.loops()[0].body, (std::vector<BlockId>{1, 2}));
+    EXPECT_FALSE(loops.isLoopHeader(3));
 }
 
 TEST(Loops, DiamondHasNoLoops)
 {
     Program prog = makeDiamond();
-    Dominators doms(prog.proc(0));
-    LoopInfo loops(prog.proc(0), doms);
-    EXPECT_TRUE(loops.loops().empty());
-    EXPECT_FALSE(loops.isLoopHeader(0));
+    const Cfg cfg(prog.proc(0));
+    Dominators doms(cfg);
+    LoopInfo loops(cfg, doms);
+    for (BlockId b = 0; b < cfg.numBlocks(); ++b) {
+        EXPECT_FALSE(loops.isLoopHeader(b)) << b;
+        for (BlockId s : cfg.succs(b))
+            EXPECT_FALSE(loops.isBackEdge(b, s)) << b << "->" << s;
+    }
+}
+
+/**
+ * Check Dominators and LoopInfo of @p proc against b's idom chain:
+ * dominates(a, b) for every pair, then the back edges (a CFG edge
+ * b -> s with s on b's chain) and the headers (their targets).  On
+ * procedures of at most kBruteMax blocks the idoms themselves are
+ * checked too: a != b dominates a reachable b exactly when b is
+ * unreachable once a is removed.
+ */
+void
+expectMatchesIdomWalk(const ir::Procedure &proc)
+{
+    constexpr size_t kBruteMax = 64;
+    SCOPED_TRACE(proc.name);
+    const Cfg cfg(proc);
+    const Dominators doms(cfg);
+    const LoopInfo loops(cfg, doms);
+    const size_t n = proc.blocks.size();
+    ASSERT_EQ(cfg.numBlocks(), n);
+
+    std::vector<std::vector<uint8_t>> chain(n, std::vector<uint8_t>(n));
+    for (BlockId b = 0; b < n; ++b) {
+        if (!doms.reachable(b))
+            continue;
+        for (BlockId cur = b;; cur = doms.idom(cur)) {
+            chain[b][cur] = 1;
+            if (cur == 0)
+                break;
+        }
+    }
+    size_t wrong = 0;
+    std::string first;
+    for (BlockId b = 0; b < n; ++b) {
+        for (BlockId a = 0; a < n; ++a) {
+            if (doms.dominates(a, b) != bool(chain[b][a]) && wrong++ == 0)
+                first = strfmt("dominates(%u, %u)", a, b);
+        }
+    }
+    EXPECT_EQ(wrong, 0u) << "first: " << first;
+
+    std::vector<uint8_t> header(n);
+    std::vector<BlockId> succs, back_succs;
+    for (BlockId b = 0; b < n; ++b) {
+        ir::successorsOf(proc.blocks[b], succs);
+        for (BlockId s : succs) {
+            const bool back = chain[b][s] != 0;
+            EXPECT_EQ(loops.isBackEdge(b, s), back) << b << "->" << s;
+            header[s] |= back;
+            // A reversed edge is a back edge only if it is an edge.
+            ir::successorsOf(proc.blocks[s], back_succs);
+            if (std::find(back_succs.begin(), back_succs.end(), b) ==
+                back_succs.end()) {
+                EXPECT_FALSE(loops.isBackEdge(s, b)) << s << "->" << b;
+            }
+        }
+    }
+    for (BlockId b = 0; b < n; ++b)
+        EXPECT_EQ(loops.isLoopHeader(b), header[b] != 0) << b;
+
+    if (n > kBruteMax)
+        return;
+    auto reachable_without = [&](BlockId removed) {
+        std::vector<uint8_t> seen(n);
+        std::vector<BlockId> work;
+        if (removed != 0) {
+            seen[0] = 1;
+            work.push_back(0);
+        }
+        while (!work.empty()) {
+            const BlockId b = work.back();
+            work.pop_back();
+            for (BlockId s : cfg.succs(b)) {
+                if (s != removed && !seen[s]) {
+                    seen[s] = 1;
+                    work.push_back(s);
+                }
+            }
+        }
+        return seen;
+    };
+    const std::vector<uint8_t> live = reachable_without(BlockId(n));
+    for (BlockId a = 0; a < n; ++a) {
+        const std::vector<uint8_t> without = reachable_without(a);
+        for (BlockId b = 0; b < n; ++b) {
+            const bool want = live[a] && live[b] && (a == b || !without[b]);
+            EXPECT_EQ(doms.dominates(a, b), want) << a << " dom " << b;
+        }
+    }
+}
+
+TEST(DominatorsEquivalence, EveryWorkloadProcedure)
+{
+    size_t procs = 0;
+    for (const workloads::Workload &w : workloads::standardBenchmarks()) {
+        SCOPED_TRACE(w.name);
+        for (const ir::Procedure &p : w.program.procs) {
+            expectMatchesIdomWalk(p);
+            ++procs;
+        }
+    }
+    EXPECT_GT(procs, 14u);
+}
+
+TEST(DominatorsEquivalence, GeneratedPrograms)
+{
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        gen::GenSpec spec;
+        spec.seed = seed;
+        const gen::Workload w = gen::generate(spec);
+        SCOPED_TRACE(w.name);
+        for (const ir::Procedure &p : w.program.procs)
+            expectMatchesIdomWalk(p);
+    }
+}
+
+/** 0 -> (1|2), 1 -> (2|3), 2 -> 1: the cycle {1, 2} has two entries. */
+Program
+makeIrreducible()
+{
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    const BlockId one = b.newBlock();
+    const BlockId two = b.newBlock();
+    const BlockId exit_b = b.newBlock();
+    b.brnz(b.param(0), one, two);
+    b.setBlock(one);
+    b.brnz(b.param(0), two, exit_b);
+    b.setBlock(two);
+    b.jmp(one);
+    b.setBlock(exit_b);
+    b.ret(b.param(0));
+    return prog;
+}
+
+TEST(DominatorsEquivalence, IrreducibleCycleHasNoBackEdge)
+{
+    Program prog = makeIrreducible();
+    const Cfg cfg(prog.proc(0));
+    const Dominators doms(cfg);
+    const LoopInfo loops(cfg, doms);
+    EXPECT_EQ(doms.idom(1), 0u);
+    EXPECT_EQ(doms.idom(2), 0u);
+    EXPECT_EQ(doms.idom(3), 1u);
+    EXPECT_TRUE(doms.dominates(1, 3));
+    EXPECT_FALSE(doms.dominates(2, 3));
+    EXPECT_FALSE(doms.dominates(1, 2));
+    EXPECT_FALSE(doms.dominates(2, 1));
+    // Neither cycle edge has a target that dominates its source.
+    EXPECT_FALSE(loops.isBackEdge(1, 2));
+    EXPECT_FALSE(loops.isBackEdge(2, 1));
+    EXPECT_FALSE(loops.isLoopHeader(1));
+    EXPECT_FALSE(loops.isLoopHeader(2));
+    expectMatchesIdomWalk(prog.proc(0));
+}
+
+TEST(DominatorsEquivalence, UnreachableBlockDominatesNothing)
+{
+    // The diamond plus a dead block 4 that loops on itself and jumps
+    // into the join.
+    Program prog = makeDiamond();
+    {
+        IrBuilder b(prog);
+        b.setProc(0);
+        const BlockId dead = b.newBlock();
+        b.setBlock(dead);
+        b.brnz(b.param(0), dead, 3);
+    }
+    const Cfg cfg(prog.proc(0));
+    const Dominators doms(cfg);
+    const LoopInfo loops(cfg, doms);
+    ASSERT_FALSE(doms.reachable(4));
+    for (BlockId b = 0; b < 4; ++b) {
+        EXPECT_FALSE(doms.dominates(4, b)) << b;
+        EXPECT_FALSE(doms.dominates(b, 4)) << b;
+    }
+    EXPECT_FALSE(doms.dominates(4, 4));
+    EXPECT_TRUE(doms.dominates(0, 3));
+    EXPECT_FALSE(loops.isBackEdge(4, 4));
+    EXPECT_FALSE(loops.isBackEdge(4, 3));
+    EXPECT_FALSE(loops.isLoopHeader(4));
+    expectMatchesIdomWalk(prog.proc(0));
 }
 
 TEST(Liveness, StraightLine)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
+#include "ir/cfg.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 
@@ -135,10 +136,16 @@ TEST(Cfg, SuccessorsOfDiamond)
 TEST(Cfg, PredecessorsOfDiamond)
 {
     Program prog = makeDiamond();
-    const auto preds = computePreds(prog.proc(0));
-    EXPECT_TRUE(preds[0].empty());
-    EXPECT_EQ(preds[1], (std::vector<BlockId>{0}));
-    EXPECT_EQ(preds[3], (std::vector<BlockId>{1, 2}));
+    const Cfg cfg(prog.proc(0));
+    auto preds = [&](BlockId b) {
+        return std::vector<BlockId>(cfg.preds(b).begin(),
+                                    cfg.preds(b).end());
+    };
+    ASSERT_EQ(cfg.numBlocks(), 4u);
+    EXPECT_TRUE(preds(0).empty());
+    EXPECT_EQ(preds(1), (std::vector<BlockId>{0}));
+    EXPECT_EQ(preds(2), (std::vector<BlockId>{0}));
+    EXPECT_EQ(preds(3), (std::vector<BlockId>{1, 2}));
 }
 
 TEST(Cfg, ExitsEnumeration)

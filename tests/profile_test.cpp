@@ -66,13 +66,11 @@ using EdgeSet = std::set<std::pair<BlockId, BlockId>>;
 EdgeSet
 backEdgesOf(const ir::Procedure &p)
 {
-    analysis::Dominators doms(p);
-    analysis::LoopInfo loops(p, doms);
+    const ir::Cfg cfg(p);
+    const analysis::LoopInfo loops(cfg, analysis::Dominators(cfg));
     EdgeSet out;
-    std::vector<BlockId> succs;
     for (BlockId b = 0; b < p.blocks.size(); ++b) {
-        ir::successorsOf(p.blocks[b], succs);
-        for (BlockId s : succs) {
+        for (BlockId s : cfg.succs(b)) {
             if (loops.isBackEdge(b, s))
                 out.insert({b, s});
         }
@@ -290,20 +288,6 @@ TEST(EdgeProfiler, CountsEdgesAndBlocks)
     EXPECT_EQ(ep.edgeFreq(0, 4, 1), 7u); // back edge
     EXPECT_EQ(ep.edgeFreq(0, 4, 5), 1u);
     EXPECT_EQ(ep.edgeFreq(0, 1, 5), 0u); // never an edge
-}
-
-TEST(EdgeProfiler, MostLikelyQueries)
-{
-    Program prog = makePatternLoop(8);
-    EdgeProfiler ep(prog);
-    interp::Interpreter interp(prog);
-    interp.addListener(&ep);
-    interp.run({});
-
-    EXPECT_EQ(ep.mostLikelySucc(0, 1), 2u); // left dominates
-    EXPECT_EQ(ep.mostLikelyPred(0, 4), 2u);
-    EXPECT_EQ(ep.mostLikelySucc(0, 4), 1u); // back edge dominates
-    EXPECT_EQ(ep.mostLikelySucc(0, 5), ir::kNoBlock);
 }
 
 TEST(PathProfiler, ExactPatternFrequencies)

@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "interp/interpreter.hpp"
@@ -24,7 +28,9 @@
 #include "profile/serialize.hpp"
 #include "serve/admission.hpp"
 #include "serve/aggregate.hpp"
+#include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 #include "serve/wal.hpp"
 #include "serve/wire.hpp"
 #include "support/bytes.hpp"
@@ -1041,6 +1047,96 @@ TEST_F(ServeCoreTest, StatsReqFlushTickAndByeOverFrames)
 
     (void)core->handleFrame("conn", encodeBye(), drop);
     EXPECT_TRUE(drop);
+}
+
+// ---------------------------------------------------------------------
+// Client transport: an oversize delta and a peer that hangs up.
+
+TEST_F(ServeCoreTest, OversizeDeltaFailsTypedAndTheClientCarriesOn)
+{
+    auto core = makeCore("s");
+    Endpoint ep;
+    ep.isUnix = true;
+    ep.path = base_ + "/sock";
+    SocketLoopOptions lo;
+    lo.epochMs = 60000;
+    lo.maxDeltas = 1;
+    Status loop_st;
+    std::thread loop([&] { loop_st = runSocketLoop(*core, ep, lo); });
+
+    ClientOptions co;
+    co.backoffMs = 1;
+    co.maxAttempts = 12; // rides over the loop's start-up
+    Client client(ep, "big-client", co);
+    ASSERT_TRUE(client.connect().ok());
+    const uint64_t reconnects = client.reconnects();
+
+    // 5 MiB is above the 4 MiB frame cap: the server would drop the
+    // connection on the declared length, so the client must refuse the
+    // delta before sending a byte, and must not resend it.
+    const std::string big(5u << 20, 'x');
+    ASSERT_GT(big.size(), size_t(kMaxFramePayload));
+    const Status st = client.sendDelta(1, 1, big);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.kind(), ErrorKind::BudgetExceeded) << st.toString();
+    EXPECT_EQ(client.reconnects(), reconnects);
+
+    // The connection is intact: the next delta is admitted, which
+    // also stops the loop (maxDeltas).
+    AckCode ack = AckCode::Error;
+    EXPECT_TRUE(client.sendDelta(2, 1, pathText_, &ack).ok());
+    EXPECT_EQ(ack, AckCode::Accepted);
+    loop.join();
+    EXPECT_TRUE(loop_st.ok()) << loop_st.toString();
+    EXPECT_EQ(core->deltasAccepted(), 1u);
+}
+
+TEST_F(ServeCoreTest, PeerThatHangsUpIsAFailedDeltaNotASignal)
+{
+    // A peer that acknowledges the Hello and then closes both its
+    // connection and its listener.  The client's delta send then fails
+    // with EPIPE; a send without MSG_NOSIGNAL would raise SIGPIPE and
+    // kill this test process.
+    const std::string path = base_ + "/peer.sock";
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(path.size(), sizeof addr.sun_path);
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr), sizeof addr),
+              0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    std::thread peer([lfd] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        FrameDecoder dec;
+        std::string payload;
+        char buf[4096];
+        while (dec.next(payload) != FrameDecoder::Result::Frame) {
+            const ssize_t n = ::read(fd, buf, sizeof buf);
+            if (n <= 0)
+                break;
+            dec.feed(buf, size_t(n));
+        }
+        std::string frame;
+        appendFrame(frame, encodeAck(0, AckCode::Accepted, ""));
+        EXPECT_EQ(::write(fd, frame.data(), frame.size()),
+                  ssize_t(frame.size()));
+        ::close(fd);
+        ::close(lfd);
+    });
+
+    Endpoint ep;
+    ep.isUnix = true;
+    ep.path = path;
+    ClientOptions co;
+    co.backoffMs = 1;
+    co.maxAttempts = 2;
+    Client client(ep, "hangup", co);
+    ASSERT_TRUE(client.connect().ok());
+    peer.join();
+    const Status st = client.sendDelta(1, 1, pathText_);
+    EXPECT_FALSE(st.ok());
 }
 
 TEST(ServeMiscTest, ClientIdValidation)
