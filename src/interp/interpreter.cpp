@@ -92,7 +92,8 @@ struct DecodedProc
     std::vector<uint32_t> blockStart;
     /** The layout's block addresses, with an I-cache attached. */
     const uint64_t *blockAddr = nullptr;
-    uint32_t numRegs = 0;
+    /** The activation's window: its registers, then its spill frame. */
+    uint32_t window = 0;
 };
 
 constexpr uint32_t kUndecoded = std::numeric_limits<uint32_t>::max();
@@ -137,7 +138,7 @@ class Decoder
                       p.name.c_str());
         d.ops.reserve(p.instrCount() + p.blocks.size());
         d.blockStart.assign(p.blocks.size(), kUndecoded);
-        d.numRegs = p.numRegs;
+        d.window = p.numRegs + p.frameSlots;
         if (layout_ != nullptr)
             d.blockAddr = layout_->blockAddr[id].data();
     }
@@ -176,6 +177,16 @@ Decoder::decodeBlock(DecodedProc &d, ProcId id, BlockId b)
           case Opcode::St: o.op = DOp::St; break;
           case Opcode::Emit: o.op = DOp::Emit; break;
           case Opcode::Nop: o.op = DOp::Nop; break;
+          // A frame slot is the window word past the registers, so a
+          // frame access is a copy within the window.
+          case Opcode::LdFrame:
+            o.op = DOp::Mov;
+            o.src1 = RegId(p.numRegs + ins.imm);
+            break;
+          case Opcode::StFrame:
+            o.op = DOp::Mov;
+            o.dst = RegId(p.numRegs + ins.imm);
+            break;
           case Opcode::Call:
             o.op = DOp::Call;
             o.site = sites.size();
@@ -277,9 +288,10 @@ execute(const ir::Program &prog, const InterpOptions &opts,
     int64_t *const mem = mem_words.data();
     const uint64_t mem_size = mem_words.size();
 
-    // Every activation's registers, the callee's after its caller's.
+    // Every activation's window, the callee's after its caller's.
     const ir::Procedure &mainp = prog.procs[prog.mainProc];
-    std::vector<int64_t> reg_file(std::max<size_t>(mainp.numRegs, 64), 0);
+    std::vector<int64_t> reg_file(
+        std::max<size_t>(mainp.numRegs + mainp.frameSlots, 64), 0);
     std::copy(input.mainArgs.begin(), input.mainArgs.end(),
               reg_file.begin());
     if constexpr (kListen) {
@@ -501,16 +513,16 @@ execute(const ir::Program &prog, const InterpOptions &opts,
             ps_assert(num_args == prog.procs[callee].numParams);
             frames.push_back({proc, block, o.dst, pc + 1, addr, reg_base});
 
-            // The callee's registers follow the caller's, zeroed.
+            // The callee's window follows the caller's, zeroed.
             const size_t caller_base = reg_base;
-            reg_base += dp->numRegs;
+            reg_base += dp->window;
             dp = dec.proc(callee);
-            const size_t top = reg_base + dp->numRegs;
+            const size_t top = reg_base + dp->window;
             if (top > reg_file.size())
                 reg_file.resize(std::max(top, 2 * reg_file.size()));
             const int64_t *caller_regs = reg_file.data() + caller_base;
             regs = reg_file.data() + reg_base;
-            std::fill_n(regs, dp->numRegs, 0);
+            std::fill_n(regs, dp->window, 0);
             for (uint32_t k = 0; k < num_args; ++k)
                 regs[k] = caller_regs[dec.argPool[arg_begin + k]];
 

@@ -67,7 +67,7 @@ struct RunResult
     uint64_t dynCalls = 0;      ///< calls executed
     uint64_t dynJumps = 0;      ///< unconditional jumps executed
     uint64_t dynRets = 0;       ///< returns executed
-    uint64_t dynMemOps = 0;     ///< loads (incl. speculative) and stores
+    uint64_t dynMemOps = 0;     ///< data loads (incl. speculative), stores
     /** CFG edges followed inside an activation: one per onEdge fire. */
     uint64_t dynEdges = 0;
     uint64_t cycles = 0;        ///< total cycles incl. cache stalls

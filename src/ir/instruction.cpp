@@ -15,8 +15,10 @@ Instruction::renameSources(RegId from, RegId to)
       case Opcode::Ldi:
       case Opcode::Jmp:
       case Opcode::Nop:
+      case Opcode::LdFrame:
         break;
       case Opcode::Mov:
+      case Opcode::StFrame:
       case Opcode::Emit:
       case Opcode::BrNz:
       case Opcode::BrZ:
@@ -73,6 +75,8 @@ opcodeName(Opcode op)
       case Opcode::Ret: return "ret";
       case Opcode::Call: return "call";
       case Opcode::Nop: return "nop";
+      case Opcode::LdFrame: return "ld.f";
+      case Opcode::StFrame: return "st.f";
     }
     return "<bad>";
 }
@@ -210,6 +214,26 @@ makeCall(RegId dst, ProcId callee, std::vector<RegId> args)
     i.dst = dst;
     i.callee = callee;
     i.args = std::move(args);
+    return i;
+}
+
+Instruction
+makeLdFrame(RegId dst, uint32_t slot)
+{
+    Instruction i;
+    i.op = Opcode::LdFrame;
+    i.dst = dst;
+    i.imm = slot;
+    return i;
+}
+
+Instruction
+makeStFrame(uint32_t slot, RegId value)
+{
+    Instruction i;
+    i.op = Opcode::StFrame;
+    i.src1 = value;
+    i.imm = slot;
     return i;
 }
 

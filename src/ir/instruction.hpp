@@ -50,10 +50,14 @@ enum class Opcode : uint8_t {
     Ret,    ///< return src1 (or 0 when src1 == kNoReg)
     Call,   ///< dst = callee(args...); not a terminator
     Nop,
+    /** dst = frame[imm]: a word of the running activation's spill
+     *  frame (Procedure::frameSlots), never data memory. */
+    LdFrame,
+    StFrame, ///< frame[imm] = src1
 };
 
 /** Number of distinct opcodes (for tables indexed by opcode). */
-inline constexpr size_t kNumOpcodes = size_t(Opcode::Nop) + 1;
+inline constexpr size_t kNumOpcodes = size_t(Opcode::StFrame) + 1;
 
 /** A single IR instruction.  Fields are public: the IR is pass-owned data. */
 struct Instruction
@@ -93,6 +97,10 @@ struct Instruction
     bool isControlSlot() const { return isControlFlow() || op == Opcode::Call; }
     bool isLoad() const { return op == Opcode::Ld || op == Opcode::LdSpec; }
     bool isStore() const { return op == Opcode::St; }
+    bool isFrameOp() const
+    {
+        return op == Opcode::LdFrame || op == Opcode::StFrame;
+    }
     /** True if the instruction reads or writes data memory or output. */
     bool touchesMemory() const
     {
@@ -110,6 +118,7 @@ struct Instruction
     {
         switch (op) {
           case Opcode::St:
+          case Opcode::StFrame:
           case Opcode::Emit:
           case Opcode::Call:
           case Opcode::Ld:
@@ -136,8 +145,10 @@ struct Instruction
           case Opcode::Ldi:
           case Opcode::Jmp:
           case Opcode::Nop:
+          case Opcode::LdFrame:
             break;
           case Opcode::Mov:
+          case Opcode::StFrame:
           case Opcode::Emit:
           case Opcode::BrNz:
           case Opcode::BrZ:
@@ -204,6 +215,8 @@ Instruction makeBr(Opcode op, RegId cond, BlockId taken, BlockId fallthru);
 Instruction makeJmp(BlockId target);
 Instruction makeRet(RegId value);
 Instruction makeCall(RegId dst, ProcId callee, std::vector<RegId> args);
+Instruction makeLdFrame(RegId dst, uint32_t slot);
+Instruction makeStFrame(uint32_t slot, RegId value);
 /** @} */
 
 } // namespace pathsched::ir

@@ -55,6 +55,12 @@ toString(const Instruction &ins)
       }
       case Opcode::Nop:
         return "nop";
+      case Opcode::LdFrame:
+        return strfmt("ld.f %s, [frame + %lld]", regName(ins.dst).c_str(),
+                      (long long)ins.imm);
+      case Opcode::StFrame:
+        return strfmt("st.f [frame + %lld], %s", (long long)ins.imm,
+                      regName(ins.src1).c_str());
       default:
         if (ins.useImm) {
             return strfmt("%s %s, %s, %lld", opcodeName(ins.op),

@@ -67,6 +67,9 @@ struct Procedure
     uint32_t numParams = 0;
     /** One past the largest allocated virtual register. */
     uint32_t numRegs = 0;
+    /** Words of each activation's spill frame, which LdFrame/StFrame
+     *  address; register allocation sets it when it spills. */
+    uint32_t frameSlots = 0;
     std::vector<BasicBlock> blocks;
     /** Per-block compaction schedules (empty until the compact pass). */
     std::vector<BlockSchedule> schedules;

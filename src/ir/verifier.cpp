@@ -103,6 +103,10 @@ class Checker
         for (RegId r : srcs)
             checkReg(p, b, r, "source");
         checkReg(p, b, ins.dst, "dest");
+        if (ins.isFrameOp() &&
+            (ins.imm < 0 || ins.imm >= int64_t(p.frameSlots)))
+            err(p, b, strfmt("frame slot %lld out of range (frameSlots=%u)",
+                             (long long)ins.imm, p.frameSlots));
 
         if (ins.isBranch()) {
             checkTarget(p, b, ins.target0, "taken");
@@ -138,7 +142,8 @@ class Checker
                            ins.args.size(),
                            prog_.procs[ins.callee].numParams));
             }
-        } else if (ins.op == Opcode::St || ins.op == Opcode::Emit) {
+        } else if (ins.op == Opcode::St || ins.op == Opcode::StFrame ||
+                   ins.op == Opcode::Emit) {
             if (ins.hasDst())
                 err(p, b, strfmt("%s writes a register",
                                  opcodeName(ins.op)));
@@ -206,10 +211,15 @@ verifyStatus(const Program &prog, VerifyMode mode)
 }
 
 Status
-verifyProcStatus(const Program &prog, ProcId proc, VerifyMode mode)
+verifyProcStatus(const Program &prog, ProcId proc, VerifyMode mode,
+                 uint32_t machine_regs)
 {
     std::vector<std::string> errors;
     verifyProc(prog, proc, mode, errors);
+    const Procedure &p = prog.procs[proc];
+    if (p.numRegs > machine_regs)
+        errors.push_back(strfmt("proc %s: %u registers, the machine has %u",
+                                p.name.c_str(), p.numRegs, machine_regs));
     return errorsToStatus(errors);
 }
 

@@ -6,6 +6,7 @@
 #ifndef PATHSCHED_IR_VERIFIER_HPP
 #define PATHSCHED_IR_VERIFIER_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,12 @@ bool verifyProc(const Program &prog, ProcId proc, VerifyMode mode,
  *  the violations joined into the message. */
 Status verifyStatus(const Program &prog, VerifyMode mode);
 
-/** verifyProc() folded into a Status (see verifyStatus). */
-Status verifyProcStatus(const Program &prog, ProcId proc,
-                        VerifyMode mode);
+/** verifyProc() folded into a Status (see verifyStatus).  A procedure
+ *  naming more than @p machine_regs registers is a violation too: after
+ *  register allocation, pass the machine's register count, and a
+ *  procedure left outside the register file cannot be measured. */
+Status verifyProcStatus(const Program &prog, ProcId proc, VerifyMode mode,
+                        uint32_t machine_regs = UINT32_MAX);
 
 /** Verify and panic with the first error on failure — the
  *  non-recoverable wrapper around verifyStatus(). */

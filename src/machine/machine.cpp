@@ -17,6 +17,7 @@ MachineModel::realisticLatency()
     m.latency.fill(1);
     m.latency[size_t(ir::Opcode::Ld)] = 3;
     m.latency[size_t(ir::Opcode::LdSpec)] = 3;
+    m.latency[size_t(ir::Opcode::LdFrame)] = 3;
     m.latency[size_t(ir::Opcode::Mul)] = 3;
     m.latency[size_t(ir::Opcode::Div)] = 8;
     m.latency[size_t(ir::Opcode::Rem)] = 8;

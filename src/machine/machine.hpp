@@ -41,7 +41,8 @@ struct MachineModel
     static MachineModel unitLatency();
 
     /**
-     * Non-unit latencies: loads 3, multiplies 3, divides 8, the rest 1.
+     * Non-unit latencies: loads 3 (frame loads too), multiplies 3,
+     * divides 8, the rest 1.
      * Used by the latency ablation (bench_ablation_latency).
      */
     static MachineModel realisticLatency();

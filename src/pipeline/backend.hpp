@@ -14,7 +14,7 @@
  *    heads, non-loop stop rule) that formConfigFor() copies into a
  *    form::FormConfig;
  *  - *capability queries* derived from the preset —
- *    needsEdgeProfile()/needsPathProfile()/formsSuperblocks() — that
+ *    needsEdgeProfile()/needsPathProfile()/hasTransform() — that
  *    answer every "which profile does this config consume?" question
  *    (training-listener attachment, profile admission, the serving
  *    loop's reschedule inputs);
@@ -121,9 +121,8 @@ struct BackendDesc
     bool needsEdgeProfile() const { return profile == FormProfile::Edge; }
     bool needsPathProfile() const { return profile == FormProfile::Path; }
     bool needsProfile() const { return profile != FormProfile::None; }
-    /** Gates the "form.<cfg>.*" counters. */
-    bool formsSuperblocks() const { return profile != FormProfile::None; }
-    bool hasTransform() const { return formsSuperblocks(); }
+    /** Forms superblocks; gates the "form.<cfg>.*" counters. */
+    bool hasTransform() const { return profile != FormProfile::None; }
     /** @} */
 
     /**

@@ -80,11 +80,8 @@ struct ProcCtx
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
     sched::ScheduleStats postsched;
-    /** Locally-numbered spill slots not yet assigned an address (see
-     *  assignSpillSlots in runBackend). */
-    regalloc::SpillPlan spill;
     /** Compaction's final liveness solve, held from compact until
-     *  regalloc's first round consumes it. */
+     *  regalloc consumes it. */
     std::optional<analysis::Liveness> live;
     /** This procedure's degradations, merged at the join. */
     std::vector<Degradation> degraded;
@@ -105,6 +102,7 @@ void
 replaceBody(ir::Procedure &dst, ir::Procedure &&src)
 {
     dst.numRegs = src.numRegs;
+    dst.frameSlots = src.frameSlots;
     dst.blocks = std::move(src.blocks);
     dst.schedules = std::move(src.schedules);
     dst.superblocks = std::move(src.superblocks);
@@ -189,7 +187,6 @@ prepareWorkload(const ir::Program &program,
     pw.status = ir::verifyStatus(program, ir::VerifyMode::Strict);
     if (!pw.status.ok())
         return pw;
-    pw.recursive = regalloc::findRecursiveProcs(program);
 
     const obs::Observer *observer = opt.observability.observer;
     obs::StageTrace *trace = observer != nullptr ? observer->trace : nullptr;
@@ -378,7 +375,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     ir::Program prog = program;
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
-    const std::vector<uint8_t> &recursive = prepared.recursive;
 
     // Stage-boundary fault injection; quarantined procedures are never
     // queried again, so the BB fallback cannot be re-failed.  The
@@ -503,8 +499,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 ctx.timed.withPrefix("compact.");
             copts.observer = &compact_obs;
             copts.budget = budget;
-            if (opt.registerAllocate)
-                copts.liveness = &ctx.live;
+            copts.liveness = &ctx.live;
             Status st = inject("compact", p);
             if (st.ok())
                 st = sched::compactProcedure(prog, p, opt.machine,
@@ -512,7 +507,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             if (!st.ok())
                 return {"compact", std::move(st)};
         }
-        if (opt.registerAllocate) {
+        {
             MsAccum acc(ctx.regallocMs);
             const std::optional<analysis::Liveness> live =
                 std::exchange(ctx.live, std::nullopt);
@@ -522,8 +517,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             if (st.ok()) {
                 regalloc::AllocOptions ao;
                 ao.budget = budget;
-                ao.recursive = &recursive;
-                ao.spill = &ctx.spill;
                 ao.liveness = live ? &*live : nullptr;
                 st = regalloc::allocateProcedure(
                     prog, p, opt.machine.numRegs, ctx.alloc, ao);
@@ -533,19 +526,17 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         }
         if (stopped("verify"))
             return {};
-        // Postscheduling before the spill slots have addresses is safe:
-        // the dependence graph tells memory ops apart by (base
-        // register, offset inequality), and only spill code uses its
-        // block's `ldi 0` base, so moving every slot by one constant
-        // changes no edge.
-        if (opt.registerAllocate) {
+        {
             MsAccum acc(ctx.postschedMs);
             ctx.postsched += sched::scheduleProcedure(
                 prog, p, opt.machine, opt.schedPriority);
         }
+        // Machine conformance is checked, not counted: a procedure on
+        // more registers than the machine has fails verification.
         Status st = inject("verify", p);
         if (st.ok())
-            st = ir::verifyProcStatus(prog, p, ir::VerifyMode::Superblock);
+            st = ir::verifyProcStatus(prog, p, ir::VerifyMode::Superblock,
+                                      opt.machine.numRegs);
         if (!st.ok())
             return {"verify", std::move(st)};
         return {};
@@ -553,10 +544,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
 
     // Quarantine procedure p after it failed at @p stage: restore its
     // original (basic-block) body and run its chain again, now as the
-    // BB fallback.  Its spill slots are issued into the procedure's own
-    // SpillPlan, like any chain's, and get their addresses at the next
-    // assignSpillSlots().  A failure here means the always-safe
-    // baseline itself is broken, which is an internal bug: abort.
+    // BB fallback.  A failure here means the always-safe baseline
+    // itself is broken, which is an internal bug: abort.
     auto fallBack = [&](std::vector<Degradation> &out, ir::ProcId p,
                         const char *stage, const Status &st) {
         quarantined[p] = 1;
@@ -568,7 +557,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         ProcCtx &ctx = ctxs[p];
         auto t = ctx.timed.time("fallback");
         replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
-        ctx.spill.slots = 0; // the restored body references no slots
         ctx.live.reset();
         const Failure f = runChain(p);
         if (f.stage != nullptr)
@@ -584,29 +572,12 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             fallBack(ctxs[p].degraded, p, f.stage, f.status);
     });
     // Counted as the stages each chain runs: transform?, compact,
-    // regalloc?, postsched?, verify.
-    result.exec.tasks += num_procs * (be.hasTransform() + 2 +
-                                      2 * opt.registerAllocate);
-
-    // The one spill-slot assignment point: every procedure holding
-    // locally-numbered slots (its chain's, or a fallback's) gets them
-    // appended to the program's data memory, in procedure-id order —
-    // the historical serial addresses for non-degraded runs.  Runs at
-    // the join and again before every re-measure.
-    auto assignSpillSlots = [&] {
-        for (size_t p = 0; p < num_procs; ++p) {
-            regalloc::SpillPlan &plan = ctxs[p].spill;
-            if (plan.slots == 0)
-                continue;
-            regalloc::rebaseSpillSlots(prog.procs[p], prog.memWords);
-            prog.memWords += plan.slots;
-            plan.slots = 0;
-        }
-    };
+    // regalloc, postsched, verify.
+    result.exec.tasks += num_procs * (be.hasTransform() + 4);
 
     // --- 4. The join (serial).  Everything order-sensitive happens
-    //        here, in procedure-id order: stat merging, degradation
-    //        recording and spill-slot assignment. ---
+    //        here, in procedure-id order: stat merging and degradation
+    //        recording. ---
     double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
     sched::ScheduleStats postsched;
     for (size_t p = 0; p < num_procs; ++p) {
@@ -627,7 +598,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         // Fallbacks after the join time into the run's observer.
         ctx.timed = timed;
     }
-    assignSpillSlots();
     if (deadline_hit.load()) {
         result.status = std::move(deadline_status);
         return result;
@@ -636,8 +606,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         result.stages.push_back({be.transformLabel, form_ms});
         timed.addSample(std::string(be.transformLabel) + ".total",
                         form_ms);
-    }
-    if (be.formsSuperblocks()) {
         base.addCounter("form" + cfg_dot + "tracesSelected",
                         result.form.tracesSelected);
         base.addCounter("form" + cfg_dot + "multiBlockTraces",
@@ -667,37 +635,36 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     result.compact.sched.liveSolves);
     base.addCounter("compact" + cfg_dot + "liveVisits",
                     result.compact.sched.liveVisits);
-    if (opt.registerAllocate) {
-        result.stages.push_back({"regalloc", regalloc_ms});
-        timed.addSample("regalloc", regalloc_ms);
-        base.addCounter("alloc" + cfg_dot + "regsSpilled",
-                        result.alloc.regsSpilled);
-        base.addCounter("alloc" + cfg_dot + "procsSkipped",
-                        result.alloc.procsSkipped);
-        base.addCounter("alloc" + cfg_dot + "rounds", result.alloc.rounds);
-        base.addCounter("alloc" + cfg_dot + "liveSolves",
-                        result.alloc.liveSolves);
-        base.addCounter("alloc" + cfg_dot + "liveVisits",
-                        result.alloc.liveVisits);
-        // A registry shared by several workloads keeps their peak.
-        const std::string pressure = "alloc" + cfg_dot + "maxPressure";
-        const obs::Stat *seen =
-            base.stats != nullptr ? base.stats->find(base.prefix + pressure)
-                                  : nullptr;
-        base.setGauge(pressure,
-                      std::max(double(result.alloc.maxPressure),
-                               seen != nullptr ? seen->gauge : 0.0));
-        // The postschedule replaces the preschedule's cycle counts.
-        result.compact.sched = postsched;
-        base.addCounter("sched" + cfg_dot + "postschedKept",
-                        postsched.blocksKept);
-        base.addCounter("sched" + cfg_dot + "liveSolves",
-                        postsched.liveSolves);
-        base.addCounter("sched" + cfg_dot + "liveVisits",
-                        postsched.liveVisits);
-        result.stages.push_back({"postsched", postsched_ms});
-        timed.addSample("postsched", postsched_ms);
-    }
+    result.stages.push_back({"regalloc", regalloc_ms});
+    timed.addSample("regalloc", regalloc_ms);
+    base.addCounter("alloc" + cfg_dot + "regsSpilled",
+                    result.alloc.regsSpilled);
+    // 0 by construction: the verify step rejects a procedure left on
+    // virtual registers.
+    base.addCounter("alloc" + cfg_dot + "procsSkipped", 0);
+    base.addCounter("alloc" + cfg_dot + "rounds", result.alloc.rounds);
+    base.addCounter("alloc" + cfg_dot + "liveSolves",
+                    result.alloc.liveSolves);
+    base.addCounter("alloc" + cfg_dot + "liveVisits",
+                    result.alloc.liveVisits);
+    // A registry shared by several workloads keeps their peak.
+    const std::string pressure = "alloc" + cfg_dot + "maxPressure";
+    const obs::Stat *seen =
+        base.stats != nullptr ? base.stats->find(base.prefix + pressure)
+                              : nullptr;
+    base.setGauge(pressure,
+                  std::max(double(result.alloc.maxPressure),
+                           seen != nullptr ? seen->gauge : 0.0));
+    // The postschedule replaces the preschedule's cycle counts.
+    result.compact.sched = postsched;
+    base.addCounter("sched" + cfg_dot + "postschedKept",
+                    postsched.blocksKept);
+    base.addCounter("sched" + cfg_dot + "liveSolves",
+                    postsched.liveSolves);
+    base.addCounter("sched" + cfg_dot + "liveVisits",
+                    postsched.liveVisits);
+    result.stages.push_back({"postsched", postsched_ms});
+    timed.addSample("postsched", postsched_ms);
 
     // --- 5. Procedure placement and address assignment. ---
     // Re-runnable: the output-equivalence fallback lays the program out
@@ -749,8 +716,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const interp::RunResult &ref = prepared.reference;
     preparedStage("verify", prepared.referenceCost);
 
-    // Degrade @p suspects to BB, give their fallbacks' spill slots
-    // addresses, and lay out and measure the program again.  Hyphenated
+    // Degrade @p suspects to BB, and lay out and measure the program
+    // again.  Hyphenated
     // row names: "layout.retry" would nest under the "layout" leaf in
     // the stats registry, which forbids that.
     using Suspects = std::vector<std::pair<ir::ProcId, Status>>;
@@ -758,7 +725,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                    const char *stage) {
         for (const auto &[p, st] : suspects)
             fallBack(result.degraded, p, stage, st);
-        assignSpillSlots();
         runLayout("layout-retry");
         runTest("test-retry");
     };

@@ -184,8 +184,10 @@ struct PipelineOptions
     /** Attach the I-cache during the test run (Figs. 5/6). */
     bool useICache = false;
     icache::ICache::Params cacheParams;
-    /** Run linear-scan allocation plus postschedule. */
-    bool registerAllocate = true;
+    /** Always on: every measured procedure runs on the machine's
+     *  registers.  A constant, kept because perfbench/replay.cpp reads
+     *  it. */
+    static constexpr bool registerAllocate = true;
     /** Order procedures with Pettis-Hansen placement. */
     bool pettisHansen = true;
     /** Block address order within procedures (hot-first ablation). */
@@ -268,11 +270,7 @@ struct PipelineResult
      *  chains (profile, form, materialize, compact, regalloc, verify)
      *  in procedure-id order, then the degradations of the measured
      *  run ("interp") and the output comparison ("output-compare") in
-     *  the order found.  Identical for every thread count.  (Before
-     *  verification joined the chains, verify failures came after all
-     *  other chain failures, and a verify-degraded procedure's spill
-     *  slots after everyone else's; only runs with an injected verify
-     *  fault can tell.) */
+     *  the order found.  Identical for every thread count. */
     std::vector<Degradation> degraded;
     /** The run completed but at least one procedure fell back to BB. */
     bool degradedRun() const { return !degraded.empty(); }
@@ -339,11 +337,6 @@ struct PreparedWorkload
      *  training or reference run stopped early; every runBackend()
      *  then returns it unchanged, so it is attributed once. */
     Status status;
-    /** regalloc::findRecursiveProcs() of the program.  Recursion is a
-     *  property of the call graph, which no transform stage changes
-     *  (formation duplicates call sites but never severs an edge), so
-     *  every backend's chains share it read-only. */
-    std::vector<uint8_t> recursive;
     /** The training run: dynInstrs and the call counts Pettis-Hansen
      *  placement reads. */
     interp::RunResult training;

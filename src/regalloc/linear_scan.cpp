@@ -4,7 +4,9 @@
 #include <bit>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 
+#include "analysis/callgraph.hpp"
 #include "analysis/liveness.hpp"
 #include "pipeline/stages.hpp"
 #include "support/logging.hpp"
@@ -155,31 +157,121 @@ buildPieces(const ir::Procedure &proc, const analysis::Liveness &live,
     }
 }
 
-/** A procedure with nothing to allocate: its only registers are its
- *  parameters, which fit the file. */
-bool
-isTrivial(const ir::Procedure &proc, uint32_t num_phys)
+/**
+ * Registers spilled to the frame.  Each reference to one goes through
+ * a temporary of one position: a read at 2g is reloaded just before
+ * instruction g, and a write at 2g + 1 is stored just after it.
+ */
+struct Spills
 {
-    return proc.numRegs <= num_phys && proc.numRegs == proc.numParams;
+    /** (register << 32 | position) of every reference, sorted. */
+    std::vector<uint64_t> refs;
+    /** Each reference to a spilled register (position << 32 |
+     *  register): its temporary and the register's frame slot. */
+    std::unordered_map<uint64_t, std::pair<RegId, uint32_t>> temps;
+    uint32_t slots = 0;
+};
+
+/** The reference positions of every register of @p proc (see Spills). */
+std::vector<uint64_t>
+referencePositions(const ir::Procedure &proc)
+{
+    std::vector<uint64_t> refs;
+    uint32_t read = 0;
+    for (const ir::BasicBlock &bb : proc.blocks) {
+        for (const Instruction &ins : bb.instrs) {
+            ins.forEachSource(
+                [&](RegId r) { refs.push_back(uint64_t(r) << 32 | read); });
+            if (ins.dst != kNoReg)
+                refs.push_back(uint64_t(ins.dst) << 32 | (read + 1));
+            read += 2;
+        }
+    }
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+    return refs;
+}
+
+/**
+ * Put the spill code of @p sp into @p proc: each reference to a spilled
+ * register becomes its temporary, with a frame load before the reading
+ * instruction and a frame store after the writing one.  Each block that
+ * gains spill code loses its schedule.
+ */
+void
+insertSpillCode(ir::Procedure &proc, const Spills &sp)
+{
+    proc.syncSideTables();
+    std::vector<RegId> srcs;
+    std::vector<Instruction> out;
+    std::vector<uint32_t> ordinals;
+    uint32_t read = 0;
+    for (BlockId b = 0; b < proc.blocks.size(); ++b) {
+        ir::BasicBlock &bb = proc.blocks[b];
+        ir::SuperblockInfo &sb = proc.superblocks[b];
+        out.clear();
+        ordinals.clear();
+        for (size_t i = 0; i < bb.instrs.size(); ++i, read += 2) {
+            Instruction ins = std::move(bb.instrs[i]);
+            auto emit = [&](Instruction x) {
+                out.push_back(std::move(x));
+                if (sb.isSuperblock)
+                    ordinals.push_back(sb.srcOrdinalOf[i]);
+            };
+            ins.sources(srcs);
+            std::sort(srcs.begin(), srcs.end());
+            srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
+            for (RegId r : srcs) {
+                const auto it = sp.temps.find(uint64_t(read) << 32 | r);
+                if (it == sp.temps.end())
+                    continue;
+                const auto [t, slot] = it->second;
+                emit(ir::makeLdFrame(t, slot));
+                ins.renameSources(r, t);
+            }
+            const auto it = sp.temps.find(uint64_t(read + 1) << 32 | ins.dst);
+            if (it != sp.temps.end())
+                ins.dst = it->second.first;
+            emit(std::move(ins));
+            if (it != sp.temps.end())
+                emit(ir::makeStFrame(it->second.second, it->second.first));
+        }
+        if (out.size() != bb.instrs.size())
+            proc.schedules[b] = ir::BlockSchedule();
+        std::swap(bb.instrs, out);
+        if (sb.isSuperblock)
+            std::swap(sb.srcOrdinalOf, ordinals);
+    }
+    proc.frameSlots = sp.slots;
 }
 
 /**
  * Allocate one procedure from its live ranges @p lr (built from the
- * solve @p live, pieces on demand); returns false, with @p proc
- * untouched, when they do not fit the file.  Linear scan with lifetime
- * holes: in order of span start, each register takes the free register
- * that was freed longest ago, so a register that a block has just freed
- * is not handed out again inside that block.  A register stays taken
+ * solve @p live, pieces on demand).  Linear scan with lifetime holes:
+ * in order of span start, each register takes the free register that
+ * was freed longest ago, so a register that a block has just freed is
+ * not handed out again inside that block.  A register stays taken
  * until its holders' spans have ended.  Only when none is free does the
  * scan share one whose holders are all in a lifetime hole throughout
  * the new register's pieces.
+ *
+ * When no register can be shared either, the scan spills in the same
+ * pass: of the registers whose holders conflict with the new one, it
+ * takes the one whose conflicting holder lives longest (Poletto &
+ * Sarkar's rule), sends those holders to frame slots, and queues the
+ * temporaries of their later references (Spills) as registers still to
+ * place.  Parameters, temporaries and registers the instruction at the
+ * scan position reads are never spilled.  Returns false, with @p proc
+ * untouched, when none is left to spill: one instruction's operands
+ * need more registers than the file has.
  */
 bool
 allocateProc(ir::Procedure &proc, LiveRanges &lr,
              const analysis::Liveness &live, uint32_t num_phys,
              AllocStats &stats)
 {
-    std::vector<RegId> assignment(proc.numRegs, kNoReg);
+    const RegId num_vregs = proc.numRegs;
+    std::vector<RegId> assignment(num_vregs, kNoReg);
     std::vector<uint32_t> holders(num_phys, 0);
     // (span end, register) of every assigned register whose span has
     // not ended, a min-heap on the end.
@@ -208,7 +300,7 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     uint32_t in_use = 0;
 
     std::vector<uint64_t> order; // start << 32 | register
-    for (RegId v = proc.numParams; v < proc.numRegs; ++v) {
+    for (RegId v = proc.numParams; v < num_vregs; ++v) {
         if (lr.live(v))
             order.push_back(uint64_t(lr.start[v]) << 32 | v);
     }
@@ -235,7 +327,43 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     // Once the free registers run out: the registers holding each
     // physical register, pruned as their spans end.
     std::vector<std::vector<RegId>> holding;
-    for (const uint64_t key : order) {
+
+    // Spilling: @p u leaves physical register @p p at @p pos.  Its
+    // references before pos keep p; each later one is a temporary the
+    // scan will come to.
+    Spills sp;
+    size_t next = 0; // the scan's place in order
+    auto spill = [&](RegId u, RegId p, uint32_t pos) {
+        const uint32_t slot = sp.slots++;
+        ++stats.regsSpilled;
+        assignment[u] = kNoReg;
+        std::erase_if(held, [&](const auto &e) { return e.second == u; });
+        std::make_heap(held.begin(), held.end(), std::greater<>());
+        --holders[p];
+        const auto first = std::lower_bound(sp.refs.begin(), sp.refs.end(),
+                                            uint64_t(u) << 32);
+        for (auto it = first; it != sp.refs.end() && *it >> 32 == u; ++it) {
+            const uint32_t at = uint32_t(*it);
+            const RegId t = RegId(assignment.size());
+            sp.temps.emplace(uint64_t(at) << 32 | u, std::pair(t, slot));
+            assignment.push_back(at < pos ? p : kNoReg);
+            lr.start.push_back(at);
+            lr.last.push_back(at);
+            lr.head.push_back(at < pos ? kNoPiece
+                                       : uint32_t(lr.pieces.size()));
+            cursor.push_back(lr.head.back());
+            if (at > pos) {
+                lr.pieces.push_back({at, at, kNoPiece});
+                const uint64_t key = uint64_t(at) << 32 | t;
+                order.insert(std::upper_bound(order.begin() + next,
+                                              order.end(), key),
+                             key);
+            }
+        }
+    };
+
+    while (next < order.size()) {
+        const uint64_t key = order[next++];
         const RegId v = RegId(key);
         const uint32_t pos = uint32_t(key >> 32);
         while (!held.empty() && held.front().first < pos) {
@@ -265,8 +393,42 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
                                  [&](RegId h) { return overlaps(h, v, pos); }))
                     phys = p;
             }
-            if (phys == kNoReg)
-                return false; // the ranges do not fit the file
+            if (phys == kNoReg) {
+                if (sp.refs.empty())
+                    sp.refs = referencePositions(proc);
+                // Score each register by its longest-living conflicting
+                // holder; a register with one that may not spill scores
+                // nothing.
+                uint32_t best = 0;
+                for (RegId p = 0; p < num_phys; ++p) {
+                    uint32_t score = 0;
+                    for (const RegId h : holding[p]) {
+                        if (!overlaps(h, v, pos))
+                            continue;
+                        if (h < proc.numParams || h >= num_vregs ||
+                            std::binary_search(sp.refs.begin(),
+                                               sp.refs.end(),
+                                               uint64_t(h) << 32 | pos)) {
+                            score = 0;
+                            break;
+                        }
+                        score = std::max(score, lr.last[h] + 1);
+                    }
+                    if (score > best) {
+                        best = score;
+                        phys = p;
+                    }
+                }
+                if (phys == kNoReg)
+                    return false; // the operands alone overflow the file
+                std::vector<RegId> &hs = holding[phys];
+                std::erase_if(hs, [&](RegId h) {
+                    if (!overlaps(h, v, pos))
+                        return false;
+                    spill(h, phys, pos);
+                    return true;
+                });
+            }
         }
         if (!holding.empty())
             holding[phys].push_back(v);
@@ -275,6 +437,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     }
     stats.maxPressure = std::max(stats.maxPressure, in_use);
     const bool ran_out = !holding.empty();
+    if (sp.slots > 0)
+        insertSpillCode(proc, sp);
 
     // Rewrite every operand, and clear the schedule of each block on
     // which the assignment is not injective over the registers the
@@ -299,8 +463,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
         bool injective = true;
         auto claim = [&](RegId v) {
             const RegId p = assignment[v];
-            // kNoReg: a field no source list reads (never live); it
-            // feeds no dependence.
+            // kNoReg: a field no source list reads (never live), or a
+            // register in the frame; it feeds no dependence.
             if (p != kNoReg) {
                 const uint64_t mine = uint64_t(b) << 32 | v;
                 if (claim_of[p] >> 32 == b)
@@ -331,133 +495,6 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     return true;
 }
 
-/**
- * Spill the longest-lived non-parameter registers of @p proc, chosen
- * from its current live ranges @p lr, to fresh static memory slots
- * (issued locally in @p plan): every use
- * loads into a fresh short-lived register just before the reader, and
- * every definition stores right after the writer, so pressure collapses
- * to per-instruction locality.  Static slots are only sound when a
- * single activation of the procedure is live at a time — the caller
- * checks for recursion.
- */
-bool
-spillLongestRanges(ir::Procedure &proc, const LiveRanges &lr,
-                   size_t how_many, AllocStats &stats, SpillPlan &plan)
-{
-    // (positions covered, register) of every spill candidate.  The
-    // scan that failed has built the pieces.
-    std::vector<std::pair<uint64_t, RegId>> candidates;
-    for (RegId r = proc.numParams; r < proc.numRegs; ++r) {
-        uint64_t length = 0;
-        for (uint32_t k = lr.head[r]; k != kNoPiece; k = lr.pieces[k].next)
-            length += lr.pieces[k].to - lr.pieces[k].from;
-        if (length > 0)
-            candidates.push_back({length, r});
-    }
-    // Classic spill metric: prefer ranges that block the allocator for
-    // a long time but are rarely referenced, so the inserted loads and
-    // stores land on cold code (spilling a loop-carried accumulator
-    // would put memory traffic in every iteration).  refs[r] counts
-    // r's static use and def sites.
-    std::vector<uint32_t> refs(proc.numRegs, 0);
-    for (const ir::BasicBlock &bb : proc.blocks) {
-        for (const Instruction &ins : bb.instrs) {
-            ins.forEachSource([&](RegId r) { ++refs[r]; });
-            if (ins.dst != kNoReg)
-                ++refs[ins.dst];
-        }
-    }
-    auto cost = [&](const std::pair<uint64_t, RegId> &c) {
-        return double(c.first) / double(1 + refs[c.second]);
-    };
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const auto &a, const auto &b) {
-                  const double sa = cost(a), sb = cost(b);
-                  return sa != sb ? sa > sb : a.second < b.second;
-              });
-    candidates.resize(std::min(candidates.size(), how_many));
-    if (candidates.empty())
-        return false; // nothing spillable (point lifetimes only)
-
-    // One fresh word of program memory per spilled register, issued
-    // locally (sentinel-relative, rebased by the caller).
-    std::vector<int64_t> slot_of(proc.numRegs, -1);
-    for (const auto &c : candidates) {
-        slot_of[c.second] = kSpillSlotBase + int64_t(plan.slots++);
-        ++stats.regsSpilled;
-    }
-    auto spilled = [&](RegId r) {
-        return r != kNoReg && r < slot_of.size() && slot_of[r] >= 0;
-    };
-
-    proc.syncSideTables();
-    std::vector<RegId> srcs;
-    for (BlockId b = 0; b < proc.blocks.size(); ++b) {
-        ir::BasicBlock &bb = proc.blocks[b];
-        ir::SuperblockInfo &sb = proc.superblocks[b];
-        const bool track = sb.isSuperblock;
-
-        std::vector<Instruction> out;
-        std::vector<uint32_t> ordinals;
-        out.reserve(bb.instrs.size());
-        RegId zero_base = kNoReg;
-
-        for (size_t i = 0; i < bb.instrs.size(); ++i) {
-            Instruction ins = std::move(bb.instrs[i]);
-            const uint32_t ord = track ? sb.srcOrdinalOf[i] : 0;
-            auto emit = [&](Instruction x) {
-                out.push_back(std::move(x));
-                if (track)
-                    ordinals.push_back(ord);
-            };
-            auto ensure_base = [&]() {
-                if (zero_base == kNoReg) {
-                    zero_base = proc.newReg();
-                    emit(ir::makeLdi(zero_base, 0));
-                }
-            };
-
-            // Reload each distinct spilled source into a fresh reg.
-            ins.sources(srcs);
-            std::sort(srcs.begin(), srcs.end());
-            srcs.erase(std::unique(srcs.begin(), srcs.end()),
-                       srcs.end());
-            for (RegId r : srcs) {
-                if (!spilled(r))
-                    continue;
-                ensure_base();
-                const RegId fresh = proc.newReg();
-                emit(ir::makeLd(fresh, zero_base, slot_of[r]));
-                ins.renameSources(r, fresh);
-            }
-
-            // Redirect a spilled definition through a fresh reg + store.
-            if (spilled(ins.dst)) {
-                const int64_t slot = slot_of[ins.dst];
-                ensure_base();
-                const RegId fresh = proc.newReg();
-                ins.dst = fresh;
-                emit(std::move(ins));
-                emit(ir::makeSt(zero_base, slot, fresh));
-            } else {
-                emit(std::move(ins));
-            }
-        }
-        // Spill code always lengthens the block.  A block without any
-        // names no spilled register, so its dependence graph is
-        // unchanged and it keeps its schedule (the final assignment's
-        // injectivity check still decides).
-        const bool rewritten = out.size() != bb.instrs.size();
-        bb.instrs = std::move(out);
-        if (track)
-            sb.srcOrdinalOf = std::move(ordinals);
-        if (rewritten && b < proc.schedules.size())
-            proc.schedules[b] = ir::BlockSchedule();
-    }
-    return true;
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -465,14 +502,9 @@ findRecursiveProcs(const ir::Program &prog)
 {
     const size_t n = prog.procs.size();
     std::vector<std::vector<ProcId>> callees(n);
-    for (const auto &p : prog.procs) {
-        for (const auto &bb : p.blocks) {
-            for (const auto &ins : bb.instrs) {
-                if (ins.op == Opcode::Call)
-                    callees[p.id].push_back(ins.callee);
-            }
-        }
-    }
+    for (const analysis::CallGraph::Edge &e :
+         analysis::CallGraph(prog).edges())
+        callees[e.caller].push_back(e.callee);
     std::vector<uint8_t> recursive(n, 0);
     for (ProcId start = 0; start < n; ++start) {
         std::vector<uint8_t> seen(n, 0);
@@ -494,18 +526,6 @@ findRecursiveProcs(const ir::Program &prog)
     return recursive;
 }
 
-void
-rebaseSpillSlots(ir::Procedure &proc, uint64_t base)
-{
-    for (auto &bb : proc.blocks) {
-        for (auto &ins : bb.instrs) {
-            if ((ins.isLoad() || ins.isStore()) &&
-                ins.imm >= kSpillSlotBase)
-                ins.imm = int64_t(base) + (ins.imm - kSpillSlotBase);
-        }
-    }
-}
-
 Status
 allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
                   uint32_t num_phys_regs, AllocStats &stats,
@@ -522,62 +542,35 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
                    "registers (%u)",
                    proc.name.c_str(), proc.numParams, num_phys_regs));
     }
-    ps_assert_msg(options.recursive != nullptr && options.spill != nullptr,
-                  "allocateProcedure: recursive and spill are required");
-    const std::vector<uint8_t> &recursive = *options.recursive;
+    // The scan reads the whole procedure, so it is charged one unit per
+    // instruction against regallocOps.
     const ResourceBudget *budget = options.budget;
-
-    // Each allocate-or-spill round rescans the whole procedure, so it
-    // is charged one unit per instruction against regallocOps.
     BudgetMeter meter(budget, "regalloc",
                       budget != nullptr ? budget->regallocOps : 0);
-
-    // The caller's solve describes the procedure until the first
-    // spill rewrites it.
-    const analysis::Liveness *given = options.liveness;
-    std::optional<analysis::Liveness> own;
-    bool done = false;
-    for (int round = 0; round < 40 && !done; ++round) {
-        Status st = meter.checkpoint(proc.instrCount() + 1);
-        if (!st.ok())
-            return st;
-        if (isTrivial(proc, num_phys_regs)) {
-            ++stats.procsAllocated;
-            done = true;
-            break;
-        }
-        // One liveness solve per round, shared by both steps below:
-        // a failed allocation leaves the procedure unchanged.
-        if (given == nullptr) {
+    Status st = meter.checkpoint(proc.instrCount() + 1);
+    if (!st.ok())
+        return st;
+    // A procedure whose only registers are its parameters, which fit
+    // the file, has nothing to allocate.
+    if (proc.numRegs != proc.numParams) {
+        std::optional<analysis::Liveness> own;
+        if (options.liveness == nullptr) {
             own.emplace(proc);
             ++stats.liveSolves;
             stats.liveVisits += own->visits();
         }
-        const analysis::Liveness &live = given != nullptr ? *given : *own;
-        given = nullptr;
+        const analysis::Liveness &live =
+            options.liveness != nullptr ? *options.liveness : *own;
         ++stats.rounds;
         LiveRanges lr = buildSpans(proc, live);
-        if (allocateProc(proc, lr, live, num_phys_regs, stats)) {
-            ++stats.procsAllocated;
-            done = true;
-            break;
-        }
-        if (recursive[proc.id]) {
-            // Static spill slots are unsound under recursion
-            // (multiple live activations would share them).
-            break;
-        }
-        // Spill a small batch of the worst offenders and retry.
-        if (!spillLongestRanges(proc, lr, 16, stats, *options.spill))
-            break; // nothing left to spill
+        if (!allocateProc(proc, lr, live, num_phys_regs, stats))
+            return Status::error(
+                ErrorKind::ScheduleFailed,
+                strfmt("proc %s: one instruction's operands need more "
+                       "than the machine's %u registers",
+                       proc.name.c_str(), num_phys_regs));
     }
-    if (!done) {
-        ++stats.procsSkipped;
-        inform("regalloc: pressure too high in %sproc %s; kept on "
-               "virtual registers",
-               recursive[proc.id] ? "recursive " : "",
-               proc.name.c_str());
-    }
+    ++stats.procsAllocated;
     return Status();
 }
 
@@ -585,20 +578,9 @@ AllocStats
 allocateProgram(ir::Program &prog, uint32_t num_phys_regs)
 {
     AllocStats stats;
-    const std::vector<uint8_t> recursive = findRecursiveProcs(prog);
     pipeline::forEachProcOrDie(
         prog, "register allocation", [&](ir::ProcId p) {
-            // Rebasing each procedure's slots as soon as it is done
-            // issues them in id order from the end of data memory.
-            SpillPlan plan;
-            AllocOptions options;
-            options.recursive = &recursive;
-            options.spill = &plan;
-            Status st = allocateProcedure(prog, p, num_phys_regs, stats,
-                                          options);
-            rebaseSpillSlots(prog.procs[p], prog.memWords);
-            prog.memWords += plan.slots;
-            return st;
+            return allocateProcedure(prog, p, num_phys_regs, stats, {});
         });
     return stats;
 }

@@ -51,8 +51,8 @@ struct CompactOptions
      * describes the compacted procedure exactly: scheduling only
      * reorders within blocks, and only moves a def across an exit
      * where the register is dead at that exit's targets.  Register
-     * allocation's first round reuses it
-     * (regalloc::AllocOptions::liveness).  Untouched on failure.
+     * allocation reuses it (regalloc::AllocOptions::liveness).
+     * Untouched on failure.
      */
     std::optional<analysis::Liveness> *liveness = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "sched/depgraph.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "support/logging.hpp"
@@ -51,6 +52,14 @@ struct RawEdge
 
 constexpr uint32_t kNone = UINT32_MAX;
 
+/** Stores and emits: their effects may cross no exit.  A frame store
+ *  may not either, as the exit's target may read the slot. */
+bool
+pinned(Opcode op)
+{
+    return op == Opcode::St || op == Opcode::StFrame || op == Opcode::Emit;
+}
+
 /**
  * Per-thread build scratch.  The register-indexed arrays hold kNone
  * between builds: every register a build writes is on `touched`, and
@@ -67,6 +76,8 @@ struct BuildScratch
     /** Reader-list nodes: (reading instruction, next node). */
     std::vector<std::pair<uint32_t, uint32_t>> readers;
     std::vector<MemRef> memRefs;
+    /** (instruction, LdFrame or StFrame, slot) of each frame op. */
+    std::vector<std::tuple<uint32_t, Opcode, int64_t>> frameRefs;
     std::vector<uint8_t> hasTermEdge;
     std::vector<RegId> srcs;
 
@@ -90,6 +101,7 @@ struct BuildScratch
         edges.clear();
         readers.clear();
         memRefs.clear();
+        frameRefs.clear();
     }
 };
 
@@ -165,7 +177,16 @@ DepGraph::build(const std::vector<Instruction> &instrs,
         const bool mem_write = ins.op == Opcode::St;
         const bool mem_barrier =
             ins.op == Opcode::Call || ins.op == Opcode::Emit;
-        if (mem_read || mem_write || mem_barrier) {
+        if (ins.isFrameOp()) {
+            // A frame slot is the activation's own: only frame ops on
+            // the same slot touch it.
+            for (const auto &[prev, prev_op, slot] : s.frameRefs) {
+                if (slot == ins.imm && (prev_op == Opcode::StFrame ||
+                                        ins.op == Opcode::StFrame))
+                    add_edge(prev, i, prev_op == Opcode::StFrame ? 1 : 0);
+            }
+            s.frameRefs.push_back({i, ins.op, ins.imm});
+        } else if (mem_read || mem_write || mem_barrier) {
             MemRef ref;
             ref.idx = i;
             ref.isLoad = mem_read;
@@ -202,8 +223,7 @@ DepGraph::build(const std::vector<Instruction> &instrs,
 
         // --- exit constraints ---
         // (a) this instruction vs. exits *before* it.
-        const bool pinned_effect =
-            ins.op == Opcode::St || ins.op == Opcode::Emit;
+        const bool pinned_effect = pinned(ins.op);
         for (size_t e = 0; e < exit_pos; ++e) {
             const ExitInfo &x = exits[e];
             if (pinned_effect || (ins.hasDst() && x.liveAt(ins.dst)))
@@ -214,7 +234,7 @@ DepGraph::build(const std::vector<Instruction> &instrs,
             const ExitInfo &x = exits[exit_pos++];
             for (uint32_t j = 0; j < i; ++j) {
                 const Instruction &prev = instrs[j];
-                if (prev.op == Opcode::St || prev.op == Opcode::Emit) {
+                if (pinned(prev.op)) {
                     add_edge(j, i, 0); // side effects may not sink below
                 } else if (prev.hasDst() && x.liveAt(prev.dst)) {
                     // Value observable off-trace: must be complete (and

@@ -16,6 +16,8 @@
  * off-trace renaming arranges for that to usually hold); loads hoisted
  * above a branch are converted to non-excepting LdSpec by the
  * scheduler; stores, emits and calls never move above or below an exit.
+ * A spill frame op (LdFrame/StFrame) orders only against frame ops on
+ * the same slot; a frame load never faults, so it moves as it is.
  *
  * Storage is flat: build() gathers edges into a per-thread buffer (the
  * last def and the readers since it are register-indexed arrays reset

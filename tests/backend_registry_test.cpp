@@ -62,21 +62,20 @@ TEST(BackendRegistry, CapabilityFlagsMatchTheFamilies)
     // BB: no profile, no transform.
     EXPECT_EQ(caps("BB")->profile, FormProfile::None);
     EXPECT_FALSE(caps("BB")->needsProfile());
-    EXPECT_FALSE(caps("BB")->formsSuperblocks());
     EXPECT_FALSE(caps("BB")->hasTransform());
     // M-family: edge profile, superblocks.
     for (const char *n : {"M4", "M16"}) {
         EXPECT_EQ(caps(n)->profile, FormProfile::Edge) << n;
         EXPECT_TRUE(caps(n)->needsEdgeProfile()) << n;
         EXPECT_FALSE(caps(n)->needsPathProfile()) << n;
-        EXPECT_TRUE(caps(n)->formsSuperblocks()) << n;
+        EXPECT_TRUE(caps(n)->hasTransform()) << n;
     }
     // P-family: path profile, superblocks.
     for (const char *n : {"P4", "P4e"}) {
         EXPECT_EQ(caps(n)->profile, FormProfile::Path) << n;
         EXPECT_FALSE(caps(n)->needsEdgeProfile()) << n;
         EXPECT_TRUE(caps(n)->needsPathProfile()) << n;
-        EXPECT_TRUE(caps(n)->formsSuperblocks()) << n;
+        EXPECT_TRUE(caps(n)->hasTransform()) << n;
     }
     // The capabilities are derived from the preset, so they can never
     // disagree with it: exactly the profiled rows transform, and no row

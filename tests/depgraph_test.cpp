@@ -181,6 +181,49 @@ TEST(DepGraph, CallsActAsMemoryBarriers)
     EXPECT_EQ(edgeLatency(g, 2, 3), 1); // call clobbers memory
 }
 
+TEST(DepGraph, FrameOpsConflictOnlyOnTheirSlot)
+{
+    // A frame slot belongs to the activation: no data access, call or
+    // emit reaches it, and frame ops on different slots commute.
+    Program prog;
+    prog.memWords = 8;
+    IrBuilder b(prog);
+    const auto callee = b.newProc("f", 0);
+    b.ret(b.ldi(0));
+    const auto main = b.newProc("main", 0);
+    prog.proc(main).frameSlots = 2;
+    auto push = [&](Instruction ins) {
+        prog.proc(main).blocks[0].instrs.push_back(std::move(ins));
+    };
+    const RegId base = b.ldi(0);                          // 0
+    const RegId x = b.ldi(7);                             // 1
+    push(ir::makeStFrame(0, x));                          // 2
+    b.st(base, 0, x);                                     // 3
+    b.callVoid(callee, {});                               // 4
+    const RegId y = prog.proc(main).newReg();
+    push(ir::makeLdFrame(y, 1));                          // 5
+    const RegId z = prog.proc(main).newReg();
+    push(ir::makeLdFrame(z, 0));                          // 6
+    push(ir::makeStFrame(0, y));                          // 7
+    b.ret(b.add(y, z));                                   // 8, 9
+    prog.mainProc = main;
+
+    const auto &proc = prog.proc(main);
+    analysis::Liveness live(proc);
+    std::vector<ExitInfo> exits;
+    collectExits(proc, 0, live, exits);
+    DepGraph g(proc.blocks[0].instrs, exits,
+               machine::MachineModel::unitLatency());
+    EXPECT_EQ(edgeLatency(g, 2, 3), -1); // data store: no conflict
+    EXPECT_EQ(edgeLatency(g, 2, 4), -1); // the call cannot see it
+    EXPECT_EQ(edgeLatency(g, 4, 6), -1);
+    EXPECT_EQ(edgeLatency(g, 2, 5), -1); // another slot
+    EXPECT_EQ(edgeLatency(g, 2, 6), 1);  // store -> load, same slot
+    EXPECT_EQ(edgeLatency(g, 6, 7), 0);  // load -> store, same slot
+    EXPECT_EQ(edgeLatency(g, 2, 7), 1);  // store -> store, same slot
+    EXPECT_EQ(edgeLatency(g, 5, 7), 1);  // the stored value's RAW
+}
+
 TEST(DepGraph, ControlOpsChainInOrder)
 {
     Program prog;

@@ -47,7 +47,7 @@ TEST_P(PipelineAllConfigs, TransformedProgramBehavesIdentically)
     EXPECT_GT(r.test.cycles, 0u);
     EXPECT_GT(r.test.dynInstrs, 0u);
     EXPECT_EQ(r.name, configName(c.config));
-    if (backendFor(c.config).formsSuperblocks()) {
+    if (backendFor(c.config).hasTransform()) {
         EXPECT_GT(r.form.superblocksFormed, 0u) << c.workload;
         EXPECT_GT(r.test.sbEntries, 0u) << c.workload;
         // Executed blocks never exceed the superblock's size.
@@ -432,27 +432,24 @@ TEST(Pipeline, MaxPressureGaugeKeepsThePeakOverWorkloads)
     EXPECT_EQ(gauge->gauge, double(pressure[0]));
 }
 
-/** Spill accesses of @p prog, per procedure: the addresses of its
- *  Ld/LdSpec/St instructions at or above @p dataWords.  A generated
- *  program only touches [0, dataWords), so every such access is spill
- *  code. */
-std::vector<std::vector<int64_t>>
-spillAddresses(const ir::Program &prog, uint64_t dataWords)
+/** Whether each procedure of @p prog has frame spill code. */
+std::vector<bool>
+framesInUse(const ir::Program &prog)
 {
-    std::vector<std::vector<int64_t>> out(prog.procs.size());
+    std::vector<bool> out;
     for (const ir::Procedure &proc : prog.procs) {
+        bool used = false;
         for (const ir::BasicBlock &bb : proc.blocks) {
-            for (const ir::Instruction &ins : bb.instrs) {
-                if ((ins.isLoad() || ins.isStore()) &&
-                    ins.imm >= int64_t(dataWords))
-                    out[proc.id].push_back(ins.imm);
-            }
+            for (const ir::Instruction &ins : bb.instrs)
+                used |= ins.isFrameOp();
         }
+        EXPECT_EQ(used, proc.frameSlots > 0) << proc.name;
+        out.push_back(used);
     }
     return out;
 }
 
-TEST(Pipeline, SpillSlotsStayDisjointThroughVerifyAndOutputFallbacks)
+TEST(Pipeline, FrameSpillsSurviveVerifyAndOutputFallbacks)
 {
     gen::GenSpec spec;
     spec.seed = 5;
@@ -473,11 +470,13 @@ TEST(Pipeline, SpillSlotsStayDisjointThroughVerifyAndOutputFallbacks)
                                           SchedConfig::BB, opts);
     ASSERT_TRUE(clean.status.ok()) << clean.status.toString();
     ASSERT_TRUE(bb.status.ok()) << bb.status.toString();
+    EXPECT_FALSE(clean.degradedRun());
+    EXPECT_FALSE(bb.degradedRun());
     std::vector<ir::ProcId> spilling;
-    const auto p4_spills = spillAddresses(*clean.transformed, data_words);
-    const auto bb_spills = spillAddresses(*bb.transformed, data_words);
-    for (ir::ProcId p = 0; p < p4_spills.size(); ++p) {
-        if (!p4_spills[p].empty() && !bb_spills[p].empty())
+    const auto p4_frames = framesInUse(*clean.transformed);
+    const auto bb_frames = framesInUse(*bb.transformed);
+    for (ir::ProcId p = 0; p < p4_frames.size(); ++p) {
+        if (p4_frames[p] && bb_frames[p])
             spilling.push_back(p);
     }
     ASSERT_GE(spilling.size(), 2u);
@@ -510,26 +509,16 @@ TEST(Pipeline, SpillSlotsStayDisjointThroughVerifyAndOutputFallbacks)
         EXPECT_EQ(r.degraded[1].proc, compare_proc);
         EXPECT_EQ(r.degraded[1].stage, "output-compare");
 
-        // Every slot has an address past the program's data, inside
-        // the grown data memory, and no two procedures share a slot.
+        // The fallback bodies spill to their own frames, every
+        // procedure stays on the machine's registers, and data memory
+        // never grows.
         const ir::Program &t = *r.transformed;
-        const auto spills = spillAddresses(t, data_words);
-        EXPECT_FALSE(spills[verify_proc].empty());
-        EXPECT_FALSE(spills[compare_proc].empty());
-        std::vector<std::pair<int64_t, int64_t>> ranges;
-        for (const auto &addrs : spills) {
-            if (addrs.empty())
-                continue;
-            const auto [lo, hi] =
-                std::minmax_element(addrs.begin(), addrs.end());
-            EXPECT_GE(*lo, int64_t(data_words));
-            EXPECT_LT(*hi, int64_t(t.memWords));
-            ranges.push_back({*lo, *hi});
-        }
-        std::sort(ranges.begin(), ranges.end());
-        for (size_t i = 1; i < ranges.size(); ++i)
-            EXPECT_GT(ranges[i].first, ranges[i - 1].second)
-                << "procedures share spill slots";
+        const auto frames = framesInUse(t);
+        EXPECT_TRUE(frames[verify_proc]);
+        EXPECT_TRUE(frames[compare_proc]);
+        EXPECT_EQ(t.memWords, data_words);
+        for (const ir::Procedure &proc : t.procs)
+            EXPECT_LE(proc.numRegs, opts.machine.numRegs) << proc.name;
 
         if (threads == 1)
             ir_at_one = ir::toString(t);

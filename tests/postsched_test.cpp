@@ -327,17 +327,12 @@ TEST(Liveness, WorklistMatchesRoundRobin)
     const machine::MachineModel mm = pipeline::PipelineOptions().machine;
     uint64_t rows = 0;
     for (const Subject &s : subjects()) {
-        const std::vector<uint8_t> recursive =
-            regalloc::findRecursiveProcs(s.program);
         regalloc::AllocStats alloc;
-        std::vector<regalloc::SpillPlan> plans(s.program.procs.size());
         forEachCompacted(
             s,
             [&](ir::Program &prog, ir::ProcId p,
                 const analysis::Liveness &live, const std::string &label) {
                 regalloc::AllocOptions ao;
-                ao.recursive = &recursive;
-                ao.spill = &plans[p];
                 ao.liveness = &live;
                 ASSERT_TRUE(regalloc::allocateProcedure(
                                 prog, p, mm.numRegs, alloc, ao)
@@ -413,10 +408,7 @@ TEST(Postsched, KeptBlocksMatchAReschedule)
     const machine::MachineModel mm = pipeline::PipelineOptions().machine;
     uint64_t blocks = 0, kept = 0, keptInSpilled = 0;
     for (const Subject &s : subjects()) {
-        const std::vector<uint8_t> recursive =
-            regalloc::findRecursiveProcs(s.program);
         regalloc::AllocStats alloc;
-        std::vector<regalloc::SpillPlan> plans(s.program.procs.size());
         // Per backend: the procedures allocation spilled in.
         std::vector<uint8_t> spilled;
         forEachCompacted(
@@ -424,8 +416,6 @@ TEST(Postsched, KeptBlocksMatchAReschedule)
             [&](ir::Program &prog, ir::ProcId p,
                 const analysis::Liveness &live, const std::string &label) {
                 regalloc::AllocOptions ao;
-                ao.recursive = &recursive;
-                ao.spill = &plans[p];
                 ao.liveness = &live;
                 const uint64_t before = alloc.regsSpilled;
                 ASSERT_TRUE(regalloc::allocateProcedure(

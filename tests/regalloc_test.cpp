@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.hpp"
+#include "ir/printer.hpp"
+#include "ir/verifier.hpp"
 #include "ir/builder.hpp"
 #include "machine/machine.hpp"
 #include "obs/stats.hpp"
@@ -76,7 +78,7 @@ TEST(RegAlloc, ParamsKeepTheirRegisters)
 TEST(RegAlloc, HighPressureSpillsAndSucceeds)
 {
     // 40 simultaneously live values cannot fit 8 registers: the
-    // allocator spills the longest ranges to memory slots and retries.
+    // allocator spills to the frame, and data memory does not grow.
     Program prog;
     prog.memWords = 4;
     IrBuilder b(prog);
@@ -94,7 +96,8 @@ TEST(RegAlloc, HighPressureSpillsAndSucceeds)
     EXPECT_EQ(stats.procsAllocated, 1u);
     EXPECT_EQ(stats.procsSkipped, 0u);
     EXPECT_GT(stats.regsSpilled, 0u);
-    EXPECT_EQ(prog.memWords, mem_before + stats.regsSpilled);
+    EXPECT_EQ(prog.memWords, mem_before);
+    EXPECT_EQ(prog.proc(0).frameSlots, stats.regsSpilled);
     for (const auto &ins : prog.proc(0).blocks[0].instrs) {
         if (ins.hasDst()) {
             EXPECT_LT(ins.dst, 8u);
@@ -144,23 +147,46 @@ recursiveHighPressureProgram()
     return prog;
 }
 
+/** Every register @p proc names is below @p num_regs. */
+void
+expectOnRegisters(const ir::Procedure &proc, uint32_t num_regs)
+{
+    EXPECT_LE(proc.numRegs, num_regs) << proc.name;
+    for (const auto &bb : proc.blocks) {
+        for (const auto &ins : bb.instrs) {
+            if (ins.hasDst()) {
+                EXPECT_LT(ins.dst, num_regs) << proc.name;
+            }
+            ins.forEachSource(
+                [&](RegId r) { EXPECT_LT(r, num_regs) << proc.name; });
+        }
+    }
+}
+
 TEST(RegAlloc, RecursiveProcNeverUsesStaticSpillSlots)
 {
-    // A recursive procedure with high pressure must fall back (static
-    // slots would be shared across live activations).
+    // A recursive procedure over pressure spills to its own frame:
+    // every activation has its slots, so it allocates like any other.
     Program prog = recursiveHighPressureProgram();
     interp::Interpreter ref(prog);
     const int64_t expect = ref.run({}).returnValue;
+    const uint64_t mem_before = prog.memWords;
 
     const AllocStats stats = allocateProgram(prog, 8);
-    EXPECT_EQ(stats.procsSkipped, 1u); // rec falls back
+    EXPECT_EQ(stats.procsAllocated, 2u);
+    EXPECT_EQ(stats.procsSkipped, 0u);
+    EXPECT_GT(stats.regsSpilled, 0u);
+    EXPECT_EQ(prog.memWords, mem_before);
+    EXPECT_GT(prog.proc(prog.findProc("rec")).frameSlots, 0u);
+    for (const auto &proc : prog.procs)
+        expectOnRegisters(proc, 8);
     EXPECT_EQ(interp::Interpreter(prog).run({}).returnValue, expect);
 }
 
 TEST(RegAlloc, PipelineCountsSkippedProcs)
 {
-    // A procedure left on virtual registers must show up in --stats,
-    // not only in the v1 report's alloc block.
+    // Through the pipeline too: the recursive procedure spills, the
+    // output matches, nothing degrades and nothing is skipped.
     const Program prog = recursiveHighPressureProgram();
     obs::StatRegistry registry;
     obs::Observer observer;
@@ -168,13 +194,97 @@ TEST(RegAlloc, PipelineCountsSkippedProcs)
     pipeline::PipelineOptions opts;
     opts.machine.numRegs = 8;
     opts.observability.observer = &observer;
+    opts.keepTransformed = true;
     const pipeline::PipelineResult r = pipeline::runPipeline(
         prog, {}, {}, pipeline::SchedConfig::BB, opts);
     ASSERT_TRUE(r.status.ok()) << r.status.toString();
     EXPECT_TRUE(r.outputMatches);
-    const uint64_t skipped = registry.counter("alloc.BB.procsSkipped");
-    EXPECT_GE(skipped, 1u);
-    EXPECT_EQ(skipped, r.alloc.procsSkipped);
+    EXPECT_FALSE(r.degradedRun());
+    EXPECT_EQ(registry.counter("robust.BB.degraded"), 0u);
+    EXPECT_EQ(registry.counter("alloc.BB.procsSkipped"), 0u);
+    EXPECT_EQ(r.alloc.procsSkipped, 0u);
+    EXPECT_GT(registry.counter("alloc.BB.regsSpilled"), 0u);
+    EXPECT_EQ(registry.counter("alloc.BB.regsSpilled"), r.alloc.regsSpilled);
+    ASSERT_NE(r.transformed, nullptr);
+    for (const auto &proc : r.transformed->procs)
+        expectOnRegisters(proc, 8);
+}
+
+TEST(RegAlloc, OperandsOverflowingTheFileFailTyped)
+{
+    // main passes ten arguments to one call: with eight registers no
+    // spill can make room for them, so allocation fails typed and
+    // leaves the procedure as it was.
+    Program prog;
+    IrBuilder b(prog);
+    const auto callee = b.newProc("sum", 10);
+    {
+        RegId acc = b.param(0);
+        for (RegId k = 1; k < 10; ++k)
+            acc = b.add(acc, b.param(k));
+        b.ret(acc);
+    }
+    prog.mainProc = b.newProc("main", 0);
+    std::vector<RegId> args;
+    for (int k = 0; k < 10; ++k)
+        args.push_back(b.ldi(k));
+    b.ret(b.callValue(callee, args));
+    const ir::Procedure before = prog.proc(prog.mainProc);
+
+    AllocStats stats;
+    const Status st =
+        allocateProcedure(prog, prog.mainProc, 8, stats, AllocOptions());
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.kind(), ErrorKind::ScheduleFailed) << st.toString();
+    EXPECT_EQ(stats.procsAllocated, 0u);
+    const ir::Procedure &after = prog.proc(prog.mainProc);
+    EXPECT_EQ(ir::toString(after), ir::toString(before));
+    EXPECT_EQ(after.frameSlots, 0u);
+
+    // So does the callee, with more parameters than registers.
+    const Status callee_st =
+        allocateProcedure(prog, callee, 8, stats, AllocOptions());
+    EXPECT_EQ(callee_st.kind(), ErrorKind::ScheduleFailed);
+}
+
+TEST(RegAlloc, VerifyRejectsMoreRegistersThanTheMachine)
+{
+    // The chain's verify step bounds every procedure by the machine's
+    // register file: one left on virtual registers cannot pass it.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    RegId v = b.param(0);
+    for (int i = 0; i < 20; ++i)
+        v = b.addi(v, 1);
+    b.ret(v);
+    const uint32_t num_regs = prog.proc(0).numRegs;
+    ASSERT_GT(num_regs, 8u);
+    EXPECT_TRUE(ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock)
+                    .ok());
+    EXPECT_TRUE(ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock,
+                                     num_regs)
+                    .ok());
+    const Status st =
+        ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock, 8);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.kind(), ErrorKind::VerifyFailed);
+    EXPECT_NE(st.message().find("the machine has 8"), std::string::npos)
+        << st.toString();
+
+    allocateProgram(prog, 8);
+    EXPECT_TRUE(ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock, 8)
+                    .ok());
+
+    // A frame op must address a slot of the procedure's frame.
+    auto &entry = prog.proc(0).blocks[0].instrs;
+    entry.insert(entry.begin(), ir::makeStFrame(0, 0));
+    EXPECT_EQ(ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock, 8)
+                  .kind(),
+              ErrorKind::VerifyFailed);
+    prog.proc(0).frameSlots = 1;
+    EXPECT_TRUE(ir::verifyProcStatus(prog, 0, ir::VerifyMode::Superblock, 8)
+                    .ok());
 }
 
 TEST(RegAlloc, LiveAcrossBlocksSurvives)
@@ -383,8 +493,7 @@ TEST_P(AllocSemantics, OutputInvariantAndBounded)
     sched::scheduleProgram(prog, mm);
 
     for (const auto &proc : prog.procs) {
-        if (proc.numRegs > mm.numRegs)
-            continue; // skipped proc (pressure fallback)
+        EXPECT_LE(proc.numRegs, mm.numRegs);
         for (const auto &bb : proc.blocks) {
             for (const auto &ins : bb.instrs) {
                 if (ins.hasDst()) {
@@ -404,8 +513,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AllocSemantics,
                          ::testing::Range<uint64_t>(1, 21));
 
 /** Property: a tiny register file forces spilling on random programs
- *  (acyclic call graphs, so every procedure is spill-eligible) and
- *  behaviour still holds. */
+ *  and behaviour still holds. */
 class SpillSemantics : public ::testing::TestWithParam<uint64_t>
 {};
 
@@ -427,7 +535,7 @@ TEST_P(SpillSemantics, OutputInvariantUnderForcedSpills)
     EXPECT_EQ(got.output, ref.output) << "seed " << GetParam();
     EXPECT_EQ(got.returnValue, ref.returnValue) << "seed " << GetParam();
     EXPECT_EQ(stats.procsSkipped, 0u)
-        << "acyclic call graphs must always allocate via spilling";
+        << "every procedure allocates, spilling if it must";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillSemantics,

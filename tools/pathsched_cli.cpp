@@ -74,7 +74,6 @@ usage()
         "  --forward-paths         forward (Ball-Larus-style) windows\n"
         "  --grow-upward           also grow traces upward\n"
         "  --no-enlarge            skip the enlargement step\n"
-        "  --no-regalloc           skip register allocation\n"
         "  --no-ph                 skip Pettis-Hansen placement\n"
         "  --dump-paths FILE       write the workload's general path\n"
         "                          profile (training input) to FILE\n"
@@ -315,8 +314,6 @@ main(int argc, char **argv)
             opts.growUpward = true;
         } else if (arg == "--no-enlarge") {
             opts.enlarge = false;
-        } else if (arg == "--no-regalloc") {
-            opts.registerAllocate = false;
         } else if (arg == "--no-ph") {
             opts.pettisHansen = false;
         } else if (arg == "--dump-paths") {
