@@ -183,12 +183,7 @@ enlargeTraces(ProcFormState &state, const FormProfile &profile,
         return fa != fb ? fa > fb : a < b;
     });
 
-    const ResourceBudget *bud = state.config.budget;
     for (uint32_t idx : order) {
-        // Stop growing on an expired deadline; formProcedure reports
-        // the typed error right after this pass returns.
-        if (bud != nullptr && bud->deadline.expired())
-            break;
         bool enlarged = false;
         if (state.config.mode == ProfileMode::Path) {
             enlarged = enlargePath(state, profile, idx);

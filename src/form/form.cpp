@@ -7,7 +7,6 @@
 #include "ir/verifier.hpp"
 #include "pipeline/stages.hpp"
 #include "support/logging.hpp"
-#include "support/strutil.hpp"
 
 namespace pathsched::form {
 
@@ -30,14 +29,7 @@ formProcedure(ir::Program &prog, ir::ProcId proc_id,
     const obs::Observer &ob =
         config.observer != nullptr ? *config.observer : no_obs;
 
-    {
-        Status st = deadlineStatus(config.budget, "form");
-        if (!st.ok())
-            return st;
-    }
-
     ir::Procedure &proc = prog.procs[proc_id];
-    const size_t orig_ops = proc.instrCount();
     ProcFormState state(proc, config);
     std::unique_ptr<FormProfile> profile =
         config.mode == ProfileMode::Edge
@@ -57,11 +49,6 @@ formProcedure(ir::Program &prog, ir::ProcId proc_id,
     if (config.enlarge) {
         auto t = ob.time("enlarge");
         enlargeTraces(state, *profile, stats);
-        // enlargeTraces stops growing on an expired deadline but cannot
-        // report it; surface the typed error here.
-        Status st = deadlineStatus(config.budget, "form");
-        if (!st.ok())
-            return st;
     }
 
     {
@@ -72,18 +59,6 @@ formProcedure(ir::Program &prog, ir::ProcId proc_id,
         removeUnreachable(proc, stats);
     }
     proc.syncSideTables();
-
-    if (config.budget != nullptr && config.budget->formGrowthOps != 0) {
-        const size_t now_ops = proc.instrCount();
-        if (now_ops > orig_ops + config.budget->formGrowthOps) {
-            return Status::error(
-                ErrorKind::BudgetExceeded,
-                strfmt("form: proc %s grew by %zu ops "
-                       "(growth budget %llu)",
-                       proc.name.c_str(), now_ops - orig_ops,
-                       (unsigned long long)config.budget->formGrowthOps));
-        }
-    }
 
     return ir::verifyProcStatus(prog, proc_id,
                                 ir::VerifyMode::Superblock);

@@ -26,7 +26,6 @@
 #include "obs/timer.hpp"
 #include "profile/edge_profile.hpp"
 #include "profile/path_profile.hpp"
-#include "support/budget.hpp"
 #include "support/status.hpp"
 
 namespace pathsched::form {
@@ -38,7 +37,11 @@ using Trace = std::vector<ir::BlockId>;
 /** Which profile drives formation. */
 enum class ProfileMode { Edge, Path };
 
-/** Formation configuration; defaults match the paper's "P4". */
+/** Formation configuration; defaults match the paper's "P4".  Only
+ *  the paper's per-trace caps (unroll factor, loop heads, maxInstrs)
+ *  bound formation here: the pipeline bounds a whole procedure's
+ *  growth, and the run's deadline, at the stage boundary after this
+ *  pass (ResourceBudget::formGrowthOps). */
 struct FormConfig
 {
     ProfileMode mode = ProfileMode::Path;
@@ -67,15 +70,6 @@ struct FormConfig
      * the prefix, e.g. "time.P4.form.").  Null disables timing.
      */
     const obs::Observer *observer = nullptr;
-    /**
-     * Optional resource budget (not owned; see support/budget.hpp).
-     * formProcedure honours budget->deadline (DeadlineExceeded) and
-     * budget->formGrowthOps, a cap on the ops the formed procedure may
-     * gain over its original body (BudgetExceeded) — the governed
-     * replacement for hoping the per-trace unroll/size caps bound
-     * whole-procedure growth.  Null disables all checks.
-     */
-    const ResourceBudget *budget = nullptr;
 };
 
 /** Counters reported by formProgram. */

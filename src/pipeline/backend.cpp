@@ -54,8 +54,7 @@ formConfigFor(const BackendDesc &be, const PipelineOptions &options)
     return fc;
 }
 
-/** Superblock formation (with the projected-edge degradation cascade)
- *  bracketed by the "form"/"materialize" injection boundaries. */
+/** Superblock formation, with the projected-edge degradation cascade. */
 Status
 BackendDesc::transform(ir::Program &prog, ir::ProcId proc,
                        const TransformContext &ctx, TransformStats &stats,
@@ -73,20 +72,12 @@ BackendDesc::transform(ir::Program &prog, ir::ProcId proc,
     }
     const obs::Observer form_obs = ctx.timed->withPrefix("form.");
     fc.observer = &form_obs;
-    fc.budget = ctx.budget;
-    *failedStage = "form";
-    Status st = ctx.injectAt("form");
-    if (st.ok())
-        st = ctx.useProjectedEdges
-                 ? form::formProcedure(prog, proc, ctx.projectedEdge,
-                                       nullptr, fc, stats.form)
-                 : form::formProcedure(prog, proc, ctx.edge, ctx.path,
-                                       fc, stats.form);
-    if (st.ok()) {
-        *failedStage = "materialize";
-        st = ctx.injectAt("materialize");
-    }
-    return st;
+    *failedStage = transformLabel;
+    return ctx.useProjectedEdges
+               ? form::formProcedure(prog, proc, ctx.projectedEdge,
+                                     nullptr, fc, stats.form)
+               : form::formProcedure(prog, proc, ctx.edge, ctx.path, fc,
+                                     stats.form);
 }
 
 ProfileNeeds

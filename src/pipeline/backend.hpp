@@ -2,11 +2,9 @@
  * @file
  * The scheduler-backend registry: configuration dispatch as data.
  *
- * A scheduling configuration used to be a bare SchedConfig enumerator
- * whose meaning was re-derived by `config == SchedConfig::P4`-style
- * predicates scattered across the pipeline, the server, the oracle and
- * the tools.  This header replaces all of those predicates with one
- * descriptor per backend, a row of plain data:
+ * A scheduling configuration is one descriptor per backend, a row of
+ * plain data, so no code outside the registry re-derives its meaning
+ * from `config == SchedConfig::P4`-style predicates:
  *
  *  - a stable *name* ("P4", "M16") that is the string key for
  *    `--config` parsing everywhere;
@@ -20,9 +18,9 @@
  *    loop's reschedule inputs);
  *  - a per-procedure Status-returning *transform* entry point (the
  *    "form" slot of the pipeline's task chain) following the
- *    src/pipeline/stages.hpp conventions, through which the executor,
- *    quarantine, budget and fault-injection machinery drive the
- *    backend without knowing what it does.
+ *    src/pipeline/stages.hpp conventions.  The chain around it owns
+ *    quarantine, budgets and fault injection, so the backend knows
+ *    nothing of them.
  *
  * The registry is a constant table holding the paper's five
  * configurations (§4), in SchedConfig order.  The fuzz oracle,
@@ -36,7 +34,6 @@
 #define PATHSCHED_PIPELINE_BACKEND_HPP
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,19 +60,6 @@ struct TransformContext
     bool useProjectedEdges = false;
     /** "time.<config>."-prefixed observer for pass timers. */
     const obs::Observer *timed = nullptr;
-    /** Per-procedure budget view (null when unbudgeted/quarantined). */
-    const ResourceBudget *budget = nullptr;
-    /** Stage-boundary fault-injection hook (empty = no injector).
-     *  Backends query it at the same boundaries a real failure could
-     *  occur, so injected and organic failures take identical paths. */
-    std::function<Status(const char *stage)> inject;
-
-    /** Query the injection hook; OK when no injector is attached. */
-    Status
-    injectAt(const char *stage) const
-    {
-        return inject ? inject(stage) : Status();
-    }
 };
 
 /** Counters a transform stage fills. */
@@ -130,10 +114,9 @@ struct BackendDesc
      * compact -> regalloc), per stages.hpp: forms superblocks over
      * @c prog's procedure @c proc in place and returns a Status — non-OK
      * sends the procedure through the quarantine path, which restores
-     * its original body.  @c failedStage names the stage boundary to
-     * attribute a failure to (preset to transformLabel; updated as the
-     * transform crosses "form" -> "materialize").  Only valid when
-     * hasTransform().
+     * its original body.  @c failedStage is set to transformLabel, the
+     * stage every failure of the transform is attributed to.  Only
+     * valid when hasTransform().
      */
     Status transform(ir::Program &prog, ir::ProcId proc,
                      const TransformContext &ctx, TransformStats &stats,

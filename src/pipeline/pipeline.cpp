@@ -109,6 +109,24 @@ replaceBody(ir::Procedure &dst, ir::Procedure &&src)
     dst.syncSideTables();
 }
 
+/** A stage's op cap ran out: @p used units charged against @p cap. */
+Status
+opsExhausted(const char *stage, uint64_t used, uint64_t cap)
+{
+    return Status::error(ErrorKind::BudgetExceeded,
+                         strfmt("%s: op budget exhausted (%llu of %llu ops)",
+                                stage, (unsigned long long)used,
+                                (unsigned long long)cap));
+}
+
+/** The run's deadline, noticed at @p stage, has expired. */
+Status
+expiredAt(const char *stage)
+{
+    return Status::error(ErrorKind::DeadlineExceeded,
+                         strfmt("%s: deadline expired", stage));
+}
+
 /** The typed status of a run of the original program (@p what is
  *  "training run" or "reference test run") that stopped early, or OK.
  *  The original program has no procedure to degrade: the limit is
@@ -226,6 +244,13 @@ prepareWorkload(const ir::Program &program,
     if (!pw.status.ok())
         return pw;
 
+    // --- Pettis-Hansen placement: it reads only the training call
+    //     counts and the procedure count, which no backend changes. ---
+    analysis::CallGraph cg(program);
+    for (const auto &[edge, count] : pw.training.callCounts)
+        cg.addWeight(edge.first, edge.second, count);
+    pw.placement = layout::pettisHansenOrder(cg);
+
     // --- Reference run: the original program on the test input, the
     //     output every backend's transformed program must match. ---
     timedRun(pw.referenceCost, [&] {
@@ -277,12 +302,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                uint64_t(cost.ms * 1000.0));
     };
 
-    // Resource governance: null when no budget is set, so the entire
-    // budget machinery vanishes and the run is bit-identical to an
-    // unbudgeted build.
+    // Resource governance: with no budget set every cap is 0 and the
+    // deadline inactive, so no check fires and the run is
+    // bit-identical to an unbudgeted build.
     const ResourceBudget &bud = opt.robustness.budget;
     const bool budget_active = !bud.unlimited();
-    const ResourceBudget *budp = budget_active ? &bud : nullptr;
     result.budgeted = budget_active;
 
     // Executor setup.  The thread count changes only which worker runs
@@ -376,47 +400,24 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
 
-    // Stage-boundary fault injection; quarantined procedures are never
-    // queried again, so the BB fallback cannot be re-failed.  The
-    // injector keeps internal state (fire counts, its RNG), hence the
-    // mutex; which *worker* reaches a shared count=/prob= fault first
-    // is scheduling-dependent, so only proc-targeted deterministic
-    // faults give thread-count-invariant attribution.
-    FaultInjector *const faults = opt.robustness.faults;
-    std::mutex fault_mu;
-    auto inject = [&](const char *stage, ir::ProcId p) -> Status {
-        if (faults == nullptr || quarantined[p])
-            return Status();
-        std::optional<ErrorKind> kind;
-        {
-            std::lock_guard<std::mutex> lk(fault_mu);
-            kind = faults->fire(stage, p);
-        }
-        if (kind)
-            return Status::error(
-                *kind, strfmt("injected fault at %s", stage));
-        return Status();
-    };
-
     // An expired run-wide deadline ends the run with a typed status at
-    // the join; chains poll the flag before each stage and stop (the
-    // stage that noticed the expiry has already degraded its in-flight
-    // procedure by then).
+    // the join.  A chain polls it at its stage boundaries: before its
+    // first pass it just stops, after a pass it degrades the procedure
+    // that pass was working on.
     std::atomic<bool> deadline_hit{false};
     std::mutex deadline_mu;
     Status deadline_status;
     auto deadlineUp = [&](const char *stage) -> bool {
-        if (!budget_active)
+        if (!bud.deadline.active())
             return false;
         if (deadline_hit.load(std::memory_order_relaxed))
             return true;
-        Status st = deadlineStatus(budp, stage);
-        if (st.ok())
+        if (!bud.deadline.expired())
             return false;
         {
             std::lock_guard<std::mutex> lk(deadline_mu);
             if (deadline_status.ok())
-                deadline_status = std::move(st);
+                deadline_status = expiredAt(stage);
         }
         deadline_hit.store(true, std::memory_order_relaxed);
         return true;
@@ -439,11 +440,14 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
 
     // --- 3. transform -> compact -> regalloc -> postsched -> verify,
     //        one chain per procedure.  The transform stage is the
-    //        backend's descriptor entry point — the pipeline only owns
-    //        the chain plumbing (quarantine, budget view, injection
-    //        hook).  A quarantined procedure's chain is its BB
-    //        fallback: no transform, budget, deadline or injection.  Returns the failed stage (null if none) and
-    //        why; a chain stopped by an expired deadline fails nothing.
+    //        backend's descriptor entry point.  The chain owns all of a
+    //        procedure's governance: at its stage boundaries it queries
+    //        the fault injector, applies the stage's op cap and polls
+    //        the deadline, so no pass knows of any of them.  A quarantined
+    //        procedure's chain is its BB fallback, which crosses no
+    //        boundary.  Returns the failed stage (null if none) and why;
+    //        a chain stopped by an expired deadline fails nothing.
+    FaultInjector *const faults = opt.robustness.faults;
     struct Failure
     {
         const char *stage = nullptr;
@@ -451,14 +455,20 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     };
     auto runChain = [&](ir::ProcId p) -> Failure {
         ProcCtx &ctx = ctxs[p];
-        const bool fallback = quarantined[p] != 0;
-        const ResourceBudget *budget = fallback ? nullptr : budp;
-        auto stopped = [&](const char *stage) {
-            return !fallback && deadlineUp(stage);
+        const ir::Procedure &proc = prog.procs[p];
+        const bool governed = quarantined[p] == 0;
+        auto injected = [&](const char *stage) {
+            return governed && faults != nullptr ? faults->check(stage, p)
+                                                 : Status();
         };
-        if (!fallback) {
+        // The deadline, polled after a governed pass.
+        auto expired = [&](const char *stage) {
+            return governed && deadlineUp(stage);
+        };
+        if (governed) {
             MsAccum acc(be.hasTransform() ? ctx.formMs : ctx.compactMs);
-            if (stopped(be.hasTransform() ? be.transformLabel : "compact"))
+            if (deadlineUp(be.hasTransform() ? be.transformLabel
+                                             : "compact"))
                 return {};
             const profile::ProcAudit *pa =
                 audit.enabled ? audit.findProc(p) : nullptr;
@@ -468,6 +478,9 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 return {"profile", Status::error(pa->kind, pa->message)};
             }
             if (be.hasTransform()) {
+                const char *stage = be.transformLabel;
+                if (Status st = injected(stage); !st.ok())
+                    return {stage, std::move(st)};
                 TransformContext tc;
                 tc.config = be.config;
                 tc.opt = &opt;
@@ -478,54 +491,74 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 tc.useProjectedEdges =
                     pa && pa->action == profile::ProcAction::ProjectedEdges;
                 tc.timed = &ctx.timed;
-                tc.budget = budget;
-                if (faults != nullptr)
-                    tc.inject = [&inject, p](const char *stage) {
-                        return inject(stage, p);
-                    };
-                const char *stage = be.transformLabel;
-                Status st = be.transform(prog, p, tc, ctx.xf, &stage);
-                if (!st.ok())
+                const uint64_t cap = bud.formGrowthOps;
+                const size_t before = cap != 0 ? proc.instrCount() : 0;
+                if (Status st = be.transform(prog, p, tc, ctx.xf, &stage);
+                    !st.ok())
                     return {stage, std::move(st)};
+                if (cap != 0 && proc.instrCount() > before + cap)
+                    return {stage,
+                            Status::error(
+                                ErrorKind::BudgetExceeded,
+                                strfmt("form: proc %s grew by %zu ops "
+                                       "(growth budget %llu)",
+                                       proc.name.c_str(),
+                                       proc.instrCount() - before,
+                                       (unsigned long long)cap))};
+                if (expired(stage))
+                    return {stage, expiredAt(stage)};
+                if (Status st = injected("materialize"); !st.ok())
+                    return {"materialize", std::move(st)};
             }
         }
         {
             MsAccum acc(ctx.compactMs);
-            if (stopped("compact"))
-                return {};
+            if (Status st = injected("compact"); !st.ok())
+                return {"compact", std::move(st)};
+            // Compaction walks every block twice, charging one unit
+            // per instruction and one per block each time: once as the
+            // procedure comes in, once as it goes out.
+            auto size = [&] {
+                return uint64_t(proc.instrCount() + proc.blocks.size());
+            };
+            const uint64_t cap = governed ? bud.compactOps : 0;
+            const uint64_t before = cap != 0 ? size() : 0;
             sched::CompactOptions copts;
             copts.priority = opt.schedPriority;
             const obs::Observer compact_obs =
                 ctx.timed.withPrefix("compact.");
             copts.observer = &compact_obs;
-            copts.budget = budget;
             copts.liveness = &ctx.live;
-            Status st = inject("compact", p);
-            if (st.ok())
-                st = sched::compactProcedure(prog, p, opt.machine,
-                                             copts, ctx.compact);
-            if (!st.ok())
+            if (Status st = sched::compactProcedure(prog, p, opt.machine,
+                                                    copts, ctx.compact);
+                !st.ok())
                 return {"compact", std::move(st)};
+            if (cap != 0 && before + size() > cap)
+                return {"compact",
+                        opsExhausted("compact", before + size(), cap)};
+            if (expired("compact"))
+                return {"compact", expiredAt("compact")};
         }
         {
             MsAccum acc(ctx.regallocMs);
             const std::optional<analysis::Liveness> live =
                 std::exchange(ctx.live, std::nullopt);
-            if (stopped("regalloc"))
-                return {};
-            Status st = inject("regalloc", p);
-            if (st.ok()) {
-                regalloc::AllocOptions ao;
-                ao.budget = budget;
-                ao.liveness = live ? &*live : nullptr;
-                st = regalloc::allocateProcedure(
-                    prog, p, opt.machine.numRegs, ctx.alloc, ao);
-            }
-            if (!st.ok())
+            if (Status st = injected("regalloc"); !st.ok())
                 return {"regalloc", std::move(st)};
+            // The scan reads every instruction: one unit each, plus one.
+            const uint64_t cap = governed ? bud.regallocOps : 0;
+            if (cap != 0 && proc.instrCount() + 1 > cap)
+                return {"regalloc", opsExhausted("regalloc",
+                                                 proc.instrCount() + 1, cap)};
+            regalloc::AllocOptions ao;
+            ao.liveness = live ? &*live : nullptr;
+            if (Status st = regalloc::allocateProcedure(
+                    prog, p, opt.machine.numRegs, ctx.alloc, ao);
+                !st.ok())
+                return {"regalloc", std::move(st)};
+            if (expired("regalloc"))
+                return {"regalloc", expiredAt("regalloc")};
         }
-        if (stopped("verify"))
-            return {};
         {
             MsAccum acc(ctx.postschedMs);
             ctx.postsched += sched::scheduleProcedure(
@@ -533,11 +566,12 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         }
         // Machine conformance is checked, not counted: a procedure on
         // more registers than the machine has fails verification.
-        Status st = inject("verify", p);
-        if (st.ok())
-            st = ir::verifyProcStatus(prog, p, ir::VerifyMode::Superblock,
-                                      opt.machine.numRegs);
-        if (!st.ok())
+        if (Status st = injected("verify"); !st.ok())
+            return {"verify", std::move(st)};
+        if (Status st = ir::verifyProcStatus(prog, p,
+                                             ir::VerifyMode::Superblock,
+                                             opt.machine.numRegs);
+            !st.ok())
             return {"verify", std::move(st)};
         return {};
     };
@@ -672,16 +706,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     layout::CodeLayout code_layout;
     auto runLayout = [&](const char *stage_name) {
         auto t = timed.time(stage_name);
-        if (opt.pettisHansen) {
-            analysis::CallGraph cg(prog);
-            for (const auto &[edge, count] : prepared.training.callCounts)
-                cg.addWeight(edge.first, edge.second, count);
-            code_layout = layout::layoutProgram(
-                prog, layout::pettisHansenOrder(cg), opt.blockOrder);
-        } else {
-            code_layout =
-                layout::layoutProgram(prog, {}, opt.blockOrder);
-        }
+        code_layout = opt.pettisHansen
+                          ? layout::layoutProgram(prog, prepared.placement,
+                                                  opt.blockOrder)
+                          : layout::layoutProgram(prog, {}, opt.blockOrder);
         t.stop();
         result.stages.push_back({stage_name, t.elapsedMs()});
         result.codeBytes = code_layout.totalBytes;
@@ -772,10 +800,13 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     };
 
     // Injected output-compare faults name their suspects (and the
-    // error kind to record) directly.
+    // error kind to record) directly.  Quarantined procedures are not
+    // queried, so the BB fallback cannot be re-failed.
     Suspects suspects;
-    for (ir::ProcId p = 0; p < num_procs; ++p) {
-        Status st = inject("output-compare", p);
+    for (ir::ProcId p = 0; faults != nullptr && p < num_procs; ++p) {
+        if (quarantined[p])
+            continue;
+        Status st = faults->check("output-compare", p);
         if (!st.ok())
             suspects.push_back({p, std::move(st)});
     }

@@ -139,8 +139,8 @@ struct RobustnessOptions
      * of that stage, degrading the procedure to BB.  Quarantined
      * procedures and the BB fallback itself are never re-injected, so
      * an armed fault cannot make the fallback fail.  Null disables
-     * injection entirely.  Queries are serialized by the pipeline, so
-     * injection is safe (though attribution of count=/prob= faults is
+     * injection entirely.  The injector locks itself, so injection is
+     * safe (though attribution of count=/prob= faults is
      * scheduling-dependent) under a multi-threaded executor.
      */
     FaultInjector *faults = nullptr;
@@ -340,6 +340,11 @@ struct PreparedWorkload
     /** The training run: dynInstrs and the call counts Pettis-Hansen
      *  placement reads. */
     interp::RunResult training;
+    /** The Pettis-Hansen procedure order of the training call counts,
+     *  which every backend's layout shares: placement skips the
+     *  zero-weight static edges, so a backend's rewrites cannot change
+     *  it. */
+    std::vector<ir::ProcId> placement;
     /** Training profiles of the kinds asked for, unless an admitted
      *  external profile of that kind (whose file was not rejected)
      *  replaced it.  The path profile is finalized. */
@@ -366,9 +371,9 @@ struct PreparedWorkload
 
 /**
  * Verify @p program strictly, run it once on @p train — collecting call
- * counts plus the profile kinds in @p needs that @p options'
- * profileInput does not already supply — and once on @p test as the
- * reference run.  The result's status records the first of the three
+ * counts, and from them the Pettis-Hansen placement, plus the profile
+ * kinds in @p needs that @p options' profileInput does not already
+ * supply — and once on @p test as the reference run.  The result's status records the first of the three
  * that failed.  @p options supplies the step ceiling, the path-profiler
  * parameters, the interpreter step budget and deadline, and the
  * observer; pass the same pathParams and maxSteps to every runBackend()

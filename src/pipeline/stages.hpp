@@ -17,14 +17,13 @@
  *
  *  - the **panicking whole-program wrapper** — formProgram,
  *    compactProgram, allocateProgram — a convenience for tools, tests
- *    and benchmarks that want the historical "it works or it aborts"
+ *    and benchmarks that want the "it works or it aborts"
  *    contract.  These are thin delegates: forEachProcOrDie() below is
  *    the one shared loop-and-panic body, so a wrapper can never drift
  *    from its per-procedure Status twin.
  *
- * The historical duplicated loop bodies in form.cpp / compact.cpp /
- * linear_scan.cpp are gone; new stages should follow the same pattern
- * (write the Status form, delegate the wrapper through here).
+ * A new stage follows the same pattern: write the Status form and
+ * delegate the wrapper through here.
  */
 
 #ifndef PATHSCHED_PIPELINE_STAGES_HPP

@@ -542,14 +542,6 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
                    "registers (%u)",
                    proc.name.c_str(), proc.numParams, num_phys_regs));
     }
-    // The scan reads the whole procedure, so it is charged one unit per
-    // instruction against regallocOps.
-    const ResourceBudget *budget = options.budget;
-    BudgetMeter meter(budget, "regalloc",
-                      budget != nullptr ? budget->regallocOps : 0);
-    Status st = meter.checkpoint(proc.instrCount() + 1);
-    if (!st.ok())
-        return st;
     // A procedure whose only registers are its parameters, which fit
     // the file, has nothing to allocate.
     if (proc.numRegs != proc.numParams) {

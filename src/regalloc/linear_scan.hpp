@@ -27,7 +27,6 @@
 
 #include "analysis/liveness.hpp"
 #include "ir/procedure.hpp"
-#include "support/budget.hpp"
 #include "support/status.hpp"
 
 namespace pathsched::regalloc {
@@ -85,12 +84,11 @@ std::vector<uint8_t> findRecursiveProcs(const ir::Program &prog);
 
 /** @} */
 
-/** Knobs for allocateProcedure beyond the register count. */
+/** Knobs for allocateProcedure beyond the register count.  None
+ *  bounds the scan's work: the pipeline applies
+ *  ResourceBudget::regallocOps at the stage boundary before it. */
 struct AllocOptions
 {
-    /** Resource governance (not owned, nullable); see the Status
-     *  contract on allocateProcedure. */
-    const ResourceBudget *budget = nullptr;
     /** Unread; kept for perfbench/replay.cpp (see above). */
     const std::vector<uint8_t> *recursive = nullptr;
     SpillPlan *spill = nullptr;
@@ -115,9 +113,8 @@ struct AllocOptions
  * order and cycles, so the postschedule keeps it.
  * A non-OK return is a ScheduleFailed when the procedure cannot be
  * allocated at all (more parameters than machine registers, or one
- * instruction whose operands need more), or — when a budget is set —
- * budget->regallocOps (charged one unit per instruction) or
- * budget->deadline running out; @p proc is then left as it was.
+ * instruction whose operands need more); @p proc is then left as it
+ * was.
  */
 Status allocateProcedure(ir::Program &prog, ir::ProcId proc,
                          uint32_t num_phys_regs, AllocStats &stats,

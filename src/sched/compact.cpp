@@ -30,13 +30,6 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
     ir::Procedure &proc = prog.procs[proc_id];
     proc.syncSideTables();
 
-    // Cooperative governance: one unit per instruction touched, polled
-    // at block granularity in both phases.
-    BudgetMeter meter(options.budget, "compact",
-                      options.budget != nullptr
-                          ? options.budget->compactOps
-                          : 0);
-
     // Phase 1: local optimization and renaming on the blocks that
     // exist now.  Renaming appends stub blocks, which must not be
     // re-processed (they are already minimal).
@@ -46,10 +39,6 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
         analysis::Liveness live(proc);
         stats.sched.countSolve(live);
         for (ir::BlockId b = 0; b < original_blocks; ++b) {
-            Status st =
-                meter.checkpoint(proc.blocks[b].instrs.size() + 1);
-            if (!st.ok())
-                return st;
             const auto t0 = timed ? Clock::now() : Clock::time_point();
             stats.opt += optimizeBlock(proc, b, live);
             const auto t1 = timed ? Clock::now() : Clock::time_point();
@@ -71,13 +60,9 @@ compactProcedure(ir::Program &prog, ir::ProcId proc_id,
     auto t = ob.time("presched");
     analysis::Liveness live(proc);
     stats.sched.countSolve(live);
-    for (ir::BlockId b = 0; b < proc.blocks.size(); ++b) {
-        Status st = meter.checkpoint(proc.blocks[b].instrs.size() + 1);
-        if (!st.ok())
-            return st;
+    for (ir::BlockId b = 0; b < proc.blocks.size(); ++b)
         stats.sched += scheduleBlock(proc, b, live, mm,
                                      options.priority);
-    }
 
     // Every block must have come out with a usable schedule; a miss
     // means the procedure cannot be costed and must be quarantined.

@@ -23,12 +23,13 @@
 #include "sched/local_opt.hpp"
 #include "sched/renamer.hpp"
 #include "sched/scheduler.hpp"
-#include "support/budget.hpp"
 #include "support/status.hpp"
 
 namespace pathsched::sched {
 
-/** Compaction knobs. */
+/** Compaction knobs.  None bounds the pass's work: the pipeline
+ *  charges a procedure's compaction, and polls the run's deadline, at
+ *  the stage boundary after it (ResourceBudget::compactOps). */
 struct CompactOptions
 {
     SchedPriority priority = SchedPriority::CriticalPath;
@@ -38,13 +39,6 @@ struct CompactOptions
      * the prefix, e.g. "time.P4.compact.").  Null disables timing.
      */
     const obs::Observer *observer = nullptr;
-    /**
-     * Optional resource budget (not owned).  compactProcedure charges
-     * one unit per instruction it touches against budget->compactOps
-     * and polls budget->deadline at block granularity; exhaustion
-     * returns BudgetExceeded / DeadlineExceeded.  Null disables.
-     */
-    const ResourceBudget *budget = nullptr;
     /**
      * Optional out-slot (not owned).  On success it receives the
      * liveness solve compaction scheduled against, which still

@@ -1,7 +1,5 @@
 #include "support/budget.hpp"
 
-#include "support/strutil.hpp"
-
 namespace pathsched {
 
 double
@@ -13,35 +11,6 @@ Deadline::remainingMs() const
     const double ms =
         std::chrono::duration<double, std::milli>(left).count();
     return ms > 0.0 ? ms : 0.0;
-}
-
-Status
-BudgetMeter::checkpoint(uint64_t units)
-{
-    if (budget_ == nullptr)
-        return Status();
-    used_ += units;
-    if (cap_ != 0 && used_ > cap_) {
-        return Status::error(
-            ErrorKind::BudgetExceeded,
-            strfmt("%s: op budget exhausted (%llu of %llu ops)", stage_,
-                   (unsigned long long)used_, (unsigned long long)cap_));
-    }
-    if (budget_->deadline.expired()) {
-        return Status::error(ErrorKind::DeadlineExceeded,
-                             strfmt("%s: deadline expired", stage_));
-    }
-    return Status();
-}
-
-Status
-deadlineStatus(const ResourceBudget *budget, const char *stage)
-{
-    if (budget != nullptr && budget->deadline.expired()) {
-        return Status::error(ErrorKind::DeadlineExceeded,
-                             strfmt("%s: deadline expired", stage));
-    }
-    return Status();
 }
 
 } // namespace pathsched

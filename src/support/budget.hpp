@@ -2,26 +2,23 @@
  * @file
  * Resource governance: wall-clock deadlines and work budgets.
  *
- * PR 2's quarantine machinery makes the pipeline survive *bad* work; a
- * pathological enlargement decision, a hung scheduling loop, or a
- * runaway interpreter run is *unbounded* work, which quarantine alone
- * cannot catch.  This header adds the missing tier (docs/robustness.md
- * "The budget tier"):
+ * Quarantine makes the pipeline survive *bad* work; a pathological
+ * enlargement decision, a hung scheduling loop, or a runaway
+ * interpreter run is *unbounded* work, which quarantine alone cannot
+ * catch (docs/robustness.md "Resource governance"):
  *
  *  - Deadline: a steady-clock wall budget, checked cooperatively.  An
  *    inactive (default) deadline never expires and costs one branch.
  *  - ResourceBudget: the per-run budget bundle — a deadline plus
  *    per-procedure op caps for formation growth, compaction, and
  *    register allocation, and a per-run interpreter step budget.
- *  - BudgetMeter: a cheap per-(stage, procedure) work meter whose
- *    checkpoint() returns a typed Status (BudgetExceeded /
- *    DeadlineExceeded) the caller propagates like any other
- *    recoverable failure — the pipeline quarantines that procedure to
- *    its BB body instead of aborting the run.
  *
- * Everything here is cooperative and advisory: a null / unlimited
- * budget makes every check a no-op, so budget-free runs are
- * bit-identical to builds without this layer.
+ * The pipeline checks the deadline and the op caps at the stage
+ * boundaries of each procedure's chain, and the interpreter polls the
+ * deadline and its step budget inside a run; the passes themselves
+ * know nothing of either.  An unlimited budget makes every check a
+ * no-op, so budget-free runs are bit-identical to builds without this
+ * layer.
  */
 
 #ifndef PATHSCHED_SUPPORT_BUDGET_HPP
@@ -29,8 +26,6 @@
 
 #include <chrono>
 #include <cstdint>
-
-#include "support/status.hpp"
 
 namespace pathsched {
 
@@ -95,9 +90,13 @@ struct ResourceBudget
      *  enlargement); the paper's unroll/size caps bound one trace, this
      *  bounds the procedure.  0 = unlimited. */
     uint64_t formGrowthOps = 0;
-    /** Ops the compact stage may process for one procedure. */
+    /** Ops the compact stage may process for one procedure: each of
+     *  its two walks charges one per instruction plus one per block, so
+     *  the cost is the procedure's instructions plus blocks before the
+     *  stage plus the same after it. */
     uint64_t compactOps = 0;
-    /** Ops register allocation may process for one procedure. */
+    /** Ops register allocation may process for one procedure: one per
+     *  instruction, plus one. */
     uint64_t regallocOps = 0;
     /** Steps one interpreter run may execute (typed, unlike the
      *  InterpOptions::maxSteps runaway guard). */
@@ -110,42 +109,6 @@ struct ResourceBudget
                compactOps == 0 && regallocOps == 0 && interpSteps == 0;
     }
 };
-
-/**
- * Cooperative work meter for one (stage, procedure) pass.  The pass
- * calls checkpoint(units) as it consumes work (one unit = one IR op
- * processed); a non-OK return means the op cap or the deadline was
- * exceeded and the pass must stop and propagate the status (the
- * partially-rewritten procedure is restored by the pipeline's
- * quarantine, per the existing per-procedure contract).
- *
- * A null budget disables the meter entirely.
- */
-class BudgetMeter
-{
-  public:
-    /** @p opCap is the per-stage cap the caller selected from the
-     *  budget (0 = unlimited); @p stage names the pass in messages. */
-    BudgetMeter(const ResourceBudget *budget, const char *stage,
-                uint64_t opCap)
-        : budget_(budget), stage_(stage), cap_(opCap)
-    {}
-
-    /** Charge @p units of work; non-OK on exhaustion. */
-    Status checkpoint(uint64_t units = 1);
-
-    uint64_t used() const { return used_; }
-
-  private:
-    const ResourceBudget *budget_;
-    const char *stage_;
-    uint64_t cap_ = 0;
-    uint64_t used_ = 0;
-};
-
-/** Non-OK DeadlineExceeded when @p budget (nullable) has an expired
- *  deadline; the cheap entry check passes run before any work. */
-Status deadlineStatus(const ResourceBudget *budget, const char *stage);
 
 } // namespace pathsched
 

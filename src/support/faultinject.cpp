@@ -72,12 +72,35 @@ FaultInjector::parse(const std::string &spec, std::string &error)
 void
 FaultInjector::add(FaultSpec fault)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     faults_.push_back({std::move(fault), 0});
+}
+
+bool
+FaultInjector::empty() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return faults_.empty();
+}
+
+size_t
+FaultInjector::size() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return faults_.size();
+}
+
+uint64_t
+FaultInjector::totalFired() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return totalFired_;
 }
 
 std::optional<ErrorKind>
 FaultInjector::fire(const std::string &stage, uint32_t proc)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     for (Armed &a : faults_) {
         if (a.spec.stage != stage)
             continue;
@@ -92,6 +115,15 @@ FaultInjector::fire(const std::string &stage, uint32_t proc)
         return a.spec.kind;
     }
     return std::nullopt;
+}
+
+Status
+FaultInjector::check(const char *stage, uint32_t proc)
+{
+    const std::optional<ErrorKind> kind = fire(stage, proc);
+    if (!kind)
+        return Status();
+    return Status::error(*kind, strfmt("injected fault at %s", stage));
 }
 
 } // namespace pathsched

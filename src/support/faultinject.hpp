@@ -6,7 +6,7 @@
  * error-recovery paths would go untested without a way to force
  * failures.  A FaultInjector holds a list of armed faults; the
  * pipeline consults it at every stage boundary
- * (`fire("compact", proc)`) and treats a hit exactly like a real
+ * (`check("compact", proc)`) and treats a hit exactly like a real
  * failure of that stage, exercising the per-procedure BB fallback in
  * CI instead of only on paper.
  *
@@ -28,12 +28,19 @@
  *
  * With prob omitted the harness is purely deterministic; with prob the
  * draw sequence is reproducible for a fixed seed and query order.
+ *
+ * Thread safety: all members may be called concurrently; the armed
+ * faults, their fire counts and the RNG are mutex-guarded.  Which
+ * caller reaches a shared count=/prob= fault first is up to the
+ * callers' scheduling, so only proc-targeted deterministic faults give
+ * an attribution that does not depend on the thread count.
  */
 
 #ifndef PATHSCHED_SUPPORT_FAULTINJECT_HPP
 #define PATHSCHED_SUPPORT_FAULTINJECT_HPP
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,8 +80,8 @@ class FaultInjector
     /** Arm @p fault directly. */
     void add(FaultSpec fault);
 
-    bool empty() const { return faults_.empty(); }
-    size_t size() const { return faults_.size(); }
+    bool empty() const;
+    size_t size() const;
 
     /**
      * Stage-boundary query: does an armed fault fire for @p stage on
@@ -84,8 +91,12 @@ class FaultInjector
      */
     std::optional<ErrorKind> fire(const std::string &stage, uint32_t proc);
 
+    /** fire() as the Status a real failure at @p stage would return:
+     *  the armed kind with "injected fault at <stage>", or OK. */
+    Status check(const char *stage, uint32_t proc);
+
     /** Total fires across all armed faults. */
-    uint64_t totalFired() const { return totalFired_; }
+    uint64_t totalFired() const;
 
   private:
     struct Armed
@@ -94,6 +105,7 @@ class FaultInjector
         uint64_t fired = 0;
     };
 
+    mutable std::mutex mu_;
     std::vector<Armed> faults_;
     Rng rng_;
     uint64_t totalFired_ = 0;

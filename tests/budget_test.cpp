@@ -1,17 +1,25 @@
 /**
  * @file
- * Resource-governance tests: Deadline / BudgetMeter units, interpreter
- * step-budget and deadline truncation, and the pipeline's budget
- * exhaustion contract — each stage's budget failure degrades exactly
- * the affected procedure through the quarantine path (never aborts),
- * while an expired run-wide deadline ends the run with a typed status.
+ * Resource-governance tests: Deadline / ResourceBudget units,
+ * interpreter step-budget and deadline truncation, and the pipeline's
+ * budget exhaustion contract — each stage's budget failure degrades
+ * exactly the affected procedures through the quarantine path (never
+ * aborts), while an expired run-wide deadline ends the run with a
+ * typed status.  A source scan keeps governance out of the passes: the
+ * pipeline's per-procedure chain applies it at stage boundaries.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "ir/builder.hpp"
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
+#include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "support/budget.hpp"
@@ -53,7 +61,7 @@ TEST(Deadline, GenerousBudgetIsPending)
 }
 
 // ---------------------------------------------------------------------
-// ResourceBudget / BudgetMeter.
+// ResourceBudget.
 
 TEST(ResourceBudget, DefaultIsUnlimited)
 {
@@ -64,52 +72,6 @@ TEST(ResourceBudget, DefaultIsUnlimited)
     b = ResourceBudget();
     b.deadline = Deadline::afterMs(60'000);
     EXPECT_FALSE(b.unlimited());
-}
-
-TEST(BudgetMeter, NullBudgetChargesNothing)
-{
-    BudgetMeter meter(nullptr, "test", 0);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_TRUE(meter.checkpoint(1'000'000).ok());
-    EXPECT_EQ(meter.used(), 0u);
-}
-
-TEST(BudgetMeter, OpCapExhaustionIsTyped)
-{
-    ResourceBudget budget;
-    budget.compactOps = 10;
-    BudgetMeter meter(&budget, "compact", budget.compactOps);
-    EXPECT_TRUE(meter.checkpoint(5).ok());
-    EXPECT_TRUE(meter.checkpoint(5).ok()); // exactly at the cap: fine
-    const Status st = meter.checkpoint(1);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.kind(), ErrorKind::BudgetExceeded);
-    EXPECT_NE(st.message().find("compact"), std::string::npos);
-    EXPECT_EQ(meter.used(), 11u);
-}
-
-TEST(BudgetMeter, ExpiredDeadlineIsTyped)
-{
-    ResourceBudget budget;
-    budget.deadline = Deadline::afterMs(0);
-    BudgetMeter meter(&budget, "form", 0); // no op cap
-    const Status st = meter.checkpoint();
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.kind(), ErrorKind::DeadlineExceeded);
-}
-
-TEST(BudgetMeter, DeadlineStatusHelper)
-{
-    EXPECT_TRUE(deadlineStatus(nullptr, "x").ok());
-    ResourceBudget pending;
-    pending.deadline = Deadline::afterMs(60'000);
-    EXPECT_TRUE(deadlineStatus(&pending, "x").ok());
-    ResourceBudget expired;
-    expired.deadline = Deadline::afterMs(0);
-    const Status st = deadlineStatus(&expired, "form");
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.kind(), ErrorKind::DeadlineExceeded);
-    EXPECT_NE(st.message().find("form"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -237,13 +199,113 @@ struct StageBudgetCase
     ResourceBudget budget;
 };
 
-class StageBudgetMatrix
-    : public ::testing::TestWithParam<StageBudgetCase>
-{};
-
-TEST_P(StageBudgetMatrix, WcP4DegradesExactlyTheExhaustedProcedure)
+ResourceBudget
+capAt(const std::string &stage, uint64_t cap)
 {
-    const StageBudgetCase &c = GetParam();
+    ResourceBudget b;
+    if (stage == "form")
+        b.formGrowthOps = cap;
+    else if (stage == "compact")
+        b.compactOps = cap;
+    else
+        b.regallocOps = cap;
+    return b;
+}
+
+/** The procedures one governed run degrades: @c ids, or with
+ *  @c allBut every procedure except @c ids. */
+struct Pinned
+{
+    bool allBut = false;
+    std::vector<ir::ProcId> ids;
+
+    std::vector<ir::ProcId>
+    expand(size_t num_procs) const
+    {
+        if (!allBut)
+            return ids;
+        std::vector<ir::ProcId> out;
+        for (ir::ProcId p = 0; p < num_procs; ++p) {
+            if (std::find(ids.begin(), ids.end(), p) == ids.end())
+                out.push_back(p);
+        }
+        return out;
+    }
+};
+
+/** One row of the matrix: a single stage's cap and the procedures it
+ *  degrades on wc/P4 and gcc/P4.  wc's procedure 0 grows by 112 ops in
+ *  formation, costs 388 compaction units (instructions plus blocks,
+ *  before plus after) and 207 allocation units (instructions plus one),
+ *  so the rows at those caps and one below pin each stage's arithmetic;
+ *  compaction at 100 and allocation at 40 trip some of gcc's 259
+ *  procedures but not all. */
+struct StageBudgetRow
+{
+    const char *name;
+    StageBudgetCase c;
+    Pinned wc;
+    Pinned gcc;
+};
+
+const StageBudgetRow kStageBudgetRows[] = {
+    {"form", {"form", capAt("form", 1)}, {false, {0}}, {false, {0}}},
+    {"compact", {"compact", capAt("compact", 10)}, {false, {0}},
+     {true, {}}},
+    {"regalloc", {"regalloc", capAt("regalloc", 10)}, {false, {0}},
+     {true, {1, 2}}},
+    {"form_111", {"form", capAt("form", 111)}, {false, {0}},
+     {false, {0}}},
+    {"form_112", {"form", capAt("form", 112)}, {false, {}},
+     {false, {0}}},
+    {"compact_387", {"compact", capAt("compact", 387)}, {false, {0}},
+     {false, {0}}},
+    {"compact_388", {"compact", capAt("compact", 388)}, {false, {}},
+     {false, {0}}},
+    {"regalloc_206", {"regalloc", capAt("regalloc", 206)}, {false, {0}},
+     {false, {0}}},
+    {"regalloc_207", {"regalloc", capAt("regalloc", 207)}, {false, {}},
+     {false, {0}}},
+    {"compact_100", {"compact", capAt("compact", 100)}, {false, {0}},
+     {false, {0, 88, 90, 120, 163, 164, 182, 186, 189, 196}}},
+    {"regalloc_40", {"regalloc", capAt("regalloc", 40)}, {false, {0}},
+     {false, {0,   13,  24,  25,  27,  33,  43,  58,  74,
+              88,  90,  92,  106, 111, 112, 118, 120, 136,
+              141, 146, 160, 161, 163, 164, 170, 182, 186,
+              189, 192, 196, 198, 199, 205, 213, 235, 237}}},
+};
+
+const StageBudgetRow &
+rowOf(const StageBudgetCase &c)
+{
+    for (const StageBudgetRow &row : kStageBudgetRows) {
+        const ResourceBudget &b = row.c.budget;
+        if (std::string(row.c.stage) == c.stage &&
+            b.formGrowthOps == c.budget.formGrowthOps &&
+            b.compactOps == c.budget.compactOps &&
+            b.regallocOps == c.budget.regallocOps)
+            return row;
+    }
+    ADD_FAILURE() << "no row for this case";
+    return kStageBudgetRows[0];
+}
+
+std::vector<StageBudgetCase>
+stageBudgetCases()
+{
+    std::vector<StageBudgetCase> cases;
+    for (const StageBudgetRow &row : kStageBudgetRows)
+        cases.push_back(row.c);
+    return cases;
+}
+
+/** Run @p workload under P4 with @p c's cap: every degradation is a
+ *  BudgetExceeded at @p c's stage, of exactly the @p pinned procedures,
+ *  and the run completes with the right output. */
+void
+expectPinnedDegradations(const char *workload, const StageBudgetCase &c,
+                         const Pinned &pinned)
+{
     obs::StatRegistry registry;
     obs::Observer observer;
     observer.stats = &registry;
@@ -251,40 +313,42 @@ TEST_P(StageBudgetMatrix, WcP4DegradesExactlyTheExhaustedProcedure)
     opts.observability.observer = &observer;
     opts.robustness.budget = c.budget;
 
-    const PipelineResult r = runWc(SchedConfig::P4, opts);
+    const auto w = workloads::makeByName(workload);
+    const PipelineResult r = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::P4, opts);
     EXPECT_TRUE(r.status.ok()) << r.status.toString();
     EXPECT_TRUE(r.outputMatches);
     EXPECT_TRUE(r.budgeted);
-    ASSERT_FALSE(r.degraded.empty());
+    std::vector<ir::ProcId> ids;
     for (const auto &d : r.degraded) {
         EXPECT_EQ(d.stage, c.stage);
         EXPECT_EQ(d.kind, ErrorKind::BudgetExceeded);
+        ids.push_back(d.proc);
     }
+    EXPECT_EQ(ids, pinned.expand(w.program.procs.size()));
     EXPECT_EQ(r.budgetDegradations(), r.degraded.size());
     EXPECT_EQ(registry.counter("robust.P4.budget.exhausted"),
               r.degraded.size());
 }
 
+class StageBudgetMatrix
+    : public ::testing::TestWithParam<StageBudgetCase>
+{};
+
+TEST_P(StageBudgetMatrix, WcP4DegradesExactlyTheExhaustedProcedure)
+{
+    expectPinnedDegradations("wc", GetParam(), rowOf(GetParam()).wc);
+}
+
+TEST_P(StageBudgetMatrix, GccP4DegradesExactlyTheExhaustedProcedures)
+{
+    expectPinnedDegradations("gcc", GetParam(), rowOf(GetParam()).gcc);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Stages, StageBudgetMatrix,
-    ::testing::Values(
-        StageBudgetCase{"form", [] {
-                            ResourceBudget b;
-                            b.formGrowthOps = 1;
-                            return b;
-                        }()},
-        StageBudgetCase{"compact", [] {
-                            ResourceBudget b;
-                            b.compactOps = 10;
-                            return b;
-                        }()},
-        StageBudgetCase{"regalloc", [] {
-                            ResourceBudget b;
-                            b.regallocOps = 10;
-                            return b;
-                        }()}),
+    Stages, StageBudgetMatrix, ::testing::ValuesIn(stageBudgetCases()),
     [](const ::testing::TestParamInfo<StageBudgetCase> &info) {
-        return std::string(info.param.stage);
+        return std::string(kStageBudgetRows[info.index].name);
     });
 
 TEST(PipelineBudget, ExpiredDeadlineReturnsTypedStatus)
@@ -294,6 +358,25 @@ TEST(PipelineBudget, ExpiredDeadlineReturnsTypedStatus)
     const PipelineResult r = runWc(SchedConfig::P4, opts);
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
+}
+
+TEST(PipelineBudget, DeadlineExpiredBeforeTheChainsStopsThemAtTheirEntry)
+{
+    // Prepared without a deadline, so the training and reference runs
+    // complete; every chain then finds the deadline up before its first
+    // pass, which stops it without degrading anything.
+    const auto w = workloads::makeByName("wc");
+    const pipeline::BackendDesc &be = pipeline::backendFor(SchedConfig::P4);
+    PipelineOptions opts;
+    const pipeline::PreparedWorkload pw = pipeline::prepareWorkload(
+        w.program, w.train, w.test, pipeline::needsOf(be), opts);
+    ASSERT_TRUE(pw.status.ok()) << pw.status.toString();
+    opts.robustness.budget.deadline = Deadline::afterMs(0);
+    const PipelineResult r = pipeline::runBackend(pw, be, opts);
+    ASSERT_FALSE(r.status.ok());
+    EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
+    EXPECT_EQ(r.status.message(), "form: deadline expired");
+    EXPECT_TRUE(r.degraded.empty());
 }
 
 TEST(PipelineBudget, TinyStepBudgetReturnsTypedStatusNotPanic)
@@ -384,6 +467,50 @@ TEST(PipelineBudget, ReportBudgetBlockIsGatedOnGovernance)
     EXPECT_NE(with.find("\"budget\""), std::string::npos);
     EXPECT_NE(with.find("\"exhausted\": " + std::to_string(exhausted)),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The guard: the passes know nothing of governance.
+
+TEST(GovernanceGuard, PassesIncludeNoBudgetOrInjectorHeader)
+{
+#ifndef PATHSCHED_SOURCE_DIR
+    GTEST_SKIP() << "source tree location not compiled in";
+#else
+    namespace fs = std::filesystem;
+    const fs::path root(PATHSCHED_SOURCE_DIR);
+    ASSERT_TRUE(fs::exists(root / "src" / "support" / "budget.hpp"))
+        << "PATHSCHED_SOURCE_DIR does not point at the repo";
+
+    const std::vector<std::string> headers = {"support/budget.hpp",
+                                              "support/faultinject.hpp"};
+    std::vector<std::string> offenders;
+    for (const char *dir : {"src/form", "src/sched", "src/regalloc"}) {
+        for (const auto &ent : fs::recursive_directory_iterator(root / dir)) {
+            const std::string ext = ent.path().extension().string();
+            if (!ent.is_regular_file() || (ext != ".cpp" && ext != ".hpp"))
+                continue;
+            std::ifstream in(ent.path());
+            std::stringstream ss;
+            ss << in.rdbuf();
+            const std::string text = ss.str();
+            for (const std::string &h : headers) {
+                if (text.find("#include \"" + h + "\"") != std::string::npos)
+                    offenders.push_back(
+                        fs::relative(ent.path(), root).string() + ": " + h);
+            }
+        }
+    }
+    EXPECT_TRUE(offenders.empty())
+        << "a pass includes a governance header; budgets and fault "
+           "injection belong to the pipeline's stage boundaries:\n  " +
+               [&] {
+                   std::string joined;
+                   for (const auto &o : offenders)
+                       joined += o + "\n  ";
+                   return joined;
+               }();
+#endif
 }
 
 } // namespace
