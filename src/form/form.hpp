@@ -37,11 +37,10 @@ using Trace = std::vector<ir::BlockId>;
 /** Which profile drives formation. */
 enum class ProfileMode { Edge, Path };
 
-/** Formation configuration; defaults match the paper's "P4".  Only
- *  the paper's per-trace caps (unroll factor, loop heads, maxInstrs)
- *  bound formation here: the pipeline bounds a whole procedure's
- *  growth, and the run's deadline, at the stage boundary after this
- *  pass (ResourceBudget::formGrowthOps). */
+/** Formation configuration; defaults match the paper's "P4".  The
+ *  paper's per-trace caps (unroll factor, loop heads, maxInstrs) are
+ *  the only bounds on formation; the pipeline polls the run's deadline
+ *  at the stage boundaries around this pass. */
 struct FormConfig
 {
     ProfileMode mode = ProfileMode::Path;

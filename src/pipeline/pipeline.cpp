@@ -1,9 +1,7 @@
 #include "pipeline/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -34,8 +32,7 @@ PipelineResult::budgetDegradations() const
 {
     size_t n = 0;
     for (const auto &d : degraded) {
-        if (d.kind == ErrorKind::BudgetExceeded ||
-            d.kind == ErrorKind::DeadlineExceeded)
+        if (d.kind == ErrorKind::BudgetExceeded)
             ++n;
     }
     return n;
@@ -85,6 +82,9 @@ struct ProcCtx
     std::optional<analysis::Liveness> live;
     /** This procedure's degradations, merged at the join. */
     std::vector<Degradation> degraded;
+    /** The stage boundary at which this chain found the run's deadline
+     *  expired and stopped, or null. */
+    const char *stoppedAt = nullptr;
     /** Private registry standing in for the shared one (when a stats
      *  sink exists), merged at the join. */
     std::unique_ptr<obs::StatRegistry> ownStats;
@@ -107,16 +107,6 @@ replaceBody(ir::Procedure &dst, ir::Procedure &&src)
     dst.schedules = std::move(src.schedules);
     dst.superblocks = std::move(src.superblocks);
     dst.syncSideTables();
-}
-
-/** A stage's op cap ran out: @p used units charged against @p cap. */
-Status
-opsExhausted(const char *stage, uint64_t used, uint64_t cap)
-{
-    return Status::error(ErrorKind::BudgetExceeded,
-                         strfmt("%s: op budget exhausted (%llu of %llu ops)",
-                                stage, (unsigned long long)used,
-                                (unsigned long long)cap));
 }
 
 /** The run's deadline, noticed at @p stage, has expired. */
@@ -302,8 +292,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                uint64_t(cost.ms * 1000.0));
     };
 
-    // Resource governance: with no budget set every cap is 0 and the
-    // deadline inactive, so no check fires and the run is
+    // Resource governance: with no budget set the step budget is 0 and
+    // the deadline inactive, so no check fires and the run is
     // bit-identical to an unbudgeted build.
     const ResourceBudget &bud = opt.robustness.budget;
     const bool budget_active = !bud.unlimited();
@@ -400,29 +390,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
 
-    // An expired run-wide deadline ends the run with a typed status at
-    // the join.  A chain polls it at its stage boundaries: before its
-    // first pass it just stops, after a pass it degrades the procedure
-    // that pass was working on.
-    std::atomic<bool> deadline_hit{false};
-    std::mutex deadline_mu;
-    Status deadline_status;
-    auto deadlineUp = [&](const char *stage) -> bool {
-        if (!bud.deadline.active())
-            return false;
-        if (deadline_hit.load(std::memory_order_relaxed))
-            return true;
-        if (!bud.deadline.expired())
-            return false;
-        {
-            std::lock_guard<std::mutex> lk(deadline_mu);
-            if (deadline_status.ok())
-                deadline_status = expiredAt(stage);
-        }
-        deadline_hit.store(true, std::memory_order_relaxed);
-        return true;
-    };
-
     // Per-procedure task state; see ProcCtx.  Every chain records into
     // its own registry, and traces only when it runs on the calling
     // thread (trace events carry no order a join could restore).
@@ -442,11 +409,13 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     //        one chain per procedure.  The transform stage is the
     //        backend's descriptor entry point.  The chain owns all of a
     //        procedure's governance: at its stage boundaries it queries
-    //        the fault injector, applies the stage's op cap and polls
-    //        the deadline, so no pass knows of any of them.  A quarantined
-    //        procedure's chain is its BB fallback, which crosses no
-    //        boundary.  Returns the failed stage (null if none) and why;
-    //        a chain stopped by an expired deadline fails nothing.
+    //        the fault injector and polls the deadline, so no pass
+    //        knows of either.  An expired deadline stops the chain
+    //        where it is seen, recorded in ctx.stoppedAt; the run then
+    //        ends at the join, so the half-done procedure needs no
+    //        fallback.  A quarantined procedure's chain is its BB
+    //        fallback, which crosses no boundary.  Returns the failed
+    //        stage (null if none) and why.
     FaultInjector *const faults = opt.robustness.faults;
     struct Failure
     {
@@ -455,20 +424,21 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     };
     auto runChain = [&](ir::ProcId p) -> Failure {
         ProcCtx &ctx = ctxs[p];
-        const ir::Procedure &proc = prog.procs[p];
         const bool governed = quarantined[p] == 0;
         auto injected = [&](const char *stage) {
             return governed && faults != nullptr ? faults->check(stage, p)
                                                  : Status();
         };
-        // The deadline, polled after a governed pass.
+        // The deadline, polled at a governed chain's stage boundaries.
         auto expired = [&](const char *stage) {
-            return governed && deadlineUp(stage);
+            if (!governed || !bud.deadline.expired())
+                return false;
+            ctx.stoppedAt = stage;
+            return true;
         };
         if (governed) {
             MsAccum acc(be.hasTransform() ? ctx.formMs : ctx.compactMs);
-            if (deadlineUp(be.hasTransform() ? be.transformLabel
-                                             : "compact"))
+            if (expired(be.hasTransform() ? be.transformLabel : "compact"))
                 return {};
             const profile::ProcAudit *pa =
                 audit.enabled ? audit.findProc(p) : nullptr;
@@ -491,22 +461,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 tc.useProjectedEdges =
                     pa && pa->action == profile::ProcAction::ProjectedEdges;
                 tc.timed = &ctx.timed;
-                const uint64_t cap = bud.formGrowthOps;
-                const size_t before = cap != 0 ? proc.instrCount() : 0;
                 if (Status st = be.transform(prog, p, tc, ctx.xf, &stage);
                     !st.ok())
                     return {stage, std::move(st)};
-                if (cap != 0 && proc.instrCount() > before + cap)
-                    return {stage,
-                            Status::error(
-                                ErrorKind::BudgetExceeded,
-                                strfmt("form: proc %s grew by %zu ops "
-                                       "(growth budget %llu)",
-                                       proc.name.c_str(),
-                                       proc.instrCount() - before,
-                                       (unsigned long long)cap))};
                 if (expired(stage))
-                    return {stage, expiredAt(stage)};
+                    return {};
                 if (Status st = injected("materialize"); !st.ok())
                     return {"materialize", std::move(st)};
             }
@@ -515,14 +474,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             MsAccum acc(ctx.compactMs);
             if (Status st = injected("compact"); !st.ok())
                 return {"compact", std::move(st)};
-            // Compaction walks every block twice, charging one unit
-            // per instruction and one per block each time: once as the
-            // procedure comes in, once as it goes out.
-            auto size = [&] {
-                return uint64_t(proc.instrCount() + proc.blocks.size());
-            };
-            const uint64_t cap = governed ? bud.compactOps : 0;
-            const uint64_t before = cap != 0 ? size() : 0;
             sched::CompactOptions copts;
             copts.priority = opt.schedPriority;
             const obs::Observer compact_obs =
@@ -533,11 +484,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                                     copts, ctx.compact);
                 !st.ok())
                 return {"compact", std::move(st)};
-            if (cap != 0 && before + size() > cap)
-                return {"compact",
-                        opsExhausted("compact", before + size(), cap)};
             if (expired("compact"))
-                return {"compact", expiredAt("compact")};
+                return {};
         }
         {
             MsAccum acc(ctx.regallocMs);
@@ -545,11 +493,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 std::exchange(ctx.live, std::nullopt);
             if (Status st = injected("regalloc"); !st.ok())
                 return {"regalloc", std::move(st)};
-            // The scan reads every instruction: one unit each, plus one.
-            const uint64_t cap = governed ? bud.regallocOps : 0;
-            if (cap != 0 && proc.instrCount() + 1 > cap)
-                return {"regalloc", opsExhausted("regalloc",
-                                                 proc.instrCount() + 1, cap)};
             regalloc::AllocOptions ao;
             ao.liveness = live ? &*live : nullptr;
             if (Status st = regalloc::allocateProcedure(
@@ -557,7 +500,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                 !st.ok())
                 return {"regalloc", std::move(st)};
             if (expired("regalloc"))
-                return {"regalloc", expiredAt("regalloc")};
+                return {};
         }
         {
             MsAccum acc(ctx.postschedMs);
@@ -610,8 +553,10 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     result.exec.tasks += num_procs * (be.hasTransform() + 4);
 
     // --- 4. The join (serial).  Everything order-sensitive happens
-    //        here, in procedure-id order: stat merging and degradation
-    //        recording. ---
+    //        here, in procedure-id order: stat merging, degradation
+    //        recording, and the deadline status, which names the stage
+    //        of the lowest-id chain the deadline stopped. ---
+    const char *stopped_at = nullptr;
     double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
     sched::ScheduleStats postsched;
     for (size_t p = 0; p < num_procs; ++p) {
@@ -627,13 +572,15 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         compact_ms += ctx.compactMs;
         regalloc_ms += ctx.regallocMs;
         postsched_ms += ctx.postschedMs;
+        if (stopped_at == nullptr)
+            stopped_at = ctx.stoppedAt;
         if (ctx.ownStats != nullptr)
             base.stats->merge(*ctx.ownStats);
         // Fallbacks after the join time into the run's observer.
         ctx.timed = timed;
     }
-    if (deadline_hit.load()) {
-        result.status = std::move(deadline_status);
+    if (stopped_at != nullptr) {
+        result.status = expiredAt(stopped_at);
         return result;
     }
     if (be.hasTransform()) {

@@ -121,13 +121,13 @@ struct ProfileInput
 struct RobustnessOptions
 {
     /**
-     * A run-wide deadline plus per-procedure growth/op budgets and an
-     * interpreter step budget.  A per-procedure budget exhaustion
-     * degrades exactly the affected procedure to BB through the
-     * quarantine path; deadline expiry degrades the in-flight
-     * procedure and then ends the run with a typed DeadlineExceeded
-     * status.  Default-constructed = no governance: the pipeline
-     * behaves bit-identically to an unbudgeted run.
+     * A run-wide deadline and an interpreter step budget.  A chain
+     * that finds the deadline expired at a stage boundary stops there,
+     * degrading nothing, and the run ends with a typed
+     * DeadlineExceeded status; a measured test run over the step
+     * budget degrades the procedure it stopped in to BB.
+     * Default-constructed = no governance: the pipeline behaves
+     * bit-identically to an unbudgeted run.
      */
     ResourceBudget budget;
 
@@ -282,7 +282,8 @@ struct PipelineResult
     /** The transformed program, when keepTransformed was set and the
      *  run completed. */
     std::shared_ptr<const ir::Program> transformed;
-    /** Degradations caused by budget or deadline exhaustion. */
+    /** Degradations caused by an exhausted step budget (an expired
+     *  deadline degrades nothing). */
     size_t budgetDegradations() const;
 
     /** Executor activity (threads, tasks).

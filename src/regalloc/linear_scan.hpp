@@ -85,8 +85,8 @@ std::vector<uint8_t> findRecursiveProcs(const ir::Program &prog);
 /** @} */
 
 /** Knobs for allocateProcedure beyond the register count.  None
- *  bounds the scan's work: the pipeline applies
- *  ResourceBudget::regallocOps at the stage boundary before it. */
+ *  bounds the scan's work: the pipeline polls the run's deadline at
+ *  the stage boundaries around it. */
 struct AllocOptions
 {
     /** Unread; kept for perfbench/replay.cpp (see above). */

@@ -27,9 +27,8 @@
 
 namespace pathsched::sched {
 
-/** Compaction knobs.  None bounds the pass's work: the pipeline
- *  charges a procedure's compaction, and polls the run's deadline, at
- *  the stage boundary after it (ResourceBudget::compactOps). */
+/** Compaction knobs.  None bounds the pass's work: the pipeline polls
+ *  the run's deadline at the stage boundaries around it. */
 struct CompactOptions
 {
     SchedPriority priority = SchedPriority::CriticalPath;

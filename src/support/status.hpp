@@ -36,7 +36,7 @@ enum class ErrorKind : uint8_t
     StepLimit,      ///< interpreter exceeded its step ceiling
     Injected,       ///< forced by the fault-injection harness
     DeadlineExceeded, ///< a wall-clock budget (Deadline) expired
-    BudgetExceeded,   ///< a resource budget (ops, steps, growth) ran out
+    BudgetExceeded,   ///< a resource budget (steps, frame size) ran out
     ProfileCorrupt, ///< a profile failed integrity/consistency checks
     ProfileStale,   ///< a profile was collected against a different CFG
     IoError,        ///< a durable-path I/O operation failed (real or injected)

@@ -2,16 +2,16 @@
  * @file
  * Resource-governance tests: Deadline / ResourceBudget units,
  * interpreter step-budget and deadline truncation, and the pipeline's
- * budget exhaustion contract — each stage's budget failure degrades
- * exactly the affected procedures through the quarantine path (never
- * aborts), while an expired run-wide deadline ends the run with a
- * typed status.  A source scan keeps governance out of the passes: the
- * pipeline's per-procedure chain applies it at stage boundaries.
+ * governance contract — a measured run over the step budget degrades
+ * the procedure it stopped in through the quarantine path (never
+ * aborts), while an expired run-wide deadline stops the chains where
+ * they see it and ends the run with a typed status, degrading nothing.
+ * A source scan keeps governance out of the passes: the pipeline's
+ * per-procedure chain applies it at stage boundaries.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -67,7 +67,7 @@ TEST(ResourceBudget, DefaultIsUnlimited)
 {
     ResourceBudget b;
     EXPECT_TRUE(b.unlimited());
-    b.compactOps = 1;
+    b.interpSteps = 1;
     EXPECT_FALSE(b.unlimited());
     b = ResourceBudget();
     b.deadline = Deadline::afterMs(60'000);
@@ -182,8 +182,8 @@ TEST(InterpBudget, ExpiredDeadlineTruncatesLongRun)
 }
 
 // ---------------------------------------------------------------------
-// Pipeline budget exhaustion: each stage degrades exactly the affected
-// procedure and the run completes.
+// Pipeline governance: an expired deadline stops the run with a typed
+// status, and a step budget degrades the procedure it stopped in.
 
 PipelineResult
 runWc(SchedConfig config, const PipelineOptions &opts)
@@ -192,164 +192,6 @@ runWc(SchedConfig config, const PipelineOptions &opts)
     return pipeline::runPipeline(w.program, w.train, w.test, config,
                                  opts);
 }
-
-struct StageBudgetCase
-{
-    const char *stage;
-    ResourceBudget budget;
-};
-
-ResourceBudget
-capAt(const std::string &stage, uint64_t cap)
-{
-    ResourceBudget b;
-    if (stage == "form")
-        b.formGrowthOps = cap;
-    else if (stage == "compact")
-        b.compactOps = cap;
-    else
-        b.regallocOps = cap;
-    return b;
-}
-
-/** The procedures one governed run degrades: @c ids, or with
- *  @c allBut every procedure except @c ids. */
-struct Pinned
-{
-    bool allBut = false;
-    std::vector<ir::ProcId> ids;
-
-    std::vector<ir::ProcId>
-    expand(size_t num_procs) const
-    {
-        if (!allBut)
-            return ids;
-        std::vector<ir::ProcId> out;
-        for (ir::ProcId p = 0; p < num_procs; ++p) {
-            if (std::find(ids.begin(), ids.end(), p) == ids.end())
-                out.push_back(p);
-        }
-        return out;
-    }
-};
-
-/** One row of the matrix: a single stage's cap and the procedures it
- *  degrades on wc/P4 and gcc/P4.  wc's procedure 0 grows by 112 ops in
- *  formation, costs 388 compaction units (instructions plus blocks,
- *  before plus after) and 207 allocation units (instructions plus one),
- *  so the rows at those caps and one below pin each stage's arithmetic;
- *  compaction at 100 and allocation at 40 trip some of gcc's 259
- *  procedures but not all. */
-struct StageBudgetRow
-{
-    const char *name;
-    StageBudgetCase c;
-    Pinned wc;
-    Pinned gcc;
-};
-
-const StageBudgetRow kStageBudgetRows[] = {
-    {"form", {"form", capAt("form", 1)}, {false, {0}}, {false, {0}}},
-    {"compact", {"compact", capAt("compact", 10)}, {false, {0}},
-     {true, {}}},
-    {"regalloc", {"regalloc", capAt("regalloc", 10)}, {false, {0}},
-     {true, {1, 2}}},
-    {"form_111", {"form", capAt("form", 111)}, {false, {0}},
-     {false, {0}}},
-    {"form_112", {"form", capAt("form", 112)}, {false, {}},
-     {false, {0}}},
-    {"compact_387", {"compact", capAt("compact", 387)}, {false, {0}},
-     {false, {0}}},
-    {"compact_388", {"compact", capAt("compact", 388)}, {false, {}},
-     {false, {0}}},
-    {"regalloc_206", {"regalloc", capAt("regalloc", 206)}, {false, {0}},
-     {false, {0}}},
-    {"regalloc_207", {"regalloc", capAt("regalloc", 207)}, {false, {}},
-     {false, {0}}},
-    {"compact_100", {"compact", capAt("compact", 100)}, {false, {0}},
-     {false, {0, 88, 90, 120, 163, 164, 182, 186, 189, 196}}},
-    {"regalloc_40", {"regalloc", capAt("regalloc", 40)}, {false, {0}},
-     {false, {0,   13,  24,  25,  27,  33,  43,  58,  74,
-              88,  90,  92,  106, 111, 112, 118, 120, 136,
-              141, 146, 160, 161, 163, 164, 170, 182, 186,
-              189, 192, 196, 198, 199, 205, 213, 235, 237}}},
-};
-
-const StageBudgetRow &
-rowOf(const StageBudgetCase &c)
-{
-    for (const StageBudgetRow &row : kStageBudgetRows) {
-        const ResourceBudget &b = row.c.budget;
-        if (std::string(row.c.stage) == c.stage &&
-            b.formGrowthOps == c.budget.formGrowthOps &&
-            b.compactOps == c.budget.compactOps &&
-            b.regallocOps == c.budget.regallocOps)
-            return row;
-    }
-    ADD_FAILURE() << "no row for this case";
-    return kStageBudgetRows[0];
-}
-
-std::vector<StageBudgetCase>
-stageBudgetCases()
-{
-    std::vector<StageBudgetCase> cases;
-    for (const StageBudgetRow &row : kStageBudgetRows)
-        cases.push_back(row.c);
-    return cases;
-}
-
-/** Run @p workload under P4 with @p c's cap: every degradation is a
- *  BudgetExceeded at @p c's stage, of exactly the @p pinned procedures,
- *  and the run completes with the right output. */
-void
-expectPinnedDegradations(const char *workload, const StageBudgetCase &c,
-                         const Pinned &pinned)
-{
-    obs::StatRegistry registry;
-    obs::Observer observer;
-    observer.stats = &registry;
-    PipelineOptions opts;
-    opts.observability.observer = &observer;
-    opts.robustness.budget = c.budget;
-
-    const auto w = workloads::makeByName(workload);
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    EXPECT_TRUE(r.status.ok()) << r.status.toString();
-    EXPECT_TRUE(r.outputMatches);
-    EXPECT_TRUE(r.budgeted);
-    std::vector<ir::ProcId> ids;
-    for (const auto &d : r.degraded) {
-        EXPECT_EQ(d.stage, c.stage);
-        EXPECT_EQ(d.kind, ErrorKind::BudgetExceeded);
-        ids.push_back(d.proc);
-    }
-    EXPECT_EQ(ids, pinned.expand(w.program.procs.size()));
-    EXPECT_EQ(r.budgetDegradations(), r.degraded.size());
-    EXPECT_EQ(registry.counter("robust.P4.budget.exhausted"),
-              r.degraded.size());
-}
-
-class StageBudgetMatrix
-    : public ::testing::TestWithParam<StageBudgetCase>
-{};
-
-TEST_P(StageBudgetMatrix, WcP4DegradesExactlyTheExhaustedProcedure)
-{
-    expectPinnedDegradations("wc", GetParam(), rowOf(GetParam()).wc);
-}
-
-TEST_P(StageBudgetMatrix, GccP4DegradesExactlyTheExhaustedProcedures)
-{
-    expectPinnedDegradations("gcc", GetParam(), rowOf(GetParam()).gcc);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Stages, StageBudgetMatrix, ::testing::ValuesIn(stageBudgetCases()),
-    [](const ::testing::TestParamInfo<StageBudgetCase> &info) {
-        return std::string(kStageBudgetRows[info.index].name);
-    });
 
 TEST(PipelineBudget, ExpiredDeadlineReturnsTypedStatus)
 {
@@ -377,6 +219,38 @@ TEST(PipelineBudget, DeadlineExpiredBeforeTheChainsStopsThemAtTheirEntry)
     EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
     EXPECT_EQ(r.status.message(), "form: deadline expired");
     EXPECT_TRUE(r.degraded.empty());
+}
+
+TEST(PipelineBudget, ExpiredDeadlineLeavesNoDegradation)
+{
+    // Deadlines from 0 to 12 ms expire at every point of gcc/P4's
+    // chains, serial and parallel: a chain stops where it sees the
+    // deadline, so no procedure degrades and no BB fallback runs.
+    const auto w = workloads::makeByName("gcc");
+    const pipeline::BackendDesc &be = pipeline::backendFor(SchedConfig::P4);
+    const pipeline::PreparedWorkload pw = pipeline::prepareWorkload(
+        w.program, w.train, w.test, pipeline::needsOf(be), {});
+    ASSERT_TRUE(pw.status.ok()) << pw.status.toString();
+    for (unsigned threads : {1u, 4u}) {
+        for (uint64_t ms = 0; ms <= 12; ++ms) {
+            obs::StatRegistry registry;
+            obs::Observer observer;
+            observer.stats = &registry;
+            PipelineOptions opts;
+            opts.observability.observer = &observer;
+            opts.executor.threads = threads;
+            opts.robustness.budget.deadline = Deadline::afterMs(ms);
+            const PipelineResult r = pipeline::runBackend(pw, be, opts);
+            SCOPED_TRACE(::testing::Message() << threads << " threads, "
+                                              << ms << " ms");
+            if (!r.status.ok()) {
+                EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded)
+                    << r.status.toString();
+            }
+            EXPECT_TRUE(r.degraded.empty());
+            EXPECT_EQ(registry.find("time.P4.fallback"), nullptr);
+        }
+    }
 }
 
 TEST(PipelineBudget, TinyStepBudgetReturnsTypedStatusNotPanic)
@@ -434,9 +308,6 @@ TEST(PipelineBudget, UnbudgetedRunIsUnchanged)
     // A generous budget must not change any measurement either.
     PipelineOptions opts;
     opts.robustness.budget.deadline = Deadline::afterMs(600'000);
-    opts.robustness.budget.formGrowthOps = 1'000'000'000;
-    opts.robustness.budget.compactOps = 1'000'000'000;
-    opts.robustness.budget.regallocOps = 1'000'000'000;
     opts.robustness.budget.interpSteps = 1'000'000'000;
     const PipelineResult governed = runWc(SchedConfig::P4, opts);
     ASSERT_TRUE(governed.status.ok());
@@ -455,18 +326,19 @@ TEST(PipelineBudget, ReportBudgetBlockIsGatedOnGovernance)
     const std::string without = pipeline::reportJson(runs, nullptr);
     EXPECT_EQ(without.find("\"budget\""), std::string::npos);
 
+    // wc/P4's transformed main overruns a million steps where the
+    // original does not: the test run degrades main, and only main.
     PipelineOptions opts;
-    opts.robustness.budget.formGrowthOps = 1;
+    opts.robustness.budget.interpSteps = 1'000'000;
     PipelineResult governed = runWc(SchedConfig::P4, opts);
-    ASSERT_TRUE(governed.status.ok());
-    const size_t exhausted = governed.budgetDegradations();
-    EXPECT_GT(exhausted, 0u);
+    ASSERT_TRUE(governed.status.ok()) << governed.status.toString();
+    EXPECT_TRUE(governed.outputMatches);
+    EXPECT_EQ(governed.budgetDegradations(), 1u);
     std::vector<pipeline::ReportRun> gruns;
     gruns.push_back({"wc", std::move(governed)});
     const std::string with = pipeline::reportJson(gruns, nullptr);
     EXPECT_NE(with.find("\"budget\""), std::string::npos);
-    EXPECT_NE(with.find("\"exhausted\": " + std::to_string(exhausted)),
-              std::string::npos);
+    EXPECT_NE(with.find("\"exhausted\": 1"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -6,8 +6,7 @@
  * changes only which worker runs each procedure's chain, never what
  * the chains produce: the transformed IR, the measured run, and every
  * non-timing statistic must be byte-identical to the serial run for
- * every configuration.  The matrix here pins that down, along with the
- * grouped PipelineOptions fields.
+ * every configuration.  The matrix here pins that down.
  */
 
 #include <gtest/gtest.h>
@@ -281,20 +280,6 @@ TEST(SharedPrepare, ConcurrentBackendsMatchSerialAndCountTheCostOnce)
         counted += par[i].stages.front().ms > 0;
     }
     EXPECT_EQ(counted, 1u);
-}
-
-// ---------------------------------------------------------------------
-// PipelineOptions v2: the grouped option fields.
-
-TEST(PipelineOptionsV2, GroupedBudgetGovernsARun)
-{
-    const auto w = workloads::makeByName("wc");
-    PipelineOptions opts;
-    opts.robustness.budget.deadline = Deadline::afterMs(0);
-    const PipelineResult r = pipeline::runPipeline(
-        w.program, w.train, w.test, SchedConfig::P4, opts);
-    EXPECT_FALSE(r.status.ok());
-    EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
 }
 
 } // namespace

@@ -954,6 +954,36 @@ TEST_F(ServeCoreTest, RescheduleIsFingerprintGatedAndRepeatable)
     EXPECT_TRUE(second.skippedUnmoved);
 }
 
+TEST_F(ServeCoreTest, ExpiredRescheduleDeadlineKeepsTheGateArmed)
+{
+    // gcc/P4's chains alone take 10 ms or more, so a 1 ms reschedule
+    // deadline expires in every run: the outcome is a typed
+    // DeadlineExceeded, no schedule is published, and the fingerprint
+    // gate stays armed, so the next trigger runs again.
+    w_ = workloads::makeByName("gcc");
+    pathText_ = pathProfileText(w_);
+    ServeOptions opts;
+    opts.reschedDeadlineMs = 1;
+    auto core = makeCore("s", opts);
+    ASSERT_EQ(sendDelta(*core, "conn", "c1", 1, pathText_),
+              AckCode::Accepted);
+
+    const RescheduleOutcome first = core->attemptReschedule(false);
+    EXPECT_TRUE(first.ran);
+    EXPECT_EQ(first.status.kind(), ErrorKind::DeadlineExceeded)
+        << first.status.toString();
+    EXPECT_EQ(first.scheduleHash, 0u);
+    EXPECT_EQ(core->scheduleHash(), 0u);
+    EXPECT_EQ(core->stats().counter("serve.resched.deadlineExpired"), 1u);
+
+    const RescheduleOutcome again = core->attemptReschedule(false);
+    EXPECT_FALSE(again.skippedUnmoved);
+    EXPECT_TRUE(again.ran);
+    EXPECT_EQ(again.status.kind(), ErrorKind::DeadlineExceeded)
+        << again.status.toString();
+    EXPECT_EQ(core->scheduleHash(), 0u);
+}
+
 TEST_F(ServeCoreTest, RotatedOutProcedureCountsAsMoved)
 {
     auto core = makeCore("s");

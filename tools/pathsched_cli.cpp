@@ -111,16 +111,10 @@ usage()
         "                          again for each config run; expiry\n"
         "                          ends the run with a typed\n"
         "                          DeadlineExceeded error (exit 1)\n"
-        "  --growth-budget N       ops formation may add to one\n"
-        "                          procedure; exhaustion degrades that\n"
-        "                          procedure to BB (exit 2)\n"
-        "  --compact-budget N      ops compaction may process per\n"
-        "                          procedure (exhaustion degrades)\n"
-        "  --regalloc-budget N     ops register allocation may process\n"
-        "                          per procedure (exhaustion degrades)\n"
         "  --step-budget N         interpreter step budget per run;\n"
         "                          a test run over it degrades the\n"
-        "                          procedure it stopped in\n"
+        "                          procedure it stopped in to BB\n"
+        "                          (exit 2)\n"
         "  --threads N             worker threads for the per-procedure\n"
         "                          stage chains (default 1 = serial;\n"
         "                          0 = hardware concurrency).  Results\n"
@@ -352,15 +346,6 @@ main(int argc, char **argv)
             inject_seed = flagU64("--inject-seed", next());
         } else if (arg == "--deadline-ms") {
             deadline_ms = flagU64("--deadline-ms", next());
-        } else if (arg == "--growth-budget") {
-            opts.robustness.budget.formGrowthOps =
-                flagU64("--growth-budget", next());
-        } else if (arg == "--compact-budget") {
-            opts.robustness.budget.compactOps =
-                flagU64("--compact-budget", next());
-        } else if (arg == "--regalloc-budget") {
-            opts.robustness.budget.regallocOps =
-                flagU64("--regalloc-budget", next());
         } else if (arg == "--step-budget") {
             opts.robustness.budget.interpSteps =
                 flagU64("--step-budget", next());
