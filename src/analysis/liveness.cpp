@@ -185,7 +185,9 @@ Liveness::Liveness(const ir::Procedure &proc)
             if (s.queued[p])
                 continue;
             s.queued[p] = 1;
-            s.ring[(head + count) % n] = p;
+            // head < n and count < n, so one subtraction wraps the tail.
+            const size_t tail = head + count;
+            s.ring[tail < n ? tail : tail - n] = p;
             ++count;
         }
     }

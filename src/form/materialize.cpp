@@ -17,9 +17,10 @@ materializeTraces(ProcFormState &state, FormStats &stats)
     ir::Procedure &proc = state.proc;
     proc.syncSideTables();
 
-    // Heads are overwritten in place, but enlarged traces may revisit
-    // them, so all code is copied from a pre-materialization snapshot.
-    const std::vector<BasicBlock> snapshot = proc.blocks;
+    // Enlarged traces may revisit another trace's head, so every merge
+    // reads the blocks as formation found them, and the heads' new
+    // bodies are installed only after the last merge.
+    std::vector<std::pair<BlockId, std::vector<Instruction>>> bodies;
 
     auto broken = [&](const std::string &msg) {
         return Status::error(
@@ -33,10 +34,15 @@ materializeTraces(ProcFormState &state, FormStats &stats)
             continue;
         const BlockId head = t[0];
 
+        size_t total = 0;
+        for (const BlockId tb : t)
+            total += proc.blocks[tb].instrs.size();
         std::vector<Instruction> merged;
         std::vector<uint32_t> ordinals;
+        merged.reserve(total);
+        ordinals.reserve(total);
         for (size_t i = 0; i < t.size(); ++i) {
-            const BasicBlock &src = snapshot[t[i]];
+            const BasicBlock &src = proc.blocks[t[i]];
             if (src.instrs.empty())
                 return broken(strfmt("trace block %u is empty", t[i]));
             for (size_t j = 0; j < src.instrs.size(); ++j) {
@@ -97,10 +103,12 @@ materializeTraces(ProcFormState &state, FormStats &stats)
         sb.isLoop = term.target0 == head ||
                     (term.isBranch() && term.target1 == head);
 
-        proc.blocks[head].instrs = std::move(merged);
+        bodies.emplace_back(head, std::move(merged));
         ++stats.superblocksFormed;
         stats.blocksDuplicated += t.size() - 1;
     }
+    for (auto &[head, body] : bodies)
+        proc.blocks[head].instrs = std::move(body);
     return Status();
 }
 

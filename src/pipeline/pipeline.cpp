@@ -606,12 +606,18 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     result.compact.opt.copiesPropagated);
     base.addCounter("compact" + cfg_dot + "deadRemoved",
                     result.compact.opt.deadRemoved);
+    base.addCounter("compact" + cfg_dot + "optSweeps",
+                    result.compact.opt.sweeps);
+    base.addCounter("compact" + cfg_dot + "blocksRenamed",
+                    result.compact.rename.blocksRenamed);
     base.addCounter("compact" + cfg_dot + "defsRenamed",
                     result.compact.rename.defsRenamed);
     base.addCounter("compact" + cfg_dot + "stubsCreated",
                     result.compact.rename.stubsCreated);
     base.addCounter("compact" + cfg_dot + "loadsSpeculated",
                     result.compact.sched.loadsSpeculated);
+    base.addCounter("compact" + cfg_dot + "schedInPlace",
+                    result.compact.sched.inPlace);
     base.addCounter("compact" + cfg_dot + "liveSolves",
                     result.compact.sched.liveSolves);
     base.addCounter("compact" + cfg_dot + "liveVisits",
@@ -636,8 +642,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     base.setGauge(pressure,
                   std::max(double(result.alloc.maxPressure),
                            seen != nullptr ? seen->gauge : 0.0));
-    // The postschedule replaces the preschedule's cycle counts.
+    // The postschedule replaces the preschedule's cycle counts; the
+    // in-place count stays compaction's, as its counter reports.
+    const uint64_t in_place = result.compact.sched.inPlace;
     result.compact.sched = postsched;
+    result.compact.sched.inPlace = in_place;
     base.addCounter("sched" + cfg_dot + "postschedKept",
                     postsched.blocksKept);
     base.addCounter("sched" + cfg_dot + "liveSolves",

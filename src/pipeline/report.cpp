@@ -113,9 +113,11 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.member("constantsFolded", r.compact.opt.constantsFolded);
     w.member("chainsFolded", r.compact.opt.chainsFolded);
     w.member("deadRemoved", r.compact.opt.deadRemoved);
+    w.member("optSweeps", r.compact.opt.sweeps);
     w.endObject();
     w.key("rename");
     w.beginObject();
+    w.member("blocksRenamed", r.compact.rename.blocksRenamed);
     w.member("defsRenamed", r.compact.rename.defsRenamed);
     w.member("stubsCreated", r.compact.rename.stubsCreated);
     w.member("copiesInserted", r.compact.rename.copiesInserted);
@@ -125,6 +127,7 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.member("blocksScheduled", r.compact.sched.blocksScheduled);
     w.member("loadsSpeculated", r.compact.sched.loadsSpeculated);
     w.member("totalCycles", r.compact.sched.totalCycles);
+    w.member("schedInPlace", r.compact.sched.inPlace);
     w.endObject();
     w.endObject();
 

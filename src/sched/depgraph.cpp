@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <tuple>
-#include <utility>
 
 #include "support/logging.hpp"
 #include "support/mutation.hpp"
@@ -42,14 +41,6 @@ provablyDisjoint(const MemRef &a, const MemRef &b)
            a.offset != b.offset;
 }
 
-/** One gathered edge, before the CSR layout. */
-struct RawEdge
-{
-    uint32_t from;
-    uint32_t to;
-    uint32_t latency;
-};
-
 constexpr uint32_t kNone = UINT32_MAX;
 
 /** Stores and emits: their effects may cross no exit.  A frame store
@@ -67,7 +58,6 @@ pinned(Opcode op)
  */
 struct BuildScratch
 {
-    std::vector<RawEdge> edges;
     /** Index of the register's last def in the block so far. */
     std::vector<uint32_t> lastDef;
     /** Head of the register's reader list since that def (in `readers`). */
@@ -78,8 +68,6 @@ struct BuildScratch
     std::vector<MemRef> memRefs;
     /** (instruction, LdFrame or StFrame, slot) of each frame op. */
     std::vector<std::tuple<uint32_t, Opcode, int64_t>> frameRefs;
-    std::vector<uint8_t> hasTermEdge;
-    std::vector<RegId> srcs;
 
     void
     ensure(RegId r)
@@ -98,7 +86,6 @@ struct BuildScratch
         for (RegId r : touched)
             lastDef[r] = readerHead[r] = kNone;
         touched.clear();
-        edges.clear();
         readers.clear();
         memRefs.clear();
         frameRefs.clear();
@@ -115,14 +102,43 @@ DepGraph::build(const std::vector<Instruction> &instrs,
     thread_local BuildScratch scratch;
     BuildScratch &s = scratch;
     s.reset();
-    std::vector<RawEdge> &raw = s.edges;
-    auto add_edge = [&raw](uint32_t from, uint32_t to, uint32_t latency) {
-        ps_assert(from < to || latency == 0);
-        ps_assert(from != to);
-        raw.push_back({from, to, latency});
-    };
 
     const uint32_t n = uint32_t(instrs.size());
+    const size_t words = (size_t(n) + 63) / 64;
+    // Keep the matrix for the next block, but a holding above 1 MiB is
+    // returned once a block needs less than a quarter of it, so one huge
+    // block does not pin its matrix for the graph's lifetime.
+    constexpr size_t kKeepBytes = size_t(1) << 20;
+    const size_t need = n * words * sizeof(uint64_t) + size_t(n) * n;
+    const size_t held = succ_.capacity() * sizeof(uint64_t) + lat_.size();
+    if (held > kKeepBytes && 4 * need < held) {
+        succ_ = {};
+        lat_ = {};
+    }
+    n_ = n;
+    words_ = words;
+    succ_.assign(n * words, 0);
+    // Latencies are read only where a successor bit is set, so the
+    // matrix is never cleared.
+    if (lat_.size() < size_t(n) * n)
+        lat_.resize(size_t(n) * n);
+    numPreds_.assign(n, 0);
+
+    // One edge per ordered pair, carrying the largest latency asked of
+    // it: the scheduler takes only that maximum.
+    auto add_edge = [this](uint32_t from, uint32_t to, uint32_t latency) {
+        ps_assert(from < to && latency <= UINT8_MAX);
+        uint64_t &word = succ_[from * words_ + to / 64];
+        const uint64_t bit = uint64_t(1) << (to % 64);
+        uint8_t &lat = lat_[size_t(from) * n_ + to];
+        if (word & bit) {
+            lat = std::max(lat, uint8_t(latency));
+        } else {
+            word |= bit;
+            lat = uint8_t(latency);
+            ++numPreds_[to];
+        }
+    };
 
     // Planted bug for harness self-tests (support/mutation.hpp): with
     // the mutation armed, store->load dependences are dropped in
@@ -132,7 +148,6 @@ DepGraph::build(const std::vector<Instruction> &instrs,
         exits.size() > 1 && mutationArmed("compact-drop-memdep");
 
     uint32_t last_control = kNone;
-    std::vector<RegId> &srcs = s.srcs;
 
     size_t exit_pos = 0; // exits processed so far (all before instr i)
 
@@ -141,12 +156,11 @@ DepGraph::build(const std::vector<Instruction> &instrs,
         const uint32_t lat = mm.latencyOf(ins.op);
 
         // --- register dependences ---
-        ins.sources(srcs);
-        for (RegId r : srcs) {
+        ins.forEachSource([&](RegId r) {
             s.ensure(r);
             if (const uint32_t d = s.lastDef[r]; d != kNone)
                 add_edge(d, i, mm.latencyOf(instrs[d].op)); // RAW
-        }
+        });
         if (ins.hasDst()) {
             const RegId d = ins.dst;
             s.ensure(d);
@@ -167,10 +181,10 @@ DepGraph::build(const std::vector<Instruction> &instrs,
             }
             s.lastDef[d] = i;
         }
-        for (RegId r : srcs) {
+        ins.forEachSource([&](RegId r) {
             s.readers.push_back({i, s.readerHead[r]});
             s.readerHead[r] = uint32_t(s.readers.size() - 1);
-        }
+        });
 
         // --- memory / output dependences ---
         const bool mem_read = ins.isLoad();
@@ -247,44 +261,18 @@ DepGraph::build(const std::vector<Instruction> &instrs,
     }
 
     // Everything must issue no later than the terminator's cycle, and
-    // before it in issue order.
-    if (n > 0) {
-        const uint32_t term = n - 1;
-        s.hasTermEdge.assign(n, 0);
-        for (const RawEdge &e : raw) {
-            if (e.to == term)
-                s.hasTermEdge[e.from] = 1;
-        }
-        for (uint32_t i = 0; i < term; ++i) {
-            if (!s.hasTermEdge[i])
-                add_edge(i, term, 0);
-        }
-    }
-
-    // CSR layout, stable per source: count, prefix-sum, place.
-    first_.assign(size_t(n) + 1, 0);
-    numPreds_.assign(n, 0);
-    for (const RawEdge &e : raw) {
-        ++first_[e.from + 1];
-        ++numPreds_[e.to];
-    }
-    for (uint32_t i = 0; i < n; ++i)
-        first_[i + 1] += first_[i];
-    edges_.resize(raw.size());
-    for (const RawEdge &e : raw)
-        edges_[first_[e.from]++] = {e.to, e.latency};
-    // Placing advanced each first_[i] to the start of node i+1; shift back.
-    for (uint32_t i = n; i > 0; --i)
-        first_[i] = first_[i - 1];
-    first_[0] = 0;
+    // before it in issue order: a 0-latency edge where there is none.
+    for (uint32_t i = 0; i + 1 < n; ++i)
+        add_edge(i, n - 1, 0);
 
     // Critical-path heights: edges always point to larger indices, so a
     // single reverse sweep suffices.
     height_.assign(n, 0);
     for (uint32_t i = n; i-- > 0;) {
         uint32_t h = mm.latencyOf(instrs[i].op);
-        for (const Edge &e : succs(i))
-            h = std::max(h, e.latency + height_[e.to]);
+        forEachSucc(i, [&](uint32_t v, uint32_t lat) {
+            h = std::max(h, lat + height_[v]);
+        });
         height_[i] = h;
     }
 }

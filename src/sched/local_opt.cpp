@@ -33,7 +33,9 @@ isCommutative(Opcode op)
 /**
  * Forward dataflow state for one linear scan: one register-indexed
  * record per register, kept in per-thread storage and reset through a
- * touched list when the scan ends.
+ * touched list when the scan ends.  It notes whether it ever declined a
+ * stale copy or chain fact, one whose source was redefined after the
+ * fact was recorded.
  */
 class ForwardState
 {
@@ -84,10 +86,13 @@ class ForwardState
     recordChain(RegId dst, RegId base, int64_t off)
     {
         // Fold transitively: if base itself is a chain, root through it.
-        if (const Record &b = recs_[base];
-            b.hasChain && b.chainVersion == recs_[b.chainBase].version) {
-            base = b.chainBase;
-            off += b.chainOffset;
+        if (const Record &b = recs_[base]; b.hasChain) {
+            if (b.chainVersion == recs_[b.chainBase].version) {
+                base = b.chainBase;
+                off += b.chainOffset;
+            } else {
+                declinedStale_ = true;
+            }
         }
         Record &rec = touch(dst);
         rec.hasChain = true;
@@ -99,13 +104,17 @@ class ForwardState
     /** Resolve @p r through the copy map (one hop is enough: the map is
      *  maintained transitively because sources are rewritten first). */
     RegId
-    resolveCopy(RegId r) const
+    resolveCopy(RegId r)
     {
         if (r >= recs_.size())
             return r;
         const Record &rec = recs_[r];
-        if (!rec.hasCopy || rec.copyVersion != recs_[rec.copySrc].version)
+        if (!rec.hasCopy)
             return r;
+        if (rec.copyVersion != recs_[rec.copySrc].version) {
+            declinedStale_ = true;
+            return r;
+        }
         return rec.copySrc;
     }
 
@@ -120,17 +129,23 @@ class ForwardState
 
     /** Current add-chain root of @p r, if any: r == base + offset. */
     bool
-    chainOf(RegId r, RegId &base, int64_t &off) const
+    chainOf(RegId r, RegId &base, int64_t &off)
     {
         if (r >= recs_.size())
             return false;
         const Record &rec = recs_[r];
-        if (!rec.hasChain || rec.chainVersion != recs_[rec.chainBase].version)
+        if (!rec.hasChain)
             return false;
+        if (rec.chainVersion != recs_[rec.chainBase].version) {
+            declinedStale_ = true;
+            return false;
+        }
         base = rec.chainBase;
         off = rec.chainOffset;
         return true;
     }
+
+    bool declinedStale() const { return declinedStale_; }
 
   private:
     /** Everything known about one register; all-zero means nothing. */
@@ -160,6 +175,8 @@ class ForwardState
         return rec;
     }
 
+    bool declinedStale_ = false;
+
     static thread_local std::vector<Record> recs_;
     static thread_local std::vector<RegId> touched_;
 };
@@ -183,9 +200,13 @@ isAluOp(Opcode op)
     }
 }
 
-/** One forward simplification sweep.  Returns true when anything changed. */
+/**
+ * One forward simplification sweep.  Returns true when anything changed;
+ * sets @p declined_stale when it declined a stale copy or chain fact.
+ */
 bool
-forwardPass(ir::BasicBlock &bb, size_t num_regs, LocalOptStats &stats)
+forwardPass(ir::BasicBlock &bb, size_t num_regs, LocalOptStats &stats,
+            bool &declined_stale)
 {
     ForwardState state(num_regs);
     bool changed = false;
@@ -268,6 +289,7 @@ forwardPass(ir::BasicBlock &bb, size_t num_regs, LocalOptStats &stats)
             }
         }
     }
+    declined_stale = state.declinedStale();
     return changed;
 }
 
@@ -339,15 +361,27 @@ deadCodePass(ir::Procedure &proc, BlockId b,
 
 } // namespace
 
+LocalOptSweep
+optimizeSweep(ir::Procedure &proc, BlockId b,
+              const analysis::Liveness &live, LocalOptStats &stats)
+{
+    LocalOptSweep sweep;
+    sweep.changed =
+        forwardPass(proc.blocks[b], proc.numRegs, stats, sweep.declinedStale);
+    sweep.removed = deadCodePass(proc, b, live, stats);
+    sweep.changed |= sweep.removed;
+    ++stats.sweeps;
+    return sweep;
+}
+
 LocalOptStats
 optimizeBlock(ir::Procedure &proc, BlockId b,
               const analysis::Liveness &live)
 {
     LocalOptStats stats;
-    for (int iter = 0; iter < 4; ++iter) {
-        bool changed = forwardPass(proc.blocks[b], proc.numRegs, stats);
-        changed |= deadCodePass(proc, b, live, stats);
-        if (!changed)
+    for (int iter = 0; iter < kMaxLocalOptSweeps; ++iter) {
+        const LocalOptSweep sweep = optimizeSweep(proc, b, live, stats);
+        if (!sweep.removed || !sweep.declinedStale)
             break;
     }
     return stats;

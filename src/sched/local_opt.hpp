@@ -13,6 +13,21 @@
  *    unrolled induction variable update in parallel across iterations;
  *  - folding of add-immediate chains into load/store address offsets;
  *  - dead-code elimination precise to superblock side exits.
+ *
+ * A sweep is one forward simplification pass and one backward dead-code
+ * pass.  Another sweep runs only when it can still change something:
+ * when the dead-code pass removed an instruction and the forward pass
+ * declined a stale copy or chain fact (one whose source was redefined
+ * after the fact was recorded).  That stops exactly where iterating
+ * until nothing changes would:
+ *  - on code it has already simplified, the forward pass changes
+ *    nothing;
+ *  - dead-code elimination removes only definitions nothing reads, so
+ *    the one fact a new forward pass could use is one that a removed
+ *    redefinition had made stale;
+ *  - after a forward pass that changed nothing, the dead-code pass
+ *    removes nothing: one backward pass already removes every
+ *    transitively dead instruction.
  */
 
 #ifndef PATHSCHED_SCHED_LOCAL_OPT_HPP
@@ -32,6 +47,8 @@ struct LocalOptStats
     uint64_t constantsFolded = 0;
     uint64_t chainsFolded = 0;
     uint64_t deadRemoved = 0;
+    /** Forward + dead-code sweeps run. */
+    uint64_t sweeps = 0;
 
     LocalOptStats &
     operator+=(const LocalOptStats &o)
@@ -40,9 +57,29 @@ struct LocalOptStats
         constantsFolded += o.constantsFolded;
         chainsFolded += o.chainsFolded;
         deadRemoved += o.deadRemoved;
+        sweeps += o.sweeps;
         return *this;
     }
 };
+
+/** optimizeBlock runs at most this many sweeps on a block. */
+constexpr int kMaxLocalOptSweeps = 4;
+
+/** What one sweep did. */
+struct LocalOptSweep
+{
+    bool changed = false;       ///< either pass changed the block
+    bool removed = false;       ///< the dead-code pass removed something
+    bool declinedStale = false; ///< the forward pass declined a stale fact
+};
+
+/**
+ * One sweep over block @p b of @p proc, counted into @p stats: the unit
+ * optimizeBlock repeats (public so tests can iterate it to a fixpoint).
+ */
+LocalOptSweep optimizeSweep(ir::Procedure &proc, ir::BlockId b,
+                            const analysis::Liveness &live,
+                            LocalOptStats &stats);
 
 /**
  * Optimize block @p b of @p proc in place.  @p live must describe the

@@ -25,10 +25,6 @@ renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
     thread_local std::vector<std::pair<RegId, RegId>> copies;
     thread_local std::vector<RegId> srcs;
     constexpr uint32_t kNone = UINT32_MAX;
-    collectExits(proc, b, live, exits);
-
-    // Work on a local copy: stub creation below resizes proc.blocks.
-    std::vector<Instruction> instrs = std::move(proc.blocks[b].instrs);
 
     // Fresh registers only ever appear as destinations, so the block's
     // original registers bound both arrays.
@@ -36,10 +32,28 @@ renameBlock(ir::Procedure &proc, BlockId b, const analysis::Liveness &live)
         last_def.resize(proc.numRegs, kNone);
         renamed_to.resize(proc.numRegs, ir::kNoReg);
     }
-    for (size_t i = 0; i < instrs.size(); ++i) {
-        if (instrs[i].hasDst())
-            last_def[instrs[i].dst] = uint32_t(i);
+    bool redefined = false;
+    for (size_t i = 0; i < proc.blocks[b].instrs.size(); ++i) {
+        const Instruction &ins = proc.blocks[b].instrs[i];
+        if (ins.hasDst()) {
+            redefined |= last_def[ins.dst] != kNone;
+            last_def[ins.dst] = uint32_t(i);
+        }
     }
+    // Every def is the last of its register: nothing is renamed, so no
+    // exit needs a stub.
+    if (!redefined) {
+        for (const Instruction &ins : proc.blocks[b].instrs) {
+            if (ins.hasDst())
+                last_def[ins.dst] = kNone;
+        }
+        return stats;
+    }
+    ++stats.blocksRenamed;
+    collectExits(proc, b, live, exits);
+
+    // Work on a local copy: stub creation below resizes proc.blocks.
+    std::vector<Instruction> instrs = std::move(proc.blocks[b].instrs);
 
     renamed.clear();
     size_t exit_pos = 0;

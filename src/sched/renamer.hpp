@@ -31,6 +31,9 @@ namespace pathsched::sched {
 /** Counters reported by renameBlock. */
 struct RenameStats
 {
+    /** Blocks that define some register twice; every other block is
+     *  left as it is, without collecting its exits. */
+    uint64_t blocksRenamed = 0;
     uint64_t defsRenamed = 0;
     uint64_t stubsCreated = 0;
     uint64_t copiesInserted = 0;
@@ -38,6 +41,7 @@ struct RenameStats
     RenameStats &
     operator+=(const RenameStats &o)
     {
+        blocksRenamed += o.blocksRenamed;
         defsRenamed += o.defsRenamed;
         stubsCreated += o.stubsCreated;
         copiesInserted += o.copiesInserted;

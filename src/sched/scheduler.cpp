@@ -37,6 +37,51 @@ struct SchedScratch
     std::vector<uint32_t> ordinals;
 };
 
+/**
+ * Rewrite block @p b into the issue order of @p s (through the scratch
+ * copy, so the block keeps its own storage), fill its cycleOf, and turn
+ * loads hoisted above an earlier conditional branch into non-excepting
+ * speculative loads (§2.3, §3.2).
+ */
+void
+flattenAndSpeculate(ir::Procedure &proc, BlockId b, SchedScratch &s,
+                    ScheduleStats &stats)
+{
+    ir::BasicBlock &bb = proc.blocks[b];
+    ir::SuperblockInfo &sb = proc.superblocks[b];
+    ir::BlockSchedule &sched = proc.schedules[b];
+    const uint32_t n = uint32_t(bb.instrs.size());
+    s.instrs.clear();
+    s.ordinals.clear();
+    s.issuePos.resize(n);
+    for (uint32_t k = 0; k < n; ++k) {
+        const uint32_t i = s.issueOrder[k];
+        s.issuePos[i] = k;
+        s.instrs.push_back(std::move(bb.instrs[i]));
+        sched.cycleOf[k] = s.cyc[i];
+        if (sb.isSuperblock)
+            s.ordinals.push_back(sb.srcOrdinalOf[i]);
+    }
+    std::move(s.instrs.begin(), s.instrs.end(), bb.instrs.begin());
+    if (sb.isSuperblock)
+        std::copy(s.ordinals.begin(), s.ordinals.end(),
+                  sb.srcOrdinalOf.begin());
+
+    // Walking the original order, a load is speculative when some
+    // earlier branch issues after it, i.e. when it issues before the
+    // latest-issued earlier branch.
+    uint32_t branch_bound = 0; // 1 + latest issue position of a branch
+    for (uint32_t i = 0; i < n; ++i) {
+        Instruction &ins = bb.instrs[s.issuePos[i]];
+        if (ins.op == Opcode::Ld && s.issuePos[i] + 1 < branch_bound) {
+            ins.op = Opcode::LdSpec;
+            ++stats.loadsSpeculated;
+        } else if (ins.isBranch()) {
+            branch_bound = std::max(branch_bound, s.issuePos[i] + 1);
+        }
+    }
+}
+
 } // namespace
 
 ScheduleStats
@@ -105,6 +150,7 @@ scheduleBlock(ir::Procedure &proc, BlockId b,
     }
 
     uint32_t cycle = 0;
+    bool in_order = true; // issue order so far is the source order
     while (s.issueOrder.size() < n) {
         while (!s.waiting.empty() && (s.waiting.front() >> 32) <= cycle) {
             const uint32_t i = uint32_t(s.waiting.front());
@@ -128,16 +174,17 @@ scheduleBlock(ir::Procedure &proc, BlockId b,
             const uint32_t best = ~uint32_t(q.back()); // see key_of
             q.pop_back();
             s.cyc[best] = cycle;
+            in_order &= best == s.issueOrder.size();
             s.issueOrder.push_back(best);
             ++slots;
             if (take_control)
                 ++control;
             // Zero-latency successors become ready in this same cycle.
-            for (const DepGraph::Edge &e : graph.succs(best)) {
-                s.est[e.to] = std::max(s.est[e.to], cycle + e.latency);
-                if (--s.predsLeft[e.to] == 0)
-                    release(e.to, cycle);
-            }
+            graph.forEachSucc(best, [&](uint32_t v, uint32_t lat) {
+                s.est[v] = std::max(s.est[v], cycle + lat);
+                if (--s.predsLeft[v] == 0)
+                    release(v, cycle);
+            });
         }
         if (s.issueOrder.size() == n)
             break;
@@ -152,40 +199,14 @@ scheduleBlock(ir::Procedure &proc, BlockId b,
         }
     }
 
-    // Flatten into issue order (through the scratch copy, so the
-    // block keeps its own storage) and fill the schedule side table.
-    ir::SuperblockInfo &sb = proc.superblocks[b];
     ir::BlockSchedule &sched = proc.schedules[b];
-    s.instrs.clear();
-    s.ordinals.clear();
-    s.issuePos.resize(n);
     sched.cycleOf.resize(n);
-    for (uint32_t k = 0; k < n; ++k) {
-        const uint32_t i = s.issueOrder[k];
-        s.issuePos[i] = k;
-        s.instrs.push_back(std::move(bb.instrs[i]));
-        sched.cycleOf[k] = s.cyc[i];
-        if (sb.isSuperblock)
-            s.ordinals.push_back(sb.srcOrdinalOf[i]);
-    }
-    std::move(s.instrs.begin(), s.instrs.end(), bb.instrs.begin());
-    if (sb.isSuperblock)
-        std::copy(s.ordinals.begin(), s.ordinals.end(),
-                  sb.srcOrdinalOf.begin());
-
-    // Convert loads hoisted above an earlier conditional branch into
-    // non-excepting speculative loads (§2.3, §3.2): walking the original
-    // order, a load is speculative when some earlier branch issues after
-    // it, i.e. when it issues before the latest-issued earlier branch.
-    uint32_t branch_bound = 0; // 1 + latest issue position of a branch
-    for (uint32_t i = 0; i < n; ++i) {
-        Instruction &ins = bb.instrs[s.issuePos[i]];
-        if (ins.op == Opcode::Ld && s.issuePos[i] + 1 < branch_bound) {
-            ins.op = Opcode::LdSpec;
-            ++stats.loadsSpeculated;
-        } else if (ins.isBranch()) {
-            branch_bound = std::max(branch_bound, s.issuePos[i] + 1);
-        }
+    if (in_order) {
+        // Nothing moves, and no load issues above an earlier branch.
+        std::copy(s.cyc.begin(), s.cyc.begin() + n, sched.cycleOf.begin());
+        ++stats.inPlace;
+    } else {
+        flattenAndSpeculate(proc, b, s, stats);
     }
 
     sched.valid = true;
@@ -229,16 +250,14 @@ validateSchedule(const ir::Procedure &proc, BlockId b,
     collectExits(proc, b, live, exits);
     const DepGraph graph(bb.instrs, exits, mm);
     for (uint32_t u = 0; u < bb.instrs.size(); ++u) {
-        for (const DepGraph::Edge &e : graph.succs(u)) {
-            if (e.latency > 0 &&
-                sched.cycleOf[e.to] < sched.cycleOf[u] + e.latency) {
+        graph.forEachSucc(u, [&](uint32_t v, uint32_t lat) {
+            if (lat > 0 && sched.cycleOf[v] < sched.cycleOf[u] + lat) {
                 errors.push_back(strfmt(
                     "block %u: edge %u->%u latency %u violated "
                     "(cycles %u, %u)",
-                    b, u, e.to, e.latency, sched.cycleOf[u],
-                    sched.cycleOf[e.to]));
+                    b, u, v, lat, sched.cycleOf[u], sched.cycleOf[v]));
             }
-        }
+        });
     }
 
     // Resource limits per cycle.

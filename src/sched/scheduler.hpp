@@ -16,7 +16,9 @@
  * slot skips only its own heap) and a waiting heap keyed on (earliest
  * start, index).  Speculative-load marking is one pass over the
  * original order against the latest issue position of an earlier
- * branch.  All scratch is per thread and reused, so scheduling a block
+ * branch.  A schedule that issues in source order moves nothing: it
+ * only fills the cycles, and it cannot hoist a load above a branch.
+ * All scratch is per thread and reused, so scheduling a block
  * allocates nothing once the buffers have grown.  A block of one
  * instruction is placed in cycle 0 without building its graph.
  */
@@ -49,6 +51,9 @@ struct ScheduleStats
     /** Of blocksScheduled, the blocks whose schedule scheduleProcedure
      *  kept instead of rebuilding. */
     uint64_t blocksKept = 0;
+    /** Of blocksScheduled, the blocks of two or more instructions whose
+     *  issue order is their source order, so nothing moved. */
+    uint64_t inPlace = 0;
     /** Liveness solves made by the pass these stats count (compaction
      *  or the postschedule; scheduleBlock solves none), and the
      *  worklist block visits they took (Liveness::visits). */
@@ -70,6 +75,7 @@ struct ScheduleStats
         loadsSpeculated += o.loadsSpeculated;
         totalCycles += o.totalCycles;
         blocksKept += o.blocksKept;
+        inPlace += o.inPlace;
         liveSolves += o.liveSolves;
         liveVisits += o.liveVisits;
         return *this;

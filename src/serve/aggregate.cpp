@@ -294,31 +294,33 @@ Aggregate::liveProcs() const
  *  fingerprint (top-K by count, ties by key). */
 constexpr size_t kFingerprintTopK = 4;
 
-uint64_t
-Aggregate::hotFingerprint(uint32_t proc) const
+std::map<uint32_t, Aggregate::HotSums>
+Aggregate::hotSums(std::optional<uint32_t> only) const
 {
-    // Summed live counts per key for this procedure.
-    std::map<uint64_t, uint64_t> edgeSum; ///< (from<<32)|to -> count
-    std::map<std::vector<uint32_t>, uint64_t> pathSum;
-    bool any = false;
+    std::map<uint32_t, HotSums> sums;
+    auto wanted = [&](uint32_t proc) { return !only || *only == proc; };
     for (const Bucket *b : liveBuckets()) {
         for (const auto &[k, v] : b->edges)
-            if (uint32_t(k.first) == proc) {
-                edgeSum[k.second] += v;
-                any = true;
-            }
+            if (wanted(uint32_t(k.first)))
+                sums[uint32_t(k.first)].edges[k.second] += v;
         for (const auto &[k, v] : b->paths)
-            if (k.first == proc) {
-                pathSum[k.second] += v;
-                any = true;
-            }
+            if (wanted(k.first))
+                sums[k.first].paths[k.second] += v;
+        // A procedure with block counts alone is live too.
         for (const auto &[k, v] : b->blocks)
-            if (uint32_t(k >> 32) == proc)
-                any = true;
+            if (wanted(uint32_t(k >> 32)))
+                sums[uint32_t(k >> 32)];
     }
-    if (!any)
-        return 0;
+    return sums;
+}
 
+namespace {
+
+/** The hot-path fingerprint of @p proc from its summed live counts. */
+uint64_t
+fingerprintOf(uint32_t proc, const std::map<uint64_t, uint64_t> &edgeSum,
+              const std::map<std::vector<uint32_t>, uint64_t> &pathSum)
+{
     // Top-K by count descending, ties toward the smaller key (the map
     // iteration order), so the selection is deterministic.
     auto topK = [&](const auto &sums, auto hashKey, const char *tag,
@@ -355,12 +357,25 @@ Aggregate::hotFingerprint(uint32_t proc) const
     return fp == 0 ? 1 : fp; // reserve 0 for "no data"
 }
 
+} // namespace
+
+uint64_t
+Aggregate::hotFingerprint(uint32_t proc) const
+{
+    const std::map<uint32_t, HotSums> sums = hotSums(proc);
+    const auto it = sums.find(proc);
+    return it == sums.end()
+               ? 0
+               : fingerprintOf(proc, it->second.edges, it->second.paths);
+}
+
 std::map<uint32_t, uint64_t>
 Aggregate::hotFingerprints() const
 {
     std::map<uint32_t, uint64_t> out;
-    for (uint32_t proc : liveProcs())
-        out[proc] = hotFingerprint(proc);
+    for (const auto &[proc, sums] : hotSums(std::nullopt))
+        out.emplace_hint(out.end(), proc,
+                         fingerprintOf(proc, sums.edges, sums.paths));
     return out;
 }
 

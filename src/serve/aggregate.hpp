@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,7 +157,8 @@ class Aggregate
      */
     uint64_t hotFingerprint(uint32_t proc) const;
 
-    /** hotFingerprint for every live procedure. */
+    /** hotFingerprint for every live procedure, from one pass over the
+     *  live window. */
     std::map<uint32_t, uint64_t> hotFingerprints() const;
 
     /** Summed live counts rendered into @p ep / @p pp (for feeding the
@@ -205,6 +207,17 @@ class Aggregate
             return blocks.empty() && edges.empty() && paths.empty();
         }
     };
+
+    /** One procedure's live edge and path counts, summed per key. */
+    struct HotSums
+    {
+        std::map<uint64_t, uint64_t> edges; ///< (from<<32)|to -> count
+        std::map<std::vector<uint32_t>, uint64_t> paths;
+    };
+
+    /** HotSums of every procedure with live data (only of @p only,
+     *  when given), in one pass over the live window. */
+    std::map<uint32_t, HotSums> hotSums(std::optional<uint32_t> only) const;
 
     Bucket &currentBucket();
     /** Buckets still inside the window, oldest first. */

@@ -469,14 +469,16 @@ ServeCore::attemptReschedule(bool force)
     po.profileInput.paths = &paths;
     po.executor.threads = 1;
     po.keepTransformed = true;
-    if (opts_.reschedDeadlineMs > 0)
-        po.robustness.budget.deadline =
-            Deadline::afterMs(opts_.reschedDeadlineMs);
 
+    // The training and reference runs are prepared once, on the first
+    // attempt, outside the deadline, which governs the chains alone.
     if (!prepared_)
         prepared_.emplace(pipeline::prepareWorkload(
             workload_.program, workload_.train, workload_.test, {},
             opts_.pipelineBase));
+    if (opts_.reschedDeadlineMs > 0)
+        po.robustness.budget.deadline =
+            Deadline::afterMs(opts_.reschedDeadlineMs);
     pipeline::PipelineResult result = pipeline::runBackend(
         *prepared_, *opts_.backend, po);
     oc.ran = true;

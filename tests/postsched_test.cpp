@@ -26,27 +26,20 @@
 
 #include "analysis/liveness.hpp"
 #include "gen/generator.hpp"
-#include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
-#include "pipeline/backend.hpp"
-#include "profile/edge_profile.hpp"
-#include "profile/path_profile.hpp"
+#include "pipeline/pipeline.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
 #include "sched/local_opt.hpp"
 #include "sched/renamer.hpp"
 #include "support/bitvec.hpp"
+#include "testutil.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched {
 namespace {
 
-struct Subject
-{
-    std::string name;
-    ir::Program program;
-    interp::ProgramInput train;
-};
+using Subject = testing::TrainedProgram;
 
 /**
  * A loop with a branch in its body, run while 140 values computed
@@ -162,42 +155,12 @@ forEachCompacted(
                              const std::string &)> &transformed = {})
 {
     const pipeline::PipelineOptions opt;
-    profile::EdgeProfiler edge(s.program);
-    profile::PathProfiler path(s.program, opt.pathParams);
-    {
-        interp::InterpOptions iopts;
-        iopts.maxSteps = opt.maxSteps;
-        interp::Interpreter it(s.program, iopts);
-        it.addListener(&edge);
-        it.addListener(&path);
-        ASSERT_FALSE(it.run(s.train).truncated()) << s.name;
-    }
-    path.finalize();
-    profile::EdgeProfiler projected(s.program);
-    const obs::Observer no_sink;
-
-    for (const char *name : {"BB", "M4", "M16", "P4", "P4e"}) {
-        const pipeline::BackendDesc *be = pipeline::findBackend(name);
-        ASSERT_NE(be, nullptr) << name;
-        const std::string label = s.name + "/" + name;
-        ir::Program prog = s.program;
-        pipeline::TransformContext tc;
-        tc.config = be->config;
-        tc.opt = &opt;
-        tc.edge = &edge;
-        tc.path = &path;
-        tc.projectedEdge = &projected;
-        tc.timed = &no_sink;
-        pipeline::TransformStats xf;
-        sched::CompactOptions copts;
-        std::optional<analysis::Liveness> live;
-        copts.liveness = &live;
-        for (ir::ProcId p = 0; p < prog.procs.size(); ++p) {
-            if (be->hasTransform()) {
-                const char *stage = be->transformLabel;
-                ASSERT_TRUE(be->transform(prog, p, tc, xf, &stage).ok())
-                    << label;
-            }
+    sched::CompactOptions copts;
+    std::optional<analysis::Liveness> live;
+    copts.liveness = &live;
+    const Status st = testing::forEachFormed(
+        s,
+        [&](ir::Program &prog, ir::ProcId p, const std::string &label) {
             if (transformed)
                 transformed(prog, p, label);
             sched::CompactStats cs;
@@ -207,18 +170,9 @@ forEachCompacted(
                 << label;
             ASSERT_TRUE(live.has_value()) << label;
             compacted(prog, p, *live, label);
-        }
-        finished(prog, label);
-    }
-}
-
-bool
-sameInstr(const ir::Instruction &a, const ir::Instruction &b)
-{
-    return a.op == b.op && a.useImm == b.useImm && a.dst == b.dst &&
-           a.src1 == b.src1 && a.src2 == b.src2 && a.imm == b.imm &&
-           a.target0 == b.target0 && a.target1 == b.target1 &&
-           a.callee == b.callee && a.args == b.args;
+        },
+        finished);
+    ASSERT_TRUE(st.ok()) << st.toString();
 }
 
 /**
@@ -468,7 +422,7 @@ TEST(Postsched, KeptBlocksMatchAReschedule)
                         const auto &ib = b.blocks[k].instrs;
                         ASSERT_EQ(ia.size(), ib.size()) << where;
                         for (size_t i = 0; i < ia.size(); ++i)
-                            ASSERT_TRUE(sameInstr(ia[i], ib[i]))
+                            ASSERT_TRUE(testing::sameInstr(ia[i], ib[i]))
                                 << where << " slot " << i;
                         ASSERT_EQ(a.schedules[k].cycleOf,
                                   b.schedules[k].cycleOf)

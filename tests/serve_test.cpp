@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -378,6 +379,38 @@ TEST(AggregateTest, FingerprintIgnoresUniformScalingButSeesRankMoves)
     EXPECT_NE(fa, fc);
     // No live data -> fingerprint 0 (reserved).
     EXPECT_EQ(a.hotFingerprint(77), 0u);
+}
+
+TEST(AggregateTest, FingerprintsOfAllProcsMatchOneAtATime)
+{
+    // Several procedures over several live buckets, one of them with
+    // block counts only, and older buckets rotated out of the window.
+    AggregateOptions opts;
+    opts.windows = 3;
+    Aggregate agg(opts);
+    Rng rng(29);
+    uint64_t seq = 0;
+    for (uint64_t epoch = 1; epoch <= 6; ++epoch) {
+        for (int k = 0; k < 12; ++k) {
+            AdmittedDelta d = randomDelta(rng, "c", ++seq);
+            for (auto &e : d.edges)
+                e.proc += 3 * uint32_t(rng.below(3));
+            for (auto &p : d.paths)
+                p.proc += 3 * uint32_t(rng.below(3));
+            d.blocks.push_back({9, uint32_t(rng.below(8)), 1});
+            d.normalize();
+            agg.apply(d);
+        }
+        agg.advanceEpoch(epoch);
+    }
+
+    const std::vector<uint32_t> live = agg.liveProcs();
+    ASSERT_GE(live.size(), 5u);
+    std::map<uint32_t, uint64_t> oneAtATime;
+    for (uint32_t proc : live)
+        oneAtATime[proc] = agg.hotFingerprint(proc);
+    EXPECT_EQ(agg.hotFingerprints(), oneAtATime);
+    EXPECT_NE(oneAtATime.at(9), 0u); // block counts alone are live data
 }
 
 // ---------------------------------------------------------------------

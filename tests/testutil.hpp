@@ -16,8 +16,13 @@
 #ifndef PATHSCHED_TESTS_TESTUTIL_HPP
 #define PATHSCHED_TESTS_TESTUTIL_HPP
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "interp/interpreter.hpp"
 #include "ir/procedure.hpp"
+#include "support/status.hpp"
 
 namespace pathsched::testing {
 
@@ -50,6 +55,38 @@ struct GeneratedProgram
  */
 GeneratedProgram makeRandomProgram(uint64_t seed,
                                    const GenParams &params = GenParams());
+
+/** True when every field of @p a and @p b is equal. */
+bool sameInstr(const ir::Instruction &a, const ir::Instruction &b);
+
+/** A program and the input its training profiles come from. */
+struct TrainedProgram
+{
+    std::string name;
+    ir::Program program;
+    interp::ProgramInput train;
+};
+
+/**
+ * The 14 standard workloads, then four gen::generate programs (seeds
+ * 1-4) of each of the five branch families.
+ */
+std::vector<TrainedProgram> workloadsAndFamilies();
+
+/**
+ * Profile @p s on its training input, then run each paper backend's
+ * transform (BB, M4, M16, P4, P4e) on a copy of its program, one
+ * procedure at a time as the pipeline's chain does.  Calls
+ * @p formed(prog, proc, label) after each procedure's transform (label
+ * is "<name>/<backend>") and @p finished(prog, label) after the last.
+ * Returns the first training or transform failure.
+ */
+Status forEachFormed(
+    const TrainedProgram &s,
+    const std::function<void(ir::Program &, ir::ProcId,
+                             const std::string &)> &formed,
+    const std::function<void(ir::Program &, const std::string &)>
+        &finished = {});
 
 } // namespace pathsched::testing
 
