@@ -1,5 +1,8 @@
 #include "icache/icache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/logging.hpp"
 
 namespace pathsched::icache {
@@ -13,22 +16,11 @@ ICache::ICache(const Params &params)
               (params_.lineBytes & (params_.lineBytes - 1)) == 0);
     ps_assert(params_.sizeBytes % params_.lineBytes == 0);
     numLines_ = params_.sizeBytes / params_.lineBytes;
+    ps_assert(numLines_ > 0);
+    lineShift_ = unsigned(std::countr_zero(params_.lineBytes));
+    lineMask_ = std::has_single_bit(numLines_) ? numLines_ - 1 : kNoMask;
     tags_.assign(numLines_, 0);
     valid_.assign(numLines_, 0);
-}
-
-uint32_t
-ICache::access(uint64_t addr)
-{
-    ++accesses_;
-    const uint64_t line = addr / params_.lineBytes;
-    const uint32_t idx = uint32_t(line % numLines_);
-    if (valid_[idx] && tags_[idx] == line)
-        return 0;
-    valid_[idx] = 1;
-    tags_[idx] = line;
-    ++misses_;
-    return params_.missPenaltyCycles;
 }
 
 void

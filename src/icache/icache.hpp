@@ -10,6 +10,7 @@
 #ifndef PATHSCHED_ICACHE_ICACHE_HPP
 #define PATHSCHED_ICACHE_ICACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +35,20 @@ class ICache
      * Fetch the line containing @p addr.
      * @return the stall penalty in cycles: 0 on hit, missPenalty on miss.
      */
-    uint32_t access(uint64_t addr);
+    uint32_t
+    access(uint64_t addr)
+    {
+        ++accesses_;
+        const uint64_t line = addr >> lineShift_;
+        const size_t idx = lineMask_ != kNoMask ? size_t(line & lineMask_)
+                                                : size_t(line % numLines_);
+        if (valid_[idx] && tags_[idx] == line)
+            return 0;
+        valid_[idx] = 1;
+        tags_[idx] = line;
+        ++misses_;
+        return params_.missPenaltyCycles;
+    }
 
     /**
      * Count @p n fetches that are known to hit without probing: each
@@ -55,8 +69,15 @@ class ICache
     const Params &params() const { return params_; }
 
   private:
+    static constexpr uint64_t kNoMask = UINT64_MAX;
+
     Params params_;
     uint32_t numLines_;
+    /** log2(lineBytes): lineBytes is a power of two. */
+    unsigned lineShift_;
+    /** numLines_ - 1 when numLines_ is a power of two, so a line's
+     *  index is a mask of it; kNoMask otherwise (index by modulo). */
+    uint64_t lineMask_;
     std::vector<uint64_t> tags_;
     std::vector<uint8_t> valid_;
     uint64_t accesses_ = 0;

@@ -16,9 +16,14 @@
  *    and cycles are identical to probing on every operation.
  *
  * Each run decodes the program lazily, one block on its first entry,
- * into compact ops with exit cycle costs resolved, and dispatches them
- * from one switch.  Blocks without a valid schedule cost one cycle per
- * operation, which only arises in tests; the experiment pipeline
+ * into compact ops, and dispatches them threaded: each handler jumps
+ * to the next op's handler itself.  A branch or jump caches, when
+ * first taken, where its target's decoded ops start, and with an
+ * I-cache attached each op carries how its fetch line follows from
+ * the op before it.  Exits count how often they are taken; the block
+ * cycle costs and superblock statistics are summed from those counts
+ * when the run ends.  Blocks without a valid schedule cost one cycle
+ * per operation, which only arises in tests; the experiment pipeline
  * schedules every block.
  */
 

@@ -95,13 +95,8 @@ class Checker
     checkInstr(const Procedure &p, BlockId b, const Instruction &ins,
                bool last)
     {
-        // Per-thread scratch: verification runs on every procedure of
-        // every chain, so a fresh vector per instruction would be heap
-        // churn on the hot path.
-        thread_local std::vector<RegId> srcs;
-        ins.sources(srcs);
-        for (RegId r : srcs)
-            checkReg(p, b, r, "source");
+        ins.forEachSource(
+            [&](RegId r) { checkReg(p, b, r, "source"); });
         checkReg(p, b, ins.dst, "dest");
         if (ins.isFrameOp() &&
             (ins.imm < 0 || ins.imm >= int64_t(p.frameSlots)))

@@ -558,13 +558,12 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     //        of the lowest-id chain the deadline stopped. ---
     const char *stopped_at = nullptr;
     double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
-    sched::ScheduleStats postsched;
     for (size_t p = 0; p < num_procs; ++p) {
         ProcCtx &ctx = ctxs[p];
         result.form += ctx.xf.form;
         result.compact += ctx.compact;
         result.alloc += ctx.alloc;
-        postsched += ctx.postsched;
+        result.postsched += ctx.postsched;
         for (auto &d : ctx.degraded)
             result.degraded.push_back(std::move(d));
         ctx.degraded.clear();
@@ -642,17 +641,12 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     base.setGauge(pressure,
                   std::max(double(result.alloc.maxPressure),
                            seen != nullptr ? seen->gauge : 0.0));
-    // The postschedule replaces the preschedule's cycle counts; the
-    // in-place count stays compaction's, as its counter reports.
-    const uint64_t in_place = result.compact.sched.inPlace;
-    result.compact.sched = postsched;
-    result.compact.sched.inPlace = in_place;
     base.addCounter("sched" + cfg_dot + "postschedKept",
-                    postsched.blocksKept);
+                    result.postsched.blocksKept);
     base.addCounter("sched" + cfg_dot + "liveSolves",
-                    postsched.liveSolves);
+                    result.postsched.liveSolves);
     base.addCounter("sched" + cfg_dot + "liveVisits",
-                    postsched.liveVisits);
+                    result.postsched.liveVisits);
     result.stages.push_back({"postsched", postsched_ms});
     timed.addSample("postsched", postsched_ms);
 

@@ -252,6 +252,9 @@ struct PipelineResult
     form::FormStats form;
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
+    /** The postschedule's pass after allocation: the final schedules
+     *  (compact.sched counts compaction's own). */
+    sched::ScheduleStats postsched;
 
     uint64_t codeBytes = 0;   ///< laid-out binary size
     size_t numPaths = 0;      ///< distinct paths in the formation profile

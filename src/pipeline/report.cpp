@@ -131,6 +131,14 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.endObject();
     w.endObject();
 
+    w.key("postsched");
+    w.beginObject();
+    w.member("blocksScheduled", r.postsched.blocksScheduled);
+    w.member("blocksKept", r.postsched.blocksKept);
+    w.member("loadsSpeculated", r.postsched.loadsSpeculated);
+    w.member("totalCycles", r.postsched.totalCycles);
+    w.endObject();
+
     w.key("alloc");
     w.beginObject();
     w.member("procsAllocated", r.alloc.procsAllocated);

@@ -60,13 +60,41 @@ struct LiveRanges
     bool live(RegId r) const { return start[r] != UINT32_MAX; }
 };
 
-/** The spans of every register of @p proc, from a liveness solve
- *  @p live of the procedure as it stands. */
-LiveRanges
-buildSpans(const ir::Procedure &proc, const analysis::Liveness &live)
+/**
+ * Per-thread allocator scratch, reused by every procedure allocated on
+ * the thread: the live ranges and the scan's own tables (see
+ * allocateProc).  Each allocation resets what it reads.
+ */
+struct AllocScratch
+{
+    LiveRanges lr;
+    std::vector<RegId> assignment, fifo;
+    std::vector<uint32_t> holders, cursor;
+    std::vector<std::pair<uint32_t, RegId>> held;
+    std::vector<uint64_t> order, claimOf;
+
+    size_t
+    bytes(bool capacity) const
+    {
+        auto sz = [capacity](const auto &v) {
+            return (capacity ? v.capacity() : v.size()) *
+                   sizeof(v.front());
+        };
+        return sz(lr.start) + sz(lr.last) + sz(lr.pieces) + sz(lr.head) +
+               sz(assignment) + sz(fifo) + sz(holders) + sz(cursor) +
+               sz(held) + sz(order) + sz(claimOf);
+    }
+};
+
+/** Fill @p lr with the spans of every register of @p proc, from a
+ *  liveness solve @p live of the procedure as it stands; no pieces. */
+void
+buildSpans(const ir::Procedure &proc, const analysis::Liveness &live,
+           LiveRanges &lr)
 {
     const size_t num_regs = proc.numRegs;
-    LiveRanges lr;
+    lr.pieces.clear();
+    lr.head.clear();
     lr.start.assign(num_regs, UINT32_MAX);
     lr.last.assign(num_regs, 0);
     auto touch = [&](RegId r, uint32_t pos) {
@@ -89,7 +117,6 @@ buildSpans(const ir::Procedure &proc, const analysis::Liveness &live)
             lr.last[r] = std::max(lr.last[r], read - 1);
         });
     }
-    return lr;
 }
 
 /** Fill in the exact pieces of @p lr for @p proc, from the solve
@@ -266,16 +293,20 @@ insertSpillCode(ir::Procedure &proc, const Spills &sp)
  * need more registers than the file has.
  */
 bool
-allocateProc(ir::Procedure &proc, LiveRanges &lr,
+allocateProc(ir::Procedure &proc, AllocScratch &s,
              const analysis::Liveness &live, uint32_t num_phys,
              AllocStats &stats)
 {
     const RegId num_vregs = proc.numRegs;
-    std::vector<RegId> assignment(num_vregs, kNoReg);
-    std::vector<uint32_t> holders(num_phys, 0);
+    LiveRanges &lr = s.lr;
+    std::vector<RegId> &assignment = s.assignment;
+    assignment.assign(num_vregs, kNoReg);
+    std::vector<uint32_t> &holders = s.holders;
+    holders.assign(num_phys, 0);
     // (span end, register) of every assigned register whose span has
     // not ended, a min-heap on the end.
-    std::vector<std::pair<uint32_t, RegId>> held;
+    std::vector<std::pair<uint32_t, RegId>> &held = s.held;
+    held.clear();
     auto hold = [&](RegId v, RegId p) {
         assignment[v] = p;
         ++holders[p];
@@ -287,11 +318,14 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
         if (lr.live(v))
             hold(v, v);
     }
-    // The free registers, least recently freed at the head.
-    std::vector<RegId> fifo(num_phys);
+    // The free registers, least recently freed at the head.  head <
+    // num_phys and num_free < num_phys, so one subtraction wraps.
+    std::vector<RegId> &fifo = s.fifo;
+    fifo.resize(num_phys);
     size_t head = 0, num_free = 0;
     auto release = [&](RegId p) {
-        fifo[(head + num_free++) % num_phys] = p;
+        const size_t tail = head + num_free++;
+        fifo[tail < num_phys ? tail : tail - num_phys] = p;
     };
     for (RegId p = 0; p < num_phys; ++p) {
         if (holders[p] == 0)
@@ -299,7 +333,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     }
     uint32_t in_use = 0;
 
-    std::vector<uint64_t> order; // start << 32 | register
+    std::vector<uint64_t> &order = s.order; // start << 32 | register
+    order.clear();
     for (RegId v = proc.numParams; v < num_vregs; ++v) {
         if (lr.live(v))
             order.push_back(uint64_t(lr.start[v]) << 32 | v);
@@ -307,7 +342,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     std::sort(order.begin(), order.end());
     // cursor[h]: h's first piece that may still reach the scan position
     // (once the pieces are built).
-    std::vector<uint32_t> cursor;
+    std::vector<uint32_t> &cursor = s.cursor;
+    cursor.clear();
     auto overlaps = [&](RegId h, RegId v, uint32_t pos) {
         const std::vector<Piece> &pc = lr.pieces;
         uint32_t i = cursor[h];
@@ -376,7 +412,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
         RegId phys = kNoReg;
         if (num_free > 0) {
             phys = fifo[head];
-            head = (head + 1) % num_phys;
+            if (++head == num_phys)
+                head = 0;
             --num_free;
         } else {
             if (holding.empty()) {
@@ -458,7 +495,8 @@ allocateProc(ir::Procedure &proc, LiveRanges &lr,
     // with a side exit once the free registers have run out.
     // claim_of[p] is (block << 32 | register) of the register that
     // last claimed physical p.
-    std::vector<uint64_t> claim_of(num_phys, UINT64_MAX);
+    std::vector<uint64_t> &claim_of = s.claimOf;
+    claim_of.assign(num_phys, UINT64_MAX);
     for (BlockId b = 0; b < proc.blocks.size(); ++b) {
         bool injective = true;
         auto claim = [&](RegId v) {
@@ -554,8 +592,19 @@ allocateProcedure(ir::Program &prog, ir::ProcId proc_id,
         const analysis::Liveness &live =
             options.liveness != nullptr ? *options.liveness : *own;
         ++stats.rounds;
-        LiveRanges lr = buildSpans(proc, live);
-        if (!allocateProc(proc, lr, live, num_phys_regs, stats))
+        thread_local AllocScratch scratch;
+        AllocScratch &s = scratch;
+        buildSpans(proc, live, s.lr);
+        const bool ok = allocateProc(proc, s, live, num_phys_regs, stats);
+        // Keep the scratch for the next procedure, but a holding above
+        // 1 MiB is returned once a procedure needs less than a quarter
+        // of it, so one huge procedure does not pin it for the thread's
+        // lifetime.
+        constexpr size_t kKeepBytes = size_t(1) << 20;
+        const size_t held = s.bytes(true);
+        if (held > kKeepBytes && 4 * s.bytes(false) < held)
+            s = AllocScratch();
+        if (!ok)
             return Status::error(
                 ErrorKind::ScheduleFailed,
                 strfmt("proc %s: one instruction's operands need more "

@@ -3,8 +3,10 @@
  * Unit tests for the interpreter: opcode semantics (parameterized),
  * control flow, calls and recursion, memory, non-excepting loads,
  * cycle accounting against schedules, I-cache charging, the run
- * counters against a listener's tallies, and a pinned table of
- * per-workload counters.
+ * counters against a listener's tallies, and pinned tables: the P4e
+ * I-cache counters per workload, every field of three runs per
+ * workload, budget stops before each op kind, and a cache whose line
+ * count is not a power of two.
  */
 
 #include <algorithm>
@@ -20,6 +22,9 @@
 #include "layout/code_layout.hpp"
 #include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
+#include "profile/edge_profile.hpp"
+#include "profile/path_profile.hpp"
+#include "support/hash.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched::interp {
@@ -651,6 +656,222 @@ TEST(Interp, PinnedWorkloadCounters)
         EXPECT_EQ(r.sbEntries, want.sbEntries) << w.name;
         EXPECT_EQ(r.sbCompletions, want.sbCompletions) << w.name;
     }
+}
+
+/** Every field of @p r folded into one hash (FNV-1a over u64 words). */
+uint64_t
+hashRun(const RunResult &r)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) { h = fnv1a64Mix(h, v); };
+    mix(uint64_t(r.returnValue));
+    mix(r.output.size());
+    for (int64_t v : r.output)
+        mix(uint64_t(v));
+    for (uint64_t v : {r.dynInstrs, r.dynBranches, r.dynCalls, r.dynJumps,
+                       r.dynRets, r.dynMemOps, r.dynEdges, r.cycles,
+                       r.stallCycles, r.icacheAccesses, r.icacheMisses,
+                       r.icacheProbes})
+        mix(v);
+    mix(uint64_t(r.stepLimit) | uint64_t(r.budgetStop) << 1 |
+        uint64_t(r.deadlineStop) << 2);
+    mix(r.stopProc);
+    for (uint64_t v : {r.sbEntries, r.sbBlocksExecuted, r.sbBlocksInSb,
+                       r.sbCompletions})
+        mix(v);
+    mix(r.callCounts.size());
+    for (const auto &[edge, count] : r.callCounts) {
+        mix(edge.first);
+        mix(edge.second);
+        mix(count);
+    }
+    return h;
+}
+
+/** Folds every listener event, in order, into one hash. */
+class HashingListener : public TraceListener
+{
+  public:
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    void onProcEnter(ir::ProcId p) override { mix(1, p); }
+    void onProcExit(ir::ProcId p) override { mix(2, p); }
+    void
+    onEdge(ir::ProcId p, ir::BlockId from, ir::BlockId to) override
+    {
+        mix(3, p);
+        hash = fnv1a64Mix(hash, uint64_t(from) << 32 | to);
+    }
+
+  private:
+    void
+    mix(uint64_t kind, ir::ProcId p)
+    {
+        hash = fnv1a64Mix(hash, kind << 32 | p);
+    }
+};
+
+/** One workload's three interpreter runs, each hashed whole. */
+struct PinnedRunHashes
+{
+    const char *workload;
+    /** The original program on the test input, nothing attached. */
+    uint64_t reference;
+    /** The training run with call counts, an edge profiler, a path
+     *  profiler and a hashing listener attached, and that listener's
+     *  event sequence. */
+    uint64_t training, trainingEvents;
+    /** The P4e-compiled program's measured run with the I-cache. */
+    uint64_t icacheTest;
+};
+
+TEST(Interp, PinnedRunsOfEveryWorkload)
+{
+    // Computed with the switch-dispatched interpreter that resolved
+    // every exit through its target's block table; the threaded one
+    // must reproduce every field of every run.
+    static const PinnedRunHashes kPinned[] = {
+        {"alt", 0x5ee78549fc8d775bULL, 0x40b0b800d0898325ULL,
+         0xf1d5799edbae7ec0ULL, 0x05d2d3bbc8a0d7abULL},
+        {"ph", 0x2c45853beae2104fULL, 0xbb191df863371cadULL,
+         0xbf39514b9f20e140ULL, 0xf49d1dee84c3d69eULL},
+        {"corr", 0x1cd44686ef048c5aULL, 0xd8e85e9309ee9ac9ULL,
+         0x83429d55f026a2edULL, 0x7ebbb9ba3e51b500ULL},
+        {"wc", 0x259cf270c9b31bafULL, 0x65ed0ec31e624d68ULL,
+         0xad957b9dbdce0660ULL, 0x2306039c22029358ULL},
+        {"com", 0xb9d2c3ff315ee824ULL, 0xa63d186cffe7f07eULL,
+         0x26035d2d9758754dULL, 0x59b42f85d96e26abULL},
+        {"eqn", 0x3c2d658130e65c61ULL, 0x8257092b6604a81bULL,
+         0xd24634dcbdb80491ULL, 0x45f5d7870236755eULL},
+        {"esp", 0xa363e0d1638b68feULL, 0x5d37218a7e9c060bULL,
+         0x3ab2ae3b90a8b2e9ULL, 0x92c4ba550e9b044fULL},
+        {"gcc", 0x5870a56dd0ff1b92ULL, 0x11a0858a4ccc118cULL,
+         0xb246657e3b13a7a1ULL, 0x80a7d1a7d239f607ULL},
+        {"go", 0xfac3f3101a8de980ULL, 0x3b8c3ce78f416268ULL,
+         0xb3bb173ae9484a9eULL, 0x825cc14b0684945bULL},
+        {"ijpeg", 0x4f62612025ae438cULL, 0xe37d83b9ff165aceULL,
+         0xc9ee0837f668c8efULL, 0xe11c5eb47df79060ULL},
+        {"li", 0x333a32216663ed74ULL, 0x381a1058f2fe56d8ULL,
+         0x159f55e3ca3b3623ULL, 0x391f20bcc5935225ULL},
+        {"m88k", 0x5603ddc9cc512498ULL, 0xeb7660dbcac657f8ULL,
+         0x3c0e4dcfdfa1ce88ULL, 0x1b857ef63e2810b0ULL},
+        {"perl", 0xe299eae1e8d8ce19ULL, 0x15f3e083c0ddf050ULL,
+         0xef80b749e5fa5445ULL, 0xa5b9c8870e9ee847ULL},
+        {"vortex", 0x6236bb1743498505ULL, 0x1f3b60bf76a05901ULL,
+         0x2e83befe8d66909bULL, 0x06a62d3c7b523ec4ULL},
+    };
+    const std::vector<workloads::Workload> all =
+        workloads::standardBenchmarks();
+    ASSERT_EQ(all.size(), std::size(kPinned));
+    for (size_t i = 0; i < all.size(); ++i) {
+        const workloads::Workload &w = all[i];
+        const PinnedRunHashes &want = kPinned[i];
+        ASSERT_EQ(w.name, want.workload);
+
+        const RunResult ref = Interpreter(w.program).run(w.test);
+        EXPECT_FALSE(ref.truncated()) << w.name;
+
+        InterpOptions topts;
+        topts.collectCallCounts = true;
+        profile::EdgeProfiler edges(w.program);
+        profile::PathProfiler paths(w.program);
+        HashingListener events;
+        Interpreter train(w.program, topts);
+        train.addListener(&edges);
+        train.addListener(&paths);
+        train.addListener(&events);
+        const RunResult tr = train.run(w.train);
+
+        pipeline::PipelineOptions opts;
+        opts.useICache = true;
+        const pipeline::PipelineResult res = pipeline::runPipeline(
+            w.program, w.train, w.test, pipeline::SchedConfig::P4e, opts);
+        ASSERT_TRUE(res.status.ok()) << w.name;
+        EXPECT_GT(res.test.icacheMisses, 0u) << w.name;
+
+        EXPECT_EQ(hashRun(ref), want.reference) << w.name;
+        EXPECT_EQ(hashRun(tr), want.training) << w.name;
+        EXPECT_EQ(events.hash, want.trainingEvents) << w.name;
+        EXPECT_EQ(hashRun(res.test), want.icacheTest) << w.name;
+    }
+}
+
+TEST(Interp, BudgetStopsArePinnedOnEveryOpKind)
+{
+    // A call-dense generated program compiled for P4e and run with the
+    // I-cache, stopped by budgetSteps = k before every op but the
+    // first of its 799: the runs stop before each kind of op, exits
+    // and calls included.  Pinned from the switch-dispatched
+    // interpreter.
+    std::ifstream spec_file(PATHSCHED_CORPUS_DIR "/callheavy.spec");
+    std::string line;
+    ASSERT_TRUE(std::getline(spec_file, line));
+    gen::GenSpec spec;
+    std::string err;
+    ASSERT_TRUE(gen::GenSpec::parse(line, spec, err)) << err;
+    const gen::Workload g = gen::generate(spec);
+    pipeline::PipelineOptions popts;
+    popts.keepTransformed = true;
+    const pipeline::PipelineResult res = pipeline::runPipeline(
+        g.program, g.train, g.test, pipeline::SchedConfig::P4e, popts);
+    ASSERT_TRUE(res.status.ok());
+    ASSERT_NE(res.transformed, nullptr);
+    const Program &prog = *res.transformed;
+    const layout::CodeLayout layout = layout::layoutProgram(prog);
+    constexpr uint64_t kMax = 798;
+    ASSERT_EQ(res.test.dynInstrs, kMax + 1);
+
+    uint64_t h = 0xcbf29ce484222325ULL;
+    RunResult prev;
+    // The kind of the op a run stops before is the counter that the
+    // next budget's run adds to.
+    uint64_t stops_before_branch = 0, stops_before_jump = 0,
+             stops_before_call = 0, stops_before_ret = 0;
+    for (uint64_t k = 1; k <= kMax; ++k) {
+        icache::ICache cache;
+        InterpOptions opts;
+        opts.budgetSteps = k;
+        opts.codeLayout = &layout;
+        opts.cache = &cache;
+        const RunResult r = Interpreter(prog, opts).run(g.test);
+        ASSERT_TRUE(r.budgetStop) << k;
+        ASSERT_EQ(r.dynInstrs, k);
+        ASSERT_EQ(r.icacheAccesses, k);
+        if (k > 1) {
+            stops_before_branch += r.dynBranches != prev.dynBranches;
+            stops_before_jump += r.dynJumps != prev.dynJumps;
+            stops_before_call += r.dynCalls != prev.dynCalls;
+            stops_before_ret += r.dynRets != prev.dynRets;
+        }
+        for (uint64_t v : {r.dynInstrs, r.dynEdges, r.cycles,
+                           uint64_t(r.stopProc)})
+            h = fnv1a64Mix(h, v);
+        prev = r;
+    }
+    EXPECT_GT(stops_before_branch, 0u);
+    EXPECT_GT(stops_before_jump, 0u);
+    EXPECT_GT(stops_before_call, 0u);
+    EXPECT_GT(stops_before_ret, 0u);
+    EXPECT_EQ(h, 0x75810344d9488bd2ULL);
+    EXPECT_EQ(prev.dynEdges, 43u);
+    EXPECT_EQ(prev.cycles, 459u);
+    EXPECT_EQ(prev.stopProc, 6u);
+}
+
+TEST(Interp, NonPowerOfTwoICacheIsPinned)
+{
+    // 48 KB of 32 B lines is 1,536 lines, so the cache indexes by
+    // modulo.  Pinned from the interpreter that probed out of line.
+    const workloads::Workload w = workloads::makeGcc();
+    pipeline::PipelineOptions opts;
+    opts.useICache = true;
+    opts.cacheParams.sizeBytes = 48 * 1024;
+    const pipeline::PipelineResult res = pipeline::runPipeline(
+        w.program, w.train, w.test, pipeline::SchedConfig::P4e, opts);
+    ASSERT_TRUE(res.status.ok());
+    EXPECT_EQ(res.test.icacheAccesses, 2539931u);
+    EXPECT_EQ(res.test.icacheMisses, 1314u);
+    EXPECT_EQ(res.test.stallCycles, 7884u);
+    EXPECT_EQ(res.test.cycles, 1571300u);
 }
 
 } // namespace

@@ -197,5 +197,59 @@ TEST_F(ReportRoundTrip, TraceIsWellFormedAndCoversStages)
     EXPECT_TRUE(saw_p4_train);
 }
 
+TEST(ReportSchedStats, CompactionAndPostscheduleAreReportedApart)
+{
+    // gcc is the workload whose postschedule keeps blocks compaction
+    // speculated loads in.  runs[].compact.sched is compaction's own
+    // count, as --stats publishes it; runs[].postsched is the final
+    // schedule's, whose totalCycles the report used to carry under
+    // compact.sched (those values are pinned here).
+    obs::StatRegistry registry;
+    obs::Observer observer;
+    observer.stats = &registry;
+    pipeline::PipelineOptions opts;
+    opts.observability.observer = &observer;
+    const auto w = workloads::makeByName("gcc");
+    std::vector<pipeline::ReportRun> runs;
+    for (const SchedConfig c : kAllConfigs)
+        runs.push_back({"gcc", pipeline::runPipeline(w.program, w.train,
+                                                     w.test, c, opts)});
+    obs::JsonValue v;
+    ASSERT_TRUE(
+        obs::JsonValue::parse(pipeline::reportJson(runs, &registry), v));
+
+    const std::vector<std::pair<std::string, uint64_t>> kTotalCycles = {
+        {"BB", 8781}, {"M4", 8663}, {"M16", 8751}, {"P4", 11225},
+        {"P4e", 8717}};
+    const obs::JsonValue *items = v.find("runs");
+    ASSERT_NE(items, nullptr);
+    ASSERT_EQ(items->items().size(), kTotalCycles.size());
+    uint64_t speculated = 0;
+    for (size_t i = 0; i < kTotalCycles.size(); ++i) {
+        const obs::JsonValue &run = items->items()[i];
+        const std::string &cfg = kTotalCycles[i].first;
+        ASSERT_EQ(run.find("config")->asString(), cfg);
+        const obs::JsonValue *loads =
+            run.findPath("compact.sched.loadsSpeculated");
+        const obs::JsonValue *stat =
+            v.findPath("stats.compact." + cfg + ".loadsSpeculated");
+        ASSERT_NE(loads, nullptr) << cfg;
+        ASSERT_NE(stat, nullptr) << cfg;
+        EXPECT_EQ(loads->asNumber(), stat->asNumber()) << cfg;
+        speculated += uint64_t(loads->asNumber());
+
+        const obs::JsonValue *total = run.findPath("postsched.totalCycles");
+        ASSERT_NE(total, nullptr) << cfg;
+        EXPECT_EQ(uint64_t(total->asNumber()), kTotalCycles[i].second)
+            << cfg;
+        EXPECT_EQ(run.findPath("postsched.blocksKept")->asNumber(),
+                  v.findPath("stats.sched." + cfg + ".postschedKept")
+                      ->asNumber())
+            << cfg;
+    }
+    // M4 4, M16 8, P4 262, P4e 1: the postschedule's count reads 0.
+    EXPECT_EQ(speculated, 275u);
+}
+
 } // namespace
 } // namespace pathsched
