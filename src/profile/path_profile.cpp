@@ -72,48 +72,85 @@ PathProfiler::Overflow::insert(uint64_t key, uint32_t value)
     ++used;
 }
 
-PathProfiler::NodeArray::NodeArray(const NodeArray &other)
+PathProfiler::Node *
+PathProfiler::NodeStore::allocate(size_t n)
 {
-    if (other.size_ == 0)
-        return;
-    data_ = static_cast<Node *>(std::malloc(other.size_ * sizeof(Node)));
-    if (data_ == nullptr)
+    void *p = std::malloc(n * sizeof(Node));
+    if (p == nullptr)
         throw std::bad_alloc();
-    std::memcpy(data_, other.data_, other.size_ * sizeof(Node));
-    size_ = capacity_ = other.size_;
+    return static_cast<Node *>(p);
 }
 
-PathProfiler::NodeArray::NodeArray(NodeArray &&other) noexcept
-    : data_(other.data_), size_(other.size_), capacity_(other.capacity_)
+// Delegating to the default constructor makes the destructor free
+// whatever was allocated when a later allocation throws.
+PathProfiler::NodeStore::NodeStore(const NodeStore &other) : NodeStore()
 {
-    other.data_ = nullptr;
-    other.size_ = other.capacity_ = 0;
+    size_ = other.size_;
+    if (size_ == 0)
+        return;
+    headCapacity_ = std::min(size_, kSegmentNodes);
+    head_ = allocate(headCapacity_);
+    std::memcpy(head_, other.head_, headCapacity_ * sizeof(Node));
+    tail_.reserve(other.tail_.size());
+    for (size_t k = 1; k < other.segments(); ++k) {
+        tail_.push_back(allocate(kSegmentNodes));
+        std::memcpy(tail_.back(), other.tail_[k - 1],
+                    other.segmentSize(k) * sizeof(Node));
+    }
 }
 
-PathProfiler::NodeArray &
-PathProfiler::NodeArray::operator=(NodeArray other) noexcept
+PathProfiler::NodeStore::NodeStore(NodeStore &&other) noexcept
+    : head_(other.head_), size_(other.size_),
+      headCapacity_(other.headCapacity_), tail_(std::move(other.tail_))
 {
-    std::swap(data_, other.data_);
+    other.head_ = nullptr;
+    other.size_ = other.headCapacity_ = 0;
+    other.tail_.clear();
+}
+
+PathProfiler::NodeStore &
+PathProfiler::NodeStore::operator=(NodeStore other) noexcept
+{
+    std::swap(head_, other.head_);
     std::swap(size_, other.size_);
-    std::swap(capacity_, other.capacity_);
+    std::swap(headCapacity_, other.headCapacity_);
+    tail_.swap(other.tail_);
     return *this;
 }
 
-void
-PathProfiler::NodeArray::push_back(const Node &n)
+PathProfiler::NodeStore::~NodeStore()
 {
-    if (size_ == capacity_) {
-        // glibc serves a block above its mmap threshold by mmap and
-        // grows it with mremap, which moves the pages instead of
-        // copying them.
-        const size_t cap = capacity_ == 0 ? 1 : 2 * capacity_;
-        void *grown = std::realloc(data_, cap * sizeof(Node));
-        if (grown == nullptr)
-            throw std::bad_alloc();
-        data_ = static_cast<Node *>(grown);
-        capacity_ = cap;
+    std::free(head_);
+    for (Node *seg : tail_)
+        std::free(seg);
+}
+
+uint32_t
+PathProfiler::NodeStore::push_back(const Node &n)
+{
+    const uint32_t idx = size_;
+    if (idx < kSegmentNodes) {
+        if (idx == headCapacity_) {
+            const uint32_t cap =
+                idx == 0 ? 1 : std::min(2 * idx, kSegmentNodes);
+            void *grown = std::realloc(head_, cap * sizeof(Node));
+            if (grown == nullptr)
+                throw std::bad_alloc();
+            head_ = static_cast<Node *>(grown);
+            headCapacity_ = cap;
+        }
+        head_[idx] = n;
+    } else {
+        if ((idx & kSegmentMask) == 0) {
+            // Reserve first, so that push_back cannot throw and leak
+            // the new segment.
+            tail_.reserve(tail_.size() + 1);
+            tail_.push_back(allocate(kSegmentNodes));
+        }
+        tail_.back()[idx & kSegmentMask] = n;
     }
-    data_[size_++] = n;
+    ++size_;
+    return idx;
 }
 
 PathProfiler::PathProfiler(const ir::Program &prog,
@@ -151,12 +188,32 @@ PathProfiler::findChild(const Trie &t, uint32_t node, BlockId label)
         return 0;
     if (node == 0)
         return t.rootChild[label];
-    const Node::Slot &c = t.nodes[node].child;
-    if ((c.word & ~kMore) == label)
-        return c.node;
-    if (!(c.word & kMore))
+    // A (parent, label) pair names at most one node, so a next node
+    // with this parent and label is the child.
+    if (node + 1 < t.nodes.size()) {
+        const Node &next = t.nodes[node + 1];
+        if (next.parent == node && next.label() == label)
+            return node + 1;
+    }
+    if (!(t.nodes[node].word & kMore))
         return 0;
     return t.overflow.find(overflowKey(node, kChildKey, label));
+}
+
+uint32_t
+PathProfiler::addChild(Trie &t, uint32_t node, BlockId label)
+{
+    Node child;
+    child.word = label;
+    child.parent = node;
+    const uint32_t idx = t.nodes.push_back(child);
+    if (node == 0) {
+        t.rootChild[label] = idx;
+    } else if (idx != node + 1) {
+        t.overflow.insert(overflowKey(node, kChildKey, label), idx);
+        t.nodes[node].word |= kMore;
+    }
+    return idx;
 }
 
 uint32_t
@@ -166,23 +223,7 @@ PathProfiler::childOf(ProcId proc, uint32_t node, BlockId label)
     if (uint32_t c = findChild(t, node, label))
         return c;
     ps_assert(label < t.rootChild.size());
-    const uint32_t idx = uint32_t(t.nodes.size());
-    Node child;
-    child.label = label;
-    child.parent = node;
-    t.nodes.push_back(child);
-    if (node == 0) {
-        t.rootChild[label] = idx;
-        return idx;
-    }
-    Node::Slot &c = t.nodes[node].child;
-    if (c.node == 0) {
-        c = {label, idx};
-    } else {
-        t.overflow.insert(overflowKey(node, kChildKey, label), idx);
-        c.word |= kMore;
-    }
-    return idx;
+    return addChild(t, node, label);
 }
 
 /** The budget rule of every walk from a window's newest block (the
@@ -225,18 +266,25 @@ PathProfiler::transition(ProcId proc, uint32_t node, BlockId to)
     // "to, then as much of this window (newest first) as fits".  The
     // window is the longest in-budget suffix of the activation's
     // blocks, so walking them back from the newest stops, at the
-    // latest, at the window's oldest block.
+    // latest, at the window's oldest block.  The walk descends while
+    // the window's nodes exist; below the first missing level none
+    // exists, so it appends the rest as a chain with no lookup, each
+    // node the child of the one before it, i.e. its next node.
     ++memoMisses_;
     const BlockId *oldest = history_.data() + windowStack_.back().base;
-    uint32_t result = childOf(proc, 0, to);
+    const BlockId *p = history_.data() + history_.size();
     uint32_t branches = 0;
     uint32_t length = 1;
-    for (const BlockId *p = history_.data() + history_.size();
-         p != oldest;) {
+    ps_assert(to < t.rootChild.size());
+    uint32_t result = t.rootChild[to];
+    bool descending = result != 0;
+    if (!descending)
+        result = addChild(t, 0, to);
+    while (p != oldest && extendOlder(proc, p[-1], branches, length)) {
         const BlockId label = *--p;
-        if (!extendOlder(proc, label, branches, length))
-            break;
-        result = childOf(proc, result, label);
+        const uint32_t child = descending ? findChild(t, result, label) : 0;
+        descending = child != 0;
+        result = descending ? child : addChild(t, result, label);
     }
 
     Node::Slot &m = t.nodes[node].succ;
@@ -299,14 +347,22 @@ PathProfiler::finalize()
 {
     ps_assert_msg(!finalized_, "finalize() called twice");
     for (auto &t : tries_) {
+        NodeStore &nodes = t.nodes;
         // The successor memo is dead once the run is over; its word
         // holds the subtree sum from here on.
-        for (size_t i = 0; i < t.nodes.size(); ++i)
-            t.nodes[i].subtree = t.nodes[i].count;
+        for (size_t k = 0; k < nodes.segments(); ++k) {
+            Node *seg = nodes.segment(k);
+            for (uint32_t i = 0; i < nodes.segmentSize(k); ++i)
+                seg[i].subtree = seg[i].count;
+        }
         // Children always have larger indices than their parent, so one
-        // reverse sweep accumulates complete subtree sums.
-        for (size_t i = t.nodes.size(); i-- > 1;)
-            t.nodes[t.nodes[i].parent].subtree += t.nodes[i].subtree;
+        // reverse sweep (the root excluded) accumulates complete
+        // subtree sums.
+        for (size_t k = nodes.segments(); k-- > 0;) {
+            const Node *seg = nodes.segment(k);
+            for (uint32_t i = nodes.segmentSize(k); i-- > (k == 0 ? 1 : 0);)
+                nodes[seg[i].parent].subtree += seg[i].subtree;
+        }
     }
     finalized_ = true;
 }
@@ -349,15 +405,20 @@ PathProfiler::forEachPath(
 {
     std::vector<BlockId> seq;
     for (ProcId p = 0; p < tries_.size(); ++p) {
-        const Trie &t = tries_[p];
-        for (uint32_t n = 1; n < t.nodes.size(); ++n) {
-            if (t.nodes[n].count == 0)
-                continue;
-            // Parent chain yields labels oldest-first already.
-            seq.clear();
-            for (uint32_t cur = n; cur != 0; cur = t.nodes[cur].parent)
-                seq.push_back(t.nodes[cur].label);
-            cb(p, seq, t.nodes[n].count);
+        const NodeStore &nodes = tries_[p].nodes;
+        for (size_t k = 0; k < nodes.segments(); ++k) {
+            const Node *seg = nodes.segment(k);
+            for (uint32_t i = k == 0 ? 1 : 0; i < nodes.segmentSize(k); ++i) {
+                if (seg[i].count == 0)
+                    continue;
+                // Parent chain yields labels oldest-first already.
+                seq.clear();
+                seq.push_back(seg[i].label());
+                for (uint32_t cur = seg[i].parent; cur != 0;
+                     cur = nodes[cur].parent)
+                    seq.push_back(nodes[cur].label());
+                cb(p, seq, seg[i].count);
+            }
         }
     }
 }
@@ -408,6 +469,15 @@ PathProfiler::trieBytes() const
                  t.overflow.slots.capacity() * sizeof(Overflow::Slot);
     }
     return bytes;
+}
+
+size_t
+PathProfiler::nodeCapacity() const
+{
+    size_t n = 0;
+    for (const auto &t : tries_)
+        n += t.nodes.capacity();
+    return n;
 }
 
 } // namespace pathsched::profile

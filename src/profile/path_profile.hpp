@@ -21,28 +21,38 @@
  *
  * Storage (per procedure) is flat, because a memo miss rebuilds a
  * whole window level by level and every level is a dependent load:
- *  - nodes are 32-byte trivially-copyable records: label, parent,
- *    count, plus the *first* child and the *first* memoised successor
- *    inline as (label, index) pairs; bit 31 of each label word flags
- *    "more in the overflow table" (labels are below 2^31).  Most nodes
- *    have at most one child, so the common level touches one cache
- *    line;
- *  - the node array is one malloc'd block grown by doubling with
- *    realloc; glibc moves a large (mmap-served) block by remapping its
- *    pages, with no copy and no second live buffer at the peak;
+ *  - nodes are 24-byte trivially-copyable records: a label word,
+ *    parent, count, plus the *first* memoised successor inline as a
+ *    (label, index) pair.  A node keeps no child link: a child made by
+ *    the same walk as its parent is the parent's next node, so
+ *    findChild(n, x) first checks whether node n+1 has parent n and
+ *    label x (a (parent, label) pair names at most one node).  Bit 31
+ *    of the label word flags "a child other than node n+1, in the
+ *    overflow table"; bit 31 of the inline successor's word flags
+ *    "more successors there" (labels are below 2^31);
+ *  - a memo miss *descends* while the window's nodes exist, then
+ *    *appends* the rest of the window as a chain, each new node the
+ *    child of the one before it, so a chain node needs no lookup and
+ *    no link.  Only the first node a walk creates can go to the
+ *    overflow table, when it does not directly follow its parent;
+ *  - the nodes live in fixed segments of 2^15: the first grows by
+ *    doubling with realloc up to one segment, each later one is
+ *    allocated whole, so growth never copies more than one segment
+ *    and never leaves more than one segment of slack (a trie that
+ *    fits its first segment allocates only that block);
  *  - the root's children are a vector indexed by block id (a lookup
  *    past its end — a block the profiled procedure never had — is 0);
- *  - second and later children and successors go to one
+ *  - overflow children and second and later successors go to one
  *    open-addressing overflow table keyed by (node, kind, label);
  *  - finalize() writes each node's subtree sum over its inline
  *    successor, which no query reads once the run is over, so the
  *    sums cost no memory;
  *  - a memo miss reads the current window from the activation's
  *    executed blocks (kept in history_), newest first, stopping at the
- *    first block over the budget or at the activation's first block,
- *    and allocates nothing.  The window is always the longest
- *    in-budget suffix of that history, so the walk never reaches past
- *    the window's oldest block and no node needs to store its depth.
+ *    first block over the budget or at the activation's first block.
+ *    The window is always the longest in-budget suffix of that
+ *    history, so the walk never reaches past the window's oldest
+ *    block and no node needs to store its depth.
  * Nodes are numbered in creation order, which the layout does not
  * change, so forEachPath() order and serialized bytes do not depend
  * on it.
@@ -55,6 +65,7 @@
 #ifndef PATHSCHED_PROFILE_PATH_PROFILE_HPP
 #define PATHSCHED_PROFILE_PATH_PROFILE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -118,6 +129,15 @@ class PathProfiler : public interp::TraceListener
      *  the allocator), so the figure is deterministic. */
     size_t trieBytes() const;
 
+    /** Nodes a trie allocates at once past its first kSegmentNodes. */
+    static constexpr unsigned kSegmentShift = 15;
+    static constexpr uint32_t kSegmentNodes = 1u << kSegmentShift;
+
+    /** Nodes the tries have room for, the root nodes included; each
+     *  procedure's trie has room for fewer than kSegmentNodes more
+     *  than it holds. */
+    size_t nodeCapacity() const;
+
     /** Total dynamic steps (edges + entries) processed. */
     uint64_t numSteps() const { return steps_; }
 
@@ -149,13 +169,13 @@ class PathProfiler : public interp::TraceListener
     /** @} */
 
   private:
-    /** Label word of an empty child or successor slot; bit 31 of a
-     *  label word is the slot's "more in the overflow table" flag. */
+    /** Label word of an empty successor slot; bit 31 of a label word
+     *  is its "more in the overflow table" flag. */
     static constexpr uint32_t kNoLabel = 0x7fffffffu;
     static constexpr uint32_t kMore = 0x80000000u;
 
-    /** One trie node.  Index 0 of a child or successor slot means
-     *  "none": the root is never a child or a successor. */
+    /** One trie node.  Index 0 of a successor slot means "none": the
+     *  root is never a successor. */
     struct Node
     {
         /** An inline (label | more flag, node index) slot. */
@@ -165,11 +185,11 @@ class PathProfiler : public interp::TraceListener
             uint32_t node = 0;
         };
 
-        ir::BlockId label = ir::kNoBlock;
+        /** The label; kMore set when a child that is not the next
+         *  node is in the overflow table. */
+        uint32_t word = kNoLabel;
         uint32_t parent = 0;
         uint64_t count = 0;
-        /** First child (extension backward in time). */
-        Slot child;
         union
         {
             /** First memoised successor window (next-executed block);
@@ -178,34 +198,77 @@ class PathProfiler : public interp::TraceListener
             /** Sum of the subtree's counts; written by finalize(). */
             uint64_t subtree;
         };
-    };
-    static_assert(sizeof(Node) == 32, "Node must stay 32 bytes");
-    static_assert(std::is_trivially_copyable_v<Node>,
-                  "NodeArray grows Nodes with realloc");
 
-    /** Nodes in one malloc'd block grown by doubling with realloc,
-     *  which can move a large block by remapping its pages where a
-     *  vector would copy it next to a second live buffer.  Copies hold
-     *  exactly size() nodes, as a vector's would. */
-    class NodeArray
+        ir::BlockId label() const { return word & ~kMore; }
+    };
+    static_assert(sizeof(Node) == 24, "Node must stay 24 bytes");
+    static_assert(std::is_trivially_copyable_v<Node>,
+                  "NodeStore grows its first segment with realloc");
+
+    /** Nodes in fixed segments of kSegmentNodes.  The first segment
+     *  grows by doubling with realloc up to one segment; each later one
+     *  is malloc'd whole, so growth never copies nodes beyond the
+     *  first segment.  Copies hold exactly size() nodes in their first
+     *  segment, as a vector's would. */
+    class NodeStore
     {
       public:
-        NodeArray() = default;
-        NodeArray(const NodeArray &other);
-        NodeArray(NodeArray &&other) noexcept;
-        NodeArray &operator=(NodeArray other) noexcept;
-        ~NodeArray() { std::free(data_); }
+        NodeStore() = default;
+        NodeStore(const NodeStore &other);
+        NodeStore(NodeStore &&other) noexcept;
+        NodeStore &operator=(NodeStore other) noexcept;
+        ~NodeStore();
 
-        Node &operator[](size_t i) { return data_[i]; }
-        const Node &operator[](size_t i) const { return data_[i]; }
-        size_t size() const { return size_; }
-        size_t capacity() const { return capacity_; }
-        void push_back(const Node &n);
+        Node &
+        operator[](uint32_t i)
+        {
+            return i < kSegmentNodes
+                       ? head_[i]
+                       : tail_[(i >> kSegmentShift) - 1][i & kSegmentMask];
+        }
+        const Node &
+        operator[](uint32_t i) const
+        {
+            return i < kSegmentNodes
+                       ? head_[i]
+                       : tail_[(i >> kSegmentShift) - 1][i & kSegmentMask];
+        }
+        uint32_t size() const { return size_; }
+        size_t
+        capacity() const
+        {
+            return headCapacity_ + tail_.size() * size_t(kSegmentNodes);
+        }
+        /** Append @p n and return its index. */
+        uint32_t push_back(const Node &n);
+
+        /** Segments in use; segment k holds nodes from
+         *  k * kSegmentNodes on. */
+        size_t segments() const { return size_ == 0 ? 0 : 1 + tail_.size(); }
+        Node *segment(size_t k) { return k == 0 ? head_ : tail_[k - 1]; }
+        const Node *
+        segment(size_t k) const
+        {
+            return k == 0 ? head_ : tail_[k - 1];
+        }
+        /** Nodes in use in segment @p k. */
+        uint32_t
+        segmentSize(size_t k) const
+        {
+            return std::min(kSegmentNodes,
+                            size_ - uint32_t(k) * kSegmentNodes);
+        }
 
       private:
-        Node *data_ = nullptr;
-        size_t size_ = 0;
-        size_t capacity_ = 0;
+        static constexpr uint32_t kSegmentMask = kSegmentNodes - 1;
+
+        static Node *allocate(size_t n);
+
+        Node *head_ = nullptr;
+        uint32_t size_ = 0;
+        uint32_t headCapacity_ = 0;
+        /** Segments 1, 2, ...; each holds kSegmentNodes nodes. */
+        std::vector<Node *> tail_;
     };
 
     /** Open-addressing (linear probing) map from a packed
@@ -232,7 +295,7 @@ class PathProfiler : public interp::TraceListener
     /** Per-procedure trie; node 0 is the root (empty window). */
     struct Trie
     {
-        NodeArray nodes;
+        NodeStore nodes;
         /** The root's child per block id (0 = none). */
         std::vector<uint32_t> rootChild;
         Overflow overflow;
@@ -241,6 +304,7 @@ class PathProfiler : public interp::TraceListener
     uint32_t childOf(ir::ProcId proc, uint32_t node, ir::BlockId label);
     static uint32_t findChild(const Trie &t, uint32_t node,
                               ir::BlockId label);
+    static uint32_t addChild(Trie &t, uint32_t node, ir::BlockId label);
     bool extendOlder(ir::ProcId proc, ir::BlockId label,
                      uint32_t &branches, uint32_t &length) const;
     uint32_t transition(ir::ProcId proc, uint32_t node, ir::BlockId to);

@@ -194,6 +194,85 @@ budgetSuffix(const ir::Procedure &p, std::vector<BlockId> seq,
     return seq;
 }
 
+/**
+ * Profile @p prog on @p input under @p params and check the whole
+ * profile against the brute-force reference: every raw window
+ * (forEachPath()), every block's frequency, and the frequency of every
+ * suffix of every @p stride-th window position.  Returns the number of
+ * trie nodes the profile built.
+ */
+size_t
+expectProfileMatchesBruteForce(const Program &prog,
+                               const PathProfileParams &params,
+                               size_t stride = 1,
+                               const interp::ProgramInput &input = {})
+{
+    PathProfiler pp(prog, params);
+    TraceRecorder rec;
+    interp::Interpreter interp(prog);
+    interp.addListener(&pp);
+    interp.addListener(&rec);
+    interp.run(input);
+
+    std::vector<EdgeSet> chop;
+    for (const auto &p : prog.procs)
+        chop.push_back(params.forwardPathsOnly ? backEdgesOf(p) : EdgeSet());
+    WindowCounts want;
+    for (const auto &[proc, trace] : rec.finished) {
+        const std::vector<std::pair<ProcId, std::vector<BlockId>>> one{
+            {proc, trace}};
+        for (const auto &[key, n] :
+             bruteForceWindows(prog, one, params, &chop[proc]))
+            want[key] += n;
+    }
+    WindowCounts got;
+    pp.forEachPath([&](ProcId p, const std::vector<BlockId> &seq,
+                       uint64_t n) { got[{p, seq}] += n; });
+    EXPECT_EQ(got, want);
+    pp.finalize();
+
+    // Queries: every block, and every suffix of the sampled windows.
+    WindowCounts freq;
+    for (ProcId p = 0; p < prog.procs.size(); ++p) {
+        for (BlockId b = 0; b < prog.procs[p].blocks.size(); ++b)
+            freq[{p, {b}}] = 0;
+    }
+    size_t position = 0;
+    for (const auto &[proc, trace] : rec.finished) {
+        for (size_t i = 0; i < trace.size(); ++i, ++position) {
+            if (position % stride != 0)
+                continue;
+            const size_t len =
+                windowLen(prog.procs[proc], trace, i, params, &chop[proc]);
+            for (size_t k = 1; k <= len; ++k) {
+                freq[{proc, std::vector<BlockId>(
+                                trace.begin() + ptrdiff_t(i + 1 - k),
+                                trace.begin() + ptrdiff_t(i + 1))}] = 0;
+            }
+        }
+    }
+    // A sequence's frequency is the count of the windows ending in it.
+    for (const auto &[key, n] : want) {
+        const auto &[proc, w] = key;
+        for (size_t k = 1; k <= w.size(); ++k) {
+            const auto it = freq.find(
+                {proc, std::vector<BlockId>(w.end() - ptrdiff_t(k), w.end())});
+            if (it != freq.end())
+                it->second += n;
+        }
+    }
+    for (const auto &[key, n] : freq) {
+        const auto &[proc, seq] = key;
+        EXPECT_EQ(pp.pathFreq(proc, seq), n)
+            << "proc " << proc << " len " << seq.size();
+        if (seq.size() == 1) {
+            EXPECT_EQ(pp.blockFreq(proc, seq[0]), n)
+                << "proc " << proc << " block " << seq[0];
+        }
+    }
+    return pp.numPaths();
+}
+
 /** alt-style loop: head -> (left|right) -> latch -> head, TTTF. */
 Program
 makePatternLoop(int64_t trips)
@@ -232,42 +311,60 @@ makePatternLoop(int64_t trips)
  * exits, picked by an LCG; every arm jumps to `join`, which loops
  * back.  The window [join] gets @p cases children and every window
  * ending in `head` up to @p cases memoised successors, so most of the
- * trie's links live in its overflow table.
+ * trie's links live in its overflow table.  With @p stages > 1 the
+ * loop body is that many such switches in a row, each join jumping to
+ * the next head, so even forward windows (chopped at the loop's back
+ * edge) take @p cases ^ @p stages shapes.
  */
 Program
-makeSwitchLoop(int64_t trips, int cases)
+makeSwitchLoop(int64_t trips, int cases, int stages = 1)
 {
     Program prog;
     IrBuilder b(prog);
     prog.mainProc = b.newProc("main", 0);
-    const BlockId head = b.newBlock();
-    std::vector<BlockId> arms;
-    for (int k = 0; k < cases; ++k)
-        arms.push_back(b.newBlock());
-    const BlockId join = b.newBlock();
+    struct Switch
+    {
+        BlockId head = 0;
+        std::vector<BlockId> arms;
+        BlockId join = 0;
+    };
+    std::vector<Switch> sw{size_t(stages)};
+    for (Switch &w : sw) {
+        w.head = b.newBlock();
+        for (int k = 0; k < cases; ++k)
+            w.arms.push_back(b.newBlock());
+        w.join = b.newBlock();
+    }
     const BlockId done = b.newBlock();
     const RegId i = b.freshReg();
     const RegId s = b.freshReg();
     const RegId n = b.ldi(trips);
     b.ldiTo(i, 0);
     b.ldiTo(s, 12345);
-    b.jmp(head);
-    b.setBlock(head);
-    b.aluiTo(Opcode::Mul, s, s, 1103515245);
-    b.aluiTo(Opcode::Add, s, s, 12345);
-    b.aluiTo(Opcode::And, s, s, 0x7fffffff);
-    const RegId sel =
-        b.alui(Opcode::Rem, b.alui(Opcode::Shr, s, 16), cases);
-    for (int k = 0; k + 1 < cases; ++k)
-        b.brnz(b.cmpEqi(sel, k), arms[size_t(k)], ir::kNoBlock);
-    b.jmp(arms.back());
-    for (BlockId arm : arms) {
-        b.setBlock(arm);
-        b.jmp(join);
+    b.jmp(sw[0].head);
+    for (size_t st = 0; st < sw.size(); ++st) {
+        const Switch &w = sw[st];
+        b.setBlock(w.head);
+        b.aluiTo(Opcode::Mul, s, s, 1103515245);
+        b.aluiTo(Opcode::Add, s, s, 12345);
+        b.aluiTo(Opcode::And, s, s, 0x7fffffff);
+        const RegId sel =
+            b.alui(Opcode::Rem, b.alui(Opcode::Shr, s, 16), cases);
+        for (int k = 0; k + 1 < cases; ++k)
+            b.brnz(b.cmpEqi(sel, k), w.arms[size_t(k)], ir::kNoBlock);
+        b.jmp(w.arms.back());
+        for (BlockId arm : w.arms) {
+            b.setBlock(arm);
+            b.jmp(w.join);
+        }
+        b.setBlock(w.join);
+        if (st + 1 < sw.size()) {
+            b.jmp(sw[st + 1].head);
+        } else {
+            b.aluiTo(Opcode::Add, i, i, 1);
+            b.brnz(b.cmpLt(i, n), sw[0].head, done);
+        }
     }
-    b.setBlock(join);
-    b.aluiTo(Opcode::Add, i, i, 1);
-    b.brnz(b.cmpLt(i, n), head, done);
     b.setBlock(done);
     b.ret(i);
     return prog;
@@ -574,6 +671,72 @@ TEST(PathProfiler, BlocksBeyondTheProfiledProcedureAreZero)
     }
 }
 
+/**
+ * A node keeps no child link: a child is found as the next node or in
+ * the overflow table.  Here node n+1 exists, is not n's child, and
+ * carries the very label that n later gets as a child, which must go to
+ * the overflow table and not be taken for the next node.
+ *
+ * `callee(0)` runs entry, head, body, head, side, pre, head, side, done;
+ * `callee(1)` runs entry, pre, head, side, pre, head, side, done.  In
+ * forward mode the back edge body -> head chops the first call's window,
+ * so the walk for [head, side] ends at its node for `head`, and the next
+ * walk, for [head, side, pre], starts with the root's new child `pre`.
+ * Windows [head, side, pre, head, side] and, in the second call,
+ * [entry, pre, head, side] then give that `head` node the child `pre`.
+ */
+TEST(PathProfiler, ChildrenAfterTheNextNodeMatchBruteForce)
+{
+    Program prog;
+    IrBuilder b(prog);
+    const ProcId callee = b.newProc("callee", 1);
+    {
+        const BlockId pre = b.newBlock();
+        const BlockId head = b.newBlock();
+        const BlockId body = b.newBlock();
+        const BlockId side = b.newBlock();
+        const BlockId done = b.newBlock();
+        const RegId i = b.freshReg();
+        b.ldiTo(i, 0);
+        b.brnz(b.param(0), pre, head);
+        b.setBlock(pre);
+        b.aluiTo(Opcode::Add, i, i, 1);
+        b.jmp(head);
+        b.setBlock(head);
+        b.brnz(b.cmpEqi(i, 0), body, side);
+        b.setBlock(body);
+        b.aluiTo(Opcode::Add, i, i, 1);
+        b.jmp(head);
+        b.setBlock(side);
+        b.brnz(b.cmpEqi(i, 1), pre, done);
+        b.setBlock(done);
+        b.ret(i);
+    }
+    prog.mainProc = b.newProc("main", 0);
+    b.callValue(callee, {b.ldi(0)});
+    b.ret(b.callValue(callee, {b.ldi(1)}));
+
+    for (const bool forward : {false, true}) {
+        PathProfileParams params;
+        params.forwardPathsOnly = forward;
+        SCOPED_TRACE(forward ? "forward" : "sliding");
+        expectProfileMatchesBruteForce(prog, params);
+    }
+}
+
+/** Three switches per iteration (64-way in forward mode, whose windows
+ *  end at the back edge): a trie of more than two segments, whose
+ *  children and parents cross segment boundaries, in both modes. */
+TEST_P(SwitchDispatch, ThreeSegmentTrieMatchesBruteForce)
+{
+    PathProfileParams params;
+    params.forwardPathsOnly = GetParam();
+    const Program prog = GetParam() ? makeSwitchLoop(8000, 64, 3)
+                                    : makeSwitchLoop(300, 16, 3);
+    const size_t paths = expectProfileMatchesBruteForce(prog, params, 7);
+    EXPECT_GT(paths, 2 * size_t(PathProfiler::kSegmentNodes));
+}
+
 TEST(PathProfiler, TrieBytesIsDeterministic)
 {
     const Program prog = makeSwitchLoop(500, 64);
@@ -584,8 +747,13 @@ TEST(PathProfiler, TrieBytesIsDeterministic)
     interp.addListener(&b);
     interp.run({});
     EXPECT_EQ(a.trieBytes(), b.trieBytes());
-    // A node is 32 bytes; the figure covers at least every node.
-    EXPECT_GE(a.trieBytes(), 32 * a.numPaths());
+    // A node is 24 bytes; the figure covers at least every node.
+    EXPECT_GE(a.trieBytes(), 24 * a.numPaths());
+    EXPECT_GE(a.trieBytes(), 24 * a.nodeCapacity());
+    // Growth leaves less than one segment of room (one procedure here;
+    // the root node is not a path).
+    EXPECT_LT(a.nodeCapacity(),
+              a.numPaths() + PathProfiler::kSegmentNodes + 1);
     const size_t before = a.trieBytes();
     a.finalize();
     // The subtree sums reuse the dead successor-memo word.
@@ -594,23 +762,38 @@ TEST(PathProfiler, TrieBytesIsDeterministic)
 
 TEST(PathProfiler, CopiesAndMovesOwnTheirNodes)
 {
-    const Program prog = makeSwitchLoop(200, 16);
-    PathProfiler trained(prog);
-    interp::Interpreter interp(prog);
-    interp.addListener(&trained);
-    interp.run({});
+    // 200 trips fit one segment; 500 need two.
+    for (const int64_t trips : {200, 500}) {
+        SCOPED_TRACE(trips);
+        const Program prog = makeSwitchLoop(trips, trips == 200 ? 16 : 64);
+        PathProfiler trained(prog);
+        interp::Interpreter interp(prog);
+        interp.addListener(&trained);
+        interp.run({});
+        EXPECT_EQ(trained.numPaths() >= PathProfiler::kSegmentNodes,
+                  trips == 500);
 
-    PathProfiler copy = trained;
-    EXPECT_EQ(copy.numPaths(), trained.numPaths());
-    EXPECT_LE(copy.trieBytes(), trained.trieBytes()); // exact-size copy
-    PathProfiler moved = std::move(copy);
-    copy = trained; // assignable after being moved from
-    trained.finalize();
-    moved.finalize();
-    copy.finalize();
-    for (BlockId b = 0; b < prog.procs[0].blocks.size(); ++b) {
-        EXPECT_EQ(moved.blockFreq(0, b), trained.blockFreq(0, b)) << b;
-        EXPECT_EQ(copy.blockFreq(0, b), trained.blockFreq(0, b)) << b;
+        PathProfiler copy = trained;
+        EXPECT_EQ(copy.numPaths(), trained.numPaths());
+        EXPECT_LE(copy.trieBytes(), trained.trieBytes()); // exact-size copy
+        WindowCounts want;
+        trained.forEachPath([&](ProcId p, const std::vector<BlockId> &seq,
+                                uint64_t n) { want[{p, seq}] += n; });
+        PathProfiler moved = std::move(copy);
+        copy = trained; // assignable after being moved from
+        for (const PathProfiler *pp : {&moved, &copy}) {
+            WindowCounts got;
+            pp->forEachPath([&](ProcId p, const std::vector<BlockId> &seq,
+                                uint64_t n) { got[{p, seq}] += n; });
+            EXPECT_EQ(got, want);
+        }
+        trained.finalize();
+        moved.finalize();
+        copy.finalize();
+        for (BlockId b = 0; b < prog.procs[0].blocks.size(); ++b) {
+            EXPECT_EQ(moved.blockFreq(0, b), trained.blockFreq(0, b)) << b;
+            EXPECT_EQ(copy.blockFreq(0, b), trained.blockFreq(0, b)) << b;
+        }
     }
 }
 
@@ -753,6 +936,51 @@ TEST_P(PathProfileProperty, MatchesBruteForceWithBindingMaxBlocks)
         uncapped.maxBlocks = PathProfileParams().maxBlocks;
         EXPECT_NE(got,
                   bruteForceWindows(gen.program, rec.finished, uncapped));
+    }
+}
+
+/** Generator settings under which every seed's program loops and
+ *  calls (under the default ones some seeds run one block per
+ *  activation): the largest regions, and statements that are calls,
+ *  loops, ifs or ALU operations only. */
+pstest::GenParams
+loopingParams()
+{
+    pstest::GenParams g;
+    g.maxStmtsPerRegion = 12;
+    g.allowLoads = false;
+    g.allowStores = false;
+    g.allowEmit = false;
+    g.callDensity = 0.4;
+    g.loopDensity = 0.4;
+    return g;
+}
+
+/** Activations longer than maxBlocks, so the miss walks both descend
+ *  and append, and windows that calls interrupt, in both modes. */
+TEST_P(PathProfileProperty, MatchesBruteForceOnLoopingPrograms)
+{
+    const uint64_t seed = GetParam();
+    pstest::GeneratedProgram gen =
+        pstest::makeRandomProgram(seed, loopingParams());
+    PathProfileParams params;
+    params.maxBranches = 4;
+    params.maxBlocks = 10;
+
+    TraceRecorder rec;
+    interp::Interpreter interp(gen.program);
+    interp.addListener(&rec);
+    interp.run(gen.input);
+    size_t longest = 0;
+    for (const auto &[proc, trace] : rec.finished)
+        longest = std::max(longest, trace.size());
+    EXPECT_GT(longest, params.maxBlocks) << "seed " << seed;
+    EXPECT_GT(rec.finished.size(), 1u) << "seed " << seed << " makes no call";
+
+    for (const bool forward : {false, true}) {
+        params.forwardPathsOnly = forward;
+        SCOPED_TRACE(forward ? "forward" : "sliding");
+        expectProfileMatchesBruteForce(gen.program, params, 1, gen.input);
     }
 }
 

@@ -336,8 +336,10 @@ TEST(AggregateTest, SerializeDeserializeRoundTripsAndRejectsBitRot)
 {
     Rng rng(11);
     Aggregate a;
-    for (uint64_t i = 0; i < 20; ++i)
-        a.apply(randomDelta(rng, "c" + std::to_string(i % 3), i + 1));
+    for (uint64_t i = 0; i < 20; ++i) {
+        const std::string client{'c', char('0' + i % 3)};
+        a.apply(randomDelta(rng, client, i + 1));
+    }
     a.advanceEpoch(2);
 
     const std::string blob = a.serialize();

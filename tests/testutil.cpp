@@ -20,8 +20,8 @@ makeRandomProgram(uint64_t seed, const GenParams &params)
     spec.loopDepth = std::min(params.maxDepth, 3u);
     spec.stmts = params.maxStmtsPerRegion;
     spec.memWords = params.memWords;
-    if (!params.allowCalls)
-        spec.callDensity = 0;
+    spec.callDensity = params.allowCalls ? params.callDensity : 0;
+    spec.loopDensity = params.loopDensity;
     if (!params.allowLoads)
         spec.loadDensity = 0;
     if (!params.allowStores)

@@ -38,6 +38,10 @@ struct GenParams
     bool allowLoads = true;
     bool allowStores = true;
     bool allowEmit = true;
+    /** Shares of statements that call (when allowed) and that loop;
+     *  the defaults are gen::GenSpec's. */
+    double callDensity = 0.10;
+    double loopDensity = 0.12;
 };
 
 /** A generated program plus an input that exercises it. */
