@@ -2,19 +2,15 @@
  * @file
  * Executor scaling benchmark.
  *
- * Two measurements, both written to BENCH_executor.json:
+ * Batch sweep scaling, written to BENCH_executor.json: every
+ * (workload x config) pipeline run of a Table-1 sweep as one index of
+ * a parallelFor, at 1 worker vs 8.  The runs are independent, so on a
+ * multi-core machine the 8-thread sweep should approach the core
+ * count; on a single core both degenerate to the serial sweep.
  *
- *  1. Batch sweep scaling: every (workload x config) pipeline run of a
- *     Table-1 sweep as one index of a parallelFor, at 1 worker vs 8.  The runs are independent, so on a
- *     multi-core machine the 8-thread sweep should approach the core
- *     count; on a single core both degenerate to the serial sweep.
- *  2. In-run scaling: the largest workload (gcc, 259 procedures) with
- *     the pipeline's own per-procedure parallel-for at 1 vs 8 threads.
- *     Amdahl applies — the train/test/verify interpreter runs are
- *     serial — so this is a smaller, honest number.
- *
- * Determinism is asserted, not assumed: each measurement cross-checks
- * cycle counts against the serial baseline before timing is reported.
+ * Determinism is asserted, not assumed: the 8-worker sweep's cycle
+ * counts are cross-checked against the serial sweep's before timing is
+ * reported.
  */
 
 #include <chrono>
@@ -65,7 +61,7 @@ sweep(const std::vector<std::string> &benchmarks,
     pipeline::parallelFor(threads, runs.size(), [&](size_t i) {
         const auto &[name, config] = runs[i];
         const workloads::Workload &w = corpus.at(name);
-        pipeline::PipelineOptions opts; // serial inside a run
+        pipeline::PipelineOptions opts;
         const auto r = pipeline::runPipeline(w.program, w.train, w.test,
                                              config, opts);
         if (!r.status.ok())
@@ -89,7 +85,7 @@ main()
 
     bench::JsonReport report("executor");
 
-    // --- 1. Batch sweep at 1 vs 8 workers. ---
+    // Batch sweep at 1 vs 8 workers.
     std::map<std::pair<std::string, pipeline::SchedConfig>, uint64_t>
         serial_cycles, par_cycles;
     const double sweep1 = sweep(benchmarks, configs, 1, serial_cycles);
@@ -108,38 +104,6 @@ main()
     report.metric("speedup", sweep_speedup);
     report.metric("cores",
                   double(pipeline::hardwareThreads()));
-
-    // --- 2. In-run per-procedure parallelism on the largest program.
-    const auto gcc = workloads::makeByName("gcc");
-    auto timedRun = [&](unsigned threads) -> double {
-        pipeline::PipelineOptions opts;
-        opts.executor.threads = threads;
-        const auto t0 = Clock::now();
-        const auto r = pipeline::runPipeline(gcc.program, gcc.train,
-                                             gcc.test,
-                                             pipeline::SchedConfig::P4,
-                                             opts);
-        const double ms = msSince(t0);
-        if (!r.status.ok())
-            panic("gcc/P4 failed: %s", r.status.toString().c_str());
-        const uint64_t want =
-            serial_cycles.at({"gcc", pipeline::SchedConfig::P4});
-        if (r.test.cycles != want)
-            panic("gcc/P4 cycles drifted: %llu vs %llu",
-                  (unsigned long long)r.test.cycles,
-                  (unsigned long long)want);
-        return ms;
-    };
-    const double run1 = timedRun(1);
-    const double run8 = timedRun(8);
-    std::printf("gcc/P4 in-run: 1 thread %.0f ms, 8 threads %.0f ms "
-                "(speedup %.2fx)\n",
-                run1, run8, run1 / run8);
-    report.row("gcc-P4", "1-thread");
-    report.metric("ms", run1);
-    report.row("gcc-P4", "8-thread");
-    report.metric("ms", run8);
-    report.metric("speedup", run1 / run8);
 
     if (!report.write())
         std::fprintf(stderr,

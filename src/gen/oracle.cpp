@@ -256,7 +256,6 @@ checkWorkload(const Workload &w, const OracleOptions &opts)
     PipelineOptions base;
     base.keepTransformed = true;
     base.maxSteps = stepCeiling(w);
-    base.executor.threads = opts.threads;
 
     // One training and reference run serves every config, and the
     // metamorphic cases below read its genuine training profiles.

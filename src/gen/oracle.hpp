@@ -48,9 +48,6 @@ struct OracleOptions
     /** Also check the metamorphic invariants (profile permutation /
      *  scaling, disarmed injection). */
     bool metamorphic = true;
-    /** Worker threads for each pipeline run (results are
-     *  thread-count-invariant; this only changes wall time). */
-    unsigned threads = 1;
 };
 
 /** One oracle violation. */

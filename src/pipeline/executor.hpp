@@ -1,23 +1,17 @@
 /**
  * @file
- * Per-procedure parallel-for for the pipeline's transform stages.
+ * A parallel-for over independent runs.
  *
- * The paper schedules one procedure at a time (§3), and every
- * per-procedure stage (form, compact, regalloc, postschedule, verify)
- * is independent across procedures; only the stage order *within* one
- * procedure matters.  runBackend therefore runs one parallelFor over
- * procedure ids, whose body is that procedure's whole stage chain, so
- * a chain runs back to back on one worker.
+ * A pipeline run handles one procedure at a time on its calling thread;
+ * parallelism lives between runs.  Any number of runBackend() calls on
+ * any threads may share one PreparedWorkload, and parallelFor runs such
+ * coarse, independent bodies (bench_executor's sweep gives each
+ * (workload, config) run one index).
  *
- * Determinism contract: bodies must write only index-owned state (the
- * pipeline gives each procedure its own stats/context and merges them
- * in procedure-id order at the join), so the *results* are identical
- * for every thread count.  With threads <= 1 the loop runs inline on
- * the calling thread in index order, which makes "serial" the
- * procedure-id chain order.
- *
- * Bodies are coarse (a whole chain of passes over one procedure), so
- * workers simply claim the next index from one atomic counter.
+ * Determinism contract: bodies must write only index-owned state, so
+ * the results are identical for every thread count.  With threads <= 1
+ * the loop runs inline on the calling thread in index order.  Workers
+ * simply claim the next index from one atomic counter.
  */
 
 #ifndef PATHSCHED_PIPELINE_EXECUTOR_HPP

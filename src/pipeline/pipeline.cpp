@@ -11,7 +11,6 @@
 #include "layout/code_layout.hpp"
 #include "layout/pettis_hansen.hpp"
 #include "pipeline/backend.hpp"
-#include "pipeline/executor.hpp"
 #include "profile/edge_profile.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
@@ -44,8 +43,7 @@ PipelineResult::budgetDegradations() const
 namespace {
 
 /** Accumulates the enclosing scope's wall time into a double, so a
- *  stage's total is the sum of its tasks regardless of which worker
- *  ran them. */
+ *  stage's total is the sum of its procedures' chains. */
 class MsAccum
 {
   public:
@@ -64,40 +62,9 @@ class MsAccum
     std::chrono::steady_clock::time_point t0_;
 };
 
-/**
- * Everything one procedure's task chain reads and writes exclusively.
- * Workers never share a ProcCtx, which is the whole determinism story:
- * all cross-procedure aggregation happens at the serial join, in
- * procedure-id order.
- */
-struct ProcCtx
-{
-    /** Backend transform counters. */
-    TransformStats xf;
-    sched::CompactStats compact;
-    regalloc::AllocStats alloc;
-    sched::ScheduleStats postsched;
-    /** Compaction's final liveness solve, held from compact until
-     *  regalloc consumes it. */
-    std::optional<analysis::Liveness> live;
-    /** This procedure's degradations, merged at the join. */
-    std::vector<Degradation> degraded;
-    /** The stage boundary at which this chain found the run's deadline
-     *  expired and stopped, or null. */
-    const char *stoppedAt = nullptr;
-    /** Private registry standing in for the shared one (when a stats
-     *  sink exists), merged at the join. */
-    std::unique_ptr<obs::StatRegistry> ownStats;
-    /** "time.<config>."-prefixed observer backing this chain's pass
-     *  timers; the run's own observer after the join. */
-    obs::Observer timed;
-    double formMs = 0, compactMs = 0, regallocMs = 0, postschedMs = 0;
-};
-
 /** Replace @p dst's body (registers, blocks, side tables) with @p src's.
  *  The header (name, id, arity) is left untouched: it never changes,
- *  and other workers read it concurrently when they verify a call to
- *  this procedure. */
+ *  and verifying a call to this procedure reads it. */
 void
 replaceBody(ir::Procedure &dst, ir::Procedure &&src)
 {
@@ -299,14 +266,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     const bool budget_active = !bud.unlimited();
     result.budgeted = budget_active;
 
-    // Executor setup.  The thread count changes only which worker runs
-    // each procedure's chain, never the chain's results.
-    unsigned threads = opt.executor.threads;
-    if (threads == 0)
-        threads = hardwareThreads();
-    const bool parallel = threads > 1;
-    result.exec.threads = threads;
-
     // --- 1. The formation profile: an admitted external profile of the
     //        kind the backend reads, else the prepared training profile
     //        (also when the external file's admission was rejected). ---
@@ -383,27 +342,25 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                             1);
     }
 
-    // --- 2. Transform a copy of the program, one stage chain per
-    //        procedure, with per-procedure quarantine (see the file
-    //        comment). ---
+    // --- 2. Transform a copy of the program: one stage chain per
+    //        procedure, in procedure-id order, with per-procedure
+    //        quarantine (see the file comment). ---
     ir::Program prog = program;
     const size_t num_procs = prog.procs.size();
     std::vector<uint8_t> quarantined(num_procs, 0);
-
-    // Per-procedure task state; see ProcCtx.  Every chain records into
-    // its own registry, and traces only when it runs on the calling
-    // thread (trace events carry no order a join could restore).
-    std::vector<ProcCtx> ctxs(num_procs);
-    for (ProcCtx &ctx : ctxs) {
-        obs::Observer own = base;
-        if (base.stats != nullptr) {
-            ctx.ownStats = std::make_unique<obs::StatRegistry>();
-            own.stats = ctx.ownStats.get();
-        }
-        if (parallel)
-            own.trace = nullptr;
-        ctx.timed = own.withPrefix("time." + result.name + ".");
-    }
+    // What the chains count.  The loop's totals become the result's,
+    // and the stage rows and counters are recorded once, after the
+    // loop, so the BB fallbacks that the measured run or the output
+    // comparison trigger later are not counted in either.
+    TransformStats xf;
+    sched::CompactStats compact_stats;
+    regalloc::AllocStats alloc_stats;
+    sched::ScheduleStats postsched_stats;
+    double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
+    const obs::Observer compact_obs = timed.withPrefix("compact.");
+    // The stage boundary at which a chain found the run's deadline
+    // expired and stopped, or null.
+    const char *stopped_at = nullptr;
 
     // --- 3. transform -> compact -> regalloc -> postsched -> verify,
     //        one chain per procedure.  The transform stage is the
@@ -411,11 +368,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     //        procedure's governance: at its stage boundaries it queries
     //        the fault injector and polls the deadline, so no pass
     //        knows of either.  An expired deadline stops the chain
-    //        where it is seen, recorded in ctx.stoppedAt; the run then
-    //        ends at the join, so the half-done procedure needs no
-    //        fallback.  A quarantined procedure's chain is its BB
-    //        fallback, which crosses no boundary.  Returns the failed
-    //        stage (null if none) and why.
+    //        where it is seen, recorded in stopped_at, and ends the run
+    //        after it, so the half-done procedure needs no fallback.  A
+    //        quarantined procedure's chain is its BB fallback, which
+    //        crosses no boundary.  Returns the failed stage (null if
+    //        none) and why.
     FaultInjector *const faults = opt.robustness.faults;
     struct Failure
     {
@@ -423,7 +380,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         Status status;
     };
     auto runChain = [&](ir::ProcId p) -> Failure {
-        ProcCtx &ctx = ctxs[p];
         const bool governed = quarantined[p] == 0;
         auto injected = [&](const char *stage) {
             return governed && faults != nullptr ? faults->check(stage, p)
@@ -433,11 +389,11 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         auto expired = [&](const char *stage) {
             if (!governed || !bud.deadline.expired())
                 return false;
-            ctx.stoppedAt = stage;
+            stopped_at = stage;
             return true;
         };
         if (governed) {
-            MsAccum acc(be.hasTransform() ? ctx.formMs : ctx.compactMs);
+            MsAccum acc(be.hasTransform() ? form_ms : compact_ms);
             if (expired(be.hasTransform() ? be.transformLabel : "compact"))
                 return {};
             const profile::ProcAudit *pa =
@@ -460,8 +416,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     ext_path != nullptr ? &ext_path->projected : nullptr;
                 tc.useProjectedEdges =
                     pa && pa->action == profile::ProcAction::ProjectedEdges;
-                tc.timed = &ctx.timed;
-                if (Status st = be.transform(prog, p, tc, ctx.xf, &stage);
+                tc.timed = &timed;
+                if (Status st = be.transform(prog, p, tc, xf, &stage);
                     !st.ok())
                     return {stage, std::move(st)};
                 if (expired(stage))
@@ -470,41 +426,39 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     return {"materialize", std::move(st)};
             }
         }
+        // Compaction's final liveness solve, which regalloc reuses.
+        std::optional<analysis::Liveness> live;
         {
-            MsAccum acc(ctx.compactMs);
+            MsAccum acc(compact_ms);
             if (Status st = injected("compact"); !st.ok())
                 return {"compact", std::move(st)};
             sched::CompactOptions copts;
             copts.priority = opt.schedPriority;
-            const obs::Observer compact_obs =
-                ctx.timed.withPrefix("compact.");
             copts.observer = &compact_obs;
-            copts.liveness = &ctx.live;
+            copts.liveness = &live;
             if (Status st = sched::compactProcedure(prog, p, opt.machine,
-                                                    copts, ctx.compact);
+                                                    copts, compact_stats);
                 !st.ok())
                 return {"compact", std::move(st)};
             if (expired("compact"))
                 return {};
         }
         {
-            MsAccum acc(ctx.regallocMs);
-            const std::optional<analysis::Liveness> live =
-                std::exchange(ctx.live, std::nullopt);
+            MsAccum acc(regalloc_ms);
             if (Status st = injected("regalloc"); !st.ok())
                 return {"regalloc", std::move(st)};
             regalloc::AllocOptions ao;
             ao.liveness = live ? &*live : nullptr;
             if (Status st = regalloc::allocateProcedure(
-                    prog, p, opt.machine.numRegs, ctx.alloc, ao);
+                    prog, p, opt.machine.numRegs, alloc_stats, ao);
                 !st.ok())
                 return {"regalloc", std::move(st)};
             if (expired("regalloc"))
                 return {};
         }
         {
-            MsAccum acc(ctx.postschedMs);
-            ctx.postsched += sched::scheduleProcedure(
+            MsAccum acc(postsched_ms);
+            postsched_stats += sched::scheduleProcedure(
                 prog, p, opt.machine, opt.schedPriority);
         }
         // Machine conformance is checked, not counted: a procedure on
@@ -523,18 +477,15 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     // original (basic-block) body and run its chain again, now as the
     // BB fallback.  A failure here means the always-safe baseline
     // itself is broken, which is an internal bug: abort.
-    auto fallBack = [&](std::vector<Degradation> &out, ir::ProcId p,
-                        const char *stage, const Status &st) {
+    auto fallBack = [&](ir::ProcId p, const char *stage, const Status &st) {
         quarantined[p] = 1;
         warn("config %s: proc %s failed at %s (%s); degrading to BB",
              result.name.c_str(), program.procs[p].name.c_str(), stage,
              st.toString().c_str());
-        out.push_back({p, program.procs[p].name, stage, st.kind(),
-                       st.message()});
-        ProcCtx &ctx = ctxs[p];
-        auto t = ctx.timed.time("fallback");
+        result.degraded.push_back(
+            {p, program.procs[p].name, stage, st.kind(), st.message()});
+        auto t = timed.time("fallback");
         replaceBody(prog.procs[p], ir::Procedure(program.procs[p]));
-        ctx.live.reset();
         const Failure f = runChain(p);
         if (f.stage != nullptr)
             panic("BB fallback failed for proc %s at %s: %s",
@@ -542,46 +493,21 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                   f.status.toString().c_str());
     };
 
-    parallelFor(threads, num_procs, [&](size_t i) {
-        const ir::ProcId p = ir::ProcId(i);
+    for (ir::ProcId p = 0; p < num_procs && stopped_at == nullptr; ++p) {
         const Failure f = runChain(p);
         if (f.stage != nullptr)
-            fallBack(ctxs[p].degraded, p, f.stage, f.status);
-    });
-    // Counted as the stages each chain runs: transform?, compact,
-    // regalloc, postsched, verify.
-    result.exec.tasks += num_procs * (be.hasTransform() + 4);
-
-    // --- 4. The join (serial).  Everything order-sensitive happens
-    //        here, in procedure-id order: stat merging, degradation
-    //        recording, and the deadline status, which names the stage
-    //        of the lowest-id chain the deadline stopped. ---
-    const char *stopped_at = nullptr;
-    double form_ms = 0, compact_ms = 0, regalloc_ms = 0, postsched_ms = 0;
-    for (size_t p = 0; p < num_procs; ++p) {
-        ProcCtx &ctx = ctxs[p];
-        result.form += ctx.xf.form;
-        result.compact += ctx.compact;
-        result.alloc += ctx.alloc;
-        result.postsched += ctx.postsched;
-        for (auto &d : ctx.degraded)
-            result.degraded.push_back(std::move(d));
-        ctx.degraded.clear();
-        form_ms += ctx.formMs;
-        compact_ms += ctx.compactMs;
-        regalloc_ms += ctx.regallocMs;
-        postsched_ms += ctx.postschedMs;
-        if (stopped_at == nullptr)
-            stopped_at = ctx.stoppedAt;
-        if (ctx.ownStats != nullptr)
-            base.stats->merge(*ctx.ownStats);
-        // Fallbacks after the join time into the run's observer.
-        ctx.timed = timed;
+            fallBack(p, f.stage, f.status);
     }
+    result.form = xf.form;
+    result.compact = compact_stats;
+    result.alloc = alloc_stats;
+    result.postsched = postsched_stats;
     if (stopped_at != nullptr) {
         result.status = expiredAt(stopped_at);
         return result;
     }
+
+    // --- 4. Stage rows and counters of the chains. ---
     if (be.hasTransform()) {
         result.stages.push_back({be.transformLabel, form_ms});
         timed.addSample(std::string(be.transformLabel) + ".total",
@@ -702,7 +628,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     auto degradeAndRemeasure = [&](const Suspects &suspects,
                                    const char *stage) {
         for (const auto &[p, st] : suspects)
-            fallBack(result.degraded, p, stage, st);
+            fallBack(p, stage, st);
         runLayout("layout-retry");
         runTest("test-retry");
     };
@@ -829,7 +755,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                         result.test.stallCycles);
     }
 
-    // --- 8. Robustness and executor accounting. ---
+    // --- 8. Robustness accounting. ---
     base.addCounter("robust" + cfg_dot + "degraded",
                     result.degraded.size());
     for (ErrorKind k : kAllErrorKinds) {
@@ -852,12 +778,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                               "budget.deadlineRemainingMs",
                           double(bud.deadline.remainingMs()));
     }
-    // Executor stats vary with the thread count — consumers comparing
-    // runs for determinism must ignore the "executor." subtree, and
-    // only it.
-    base.addCounter("executor" + cfg_dot + "tasks", result.exec.tasks);
-    base.setGauge("executor" + cfg_dot + "threads", double(threads));
-
     if (opt.keepTransformed)
         result.transformed =
             std::make_shared<ir::Program>(std::move(prog));

@@ -22,14 +22,15 @@
  * schedules from that profile (§3, §4); runPipeline() is the
  * one-backend form, preparing only the kinds its backend reads.
  *
- * The per-procedure stages run as one parallel-for over procedures
- * (pipeline/executor.hpp): each procedure's chain — transform, compact,
- * regalloc, postsched, verify — runs back to back on one worker, so
- * independent procedures proceed in parallel, and one serial join
- * merges their results in procedure-id order, while the whole-program
- * stages (training run, layout, measurement, output comparison) stay
- * serial.  An N-thread run is bit-identical to a 1-thread run — see
- * docs/architecture.md for the invariants that guarantee it.
+ * The per-procedure stages run as one serial loop over procedures, in
+ * procedure-id order: each procedure's chain — transform, compact,
+ * regalloc, postsched, verify — runs back to back, as the paper's back
+ * end handles one procedure at a time (§2.3, §3), and its stats, stage
+ * times and degradations add into the run's result and observer.  The
+ * whole-program stages (training run, layout, measurement, output
+ * comparison) run before and after that loop.  Parallelism lives
+ * between runs: any number of runBackend() calls on any threads may
+ * share one PreparedWorkload — see docs/architecture.md.
  *
  * The pipeline is fault-tolerant per procedure (docs/robustness.md):
  * when any transform stage fails for one procedure — or the
@@ -93,10 +94,10 @@ const char *configName(SchedConfig config);
  *
  * Non-paper concerns are grouped by subsystem instead of accreting as
  * flat fields: profile admission (profileInput), governance and fault
- * injection (robustness), stat/trace sinks (observability), and the
- * per-procedure parallel-for (executor).  The paper's
- * own knobs — machine model, formation and scheduling parameters —
- * stay flat on PipelineOptions, mirroring §3/§4 of the paper.
+ * injection (robustness) and stat/trace sinks (observability).  The
+ * paper's own knobs — machine model, formation and scheduling
+ * parameters — stay flat on PipelineOptions, mirroring §3/§4 of the
+ * paper.
  * @{
  */
 
@@ -139,9 +140,9 @@ struct RobustnessOptions
      * of that stage, degrading the procedure to BB.  Quarantined
      * procedures and the BB fallback itself are never re-injected, so
      * an armed fault cannot make the fallback fail.  Null disables
-     * injection entirely.  The injector locks itself, so injection is
-     * safe (though attribution of count=/prob= faults is
-     * scheduling-dependent) under a multi-threaded executor.
+     * injection entirely.  The injector locks itself, so concurrent
+     * runs may share one (attribution of count=/prob= faults then
+     * depends on how the runs interleave).
      */
     FaultInjector *faults = nullptr;
 };
@@ -153,26 +154,19 @@ struct RobustnessOptions
  * wall-time distributions ("time.<config>.<stage>") into
  * observer->stats, and emits trace events into observer->trace.  Both
  * sinks are optional; a null observer costs nothing beyond the
- * per-stage clock reads that fill PipelineResult::stages.
- * Per-procedure tasks record into private registries that merge into
- * observer->stats at the serial join, in procedure-id order — counter
- * totals are thread-count-invariant; their trace events are only
- * emitted from single-threaded runs. */
+ * per-stage clock reads that fill PipelineResult::stages.  Neither
+ * sink locks: a run records into them from its calling thread, so
+ * concurrent runs each need their own observer. */
 struct ObsOptions
 {
     const obs::Observer *observer = nullptr;
 };
 
-/** Per-procedure parallelism (docs/architecture.md). */
+/** Nothing reads either member: perfbench/main.cpp assigns both, so
+ *  the struct goes with the next change to the benchmark. */
 struct ExecutorOptions
 {
-    /** Worker threads for the per-procedure stage chains; 1 = run
-     *  inline on the calling thread, 0 = one per hardware thread.
-     *  Output is bit-identical for every value. */
     unsigned threads = 1;
-    /** Always null, and nothing reads it: it is kept only because
-     *  perfbench/main.cpp:506 assigns it, and goes with the next
-     *  change to the benchmark. */
     std::nullptr_t cache = nullptr;
 };
 /** @} */
@@ -235,13 +229,6 @@ struct Degradation
     std::string message;
 };
 
-/** Executor activity of one run (report: "executor"). */
-struct ExecReport
-{
-    unsigned threads = 1;       ///< resolved worker thread count
-    uint64_t tasks = 0;         ///< procedures x per-procedure stages run
-};
-
 /** Measurements from one (program, config) pipeline run. */
 struct PipelineResult
 {
@@ -273,7 +260,7 @@ struct PipelineResult
      *  chains (profile, form, materialize, compact, regalloc, verify)
      *  in procedure-id order, then the degradations of the measured
      *  run ("interp") and the output comparison ("output-compare") in
-     *  the order found.  Identical for every thread count. */
+     *  the order found. */
     std::vector<Degradation> degraded;
     /** The run completed but at least one procedure fell back to BB. */
     bool degradedRun() const { return !degraded.empty(); }
@@ -289,13 +276,9 @@ struct PipelineResult
      *  deadline degrades nothing). */
     size_t budgetDegradations() const;
 
-    /** Executor activity (threads, tasks).
-     *  Always filled, even for single-threaded runs. */
-    ExecReport exec;
-
     /** Wall time of every pipeline stage, in execution order (always
      *  collected; independent of the observer).  Per-procedure stages
-     *  report the sum of their tasks' wall times.  The "train" and
+     *  report the sum of their chains' wall times.  The "train" and
      *  "verify" rows time the shared PreparedWorkload's runs: only the
      *  first result built from it carries their ms, later ones 0. */
     std::vector<obs::StageTiming> stages;

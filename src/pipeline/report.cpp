@@ -147,12 +147,6 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.member("maxPressure", uint64_t(r.alloc.maxPressure));
     w.endObject();
 
-    w.key("executor");
-    w.beginObject();
-    w.member("threads", uint64_t(r.exec.threads));
-    w.member("tasks", r.exec.tasks);
-    w.endObject();
-
     w.key("stages");
     w.beginArray();
     for (const auto &s : r.stages) {

@@ -10,10 +10,9 @@
  *    regalloc::allocateProcedure, sched::scheduleProcedure,
  *    ir::verifyProcStatus — which reports recoverable failure as a
  *    typed Status and never aborts.  This is the ONLY form the
- *    pipeline executor calls: executor tasks need attributable,
+ *    pipeline's per-procedure chains call: they need attributable,
  *    recoverable failure (quarantine one procedure, keep its
- *    siblings), and a panic inside a worker would take the whole pool
- *    down.
+ *    siblings), and a panic would take the whole run down.
  *
  *  - the **panicking whole-program wrapper** — formProgram,
  *    compactProgram, allocateProgram — a convenience for tools, tests

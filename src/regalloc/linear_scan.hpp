@@ -105,7 +105,7 @@ struct AllocOptions
  * registers, rewriting register operands in place, adding the spill
  * code of any register sent to the frame, and accumulating counters
  * into @p stats — the recoverable per-procedure entry point behind
- * allocateProgram(), and the form the pipeline executor calls.
+ * allocateProgram(), and the form the pipeline's chains call.
  * Allocation clears exactly the block schedules it makes stale: each
  * block it inserts spill code into, and each block on which the final
  * register assignment is not injective (see DESIGN.md §5.4).  A block

@@ -467,7 +467,6 @@ ServeCore::attemptReschedule(bool force)
     pipeline::PipelineOptions po = opts_.pipelineBase;
     po.profileInput.edges = &edges;
     po.profileInput.paths = &paths;
-    po.executor.threads = 1;
     po.keepTransformed = true;
 
     // The training and reference runs are prepared once, on the first

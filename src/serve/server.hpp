@@ -60,8 +60,8 @@ struct ServeOptions
     const pipeline::BackendDesc *backend =
         &pipeline::backendFor(pipeline::SchedConfig::P4);
     /** Base pipeline options (machine model, path params, ...).  The
-     *  core overrides the profile-input, executor-thread, deadline and
-     *  keepTransformed fields per reschedule. */
+     *  core overrides the profile-input, deadline and keepTransformed
+     *  fields per reschedule. */
     pipeline::PipelineOptions pipelineBase;
     /** Wall budget per reschedule attempt; 0 = none.  Crash tests run
      *  with 0 so schedules stay bit-reproducible. */

@@ -44,7 +44,7 @@ owner()
 }
 
 /** Armed set; the pointer is swapped atomically so mutationArmed can
- *  be called from pipeline worker threads without locking. */
+ *  be called from concurrent pipeline runs without locking. */
 std::atomic<const ArmedSet *> g_armed{nullptr};
 std::once_flag g_env_once;
 

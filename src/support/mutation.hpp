@@ -35,7 +35,7 @@ bool mutationArmed(std::string_view name);
 /**
  * Arm exactly the mutations in @p csv (comma-separated; "" disarms
  * all), overriding the environment.  Test-only; not safe to call while
- * pipeline worker threads are running.
+ * pipeline runs are in progress on other threads.
  */
 void setMutationsForTest(const std::string &csv);
 

@@ -51,9 +51,8 @@ RunningStat::merge(const RunningStat &other)
     // those fields *and* the mean is bit-identical no matter how a
     // sample stream was split into shards or in which order the shards
     // merged.  m2 keeps Chan's combination: it is associative only up
-    // to rounding, which merge-order determinism (the executor merges
-    // in procedure-id order) absorbs.  tests/merge_property_test.cpp
-    // pins both guarantees.
+    // to rounding, which merging in a fixed order absorbs.
+    // tests/merge_property_test.cpp pins both guarantees.
     mean_ = sum_ / double(count_);
     m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
 }

@@ -15,8 +15,8 @@ binaries:
   4. SIGTERM stops the suite gracefully: children are killed, the
      journal gains a suite-abort record and is flushed, the runner
      exits 4, and --resume finishes the remainder;
-  5. with --outdir, each done line carries the child report's
-     per-run executor accounting;
+  5. --threads is an unknown option (runs are serial; --jobs is the
+     parallelism), so the runner exits 1 without starting a task;
   6. every journal line is strict JSON, even when a recorded string
      carries control bytes (here: a tab in the journal path).
 
@@ -99,23 +99,16 @@ def test_degraded_exit(tmp):
     check(done[0]["exit"] == 2, "child exit code journaled")
 
 
-def test_executor_summary(tmp):
-    print("done lines carry the executor summary:")
-    journal = os.path.join(tmp, "executor.jsonl")
-    outdir = os.path.join(tmp, "reports")
+def test_threads_is_unknown(tmp):
+    print("--threads is an unknown option:")
+    journal = os.path.join(tmp, "threads.jsonl")
     r = run_batch(
         ["--workloads", "wc", "--configs", "P4", "--journal", journal,
-         "--outdir", outdir, "--threads", "2"])
-    check(r.returncode == 0, f"suite exit 0 (got {r.returncode})")
-    done = [e for e in read_journal(journal) if e.get("event") == "done"]
-    check(len(done) == 1, f"one done line (got {len(done)})")
-    ex = done[0].get("executor") if done else None
-    check(isinstance(ex, dict), f"done line has an executor member "
-                                f"({done})")
-    check(bool(ex) and ex.get("tasks", 0) > 0,
-          f"executor tasks > 0 (got {ex})")
-    check(bool(ex) and ex.get("threads") == 2,
-          f"executor threads forwarded (got {ex})")
+         "--threads", "1"])
+    check(r.returncode == 1, f"runner exits 1 (got {r.returncode})")
+    check("unknown option '--threads'" in r.stderr,
+          f"stderr names the option ({r.stderr.strip()[-80:]!r})")
+    check(not os.path.exists(journal), "no journal is written")
 
 
 def test_kill_runner_and_resume(tmp):
@@ -347,7 +340,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_timeout_and_retries(tmp)
         test_degraded_exit(tmp)
-        test_executor_summary(tmp)
+        test_threads_is_unknown(tmp)
         test_kill_runner_and_resume(tmp)
     with tempfile.TemporaryDirectory() as tmp:
         test_sigterm_graceful_interrupt(tmp)

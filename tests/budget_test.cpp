@@ -224,32 +224,28 @@ TEST(PipelineBudget, DeadlineExpiredBeforeTheChainsStopsThemAtTheirEntry)
 TEST(PipelineBudget, ExpiredDeadlineLeavesNoDegradation)
 {
     // Deadlines from 0 to 12 ms expire at every point of gcc/P4's
-    // chains, serial and parallel: a chain stops where it sees the
-    // deadline, so no procedure degrades and no BB fallback runs.
+    // chains: a chain stops where it sees the deadline, so no
+    // procedure degrades and no BB fallback runs.
     const auto w = workloads::makeByName("gcc");
     const pipeline::BackendDesc &be = pipeline::backendFor(SchedConfig::P4);
     const pipeline::PreparedWorkload pw = pipeline::prepareWorkload(
         w.program, w.train, w.test, pipeline::needsOf(be), {});
     ASSERT_TRUE(pw.status.ok()) << pw.status.toString();
-    for (unsigned threads : {1u, 4u}) {
-        for (uint64_t ms = 0; ms <= 12; ++ms) {
-            obs::StatRegistry registry;
-            obs::Observer observer;
-            observer.stats = &registry;
-            PipelineOptions opts;
-            opts.observability.observer = &observer;
-            opts.executor.threads = threads;
-            opts.robustness.budget.deadline = Deadline::afterMs(ms);
-            const PipelineResult r = pipeline::runBackend(pw, be, opts);
-            SCOPED_TRACE(::testing::Message() << threads << " threads, "
-                                              << ms << " ms");
-            if (!r.status.ok()) {
-                EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded)
-                    << r.status.toString();
-            }
-            EXPECT_TRUE(r.degraded.empty());
-            EXPECT_EQ(registry.find("time.P4.fallback"), nullptr);
+    for (uint64_t ms = 0; ms <= 12; ++ms) {
+        obs::StatRegistry registry;
+        obs::Observer observer;
+        observer.stats = &registry;
+        PipelineOptions opts;
+        opts.observability.observer = &observer;
+        opts.robustness.budget.deadline = Deadline::afterMs(ms);
+        const PipelineResult r = pipeline::runBackend(pw, be, opts);
+        SCOPED_TRACE(::testing::Message() << ms << " ms");
+        if (!r.status.ok()) {
+            EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded)
+                << r.status.toString();
         }
+        EXPECT_TRUE(r.degraded.empty());
+        EXPECT_EQ(registry.find("time.P4.fallback"), nullptr);
     }
 }
 

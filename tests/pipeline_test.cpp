@@ -207,15 +207,14 @@ TEST(Pipeline, ReportsFormAndPathStatistics)
     EXPECT_GT(r.codeBytes, 0u);
 }
 
-/** The stat registry minus its wall-time ("time.") and thread-count
- *  ("executor.") subtrees, one "path kind counter gauge count" line per
- *  stat. */
+/** The stat registry minus its wall-time ("time.") subtree, one
+ *  "path kind counter gauge count" line per stat. */
 std::string
 deterministicStats(const obs::StatRegistry &reg)
 {
     std::string out;
     for (const auto &[path, st] : reg.all()) {
-        if (path.starts_with("time.") || path.starts_with("executor."))
+        if (path.starts_with("time."))
             continue;
         out += strfmt("%s %d %llu %.17g %llu\n", path.c_str(),
                       int(st.kind), (unsigned long long)st.counter,
@@ -324,15 +323,11 @@ TEST(Pipeline, SharedPrepareMatchesPerBackendRuns)
                             std::move(g.train), std::move(g.test)});
     }
     for (const Program &p : programs) {
-        for (unsigned threads : {1u, 4u}) {
-            SCOPED_TRACE(p.name + strfmt(" threads=%u", threads));
-            PipelineOptions opts;
-            opts.executor.threads = threads;
-            for (const PipelineResult &r : expectSharedMatchesSeparate(
-                     p.program, p.train, p.test, opts)) {
-                EXPECT_TRUE(r.status.ok()) << r.status.toString();
-                EXPECT_TRUE(r.outputMatches);
-            }
+        SCOPED_TRACE(p.name);
+        for (const PipelineResult &r : expectSharedMatchesSeparate(
+                 p.program, p.train, p.test, PipelineOptions())) {
+            EXPECT_TRUE(r.status.ok()) << r.status.toString();
+            EXPECT_TRUE(r.outputMatches);
         }
     }
 }
@@ -483,48 +478,36 @@ TEST(Pipeline, FrameSpillsSurviveVerifyAndOutputFallbacks)
     const ir::ProcId verify_proc = spilling[0];
     const ir::ProcId compare_proc = spilling[1];
 
-    std::string ir_at_one;
-    for (const unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        FaultInjector inj(0);
-        std::string err;
-        ASSERT_TRUE(inj.parse(strfmt("stage=verify,proc=%u", verify_proc),
-                              err))
-            << err;
-        ASSERT_TRUE(inj.parse(
-            strfmt("stage=output-compare,proc=%u", compare_proc), err))
-            << err;
-        PipelineOptions fopts = opts;
-        fopts.robustness.faults = &inj;
-        fopts.executor.threads = threads;
-        const PipelineResult r = runPipeline(w.program, w.train, w.test,
-                                             SchedConfig::P4, fopts);
-        ASSERT_TRUE(r.status.ok()) << r.status.toString();
-        EXPECT_TRUE(r.outputMatches);
-        EXPECT_EQ(r.test.output, clean.test.output);
-        EXPECT_EQ(r.test.returnValue, clean.test.returnValue);
-        ASSERT_EQ(r.degraded.size(), 2u);
-        EXPECT_EQ(r.degraded[0].proc, verify_proc);
-        EXPECT_EQ(r.degraded[0].stage, "verify");
-        EXPECT_EQ(r.degraded[1].proc, compare_proc);
-        EXPECT_EQ(r.degraded[1].stage, "output-compare");
+    FaultInjector inj(0);
+    std::string err;
+    ASSERT_TRUE(inj.parse(strfmt("stage=verify,proc=%u", verify_proc), err))
+        << err;
+    ASSERT_TRUE(
+        inj.parse(strfmt("stage=output-compare,proc=%u", compare_proc), err))
+        << err;
+    PipelineOptions fopts = opts;
+    fopts.robustness.faults = &inj;
+    const PipelineResult r =
+        runPipeline(w.program, w.train, w.test, SchedConfig::P4, fopts);
+    ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    EXPECT_TRUE(r.outputMatches);
+    EXPECT_EQ(r.test.output, clean.test.output);
+    EXPECT_EQ(r.test.returnValue, clean.test.returnValue);
+    ASSERT_EQ(r.degraded.size(), 2u);
+    EXPECT_EQ(r.degraded[0].proc, verify_proc);
+    EXPECT_EQ(r.degraded[0].stage, "verify");
+    EXPECT_EQ(r.degraded[1].proc, compare_proc);
+    EXPECT_EQ(r.degraded[1].stage, "output-compare");
 
-        // The fallback bodies spill to their own frames, every
-        // procedure stays on the machine's registers, and data memory
-        // never grows.
-        const ir::Program &t = *r.transformed;
-        const auto frames = framesInUse(t);
-        EXPECT_TRUE(frames[verify_proc]);
-        EXPECT_TRUE(frames[compare_proc]);
-        EXPECT_EQ(t.memWords, data_words);
-        for (const ir::Procedure &proc : t.procs)
-            EXPECT_LE(proc.numRegs, opts.machine.numRegs) << proc.name;
-
-        if (threads == 1)
-            ir_at_one = ir::toString(t);
-        else
-            EXPECT_EQ(ir::toString(t), ir_at_one);
-    }
+    // The fallback bodies spill to their own frames, every procedure
+    // stays on the machine's registers, and data memory never grows.
+    const ir::Program &t = *r.transformed;
+    const auto frames = framesInUse(t);
+    EXPECT_TRUE(frames[verify_proc]);
+    EXPECT_TRUE(frames[compare_proc]);
+    EXPECT_EQ(t.memWords, data_words);
+    for (const ir::Procedure &proc : t.procs)
+        EXPECT_LE(proc.numRegs, opts.machine.numRegs) << proc.name;
 }
 
 } // namespace

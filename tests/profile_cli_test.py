@@ -240,12 +240,17 @@ def test_dump_obeys_step_budget(tmp):
 
 def test_bad_number_flag():
     print("a malformed numeric flag is a user error naming the flag")
-    for flag, value in [("--threads", "abc"), ("--step-budget", "-1"),
+    for flag, value in [("--max-instrs", "abc"), ("--step-budget", "-1"),
                         ("--depth", "x"), ("--threshold", "y")]:
         r = run_cli(["--workload", "wc", "--config", "BB", flag, value])
         check(r.returncode == 1,
               f"{flag} {value} exits 1 (got {r.returncode})")
         check(f"{flag} wants" in r.stderr, f"stderr names {flag}")
+    # Runs are serial; --threads is no longer an option.
+    r = run_cli(["--workload", "wc", "--config", "BB", "--threads", "1"])
+    check(r.returncode == 1, f"--threads 1 exits 1 (got {r.returncode})")
+    check("unknown option '--threads'" in r.stderr,
+          "stderr names --threads as unknown")
 
 
 def main():

@@ -44,7 +44,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -94,8 +93,6 @@ usage()
         "                          completed (ok or degraded)\n"
         "  --outdir DIR            write each task's JSON report to\n"
         "                          DIR/<workload>_<config>.json\n"
-        "  --threads N             forward --threads N to every child\n"
-        "                          (per-child worker threads)\n"
         "  --io-inject SPEC        deterministic disk-fault injection\n"
         "                          on the journal (docs/robustness.md)\n"
         "  --io-inject-seed N      seed for prob= fault selectors\n"
@@ -210,50 +207,6 @@ completedInJournal(const std::string &path, size_t &corrupt_lines)
     return completed;
 }
 
-/** Per-task executor accounting pulled from the child's JSON report. */
-struct ExecSummary
-{
-    bool present = false;
-    uint64_t threads = 0;    ///< max across the task's runs
-    uint64_t tasks = 0;      ///< summed across the task's runs
-};
-
-/**
- * Sum the "executor" blocks of every run in the child's report file.
- * Best-effort: a missing or old-schema report just leaves the summary
- * absent — the journal line then simply has no executor member.
- */
-ExecSummary
-readExecSummary(const std::string &report_path)
-{
-    ExecSummary s;
-    std::ifstream in(report_path, std::ios::binary);
-    if (!in)
-        return s;
-    std::string doc((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    obs::JsonValue report;
-    if (!obs::JsonValue::parse(doc, report))
-        return s;
-    const obs::JsonValue *runs = report.find("runs");
-    if (runs == nullptr)
-        return s;
-    for (const obs::JsonValue &run : runs->items()) {
-        const obs::JsonValue *ex = run.find("executor");
-        if (ex == nullptr || !ex->isObject())
-            continue;
-        auto num = [&](const char *key) -> uint64_t {
-            const obs::JsonValue *v = ex->find(key);
-            return v != nullptr && v->isNumber() ? uint64_t(v->asNumber())
-                                                 : 0;
-        };
-        s.present = true;
-        s.threads = std::max(s.threads, num("threads"));
-        s.tasks += num("tasks");
-    }
-    return s;
-}
-
 /** Directory of argv[0], for the default --cli path. */
 std::string
 siblingCli(const char *argv0)
@@ -320,7 +273,6 @@ main(int argc, char **argv)
     int retries = 0;
     uint64_t backoff_ms = 100;
     bool resume = false;
-    std::string threads_arg;
     std::string io_inject;
     uint64_t io_inject_seed = 0;
     std::vector<std::string> passthrough;
@@ -354,8 +306,6 @@ main(int argc, char **argv)
             resume = true;
         } else if (arg == "--outdir") {
             outdir = next();
-        } else if (arg == "--threads") {
-            threads_arg = next();
         } else if (arg == "--io-inject") {
             io_inject = next();
         } else if (arg == "--io-inject-seed") {
@@ -393,12 +343,6 @@ main(int argc, char **argv)
         errno != EEXIST)
         fatal("cannot create --outdir '%s': %s", outdir.c_str(),
               std::strerror(errno));
-
-    // The executor flag forwards to every child.
-    if (!threads_arg.empty()) {
-        passthrough.push_back("--threads");
-        passthrough.push_back(threads_arg);
-    }
 
     std::vector<Task> tasks;
     for (const auto &w : workload_names)
@@ -565,30 +509,13 @@ main(int argc, char **argv)
             } else {
                 outcome = "crashed"; // killed by a signal, not by us
             }
-            // Executor accounting rides along on the done event when
-            // the child wrote a report (--outdir): threads and task
-            // counts per batch task.
-            std::string exec_json;
-            if (!outdir.empty() &&
-                (outcome == "ok" || outcome == "degraded")) {
-                const ExecSummary es = readExecSummary(
-                    outdir + "/" + t.workload + "_" + t.config +
-                    ".json");
-                if (es.present)
-                    exec_json = strfmt(
-                        ",\"executor\":{\"threads\":%llu,"
-                        "\"tasks\":%llu}",
-                        (unsigned long long)es.threads,
-                        (unsigned long long)es.tasks);
-            }
             journalWrite(strfmt(
                 "{\"event\":\"done\",\"task\":\"%s\",\"attempt\":%d,"
                 "\"outcome\":\"%s\",\"exit\":%d,\"ms\":%.1f,"
-                "\"ts\":%llu%s}",
+                "\"ts\":%llu}",
                 obs::jsonEscape(t.name()).c_str(), t.attempts,
                 outcome.c_str(), exit_code, ms,
-                (unsigned long long)epochSeconds(),
-                exec_json.c_str()));
+                (unsigned long long)epochSeconds()));
 
             const bool success =
                 outcome == "ok" || outcome == "degraded";

@@ -115,10 +115,6 @@ usage()
         "                          a test run over it degrades the\n"
         "                          procedure it stopped in to BB\n"
         "                          (exit 2)\n"
-        "  --threads N             worker threads for the per-procedure\n"
-        "                          stage chains (default 1 = serial;\n"
-        "                          0 = hardware concurrency).  Results\n"
-        "                          are identical for every N\n"
         "  --list                  list workloads and exit\n"
         "\n"
         "exit codes: 0 success; 1 user error (including an exhausted\n"
@@ -349,9 +345,6 @@ main(int argc, char **argv)
         } else if (arg == "--step-budget") {
             opts.robustness.budget.interpSteps =
                 flagU64("--step-budget", next());
-        } else if (arg == "--threads") {
-            opts.executor.threads =
-                unsigned(flagU64("--threads", next(), UINT32_MAX));
         } else if (arg == "--list") {
             for (const auto &n : workloads::benchmarkNames())
                 std::printf("%s\n", n.c_str());

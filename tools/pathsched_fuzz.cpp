@@ -79,7 +79,6 @@ usage()
                 pipeline::backendNames(",").c_str());
     std::printf(
         "                      (default all)\n"
-        "  --threads N         pipeline worker threads per run\n"
         "other modes:\n"
         "  --one SPEC          check one spec in-process (child mode;\n"
         "                      exit 0 clean, 10 findings)\n"
@@ -146,7 +145,6 @@ struct ChildConfig
 {
     std::string exe;
     std::string configsArg; ///< "" = all
-    unsigned threads = 1;
     bool meta = true;
     uint64_t timeoutMs = 120'000;
     std::string tmpDir;
@@ -173,9 +171,7 @@ spawnChild(const ChildConfig &cc, const gen::GenSpec &spec)
                                      "--one",
                                      spec.toString(),
                                      "--result-file",
-                                     ch.resultFile,
-                                     "--threads",
-                                     std::to_string(cc.threads)};
+                                     ch.resultFile};
     if (!cc.configsArg.empty()) {
         args.push_back("--configs");
         args.push_back(cc.configsArg);
@@ -319,7 +315,6 @@ main(int argc, char **argv)
     bool reduce = true;
     bool meta = true;
     std::string configs_arg;
-    unsigned threads = 1;
     std::string one_spec;
     std::string result_file;
     std::string replay_arg;
@@ -359,8 +354,6 @@ main(int argc, char **argv)
             meta = false;
         } else if (arg == "--configs") {
             configs_arg = next();
-        } else if (arg == "--threads") {
-            threads = unsigned(flagU64("--threads", next(), UINT32_MAX));
         } else if (arg == "--one") {
             one_spec = next();
         } else if (arg == "--result-file") {
@@ -380,7 +373,6 @@ main(int argc, char **argv)
 
     gen::OracleOptions oopts;
     oopts.metamorphic = meta;
-    oopts.threads = threads;
     // --configs: a comma list of registered backend names.
     for (size_t pos = 0; !configs_arg.empty() && pos <= configs_arg.size();) {
         size_t end = configs_arg.find(',', pos);
@@ -427,7 +419,6 @@ main(int argc, char **argv)
     ChildConfig cc;
     cc.exe = selfExe(argv[0]);
     cc.configsArg = configs_arg;
-    cc.threads = threads;
     cc.meta = meta;
     cc.timeoutMs = timeout_ms;
     cc.tmpDir = corpus_dir;
