@@ -396,16 +396,11 @@ execute(const ir::Program &prog, const InterpOptions &opts,
     int64_t return_value = 0;
     std::vector<int64_t> output;
 
-    // The typed budget when it undercuts the runaway guard, else the
-    // guard itself.  check_at is the next step that must stop at the
-    // cap or poll the deadline, and each op counts `left` down to it,
-    // so the steps counted so far are check_at - left.
-    const uint64_t step_cap =
-        opts.budgetSteps != 0 && opts.budgetSteps < opts.maxSteps
-            ? opts.budgetSteps
-            : opts.maxSteps;
-    const uint64_t cap_check = step_cap == UINT64_MAX ? UINT64_MAX
-                                                      : step_cap + 1;
+    // check_at is the next step that must stop at the cap or poll the
+    // deadline, and each op counts `left` down to it, so the steps
+    // counted so far are check_at - left.
+    const uint64_t cap_check =
+        opts.maxSteps == UINT64_MAX ? UINT64_MAX : opts.maxSteps + 1;
     const bool has_deadline = opts.deadline.active();
     uint64_t check_at =
         has_deadline ? std::min(cap_check, kDeadlineCheckStride) : cap_check;
@@ -503,13 +498,10 @@ step_check: {
     if (pc->op == DOp::FellOff)
         panic("fell off the end of proc %s block %u",
               prog.procs[proc].name.c_str(), block);
-    if (steps > step_cap) {
-        // Typed, recoverable stop: the caller decides how severe a
-        // runaway run is.
-        if (step_cap < opts.maxSteps)
-            res.budgetStop = true;
-        else
-            res.stepLimit = true;
+    if (steps > opts.maxSteps) {
+        // Typed, recoverable stop: the caller decides how severe an
+        // overrun is.
+        res.stepLimit = true;
         res.stopProc = proc;
         goto done;
     }

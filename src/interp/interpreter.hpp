@@ -42,9 +42,9 @@
 
 namespace pathsched::interp {
 
-/** Default runaway-guard step ceiling (InterpOptions::maxSteps).  The
- *  pipeline's PipelineOptions::maxSteps refers to this same constant so
- *  the two defaults can never drift apart. */
+/** Default step ceiling (InterpOptions::maxSteps).  The pipeline's
+ *  PipelineOptions::maxSteps refers to this same constant so the two
+ *  defaults can never drift apart. */
 inline constexpr uint64_t kDefaultMaxSteps = 4'000'000'000ULL;
 
 /** The deadline is polled every this many steps, so an expired wall
@@ -93,22 +93,19 @@ struct RunResult
      * The run stopped because it reached InterpOptions::maxSteps.
      * Output and counters reflect the truncated prefix; the caller
      * decides whether that is a user error (runaway input program) or
-     * a miscompiled-program symptom (transformed code diverging).
+     * a degradable overrun (transformed code running longer).
      */
     bool stepLimit = false;
-    /** The run stopped at InterpOptions::budgetSteps (the typed
-     *  resource budget, distinct from the maxSteps runaway guard). */
-    bool budgetStop = false;
     /** The run stopped because InterpOptions::deadline expired. */
     bool deadlineStop = false;
-    /** Any of the three truncation causes fired. */
+    /** Either truncation cause fired. */
     bool
     truncated() const
     {
-        return stepLimit || budgetStop || deadlineStop;
+        return stepLimit || deadlineStop;
     }
-    /** Procedure executing when a truncated run stopped — the budget
-     *  exhaustion's attribution hint; kNoProc on a complete run. */
+    /** Procedure executing when a truncated run stopped — the
+     *  overrun's attribution hint; kNoProc on a complete run. */
     ir::ProcId stopProc = ir::kNoProc;
 
     /** @name Superblock statistics (Fig. 7)
@@ -139,13 +136,9 @@ struct RunResult
 /** Interpreter configuration. */
 struct InterpOptions
 {
-    /** Stop the run after this many operations (runaway guard); the
-     *  truncated result carries RunResult::stepLimit = true. */
+    /** Stop the run after this many operations; the truncated result
+     *  carries RunResult::stepLimit and a stopProc attribution. */
     uint64_t maxSteps = kDefaultMaxSteps;
-    /** Typed step budget (0 = none): exceeding it truncates the run
-     *  with RunResult::budgetStop and a stopProc attribution.  Budgets
-     *  at or above maxSteps defer to the runaway guard. */
-    uint64_t budgetSteps = 0;
     /** Cooperative wall budget, polled every kDeadlineCheckStride
      *  steps; expiry truncates with RunResult::deadlineStop. */
     Deadline deadline;

@@ -26,17 +26,6 @@ PipelineResult::totalMs() const
     return total;
 }
 
-size_t
-PipelineResult::budgetDegradations() const
-{
-    size_t n = 0;
-    for (const auto &d : degraded) {
-        if (d.kind == ErrorKind::BudgetExceeded)
-            ++n;
-    }
-    return n;
-}
-
 // configName and formConfigFor live in backend.cpp, beside the
 // registrations whose descriptors they reflect.
 
@@ -84,10 +73,10 @@ expiredAt(const char *stage)
                          strfmt("%s: deadline expired", stage));
 }
 
-/** The typed status of a run of the original program (@p what is
- *  "training run" or "reference test run") that stopped early, or OK.
- *  The original program has no procedure to degrade: the limit is
- *  simply too small for this workload. */
+/** The typed status of a run (@p what names it) that stopped early, or
+ *  OK.  For a run of the original program, the training or reference
+ *  run, there is no procedure to degrade: the limit is simply too
+ *  small for this workload. */
 Status
 stoppedEarly(const interp::RunResult &run, const char *what,
              const PipelineOptions &opt)
@@ -96,11 +85,6 @@ stoppedEarly(const interp::RunResult &run, const char *what,
         return Status::error(ErrorKind::StepLimit,
                              strfmt("%s exceeded %llu steps", what,
                                     (unsigned long long)opt.maxSteps));
-    if (run.budgetStop)
-        return Status::error(
-            ErrorKind::BudgetExceeded,
-            strfmt("%s exceeded the %llu-step budget", what,
-                   (unsigned long long)opt.robustness.budget.interpSteps));
     if (run.deadlineStop)
         return Status::error(ErrorKind::DeadlineExceeded,
                              strfmt("deadline expired during the %s", what));
@@ -167,8 +151,7 @@ prepareWorkload(const ir::Program &program,
     obs::StageTrace *trace = observer != nullptr ? observer->trace : nullptr;
     interp::InterpOptions iopts;
     iopts.maxSteps = opt.maxSteps;
-    iopts.budgetSteps = opt.robustness.budget.interpSteps;
-    iopts.deadline = opt.robustness.budget.deadline;
+    iopts.deadline = opt.robustness.deadline;
     auto timedRun = [&](PreparedWorkload::RunCost &cost, auto &&run) {
         cost.traceStartUs = trace != nullptr ? trace->nowUs() : 0;
         const auto t0 = std::chrono::steady_clock::now();
@@ -259,12 +242,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                                uint64_t(cost.ms * 1000.0));
     };
 
-    // Resource governance: with no budget set the step budget is 0 and
-    // the deadline inactive, so no check fires and the run is
-    // bit-identical to an unbudgeted build.
-    const ResourceBudget &bud = opt.robustness.budget;
-    const bool budget_active = !bud.unlimited();
-    result.budgeted = budget_active;
+    const Deadline &deadline = opt.robustness.deadline;
 
     // --- 1. The formation profile: an admitted external profile of the
     //        kind the backend reads, else the prepared training profile
@@ -387,7 +365,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         };
         // The deadline, polled at a governed chain's stage boundaries.
         auto expired = [&](const char *stage) {
-            if (!governed || !bud.deadline.expired())
+            if (!governed || !deadline.expired())
                 return false;
             stopped_at = stage;
             return true;
@@ -551,9 +529,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     timed.addSample("regalloc", regalloc_ms);
     base.addCounter("alloc" + cfg_dot + "regsSpilled",
                     result.alloc.regsSpilled);
-    // 0 by construction: the verify step rejects a procedure left on
-    // virtual registers.
-    base.addCounter("alloc" + cfg_dot + "procsSkipped", 0);
     base.addCounter("alloc" + cfg_dot + "rounds", result.alloc.rounds);
     base.addCounter("alloc" + cfg_dot + "liveSolves",
                     result.alloc.liveSolves);
@@ -602,8 +577,7 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         auto t = timed.time(stage_name);
         interp::InterpOptions iopts;
         iopts.maxSteps = opt.maxSteps;
-        iopts.budgetSteps = bud.interpSteps;
-        iopts.deadline = bud.deadline;
+        iopts.deadline = deadline;
         iopts.codeLayout = &code_layout;
         icache::ICache icache_sim(opt.cacheParams);
         if (opt.useICache)
@@ -621,9 +595,8 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
     preparedStage("verify", prepared.referenceCost);
 
     // Degrade @p suspects to BB, and lay out and measure the program
-    // again.  Hyphenated
-    // row names: "layout.retry" would nest under the "layout" leaf in
-    // the stats registry, which forbids that.
+    // again.  Hyphenated row names: "layout.retry" would nest under the
+    // "layout" leaf in the stats registry, which forbids that.
     using Suspects = std::vector<std::pair<ir::ProcId, Status>>;
     auto degradeAndRemeasure = [&](const Suspects &suspects,
                                    const char *stage) {
@@ -633,38 +606,26 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
         runTest("test-retry");
     };
 
-    // A budget-truncated measured run carries a stopProc attribution:
-    // degrade that procedure to BB and re-measure.  Bounded — each
-    // round quarantines one more procedure, and the reference run has
-    // already shown the all-BB limit fits the budget, so attribution
-    // running dry (or going in circles) is reported as a typed error,
-    // never an abort.
-    for (size_t round = 0; result.test.budgetStop ||
-                           result.test.deadlineStop;
-         ++round) {
+    // A measured run over the step bound carries a stopProc
+    // attribution: degrade that procedure to BB and re-measure, while
+    // it is one not yet degraded.  Each round quarantines one more
+    // procedure, so the rounds are bounded by the procedure count.  An
+    // overrun the attribution cannot absorb falls through to the
+    // output comparison, where a truncated run mismatches.
+    for (;;) {
         if (result.test.deadlineStop) {
-            result.status = Status::error(
-                ErrorKind::DeadlineExceeded,
-                "deadline expired during the measured test run");
+            result.status = stoppedEarly(result.test,
+                                         "measured test run", opt);
             return result;
         }
         const ir::ProcId sp = result.test.stopProc;
-        if (sp == ir::kNoProc || sp >= num_procs || quarantined[sp] ||
-            round >= num_procs) {
-            result.status = Status::error(
-                ErrorKind::BudgetExceeded,
-                strfmt("test run exceeded the %llu-step budget even "
-                       "after degrading %zu procedures",
-                       (unsigned long long)bud.interpSteps,
-                       result.degraded.size()));
-            return result;
-        }
+        if (!result.test.stepLimit || sp >= num_procs || quarantined[sp])
+            break;
         degradeAndRemeasure(
             {{sp, Status::error(
-                      ErrorKind::BudgetExceeded,
-                      strfmt("test run exceeded the %llu-step budget "
-                             "in proc %s",
-                             (unsigned long long)bud.interpSteps,
+                      ErrorKind::StepLimit,
+                      strfmt("test run exceeded %llu steps in proc %s",
+                             (unsigned long long)opt.maxSteps,
                              program.procs[sp].name.c_str()))}},
             "interp");
     }
@@ -710,6 +671,15 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                     suspects.push_back({p, st});
             }
         }
+        if (!suspects.empty())
+            degradeAndRemeasure(suspects, "output-compare");
+        if (result.test.truncated()) {
+            // Still over a limit with its suspects on their BB bodies:
+            // a governance limit, not a miscompile, so it is typed.
+            result.status =
+                stoppedEarly(result.test, "measured test run", opt);
+            return result;
+        }
         ps_assert_msg(!suspects.empty(),
                       "config %s changed program behaviour with every "
                       "procedure already degraded to BB "
@@ -718,17 +688,6 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
                       result.test.output.size(),
                       (long long)ref.returnValue,
                       (long long)result.test.returnValue);
-        degradeAndRemeasure(suspects, "output-compare");
-        if (result.test.budgetStop || result.test.deadlineStop) {
-            // The retry itself ran out of budget: a governance limit,
-            // not a miscompile — report it typed instead of asserting.
-            result.status = Status::error(
-                result.test.deadlineStop ? ErrorKind::DeadlineExceeded
-                                         : ErrorKind::BudgetExceeded,
-                "resource budget exhausted during the output-compare "
-                "retry run");
-            return result;
-        }
         result.outputMatches = matches();
         ps_assert_msg(result.outputMatches,
                       "config %s changed program behaviour even after "
@@ -768,16 +727,9 @@ runBackend(const PreparedWorkload &prepared, const BackendDesc &be,
             base.addCounter(
                 "robust" + cfg_dot + "errors." + errorKindName(k), n);
     }
-    if (budget_active) {
-        // Gated on governance being on, so unbudgeted runs register
-        // exactly the same stats as before the budget layer existed.
-        base.addCounter("robust" + cfg_dot + "budget.exhausted",
-                        result.budgetDegradations());
-        if (bud.deadline.active())
-            base.setGauge("robust" + cfg_dot +
-                              "budget.deadlineRemainingMs",
-                          double(bud.deadline.remainingMs()));
-    }
+    if (deadline.active())
+        base.setGauge("robust" + cfg_dot + "budget.deadlineRemainingMs",
+                      double(deadline.remainingMs()));
     if (opt.keepTransformed)
         result.transformed =
             std::make_shared<ir::Program>(std::move(prog));

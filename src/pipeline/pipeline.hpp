@@ -122,15 +122,12 @@ struct ProfileInput
 struct RobustnessOptions
 {
     /**
-     * A run-wide deadline and an interpreter step budget.  A chain
-     * that finds the deadline expired at a stage boundary stops there,
-     * degrading nothing, and the run ends with a typed
-     * DeadlineExceeded status; a measured test run over the step
-     * budget degrades the procedure it stopped in to BB.
-     * Default-constructed = no governance: the pipeline behaves
-     * bit-identically to an unbudgeted run.
+     * A run-wide wall budget.  A chain that finds it expired at a
+     * stage boundary stops there, degrading nothing, and the run ends
+     * with a typed DeadlineExceeded status.  The step bound is
+     * PipelineOptions::maxSteps.  Default-constructed = never expires.
      */
-    ResourceBudget budget;
+    Deadline deadline;
 
     /**
      * Optional fault injector (not owned; see support/faultinject.hpp).
@@ -199,8 +196,11 @@ struct PipelineOptions
     /** List-scheduler candidate priority (ablation). */
     sched::SchedPriority schedPriority =
         sched::SchedPriority::CriticalPath;
-    /** Interpreter step ceiling (the runaway guard; the default is the
-     *  interpreter's own, so the two can never drift apart). */
+    /** The step bound of every interpreter run (the default is the
+     *  interpreter's own, so the two can never drift apart).  A
+     *  training or reference run over it ends the run with a typed
+     *  StepLimit status; a measured run over it degrades the
+     *  procedure it stopped in to BB (docs/robustness.md). */
     uint64_t maxSteps = interp::kDefaultMaxSteps;
     /** Keep the transformed program in PipelineResult::transformed
      *  (for tests and tools that inspect the scheduled IR). */
@@ -222,8 +222,8 @@ struct Degradation
     /** Stage boundary that failed: "profile" (admission quarantined
      *  the procedure before its transform), "form", "materialize",
      *  "compact", "regalloc", "verify", "output-compare", or
-     *  "interp" (the measured test run blew its step budget inside
-     *  this procedure). */
+     *  "interp" (the measured test run overran maxSteps inside this
+     *  procedure). */
     std::string stage;
     ErrorKind kind = ErrorKind::Injected;
     std::string message;
@@ -264,17 +264,12 @@ struct PipelineResult
     std::vector<Degradation> degraded;
     /** The run completed but at least one procedure fell back to BB. */
     bool degradedRun() const { return !degraded.empty(); }
-    /** The run was governed by a non-empty ResourceBudget. */
-    bool budgeted = false;
     /** Admission verdict on externally supplied profiles (enabled is
      *  false when no external profile was checked). */
     profile::ProfileAudit profileAudit;
     /** The transformed program, when keepTransformed was set and the
      *  run completed. */
     std::shared_ptr<const ir::Program> transformed;
-    /** Degradations caused by an exhausted step budget (an expired
-     *  deadline degrades nothing). */
-    size_t budgetDegradations() const;
 
     /** Wall time of every pipeline stage, in execution order (always
      *  collected; independent of the observer).  Per-procedure stages
@@ -361,10 +356,9 @@ struct PreparedWorkload
  * counts, and from them the Pettis-Hansen placement, plus the profile
  * kinds in @p needs that @p options' profileInput does not already
  * supply — and once on @p test as the reference run.  The result's status records the first of the three
- * that failed.  @p options supplies the step ceiling, the path-profiler
- * parameters, the interpreter step budget and deadline, and the
- * observer; pass the same pathParams and maxSteps to every runBackend()
- * sharing the result.
+ * that failed.  @p options supplies the step bound, the path-profiler
+ * parameters, the deadline and the observer; pass the same pathParams
+ * and maxSteps to every runBackend() sharing the result.
  */
 PreparedWorkload prepareWorkload(const ir::Program &program,
                                  const interp::ProgramInput &train,
@@ -380,9 +374,12 @@ PreparedWorkload prepareWorkload(const ir::Program &program,
  * Recovery contract: a non-OK prepared status is returned unchanged.
  * A per-procedure stage failure (or an injected fault) degrades that
  * procedure to BB and the run completes — see PipelineResult::degraded.
- * An output mismatch that survives degrading every suspect procedure
- * to BB is an internal bug and panics, as does a failure of the BB
- * fallback itself.
+ * So does a measured run over maxSteps, which degrades the procedure
+ * it stopped in.  A measured run past the deadline, or still over
+ * maxSteps once its suspects run their BB bodies, returns a typed
+ * DeadlineExceeded or StepLimit status.  An output mismatch that
+ * survives degrading every suspect procedure to BB is an internal bug
+ * and panics, as does a failure of the BB fallback itself.
  */
 PipelineResult runBackend(const PreparedWorkload &prepared,
                           const BackendDesc &backend,

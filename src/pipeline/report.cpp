@@ -23,14 +23,6 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     // procedures that fell back to BB during this run.
     w.member("status", r.status.toString());
     w.member("degraded", uint64_t(r.degraded.size()));
-    if (r.budgeted) {
-        // Gated on governance so unbudgeted reports stay byte-identical
-        // to pre-budget builds.
-        w.key("budget");
-        w.beginObject();
-        w.member("exhausted", uint64_t(r.budgetDegradations()));
-        w.endObject();
-    }
     if (r.profileAudit.enabled) {
         // Profile admission (additive to the v1 schema): emitted only
         // when an external profile was checked, so ordinary runs stay
@@ -142,7 +134,6 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.key("alloc");
     w.beginObject();
     w.member("procsAllocated", r.alloc.procsAllocated);
-    w.member("procsSkipped", uint64_t(0)); // no procedure is skipped
     w.member("regsSpilled", r.alloc.regsSpilled);
     w.member("maxPressure", uint64_t(r.alloc.maxPressure));
     w.endObject();

@@ -476,7 +476,7 @@ ServeCore::attemptReschedule(bool force)
             workload_.program, workload_.train, workload_.test, {},
             opts_.pipelineBase));
     if (opts_.reschedDeadlineMs > 0)
-        po.robustness.budget.deadline =
+        po.robustness.deadline =
             Deadline::afterMs(opts_.reschedDeadlineMs);
     pipeline::PipelineResult result = pipeline::runBackend(
         *prepared_, *opts_.backend, po);

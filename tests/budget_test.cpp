@@ -1,11 +1,12 @@
 /**
  * @file
- * Resource-governance tests: Deadline / ResourceBudget units,
- * interpreter step-budget and deadline truncation, and the pipeline's
- * governance contract — a measured run over the step budget degrades
- * the procedure it stopped in through the quarantine path (never
- * aborts), while an expired run-wide deadline stops the chains where
- * they see it and ends the run with a typed status, degrading nothing.
+ * Resource-governance tests: Deadline units, interpreter step-bound
+ * and deadline truncation, and the pipeline's governance contract — a
+ * measured run over the step bound (PipelineOptions::maxSteps)
+ * degrades the procedure it stopped in through the quarantine path
+ * (never aborts), while an expired run-wide deadline stops the chains
+ * where they see it and ends the run with a typed status, degrading
+ * nothing.
  * A source scan keeps governance out of the passes: the pipeline's
  * per-procedure chain applies it at stage boundaries.
  */
@@ -23,6 +24,8 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "support/budget.hpp"
+#include "support/faultinject.hpp"
+#include "support/strutil.hpp"
 #include "workloads/workloads.hpp"
 
 namespace pathsched {
@@ -58,20 +61,6 @@ TEST(Deadline, GenerousBudgetIsPending)
     EXPECT_TRUE(d.active());
     EXPECT_FALSE(d.expired());
     EXPECT_GT(d.remainingMs(), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// ResourceBudget.
-
-TEST(ResourceBudget, DefaultIsUnlimited)
-{
-    ResourceBudget b;
-    EXPECT_TRUE(b.unlimited());
-    b.interpSteps = 1;
-    EXPECT_FALSE(b.unlimited());
-    b = ResourceBudget();
-    b.deadline = Deadline::afterMs(60'000);
-    EXPECT_FALSE(b.unlimited());
 }
 
 // ---------------------------------------------------------------------
@@ -135,26 +124,13 @@ TEST(InterpBudget, StepBudgetTruncatesWithAttribution)
 {
     const ir::Program prog = loopProgram();
     interp::InterpOptions opts;
-    opts.budgetSteps = 50;
-    interp::Interpreter interp(prog, opts);
-    const interp::RunResult r = interp.run(inputN(1000));
-    EXPECT_TRUE(r.budgetStop);
-    EXPECT_FALSE(r.stepLimit);
-    EXPECT_FALSE(r.deadlineStop);
-    EXPECT_TRUE(r.truncated());
-    EXPECT_EQ(r.stopProc, prog.mainProc);
-}
-
-TEST(InterpBudget, BudgetAtOrAboveMaxStepsDefersToRunawayGuard)
-{
-    const ir::Program prog = loopProgram();
-    interp::InterpOptions opts;
     opts.maxSteps = 50;
-    opts.budgetSteps = 100;
     interp::Interpreter interp(prog, opts);
     const interp::RunResult r = interp.run(inputN(1000));
     EXPECT_TRUE(r.stepLimit);
-    EXPECT_FALSE(r.budgetStop);
+    EXPECT_EQ(r.dynInstrs, 50u);
+    EXPECT_FALSE(r.deadlineStop);
+    EXPECT_TRUE(r.truncated());
     EXPECT_EQ(r.stopProc, prog.mainProc);
 }
 
@@ -183,7 +159,8 @@ TEST(InterpBudget, ExpiredDeadlineTruncatesLongRun)
 
 // ---------------------------------------------------------------------
 // Pipeline governance: an expired deadline stops the run with a typed
-// status, and a step budget degrades the procedure it stopped in.
+// status, and a measured run over the step bound degrades the
+// procedure it stopped in.
 
 PipelineResult
 runWc(SchedConfig config, const PipelineOptions &opts)
@@ -196,7 +173,7 @@ runWc(SchedConfig config, const PipelineOptions &opts)
 TEST(PipelineBudget, ExpiredDeadlineReturnsTypedStatus)
 {
     PipelineOptions opts;
-    opts.robustness.budget.deadline = Deadline::afterMs(0);
+    opts.robustness.deadline = Deadline::afterMs(0);
     const PipelineResult r = runWc(SchedConfig::P4, opts);
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
@@ -213,7 +190,7 @@ TEST(PipelineBudget, DeadlineExpiredBeforeTheChainsStopsThemAtTheirEntry)
     const pipeline::PreparedWorkload pw = pipeline::prepareWorkload(
         w.program, w.train, w.test, pipeline::needsOf(be), opts);
     ASSERT_TRUE(pw.status.ok()) << pw.status.toString();
-    opts.robustness.budget.deadline = Deadline::afterMs(0);
+    opts.robustness.deadline = Deadline::afterMs(0);
     const PipelineResult r = pipeline::runBackend(pw, be, opts);
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.kind(), ErrorKind::DeadlineExceeded);
@@ -237,7 +214,7 @@ TEST(PipelineBudget, ExpiredDeadlineLeavesNoDegradation)
         observer.stats = &registry;
         PipelineOptions opts;
         opts.observability.observer = &observer;
-        opts.robustness.budget.deadline = Deadline::afterMs(ms);
+        opts.robustness.deadline = Deadline::afterMs(ms);
         const PipelineResult r = pipeline::runBackend(pw, be, opts);
         SCOPED_TRACE(::testing::Message() << ms << " ms");
         if (!r.status.ok()) {
@@ -252,20 +229,21 @@ TEST(PipelineBudget, ExpiredDeadlineLeavesNoDegradation)
 TEST(PipelineBudget, TinyStepBudgetReturnsTypedStatusNotPanic)
 {
     // Far below even the training run: the pipeline must report a
-    // typed BudgetExceeded, never abort.
+    // typed StepLimit naming the run, never abort.
     PipelineOptions opts;
-    opts.robustness.budget.interpSteps = 100;
+    opts.maxSteps = 100;
     const PipelineResult r = runWc(SchedConfig::P4, opts);
     ASSERT_FALSE(r.status.ok());
-    EXPECT_EQ(r.status.kind(), ErrorKind::BudgetExceeded);
+    EXPECT_EQ(r.status.kind(), ErrorKind::StepLimit);
+    EXPECT_EQ(r.status.message(), "training run exceeded 100 steps");
 }
 
 TEST(PipelineBudget, TestRunBudgetDegradesTheStoppedProcedure)
 {
-    // A budget the original program fits under but the transformed
+    // A step bound the original program fits under but the transformed
     // (speculation + compensation stubs) program exceeds: the pipeline
     // must attribute the overrun to the procedure it stopped in,
-    // degrade it to BB, and complete within budget.
+    // degrade it to BB, and complete within the bound.
     const ir::Program prog = loopProgram();
     const interp::ProgramInput train = inputN(40);
     const interp::ProgramInput test = inputN(5000);
@@ -282,59 +260,148 @@ TEST(PipelineBudget, TestRunBudgetDegradesTheStoppedProcedure)
         GTEST_SKIP() << "transformed run not longer than the original "
                         "(nothing to attribute)";
 
-    opts.robustness.budget.interpSteps = (orig_steps + transformed_steps) / 2;
+    opts.maxSteps = (orig_steps + transformed_steps) / 2;
     const PipelineResult r = pipeline::runPipeline(
         prog, train, test, SchedConfig::P4, opts);
     EXPECT_TRUE(r.status.ok()) << r.status.toString();
     EXPECT_TRUE(r.outputMatches);
     ASSERT_FALSE(r.degraded.empty());
     EXPECT_EQ(r.degraded[0].stage, "interp");
-    EXPECT_EQ(r.degraded[0].kind, ErrorKind::BudgetExceeded);
+    EXPECT_EQ(r.degraded[0].kind, ErrorKind::StepLimit);
     EXPECT_EQ(r.degraded[0].procName, "main");
-    EXPECT_LE(r.test.dynInstrs, opts.robustness.budget.interpSteps);
+    EXPECT_LE(r.test.dynInstrs, opts.maxSteps);
 }
 
-TEST(PipelineBudget, UnbudgetedRunIsUnchanged)
+TEST(PipelineBudget, GenerousLimitsLeaveTheRunUnchanged)
 {
     const PipelineResult plain = runWc(SchedConfig::P4, {});
     ASSERT_TRUE(plain.status.ok());
-    EXPECT_FALSE(plain.budgeted);
     EXPECT_FALSE(plain.degradedRun());
 
-    // A generous budget must not change any measurement either.
+    // A generous deadline and step bound must not change any
+    // measurement either.
     PipelineOptions opts;
-    opts.robustness.budget.deadline = Deadline::afterMs(600'000);
-    opts.robustness.budget.interpSteps = 1'000'000'000;
+    opts.robustness.deadline = Deadline::afterMs(600'000);
+    opts.maxSteps = 1'000'000'000;
     const PipelineResult governed = runWc(SchedConfig::P4, opts);
     ASSERT_TRUE(governed.status.ok());
-    EXPECT_TRUE(governed.budgeted);
     EXPECT_FALSE(governed.degradedRun());
     EXPECT_EQ(governed.test.cycles, plain.test.cycles);
     EXPECT_EQ(governed.test.dynInstrs, plain.test.dynInstrs);
     EXPECT_EQ(governed.codeBytes, plain.codeBytes);
 }
 
-TEST(PipelineBudget, ReportBudgetBlockIsGatedOnGovernance)
+TEST(PipelineBudget, StepOverrunIsOneTypedDegradationInTheReport)
 {
-    PipelineResult plain = runWc(SchedConfig::BB, {});
-    std::vector<pipeline::ReportRun> runs;
-    runs.push_back({"wc", std::move(plain)});
-    const std::string without = pipeline::reportJson(runs, nullptr);
-    EXPECT_EQ(without.find("\"budget\""), std::string::npos);
-
     // wc/P4's transformed main overruns a million steps where the
-    // original does not: the test run degrades main, and only main.
+    // original does not: the test run degrades main, and only main, as
+    // a StepLimit at "interp", counted under robust.P4.errors.
+    obs::StatRegistry registry;
+    obs::Observer observer;
+    observer.stats = &registry;
     PipelineOptions opts;
-    opts.robustness.budget.interpSteps = 1'000'000;
+    opts.maxSteps = 1'000'000;
+    opts.observability.observer = &observer;
     PipelineResult governed = runWc(SchedConfig::P4, opts);
     ASSERT_TRUE(governed.status.ok()) << governed.status.toString();
     EXPECT_TRUE(governed.outputMatches);
-    EXPECT_EQ(governed.budgetDegradations(), 1u);
-    std::vector<pipeline::ReportRun> gruns;
-    gruns.push_back({"wc", std::move(governed)});
-    const std::string with = pipeline::reportJson(gruns, nullptr);
-    EXPECT_NE(with.find("\"budget\""), std::string::npos);
-    EXPECT_NE(with.find("\"exhausted\": 1"), std::string::npos);
+    ASSERT_EQ(governed.degraded.size(), 1u);
+    EXPECT_EQ(governed.degraded[0].procName, "main");
+    EXPECT_EQ(governed.degraded[0].stage, "interp");
+    EXPECT_EQ(governed.degraded[0].kind, ErrorKind::StepLimit);
+    EXPECT_EQ(governed.degraded[0].message,
+              "test run exceeded 1000000 steps in proc main");
+    EXPECT_LE(governed.test.dynInstrs, opts.maxSteps);
+    EXPECT_EQ(registry.counter("robust.P4.degraded"), 1u);
+    EXPECT_EQ(registry.counter("robust.P4.errors.StepLimit"), 1u);
+    std::vector<pipeline::ReportRun> runs;
+    runs.push_back({"wc", std::move(governed)});
+    const std::string json = pipeline::reportJson(runs, &registry);
+    EXPECT_EQ(json.find("\"budget\""), std::string::npos);
+}
+
+/** The id of @p prog's procedure named @p name. */
+ir::ProcId
+procNamed(const ir::Program &prog, const std::string &name)
+{
+    for (ir::ProcId p = 0; p < prog.procs.size(); ++p) {
+        if (prog.procs[p].name == name)
+            return p;
+    }
+    ADD_FAILURE() << "no procedure " << name;
+    return ir::kNoProc;
+}
+
+TEST(PipelineBudget, OverrunInAnAlreadyDegradedProcedureSuspectsTheRest)
+{
+    // vortex/M16 over a step bound a quarter of the way from the
+    // original's steps to the transformed program's stops in lookup.
+    // With lookup already on its BB body (an injected form fault), the
+    // overrun names no procedure left to degrade, so the output
+    // comparison suspects every other one: typed output-compare
+    // degradations, matching output, no panic.
+    const auto w = workloads::makeByName("vortex");
+    const uint64_t ref_steps =
+        interp::Interpreter(w.program).run(w.test).dynInstrs;
+    const PipelineResult plain = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::M16, {});
+    ASSERT_TRUE(plain.status.ok()) << plain.status.toString();
+    ASSERT_GT(plain.test.dynInstrs, ref_steps);
+    PipelineOptions opts;
+    opts.maxSteps = (3 * ref_steps + plain.test.dynInstrs) / 4;
+
+    const PipelineResult unfaulted = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::M16, opts);
+    ASSERT_TRUE(unfaulted.status.ok()) << unfaulted.status.toString();
+    ASSERT_FALSE(unfaulted.degraded.empty());
+    ASSERT_EQ(unfaulted.degraded[0].procName, "lookup");
+    ASSERT_EQ(unfaulted.degraded[0].stage, "interp");
+
+    FaultInjector inj;
+    std::string err;
+    ASSERT_TRUE(inj.parse(
+        strfmt("stage=form,proc=%u", procNamed(w.program, "lookup")), err))
+        << err;
+    opts.robustness.faults = &inj;
+    const PipelineResult r = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::M16, opts);
+    ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    EXPECT_TRUE(r.outputMatches);
+    EXPECT_LE(r.test.dynInstrs, opts.maxSteps);
+    ASSERT_EQ(r.degraded.size(), w.program.procs.size());
+    EXPECT_EQ(r.degraded[0].procName, "lookup");
+    EXPECT_EQ(r.degraded[0].stage, "form");
+    EXPECT_EQ(r.degraded[0].kind, ErrorKind::Injected);
+    for (size_t i = 1; i < r.degraded.size(); ++i) {
+        EXPECT_NE(r.degraded[i].procName, "lookup");
+        EXPECT_EQ(r.degraded[i].stage, "output-compare");
+        EXPECT_EQ(r.degraded[i].kind, ErrorKind::StepLimit);
+    }
+}
+
+TEST(PipelineBudget, OverrunOfTheBBFallbackIsATypedStepLimit)
+{
+    // On 8 registers wc's BB schedule spills, so even its all-BB
+    // program runs longer than the original.  A bound between the two
+    // fits the training and reference runs, but no degradation can
+    // bring the measured run under it: a typed StepLimit, not a panic.
+    const auto w = workloads::makeByName("wc");
+    const uint64_t ref_steps =
+        interp::Interpreter(w.program).run(w.test).dynInstrs;
+    PipelineOptions opts;
+    opts.machine.numRegs = 8;
+    const PipelineResult bb = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::BB, opts);
+    ASSERT_TRUE(bb.status.ok()) << bb.status.toString();
+    ASSERT_GT(bb.test.dynInstrs, ref_steps);
+    opts.maxSteps = (ref_steps + bb.test.dynInstrs) / 2;
+    const PipelineResult r = pipeline::runPipeline(
+        w.program, w.train, w.test, SchedConfig::P4, opts);
+    ASSERT_FALSE(r.status.ok());
+    EXPECT_EQ(r.status.kind(), ErrorKind::StepLimit);
+    EXPECT_EQ(r.status.message(),
+              strfmt("measured test run exceeded %llu steps",
+                     (unsigned long long)opts.maxSteps));
 }
 
 // ---------------------------------------------------------------------

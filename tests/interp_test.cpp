@@ -514,12 +514,12 @@ TEST(Interp, RunCountersMatchListenerTallies)
         expectCountersMatchListener(g.program, g.test, "callheavy");
     EXPECT_GT(full.dynCalls, 0u);
 
-    // A run cut short by the step budget, mid-activation.
+    // A run cut short by the step bound, mid-activation.
     InterpOptions cut;
-    cut.budgetSteps = full.dynInstrs / 2;
+    cut.maxSteps = full.dynInstrs / 2;
     const RunResult r = expectCountersMatchListener(
-        g.program, g.test, "callheavy budget-cut", cut);
-    EXPECT_TRUE(r.budgetStop);
+        g.program, g.test, "callheavy step-cut", cut);
+    EXPECT_TRUE(r.stepLimit);
     EXPECT_LT(r.dynRets, r.dynCalls + 1);
 }
 
@@ -673,8 +673,8 @@ hashRun(const RunResult &r)
                        r.stallCycles, r.icacheAccesses, r.icacheMisses,
                        r.icacheProbes})
         mix(v);
-    mix(uint64_t(r.stepLimit) | uint64_t(r.budgetStop) << 1 |
-        uint64_t(r.deadlineStop) << 2);
+    // Bit 1 is unused: the pinned hashes below fix this layout.
+    mix(uint64_t(r.stepLimit) | uint64_t(r.deadlineStop) << 2);
     mix(r.stopProc);
     for (uint64_t v : {r.sbEntries, r.sbBlocksExecuted, r.sbBlocksInSb,
                        r.sbCompletions})
@@ -798,7 +798,7 @@ TEST(Interp, PinnedRunsOfEveryWorkload)
 TEST(Interp, BudgetStopsArePinnedOnEveryOpKind)
 {
     // A call-dense generated program compiled for P4e and run with the
-    // I-cache, stopped by budgetSteps = k before every op but the
+    // I-cache, stopped by maxSteps = k before every op but the
     // first of its 799: the runs stop before each kind of op, exits
     // and calls included.  Pinned from the switch-dispatched
     // interpreter.
@@ -829,11 +829,11 @@ TEST(Interp, BudgetStopsArePinnedOnEveryOpKind)
     for (uint64_t k = 1; k <= kMax; ++k) {
         icache::ICache cache;
         InterpOptions opts;
-        opts.budgetSteps = k;
+        opts.maxSteps = k;
         opts.codeLayout = &layout;
         opts.cache = &cache;
         const RunResult r = Interpreter(prog, opts).run(g.test);
-        ASSERT_TRUE(r.budgetStop) << k;
+        ASSERT_TRUE(r.stepLimit) << k;
         ASSERT_EQ(r.dynInstrs, k);
         ASSERT_EQ(r.icacheAccesses, k);
         if (k > 1) {

@@ -227,14 +227,14 @@ def test_strict_rejects_before_any_run(tmp):
 
 
 def test_dump_obeys_step_budget(tmp):
-    print("--dump-paths: a budget-stopped training run writes nothing")
+    print("--dump-paths: a training run stopped by the step bound writes nothing")
     paths = os.path.join(tmp, "budget.paths")
     r = run_cli(["--workload", "wc", "--config", "P4",
                  "--step-budget", "100", "--dump-paths", paths])
     check(r.returncode == 1,
           f"budget-stopped training exits 1 (got {r.returncode})")
-    check("training run exceeded the 100-step budget" in r.stderr,
-          "stderr names the training budget")
+    check("training run exceeded 100 steps" in r.stderr,
+          "stderr names the training run and its step bound")
     check(not os.path.exists(paths), "no profile file is written")
 
 

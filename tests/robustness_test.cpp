@@ -313,7 +313,7 @@ TEST(Robustness, TrainingStepLimitReturnsTypedStatus)
 TEST(Robustness, ReferenceRunBudgetReturnsTypedStatusOncePerPrepare)
 {
     // wc's test text runs longer than its training text, so a step
-    // budget between the two lets the training run finish and stops
+    // bound between the two lets the training run finish and stops
     // the reference run of the original program.
     const auto w = workloads::makeByName("wc");
     const uint64_t train_steps =
@@ -322,18 +322,18 @@ TEST(Robustness, ReferenceRunBudgetReturnsTypedStatusOncePerPrepare)
         interp::Interpreter(w.program).run(w.test).dynInstrs;
     ASSERT_LT(train_steps, test_steps);
     PipelineOptions opts;
-    opts.robustness.budget.interpSteps = (train_steps + test_steps) / 2;
+    opts.maxSteps = (train_steps + test_steps) / 2;
     const pipeline::PreparedWorkload prep = pipeline::prepareWorkload(
         w.program, w.train, w.test,
         pipeline::needsOf(pipeline::allBackends()), opts);
     EXPECT_EQ(prep.training.dynInstrs, train_steps);
     const std::string want =
-        strfmt("reference test run exceeded the %llu-step budget",
-               (unsigned long long)opts.robustness.budget.interpSteps);
+        strfmt("reference test run exceeded %llu steps",
+               (unsigned long long)opts.maxSteps);
     for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
         const PipelineResult r = pipeline::runBackend(prep, *be, opts);
         ASSERT_FALSE(r.status.ok()) << be->name;
-        EXPECT_EQ(r.status.kind(), ErrorKind::BudgetExceeded) << be->name;
+        EXPECT_EQ(r.status.kind(), ErrorKind::StepLimit) << be->name;
         EXPECT_EQ(r.status.message(), want) << be->name;
         EXPECT_FALSE(r.degradedRun()) << be->name;
     }

@@ -111,14 +111,16 @@ usage()
         "                          again for each config run; expiry\n"
         "                          ends the run with a typed\n"
         "                          DeadlineExceeded error (exit 1)\n"
-        "  --step-budget N         interpreter step budget per run;\n"
-        "                          a test run over it degrades the\n"
-        "                          procedure it stopped in to BB\n"
-        "                          (exit 2)\n"
+        "  --step-budget N         step bound of every interpreter run\n"
+        "                          (0 = the default, 4e9): a training\n"
+        "                          or reference run over it is a\n"
+        "                          StepLimit error (exit 1); a test run\n"
+        "                          over it degrades the procedure it\n"
+        "                          stopped in to BB (exit 2)\n"
         "  --list                  list workloads and exit\n"
         "\n"
         "exit codes: 0 success; 1 user error (including an exhausted\n"
-        "deadline or budget that a BB fallback cannot absorb);\n"
+        "deadline or step bound that a BB fallback cannot absorb);\n"
         "2 completed with BB degradations; 3 internal error\n");
 }
 
@@ -343,8 +345,8 @@ main(int argc, char **argv)
         } else if (arg == "--deadline-ms") {
             deadline_ms = flagU64("--deadline-ms", next());
         } else if (arg == "--step-budget") {
-            opts.robustness.budget.interpSteps =
-                flagU64("--step-budget", next());
+            const uint64_t steps = flagU64("--step-budget", next());
+            opts.maxSteps = steps != 0 ? steps : interp::kDefaultMaxSteps;
         } else if (arg == "--list") {
             for (const auto &n : workloads::benchmarkNames())
                 std::printf("%s\n", n.c_str());
@@ -490,7 +492,7 @@ main(int argc, char **argv)
         if (!dump_paths.empty())
             prep_opts.profileInput.paths = nullptr;
         if (deadline_ms != 0)
-            prep_opts.robustness.budget.deadline =
+            prep_opts.robustness.deadline =
                 Deadline::afterMs(deadline_ms);
         const pipeline::PreparedWorkload prepared =
             pipeline::prepareWorkload(w.program, w.train, w.test, needs,
@@ -507,7 +509,7 @@ main(int argc, char **argv)
                       profile_version);
         for (const pipeline::BackendDesc *be : configs) {
             if (deadline_ms != 0)
-                opts.robustness.budget.deadline =
+                opts.robustness.deadline =
                     Deadline::afterMs(deadline_ms);
             auto run_timer =
                 observer.time("run." + name + "." + be->name);
